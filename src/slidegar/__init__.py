@@ -8,6 +8,7 @@ list, at a fixed ranker-call budget.
 
 from .adaptive_rerank import (
     RerankConfig,
+    RerankResult,
     expected_llm_calls,
     pseudo_scores,
     slidegar,
@@ -21,6 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Ranking",
     "RerankConfig",
+    "RerankResult",
     "ScoredDoc",
     "expected_llm_calls",
     "pseudo_scores",

@@ -21,13 +21,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence, TypeVar
 
 from .corpus_graph import CorpusGraph, neighbours
 from .corpus_store import CorpusStore, Query
 from .lexical_index import InvertedIndex, retrieve_expanded, rm3_expand
-from .rankers import Batch, CallCounter, ListwiseRanker, Window
+from .rankers import ListwiseRanker, Window
 from .ranking import Ranking, ScoredDoc
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -52,14 +54,60 @@ class RerankConfig:
             raise ValueError("truncate_k must be >= 0")
 
 
-def pseudo_scores(batch: Batch) -> list[tuple[str, float]]:
+@dataclass(frozen=True)
+class RerankResult:
+    """What every strategy returns for one query.
+
+    ``ranking`` has at most c entries; ``ranker_s`` is the wall time spent
+    inside the ranker's ``calls`` calls and ``bookkeeping_s`` everything else
+    the strategy spent.
+    """
+
+    ranking: Ranking
+    calls: int
+    ranker_s: float
+    bookkeeping_s: float
+
+
+def pseudo_scores(ordering: Sequence[T]) -> list[tuple[T, float]]:
     """Reciprocal-rank surrogate scores for a score-free ordering."""
-    return [(docno, 1.0 / rank) for rank, docno in enumerate(batch.ordering, start=1)]
+    return [(item, 1.0 / rank) for rank, item in enumerate(ordering, start=1)]
 
 
 def expected_llm_calls(cfg: RerankConfig) -> int:
     """Closed-form ranker-call count for a full-budget run: ceil((c-w)/b) + 1."""
     return (cfg.c - cfg.w + cfg.b - 1) // cfg.b + 1
+
+
+class _QueryRun:
+    """One query's ranker access on store ids; the only place ranker calls
+    are counted and timed."""
+
+    def __init__(self, query: Query, r0: Ranking, ranker: ListwiseRanker, store: CorpusStore) -> None:
+        if not r0:
+            raise ValueError("initial ranking must be non-empty")
+        self.started = time.perf_counter()
+        self.query = query
+        self.ranker = ranker
+        self.store = store
+        self.calls = 0
+        self.ranker_s = 0.0
+        self.pool = [store.doc_id(sd.docno) for sd in r0]
+
+    def rank(self, ids: list[int]) -> list[int]:
+        docs = self.store.docs
+        window = Window(query=self.query, docs=tuple((docs[i].docno, docs[i].text) for i in ids))
+        t0 = time.perf_counter()
+        batch = self.ranker.rank(window)
+        self.ranker_s += time.perf_counter() - t0
+        self.calls += 1
+        return [self.store.doc_id(docno) for docno in batch.ordering]
+
+    def result(self, ids: list[int]) -> RerankResult:
+        docnos = self.store.docnos
+        ranking = [ScoredDoc(docnos[i], 1.0 / position) for position, i in enumerate(ids, start=1)]
+        bookkeeping_s = time.perf_counter() - self.started - self.ranker_s
+        return RerankResult(ranking, self.calls, self.ranker_s, bookkeeping_s)
 
 
 def _run_window_loop(
@@ -68,65 +116,45 @@ def _run_window_loop(
     ranker: ListwiseRanker,
     cfg: RerankConfig,
     store: CorpusStore,
-    propose: Callable[[list[str], set[str], list[str]], list[str]],
-) -> tuple[Ranking, CallCounter, float]:
-    """Shared do-while loop.
+    propose: Callable[[list[int], set[int], list[int]], list[int]],
+) -> RerankResult:
+    """Shared do-while loop over store doc ids.
 
     ``propose(batch_order, seen, rest)`` returns the ordered pool the next
     window's fresh half is drawn from; an empty pool ends the run. ``rest``
     is the not-yet-ranked remainder of the initial pool, handed to propose
     for fallback use.
     """
-    if not r0:
-        raise ValueError("initial ranking must be non-empty")
-    counter = CallCounter()
-    started = time.perf_counter()
-    ranker_seconds = 0.0
-
-    r0_docnos = [sd.docno for sd in r0]
-    rest = list(r0_docnos)
+    run = _QueryRun(query, r0, ranker, store)
+    rest = run.pool
     rest_set = set(rest)
-    dumped: list[tuple[str, int, int]] = []  # (docno, iteration, window rank)
-    seen: set[str] = set()
-    l1: list[str] = []
-    window_docnos = list(r0_docnos[: cfg.w])
+    dumped: list[tuple[int, int, int]] = []  # (doc id, iteration, window rank)
+    seen: set[int] = set()
+    l1: list[int] = []
+    window = rest[: cfg.w]
     iteration = 0
 
     while True:
         iteration += 1
-        window = Window(query=query, docs=tuple((d, store.text(d)) for d in window_docnos))
-        t0 = time.perf_counter()
-        batch = ranker.rank(window)
-        elapsed = time.perf_counter() - t0
-        ranker_seconds += elapsed
-        counter.add(elapsed)
-
-        order = list(batch.ordering)
+        order = run.rank(window)
         seen.update(order)
         ranked_from_rest = rest_set.intersection(order)
         if ranked_from_rest:
-            rest = [d for d in rest if d not in ranked_from_rest]
+            rest = [i for i in rest if i not in ranked_from_rest]
             rest_set -= ranked_from_rest
         l1 = order[: cfg.b]
-        for rank, docno in enumerate(order[cfg.b :], start=cfg.b + 1):
-            dumped.append((docno, iteration, rank))
+        for rank, doc_id in enumerate(order[cfg.b :], start=cfg.b + 1):
+            dumped.append((doc_id, iteration, rank))
 
-        pool = propose(order, seen, rest)
-        l2 = pool[: cfg.b]
-        if not l2:
+        l2 = propose(order, seen, rest)[: cfg.b]
+        if not l2 or len(dumped) >= cfg.c - cfg.b:
             break
-        if len(dumped) >= cfg.c - cfg.b:
-            break
-        window_docnos = l1 + l2
+        window = l1 + l2
 
     # Last carried champions on top, then dumps: later iterations competed
     # against stronger carried documents, so they outrank earlier ones.
-    final = list(l1)
-    final.extend(docno for docno, _, _ in sorted(dumped, key=lambda t: (-t[1], t[2])))
-    del final[cfg.c :]
-    ranking = [ScoredDoc(docno, 1.0 / position) for position, docno in enumerate(final, start=1)]
-    bookkeeping = time.perf_counter() - started - ranker_seconds
-    return ranking, counter, bookkeeping
+    final = l1 + [doc_id for doc_id, _, _ in sorted(dumped, key=lambda t: (-t[1], t[2]))]
+    return run.result(final[: cfg.c])
 
 
 def slidegar(
@@ -137,7 +165,7 @@ def slidegar(
     cfg: RerankConfig,
     store: CorpusStore,
     accumulate_frontier: bool = False,
-) -> tuple[Ranking, CallCounter, float]:
+) -> RerankResult:
     """Graph-adaptive sliding-window rerank.
 
     After each window the frontier is rebuilt from the batch's graph
@@ -146,22 +174,17 @@ def slidegar(
     alternates between the remaining initial pool and that frontier,
     falling back to whichever is non-empty. ``accumulate_frontier=True``
     additionally carries over unconsumed frontier candidates from earlier
-    rounds instead of discarding them.
-
-    Returns (ranking of length <= c, call counter, bookkeeping seconds);
-    bookkeeping excludes ranker wall time.
+    rounds instead of discarding them. Graph ids must be ``store`` ids.
     """
-    frontier: list[str] = []
+    frontier: list[int] = []
     take_frontier = False  # flipped before each selection; the first fresh half comes from the frontier
 
-    def propose(order: list[str], seen: set[str], rest: list[str]) -> list[str]:
+    def propose(order: list[int], seen: set[int], rest: list[int]) -> list[int]:
         nonlocal frontier, take_frontier
-        scored = [(graph.doc_id(docno), 1.0 / rank) for rank, docno in enumerate(order, start=1)]
-        fresh = [graph.docnos[i] for i in neighbours(graph, scored, cfg.truncate_k)]
-        fresh = [docno for docno in fresh if docno not in seen]
+        fresh = [i for i in neighbours(graph, pseudo_scores(order), cfg.truncate_k) if i not in seen]
         if accumulate_frontier:
             new = set(fresh)
-            fresh += [docno for docno in frontier if docno not in seen and docno not in new]
+            fresh += [i for i in frontier if i not in seen and i not in new]
         frontier = fresh
         take_frontier = not take_frontier
         pool = frontier if take_frontier else rest
@@ -182,7 +205,7 @@ def slidegar_rm3(
     fb_docs: int = 10,
     fb_terms: int = 10,
     orig_weight: float = 0.6,
-) -> tuple[Ranking, CallCounter]:
+) -> RerankResult:
     """Feedback variant: fresh candidates come from the lexical index.
 
     After each window the query is expanded from the top-b of the batch
@@ -192,24 +215,18 @@ def slidegar_rm3(
     nothing, the remaining initial pool fills the window instead.
     """
 
-    def propose(order: list[str], seen: set[str], rest: list[str]) -> list[str]:
-        feedback = [ScoredDoc(docno, 1.0 / rank) for rank, docno in enumerate(order[: cfg.b], start=1)]
-        pool: list[str] = []
+    def propose(order: list[int], seen: set[int], rest: list[int]) -> list[int]:
         try:
             expanded = rm3_expand(
-                index, query, feedback, fb_docs=fb_docs, fb_terms=fb_terms, orig_weight=orig_weight
+                index, query, pseudo_scores(order[: cfg.b]),
+                fb_docs=fb_docs, fb_terms=fb_terms, orig_weight=orig_weight,
             )
-        except ValueError:
-            expanded = None  # no usable expansion terms
-        if expanded is not None:
-            exclude = {index.doc_id(docno) for docno in seen}
-            pool = [sd.docno for sd in retrieve_expanded(index, expanded, cfg.b, exclude=exclude)]
-        if not pool:
-            pool = rest
-        return pool
+        except ValueError:  # no usable expansion terms
+            return rest
+        hits = retrieve_expanded(index, expanded, cfg.b, exclude=seen)
+        return [store.doc_id(sd.docno) for sd in hits] or rest
 
-    ranking, counter, _ = _run_window_loop(query, r0, ranker, cfg, store, propose)
-    return ranking, counter
+    return _run_window_loop(query, r0, ranker, cfg, store, propose)
 
 
 def sliding_window_baseline(
@@ -218,17 +235,15 @@ def sliding_window_baseline(
     ranker: ListwiseRanker,
     cfg: RerankConfig,
     store: CorpusStore,
-) -> tuple[Ranking, CallCounter]:
+) -> RerankResult:
     """Standard tail-to-head sliding-window rerank of the initial pool.
 
     The pool is truncated to the budget, then windows of w documents are
     reranked in place from the back of the list towards the front with
     stride b (the last window clamps to the list head).
     """
-    if not r0:
-        raise ValueError("initial ranking must be non-empty")
-    counter = CallCounter()
-    items = [sd.docno for sd in r0][: cfg.c]
+    run = _QueryRun(query, r0[: cfg.c], ranker, store)
+    items = run.pool
     n = len(items)
     if n <= cfg.w:
         starts = [0]
@@ -241,31 +256,19 @@ def sliding_window_baseline(
                 break
             start = max(0, start - cfg.b)
     for start in starts:
-        chunk = items[start : start + cfg.w]
-        window = Window(query=query, docs=tuple((d, store.text(d)) for d in chunk))
-        t0 = time.perf_counter()
-        batch = ranker.rank(window)
-        counter.add(time.perf_counter() - t0)
-        items[start : start + cfg.w] = batch.ordering
-    ranking = [ScoredDoc(docno, 1.0 / position) for position, docno in enumerate(items, start=1)]
-    return ranking, counter
+        items[start : start + cfg.w] = run.rank(items[start : start + cfg.w])
+    return run.result(items)
 
 
-def telemetry_record(
-    qid: str,
-    r0: Ranking,
-    ranking: Ranking,
-    counter: CallCounter,
-    bookkeeping_seconds: float,
-) -> dict:
+def telemetry_record(qid: str, r0: Ranking, result: RerankResult) -> dict:
     """Per-query telemetry: call count, split timings, and how many output
     documents were not in the initial pool."""
     initial = {sd.docno for sd in r0}
-    escaped = sum(1 for sd in ranking if sd.docno not in initial)
+    escaped = sum(1 for sd in result.ranking if sd.docno not in initial)
     return {
         "qid": qid,
-        "llm_calls": counter.calls,
-        "bookkeeping_ms": round(bookkeeping_seconds * 1000.0, 3),
-        "ranker_ms": round(counter.wall_time * 1000.0, 3),
+        "llm_calls": result.calls,
+        "bookkeeping_ms": round(result.bookkeeping_s * 1000.0, 3),
+        "ranker_ms": round(result.ranker_s * 1000.0, 3),
         "escaped_docs": escaped,
     }

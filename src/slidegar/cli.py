@@ -17,7 +17,6 @@ import copy
 import json
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -138,7 +137,7 @@ class _Pipeline:
                 cfg["embeddings"], self.store, normalize=cfg["normalize_embeddings"]
             )
             self.query_vectors = dense_index.load_query_embeddings(cfg["query_embeddings"], self.queries)
-        self.graph = corpus_graph.load_graph(cfg["graph"]) if cfg["graph"] else None
+        self.graph = corpus_graph.load_graph(cfg["graph"], self.store) if cfg["graph"] else None
         self.ranker = self._make_ranker(cfg)
 
     def _make_ranker(self, cfg: dict):
@@ -166,27 +165,23 @@ class _Pipeline:
         r0 = self.initial_ranking(query, rcfg.c)
         if not r0:
             return query.qid, [], {"type": "query", "qid": query.qid, "note": "empty initial ranking"}
-        started = time.perf_counter()
         if cfg["strategy"] == "baseline":
-            ranking, counter = adaptive_rerank.sliding_window_baseline(
-                query, r0, self.ranker, rcfg, self.store
-            )
+            result = adaptive_rerank.sliding_window_baseline(query, r0, self.ranker, rcfg, self.store)
         elif cfg["strategy"] == "slidegar":
-            ranking, counter, _ = adaptive_rerank.slidegar(
+            result = adaptive_rerank.slidegar(
                 query, r0, self.ranker, self.graph, rcfg, self.store,
                 accumulate_frontier=cfg["accumulate_frontier"],
             )
         else:
-            ranking, counter = adaptive_rerank.slidegar_rm3(
+            result = adaptive_rerank.slidegar_rm3(
                 query, r0, self.ranker, self.index, rcfg, self.store,
                 fb_docs=cfg["rm3"]["fb_docs"],
                 fb_terms=cfg["rm3"]["fb_terms"],
                 orig_weight=cfg["rm3"]["orig_weight"],
             )
-        bookkeeping = time.perf_counter() - started - counter.wall_time
-        record = adaptive_rerank.telemetry_record(query.qid, r0, ranking, counter, bookkeeping)
+        record = adaptive_rerank.telemetry_record(query.qid, r0, result)
         record["type"] = "query"
-        return query.qid, ranking, record
+        return query.qid, result.ranking, record
 
     def execute(self, rcfg: RerankConfig) -> tuple[dict, list[dict]]:
         jobs = self.cfg["jobs"]

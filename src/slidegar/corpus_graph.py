@@ -5,7 +5,8 @@ Graph file: one JSON header line
 followed by N fixed-width rows of K little-endian u32 neighbour ids; row i
 belongs to doc id i and the sentinel value marks an unused slot. A companion
 ``docnos.txt`` in the same directory lists one docno per line in doc-id
-order.
+order. Graph ids are corpus-store ids, so a graph only loads against a
+store whose docnos match ``docnos.txt`` line for line.
 
 Graphs are built once at full depth (k=16 by default) and shallower depths
 are realized at query time by truncating each neighbour list, never by
@@ -40,19 +41,9 @@ class CorpusGraph:
         self.adjacency = adjacency.astype(np.uint32, copy=False)
         self.docnos = docnos
         self.source = source
-        self._ids = {docno: i for i, docno in enumerate(docnos)}
 
     def __len__(self) -> int:
         return len(self.docnos)
-
-    def doc_id(self, docno: str) -> int:
-        try:
-            return self._ids[docno]
-        except KeyError:
-            raise KeyError(f"docno {docno!r} not in graph") from None
-
-    def row(self, doc_id: int) -> list[int]:
-        return self.adjacency[doc_id].tolist()
 
 
 def _check_k(k: int, n_docs: int) -> None:
@@ -136,7 +127,13 @@ def save_graph(path: str | Path, graph: CorpusGraph) -> None:
             f.write(docno + "\n")
 
 
-def load_graph(path: str | Path) -> CorpusGraph:
+def load_graph(path: str | Path, store: CorpusStore) -> CorpusGraph:
+    """Load a graph whose rows are ``store``'s doc ids.
+
+    ``docnos.txt`` must list exactly ``store.docnos`` in id order; anything
+    else (another corpus, another dedup setting, a reordering) would make
+    every neighbour id point at the wrong document.
+    """
     path = Path(path)
     with open(path, "rb") as f:
         header = json.loads(f.readline().decode("utf-8"))
@@ -154,4 +151,11 @@ def load_graph(path: str | Path) -> CorpusGraph:
     docnos = docnos_path.read_text(encoding="utf-8").splitlines()
     if len(docnos) != count:
         raise ValueError(f"{docnos_path}: expected {count} docnos, found {len(docnos)}")
-    return CorpusGraph(k, adjacency.copy(), docnos, str(header["source"]))
+    if docnos != store.docnos:
+        pairs = zip(docnos, store.docnos)
+        line = next((i for i, (a, b) in enumerate(pairs, start=1) if a != b), min(count, len(store)) + 1)
+        raise ValueError(
+            f"{docnos_path}:{line}: docnos do not match the corpus in doc-id order; "
+            "rebuild the graph from the same corpus with the same dedup setting"
+        )
+    return CorpusGraph(k, adjacency.copy(), store.docnos, str(header["source"]))

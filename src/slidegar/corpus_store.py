@@ -53,11 +53,13 @@ class CorpusStore:
     """Write-once document store; immutable once ingestion finishes.
 
     Doc ids are dense ints assigned in ingestion order so they can index
-    directly into postings lists, embedding matrices, and graph rows.
+    directly into postings lists, embedding matrices, and graph rows. The
+    store holds the only docno -> id map; everything else works on ids.
     """
 
     def __init__(self) -> None:
         self.docs: list[Document] = []
+        self.docnos: list[str] = []  # doc id -> docno; indexes, tables and graphs share this list
         self.alias: dict[str, str] = {}  # dropped docno -> kept docno
         self._ids: dict[str, int] = {}
 
@@ -67,10 +69,6 @@ class CorpusStore:
     def __contains__(self, docno: str) -> bool:
         return docno in self._ids
 
-    @property
-    def docnos(self) -> list[str]:
-        return [d.docno for d in self.docs]
-
     def add(self, doc: Document) -> int:
         if not doc.docno:
             raise ValueError("empty docno")
@@ -79,6 +77,7 @@ class CorpusStore:
         if not doc.text.strip():
             raise ValueError(f"empty text for docno {doc.docno!r}")
         self.docs.append(doc)
+        self.docnos.append(doc.docno)
         doc_id = len(self.docs) - 1
         self._ids[doc.docno] = doc_id
         return doc_id
@@ -88,12 +87,6 @@ class CorpusStore:
             return self._ids[docno]
         except KeyError:
             raise KeyError(f"unknown docno {docno!r}") from None
-
-    def docno(self, doc_id: int) -> str:
-        return self.docs[doc_id].docno
-
-    def text(self, docno: str) -> str:
-        return self.docs[self.doc_id(docno)].text
 
     def resolve(self, docno: str) -> int | None:
         """Doc id for ``docno``, following the dedup alias map; None if absent."""
@@ -269,6 +262,6 @@ def map_qrels(
 def grades_by_docno(table: dict[str, dict[int, int]], store: CorpusStore) -> dict[str, dict[str, int]]:
     """Re-key a mapped qrel table by docno, for rankers and evaluation."""
     return {
-        qid: {store.docno(doc_id): grade for doc_id, grade in per_query.items()}
+        qid: {store.docnos[doc_id]: grade for doc_id, grade in per_query.items()}
         for qid, per_query in table.items()
     }

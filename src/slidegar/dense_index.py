@@ -30,7 +30,6 @@ class EmbeddingTable:
         self.matrix = matrix.astype(np.float32, copy=False)
         self.docnos = docnos
         self.normalized = normalized
-        self._ids = {docno: i for i, docno in enumerate(docnos)}
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
@@ -38,15 +37,6 @@ class EmbeddingTable:
     @property
     def dim(self) -> int:
         return int(self.matrix.shape[1])
-
-    def doc_id(self, docno: str) -> int:
-        try:
-            return self._ids[docno]
-        except KeyError:
-            raise KeyError(f"docno {docno!r} not in embedding table") from None
-
-    def vector(self, docno: str) -> np.ndarray:
-        return self.matrix[self.doc_id(docno)]
 
 
 def write_embeddings(
@@ -129,13 +119,13 @@ def load_embeddings(path: str | Path, store: CorpusStore, normalize: bool = Fals
         matrix[doc_id] = vector
         filled[doc_id] = True
     if not filled.all():
-        missing = store.docno(int(np.flatnonzero(~filled)[0]))
+        missing = store.docnos[int(np.flatnonzero(~filled)[0])]
         raise ValueError(f"{path}: no vector for store docno {missing!r}")
     normalized = bool(header.get("normalized", False))
     if normalize:
         norms = np.linalg.norm(matrix, axis=1)
         if np.any(norms == 0):
-            zero = store.docno(int(np.flatnonzero(norms == 0)[0]))
+            zero = store.docnos[int(np.flatnonzero(norms == 0)[0])]
             raise ValueError(f"{path}: zero vector for docno {zero!r} cannot be normalized")
         matrix = matrix / norms[:, None]
         normalized = True

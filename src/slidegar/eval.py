@@ -1,4 +1,4 @@
-"""nDCG / recall metrics, TREC run-file I/O, and run comparison."""
+"""nDCG / recall metrics and TREC run-file I/O."""
 
 from __future__ import annotations
 
@@ -144,39 +144,6 @@ def evaluate_run(
         if values:
             report.means[metric] = sum(values.values()) / len(values)
     return report
-
-
-def compare_runs(
-    run_a: dict[str, Ranking],
-    run_b: dict[str, Ranking],
-    qrels: dict[str, dict[str, int]],
-    metric: str,
-    rel_threshold: int = 1,
-) -> dict:
-    """Per-query metric deltas (b - a) over the shared qids; qids present in
-    only one run are flagged, not compared."""
-    shared = sorted(set(run_a) & set(run_b))
-    per_query: dict[str, dict[str, float]] = {}
-    skipped: list[str] = []
-    for qid in shared:
-        grades = qrels.get(qid, {})
-        value_a = _compute(metric, run_a[qid], grades, rel_threshold, False)
-        value_b = _compute(metric, run_b[qid], grades, rel_threshold, False)
-        if value_a is None or value_b is None:
-            skipped.append(qid)
-            continue
-        per_query[qid] = {"a": value_a, "b": value_b, "delta": value_b - value_a}
-    n = len(per_query)
-    return {
-        "metric": metric,
-        "per_query": per_query,
-        "mean_a": sum(v["a"] for v in per_query.values()) / n if n else None,
-        "mean_b": sum(v["b"] for v in per_query.values()) / n if n else None,
-        "mean_delta": sum(v["delta"] for v in per_query.values()) / n if n else None,
-        "only_a": sorted(set(run_a) - set(run_b)),
-        "only_b": sorted(set(run_b) - set(run_a)),
-        "skipped": skipped,
-    }
 
 
 def write_run(path: str | Path, run: dict[str, Ranking], tag: str) -> None:

@@ -55,9 +55,8 @@ def tokenize(text: str) -> list[str]:
 class InvertedIndex:
     """Immutable term -> postings map plus the stats BM25 needs.
 
-    Postings lists hold (doc_id, tf) pairs sorted by doc id. ``docnos``
-    mirrors the corpus store's doc-id order so retrieval can emit external
-    ids directly.
+    Postings lists hold (doc_id, tf) pairs sorted by doc id. ``docnos`` is
+    the corpus store's list, so retrieval can emit external ids directly.
     """
 
     def __init__(
@@ -73,16 +72,7 @@ class InvertedIndex:
         self.avg_doc_length = sum(doc_lengths) / self.doc_count if doc_lengths else 0.0
         self.docnos = docnos
         self.meta = meta or {}
-        self._ids: dict[str, int] | None = None
         self._forward: list[dict[str, int]] | None = None
-
-    def doc_id(self, docno: str) -> int:
-        if self._ids is None:
-            self._ids = {d: i for i, d in enumerate(self.docnos)}
-        try:
-            return self._ids[docno]
-        except KeyError:
-            raise KeyError(f"docno {docno!r} not in index") from None
 
     def doc_terms(self, doc_id: int) -> dict[str, int]:
         """Term frequencies of one document, recovered from the postings."""
@@ -166,14 +156,14 @@ class ExpandedQuery:
 def rm3_expand(
     index: InvertedIndex,
     query: Query,
-    feedback: Ranking,
+    feedback: list[tuple[int, float]],
     fb_docs: int = 10,
     fb_terms: int = 10,
     orig_weight: float = 0.6,
 ) -> ExpandedQuery:
     """Relevance-model expansion from ranked feedback documents.
 
-    ``feedback`` carries (docno, score) pairs, best first; listwise rankers
+    ``feedback`` carries (doc_id, score) pairs, best first; listwise rankers
     emit no scores, so callers supply reciprocal ranks. Document language
     models are maximum-likelihood (tf / doc length), unsmoothed. Feedback
     scores are shifted to be non-negative and normalized to sum 1; if
@@ -196,9 +186,8 @@ def rm3_expand(
         total = float(len(top))
 
     relevance_model: dict[str, float] = {}
-    for (docno, _), shifted_score in zip(top, shifted):
+    for (doc_id, _), shifted_score in zip(top, shifted):
         doc_weight = shifted_score / total
-        doc_id = index.doc_id(docno)
         length = index.doc_lengths[doc_id]
         if length == 0:
             continue

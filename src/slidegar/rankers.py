@@ -18,7 +18,6 @@ import hashlib
 import json
 import logging
 import random
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -59,22 +58,6 @@ class Batch:
     ordering: tuple[str, ...]
 
 
-class CallCounter:
-    """Thread-safe invocation count and cumulative ranker wall time."""
-
-    __slots__ = ("calls", "wall_time", "_lock")
-
-    def __init__(self) -> None:
-        self.calls = 0
-        self.wall_time = 0.0
-        self._lock = threading.Lock()
-
-    def add(self, elapsed: float) -> None:
-        with self._lock:
-            self.calls += 1
-            self.wall_time += elapsed
-
-
 def is_permutation(ordering: list[str], docnos: tuple[str, ...]) -> bool:
     return len(ordering) == len(docnos) and set(ordering) == set(docnos)
 
@@ -84,13 +67,8 @@ class ListwiseRanker:
 
     name = "listwise"
 
-    def __init__(self) -> None:
-        self.counter = CallCounter()
-
     def rank(self, window: Window) -> Batch:
-        started = time.perf_counter()
         ordering = [str(d) for d in self._order(window)]
-        self.counter.add(time.perf_counter() - started)
         if not is_permutation(ordering, window.docnos):
             raise ValueError(f"{self.name}: response is not a permutation of the window")
         return Batch(tuple(ordering))
@@ -113,7 +91,6 @@ class OracleRanker(ListwiseRanker):
     name = "oracle"
 
     def __init__(self, grades: dict[str, dict[str, int]]) -> None:
-        super().__init__()
         self.grades = grades
 
     def _order(self, window: Window) -> list[str]:
@@ -178,7 +155,6 @@ class RemoteRanker(ListwiseRanker):
         backoff: float = 0.5,
         auth: str | None = None,
     ) -> None:
-        super().__init__()
         self.url = endpoint.rstrip("/") + "/rerank"
         self.timeout = timeout
         self.retries = retries

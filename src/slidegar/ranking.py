@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 
 class ScoredDoc(NamedTuple):
@@ -13,10 +13,3 @@ class ScoredDoc(NamedTuple):
 # Rankings are plain lists of ScoredDoc, best first.
 Ranking = list[ScoredDoc]
 
-
-def make_ranking(pairs: Iterable[tuple[str, float]]) -> Ranking:
-    return [ScoredDoc(docno, float(score)) for docno, score in pairs]
-
-
-def docnos(ranking: Ranking) -> list[str]:
-    return [sd.docno for sd in ranking]

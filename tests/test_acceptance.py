@@ -65,8 +65,8 @@ def test_call_count_exactness():
 
         for c, expected in ((50, 4), (100, 9)):
             cfg = RerankConfig(w=20, b=10, c=c, truncate_k=1)
-            _, counter, _ = slidegar(Q, r0_of(names[: c + 40]), IdentityRanker(), graph, cfg, store)
-            assert counter.calls == expected == expected_llm_calls(cfg)
+            result = slidegar(Q, r0_of(names[: c + 40]), IdentityRanker(), graph, cfg, store)
+            assert result.calls == expected == expected_llm_calls(cfg)
 
         rng = random.Random(2024)
         for _ in range(200):
@@ -75,8 +75,8 @@ def test_call_count_exactness():
             c = rng.randint(w, min(w + 150, 380))
             cfg = RerankConfig(w=w, b=b, c=c, truncate_k=1)
             pool = names[: c + b + w]  # adequate |R0|: never exhausted mid-run
-            _, counter, _ = slidegar(Q, r0_of(pool), IdentityRanker(), graph, cfg, store)
-            assert counter.calls == expected_llm_calls(cfg), (w, b, c)
+            result = slidegar(Q, r0_of(pool), IdentityRanker(), graph, cfg, store)
+            assert result.calls == expected_llm_calls(cfg), (w, b, c)
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
@@ -89,18 +89,18 @@ def test_hand_trace_and_randomized_oracle_equivalence():
         graph = graph_from_dict({"d2": ["d9"], "d1": ["d8"]}, names, 1)
         ranker = OracleRanker({"q1": {"d2": 3, "d9": 2, "d1": 1}})
         cfg = RerankConfig(w=2, b=1, c=4, truncate_k=1)
-        ranking, counter, _ = slidegar(Q, r0_of(["d1", "d2", "d3", "d4"]), ranker, graph, cfg, store)
-        assert [sd.docno for sd in ranking] == ["d2", "d3", "d9", "d1"]
-        assert counter.calls == 3
+        result = slidegar(Q, r0_of(["d1", "d2", "d3", "d4"]), ranker, graph, cfg, store)
+        assert [sd.docno for sd in result.ranking] == ["d2", "d3", "d9", "d1"]
+        assert result.calls == 3
 
         # worked baseline example: reversal ranker slides tail-to-head
         base_store = names_store(["d1", "d2", "d3", "d4"])
         base_cfg = RerankConfig(w=2, b=1, c=4)
-        base, base_counter = sliding_window_baseline(
+        base = sliding_window_baseline(
             Q, r0_of(["d1", "d2", "d3", "d4"]), ReverseRanker(), base_cfg, base_store
         )
-        assert [sd.docno for sd in base] == ["d4", "d1", "d2", "d3"]
-        assert base_counter.calls == 3
+        assert [sd.docno for sd in base.ranking] == ["d4", "d1", "d2", "d3"]
+        assert base.calls == 3
 
         rng = random.Random(777)
         for _ in range(1000):
@@ -110,28 +110,28 @@ def test_hand_trace_and_randomized_oracle_equivalence():
             engine_ranker, sim_ranker = make_pair(kind, grades, 777)
 
             def rank_fn(docnos):
-                window = Window(query=Q, docs=tuple((d, store.text(d)) for d in docnos))
+                window = Window(query=Q, docs=tuple((d, store.docs[store.doc_id(d)].text) for d in docnos))
                 return list(sim_ranker.rank(window).ordering)
 
-            ranking, counter, _ = slidegar(Q, r0_of(r0), engine_ranker, graph, cfg, store)
+            result = slidegar(Q, r0_of(r0), engine_ranker, graph, cfg, store)
             expected, calls, offered = simulate_slidegar(
                 r0, rank_fn, lambda d: adjacency.get(d, []), cfg.w, cfg.b, cfg.c, cfg.truncate_k
             )
-            got = [sd.docno for sd in ranking]
-            assert got == expected and counter.calls == calls
+            got = [sd.docno for sd in result.ranking]
+            assert got == expected and result.calls == calls
             assert len(set(got)) == len(got) <= cfg.c
             assert set(got) <= set(r0) | offered
 
             engine_b, sim_b = make_pair(kind, grades, 777)
 
             def rank_fn_b(docnos):
-                window = Window(query=Q, docs=tuple((d, store.text(d)) for d in docnos))
+                window = Window(query=Q, docs=tuple((d, store.docs[store.doc_id(d)].text) for d in docnos))
                 return list(sim_b.rank(window).ordering)
 
-            base, base_counter = sliding_window_baseline(Q, r0_of(r0), engine_b, cfg, store)
+            base = sliding_window_baseline(Q, r0_of(r0), engine_b, cfg, store)
             base_expected, base_calls = simulate_baseline(r0, rank_fn_b, cfg.w, cfg.b, cfg.c)
-            assert [sd.docno for sd in base] == base_expected
-            assert base_counter.calls == base_calls
+            assert [sd.docno for sd in base.ranking] == base_expected
+            assert base.calls == base_calls
 
 
 def test_permutation_safety():
@@ -152,12 +152,12 @@ def test_permutation_safety():
         for behavior in ("duplicate", "drop_one", "foreign", "garbage", "status:500"):
             with scripted_server([behavior]) as endpoint:
                 remote = RemoteRanker(endpoint, timeout=2, retries=1, backoff=0.01)
-                degraded, counter, _ = slidegar(Q, r0_of(names), remote, graph, cfg, store)
-            clean, clean_counter, _ = slidegar(Q, r0_of(names), IdentityRanker(), graph, cfg, store)
-            got = [sd.docno for sd in degraded]
-            assert got == [sd.docno for sd in clean], behavior
+                degraded = slidegar(Q, r0_of(names), remote, graph, cfg, store)
+            clean = slidegar(Q, r0_of(names), IdentityRanker(), graph, cfg, store)
+            got = [sd.docno for sd in degraded.ranking]
+            assert got == [sd.docno for sd in clean.ranking], behavior
             assert len(set(got)) == len(got)
-            assert counter.calls == clean_counter.calls
+            assert degraded.calls == clean.calls  # a retried window counts once
 
 
 def _escape_numbers(bundle):
@@ -168,8 +168,8 @@ def _escape_numbers(bundle):
         query = Query(info["qid"], " ".join(info["query_terms"]))
         grades = bundle.grades[info["qid"]]
         r0 = bm25_retrieve(bundle.index, query, cfg.c)
-        base, _ = sliding_window_baseline(query, r0, oracle, cfg, bundle.store)
-        adaptive, _, _ = slidegar(query, r0, oracle, bundle.graph, cfg, bundle.store)
+        base = sliding_window_baseline(query, r0, oracle, cfg, bundle.store).ranking
+        adaptive = slidegar(query, r0, oracle, bundle.graph, cfg, bundle.store).ranking
         rows.append(
             {
                 "recall_base": recall_at(base, grades, 50, rel_threshold=2),
@@ -208,7 +208,7 @@ def test_graph_depth_monotone_trend(synth_bundle):
             for info in synth_bundle.manifest["queries"]:
                 query = Query(info["qid"], " ".join(info["query_terms"]))
                 r0 = bm25_retrieve(synth_bundle.index, query, cfg.c)
-                adaptive, _, _ = slidegar(query, r0, oracle, synth_bundle.graph, cfg, synth_bundle.store)
+                adaptive = slidegar(query, r0, oracle, synth_bundle.graph, cfg, synth_bundle.store).ranking
                 values.append(recall_at(adaptive, synth_bundle.grades[info["qid"]], 50, rel_threshold=2))
             means.append(sum(values) / len(values))
         assert means[-1] >= means[0]
@@ -225,8 +225,8 @@ def test_rm3_variant_recall_gain(synth_bundle):
             query = Query(info["qid"], " ".join(info["query_terms"]))
             grades = synth_bundle.grades[info["qid"]]
             r0 = bm25_retrieve(synth_bundle.index, query, cfg.c)
-            base, _ = sliding_window_baseline(query, r0, oracle, cfg, synth_bundle.store)
-            adaptive, _ = slidegar_rm3(query, r0, oracle, synth_bundle.index, cfg, synth_bundle.store)
+            base = sliding_window_baseline(query, r0, oracle, cfg, synth_bundle.store).ranking
+            adaptive = slidegar_rm3(query, r0, oracle, synth_bundle.index, cfg, synth_bundle.store).ranking
             base_vals.append(recall_at(base, grades, 50, rel_threshold=2))
             rm3_vals.append(recall_at(adaptive, grades, 50, rel_threshold=2))
         mean_base = sum(base_vals) / len(base_vals)
@@ -299,12 +299,12 @@ def test_bookkeeping_overhead_on_100k_graph():
         adjacency = np.where(adjacency == rows, (adjacency + 1) % n, adjacency)
         graph = CorpusGraph(16, adjacency, store.docnos, "dense")
         cfg = RerankConfig(w=20, b=10, c=100, truncate_k=16)
-        r0 = r0_of([store.docno(i) for i in range(0, n, n // 140)][:140])
+        r0 = r0_of(store.docnos[:: n // 140][:140])
         timings = []
         for _ in range(3):
-            _, counter, bookkeeping = slidegar(Q, r0, IdentityRanker(), graph, cfg, store)
-            assert counter.calls == expected_llm_calls(cfg)
-            timings.append(bookkeeping)
+            result = slidegar(Q, r0, IdentityRanker(), graph, cfg, store)
+            assert result.calls == expected_llm_calls(cfg)
+            timings.append(result.bookkeeping_s)
         best = min(timings)
         print(f"  [bookkeeping {best * 1000:.2f} ms/query]")
         if best >= 0.050:

@@ -15,7 +15,7 @@ from slidegar.adaptive_rerank import (
 )
 from slidegar.corpus_store import Query
 from slidegar.lexical_index import build_index
-from slidegar.rankers import Batch, IdentityRanker, ListwiseRanker, NoisyOracleRanker, OracleRanker, Window
+from slidegar.rankers import IdentityRanker, ListwiseRanker, NoisyOracleRanker, OracleRanker, Window
 from slidegar.ranking import ScoredDoc
 
 Q = Query("q1", "query text")
@@ -54,9 +54,9 @@ class RecordingRanker(ListwiseRanker):
 
 
 def test_pseudo_scores_definition():
-    assert pseudo_scores(Batch(("dA", "dB", "dC"))) == [("dA", 1.0), ("dB", 0.5), ("dC", 1 / 3)]
-    assert pseudo_scores(Batch(("only",))) == [("only", 1.0)]
-    assert pseudo_scores(Batch(tuple(f"d{i}" for i in range(20))))[19] == ("d19", 0.05)
+    assert pseudo_scores(("dA", "dB", "dC")) == [("dA", 1.0), ("dB", 0.5), ("dC", 1 / 3)]
+    assert pseudo_scores(["only"]) == [("only", 1.0)]
+    assert pseudo_scores(range(20))[19] == (19, 0.05)
 
 
 def test_config_validation():
@@ -85,12 +85,12 @@ def trace_fixture():
 def test_slidegar_hand_trace():
     store, graph, ranker = trace_fixture()
     cfg = RerankConfig(w=2, b=1, c=4, truncate_k=1)
-    ranking, counter, bookkeeping = slidegar(Q, r0_of(["d1", "d2", "d3", "d4"]), ranker, graph, cfg, store)
-    assert [sd.docno for sd in ranking] == ["d2", "d3", "d9", "d1"]
-    assert counter.calls == 3
-    assert counter.calls == expected_llm_calls(cfg)
-    assert bookkeeping >= 0.0
-    scores = [sd.score for sd in ranking]
+    result = slidegar(Q, r0_of(["d1", "d2", "d3", "d4"]), ranker, graph, cfg, store)
+    assert [sd.docno for sd in result.ranking] == ["d2", "d3", "d9", "d1"]
+    assert result.calls == 3
+    assert result.calls == expected_llm_calls(cfg)
+    assert result.bookkeeping_s >= 0.0 and result.ranker_s >= 0.0
+    scores = [sd.score for sd in result.ranking]
     assert scores == [1.0, 0.5, 1 / 3, 0.25]  # strictly decreasing synthetic scores
 
 
@@ -100,9 +100,9 @@ def test_slidegar_empty_graph_falls_back_to_initial_pool():
     store = names_store(names)
     graph = graph_from_dict({}, names, 1)
     cfg = RerankConfig(w=4, b=2, c=8, truncate_k=1)
-    ranking, counter, _ = slidegar(Q, r0_of(names), IdentityRanker(), graph, cfg, store)
-    assert {sd.docno for sd in ranking} == set(names[:8])
-    assert counter.calls == expected_llm_calls(cfg)
+    result = slidegar(Q, r0_of(names), IdentityRanker(), graph, cfg, store)
+    assert {sd.docno for sd in result.ranking} == set(names[:8])
+    assert result.calls == expected_llm_calls(cfg)
 
 
 def test_slidegar_call_counts_match_formula():
@@ -111,10 +111,7 @@ def test_slidegar_call_counts_match_formula():
     graph = graph_from_dict({}, names, 1)
     for c, expected in ((50, 4), (100, 9)):
         cfg = RerankConfig(w=20, b=10, c=c, truncate_k=1)
-        ranker = IdentityRanker()
-        _, counter, _ = slidegar(Q, r0_of(names), ranker, graph, cfg, store)
-        assert counter.calls == expected
-        assert ranker.counter.calls == expected  # aggregate counter agrees
+        assert slidegar(Q, r0_of(names), IdentityRanker(), graph, cfg, store).calls == expected
         assert expected_llm_calls(cfg) == expected
 
 
@@ -131,26 +128,26 @@ def test_baseline_single_window_when_budget_equals_w():
     names = ["a", "b", "c"]
     store = names_store(names)
     cfg = RerankConfig(w=3, b=1, c=3)
-    ranking, counter = sliding_window_baseline(Q, r0_of(names), ReverseRanker(), cfg, store)
-    assert [sd.docno for sd in ranking] == ["c", "b", "a"]
-    assert counter.calls == 1
+    result = sliding_window_baseline(Q, r0_of(names), ReverseRanker(), cfg, store)
+    assert [sd.docno for sd in result.ranking] == ["c", "b", "a"]
+    assert result.calls == 1
 
 
 def test_baseline_identity_is_noop():
     names = [f"d{i}" for i in range(9)]
     store = names_store(names)
     cfg = RerankConfig(w=4, b=2, c=8)
-    ranking, _ = sliding_window_baseline(Q, r0_of(names), IdentityRanker(), cfg, store)
-    assert [sd.docno for sd in ranking] == names[:8]
+    result = sliding_window_baseline(Q, r0_of(names), IdentityRanker(), cfg, store)
+    assert [sd.docno for sd in result.ranking] == names[:8]
 
 
 def test_baseline_reversal_hand_trace():
     names = ["d1", "d2", "d3", "d4"]
     store = names_store(names)
     cfg = RerankConfig(w=2, b=1, c=4)
-    ranking, counter = sliding_window_baseline(Q, r0_of(names), ReverseRanker(), cfg, store)
-    assert [sd.docno for sd in ranking] == ["d4", "d1", "d2", "d3"]
-    assert counter.calls == 3
+    result = sliding_window_baseline(Q, r0_of(names), ReverseRanker(), cfg, store)
+    assert [sd.docno for sd in result.ranking] == ["d4", "d1", "d2", "d3"]
+    assert result.calls == 3
 
 
 # --- randomized equivalence with the reference simulator ---
@@ -194,19 +191,19 @@ def run_equivalence(n_instances, seed):
         engine_ranker, sim_ranker = make_pair(kind, grades, seed)
 
         def rank_fn(docnos):
-            window = Window(query=Q, docs=tuple((d, store.text(d)) for d in docnos))
+            window = Window(query=Q, docs=tuple((d, store.docs[store.doc_id(d)].text) for d in docnos))
             return list(sim_ranker.rank(window).ordering)
 
         def neigh_fn(docno):
             return adjacency.get(docno, [])
 
-        ranking, counter, _ = slidegar(Q, r0_of(r0), engine_ranker, graph, cfg, store)
-        got = [sd.docno for sd in ranking]
+        result = slidegar(Q, r0_of(r0), engine_ranker, graph, cfg, store)
+        got = [sd.docno for sd in result.ranking]
         expected, calls, offered = simulate_slidegar(
             r0, rank_fn, neigh_fn, cfg.w, cfg.b, cfg.c, cfg.truncate_k
         )
         assert got == expected
-        assert counter.calls == calls
+        assert result.calls == calls
         # structural invariants on every instance
         assert len(set(got)) == len(got)
         assert len(got) <= cfg.c
@@ -215,13 +212,13 @@ def run_equivalence(n_instances, seed):
         engine_b, sim_b = make_pair(kind, grades, seed)
 
         def rank_fn_b(docnos):
-            window = Window(query=Q, docs=tuple((d, store.text(d)) for d in docnos))
+            window = Window(query=Q, docs=tuple((d, store.docs[store.doc_id(d)].text) for d in docnos))
             return list(sim_b.rank(window).ordering)
 
-        base_ranking, base_counter = sliding_window_baseline(Q, r0_of(r0), engine_b, cfg, store)
+        base = sliding_window_baseline(Q, r0_of(r0), engine_b, cfg, store)
         base_expected, base_calls = simulate_baseline(r0, rank_fn_b, cfg.w, cfg.b, cfg.c)
-        assert [sd.docno for sd in base_ranking] == base_expected
-        assert base_counter.calls == base_calls
+        assert [sd.docno for sd in base.ranking] == base_expected
+        assert base.calls == base_calls
 
 
 def test_randomized_equivalence_smoke():
@@ -250,8 +247,8 @@ def test_monotone_escape():
     grades = {"q1": {"a": 2, "r": 2}}
     cfg = RerankConfig(w=2, b=1, c=3, truncate_k=1)
     r0 = r0_of(["a", "b"])
-    adaptive, _, _ = slidegar(Q, r0, OracleRanker(grades), graph, cfg, store)
-    baseline, _ = sliding_window_baseline(Q, r0, OracleRanker(grades), cfg, store)
+    adaptive = slidegar(Q, r0, OracleRanker(grades), graph, cfg, store).ranking
+    baseline = sliding_window_baseline(Q, r0, OracleRanker(grades), cfg, store).ranking
     assert "r" in {sd.docno for sd in adaptive}
     assert "r" not in {sd.docno for sd in baseline}
 
@@ -268,8 +265,8 @@ def test_truncate_k_zero_equals_baseline_sets_on_aligned_configs():
         graph = graph_from_dict({}, names, 1)
         grades = {"q1": {name: rng.randint(0, 3) for name in names}}
         cfg = RerankConfig(w=w, b=b, c=c, truncate_k=0)
-        adaptive, _, _ = slidegar(Q, r0_of(names), OracleRanker(grades), graph, cfg, store)
-        baseline, _ = sliding_window_baseline(Q, r0_of(names), OracleRanker(grades), cfg, store)
+        adaptive = slidegar(Q, r0_of(names), OracleRanker(grades), graph, cfg, store).ranking
+        baseline = sliding_window_baseline(Q, r0_of(names), OracleRanker(grades), cfg, store).ranking
         assert {sd.docno for sd in adaptive} == {sd.docno for sd in baseline}
 
 
@@ -282,10 +279,10 @@ def test_accumulate_frontier_flag_keeps_leftovers():
     grades = {"q1": {"s": 3, "x1": 2, "x2": 2}}
     cfg = RerankConfig(w=2, b=1, c=4, truncate_k=3)
     r0 = r0_of(["s", "x1", "x2"])
-    plain, _, _ = slidegar(Q, r0, OracleRanker(grades), graph, cfg, store)
-    accumulated, _, _ = slidegar(
+    plain = slidegar(Q, r0, OracleRanker(grades), graph, cfg, store).ranking
+    accumulated = slidegar(
         Q, r0, OracleRanker(grades), graph, cfg, store, accumulate_frontier=True
-    )
+    ).ranking
     assert {sd.docno for sd in accumulated} >= {sd.docno for sd in plain}
 
 
@@ -304,12 +301,10 @@ def test_rm3_orig_weight_one_consumes_bm25_order():
     r0 = bm25_retrieve(index, query, 6)
     assert [sd.docno for sd in r0] == [f"d{i}" for i in range(6)]
     cfg = RerankConfig(w=4, b=2, c=6)
-    ranking, counter = slidegar_rm3(
-        query, r0, IdentityRanker(), index, cfg, store, orig_weight=1.0
-    )
+    result = slidegar_rm3(query, r0, IdentityRanker(), index, cfg, store, orig_weight=1.0)
     # trace: W1=[d0..d3] dumps d2,d3; W2=[d0,d1,d4,d5] dumps d4,d5; final
-    assert [sd.docno for sd in ranking] == ["d0", "d1", "d4", "d5", "d2", "d3"]
-    assert counter.calls == expected_llm_calls(cfg)
+    assert [sd.docno for sd in result.ranking] == ["d0", "d1", "d4", "d5", "d2", "d3"]
+    assert result.calls == expected_llm_calls(cfg)
 
 
 def test_rm3_falls_back_to_initial_pool_when_corpus_exhausted():
@@ -318,7 +313,7 @@ def test_rm3_falls_back_to_initial_pool_when_corpus_exhausted():
     index = build_index(store)
     names = list(docs)
     cfg = RerankConfig(w=2, b=1, c=5)
-    ranking, _ = slidegar_rm3(Query("q1", "shared"), r0_of(names), IdentityRanker(), index, cfg, store)
+    ranking = slidegar_rm3(Query("q1", "shared"), r0_of(names), IdentityRanker(), index, cfg, store).ranking
     got = {sd.docno for sd in ranking}
     assert got <= set(names)
     assert len(got) == len(ranking)
@@ -342,8 +337,8 @@ def test_rm3_recall_gain_on_clustered_fixture():
     r0 = bm25_retrieve(index, query, 6)
     assert [sd.docno for sd in r0] == ["v1", "v2", "x1", "x2"]  # hidden docs unreachable
     cfg = RerankConfig(w=4, b=2, c=6)
-    adaptive, _ = slidegar_rm3(query, r0, OracleRanker(grades), index, cfg, store)
-    baseline, _ = sliding_window_baseline(query, r0, OracleRanker(grades), cfg, store)
+    adaptive = slidegar_rm3(query, r0, OracleRanker(grades), index, cfg, store).ranking
+    baseline = sliding_window_baseline(query, r0, OracleRanker(grades), cfg, store).ranking
     relevant = set(grades["q1"])
     recall_adaptive = len({sd.docno for sd in adaptive} & relevant) / len(relevant)
     recall_baseline = len({sd.docno for sd in baseline} & relevant) / len(relevant)
@@ -359,8 +354,7 @@ def test_telemetry_record_fields():
     store, graph, ranker = trace_fixture()
     cfg = RerankConfig(w=2, b=1, c=4, truncate_k=1)
     r0 = r0_of(["d1", "d2", "d3", "d4"])
-    ranking, counter, bookkeeping = slidegar(Q, r0, ranker, graph, cfg, store)
-    record = telemetry_record("q1", r0, ranking, counter, bookkeeping)
+    record = telemetry_record("q1", r0, slidegar(Q, r0, ranker, graph, cfg, store))
     assert record["qid"] == "q1"
     assert record["llm_calls"] == 3
     assert record["escaped_docs"] == 1  # d9 entered from the graph

@@ -211,3 +211,26 @@ def test_remote_ranker_requires_endpoint(workspace, tmp_path, capsys):
     cfg = base_config(workspace, ranker="remote")
     assert main(["run", "--config", write_config(tmp_path / "r.json", cfg)]) == 2
     assert "endpoint" in capsys.readouterr().err
+
+
+def test_foreign_graph_fails_at_load(tmp_path, capsys):
+    # built with --dedup, the graph lacks the dropped twin "b" that a plain run keeps
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("a\tcat dog\nb\tcat dog\nc\tdog bird\nd\tbird fish\n", encoding="utf-8")
+    (tmp_path / "q.tsv").write_text("q1\tcat\n", encoding="utf-8")
+    graph = tmp_path / "g" / "graph.bin"
+    graph.parent.mkdir()
+    assert main([
+        "build-graph", "--corpus", str(corpus), "--source", "lexical", "--k", "1",
+        "--out", str(graph), "--dedup",
+    ]) == 0
+    capsys.readouterr()
+    run_out = tmp_path / "run.trec"
+    cfg = {
+        "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "graph": str(graph),
+        "ranker": "identity", "w": 2, "b": 1, "c": 3, "truncate_k": 1, "run_out": str(run_out),
+    }
+    assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "docnos.txt" in err[0]
+    assert not run_out.exists()

@@ -165,7 +165,7 @@ def test_build_invariant_under_insertion_order():
 def test_neighbours_two_source_example():
     names = ["d2", "d4", "d7", "d8", "d9"]
     graph = graph_from_dict({"d4": ["d7", "d9"], "d2": ["d9", "d8"]}, names, 2)
-    batch = [(graph.doc_id("d4"), 1 / 1), (graph.doc_id("d2"), 1 / 2)]
+    batch = [(names.index("d4"), 1 / 1), (names.index("d2"), 1 / 2)]
     result = [graph.docnos[i] for i in neighbours(graph, batch, 2)]
     assert result == ["d7", "d9", "d8"]
 
@@ -180,7 +180,7 @@ def test_neighbours_truncation_one_per_source():
     graph = graph_from_dict(
         {"s1": ["n1", "n4"], "s2": ["n2", "n4"], "s3": ["n3", "n4"]}, names, 2
     )
-    batch = [(graph.doc_id(s), 1 / (i + 1)) for i, s in enumerate(["s1", "s2", "s3"])]
+    batch = [(names.index(s), 1 / (i + 1)) for i, s in enumerate(["s1", "s2", "s3"])]
     result = [graph.docnos[i] for i in neighbours(graph, batch, 1)]
     assert result == ["n1", "n2", "n3"]
     assert len(result) <= 3
@@ -189,7 +189,7 @@ def test_neighbours_truncation_one_per_source():
 def test_neighbours_excludes_batch_and_deduplicates():
     names = ["a", "b", "c", "d"]
     graph = graph_from_dict({"a": ["b", "c"], "b": ["c", "d"]}, names, 2)
-    batch = [(graph.doc_id("a"), 1.0), (graph.doc_id("b"), 0.5)]
+    batch = [(names.index("a"), 1.0), (names.index("b"), 0.5)]
     result = [graph.docnos[i] for i in neighbours(graph, batch, 2)]
     assert result == ["c", "d"]  # b excluded (in batch), c deduplicated
 
@@ -207,7 +207,7 @@ def test_neighbours_truncation_monotone():
     graph = graph_from_dict(adjacency, names, 6)
     for _ in range(20):
         sources = rng.sample(names, rng.randint(1, 5))
-        batch = [(graph.doc_id(s), 1 / (i + 1)) for i, s in enumerate(sources)]
+        batch = [(names.index(s), 1 / (i + 1)) for i, s in enumerate(sources)]
         for tk in range(0, 6):
             shallow = neighbours(graph, batch, tk)
             deeper = neighbours(graph, batch, tk + 1)
@@ -219,7 +219,7 @@ def test_neighbours_truncation_monotone():
 def test_neighbours_truncate_subsequence_when_sources_disjoint():
     names = ["s1", "s2", "a", "b", "c", "d", "e", "f"]
     graph = graph_from_dict({"s1": ["a", "b", "c"], "s2": ["d", "e", "f"]}, names, 3)
-    batch = [(graph.doc_id("s1"), 1.0), (graph.doc_id("s2"), 0.5)]
+    batch = [(names.index("s1"), 1.0), (names.index("s2"), 0.5)]
     deep = neighbours(graph, batch, 3)
     for tk in range(0, 4):
         shallow = neighbours(graph, batch, tk)
@@ -242,7 +242,7 @@ def test_graph_save_load_roundtrip(tmp_path):
     names = [f"doc{i:02d}" for i in range(12)]
     graph = build_graph_dense(dense_table(rng.normal(size=(12, 3)).astype(np.float32), names), 4)
     save_graph(tmp_path / "graph.bin", graph)
-    loaded = load_graph(tmp_path / "graph.bin")
+    loaded = load_graph(tmp_path / "graph.bin", make_store({n: "text" for n in names}))
     assert (loaded.adjacency == graph.adjacency).all()
     assert loaded.docnos == names
     assert loaded.k == 4 and loaded.source == "dense"
@@ -259,7 +259,7 @@ def test_graph_header_fields(tmp_path):
     with open(tmp_path / "g.bin", "rb") as f:
         header = json.loads(f.readline())
     assert header == {"version": 1, "k": 2, "count": 3, "source": "lexical", "sentinel": 4294967295}
-    loaded = load_graph(tmp_path / "g.bin")
+    loaded = load_graph(tmp_path / "g.bin", store)
     assert loaded.adjacency[2].tolist() == [SENTINEL, SENTINEL]
 
 
@@ -270,4 +270,13 @@ def test_graph_load_rejects_bad_sizes(tmp_path):
     data = (tmp_path / "g.bin").read_bytes()
     (tmp_path / "g.bin").write_bytes(data[:-4])
     with pytest.raises(ValueError, match="adjacency bytes"):
-        load_graph(tmp_path / "g.bin")
+        load_graph(tmp_path / "g.bin", store)
+
+
+def test_graph_load_rejects_docnos_of_another_corpus(tmp_path):
+    store = make_store({"a": "cat dog", "b": "cat bird", "c": "dog bird"})
+    save_graph(tmp_path / "g.bin", build_graph_lexical(build_index(store), store, 1))
+    reordered = make_store({"a": "cat dog", "c": "dog bird", "b": "cat bird"})
+    with pytest.raises(ValueError, match=r"docnos\.txt:2: docnos do not match"):
+        load_graph(tmp_path / "g.bin", reordered)
+    assert load_graph(tmp_path / "g.bin", store).docnos is store.docnos

@@ -93,7 +93,7 @@ def test_docno_roundtrip(tmp_path):
     rows = [("b", "one"), ("a", "two"), ("c", "three")]
     store, _ = ingest_corpus(write_tsv(tmp_path / "c.tsv", rows), dedup=False)
     for docno in ("a", "b", "c"):
-        assert store.docno(store.doc_id(docno)) == docno
+        assert store.docnos[store.doc_id(docno)] == docno
 
 
 def test_jsonl_autodetect(tmp_path):
@@ -105,7 +105,7 @@ def test_jsonl_autodetect(tmp_path):
     )
     store, _ = ingest_corpus(path)
     assert store.docnos == ["j1", "j2"]
-    assert store.text("j1") == "hello world"
+    assert store.docs[store.doc_id("j1")].text == "hello world"
 
 
 def test_malformed_record_reports_line_number(tmp_path):

@@ -29,7 +29,7 @@ def test_load_three_docs(tmp_path):
     path = write_table(tmp_path / "e.bin", 4, [(n, [i, 0, 0, 1]) for i, n in enumerate(["a", "b", "c"])])
     table = load_embeddings(path, store)
     assert len(table) == 3 and table.dim == 4
-    assert table.vector("b").tolist() == [1, 0, 0, 1]
+    assert table.matrix[store.doc_id("b")].tolist() == [1, 0, 0, 1]
 
 
 def test_nan_vector_fatal(tmp_path):
@@ -74,7 +74,7 @@ def test_normalize_flag(tmp_path):
     path = write_table(tmp_path / "e.bin", 2, [("a", [3.0, 4.0])])
     table = load_embeddings(path, store, normalize=True)
     assert table.normalized
-    assert np.allclose(table.vector("a"), [0.6, 0.8])
+    assert np.allclose(table.matrix[store.doc_id("a")], [0.6, 0.8])
 
 
 def test_dense_retrieve_orthogonal(tmp_path):

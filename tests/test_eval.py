@@ -4,7 +4,6 @@ import random
 import pytest
 
 from slidegar.eval import (
-    compare_runs,
     evaluate_run,
     ndcg_at,
     parse_metric,
@@ -12,11 +11,11 @@ from slidegar.eval import (
     recall_at,
     write_run,
 )
-from slidegar.ranking import ScoredDoc, make_ranking
+from slidegar.ranking import ScoredDoc
 
 
 def rank_of(docnos):
-    return make_ranking((d, 1.0 / (i + 1)) for i, d in enumerate(docnos))
+    return [ScoredDoc(d, 1.0 / (i + 1)) for i, d in enumerate(docnos)]
 
 
 def test_ndcg_perfect_single_doc():
@@ -128,16 +127,6 @@ def test_evaluate_run_report():
     table = report.format_table()
     assert "mean" in table and "q3" in table
     assert "excluded from recall@10" in table
-
-
-def test_compare_runs_flags_and_deltas():
-    run_a = {"q1": rank_of(["a", "b"]), "q2": rank_of(["x"]), "only_a": rank_of(["z"])}
-    run_b = {"q1": rank_of(["b", "a"]), "q2": rank_of(["x"]), "only_b": rank_of(["z"])}
-    qrels = {"q1": {"a": 1}, "q2": {"x": 1}}
-    cmp = compare_runs(run_a, run_b, qrels, "recall@1")
-    assert cmp["per_query"]["q1"] == {"a": 1.0, "b": 0.0, "delta": -1.0}
-    assert cmp["only_a"] == ["only_a"] and cmp["only_b"] == ["only_b"]
-    assert cmp["mean_delta"] == pytest.approx(-0.5)
 
 
 def test_run_file_roundtrip(tmp_path):

@@ -15,7 +15,6 @@ from slidegar.lexical_index import (
     save_index,
     tokenize,
 )
-from slidegar.ranking import ScoredDoc
 
 TWO_DOCS = {"d1": "cat cat dog", "d2": "dog dog dog"}
 
@@ -112,7 +111,7 @@ def test_bm25_prefix_monotonicity():
 
 def test_rm3_worked_example():
     _, index = two_doc_index()
-    feedback = [ScoredDoc("d1", 1.0)]
+    feedback = [(0, 1.0)]
     eq = rm3_expand(index, Query("q", "cat"), feedback, fb_docs=10, fb_terms=2, orig_weight=0.6)
     assert eq.weights["cat"] == pytest.approx(0.6 + 0.4 * (2 / 3), abs=1e-12)
     assert eq.weights["dog"] == pytest.approx(0.4 * (1 / 3), abs=1e-12)
@@ -120,13 +119,13 @@ def test_rm3_worked_example():
 
 def test_rm3_orig_weight_one_is_query_only():
     _, index = two_doc_index()
-    eq = rm3_expand(index, Query("q", "cat dog"), [ScoredDoc("d2", 1.0)], orig_weight=1.0)
+    eq = rm3_expand(index, Query("q", "cat dog"), [(1, 1.0)], orig_weight=1.0)
     assert eq.weights == {"cat": pytest.approx(0.5), "dog": pytest.approx(0.5)}
 
 
 def test_rm3_orig_weight_zero_is_feedback_distribution():
     _, index = two_doc_index()
-    eq = rm3_expand(index, Query("q", "cat"), [ScoredDoc("d1", 1.0)], orig_weight=0.0)
+    eq = rm3_expand(index, Query("q", "cat"), [(0, 1.0)], orig_weight=0.0)
     assert eq.weights["cat"] == pytest.approx(2 / 3)
     assert eq.weights["dog"] == pytest.approx(1 / 3)
 
@@ -138,7 +137,7 @@ def test_rm3_weights_sum_to_one():
     index = build_index(make_store(docs))
     for trial in range(25):
         n_fb = rng.randint(1, 8)
-        feedback = [ScoredDoc(f"d{i}", 1.0 / (r + 1)) for r, i in enumerate(rng.sample(range(20), n_fb))]
+        feedback = [(i, 1.0 / (r + 1)) for r, i in enumerate(rng.sample(range(20), n_fb))]
         eq = rm3_expand(
             index,
             Query("q", " ".join(rng.choices(vocab, k=2))),
@@ -152,7 +151,7 @@ def test_rm3_weights_sum_to_one():
 
 def test_rm3_all_zero_scores_fall_back_to_uniform():
     _, index = two_doc_index()
-    feedback = [ScoredDoc("d1", 0.0), ScoredDoc("d2", 0.0)]
+    feedback = [(0, 0.0), (1, 0.0)]
     eq = rm3_expand(index, Query("q", "cat"), feedback, orig_weight=0.0)
     # uniform doc weights: 0.5 * {cat 2/3, dog 1/3} + 0.5 * {dog 1}
     assert eq.weights["cat"] == pytest.approx(0.5 * 2 / 3)
@@ -164,14 +163,14 @@ def test_rm3_validation():
     with pytest.raises(ValueError):
         rm3_expand(index, Query("q", "cat"), [])
     with pytest.raises(ValueError):
-        rm3_expand(index, Query("q", "cat"), [ScoredDoc("d1", 1.0)], orig_weight=1.5)
+        rm3_expand(index, Query("q", "cat"), [(0, 1.0)], orig_weight=1.5)
     with pytest.raises(ValueError):
-        rm3_expand(index, Query("q", "cat"), [ScoredDoc("d1", 1.0)], fb_terms=0)
+        rm3_expand(index, Query("q", "cat"), [(0, 1.0)], fb_terms=0)
 
 
 def test_rm3_all_stopword_query_uses_expansion_only():
     _, index = two_doc_index()
-    eq = rm3_expand(index, Query("q", "the and of"), [ScoredDoc("d1", 1.0)], orig_weight=0.6)
+    eq = rm3_expand(index, Query("q", "the and of"), [(0, 1.0)], orig_weight=0.6)
     assert eq.weights["cat"] == pytest.approx(2 / 3)
     assert eq.weights["dog"] == pytest.approx(1 / 3)
     assert sum(eq.weights.values()) == pytest.approx(1.0, abs=1e-9)

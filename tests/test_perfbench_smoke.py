@@ -1,0 +1,22 @@
+"""Smoke test of the benchmark harness on its tiny specs.
+
+It drives the CLI as child processes and, with ``--trace 1``, wraps the
+module-level names the window loop and the CLI call, so it fails if the
+engine stops reaching them the way the tracer and the query clock expect.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_perfbench_smoke_run_is_correct():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "all", "--smoke", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

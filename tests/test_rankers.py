@@ -1,5 +1,3 @@
-import threading
-
 import pytest
 
 from mockserver import ScriptedHandler, scripted_server
@@ -51,27 +49,6 @@ def test_oracle_unjudged_is_zero_and_ties_stable():
     ranker = OracleRanker({"q1": {"b": 1}})
     batch = ranker.rank(window("a", "b", "c", "d"))
     assert batch.ordering == ("b", "a", "c", "d")
-
-
-def test_counter_increments_and_times():
-    ranker = IdentityRanker()
-    for i in range(3):
-        ranker.rank(window("a", "b"))
-        assert ranker.counter.calls == i + 1
-    assert ranker.counter.wall_time >= 0.0
-
-
-def test_counter_thread_safety():
-    ranker = IdentityRanker()
-    threads = [
-        threading.Thread(target=lambda: [ranker.rank(window("a", "b")) for _ in range(50)])
-        for _ in range(8)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert ranker.counter.calls == 400
 
 
 def test_non_permutation_from_local_ranker_raises():
@@ -135,7 +112,6 @@ def test_remote_reversed_echo(mock_endpoint):
     ranker = RemoteRanker(mock_endpoint, timeout=5, retries=0)
     batch = ranker.rank(window("a", "b", "c"))
     assert batch.ordering == ("c", "b", "a")
-    assert ranker.counter.calls == 1
 
 
 def test_remote_duplicate_docno_degrades_to_input_order(mock_endpoint, caplog):
@@ -153,7 +129,6 @@ def test_remote_timeout_twice_then_success(mock_endpoint):
     ranker = RemoteRanker(mock_endpoint, timeout=0.3, retries=3, backoff=0.01)
     batch = ranker.rank(window("a", "b"))
     assert batch.ordering == ("b", "a")
-    assert ranker.counter.calls == 1  # one logical call despite three attempts
 
 
 def test_remote_http_error_then_success(mock_endpoint):

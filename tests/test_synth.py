@@ -60,7 +60,7 @@ def test_gap_half_hides_exactly_half(tmp_path):
     for info in manifest["queries"]:
         qterms = set(info["query_terms"])
         for docno in info["hidden"]:
-            assert not qterms & set(tokenize(store.text(docno)))
+            assert not qterms & set(tokenize(store.docs[store.doc_id(docno)].text))
 
 
 def test_same_seed_is_byte_identical(tmp_path):
@@ -97,7 +97,7 @@ def test_dense_graph_connects_hidden_docs(synth_bundle):
         visible = set(info["visible"])
         for docno in info["hidden"]:
             total += 1
-            row = graph.adjacency[graph.doc_id(docno)].tolist()
+            row = graph.adjacency[synth_bundle.store.doc_id(docno)].tolist()
             neighbours = {graph.docnos[i] for i in row if i != SENTINEL}
             if neighbours & visible:
                 connected += 1
