@@ -227,7 +227,7 @@ def cmd_build_index(args: argparse.Namespace) -> int:
     lexical_index.save_index(index, args.out, dedup=args.dedup)
     if args.dedup:
         corpus_store.write_dedup_report(Path(args.out) / "dedup_report.jsonl", report)
-    print(f"wrote {args.out}: {index.doc_count} docs, {len(index.postings)} terms, {len(report)} dropped")
+    print(f"wrote {args.out}: {index.doc_count} docs, {len(index.terms)} terms, {len(report)} dropped")
     return 0
 
 

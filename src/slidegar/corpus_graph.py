@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus_store import CorpusStore
+from .corpus_store import CorpusStore, check_docnos, write_docnos
 from .dense_index import EmbeddingTable
-from .lexical_index import InvertedIndex, score_weighted_terms, tokenize
+from .lexical_index import InvertedIndex, tokenize, top_docs
 
 SENTINEL = 0xFFFF_FFFF
 GRAPH_FORMAT_VERSION = 1
@@ -61,15 +61,8 @@ def build_graph_lexical(index: InvertedIndex, store: CorpusStore, k: int) -> Cor
     _check_k(k, len(store))
     adjacency = np.full((len(store), k), SENTINEL, dtype=np.uint32)
     for doc_id, doc in enumerate(store.docs):
-        weights = Counter(tokenize(doc.text))
-        scores = score_weighted_terms(index, weights)
-        scores.pop(doc_id, None)
-        top = sorted(
-            ((other, score) for other, score in scores.items() if score > 0.0),
-            key=lambda pair: (-pair[1], pair[0]),
-        )[:k]
-        for slot, (other, _) in enumerate(top):
-            adjacency[doc_id, slot] = other
+        top = top_docs(index, Counter(tokenize(doc.text)), k, exclude={doc_id})
+        adjacency[doc_id, : len(top)] = [other for other, _ in top]
     return CorpusGraph(k, adjacency, store.docnos, "lexical")
 
 
@@ -122,9 +115,7 @@ def save_graph(path: str | Path, graph: CorpusGraph) -> None:
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         f.write(graph.adjacency.astype("<u4").tobytes())
-    with open(path.parent / "docnos.txt", "w", encoding="utf-8") as f:
-        for docno in graph.docnos:
-            f.write(docno + "\n")
+    write_docnos(path.parent / "docnos.txt", graph.docnos)
 
 
 def load_graph(path: str | Path, store: CorpusStore) -> CorpusGraph:
@@ -147,15 +138,7 @@ def load_graph(path: str | Path, store: CorpusStore) -> CorpusGraph:
     if len(blob) != expected:
         raise ValueError(f"{path}: expected {expected} adjacency bytes, found {len(blob)}")
     adjacency = np.frombuffer(blob, dtype="<u4").reshape(count, k)
-    docnos_path = path.parent / "docnos.txt"
-    docnos = docnos_path.read_text(encoding="utf-8").splitlines()
-    if len(docnos) != count:
-        raise ValueError(f"{docnos_path}: expected {count} docnos, found {len(docnos)}")
-    if docnos != store.docnos:
-        pairs = zip(docnos, store.docnos)
-        line = next((i for i, (a, b) in enumerate(pairs, start=1) if a != b), min(count, len(store)) + 1)
-        raise ValueError(
-            f"{docnos_path}:{line}: docnos do not match the corpus in doc-id order; "
-            "rebuild the graph from the same corpus with the same dedup setting"
-        )
+    check_docnos(path.parent / "docnos.txt", store, "graph")
+    if count != len(store):
+        raise ValueError(f"{path}: header count {count} does not match the {len(store)} docnos")
     return CorpusGraph(k, adjacency.copy(), store.docnos, str(header["source"]))

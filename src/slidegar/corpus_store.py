@@ -190,6 +190,27 @@ def write_dedup_report(path: str | Path, report: list[dict]) -> None:
             f.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
+def write_docnos(path: str | Path, docnos: list[str]) -> None:
+    """``docnos.txt``: one docno per line in doc-id order, written beside an
+    artifact whose rows are doc ids."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(docno + "\n" for docno in docnos)
+
+
+def check_docnos(path: str | Path, store: CorpusStore, artifact: str) -> None:
+    """Reject an artifact whose ``docnos.txt`` is not ``store.docnos`` line
+    for line; another corpus, another dedup setting or a reordering would
+    make every doc id point at the wrong document."""
+    docnos = Path(path).read_text(encoding="utf-8").splitlines()
+    if docnos != store.docnos:
+        pairs = zip(docnos, store.docnos)
+        line = next((i for i, (a, b) in enumerate(pairs, start=1) if a != b), min(len(docnos), len(store)) + 1)
+        raise ValueError(
+            f"{path}:{line}: docnos do not match the corpus in doc-id order; "
+            f"rebuild the {artifact} from the same corpus with the same dedup setting"
+        )
+
+
 def load_queries(path: str | Path) -> list[Query]:
     queries: list[Query] = []
     seen: set[str] = set()

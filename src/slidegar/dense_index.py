@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import struct
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -61,42 +62,40 @@ def write_embeddings(
     return len(rows)
 
 
-def _iter_records(path: str | Path) -> tuple[dict, Iterator[tuple[int, str, np.ndarray]]]:
-    f = open(path, "rb")
-    header_line = f.readline()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-        dim, count = int(header["dim"]), int(header["count"])
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
-        f.close()
-        raise ValueError(f"{path}: invalid embedding header ({exc})") from None
-    if dim < 1 or count < 0:
-        f.close()
-        raise ValueError(f"{path}: invalid embedding header values dim={dim} count={count}")
+def _records(f: BinaryIO, path: str | Path, dim: int, count: int) -> Iterator[tuple[int, str, np.ndarray]]:
+    vec_bytes = 4 * dim
+    for record_idx in range(1, count + 1):
+        len_raw = f.read(4)
+        if len(len_raw) != 4:
+            raise ValueError(f"{path}: record {record_idx}: truncated file")
+        (docno_len,) = struct.unpack("<I", len_raw)
+        docno_raw = f.read(docno_len)
+        vec_raw = f.read(vec_bytes)
+        if len(docno_raw) != docno_len or len(vec_raw) != vec_bytes:
+            raise ValueError(f"{path}: record {record_idx}: truncated file")
+        docno = docno_raw.decode("utf-8")
+        vector = np.frombuffer(vec_raw, dtype="<f4")
+        if not np.all(np.isfinite(vector)):
+            raise ValueError(f"{path}: record {record_idx}: non-finite value for docno {docno!r}")
+        yield record_idx, docno, vector
+    if f.read(1):
+        raise ValueError(f"{path}: trailing bytes after {count} records")
 
-    def generate() -> Iterator[tuple[int, str, np.ndarray]]:
+
+@contextmanager
+def _open_records(path: str | Path) -> Iterator[tuple[dict, Iterator[tuple[int, str, np.ndarray]]]]:
+    """Header and (record index, docno, vector) iterator of an embedding
+    file. The file is closed when the ``with`` block exits, also when the
+    caller stops iterating early or raises."""
+    with open(path, "rb") as f:
         try:
-            vec_bytes = 4 * dim
-            for record_idx in range(1, count + 1):
-                len_raw = f.read(4)
-                if len(len_raw) != 4:
-                    raise ValueError(f"{path}: record {record_idx}: truncated file")
-                (docno_len,) = struct.unpack("<I", len_raw)
-                docno_raw = f.read(docno_len)
-                vec_raw = f.read(vec_bytes)
-                if len(docno_raw) != docno_len or len(vec_raw) != vec_bytes:
-                    raise ValueError(f"{path}: record {record_idx}: truncated file")
-                docno = docno_raw.decode("utf-8")
-                vector = np.frombuffer(vec_raw, dtype="<f4")
-                if not np.all(np.isfinite(vector)):
-                    raise ValueError(f"{path}: record {record_idx}: non-finite value for docno {docno!r}")
-                yield record_idx, docno, vector
-            if f.read(1):
-                raise ValueError(f"{path}: trailing bytes after {count} records")
-        finally:
-            f.close()
-
-    return header, generate()
+            header = json.loads(f.readline().decode("utf-8"))
+            dim, count = int(header["dim"]), int(header["count"])
+        except (ValueError, KeyError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: invalid embedding header ({exc})") from None
+        if dim < 1 or count < 0:
+            raise ValueError(f"{path}: invalid embedding header values dim={dim} count={count}")
+        yield header, _records(f, path, dim, count)
 
 
 def load_embeddings(path: str | Path, store: CorpusStore, normalize: bool = False) -> EmbeddingTable:
@@ -106,18 +105,17 @@ def load_embeddings(path: str | Path, store: CorpusStore, normalize: bool = Fals
     record, a non-finite component (all reported with the record index), and
     on any store document the file does not cover (reported by docno).
     """
-    header, records = _iter_records(path)
-    dim = int(header["dim"])
-    matrix = np.zeros((len(store), dim), dtype=np.float32)
-    filled = np.zeros(len(store), dtype=bool)
-    for record_idx, docno, vector in records:
-        if docno not in store:
-            raise ValueError(f"{path}: record {record_idx}: docno {docno!r} not in store")
-        doc_id = store.doc_id(docno)
-        if filled[doc_id]:
-            raise ValueError(f"{path}: record {record_idx}: duplicate docno {docno!r}")
-        matrix[doc_id] = vector
-        filled[doc_id] = True
+    with _open_records(path) as (header, records):
+        matrix = np.zeros((len(store), int(header["dim"])), dtype=np.float32)
+        filled = np.zeros(len(store), dtype=bool)
+        for record_idx, docno, vector in records:
+            if docno not in store:
+                raise ValueError(f"{path}: record {record_idx}: docno {docno!r} not in store")
+            doc_id = store.doc_id(docno)
+            if filled[doc_id]:
+                raise ValueError(f"{path}: record {record_idx}: duplicate docno {docno!r}")
+            matrix[doc_id] = vector
+            filled[doc_id] = True
     if not filled.all():
         missing = store.docnos[int(np.flatnonzero(~filled)[0])]
         raise ValueError(f"{path}: no vector for store docno {missing!r}")
@@ -134,8 +132,8 @@ def load_embeddings(path: str | Path, store: CorpusStore, normalize: bool = Fals
 
 def load_query_embeddings(path: str | Path, queries: list[Query]) -> dict[str, np.ndarray]:
     """Load query vectors (qid stored in the docno slot); every query must be covered."""
-    _, records = _iter_records(path)
-    vectors = {qid: vec for _, qid, vec in records}
+    with _open_records(path) as (_, records):
+        vectors = {qid: vec for _, qid, vec in records}
     for query in queries:
         if query.qid not in vectors:
             raise ValueError(f"{path}: no vector for qid {query.qid!r}")

@@ -81,15 +81,17 @@ def test_run_is_byte_identical_across_invocations(workspace, tmp_path):
 
 
 def test_jobs_flag_does_not_change_output(workspace, tmp_path):
-    outputs = []
-    for jobs in (1, 3):
-        cfg = base_config(
-            workspace, jobs=jobs, run_out=str(tmp_path / f"j{jobs}.trec"),
-            telemetry_out=str(tmp_path / f"j{jobs}.telemetry.jsonl"),
-        )
-        assert main(["run", "--config", write_config(tmp_path / f"j{jobs}.json", cfg)]) == 0
-        outputs.append((tmp_path / f"j{jobs}.trec").read_bytes())
-    assert outputs[0] == outputs[1]
+    for strategy in ("slidegar", "slidegar_rm3"):
+        outputs = []
+        for jobs in (1, 3):
+            name = f"{strategy}-j{jobs}"
+            cfg = base_config(
+                workspace, strategy=strategy, jobs=jobs, run_out=str(tmp_path / f"{name}.trec"),
+                telemetry_out=str(tmp_path / f"{name}.telemetry.jsonl"),
+            )
+            assert main(["run", "--config", write_config(tmp_path / f"{name}.json", cfg)]) == 0
+            outputs.append((tmp_path / f"{name}.trec").read_bytes())
+        assert outputs[0] == outputs[1], strategy
 
 
 def test_telemetry_config_reruns_verbatim(workspace, tmp_path):
@@ -229,6 +231,26 @@ def test_foreign_graph_fails_at_load(tmp_path, capsys):
     cfg = {
         "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "graph": str(graph),
         "ranker": "identity", "w": 2, "b": 1, "c": 3, "truncate_k": 1, "run_out": str(run_out),
+    }
+    assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "docnos.txt" in err[0]
+    assert not run_out.exists()
+
+
+def test_foreign_index_fails_at_load(tmp_path, capsys):
+    # same size, so only the docnos tell the two corpora apart
+    built = tmp_path / "built.tsv"
+    built.write_text("a\tcat dog\nb\tbird fish\n", encoding="utf-8")
+    assert main(["build-index", "--corpus", str(built), "--out", str(tmp_path / "idx")]) == 0
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("x\tzebra lion\ny\tcat dog\n", encoding="utf-8")
+    (tmp_path / "q.tsv").write_text("q1\tcat\n", encoding="utf-8")
+    capsys.readouterr()
+    run_out = tmp_path / "run.trec"
+    cfg = {
+        "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "index_dir": str(tmp_path / "idx"),
+        "strategy": "baseline", "ranker": "identity", "w": 2, "b": 1, "c": 2, "run_out": str(run_out),
     }
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
     err = capsys.readouterr().err.splitlines()

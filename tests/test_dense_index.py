@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_store
+from slidegar import dense_index
 from slidegar.corpus_store import Query
 from slidegar.dense_index import (
     dense_retrieve,
@@ -51,6 +52,24 @@ def test_unknown_docno_fatal_with_record_index(tmp_path):
     path = write_table(tmp_path / "e.bin", 2, [("a", [1, 0]), ("ghost", [0, 1])])
     with pytest.raises(ValueError, match="record 2"):
         load_embeddings(path, store)
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+def test_unknown_docno_error_closes_the_file(tmp_path, monkeypatch):
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    store = store_for(["a"])
+    path = write_table(tmp_path / "e.bin", 2, [("a", [1, 0]), ("ghost", [0, 1]), ("b", [1, 1])])
+    monkeypatch.setattr(dense_index, "open", tracking_open, raising=False)
+    with pytest.raises(ValueError, match="record 2") as excinfo:
+        load_embeddings(path, store)
+    # the traceback still holds load_embeddings' frame; the file is closed anyway
+    assert excinfo.value.__traceback__ is not None
+    assert len(opened) == 1 and opened[0].closed
 
 
 def test_truncated_file_fatal(tmp_path):

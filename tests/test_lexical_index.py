@@ -1,8 +1,14 @@
+import json
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import refindex
 from conftest import make_store
 from slidegar.corpus_store import Query
 from slidegar.lexical_index import (
@@ -15,6 +21,8 @@ from slidegar.lexical_index import (
     save_index,
     tokenize,
 )
+
+CSR_FIELDS = ("offsets", "doc_ids", "tfs", "norm", "doc_offsets", "doc_term_ids", "doc_tfs")
 
 TWO_DOCS = {"d1": "cat cat dog", "d2": "dog dog dog"}
 
@@ -228,8 +236,7 @@ def test_index_save_load_roundtrip(tmp_path):
     index = build_index(store)
     save_index(index, tmp_path / "idx", dedup=False)
     loaded = load_index(tmp_path / "idx", store)
-    assert loaded.postings == index.postings
-    assert loaded.doc_lengths == index.doc_lengths
+    assert_same_index(loaded, index)
     assert loaded.avg_doc_length == index.avg_doc_length
     query = Query("q", "t1 t2 t3 t4")
     assert bm25_retrieve(loaded, query, 10) == bm25_retrieve(index, query, 10)
@@ -251,6 +258,8 @@ def test_index_files_exact_bytes(tmp_path):
                   0, 1, 1, 1]  # dog: doc 0 tf 1, delta 1 -> doc 1 tf 1
     )
     assert postings == expected
+    assert json.loads((tmp_path / "idx" / "meta.json").read_text())["version"] == 2
+    assert (tmp_path / "idx" / "docnos.txt").read_text() == "a\nb\n"
 
 
 def test_index_load_rejects_store_mismatch(tmp_path):
@@ -260,3 +269,114 @@ def test_index_load_rejects_store_mismatch(tmp_path):
     bigger = make_store({"a": "cat", "b": "dog", "c": "bird"})
     with pytest.raises(ValueError, match="dedup"):
         load_index(tmp_path / "idx", bigger)
+
+
+def assert_same_index(loaded, index):
+    assert loaded.terms == index.terms
+    assert loaded.term_ids == index.term_ids
+    for field in CSR_FIELDS:
+        a, b = getattr(loaded, field), getattr(index, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert loaded.doc_lengths == index.doc_lengths
+    assert loaded.avg_doc_length == index.avg_doc_length
+
+
+WORDS = st.sampled_from(["ant", "bee", "cat", "the", "dog", "eel"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(WORDS, max_size=8), min_size=1, max_size=12))
+def test_index_codec_roundtrip_property(tmp_path_factory, docs):
+    # docs may be all stopwords, so zero lengths and an empty index occur
+    store = make_store({f"d{i}": " ".join(words) or "the" for i, words in enumerate(docs)})
+    index = build_index(store)
+    out = tmp_path_factory.mktemp("idx")
+    save_index(index, out)
+    assert_same_index(load_index(out, store), index)
+
+
+# --- the CSR engine against the dict-of-tuples reference ---
+
+
+def tie_corpus():
+    """Random docs plus twin blocks: twins score equal for every query, so
+    many cut-offs fall inside a run of tied scores."""
+    rng = random.Random(12)
+    vocab = [f"t{i}" for i in range(14)]
+    texts = [" ".join(rng.choices(vocab, k=rng.randint(2, 9))) for _ in range(70)]
+    texts += ["t1 t2 t2 t5"] * 6 + ["t3 t4"] * 5
+    rng.shuffle(texts)
+    store = make_store({f"d{i:03d}": text for i, text in enumerate(texts)})
+    return rng, vocab, store, texts
+
+
+def test_csr_engine_matches_dict_reference():
+    rng, vocab, store, texts = tie_corpus()
+    index = build_index(store)
+    ref = refindex.RefIndex(texts)
+    straddled = 0
+    queries = ["t1 t2 t5", "t3 t4", "t2", "t4 t4 t9"] + [" ".join(rng.choices(vocab, k=3)) for _ in range(20)]
+    for text in queries:
+        full = refindex.cut(refindex.score_weighted_terms(ref, Counter(tokenize(text))), len(texts))
+        for k in range(1, len(full) + 2):
+            expected = [(store.docnos[d], s) for d, s in full[:k]]
+            got = [(sd.docno, sd.score) for sd in bm25_retrieve(index, Query("q", text), k)]
+            assert got == expected, (text, k)
+            straddled += 0 < k < len(full) and full[k - 1][1] == full[k][1]
+    assert straddled >= 10  # ties really do straddle the k-th place
+
+    for _ in range(40):
+        feedback = [(d, 1.0 / (r + 1)) for r, d in enumerate(rng.sample(range(len(texts)), rng.randint(1, 12)))]
+        query = " ".join(rng.choices(vocab, k=rng.randint(0, 3)))
+        fb_terms = rng.randint(1, 12)
+        expanded = rm3_expand(index, Query("q", query), feedback, fb_terms=fb_terms)
+        reference = refindex.rm3_weights(ref, query, feedback, fb_terms=fb_terms)
+        assert list(expanded.weights.items()) == list(reference.items())
+        exclude = set(rng.sample(range(len(texts)), rng.randint(1, 30)))
+        scores = refindex.score_weighted_terms(ref, reference)
+        for k in (1, 3, 7, 20):
+            expected = [(store.docnos[d], s) for d, s in refindex.cut(scores, k, exclude)]
+            got = [(sd.docno, sd.score) for sd in retrieve_expanded(index, expanded, k, exclude=exclude)]
+            assert got == expected
+
+
+# --- load-time validation ---
+
+
+def u32(*values):
+    return b"".join(v.to_bytes(4, "little") for v in values)
+
+
+# built from {"a": "cat cat dog", "b": "dog", "c": "bird cat"}:
+# bird -> [(2, 1)], cat -> [(0, 2), (2, 1)], dog -> [(0, 1), (1, 1)]
+CORRUPTIONS = {
+    "old_version": ("meta.json", b'{"avgdl": 2.0, "dedup": false, "doc_count": 3, "version": 1}',
+                    r"meta\.json: unsupported index format version 1 \(expected 2\); rebuild the index"),
+    "foreign_docnos": ("docnos.txt", b"b\na\nc\n", r"docnos\.txt:1: docnos do not match"),
+    "short_doclens": ("doclens.bin", u32(3, 1), r"doclens\.bin: expected 12 bytes, found 8"),
+    "ragged_postings": ("postings.bin", u32(2, 1, 0, 2, 2, 1, 0, 1, 1, 1, 7), r"postings\.bin: 44 bytes"),
+    "no_terms": ("terms.dict", b"", r"terms\.dict: no terms, but postings\.bin holds 40 bytes"),
+    "no_tab": ("terms.dict", b"bird 0\ncat\t8\ndog\t24\n", r"terms\.dict:1: expected 'term<TAB>offset'"),
+    "first_offset": ("terms.dict", b"bird\t8\ncat\t8\ndog\t24\n", r"terms\.dict:1: offset 8 of term 'bird'"),
+    "offset_decreases": ("terms.dict", b"bird\t0\ncat\t24\ndog\t8\n", r"terms\.dict:3: offset 8 of term 'dog'"),
+    "offset_unaligned": ("terms.dict", b"bird\t0\ncat\t12\ndog\t24\n", r"terms\.dict:2: offset 12 of term 'cat'"),
+    "offset_past_end": ("terms.dict", b"bird\t0\ncat\t8\ndog\t48\n", r"terms\.dict:3: offset 48 of term 'dog'"),
+    "unsorted_terms": ("terms.dict", b"cat\t0\nbird\t8\ndog\t24\n", r"terms\.dict:2: term 'bird' is not after 'cat'"),
+    "duplicate_term": ("terms.dict", b"bird\t0\nbird\t8\ndog\t24\n", r"terms\.dict:2: term 'bird' is not after"),
+    "ids_not_increasing": ("postings.bin", u32(2, 1, 0, 2, 0, 1, 0, 1, 1, 1),
+                           r"postings\.bin: term 'cat': doc ids do not strictly increase"),
+    "id_out_of_range": ("postings.bin", u32(3, 1, 0, 2, 2, 1, 0, 1, 1, 1),
+                        r"postings\.bin: term 'bird': doc id is not below doc_count 3"),
+    "zero_tf": ("postings.bin", u32(2, 1, 0, 2, 2, 1, 0, 1, 1, 0), r"postings\.bin: term 'dog': tf is 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_index_load_rejects_corruption(tmp_path, case):
+    store = make_store({"a": "cat cat dog", "b": "dog", "c": "bird cat"})
+    save_index(build_index(store), tmp_path)
+    load_index(tmp_path, store)  # the intact directory loads
+    name, data, message = CORRUPTIONS[case]
+    (tmp_path / name).write_bytes(data)
+    with pytest.raises(ValueError, match=message):
+        load_index(tmp_path, store)
