@@ -10,7 +10,9 @@ store whose docnos match ``docnos.txt`` line for line.
 
 Graphs are built once at full depth (k=16 by default) and shallower depths
 are realized at query time by truncating each neighbour list, never by
-rebuilding.
+rebuilding. The dense build is exact and blocked: a block of rows is
+scored against the whole corpus at a time, so its memory is O(block x N),
+never N x N.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from .corpus_store import CorpusStore, check_docnos, write_docnos
-from .dense_index import EmbeddingTable
+from .dense_index import EmbeddingTable, top_k_ids
 from .lexical_index import InvertedIndex, tokenize, top_docs
 
 SENTINEL = 0xFFFF_FFFF
 GRAPH_FORMAT_VERSION = 1
+BLOCK_BYTES = 4 << 20  # float32 similarities per row block of the dense build
 
 
 class CorpusGraph:
@@ -67,14 +70,24 @@ def build_graph_lexical(index: InvertedIndex, store: CorpusStore, k: int) -> Cor
 
 
 def build_graph_dense(table: EmbeddingTable, k: int) -> CorpusGraph:
-    """Exhaustive pairwise inner products; every other document is a
-    candidate, so rows are full unless the corpus itself is smaller than k."""
+    """Exact inner-product k-NN graph, ties by doc id; every other document
+    is a candidate, so rows are full unless the corpus itself is smaller
+    than k. Rows are scored in blocks of about ``BLOCK_BYTES`` of
+    similarities against the whole corpus, so memory is O(block x N)."""
     n = len(table)
     _check_k(k, n)
-    sims = table.matrix @ table.matrix.T
-    np.fill_diagonal(sims, -np.inf)
-    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-    adjacency = order.astype(np.uint32)
+    matrix = table.matrix
+    rows = max(2, BLOCK_BYTES // (4 * n))
+    adjacency = np.empty((n, k), dtype=np.uint32)
+    # Starts stop short of n - 1, so a single leftover row joins the last
+    # block: a 1-row product runs through gemv, whose sums can differ in the
+    # last bit from the gemm rows of every other block.
+    starts = range(0, n - 1, rows)
+    for start, stop in zip(starts, [*starts[1:], n]):
+        keys = matrix[start:stop] @ matrix.T
+        np.negative(keys, out=keys)
+        keys[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        adjacency[start:stop] = top_k_ids(keys, k)
     if n - 1 < k:
         adjacency[:, n - 1 :] = SENTINEL
     return CorpusGraph(k, adjacency, table.docnos, "dense")
@@ -92,15 +105,11 @@ def neighbours(graph: CorpusGraph, batch: list[tuple[int, float]], truncate_k: i
         raise ValueError(f"truncate_k must be in [0, {graph.k}], got {truncate_k}")
     if truncate_k == 0 or not batch:
         return []
-    emitted: set[int] = {doc_id for doc_id, _ in batch}
-    out: list[int] = []
-    for doc_id, _ in sorted(batch, key=lambda pair: -pair[1]):
-        for neighbour in graph.adjacency[doc_id, :truncate_k].tolist():
-            if neighbour == SENTINEL or neighbour in emitted:
-                continue
-            emitted.add(neighbour)
-            out.append(neighbour)
-    return out
+    sources = [doc_id for doc_id, _ in sorted(batch, key=lambda pair: -pair[1])]
+    candidates = dict.fromkeys(graph.adjacency[sources, :truncate_k].ravel().tolist())
+    for skipped in (SENTINEL, *sources):
+        candidates.pop(skipped, None)
+    return list(candidates)
 
 
 def save_graph(path: str | Path, graph: CorpusGraph) -> None:

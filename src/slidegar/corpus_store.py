@@ -8,6 +8,9 @@ File formats:
 - queries: ``qid<TAB>text`` lines.
 - qrels: whitespace-separated ``qid 0 docno grade`` (standard TREC layout).
 - dedup report: JSON lines ``{"dropped": docno, "kept": docno}``.
+
+Docnos and qids may not contain whitespace: they become columns of
+whitespace-separated run lines.
 """
 
 from __future__ import annotations
@@ -138,6 +141,10 @@ def _read_corpus_records(path: str | Path) -> list[tuple[int, str, str]]:
             if not text:
                 raise ValueError(f"{path}:{lineno}: empty text for docno {docno!r}")
             records.append((lineno, docno, text))
+    # one scan over all docnos; the per-record search only finds the line
+    if len("".join([docno for _, docno, _ in records]).split()) > 1:
+        lineno, docno = next((n, d) for n, d, _ in records if len(d.split()) > 1)
+        raise ValueError(f"{path}:{lineno}: docno {docno!r} contains whitespace")
     return records
 
 
@@ -225,6 +232,8 @@ def load_queries(path: str | Path) -> list[Query]:
             qid, text = parts[0].strip(), parts[1].strip()
             if not qid or not text:
                 raise ValueError(f"{path}:{lineno}: empty qid or query text")
+            if _WS_RUN.search(qid):
+                raise ValueError(f"{path}:{lineno}: qid {qid!r} contains whitespace")
             if qid in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate qid {qid!r}")
             seen.add(qid)

@@ -140,6 +140,27 @@ def load_query_embeddings(path: str | Path, queries: list[Query]) -> dict[str, n
     return vectors
 
 
+def top_k_ids(keys: np.ndarray, k: int) -> np.ndarray:
+    """Per row of the 2-D ``keys``, the column ids of its k smallest values
+    ordered by (value, column id): ``np.argsort(keys, axis=1,
+    kind="stable")[:, :k]`` without sorting whole rows. Rank scores by
+    passing them negated."""
+    if k >= keys.shape[1]:
+        return np.argsort(keys, axis=1, kind="stable")
+    part = np.argpartition(keys, k - 1, axis=1)[:, :k]
+    values = np.take_along_axis(keys, part, axis=1)
+    top = np.take_along_axis(part, np.lexsort((part, values), axis=1), axis=1)
+    # A row with more than k columns at or below its k-th value has a tie
+    # straddling the cut, and argpartition kept an arbitrary part of it:
+    # take the lowest ids among all of them. ``~(keys > kth)`` rather than
+    # ``keys <= kth``, so that a NaN k-th value keeps every column.
+    at_or_below = ~(keys > values.max(axis=1)[:, None])
+    for row in np.flatnonzero(np.count_nonzero(at_or_below, axis=1) > k):
+        cols = np.flatnonzero(at_or_below[row])
+        top[row] = cols[np.argsort(keys[row, cols], kind="stable")[:k]]
+    return top
+
+
 def dense_retrieve(table: EmbeddingTable, query_vector: np.ndarray, k: int) -> Ranking:
     """Exact top-k by inner product over all documents; ties by doc id."""
     if k < 1:
@@ -148,5 +169,5 @@ def dense_retrieve(table: EmbeddingTable, query_vector: np.ndarray, k: int) -> R
     if query.shape != (table.dim,):
         raise ValueError(f"query vector has shape {query.shape}, table dim is {table.dim}")
     scores = table.matrix @ query
-    order = np.argsort(-scores, kind="stable")[:k]
+    order = top_k_ids(-scores[None, :], k)[0]
     return [ScoredDoc(table.docnos[i], float(scores[i])) for i in order]

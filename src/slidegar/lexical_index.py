@@ -333,7 +333,37 @@ def save_index(index: InvertedIndex, out_dir: str | Path, dedup: bool = False) -
 def _read_terms(path: Path, postings_bytes: int) -> tuple[list[str], list[int]]:
     """Sorted unique terms and their byte offsets, each checked against the
     postings file: offsets start at 0, never decrease, are multiples of 8
-    and stay within the file."""
+    and stay within the file. The file is parsed whole; on any anomaly it
+    is parsed again line by line, so that the error names its line."""
+    data = path.read_bytes()
+    raw = np.frombuffer(data, dtype=np.uint8)
+    is_sep = (raw == 9) | (raw == 10)
+    seps = raw[is_sep]
+    # one tab in every line and a newline after every line: fields alternate term, offset
+    if data.endswith(b"\n") and b"\r" not in data and (seps[0::2] == 9).all() and (seps[1::2] == 10).all():
+        # Offsets and terms are cut from separate buffers, not from one list
+        # of alternating fields: the freed offset strings would leave holes
+        # between the terms that the allocator cannot return.
+        in_offset = np.logical_xor.accumulate(is_sep)  # each tab and the offset after it
+        try:
+            offsets = list(map(int, raw[in_offset].tobytes().split(b"\t")[1:]))
+            steps = np.diff(np.array(offsets, dtype=np.int64), prepend=0)
+            terms = raw[~in_offset].tobytes().decode("utf-8").split("\n")[:-1]
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if (
+                offsets[0] == 0
+                and offsets[-1] <= postings_bytes
+                and not (steps < 0).any()
+                and not (steps % 8).any()
+                and all(map(str.__lt__, terms, terms[1:]))
+            ):
+                return terms, offsets
+    return _read_terms_by_line(path, postings_bytes)
+
+
+def _read_terms_by_line(path: Path, postings_bytes: int) -> tuple[list[str], list[int]]:
     terms: list[str] = []
     offsets: list[int] = []
     with open(path, "r", encoding="utf-8") as f:

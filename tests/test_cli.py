@@ -256,3 +256,19 @@ def test_foreign_index_fails_at_load(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "docnos.txt" in err[0]
     assert not run_out.exists()
+
+
+def test_docno_with_whitespace_fails_at_load(tmp_path, capsys):
+    # the run line 'q1 Q0 d 1 1 1.0 baseline' would not parse back
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("a\tbird fish\nd 1\tcat dog\n", encoding="utf-8")
+    (tmp_path / "q.tsv").write_text("q1\tcat\n", encoding="utf-8")
+    run_out = tmp_path / "run.trec"
+    cfg = {
+        "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "strategy": "baseline",
+        "ranker": "identity", "w": 2, "b": 1, "c": 2, "run_out": str(run_out),
+    }
+    assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "c.tsv:2: docno 'd 1' contains whitespace" in err[0]
+    assert not run_out.exists()

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import graph_from_dict, make_store
 from slidegar.corpus_graph import (
+    BLOCK_BYTES,
     SENTINEL,
     build_graph_dense,
     build_graph_lexical,
@@ -38,6 +39,22 @@ def brute_force_dense(matrix, k):
         scored.sort()
         rows.append([j for _, j in scored[:k]])
     return rows
+
+
+def full_matrix_dense(matrix, k):
+    """The build before row blocks: one N x N product, a stable sort of every row."""
+    sims = matrix @ matrix.T
+    np.fill_diagonal(sims, -np.inf)
+    return np.argsort(-sims, axis=1, kind="stable")[:, :k]
+
+
+def permuted_rows(n, seed):
+    """Rows that permute a few base rows of non-dyadic values: many inner
+    products are equal in exact arithmetic but round differently, so a
+    product summed in another order (gemv instead of gemm) reorders them."""
+    rng = np.random.default_rng(seed)
+    base = rng.choice(np.array([0.1, 0.2, 0.3, 0.7, 1.1], dtype=np.float32), size=(8, 32))
+    return np.stack([base[i % 8][rng.permutation(32)] for i in range(n)])
 
 
 def brute_force_lexical(texts, k):
@@ -127,6 +144,32 @@ def test_dense_matches_exhaustive_oracle():
     matrix = rng.normal(size=(64, 6)).astype(np.float32)
     graph = build_graph_dense(dense_table(matrix), 8)
     assert adjacency_rows(graph) == brute_force_dense(matrix, 8)
+
+
+def test_blocked_dense_matches_full_matrix_with_ties_at_the_cut():
+    rng = np.random.default_rng(27)
+    matrix = np.repeat(rng.normal(size=(60, 6)).astype(np.float32), 5, axis=0)[rng.permutation(300)]
+    expected = full_matrix_dense(matrix, 8)
+    keys = -(matrix @ matrix.T)
+    np.fill_diagonal(keys, np.inf)
+    keys.sort(axis=1)
+    assert (keys[:, 7] == keys[:, 8]).sum() > 100  # ties straddle the k-th place
+    assert np.array_equal(build_graph_dense(dense_table(matrix), 8).adjacency, expected)
+
+
+def test_blocked_dense_matches_full_matrix_over_several_blocks():
+    matrix = permuted_rows(2500, 28)
+    assert 2500 // (BLOCK_BYTES // (4 * 2500)) >= 4
+    assert np.array_equal(build_graph_dense(dense_table(matrix), 16).adjacency, full_matrix_dense(matrix, 16))
+
+
+def test_blocked_dense_never_builds_a_one_row_block():
+    n = next(n for n in range(1500, 4000) if n % (BLOCK_BYTES // (4 * n)) == 1)
+    matrix = permuted_rows(n, 29)
+    # The tail row scores every permutation of a base row equally in exact
+    # arithmetic, so its top k is decided by the rounding of each sum.
+    matrix[-1] = np.float32(0.1)
+    assert np.array_equal(build_graph_dense(dense_table(matrix), 16).adjacency, full_matrix_dense(matrix, 16))
 
 
 def test_builders_reject_k_not_below_corpus_size():

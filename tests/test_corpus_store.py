@@ -115,6 +115,22 @@ def test_malformed_record_reports_line_number(tmp_path):
         ingest_corpus(path)
 
 
+def test_whitespace_in_docno_or_qid_fatal(tmp_path):
+    # a run line 'q1 Q0 d 1 1 1.0 tag' would have 7 columns
+    path = tmp_path / "c.tsv"
+    path.write_text("d1\tok text\nd 1\tcat dog\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":2: docno 'd 1' contains whitespace"):
+        ingest_corpus(path)
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps({"docno": "j\u00a01", "text": "cat"}) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":1: docno .* contains whitespace"):
+        ingest_corpus(path)
+    path = tmp_path / "q.tsv"
+    path.write_text("q1\tcat\nq\t2\tdog\nq 3\tbird\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":3: qid 'q 3' contains whitespace"):
+        load_queries(path)
+
+
 def test_invalid_utf8_reports_line_number(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_bytes(b"d1\tok\nd2\t\xff\xfe bad\n")

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_store
 from slidegar import dense_index
@@ -12,6 +14,7 @@ from slidegar.dense_index import (
     dense_retrieve,
     load_embeddings,
     load_query_embeddings,
+    top_k_ids,
     write_embeddings,
 )
 
@@ -183,3 +186,16 @@ def test_load_query_embeddings(tmp_path):
     assert set(vectors) == {"q1", "q2"}
     with pytest.raises(ValueError, match="'q3'"):
         load_query_embeddings(path, [Query("q3", "z")])
+
+
+# few distinct values, so most rows hold ties at the k-th place
+KEYS = st.sampled_from([0.0, -0.0, 1.0, 2.0, -3.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 9), st.data())
+def test_top_k_ids_is_a_stable_sort_prefix(n_rows, n_cols, data):
+    row = st.lists(KEYS, min_size=n_cols, max_size=n_cols)
+    keys = np.array(data.draw(st.lists(row, min_size=n_rows, max_size=n_rows)))
+    k = data.draw(st.integers(1, n_cols + 1))
+    assert np.array_equal(top_k_ids(keys, k), np.argsort(keys, axis=1, kind="stable")[:, :k])

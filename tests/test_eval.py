@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slidegar.eval import (
     evaluate_run,
@@ -173,3 +175,20 @@ def test_scored_doc_score_written_verbatim(tmp_path):
     path = tmp_path / "r.trec"
     write_run(path, {"q": [ScoredDoc("d", 1 / 3)]}, tag="t")
     assert f"{1 / 3}" in path.read_text()
+
+
+# no whitespace: run columns are whitespace-split
+NAME = st.text("ab09-_.:/#é中𝔸", min_size=1, max_size=6)
+RANKING = st.lists(st.tuples(NAME, st.floats(allow_nan=False)), min_size=1, max_size=6, unique_by=lambda p: p[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(NAME, RANKING, min_size=1, max_size=4), NAME)
+def test_run_file_roundtrip_property(tmp_path_factory, pairs, tag):
+    run = {}
+    for qid, ranking in pairs.items():
+        scores = sorted((score for _, score in ranking), reverse=True)  # a run's scores never increase
+        run[qid] = [ScoredDoc(docno, score) for (docno, _), score in zip(ranking, scores)]
+    path = tmp_path_factory.mktemp("run") / "run.trec"
+    write_run(path, run, tag=tag)
+    assert read_run(path) == (run, tag)

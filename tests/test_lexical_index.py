@@ -357,6 +357,8 @@ CORRUPTIONS = {
     "ragged_postings": ("postings.bin", u32(2, 1, 0, 2, 2, 1, 0, 1, 1, 1, 7), r"postings\.bin: 44 bytes"),
     "no_terms": ("terms.dict", b"", r"terms\.dict: no terms, but postings\.bin holds 40 bytes"),
     "no_tab": ("terms.dict", b"bird 0\ncat\t8\ndog\t24\n", r"terms\.dict:1: expected 'term<TAB>offset'"),
+    # as many tabs as lines, but line 1 has none and line 2 has two
+    "tab_on_wrong_line": ("terms.dict", b"bird\n0\tcat\t8\ndog\t24\n", r"terms\.dict:1: expected 'term<TAB>offset'"),
     "first_offset": ("terms.dict", b"bird\t8\ncat\t8\ndog\t24\n", r"terms\.dict:1: offset 8 of term 'bird'"),
     "offset_decreases": ("terms.dict", b"bird\t0\ncat\t24\ndog\t8\n", r"terms\.dict:3: offset 8 of term 'dog'"),
     "offset_unaligned": ("terms.dict", b"bird\t0\ncat\t12\ndog\t24\n", r"terms\.dict:2: offset 12 of term 'cat'"),
@@ -380,3 +382,11 @@ def test_index_load_rejects_corruption(tmp_path, case):
     (tmp_path / name).write_bytes(data)
     with pytest.raises(ValueError, match=message):
         load_index(tmp_path, store)
+
+
+def test_terms_dict_blank_lines_and_crlf_load(tmp_path):
+    # the whole-file parse declines these; the line parse reads them as before
+    store = make_store({"a": "cat cat dog", "b": "dog", "c": "bird cat"})
+    save_index(build_index(store), tmp_path)
+    (tmp_path / "terms.dict").write_bytes(b"bird\t0\n\ncat\t8\r\ndog\t24")
+    assert load_index(tmp_path, store).terms == ["bird", "cat", "dog"]
