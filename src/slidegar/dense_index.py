@@ -73,7 +73,10 @@ def _records(f: BinaryIO, path: str | Path, dim: int, count: int) -> Iterator[tu
         vec_raw = f.read(vec_bytes)
         if len(docno_raw) != docno_len or len(vec_raw) != vec_bytes:
             raise ValueError(f"{path}: record {record_idx}: truncated file")
-        docno = docno_raw.decode("utf-8")
+        try:
+            docno = docno_raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: record {record_idx}: docno is not valid UTF-8 ({exc.reason})") from None
         vector = np.frombuffer(vec_raw, dtype="<f4")
         if not np.all(np.isfinite(vector)):
             raise ValueError(f"{path}: record {record_idx}: non-finite value for docno {docno!r}")
@@ -101,9 +104,10 @@ def _open_records(path: str | Path) -> Iterator[tuple[dict, Iterator[tuple[int, 
 def load_embeddings(path: str | Path, store: CorpusStore, normalize: bool = False) -> EmbeddingTable:
     """Load and validate vectors for every store document.
 
-    Fatal on: a record whose docno is unknown to the store, a duplicate
-    record, a non-finite component (all reported with the record index), and
-    on any store document the file does not cover (reported by docno).
+    Fatal on: a record whose docno is not UTF-8 or unknown to the store, a
+    duplicate record, a non-finite component (all reported with the record
+    index), and on any store document the file does not cover (reported by
+    docno).
     """
     with _open_records(path) as (header, records):
         matrix = np.zeros((len(store), int(header["dim"])), dtype=np.float32)
@@ -131,9 +135,14 @@ def load_embeddings(path: str | Path, store: CorpusStore, normalize: bool = Fals
 
 
 def load_query_embeddings(path: str | Path, queries: list[Query]) -> dict[str, np.ndarray]:
-    """Load query vectors (qid stored in the docno slot); every query must be covered."""
+    """Load query vectors (qid stored in the docno slot); every query must be
+    covered, and a qid may have only one record."""
+    vectors: dict[str, np.ndarray] = {}
     with _open_records(path) as (_, records):
-        vectors = {qid: vec for _, qid, vec in records}
+        for record_idx, qid, vector in records:
+            if qid in vectors:
+                raise ValueError(f"{path}: record {record_idx}: duplicate qid {qid!r}")
+            vectors[qid] = vector
     for query in queries:
         if query.qid not in vectors:
             raise ValueError(f"{path}: no vector for qid {query.qid!r}")

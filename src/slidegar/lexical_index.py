@@ -11,18 +11,17 @@ In memory the index is compressed-sparse-row (CSR) arrays:
   (ascending) and the matching ``doc_tfs``. It is built with the index,
   so nothing is computed lazily and threads share only read-only arrays.
 
-Index directory layout (format version 2):
+Index directory layout (format version 3), every array as numpy holds it:
 
-- ``meta.json``    -- ``{"version": 2, "doc_count": N, "avgdl": ..., "dedup": ...}``
+- ``meta.json``    -- ``{"version": 3, "doc_count": N, "avgdl": ..., "dedup": ...}``
 - ``docnos.txt``   -- one docno per line in doc-id order; the index only
   loads against a corpus store with exactly these docnos
 - ``doclens.bin``  -- N little-endian u32 token counts in doc-id order
-- ``terms.dict``   -- ``term<TAB>offset`` lines, terms sorted; the offset
-  points into postings.bin and an entry's byte length is inferred from the
-  next term's offset (or end of file)
-- ``postings.bin`` -- per term: df pairs of little-endian u32
-  ``(doc_id_delta, tf)``; the first doc id of each list is absolute,
-  subsequent ids are deltas from the previous one
+- ``terms.txt``    -- one term per line, sorted; a term's id is its line index
+- ``dfs.bin``      -- one little-endian u32 per term: its postings count, so
+  ``offsets`` is their cumulative sum
+- ``postings.bin`` -- per term: df pairs of little-endian u32 ``(doc_id, tf)``,
+  ids ascending
 """
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ class InvertedIndex:
         tfs: np.ndarray,
         doc_lengths: list[int],
         docnos: list[str],
-        meta: dict | None = None,
     ) -> None:
         self.terms = terms
         self.term_ids = dict(zip(terms, range(len(terms))))
@@ -93,7 +91,6 @@ class InvertedIndex:
         self.doc_count = len(doc_lengths)
         self.avg_doc_length = sum(doc_lengths) / self.doc_count if doc_lengths else 0.0
         self.docnos = docnos
-        self.meta = meta or {}
         lengths = np.asarray(doc_lengths, dtype=np.float64)
         if self.avg_doc_length > 0:
             self.norm = K1 * (1.0 - B_LEN + B_LEN * lengths / self.avg_doc_length)
@@ -173,6 +170,7 @@ def score_weighted_terms(index: InvertedIndex, term_weights: Mapping[str, float]
     return docs, np.bincount(inverse, weights=contrib)
 
 
+# Not routed through dense_index.top_k_ids: on RM3 calls of ~130 scores that took ~43 us a call against ~16 us here.
 def _cut(
     docs: np.ndarray, scores: np.ndarray, k: int, exclude: set[int] | None = None
 ) -> list[tuple[int, float]]:
@@ -302,7 +300,7 @@ def retrieve_expanded(
     return [ScoredDoc(index.docnos[doc_id], score) for doc_id, score in hits]
 
 
-INDEX_FORMAT_VERSION = 2
+INDEX_FORMAT_VERSION = 3
 
 
 def save_index(index: InvertedIndex, out_dir: str | Path, dedup: bool = False) -> None:
@@ -310,15 +308,9 @@ def save_index(index: InvertedIndex, out_dir: str | Path, dedup: bool = False) -
     out.mkdir(parents=True, exist_ok=True)
     write_docnos(out / "docnos.txt", index.docnos)
     np.asarray(index.doc_lengths, dtype="<u4").tofile(out / "doclens.bin")
-    deltas = np.diff(index.doc_ids, prepend=0)
-    starts = index.offsets[:-1][np.diff(index.offsets) > 0]
-    deltas[starts] = index.doc_ids[starts]  # each list starts with an absolute id
-    pairs = np.empty((len(deltas), 2), dtype="<u4")
-    pairs[:, 0] = deltas
-    pairs[:, 1] = index.tfs
-    pairs.tofile(out / "postings.bin")
-    with open(out / "terms.dict", "w", encoding="utf-8") as f:
-        f.writelines(f"{term}\t{8 * offset}\n" for term, offset in zip(index.terms, index.offsets.tolist()))
+    (out / "terms.txt").write_text("".join(term + "\n" for term in index.terms), encoding="utf-8")
+    np.diff(index.offsets).astype("<u4").tofile(out / "dfs.bin")
+    np.column_stack((index.doc_ids.astype("<u4"), index.tfs.astype("<u4"))).tofile(out / "postings.bin")
     meta = {
         "version": INDEX_FORMAT_VERSION,
         "doc_count": index.doc_count,
@@ -330,67 +322,29 @@ def save_index(index: InvertedIndex, out_dir: str | Path, dedup: bool = False) -
         f.write("\n")
 
 
-def _read_terms(path: Path, postings_bytes: int) -> tuple[list[str], list[int]]:
-    """Sorted unique terms and their byte offsets, each checked against the
-    postings file: offsets start at 0, never decrease, are multiples of 8
-    and stay within the file. The file is parsed whole; on any anomaly it
-    is parsed again line by line, so that the error names its line."""
+def _read_terms(path: Path) -> list[str]:
+    """Sorted unique terms, one per line, each ended by a newline. The
+    checks scan the whole text; a line is searched for only once one fails."""
     data = path.read_bytes()
-    raw = np.frombuffer(data, dtype=np.uint8)
-    is_sep = (raw == 9) | (raw == 10)
-    seps = raw[is_sep]
-    # one tab in every line and a newline after every line: fields alternate term, offset
-    if data.endswith(b"\n") and b"\r" not in data and (seps[0::2] == 9).all() and (seps[1::2] == 10).all():
-        # Offsets and terms are cut from separate buffers, not from one list
-        # of alternating fields: the freed offset strings would leave holes
-        # between the terms that the allocator cannot return.
-        in_offset = np.logical_xor.accumulate(is_sep)  # each tab and the offset after it
-        try:
-            offsets = list(map(int, raw[in_offset].tobytes().split(b"\t")[1:]))
-            steps = np.diff(np.array(offsets, dtype=np.int64), prepend=0)
-            terms = raw[~in_offset].tobytes().decode("utf-8").split("\n")[:-1]
-        except (ValueError, OverflowError):
-            pass
-        else:
-            if (
-                offsets[0] == 0
-                and offsets[-1] <= postings_bytes
-                and not (steps < 0).any()
-                and not (steps % 8).any()
-                and all(map(str.__lt__, terms, terms[1:]))
-            ):
-                return terms, offsets
-    return _read_terms_by_line(path, postings_bytes)
-
-
-def _read_terms_by_line(path: Path, postings_bytes: int) -> tuple[list[str], list[int]]:
-    terms: list[str] = []
-    offsets: list[int] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            term, _, offset_str = line.partition("\t")
-            try:
-                offset = int(offset_str)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected 'term<TAB>offset'") from None
-            if terms and term <= terms[-1]:
-                raise ValueError(
-                    f"{path}:{lineno}: term {term!r} is not after {terms[-1]!r}; terms must be sorted and unique"
-                )
-            previous = offsets[-1] if offsets else 0
-            if offset % 8 or offset < previous or offset > postings_bytes or (not offsets and offset != 0):
-                raise ValueError(
-                    f"{path}:{lineno}: offset {offset} of term {term!r} is not a multiple of 8 in "
-                    f"[{previous}, {postings_bytes}] (offsets start at 0 and never decrease)"
-                )
-            terms.append(term)
-            offsets.append(offset)
-    if not terms and postings_bytes:
-        raise ValueError(f"{path}: no terms, but postings.bin holds {postings_bytes} bytes")
-    return terms, offsets
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})") from None
+    terms = text.split("\n")
+    if terms.pop():
+        raise ValueError(f"{path}:{len(terms) + 1}: no newline at the end of the file")
+    # newlines are whitespace too, so a clean file splits into exactly its lines
+    if text.split() != terms:
+        lineno, term = next((n, t) for n, t in enumerate(terms, start=1) if t.split() != [t])
+        raise ValueError(f"{path}:{lineno}: term {term!r} is empty or contains whitespace")
+    if not all(map(str.__lt__, terms, terms[1:])):
+        lineno = next(n for n, (a, b) in enumerate(zip(terms, terms[1:]), start=2) if not a < b)
+        raise ValueError(
+            f"{path}:{lineno}: term {terms[lineno - 1]!r} is not after {terms[lineno - 2]!r}; "
+            "terms must be sorted and unique"
+        )
+    return terms
 
 
 def load_index(in_dir: str | Path, store: CorpusStore) -> InvertedIndex:
@@ -414,25 +368,26 @@ def load_index(in_dir: str | Path, store: CorpusStore) -> InvertedIndex:
         raise ValueError(f"{src / 'doclens.bin'}: expected {4 * doc_count} bytes, found {len(raw_lens)}")
     doc_lengths = np.frombuffer(raw_lens, dtype="<u4").tolist()
 
+    terms = _read_terms(src / "terms.txt")
+    dfs_path = src / "dfs.bin"
+    raw_dfs = dfs_path.read_bytes()
+    if len(raw_dfs) != 4 * len(terms):
+        raise ValueError(f"{dfs_path}: expected {4 * len(terms)} bytes for {len(terms)} terms, found {len(raw_dfs)}")
+    dfs = np.frombuffer(raw_dfs, dtype="<u4")
+    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum(dfs, dtype=np.int64, out=offsets[1:])
     postings_path = src / "postings.bin"
     blob = postings_path.read_bytes()
-    if len(blob) % 8:
-        raise ValueError(f"{postings_path}: {len(blob)} bytes is not a whole number of 8-byte postings")
-    terms, byte_offsets = _read_terms(src / "terms.dict", len(blob))
+    if len(blob) != 8 * offsets[-1]:
+        raise ValueError(f"{postings_path}: {len(blob)} bytes, but dfs.bin counts {offsets[-1]} postings of 8 bytes")
     pairs = np.frombuffer(blob, dtype="<u4").reshape(-1, 2)
-    offsets = np.array(byte_offsets + [len(blob)], dtype=np.int64) // 8
-    lengths = np.diff(offsets)
-    deltas = pairs[:, 0].astype(np.int64)
+    doc_ids = pairs[:, 0].astype(np.int64)
     tfs = pairs[:, 1].copy()
-    # per-list cumsum: a list's ids are the running sum minus the sum before it
-    running = np.cumsum(deltas)
-    before = np.concatenate(([0], running))[offsets[:-1]]
-    doc_ids = running - np.repeat(before, lengths)
 
-    first = np.zeros(len(deltas), dtype=bool)
-    first[offsets[:-1][lengths > 0]] = True
+    falls = np.diff(doc_ids, prepend=-1) <= 0
+    falls[offsets[:-1][dfs > 0]] = False  # a list may start below where the previous one ended
     for bad, problem in (
-        ((deltas == 0) & ~first, "doc ids do not strictly increase"),
+        (falls, "doc ids do not strictly increase"),
         (doc_ids >= doc_count, f"doc id is not below doc_count {doc_count}"),
         (tfs == 0, "tf is 0"),
     ):
@@ -441,7 +396,7 @@ def load_index(in_dir: str | Path, store: CorpusStore) -> InvertedIndex:
             term = terms[int(np.searchsorted(offsets, posting, side="right")) - 1]
             raise ValueError(f"{postings_path}: term {term!r}: {problem} (posting {posting})")
 
-    index = InvertedIndex(terms, offsets, doc_ids, tfs, doc_lengths, store.docnos, meta=meta)
+    index = InvertedIndex(terms, offsets, doc_ids, tfs, doc_lengths, store.docnos)
     # avgdl is derived from doclens on load; check it agrees with what was saved
     if abs(index.avg_doc_length - meta["avgdl"]) > 1e-9:
         raise ValueError(f"{src}: avgdl mismatch between meta.json and doclens.bin")

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import graph_from_dict, make_store
 from refsim import simulate_baseline, simulate_slidegar
+from slidegar import adaptive_rerank
 from slidegar.adaptive_rerank import (
     RerankConfig,
     expected_llm_calls,
@@ -14,7 +17,7 @@ from slidegar.adaptive_rerank import (
     telemetry_record,
 )
 from slidegar.corpus_store import Query
-from slidegar.lexical_index import build_index
+from slidegar.lexical_index import build_index, retrieve_expanded
 from slidegar.rankers import IdentityRanker, ListwiseRanker, NoisyOracleRanker, OracleRanker, Window
 from slidegar.ranking import ScoredDoc
 
@@ -345,6 +348,55 @@ def test_rm3_recall_gain_on_clustered_fixture():
     assert recall_baseline == 0.5
     assert recall_adaptive == 1.0
     assert [sd.docno for sd in adaptive][:4] == ["v1", "v2", "h1", "h2"]
+
+
+# --- window-loop invariants of the baseline and the rm3 variant ---
+
+WORDS = st.sampled_from(["ant", "bee", "cat", "dog", "eel", "fox", "gnu"])
+
+
+@st.composite
+def rm3_instances(draw):
+    texts = draw(st.lists(st.lists(WORDS, min_size=1, max_size=6), min_size=2, max_size=25))
+    names = [f"d{i:02d}" for i in range(len(texts))]
+    r0 = draw(st.permutations(names))[: draw(st.integers(1, len(names)))]
+    c = draw(st.integers(2, 20))
+    w = draw(st.integers(2, c))
+    b = draw(st.integers(1, w - 1))
+    query = " ".join(draw(st.lists(WORDS, min_size=1, max_size=3)))
+    grades = {name: draw(st.integers(0, 3)) for name in names}
+    return dict(zip(names, map(" ".join, texts))), r0, RerankConfig(w=w, b=b, c=c), query, grades
+
+
+@settings(max_examples=150, deadline=None)
+@given(rm3_instances(), st.floats(0.0, 1.0), st.integers(0, 2**16))
+def test_baseline_and_rm3_window_loop_invariants(instance, swap_prob, seed):
+    docs, r0, cfg, text, grades = instance
+    store = make_store(docs)
+    index = build_index(store)
+    query = Query("q1", text)
+    hits: set[str] = set()
+
+    def capture(*args, **kwargs):
+        ranking = retrieve_expanded(*args, **kwargs)
+        hits.update(sd.docno for sd in ranking)
+        return ranking
+
+    for strategy in ("baseline", "rm3"):
+        ranker = RecordingRanker(NoisyOracleRanker({"q1": grades}, swap_prob=swap_prob, seed=seed))
+        if strategy == "baseline":
+            result = sliding_window_baseline(query, r0_of(r0), ranker, cfg, store)
+        else:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(adaptive_rerank, "retrieve_expanded", capture)
+                result = slidegar_rm3(query, r0_of(r0), ranker, index, cfg, store)
+        got = [sd.docno for sd in result.ranking]
+        assert len(set(got)) == len(got) <= cfg.c
+        assert result.calls == len(ranker.seen) >= 1
+        if strategy == "baseline":
+            assert sorted(got) == sorted(r0[: cfg.c])
+        else:
+            assert set(got) <= set(r0) | hits
 
 
 # --- telemetry ---

@@ -258,6 +258,30 @@ def test_foreign_index_fails_at_load(tmp_path, capsys):
     assert not run_out.exists()
 
 
+def test_index_of_format_v2_fails_at_load(tmp_path, capsys):
+    # the directory format version 2 wrote: text offsets and delta-coded ids
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("a\tcat dog\nb\tbird fish\n", encoding="utf-8")
+    (tmp_path / "q.tsv").write_text("q1\tcat\n", encoding="utf-8")
+    idx = tmp_path / "idx"
+    idx.mkdir()
+    (idx / "meta.json").write_text('{"avgdl": 2.0, "dedup": false, "doc_count": 2, "version": 2}\n')
+    (idx / "docnos.txt").write_text("a\nb\n")
+    (idx / "doclens.bin").write_bytes(b"".join(v.to_bytes(4, "little") for v in (2, 2)))
+    (idx / "terms.dict").write_text("bird\t0\ncat\t8\ndog\t16\nfish\t24\n")
+    (idx / "postings.bin").write_bytes(b"".join(v.to_bytes(4, "little") for v in (1, 1, 0, 1, 0, 1, 1, 1)))
+    run_out = tmp_path / "run.trec"
+    cfg = {
+        "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "index_dir": str(idx),
+        "strategy": "baseline", "ranker": "identity", "w": 2, "b": 1, "c": 2, "run_out": str(run_out),
+    }
+    assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "version 2" in err[0]
+    assert "rebuild the index with 'slidegar build-index'" in err[0]
+    assert not run_out.exists()
+
+
 def test_docno_with_whitespace_fails_at_load(tmp_path, capsys):
     # the run line 'q1 Q0 d 1 1 1.0 baseline' would not parse back
     corpus = tmp_path / "c.tsv"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_store
 from slidegar import dense_index
+from slidegar.cli import main
 from slidegar.corpus_store import Query
 from slidegar.dense_index import (
     dense_retrieve,
@@ -186,6 +187,27 @@ def test_load_query_embeddings(tmp_path):
     assert set(vectors) == {"q1", "q2"}
     with pytest.raises(ValueError, match="'q3'"):
         load_query_embeddings(path, [Query("q3", "z")])
+
+
+def test_duplicate_qid_fatal_with_record_index(tmp_path):
+    path = write_table(tmp_path / "q.bin", 2, [("q1", [1, 0]), ("q2", [0, 1]), ("q1", [1, 1])])
+    with pytest.raises(ValueError, match=r"q\.bin: record 3: duplicate qid 'q1'"):
+        load_query_embeddings(path, [Query("q1", "x"), Query("q2", "y")])
+
+
+def test_non_utf8_docno_fatal_with_record_index(tmp_path, capsys):
+    path = write_table(tmp_path / "e.bin", 2, [("a", [1, 0]), ("b", [0, 1])])
+    data = path.read_bytes()
+    # the second record's one-byte docno 'b' becomes a lone continuation byte
+    at = data.index(struct.pack("<I", 1) + b"b") + 4
+    path.write_bytes(data[:at] + b"\x80" + data[at + 1 :])
+    with pytest.raises(ValueError, match=r"e\.bin: record 2: docno is not valid UTF-8"):
+        load_embeddings(path, store_for(["a", "b"]))
+    (tmp_path / "c.tsv").write_text("a\ttext a\nb\ttext b\n", encoding="utf-8")
+    args = ["load-embeddings", "--corpus", str(tmp_path / "c.tsv"), "--embeddings", str(path)]
+    assert main(args + ["--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "record 2" in err[0]
 
 
 # few distinct values, so most rows hold ties at the k-th place

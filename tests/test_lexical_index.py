@@ -249,16 +249,12 @@ def test_index_files_exact_bytes(tmp_path):
     save_index(index, tmp_path / "idx")
     doclens = (tmp_path / "idx" / "doclens.bin").read_bytes()
     assert doclens == (3).to_bytes(4, "little") + (1).to_bytes(4, "little")
-    terms = (tmp_path / "idx" / "terms.dict").read_text().splitlines()
-    assert terms == ["cat\t0", "dog\t8"]
+    assert (tmp_path / "idx" / "terms.txt").read_bytes() == b"cat\ndog\n"
+    assert (tmp_path / "idx" / "dfs.bin").read_bytes() == u32(1, 2)
     postings = (tmp_path / "idx" / "postings.bin").read_bytes()
-    expected = b"".join(
-        v.to_bytes(4, "little")
-        for v in [0, 2,  # cat: doc 0 tf 2
-                  0, 1, 1, 1]  # dog: doc 0 tf 1, delta 1 -> doc 1 tf 1
-    )
-    assert postings == expected
-    assert json.loads((tmp_path / "idx" / "meta.json").read_text())["version"] == 2
+    assert postings == u32(0, 2,  # cat: doc 0 tf 2
+                           0, 1, 1, 1)  # dog: doc 0 tf 1, doc 1 tf 1
+    assert json.loads((tmp_path / "idx" / "meta.json").read_text())["version"] == 3
     assert (tmp_path / "idx" / "docnos.txt").read_text() == "a\nb\n"
 
 
@@ -347,24 +343,24 @@ def u32(*values):
     return b"".join(v.to_bytes(4, "little") for v in values)
 
 
-# built from {"a": "cat cat dog", "b": "dog", "c": "bird cat"}:
-# bird -> [(2, 1)], cat -> [(0, 2), (2, 1)], dog -> [(0, 1), (1, 1)]
+# built from {"a": "cat cat dog", "b": "dog", "c": "bird cat"}: terms bird, cat, dog;
+# dfs 1, 2, 2; postings bird [(2, 1)], cat [(0, 2), (2, 1)], dog [(0, 1), (1, 1)]
 CORRUPTIONS = {
-    "old_version": ("meta.json", b'{"avgdl": 2.0, "dedup": false, "doc_count": 3, "version": 1}',
-                    r"meta\.json: unsupported index format version 1 \(expected 2\); rebuild the index"),
+    "old_version": ("meta.json", b'{"avgdl": 2.0, "dedup": false, "doc_count": 3, "version": 2}',
+                    r"meta\.json: unsupported index format version 2 \(expected 3\); rebuild the index"),
     "foreign_docnos": ("docnos.txt", b"b\na\nc\n", r"docnos\.txt:1: docnos do not match"),
     "short_doclens": ("doclens.bin", u32(3, 1), r"doclens\.bin: expected 12 bytes, found 8"),
+    "no_terms": ("terms.txt", b"", r"dfs\.bin: expected 0 bytes for 0 terms, found 12"),
+    "unsorted_terms": ("terms.txt", b"cat\nbird\ndog\n", r"terms\.txt:2: term 'bird' is not after 'cat'"),
+    "duplicate_term": ("terms.txt", b"bird\nbird\ndog\n", r"terms\.txt:2: term 'bird' is not after"),
+    "blank_term_line": ("terms.txt", b"bird\n\ncat\ndog\n", r"terms\.txt:2: term '' is empty or contains whitespace"),
+    "crlf_term_line": ("terms.txt", b"bird\r\ncat\r\ndog\r\n", r"terms\.txt:1: term 'bird\\r' is empty or contains"),
+    "space_in_term": ("terms.txt", b"bird\ncat\ndo g\n", r"terms\.txt:3: term 'do g' is empty or contains"),
+    "no_final_newline": ("terms.txt", b"bird\ncat\ndog", r"terms\.txt:3: no newline at the end of the file"),
+    "invalid_utf8_term": ("terms.txt", b"bird\ncat\nd\xffg\n", r"terms\.txt:3: invalid UTF-8"),
+    "short_dfs": ("dfs.bin", u32(1, 2), r"dfs\.bin: expected 12 bytes for 3 terms, found 8"),
+    "dfs_sum_mismatch": ("dfs.bin", u32(1, 2, 1), r"postings\.bin: 40 bytes, but dfs\.bin counts 4 postings"),
     "ragged_postings": ("postings.bin", u32(2, 1, 0, 2, 2, 1, 0, 1, 1, 1, 7), r"postings\.bin: 44 bytes"),
-    "no_terms": ("terms.dict", b"", r"terms\.dict: no terms, but postings\.bin holds 40 bytes"),
-    "no_tab": ("terms.dict", b"bird 0\ncat\t8\ndog\t24\n", r"terms\.dict:1: expected 'term<TAB>offset'"),
-    # as many tabs as lines, but line 1 has none and line 2 has two
-    "tab_on_wrong_line": ("terms.dict", b"bird\n0\tcat\t8\ndog\t24\n", r"terms\.dict:1: expected 'term<TAB>offset'"),
-    "first_offset": ("terms.dict", b"bird\t8\ncat\t8\ndog\t24\n", r"terms\.dict:1: offset 8 of term 'bird'"),
-    "offset_decreases": ("terms.dict", b"bird\t0\ncat\t24\ndog\t8\n", r"terms\.dict:3: offset 8 of term 'dog'"),
-    "offset_unaligned": ("terms.dict", b"bird\t0\ncat\t12\ndog\t24\n", r"terms\.dict:2: offset 12 of term 'cat'"),
-    "offset_past_end": ("terms.dict", b"bird\t0\ncat\t8\ndog\t48\n", r"terms\.dict:3: offset 48 of term 'dog'"),
-    "unsorted_terms": ("terms.dict", b"cat\t0\nbird\t8\ndog\t24\n", r"terms\.dict:2: term 'bird' is not after 'cat'"),
-    "duplicate_term": ("terms.dict", b"bird\t0\nbird\t8\ndog\t24\n", r"terms\.dict:2: term 'bird' is not after"),
     "ids_not_increasing": ("postings.bin", u32(2, 1, 0, 2, 0, 1, 0, 1, 1, 1),
                            r"postings\.bin: term 'cat': doc ids do not strictly increase"),
     "id_out_of_range": ("postings.bin", u32(3, 1, 0, 2, 2, 1, 0, 1, 1, 1),
@@ -382,11 +378,3 @@ def test_index_load_rejects_corruption(tmp_path, case):
     (tmp_path / name).write_bytes(data)
     with pytest.raises(ValueError, match=message):
         load_index(tmp_path, store)
-
-
-def test_terms_dict_blank_lines_and_crlf_load(tmp_path):
-    # the whole-file parse declines these; the line parse reads them as before
-    store = make_store({"a": "cat cat dog", "b": "dog", "c": "bird cat"})
-    save_index(build_index(store), tmp_path)
-    (tmp_path / "terms.dict").write_bytes(b"bird\t0\n\ncat\t8\r\ndog\t24")
-    assert load_index(tmp_path, store).terms == ["bird", "cat", "dog"]
