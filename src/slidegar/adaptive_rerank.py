@@ -4,17 +4,21 @@ Three strategies share one windowed loop:
 
 - ``sliding_window_baseline`` reranks the initial pool in place, tail first,
   and can never surface a document outside that pool.
-- ``slidegar`` alternates the fresh half of each window between the initial
-  ranking and a corpus-graph frontier fed by the ranker's own feedback, so
-  documents the first stage missed can still reach the final list.
-- ``slidegar_rm3`` draws fresh candidates from BM25 retrieval with an
-  RM3-expanded query instead of the graph; the ranker always sees the
-  original query.
+- ``slidegar`` takes feedback documents from a corpus-graph frontier of
+  the batch the ranker just ordered, so documents the first stage missed
+  can still reach the final list.
+- ``slidegar_rm3`` takes them from BM25 retrieval with an RM3-expanded
+  query instead of the graph; the ranker always sees the original query.
 
 Each window keeps its top ``b`` documents for the next round and dumps the
-rest to the result accumulator; a dumped document is final. The loop ends
-once ``c - b`` documents are accumulated (or every candidate source is
-exhausted), and the last carried top-``b`` goes on top of the output.
+rest to the result accumulator; a dumped document is final. The fresh half
+of the next window alternates between feedback and the initial ranking R0,
+feedback first. Feedback never returns an R0 document or one already
+ranked, and a half that one source leaves short is topped up from the
+other, so every window after the first holds ``2b`` documents until both
+run dry. The loop ends once ``c - b`` documents are dumped (or no fresh
+document is left), and the last carried top-``b`` goes on top of the
+output.
 """
 
 from __future__ import annotations
@@ -116,40 +120,46 @@ def _run_window_loop(
     ranker: ListwiseRanker,
     cfg: RerankConfig,
     store: CorpusStore,
-    propose: Callable[[list[int], set[int], list[int]], list[int]],
+    feedback: Callable[[list[int], set[int], int], list[int]],
 ) -> RerankResult:
-    """Shared do-while loop over store doc ids.
+    """Shared do-while loop over store doc ids, and the only owner of the
+    fresh-half policy the module docstring describes.
 
-    ``propose(batch_order, seen, rest)`` returns the ordered pool the next
-    window's fresh half is drawn from; an empty pool ends the run. ``rest``
-    is the not-yet-ranked remainder of the initial pool, handed to propose
-    for fallback use.
+    ``feedback(order, blocked, n)`` returns at most ``n`` ids outside
+    ``blocked`` (R0 plus everything ranked), best first, for the batch
+    ``order`` just ranked; R0 itself is consumed in order through a cursor.
+    The budget is checked before feedback is asked.
     """
     run = _QueryRun(query, r0, ranker, store)
-    rest = run.pool
-    rest_set = set(rest)
+    pool = run.pool
+    blocked = set(pool)
     dumped: list[tuple[int, int, int]] = []  # (doc id, iteration, window rank)
-    seen: set[int] = set()
-    l1: list[int] = []
-    window = rest[: cfg.w]
+    window = pool[: cfg.w]
+    cursor = len(window)
     iteration = 0
 
     while True:
         iteration += 1
         order = run.rank(window)
-        seen.update(order)
-        ranked_from_rest = rest_set.intersection(order)
-        if ranked_from_rest:
-            rest = [i for i in rest if i not in ranked_from_rest]
-            rest_set -= ranked_from_rest
+        blocked.update(order)
         l1 = order[: cfg.b]
         for rank, doc_id in enumerate(order[cfg.b :], start=cfg.b + 1):
             dumped.append((doc_id, iteration, rank))
-
-        l2 = propose(order, seen, rest)[: cfg.b]
-        if not l2 or len(dumped) >= cfg.c - cfg.b:
+        if len(dumped) >= cfg.c - cfg.b:
             break
-        window = l1 + l2
+
+        # R0 fills its own turn and tops up a short feedback half; feedback
+        # tops up a short R0 half
+        feedback_turn = iteration % 2 == 1
+        fresh = feedback(order, blocked, cfg.b) if feedback_turn else []
+        from_r0 = pool[cursor : cursor + cfg.b - len(fresh)]
+        cursor += len(from_r0)
+        fresh += from_r0
+        if len(fresh) < cfg.b and not feedback_turn:
+            fresh += feedback(order, blocked, cfg.b - len(fresh))
+        if not fresh:
+            break
+        window = l1 + fresh
 
     # Last carried champions on top, then dumps: later iterations competed
     # against stronger carried documents, so they outrank earlier ones.
@@ -164,35 +174,19 @@ def slidegar(
     graph: CorpusGraph,
     cfg: RerankConfig,
     store: CorpusStore,
-    accumulate_frontier: bool = False,
 ) -> RerankResult:
     """Graph-adaptive sliding-window rerank.
 
-    After each window the frontier is rebuilt from the batch's graph
-    neighbours (prioritized by reciprocal-rank pseudo-scores) minus
-    everything already ranked; the fresh half of the next window then
-    alternates between the remaining initial pool and that frontier,
-    falling back to whichever is non-empty. ``accumulate_frontier=True``
-    additionally carries over unconsumed frontier candidates from earlier
-    rounds instead of discarding them. Graph ids must be ``store`` ids.
+    Feedback is the frontier of the batch's graph neighbours, prioritized
+    by reciprocal-rank pseudo-scores, minus R0 and everything already
+    ranked. Graph ids must be ``store`` ids.
     """
-    frontier: list[int] = []
-    take_frontier = False  # flipped before each selection; the first fresh half comes from the frontier
 
-    def propose(order: list[int], seen: set[int], rest: list[int]) -> list[int]:
-        nonlocal frontier, take_frontier
-        fresh = [i for i in neighbours(graph, pseudo_scores(order), cfg.truncate_k) if i not in seen]
-        if accumulate_frontier:
-            new = set(fresh)
-            fresh += [i for i in frontier if i not in seen and i not in new]
-        frontier = fresh
-        take_frontier = not take_frontier
-        pool = frontier if take_frontier else rest
-        if not pool:
-            pool = rest if take_frontier else frontier
-        return pool
+    def feedback(order: list[int], blocked: set[int], n: int) -> list[int]:
+        frontier = neighbours(graph, pseudo_scores(order), cfg.truncate_k)
+        return [i for i in frontier if i not in blocked][:n]
 
-    return _run_window_loop(query, r0, ranker, cfg, store, propose)
+    return _run_window_loop(query, r0, ranker, cfg, store, feedback)
 
 
 def slidegar_rm3(
@@ -208,25 +202,23 @@ def slidegar_rm3(
 ) -> RerankResult:
     """Feedback variant: fresh candidates come from the lexical index.
 
-    After each window the query is expanded from the top-b of the batch
-    (pseudo-scored by reciprocal rank) and the next b candidates are
-    retrieved with that expanded query, excluding everything already seen.
-    The expanded query never reaches the ranker. When expansion retrieves
-    nothing, the remaining initial pool fills the window instead.
+    Feedback expands the query (RM3) from the top-b of the batch,
+    pseudo-scored by reciprocal rank, and retrieves with the expanded query
+    outside R0 and everything already ranked. The expanded query never
+    reaches the ranker; an expansion without usable terms yields nothing.
     """
 
-    def propose(order: list[int], seen: set[int], rest: list[int]) -> list[int]:
+    def feedback(order: list[int], blocked: set[int], n: int) -> list[int]:
         try:
             expanded = rm3_expand(
                 index, query, pseudo_scores(order[: cfg.b]),
                 fb_docs=fb_docs, fb_terms=fb_terms, orig_weight=orig_weight,
             )
         except ValueError:  # no usable expansion terms
-            return rest
-        hits = retrieve_expanded(index, expanded, cfg.b, exclude=seen)
-        return [store.doc_id(sd.docno) for sd in hits] or rest
+            return []
+        return [store.doc_id(sd.docno) for sd in retrieve_expanded(index, expanded, n, exclude=blocked)]
 
-    return _run_window_loop(query, r0, ranker, cfg, store, propose)
+    return _run_window_loop(query, r0, ranker, cfg, store, feedback)
 
 
 def sliding_window_baseline(
@@ -244,18 +236,7 @@ def sliding_window_baseline(
     """
     run = _QueryRun(query, r0[: cfg.c], ranker, store)
     items = run.pool
-    n = len(items)
-    if n <= cfg.w:
-        starts = [0]
-    else:
-        starts = []
-        start = n - cfg.w
-        while True:
-            starts.append(start)
-            if start == 0:
-                break
-            start = max(0, start - cfg.b)
-    for start in starts:
+    for start in [*range(len(items) - cfg.w, 0, -cfg.b), 0]:
         items[start : start + cfg.w] = run.rank(items[start : start + cfg.w])
     return run.result(items)
 

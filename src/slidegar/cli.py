@@ -39,7 +39,6 @@ CONFIG_DEFAULTS: dict = {
     "strategy": "slidegar",  # baseline | slidegar | slidegar_rm3
     "graph": None,
     "truncate_k": 16,
-    "accumulate_frontier": False,
     "ranker": "oracle",  # oracle | noisy_oracle | identity | remote
     "endpoint": None,
     "timeout": 30.0,
@@ -168,10 +167,7 @@ class _Pipeline:
         if cfg["strategy"] == "baseline":
             result = adaptive_rerank.sliding_window_baseline(query, r0, self.ranker, rcfg, self.store)
         elif cfg["strategy"] == "slidegar":
-            result = adaptive_rerank.slidegar(
-                query, r0, self.ranker, self.graph, rcfg, self.store,
-                accumulate_frontier=cfg["accumulate_frontier"],
-            )
+            result = adaptive_rerank.slidegar(query, r0, self.ranker, self.graph, rcfg, self.store)
         else:
             result = adaptive_rerank.slidegar_rm3(
                 query, r0, self.ranker, self.index, rcfg, self.store,

@@ -136,17 +136,26 @@ def load_graph(path: str | Path, store: CorpusStore) -> CorpusGraph:
     """
     path = Path(path)
     with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
+        try:
+            header = json.loads(f.readline().decode("utf-8"))
+            if not isinstance(header, dict):
+                raise ValueError("not a JSON object")
+            k, count = int(header["k"]), int(header["count"])
+        except (ValueError, KeyError, TypeError) as exc:  # UnicodeDecodeError is a ValueError
+            raise ValueError(f"{path}: invalid graph header ({exc})") from None
         if header.get("version") != GRAPH_FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported graph format version {header.get('version')!r}")
         if header.get("sentinel") != SENTINEL:
             raise ValueError(f"{path}: unexpected sentinel {header.get('sentinel')!r}")
-        k, count = int(header["k"]), int(header["count"])
         blob = f.read()
     expected = count * k * 4
     if len(blob) != expected:
         raise ValueError(f"{path}: expected {expected} adjacency bytes, found {len(blob)}")
     adjacency = np.frombuffer(blob, dtype="<u4").reshape(count, k)
+    bad = (adjacency >= count) & (adjacency != SENTINEL)
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=1)))
+        raise ValueError(f"{path}: row {row}: neighbour id {int(adjacency[row][bad[row]][0])} is not below count {count}")
     check_docnos(path.parent / "docnos.txt", store, "graph")
     if count != len(store):
         raise ValueError(f"{path}: header count {count} does not match the {len(store)} docnos")

@@ -94,7 +94,7 @@ def _open_records(path: str | Path) -> Iterator[tuple[dict, Iterator[tuple[int, 
         try:
             header = json.loads(f.readline().decode("utf-8"))
             dim, count = int(header["dim"]), int(header["count"])
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
+        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: invalid embedding header ({exc})") from None
         if dim < 1 or count < 0:
             raise ValueError(f"{path}: invalid embedding header values dim={dim} count={count}")

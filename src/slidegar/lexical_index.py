@@ -349,13 +349,21 @@ def _read_terms(path: Path) -> list[str]:
 
 def load_index(in_dir: str | Path, store: CorpusStore) -> InvertedIndex:
     src = Path(in_dir)
-    with open(src / "meta.json", "r", encoding="utf-8") as f:
-        meta = json.load(f)
+    meta_path = src / "meta.json"
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        if not isinstance(meta, dict):
+            raise ValueError("not a JSON object")
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError
+        raise ValueError(f"{meta_path}: invalid index metadata ({exc})") from None
     if meta.get("version") != INDEX_FORMAT_VERSION:
         raise ValueError(
-            f"{src / 'meta.json'}: unsupported index format version {meta.get('version')!r} "
+            f"{meta_path}: unsupported index format version {meta.get('version')!r} "
             f"(expected {INDEX_FORMAT_VERSION}); rebuild the index with 'slidegar build-index'"
         )
+    missing = [key for key in ("doc_count", "avgdl") if key not in meta]
+    if missing:
+        raise ValueError(f"{meta_path}: missing {', '.join(missing)}")
     doc_count = meta["doc_count"]
     if doc_count != len(store):
         raise ValueError(

@@ -6,48 +6,68 @@ randomized-equivalence tests.
 """
 
 
-def simulate_slidegar(r0, rank_fn, neigh_fn, w, b, c, tk):
-    """rank_fn(list[docno]) -> list[docno]; neigh_fn(docno) -> list[docno].
+def simulate_window_loop(r0, rank_fn, feedback_fn, w, b, c):
+    """rank_fn(list[docno]) -> list[docno];
+    feedback_fn(batch, blocked, n) -> at most n docnos outside blocked.
 
-    Returns (final docnos, ranker calls, every candidate the frontier ever
-    offered).
+    Every window after the first carries the batch's top b and takes b
+    fresh docnos: on odd turns (the first included) from feedback, on even
+    turns from the unranked part of r0, and a turn one source leaves short
+    is filled from the other. The run stops once c - b docnos are dumped,
+    before feedback is asked, or when no fresh docno is left.
+
+    Returns (final docnos, ranker calls, every docno feedback ever returned).
     """
-    rest = list(r0)
+    unranked = list(r0)
+    ranked = set()
     dumped = []  # (docno, iteration, window_rank)
-    l1 = []
-    window = list(r0[:w])
-    frontier = []
-    frontier_turn = False
     offered = set()
+    window = unranked[:w]
     iteration = calls = 0
     while True:
         iteration += 1
         batch = rank_fn(window)
         calls += 1
-        rest = [d for d in rest if d not in batch]
+        ranked.update(batch)
+        unranked = [d for d in unranked if d not in batch]
         l1 = batch[:b]
         for idx in range(b, len(batch)):
             dumped.append((batch[idx], iteration, idx + 1))
-        ranked = {d for d, _, _ in dumped} | set(l1)
+        if len(dumped) >= c - b:
+            break
+        blocked = set(r0) | ranked
+        if iteration % 2 == 1:
+            fresh = list(feedback_fn(batch, blocked, b))
+            offered.update(fresh)
+            fresh += unranked[: b - len(fresh)]
+        else:
+            fresh = unranked[:b]
+            if len(fresh) < b:
+                more = list(feedback_fn(batch, blocked, b - len(fresh)))
+                offered.update(more)
+                fresh += more
+        if not fresh:
+            break
+        window = l1 + fresh
+    final = list(l1) + [d for d, _, _ in sorted(dumped, key=lambda t: (-t[1], t[2]))]
+    return final[:c], calls, offered
+
+
+def graph_feedback(neigh_fn, tk):
+    """feedback_fn of the graph frontier: the first tk neighbours of each
+    batch member in batch order, first occurrence kept, outside blocked.
+    neigh_fn(docno) -> list[docno]."""
+
+    def feedback_fn(batch, blocked, n):
         frontier = []
         for src in batch:  # batch order equals pseudo-score order
             for nb in neigh_fn(src)[:tk]:
-                if nb in batch or nb in ranked or nb in frontier:
+                if nb in blocked or nb in frontier:
                     continue
                 frontier.append(nb)
-        offered.update(frontier)
-        frontier_turn = not frontier_turn
-        pool = frontier if frontier_turn else rest
-        if not pool:
-            pool = rest if frontier_turn else frontier
-        l2 = pool[:b]
-        if not l2:
-            break
-        if len(dumped) >= c - b:
-            break
-        window = l1 + l2
-    final = list(l1) + [d for d, _, _ in sorted(dumped, key=lambda t: (-t[1], t[2]))]
-    return final[:c], calls, offered
+        return frontier[:n]
+
+    return feedback_fn
 
 
 def simulate_baseline(r0, rank_fn, w, b, c):

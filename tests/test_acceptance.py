@@ -15,13 +15,14 @@ import pytest
 
 from conftest import graph_from_dict, make_store
 from mockserver import scripted_server
-from refsim import simulate_baseline, simulate_slidegar
+from refsim import graph_feedback, simulate_baseline, simulate_window_loop
 from slidegar.adaptive_rerank import (
     RerankConfig,
     expected_llm_calls,
     slidegar,
     slidegar_rm3,
     sliding_window_baseline,
+    telemetry_record,
 )
 from slidegar.cli import main
 from slidegar.corpus_graph import CorpusGraph, build_graph_dense, build_graph_lexical, save_graph
@@ -36,7 +37,7 @@ from slidegar.rankers import (
     Window,
 )
 from slidegar.ranking import ScoredDoc
-from test_adaptive_rerank import ReverseRanker, make_pair, names_store, r0_of, random_instance
+from test_adaptive_rerank import RecordingRanker, ReverseRanker, make_pair, names_store, r0_of, random_instance
 from test_corpus_graph import adjacency_rows, brute_force_dense, brute_force_lexical, dense_table
 
 Q = Query("q1", "query text")
@@ -56,8 +57,11 @@ def criterion(name):
 # ---------------------------------------------------------------------------
 
 
-def test_call_count_exactness():
-    with criterion("call-count exactness: ceil((c-w)/b)+1, defaults 4 and 9, 200 random configs"):
+def test_call_count_exactness(synth_bundle):
+    with criterion(
+        "call-count exactness: ceil((c-w)/b)+1, defaults 4 and 9, 200 random configs, "
+        "short frontiers of a synth dense graph"
+    ):
         started = time.perf_counter()
         names = [f"d{i:03d}" for i in range(420)]
         store = names_store(names)
@@ -77,6 +81,25 @@ def test_call_count_exactness():
             pool = names[: c + b + w]  # adequate |R0|: never exhausted mid-run
             result = slidegar(Q, r0_of(pool), IdentityRanker(), graph, cfg, store)
             assert result.calls == expected_llm_calls(cfg), (w, b, c)
+
+        # A real dense graph with short frontiers: R0 is the BM25 pool padded
+        # with the rest of the corpus in id order, and truncated neighbour
+        # lists offer fewer than b unblocked documents in many windows.
+        oracle = OracleRanker(synth_bundle.grades)
+        mixed = 0
+        for c, truncate_k in ((50, 2), (50, 16), (100, 4), (100, 16)):
+            cfg = RerankConfig(w=20, b=10, c=c, truncate_k=truncate_k)
+            for query in synth_bundle.queries:
+                hits = [sd.docno for sd in bm25_retrieve(synth_bundle.index, query, c)]
+                r0 = r0_of(list(dict.fromkeys(hits + synth_bundle.store.docnos))[: c + cfg.w])
+                recorder = RecordingRanker(oracle)
+                result = slidegar(query, r0, recorder, synth_bundle.graph, cfg, synth_bundle.store)
+                assert result.calls == expected_llm_calls(cfg), (query.qid, c, truncate_k)
+                in_r0 = {sd.docno for sd in r0}
+                for window, _ in recorder.seen[1:]:
+                    assert len(window) == 2 * cfg.b
+                    mixed += 0 < sum(d in in_r0 for d in window[cfg.b :]) < cfg.b
+        assert mixed > 0  # some fresh half held both frontier and R0 documents
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
@@ -114,9 +137,8 @@ def test_hand_trace_and_randomized_oracle_equivalence():
                 return list(sim_ranker.rank(window).ordering)
 
             result = slidegar(Q, r0_of(r0), engine_ranker, graph, cfg, store)
-            expected, calls, offered = simulate_slidegar(
-                r0, rank_fn, lambda d: adjacency.get(d, []), cfg.w, cfg.b, cfg.c, cfg.truncate_k
-            )
+            feedback_fn = graph_feedback(lambda d: adjacency.get(d, []), cfg.truncate_k)
+            expected, calls, offered = simulate_window_loop(r0, rank_fn, feedback_fn, cfg.w, cfg.b, cfg.c)
             got = [sd.docno for sd in result.ranking]
             assert got == expected and result.calls == calls
             assert len(set(got)) == len(got) <= cfg.c
@@ -217,22 +239,24 @@ def test_graph_depth_monotone_trend(synth_bundle):
 
 
 def test_rm3_variant_recall_gain(synth_bundle):
-    with criterion("RM3 variant: slidegar_rm3 recall@50 strictly beats the baseline"):
+    with criterion("RM3 variant: slidegar_rm3 recall@50 strictly beats the baseline, every query escapes R0"):
         cfg = RerankConfig(w=20, b=10, c=50)
         oracle = OracleRanker(synth_bundle.grades)
-        base_vals, rm3_vals = [], []
+        base_vals, rm3_vals, escaped = [], [], []
         for info in synth_bundle.manifest["queries"]:
             query = Query(info["qid"], " ".join(info["query_terms"]))
             grades = synth_bundle.grades[info["qid"]]
             r0 = bm25_retrieve(synth_bundle.index, query, cfg.c)
             base = sliding_window_baseline(query, r0, oracle, cfg, synth_bundle.store).ranking
-            adaptive = slidegar_rm3(query, r0, oracle, synth_bundle.index, cfg, synth_bundle.store).ranking
+            adaptive = slidegar_rm3(query, r0, oracle, synth_bundle.index, cfg, synth_bundle.store)
             base_vals.append(recall_at(base, grades, 50, rel_threshold=2))
-            rm3_vals.append(recall_at(adaptive, grades, 50, rel_threshold=2))
+            rm3_vals.append(recall_at(adaptive.ranking, grades, 50, rel_threshold=2))
+            escaped.append(telemetry_record(query.qid, r0, adaptive)["escaped_docs"])
         mean_base = sum(base_vals) / len(base_vals)
         mean_rm3 = sum(rm3_vals) / len(rm3_vals)
         assert mean_rm3 > mean_base
-        print(f"  [recall@50 baseline={mean_base:.3f} rm3={mean_rm3:.3f}]")
+        assert all(count > 0 for count in escaped), escaped  # the gain comes from outside R0
+        print(f"  [recall@50 baseline={mean_base:.3f} rm3={mean_rm3:.3f} escaped docs/query={escaped}]")
 
 
 def test_graph_build_correctness():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_dict, make_store
-from refsim import simulate_baseline, simulate_slidegar
+from refsim import graph_feedback, simulate_baseline, simulate_window_loop
 from slidegar import adaptive_rerank
 from slidegar.adaptive_rerank import (
     RerankConfig,
@@ -17,7 +17,7 @@ from slidegar.adaptive_rerank import (
     telemetry_record,
 )
 from slidegar.corpus_store import Query
-from slidegar.lexical_index import build_index, retrieve_expanded
+from slidegar.lexical_index import build_index, retrieve_expanded, rm3_expand
 from slidegar.rankers import IdentityRanker, ListwiseRanker, NoisyOracleRanker, OracleRanker, Window
 from slidegar.ranking import ScoredDoc
 
@@ -202,8 +202,8 @@ def run_equivalence(n_instances, seed):
 
         result = slidegar(Q, r0_of(r0), engine_ranker, graph, cfg, store)
         got = [sd.docno for sd in result.ranking]
-        expected, calls, offered = simulate_slidegar(
-            r0, rank_fn, neigh_fn, cfg.w, cfg.b, cfg.c, cfg.truncate_k
+        expected, calls, offered = simulate_window_loop(
+            r0, rank_fn, graph_feedback(neigh_fn, cfg.truncate_k), cfg.w, cfg.b, cfg.c
         )
         assert got == expected
         assert result.calls == calls
@@ -273,28 +273,13 @@ def test_truncate_k_zero_equals_baseline_sets_on_aligned_configs():
         assert {sd.docno for sd in adaptive} == {sd.docno for sd in baseline}
 
 
-def test_accumulate_frontier_flag_keeps_leftovers():
-    # one source with many neighbours, tiny step: without accumulation the
-    # rebuilt frontier forgets candidates the next batch no longer reaches
-    names = ["s", "n1", "n2", "n3", "x1", "x2"]
-    store = names_store(names)
-    graph = graph_from_dict({"s": ["n1", "n2", "n3"]}, names, 3)
-    grades = {"q1": {"s": 3, "x1": 2, "x2": 2}}
-    cfg = RerankConfig(w=2, b=1, c=4, truncate_k=3)
-    r0 = r0_of(["s", "x1", "x2"])
-    plain = slidegar(Q, r0, OracleRanker(grades), graph, cfg, store).ranking
-    accumulated = slidegar(
-        Q, r0, OracleRanker(grades), graph, cfg, store, accumulate_frontier=True
-    ).ranking
-    assert {sd.docno for sd in accumulated} >= {sd.docno for sd in plain}
-
-
 # --- rm3 variant ---
 
 
 def test_rm3_orig_weight_one_consumes_bm25_order():
-    # every doc matches the query term with a distinct tf, so the candidate
-    # stream at orig_weight=1 must be exactly the BM25 order minus seen docs
+    # every doc matches the query term with a distinct tf, so the feedback
+    # stream at orig_weight=1 must be exactly the BM25 order minus R0 and
+    # the ranked docs
     docs = {f"d{i}": ("t " * (9 - i) + f"u{i}").strip() for i in range(8)}
     store = make_store(docs)
     index = build_index(store)
@@ -305,8 +290,11 @@ def test_rm3_orig_weight_one_consumes_bm25_order():
     assert [sd.docno for sd in r0] == [f"d{i}" for i in range(6)]
     cfg = RerankConfig(w=4, b=2, c=6)
     result = slidegar_rm3(query, r0, IdentityRanker(), index, cfg, store, orig_weight=1.0)
-    # trace: W1=[d0..d3] dumps d2,d3; W2=[d0,d1,d4,d5] dumps d4,d5; final
-    assert [sd.docno for sd in result.ranking] == ["d0", "d1", "d4", "d5", "d2", "d3"]
+    # trace: W1=[d0..d3] dumps d2,d3; the fresh half is feedback's turn, and
+    # feedback skips R0 (d0..d5), so W2=[d0,d1,d6,d7] dumps d6,d7 and the
+    # 4 = c - b dumps end the run; final = carried d0,d1, then W2's dumps,
+    # then W1's
+    assert [sd.docno for sd in result.ranking] == ["d0", "d1", "d6", "d7", "d2", "d3"]
     assert result.calls == expected_llm_calls(cfg)
 
 
@@ -397,6 +385,91 @@ def test_baseline_and_rm3_window_loop_invariants(instance, swap_prob, seed):
             assert sorted(got) == sorted(r0[: cfg.c])
         else:
             assert set(got) <= set(r0) | hits
+
+
+@st.composite
+def loop_instances(draw):
+    docs, r0, cfg, text, grades = draw(rm3_instances())
+    names = list(docs)
+    adjacency = {
+        name: draw(st.lists(st.sampled_from([m for m in names if m != name]), max_size=4, unique=True))
+        for name in names
+    }
+    cfg = RerankConfig(w=cfg.w, b=cfg.b, c=cfg.c, truncate_k=draw(st.integers(0, 4)))
+    return docs, adjacency, r0, cfg, text, grades
+
+
+@settings(max_examples=150, deadline=None)
+@given(loop_instances(), st.floats(0.0, 1.0), st.integers(0, 2**16))
+def test_window_loop_fills_every_window_until_sources_run_dry(instance, swap_prob, seed):
+    docs, adjacency, r0, cfg, text, grades = instance
+    store = make_store(docs)
+    index = build_index(store)
+    graph = graph_from_dict(adjacency, list(docs), 4)
+    query = Query("q1", text)
+
+    def rm3_feedback(batch, blocked, n):
+        try:
+            expanded = rm3_expand(index, query, pseudo_scores([store.doc_id(d) for d in batch[: cfg.b]]))
+        except ValueError:
+            return []
+        exclude = {store.doc_id(d) for d in blocked}
+        return [sd.docno for sd in retrieve_expanded(index, expanded, n, exclude=exclude)]
+
+    strategies = {  # the engine's feedback source, then the simulator's feedback_fn
+        "slidegar": ("neighbours", graph_feedback(lambda d: adjacency.get(d, []), cfg.truncate_k)),
+        "slidegar_rm3": ("rm3_expand", rm3_feedback),
+    }
+    for strategy, (source, feedback_fn) in strategies.items():
+        asked = {"engine": 0, "simulator": 0}
+
+        def count(who, fn):
+            def counted(*args, **kwargs):
+                asked[who] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        ranker = RecordingRanker(NoisyOracleRanker({"q1": grades}, swap_prob=swap_prob, seed=seed))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(adaptive_rerank, source, count("engine", getattr(adaptive_rerank, source)))
+            if strategy == "slidegar":
+                result = slidegar(query, r0_of(r0), ranker, graph, cfg, store)
+            else:
+                result = slidegar_rm3(query, r0_of(r0), ranker, index, cfg, store)
+        sim_ranker = NoisyOracleRanker({"q1": grades}, swap_prob=swap_prob, seed=seed)
+
+        def rank_fn(docnos):
+            return list(sim_ranker.rank(Window(query=query, docs=tuple((d, docs[d]) for d in docnos))).ordering)
+
+        expected, calls, _ = simulate_window_loop(
+            r0, rank_fn, count("simulator", feedback_fn), cfg.w, cfg.b, cfg.c
+        )
+        assert [sd.docno for sd in result.ranking] == expected
+        assert result.calls == calls == len(ranker.seen)
+        assert asked["engine"] == asked["simulator"]  # feedback is asked only when a window needs it
+
+        # each fresh half holds b documents unless the unranked rest of R0
+        # and everything feedback could still offer add up to fewer
+        dry = len(r0) < cfg.w
+        ranked: set[str] = set()
+        for i, (_, batch) in enumerate(ranker.seen):
+            ranked.update(batch)
+            if len(ranked) - len(batch[: cfg.b]) >= cfg.c - cfg.b:  # the budget is spent
+                assert i == len(ranker.seen) - 1
+                break
+            supply = sum(d not in ranked for d in r0)
+            supply += len(feedback_fn(list(batch), set(r0) | ranked, len(docs)))
+            dry |= supply < cfg.b
+            if i == len(ranker.seen) - 1:
+                assert supply == 0
+            else:
+                window, carried = ranker.seen[i + 1][0], batch[: cfg.b]
+                assert window[: len(carried)] == carried
+                assert len(window) - len(carried) == min(cfg.b, supply)
+        if not dry:
+            assert result.calls == expected_llm_calls(cfg)
+            assert all(len(window) == 2 * cfg.b for window, _ in ranker.seen[1:])
 
 
 # --- telemetry ---

@@ -296,3 +296,44 @@ def test_docno_with_whitespace_fails_at_load(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "c.tsv:2: docno 'd 1' contains whitespace" in err[0]
     assert not run_out.exists()
+
+
+SENTINEL_U32 = (0xFFFF_FFFF).to_bytes(4, "little")
+
+
+@pytest.mark.parametrize(
+    "name, data, message",
+    [
+        ("g/graph.bin",
+         b'{"count": 3, "k": 1, "sentinel": 4294967295, "source": "lexical", "version": 1}\n'
+         + (1).to_bytes(4, "little") + (9).to_bytes(4, "little") + SENTINEL_U32,
+         "graph.bin: row 1: neighbour id 9 is not below count 3"),
+        ("g/graph.bin", b"[1, 2]\n", "graph.bin: invalid graph header (not a JSON object)"),
+        ("idx/meta.json", b"not json", "meta.json: invalid index metadata (Expecting value"),
+        ("idx/meta.json", b'{"version": 3}', "meta.json: missing doc_count, avgdl"),
+    ],
+    ids=["graph_id_out_of_range", "graph_header_not_object", "meta_not_json", "meta_no_counts"],
+)
+def test_malformed_artifact_fails_with_its_path(tmp_path, capsys, name, data, message):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("a\tcat dog\nb\tcat bird\nc\tdog bird\n", encoding="utf-8")
+    (tmp_path / "q.tsv").write_text("q1\tcat\n", encoding="utf-8")
+    (tmp_path / "g").mkdir()
+    assert main(["build-index", "--corpus", str(corpus), "--out", str(tmp_path / "idx")]) == 0
+    assert main([
+        "build-graph", "--corpus", str(corpus), "--source", "lexical", "--k", "1",
+        "--out", str(tmp_path / "g" / "graph.bin"),
+    ]) == 0
+    (tmp_path / name).write_bytes(data)
+    capsys.readouterr()
+    run_out = tmp_path / "run.trec"
+    cfg = {
+        "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "index_dir": str(tmp_path / "idx"),
+        "graph": str(tmp_path / "g" / "graph.bin"), "ranker": "identity", "w": 2, "b": 1, "c": 3,
+        "truncate_k": 1, "run_out": str(run_out),
+    }
+    assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(tmp_path / name) in err[0], err
+    assert message in err[0]
+    assert not run_out.exists()

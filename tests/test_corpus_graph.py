@@ -316,6 +316,36 @@ def test_graph_load_rejects_bad_sizes(tmp_path):
         load_graph(tmp_path / "g.bin", store)
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (b"not json", r"g\.bin: invalid graph header \("),
+        (b"[1, 2]", r"g\.bin: invalid graph header \(not a JSON object\)"),
+        (b'{"count": 2, "version": 1}', r"g\.bin: invalid graph header \('k'\)"),
+    ],
+)
+def test_graph_load_rejects_malformed_header(tmp_path, header, message):
+    store = make_store({"a": "cat dog", "b": "cat dog"})
+    save_graph(tmp_path / "g.bin", build_graph_lexical(build_index(store), store, 1))
+    body = (tmp_path / "g.bin").read_bytes().split(b"\n", 1)[1]
+    (tmp_path / "g.bin").write_bytes(header + b"\n" + body)
+    with pytest.raises(ValueError, match=message):
+        load_graph(tmp_path / "g.bin", store)
+
+
+def test_graph_load_rejects_neighbour_ids_out_of_range(tmp_path):
+    store = make_store({"a": "cat dog", "b": "cat bird", "c": "dog bird"})
+    graph = build_graph_lexical(build_index(store), store, 2)
+    graph.adjacency[1, 1] = 3  # == count: not a doc id and not the sentinel
+    graph.adjacency[2, 0] = 7
+    save_graph(tmp_path / "g.bin", graph)
+    with pytest.raises(ValueError, match=r"g\.bin: row 1: neighbour id 3 is not below count 3"):
+        load_graph(tmp_path / "g.bin", store)
+    graph.adjacency[1:, :] = SENTINEL  # sentinels are not ids
+    save_graph(tmp_path / "g.bin", graph)
+    assert load_graph(tmp_path / "g.bin", store).adjacency[1:].tolist() == [[SENTINEL] * 2] * 2
+
+
 def test_graph_load_rejects_docnos_of_another_corpus(tmp_path):
     store = make_store({"a": "cat dog", "b": "cat bird", "c": "dog bird"})
     save_graph(tmp_path / "g.bin", build_graph_lexical(build_index(store), store, 1))

@@ -92,6 +92,13 @@ def test_header_validation(tmp_path):
         load_embeddings(path, store_for(["a"]))
 
 
+def test_header_that_is_not_an_object(tmp_path):
+    path = tmp_path / "e.bin"
+    path.write_bytes(b"[1, 2]\n")
+    with pytest.raises(ValueError, match=r"e\.bin: invalid embedding header \("):
+        load_embeddings(path, store_for(["a"]))
+
+
 def test_normalize_flag(tmp_path):
     store = store_for(["a"])
     path = write_table(tmp_path / "e.bin", 2, [("a", [3.0, 4.0])])

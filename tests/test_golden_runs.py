@@ -14,8 +14,8 @@ from slidegar.cli import main
 
 GOLDEN_SHA256 = {
     "baseline": "06d31394b9e2aaca3763f031e08324a365bb677e6ff02fa2da5a07ec93cda4e7",
-    "slidegar": "8be5950da6299a2b0dea9df467c4e0cdeee292be361373ab0ca9dd2072543dd4",
-    "slidegar_rm3": "68593d42723a1bfaa4431d11d9773588e0d70a712b011a93e22bb8aa21f7fa0d",
+    "slidegar": "de2a98047c22603877736d9fc6869024f8808a1d54bda56d3419f5b2bfdf7de4",
+    "slidegar_rm3": "6d6e2f026e75db1ced510dff6d2d400e678cd67a1facaa99357edf9694f9a4fc",
 }
 
 

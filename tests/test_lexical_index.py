@@ -348,6 +348,10 @@ def u32(*values):
 CORRUPTIONS = {
     "old_version": ("meta.json", b'{"avgdl": 2.0, "dedup": false, "doc_count": 3, "version": 2}',
                     r"meta\.json: unsupported index format version 2 \(expected 3\); rebuild the index"),
+    "meta_not_json": ("meta.json", b"not json", r"meta\.json: invalid index metadata \(Expecting value"),
+    "meta_not_object": ("meta.json", b"[1, 2]", r"meta\.json: invalid index metadata \(not a JSON object\)"),
+    "meta_no_doc_count": ("meta.json", b'{"avgdl": 2.0, "version": 3}', r"meta\.json: missing doc_count$"),
+    "meta_no_counts": ("meta.json", b'{"version": 3}', r"meta\.json: missing doc_count, avgdl"),
     "foreign_docnos": ("docnos.txt", b"b\na\nc\n", r"docnos\.txt:1: docnos do not match"),
     "short_doclens": ("doclens.bin", u32(3, 1), r"doclens\.bin: expected 12 bytes, found 8"),
     "no_terms": ("terms.txt", b"", r"dfs\.bin: expected 0 bytes for 0 terms, found 12"),
