@@ -16,9 +16,10 @@ of the next window alternates between feedback and the initial ranking R0,
 feedback first. Feedback never returns an R0 document or one already
 ranked, and a half that one source leaves short is topped up from the
 other, so every window after the first holds ``2b`` documents until both
-run dry. The loop ends once ``c - b`` documents are dumped (or no fresh
-document is left), and the last carried top-``b`` goes on top of the
-output.
+run dry. The loop ends once ``c - b`` documents are dumped, once it has
+made ``ceil((c - w) / b) + 1`` ranker calls (a hard cap: short windows dump
+fewer documents), or once no fresh document is left; the last carried
+top-``b`` goes on top of the output.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ class _QueryRun:
         self.pool = [store.doc_id(sd.docno) for sd in r0]
 
     def rank(self, ids: list[int]) -> list[int]:
-        docs = self.store.docs
-        window = Window(query=self.query, docs=tuple((docs[i].docno, docs[i].text) for i in ids))
+        docnos, texts = self.store.docnos, self.store.texts
+        window = Window(query=self.query, docs=tuple((docnos[i], texts[i]) for i in ids))
         t0 = time.perf_counter()
         batch = self.ranker.rank(window)
         self.ranker_s += time.perf_counter() - t0
@@ -128,9 +129,10 @@ def _run_window_loop(
     ``feedback(order, blocked, n)`` returns at most ``n`` ids outside
     ``blocked`` (R0 plus everything ranked), best first, for the batch
     ``order`` just ranked; R0 itself is consumed in order through a cursor.
-    The budget is checked before feedback is asked.
+    The budget, in dumps and in calls, is checked before feedback is asked.
     """
     run = _QueryRun(query, r0, ranker, store)
+    max_calls = expected_llm_calls(cfg)
     pool = run.pool
     blocked = set(pool)
     dumped: list[tuple[int, int, int]] = []  # (doc id, iteration, window rank)
@@ -145,7 +147,7 @@ def _run_window_loop(
         l1 = order[: cfg.b]
         for rank, doc_id in enumerate(order[cfg.b :], start=cfg.b + 1):
             dumped.append((doc_id, iteration, rank))
-        if len(dumped) >= cfg.c - cfg.b:
+        if len(dumped) >= cfg.c - cfg.b or run.calls == max_calls:
             break
 
         # R0 fills its own turn and tops up a short feedback half; feedback

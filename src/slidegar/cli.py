@@ -17,6 +17,7 @@ import copy
 import json
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -116,19 +117,28 @@ class _Pipeline:
 
     def __init__(self, cfg: dict) -> None:
         self.cfg = cfg
+        # set-up wall times in seconds, written as the telemetry's setup record;
+        # a step the config does not need stays None
+        self.setup_s = dict.fromkeys(("ingest_s", "qrels_s", "index_load_s", "graph_load_s"))
+        t0 = time.perf_counter()
         self.store, _ = corpus_store.ingest_corpus(cfg["corpus"], dedup=cfg["dedup"])
+        self._lap("ingest_s", t0)
         self.queries = corpus_store.load_queries(cfg["queries"])
         self.grades: dict[str, dict[str, int]] = {}
         if cfg["qrels"]:
+            t0 = time.perf_counter()
             entries = corpus_store.load_qrels(cfg["qrels"])
             table, _ = corpus_store.map_qrels(entries, self.store)
             self.grades = corpus_store.grades_by_docno(table, self.store)
+            self._lap("qrels_s", t0)
         self.index = None
         if cfg["retriever"] == "bm25" or cfg["strategy"] == "slidegar_rm3":
+            t0 = time.perf_counter()
             if cfg["index_dir"]:
                 self.index = lexical_index.load_index(cfg["index_dir"], self.store)
             else:
                 self.index = lexical_index.build_index(self.store)
+            self._lap("index_load_s", t0)
         self.table = None
         self.query_vectors: dict = {}
         if cfg["retriever"] == "dense":
@@ -136,8 +146,15 @@ class _Pipeline:
                 cfg["embeddings"], self.store, normalize=cfg["normalize_embeddings"]
             )
             self.query_vectors = dense_index.load_query_embeddings(cfg["query_embeddings"], self.queries)
-        self.graph = corpus_graph.load_graph(cfg["graph"], self.store) if cfg["graph"] else None
+        self.graph = None
+        if cfg["graph"]:
+            t0 = time.perf_counter()
+            self.graph = corpus_graph.load_graph(cfg["graph"], self.store)
+            self._lap("graph_load_s", t0)
         self.ranker = self._make_ranker(cfg)
+
+    def _lap(self, key: str, t0: float) -> None:
+        self.setup_s[key] = round(time.perf_counter() - t0, 6)
 
     def _make_ranker(self, cfg: dict):
         kind = cfg["ranker"]
@@ -161,9 +178,12 @@ class _Pipeline:
 
     def rerank_one(self, query: corpus_store.Query, rcfg: RerankConfig) -> tuple[str, list, dict]:
         cfg = self.cfg
+        t0 = time.perf_counter()
         r0 = self.initial_ranking(query, rcfg.c)
+        first_stage_ms = round((time.perf_counter() - t0) * 1000.0, 3)
+        record = {"type": "query", "qid": query.qid, "first_stage_ms": first_stage_ms}
         if not r0:
-            return query.qid, [], {"type": "query", "qid": query.qid, "note": "empty initial ranking"}
+            return query.qid, [], {**record, "note": "empty initial ranking"}
         if cfg["strategy"] == "baseline":
             result = adaptive_rerank.sliding_window_baseline(query, r0, self.ranker, rcfg, self.store)
         elif cfg["strategy"] == "slidegar":
@@ -175,8 +195,7 @@ class _Pipeline:
                 fb_terms=cfg["rm3"]["fb_terms"],
                 orig_weight=cfg["rm3"]["orig_weight"],
             )
-        record = adaptive_rerank.telemetry_record(query.qid, r0, result)
-        record["type"] = "query"
+        record.update(adaptive_rerank.telemetry_record(query.qid, r0, result))
         return query.qid, result.ranking, record
 
     def execute(self, rcfg: RerankConfig) -> tuple[dict, list[dict]]:
@@ -262,6 +281,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     run_eval.write_run(cfg["run_out"], run, cfg["run_tag"])
     with open(cfg["telemetry_out"], "w", encoding="utf-8") as f:
         f.write(json.dumps({"type": "config", "config": cfg}, sort_keys=True) + "\n")
+        f.write(json.dumps({"type": "setup", **pipeline.setup_s}, sort_keys=True) + "\n")
         for record in telemetry:
             f.write(json.dumps(record, sort_keys=True) + "\n")
     lines = sum(len(r) for r in run.values())

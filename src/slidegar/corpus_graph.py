@@ -63,8 +63,8 @@ def build_graph_lexical(index: InvertedIndex, store: CorpusStore, k: int) -> Cor
     top k anyway. Slots beyond the matching documents stay sentinel."""
     _check_k(k, len(store))
     adjacency = np.full((len(store), k), SENTINEL, dtype=np.uint32)
-    for doc_id, doc in enumerate(store.docs):
-        top = top_docs(index, Counter(tokenize(doc.text)), k, exclude={doc_id})
+    for doc_id, text in enumerate(store.texts):
+        top = top_docs(index, Counter(tokenize(text)), k, exclude={doc_id})
         adjacency[doc_id, : len(top)] = [other for other, _ in top]
     return CorpusGraph(k, adjacency, store.docnos, "lexical")
 

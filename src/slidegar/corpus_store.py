@@ -1,10 +1,15 @@
 """Document / query / qrel ingestion and the docno <-> doc-id mapping.
 
+The corpus is held as two parallel columns, ``docnos`` and ``texts``,
+indexed by doc id, read from the file in one pass.
+
 File formats:
 
 - corpus: one record per line, either ``docno<TAB>text`` or a JSON object
   with fields ``docno`` and ``text``. JSON lines are auto-detected when the
-  file's first byte is ``{``.
+  first non-empty line starts with ``{``. Lines are split on ``\\n`` only
+  (``\\x85``, ``\\u2028`` and ``\\x1c`` stay inside a text), a trailing
+  ``\\r`` is stripped and empty lines are skipped.
 - queries: ``qid<TAB>text`` lines.
 - qrels: whitespace-separated ``qid 0 docno grade`` (standard TREC layout).
 - dedup report: JSON lines ``{"dropped": docno, "kept": docno}``.
@@ -19,12 +24,6 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-
-
-@dataclass(frozen=True)
-class Document:
-    docno: str
-    text: str
 
 
 @dataclass(frozen=True)
@@ -53,37 +52,30 @@ def normalize_text(text: str) -> str:
 
 
 class CorpusStore:
-    """Write-once document store; immutable once ingestion finishes.
+    """Immutable document store: two parallel columns indexed by doc id.
 
-    Doc ids are dense ints assigned in ingestion order so they can index
-    directly into postings lists, embedding matrices, and graph rows. The
-    store holds the only docno -> id map; everything else works on ids.
+    Doc ids are dense ints in corpus order so they can index directly into
+    postings lists, embedding matrices, and graph rows. ``docnos`` is shared
+    with every index, table and graph built on the store, and the store holds
+    the only docno -> id map; everything else works on ids.
     """
 
-    def __init__(self) -> None:
-        self.docs: list[Document] = []
-        self.docnos: list[str] = []  # doc id -> docno; indexes, tables and graphs share this list
-        self.alias: dict[str, str] = {}  # dropped docno -> kept docno
-        self._ids: dict[str, int] = {}
+    def __init__(self, docnos: list[str], texts: list[str], alias: dict[str, str] | None = None) -> None:
+        if len(docnos) != len(texts):
+            raise ValueError(f"{len(docnos)} docnos but {len(texts)} texts")
+        self.docnos = docnos
+        self.texts = texts
+        self.alias = alias or {}  # dropped docno -> kept docno
+        self._ids = dict(zip(docnos, range(len(docnos))))
+        if len(self._ids) != len(docnos):
+            docno = next(d for i, d in enumerate(docnos) if self._ids[d] != i)
+            raise ValueError(f"duplicate docno {docno!r}")
 
     def __len__(self) -> int:
-        return len(self.docs)
+        return len(self.docnos)
 
     def __contains__(self, docno: str) -> bool:
         return docno in self._ids
-
-    def add(self, doc: Document) -> int:
-        if not doc.docno:
-            raise ValueError("empty docno")
-        if doc.docno in self._ids:
-            raise ValueError(f"duplicate docno {doc.docno!r}")
-        if not doc.text.strip():
-            raise ValueError(f"empty text for docno {doc.docno!r}")
-        self.docs.append(doc)
-        self.docnos.append(doc.docno)
-        doc_id = len(self.docs) - 1
-        self._ids[doc.docno] = doc_id
-        return doc_id
 
     def doc_id(self, docno: str) -> int:
         try:
@@ -102,50 +94,72 @@ class CorpusStore:
         return None
 
 
-def _read_corpus_records(path: str | Path) -> list[tuple[int, str, str]]:
-    """Parse a corpus file into (line_no, docno, text) triples.
+def _read_corpus(path: str | Path) -> CorpusStore:
+    """One read of a corpus file into a store.
 
-    Lines are decoded individually so malformed input reports an exact
-    line number.
+    The checks run over whole columns and a line is searched for only once
+    one fails, so every error names the first bad line, as a line-by-line
+    read would: a record before a bad line is checked in full before that
+    line's own error is raised.
     """
-    records: list[tuple[int, str, str]] = []
-    json_lines: bool | None = None
-    with open(path, "rb") as f:
-        for lineno, raw in enumerate(f, start=1):
-            raw = raw.rstrip(b"\r\n")
-            if not raw:
-                continue
-            if json_lines is None:
-                json_lines = raw[:1] == b"{"
+    data = Path(path).read_bytes()
+    error = ""  # the error of the line the columns stop before
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = data.rfind(b"\n", 0, exc.start) + 1
+        bad_line = data.count(b"\n", 0, exc.start) + 1
+        try:  # the line's own reason: a sequence cut short by its end reads as such
+            data[start:].split(b"\n", 1)[0].rstrip(b"\r").decode("utf-8")
+        except UnicodeDecodeError as line_exc:
+            error = f"{path}:{bad_line}: invalid UTF-8 ({line_exc.reason})"
+        text = data[:start].decode("utf-8")  # the lines before it are valid
+    lines = text.split("\n")  # not splitlines(): \x85, \u2028 and \x1c stay inside a line
+    if "\r" in text:
+        lines = [line.rstrip("\r") for line in lines]
+    records = list(filter(None, lines))
+
+    def lineno(j: int) -> int:
+        return [n for n, line in enumerate(lines, start=1) if line][j]
+
+    if records and records[0][0] == "{":
+        docnos, texts = [], []
+        for j, line in enumerate(records):
             try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})") from None
-            if json_lines:
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-                if not isinstance(obj, dict) or "docno" not in obj or "text" not in obj:
-                    raise ValueError(f"{path}:{lineno}: record must carry 'docno' and 'text'")
-                docno, text = str(obj["docno"]), str(obj["text"])
-            else:
-                parts = line.split("\t", 1)
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected 'docno<TAB>text'")
-                docno, text = parts
-            docno = docno.strip()
-            text = text.strip()
-            if not docno:
-                raise ValueError(f"{path}:{lineno}: empty docno")
-            if not text:
-                raise ValueError(f"{path}:{lineno}: empty text for docno {docno!r}")
-            records.append((lineno, docno, text))
-    # one scan over all docnos; the per-record search only finds the line
-    if len("".join([docno for _, docno, _ in records]).split()) > 1:
-        lineno, docno = next((n, d) for n, d, _ in records if len(d.split()) > 1)
-        raise ValueError(f"{path}:{lineno}: docno {docno!r} contains whitespace")
-    return records
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                error = f"{path}:{lineno(j)}: invalid JSON ({exc.msg})"
+                break
+            if not isinstance(obj, dict) or "docno" not in obj or "text" not in obj:
+                error = f"{path}:{lineno(j)}: record must carry 'docno' and 'text'"
+                break
+            docnos.append(str(obj["docno"]).strip())
+            texts.append(str(obj["text"]).strip())
+    else:
+        tabs = [line.find("\t") for line in records]
+        if -1 in tabs:
+            del tabs[tabs.index(-1) :]
+            error = f"{path}:{lineno(len(tabs))}: expected 'docno<TAB>text'"
+        docnos = [line[:i].strip() for line, i in zip(records, tabs)]
+        texts = [line[i + 1 :].strip() for line, i in zip(records, tabs)]
+
+    if not (all(docnos) and all(texts)):
+        j, docno = next((j, d) for j, (d, t) in enumerate(zip(docnos, texts)) if not (d and t))
+        raise ValueError(f"{path}:{lineno(j)}: " + (f"empty text for docno {docno!r}" if docno else "empty docno"))
+    if error:
+        raise ValueError(error)
+    # one scan over all docnos: clean ones join into a single word
+    if len("".join(docnos).split()) > 1:
+        j, docno = next((j, d) for j, d in enumerate(docnos) if len(d.split()) > 1)
+        raise ValueError(f"{path}:{lineno(j)}: docno {docno!r} contains whitespace")
+    try:
+        return CorpusStore(docnos, texts)
+    except ValueError:  # a repeated docno: name the line that repeats it first
+        first: dict[str, int] = {}
+        j = next(j for j, docno in enumerate(docnos) if first.setdefault(docno, j) != j)
+        raise ValueError(
+            f"{path}:{lineno(j)}: duplicate docno {docnos[j]!r} (first at line {lineno(first[docnos[j]])})"
+        ) from None
 
 
 def ingest_corpus(path: str | Path, dedup: bool = False) -> tuple[CorpusStore, list[dict]]:
@@ -157,38 +171,22 @@ def ingest_corpus(path: str | Path, dedup: bool = False) -> tuple[CorpusStore, l
     ``{"dropped": ..., "kept": ...}`` entry. Doc ids follow the order in
     which each distinct text first appears in the stream.
     """
-    records = _read_corpus_records(path)
-    seen: dict[str, int] = {}
-    for lineno, docno, _ in records:
-        if docno in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate docno {docno!r} (first at line {seen[docno]})")
-        seen[docno] = lineno
-
-    store = CorpusStore()
+    store = _read_corpus(path)
     if not dedup:
-        for _, docno, text in records:
-            store.add(Document(docno, text))
         return store, []
 
-    groups: dict[str, list[tuple[str, str]]] = {}
-    order: list[str] = []
-    for _, docno, text in records:
-        key = normalize_text(text)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append((docno, text))
+    groups: dict[str, list[tuple[str, str]]] = {}  # in order of first appearance
+    for docno, text in zip(store.docnos, store.texts):
+        groups.setdefault(normalize_text(text), []).append((docno, text))
+    docnos, texts = [], []
     alias: dict[str, str] = {}
-    for key in order:
-        members = groups[key]
+    for members in groups.values():
         kept_docno, kept_text = min(members)
-        store.add(Document(kept_docno, kept_text))
-        for docno, _ in members:
-            if docno != kept_docno:
-                alias[docno] = kept_docno
-    store.alias = alias
+        docnos.append(kept_docno)
+        texts.append(kept_text)
+        alias.update((docno, kept_docno) for docno, _ in members if docno != kept_docno)
     report = [{"dropped": dropped, "kept": kept} for dropped, kept in sorted(alias.items())]
-    return store, report
+    return CorpusStore(docnos, texts, alias), report
 
 
 def write_dedup_report(path: str | Path, report: list[dict]) -> None:

@@ -112,8 +112,8 @@ def build_index(store: CorpusStore) -> InvertedIndex:
     entry_tfs = array("I")
     doc_lengths: list[int] = []
     distinct: list[int] = []
-    for doc in store.docs:
-        tokens = tokenize(doc.text)
+    for text in store.texts:
+        tokens = tokenize(text)
         doc_lengths.append(len(tokens))
         counts = Counter(tokens)
         distinct.append(len(counts))

@@ -19,8 +19,6 @@ import json
 import logging
 import random
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
 from .corpus_store import Query
@@ -164,6 +162,9 @@ class RemoteRanker(ListwiseRanker):
             self.headers["Authorization"] = auth
 
     def _order(self, window: Window) -> list[str]:
+        import urllib.error  # here, not at module level: it costs every CLI process about 20 ms
+        import urllib.request
+
         payload = {
             "qid": window.query.qid,
             "query": window.query.text,

@@ -4,7 +4,6 @@ import pytest
 from slidegar.corpus_graph import SENTINEL, CorpusGraph, build_graph_dense
 from slidegar.corpus_store import (
     CorpusStore,
-    Document,
     grades_by_docno,
     ingest_corpus,
     load_qrels,
@@ -17,10 +16,7 @@ from slidegar.synth import SynthSpec, generate
 
 
 def make_store(docs: dict[str, str]) -> CorpusStore:
-    store = CorpusStore()
-    for docno, text in docs.items():
-        store.add(Document(docno, text))
-    return store
+    return CorpusStore(list(docs), list(docs.values()))
 
 
 def graph_from_dict(adjacency: dict[str, list[str]], names: list[str], k: int) -> CorpusGraph:

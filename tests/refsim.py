@@ -13,8 +13,9 @@ def simulate_window_loop(r0, rank_fn, feedback_fn, w, b, c):
     Every window after the first carries the batch's top b and takes b
     fresh docnos: on odd turns (the first included) from feedback, on even
     turns from the unranked part of r0, and a turn one source leaves short
-    is filled from the other. The run stops once c - b docnos are dumped,
-    before feedback is asked, or when no fresh docno is left.
+    is filled from the other. The run stops once c - b docnos are dumped or
+    ceil((c - w) / b) + 1 windows are ranked, before feedback is asked, or
+    when no fresh docno is left.
 
     Returns (final docnos, ranker calls, every docno feedback ever returned).
     """
@@ -33,7 +34,7 @@ def simulate_window_loop(r0, rank_fn, feedback_fn, w, b, c):
         l1 = batch[:b]
         for idx in range(b, len(batch)):
             dumped.append((batch[idx], iteration, idx + 1))
-        if len(dumped) >= c - b:
+        if len(dumped) >= c - b or calls == -(-(c - w) // b) + 1:
             break
         blocked = set(r0) | ranked
         if iteration % 2 == 1:

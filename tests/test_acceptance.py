@@ -26,7 +26,7 @@ from slidegar.adaptive_rerank import (
 )
 from slidegar.cli import main
 from slidegar.corpus_graph import CorpusGraph, build_graph_dense, build_graph_lexical, save_graph
-from slidegar.corpus_store import CorpusStore, Document, Query
+from slidegar.corpus_store import CorpusStore, Query
 from slidegar.eval import ndcg_at, recall_at
 from slidegar.lexical_index import bm25_retrieve, build_index
 from slidegar.rankers import (
@@ -133,7 +133,7 @@ def test_hand_trace_and_randomized_oracle_equivalence():
             engine_ranker, sim_ranker = make_pair(kind, grades, 777)
 
             def rank_fn(docnos):
-                window = Window(query=Q, docs=tuple((d, store.docs[store.doc_id(d)].text) for d in docnos))
+                window = Window(query=Q, docs=tuple((d, store.texts[store.doc_id(d)]) for d in docnos))
                 return list(sim_ranker.rank(window).ordering)
 
             result = slidegar(Q, r0_of(r0), engine_ranker, graph, cfg, store)
@@ -147,7 +147,7 @@ def test_hand_trace_and_randomized_oracle_equivalence():
             engine_b, sim_b = make_pair(kind, grades, 777)
 
             def rank_fn_b(docnos):
-                window = Window(query=Q, docs=tuple((d, store.docs[store.doc_id(d)].text) for d in docnos))
+                window = Window(query=Q, docs=tuple((d, store.texts[store.doc_id(d)]) for d in docnos))
                 return list(sim_b.rank(window).ordering)
 
             base = sliding_window_baseline(Q, r0_of(r0), engine_b, cfg, store)
@@ -314,9 +314,7 @@ def test_metric_correctness():
 def test_bookkeeping_overhead_on_100k_graph():
     with criterion("bookkeeping overhead < 50 ms/query at c=100 on a 100k-doc graph (warn-only)"):
         n = 100_000
-        store = CorpusStore()
-        for i in range(n):
-            store.add(Document(f"d{i:06d}", f"synthetic passage body {i}"))
+        store = CorpusStore([f"d{i:06d}" for i in range(n)], [f"synthetic passage body {i}" for i in range(n)])
         rng = np.random.default_rng(5)
         adjacency = rng.integers(0, n, size=(n, 16), dtype=np.uint32)
         rows = np.arange(n, dtype=np.uint32)[:, None]

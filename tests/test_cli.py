@@ -1,7 +1,15 @@
 import json
+import os
+import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import slidegar
+from slidegar import cli
 from slidegar.cli import main
 from slidegar.corpus_store import Query, ingest_corpus
 from slidegar.eval import read_run
@@ -94,6 +102,46 @@ def test_jobs_flag_does_not_change_output(workspace, tmp_path):
         assert outputs[0] == outputs[1], strategy
 
 
+def test_jobs_byte_identical_under_racing_ranker(workspace, tmp_path, monkeypatch):
+    # every query is ranked by a thread of its own while the others read the
+    # store's columns; a ranker that yields between reading its window and
+    # answering shuffles the interleaving
+    class RacingOracle(cli.OracleRanker):
+        def _order(self, window):
+            order = super()._order(window)
+            time.sleep(random.uniform(0.0, 0.004))
+            return order
+
+    monkeypatch.setattr(cli, "OracleRanker", RacingOracle)
+    data = workspace / "data"
+    queries = [line.split("\t", 1) for line in (data / "queries.tsv").read_text().splitlines()]
+    qrels = [line.split() for line in (data / "qrels.txt").read_text().splitlines()]
+    (tmp_path / "q.tsv").write_text("".join(f"{qid}-{r}\t{text}\n" for r in range(4) for qid, text in queries))
+    (tmp_path / "qrels.txt").write_text(
+        "".join(f"{qid}-{r} 0 {docno} {grade}\n" for r in range(4) for qid, _, docno, grade in qrels)
+    )
+    for strategy in ("slidegar", "slidegar_rm3"):
+        outputs = []
+        for jobs in (1, 4):
+            name = f"{strategy}-j{jobs}"
+            cfg = base_config(
+                workspace, strategy=strategy, jobs=jobs, queries=str(tmp_path / "q.tsv"),
+                qrels=str(tmp_path / "qrels.txt"), run_out=str(tmp_path / f"{name}.trec"),
+            )
+            assert main(["run", "--config", write_config(tmp_path / f"{name}.json", cfg)]) == 0
+            outputs.append((tmp_path / f"{name}.trec").read_bytes())
+        assert outputs[0] == outputs[1], strategy
+        assert len({line.split()[0] for line in outputs[0].splitlines()}) == 12
+
+
+def test_cli_import_leaves_http_client_unloaded():
+    # the remote ranker imports urllib on its first request; no other command needs it
+    code = "import sys, slidegar.cli; print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(slidegar.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_telemetry_config_reruns_verbatim(workspace, tmp_path):
     run_out = tmp_path / "orig.trec"
     cfg = base_config(workspace, run_out=str(run_out), telemetry_out=str(tmp_path / "orig.tel.jsonl"))
@@ -116,11 +164,27 @@ def test_telemetry_per_query_fields(workspace, tmp_path):
     cfg = base_config(workspace, run_out=str(tmp_path / "r.trec"), telemetry_out=str(tel))
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
     records = [json.loads(line) for line in tel.read_text().splitlines()]
-    queries = [r for r in records if r["type"] == "query"]
-    assert len(queries) == 3
-    for record in queries:
-        for key in ("qid", "llm_calls", "bookkeeping_ms", "ranker_ms", "escaped_docs"):
+    assert [r["type"] for r in records] == ["config", "setup", "query", "query", "query"]
+    setup = records[1]
+    assert sorted(setup) == ["graph_load_s", "index_load_s", "ingest_s", "qrels_s", "type"]
+    assert all(setup[key] >= 0.0 for key in ("graph_load_s", "index_load_s", "ingest_s", "qrels_s"))
+    for record in records[2:]:
+        for key in ("qid", "llm_calls", "first_stage_ms", "bookkeeping_ms", "ranker_ms", "escaped_docs"):
             assert key in record
+        assert record["first_stage_ms"] >= 0.0
+
+
+def test_telemetry_marks_skipped_setup_steps(workspace, tmp_path):
+    # no qrels, no graph: the identity baseline still loads the corpus and the index
+    tel = tmp_path / "t.jsonl"
+    cfg = base_config(
+        workspace, strategy="baseline", ranker="identity", qrels=None, graph=None,
+        run_out=str(tmp_path / "r.trec"), telemetry_out=str(tel),
+    )
+    assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
+    setup = json.loads(tel.read_text().splitlines()[1])
+    assert setup["qrels_s"] is None and setup["graph_load_s"] is None
+    assert setup["ingest_s"] >= 0.0 and setup["index_load_s"] >= 0.0
 
 
 def test_eval_ideal_run_scores_one(workspace, tmp_path, capsys):

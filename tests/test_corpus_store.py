@@ -3,8 +3,12 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import refcorpus
 from slidegar.corpus_store import (
+    CorpusStore,
     QrelEntry,
     grades_by_docno,
     ingest_corpus,
@@ -83,7 +87,7 @@ def test_planted_duplicates_counted_by_independent_hash(tmp_path):
 def test_dedup_is_idempotent(tmp_path):
     rows = [("b", "one two"), ("a", "one  two"), ("c", "three")]
     store, _ = ingest_corpus(write_tsv(tmp_path / "c.tsv", rows), dedup=True)
-    again = write_tsv(tmp_path / "c2.tsv", [(d.docno, d.text) for d in store.docs])
+    again = write_tsv(tmp_path / "c2.tsv", zip(store.docnos, store.texts))
     store2, report2 = ingest_corpus(again, dedup=True)
     assert store2.docnos == store.docnos
     assert report2 == []
@@ -105,7 +109,7 @@ def test_jsonl_autodetect(tmp_path):
     )
     store, _ = ingest_corpus(path)
     assert store.docnos == ["j1", "j2"]
-    assert store.docs[store.doc_id("j1")].text == "hello world"
+    assert store.texts[store.doc_id("j1")] == "hello world"
 
 
 def test_malformed_record_reports_line_number(tmp_path):
@@ -156,6 +160,84 @@ def test_missing_json_field_fatal(tmp_path):
     path.write_text('{"docno": "d1"}\n', encoding="utf-8")
     with pytest.raises(ValueError, match=r":1:"):
         ingest_corpus(path)
+
+
+def test_store_columns_reject_duplicate_docno():
+    store = CorpusStore(["a", "b"], ["cat", "dog"])
+    assert store.doc_id("b") == 1 and "a" in store and len(store) == 2
+    with pytest.raises(ValueError, match="duplicate docno 'a'"):
+        CorpusStore(["a", "b", "a"], ["cat", "dog", "bird"])
+
+
+def test_lines_split_on_newline_only(tmp_path):
+    # \x85, \u2028 and \x1c end a line for str.splitlines but not here
+    path = tmp_path / "c.tsv"
+    path.write_bytes("d1\ta\x85b\u2028c\x1cd\r\n\r\n\nd2\tx\ty\r".encode())
+    store, _ = ingest_corpus(path)
+    assert store.docnos == ["d1", "d2"]
+    assert store.texts == ["a\x85b\u2028c\x1cd", "x\ty"]
+    path.write_bytes(b"d1\ta\r\n\r\n\nd2\r\n")
+    with pytest.raises(ValueError, match=r":4: expected 'docno<TAB>text'"):
+        ingest_corpus(path)
+
+
+# Corpus lines from pieces: docnos clean, padded, holding whitespace or bad
+# bytes, and texts with tabs, the characters str.splitlines would break on,
+# whitespace that str.split sees, and invalid or truncated UTF-8.
+_DOCNOS = [b"d1", b"d2", b"d3", b"d4", b"d5", b"d6", b" d7 ", b"d 8", "d\xa09".encode(), b"d\x1c0", b"", b"d\xff"]
+_TEXT_PIECES = [
+    b"cat", b"dog", b" ", b"\t", b"\r", "\x85".encode(), "\u2028".encode(), "\u2029".encode(), b"\x1c",
+    "\xe9".encode(), b"\xe2\x82",
+]
+_texts = st.lists(st.sampled_from(_TEXT_PIECES), max_size=4).map(b"".join)
+_tsv_lines = st.builds(
+    lambda tab, docno, word, text: docno + b"\t" + word + text if tab else text,
+    st.integers(0, 5), st.sampled_from(_DOCNOS), st.sampled_from([b"cat", b"dog", b""]), _texts,
+)
+_json_lines = st.one_of(
+    st.builds(
+        lambda docno, text, ascii_only: json.dumps({"docno": docno, "text": text}, ensure_ascii=ascii_only).encode(),
+        st.sampled_from(["d1", "d2", "d3", " d4", "d 5", "", "d\x1c6"]),
+        st.text(alphabet="ab \t\x1c\x85\u2028\u2029", max_size=4),
+        st.booleans(),
+    ),
+    st.sampled_from([b'{"docno": "d1"}', b"[1, 2]", b"{", b'{"docno": 7, "text": 8}']),
+    _tsv_lines,
+)
+# well-formed records under a few docnos, so that stores of
+# several documents and dedup groups get built too
+_clean_lines = st.builds(
+    lambda docno, word, text: docno + b"\t" + word + text,
+    st.sampled_from(_DOCNOS[:7]), st.sampled_from([b"cat", b"dog"]), _texts.filter(lambda t: b"\xe2" not in t),
+)
+_ENDINGS = [b"\n", b"\r\n", b"\r\r\n", b"\n\n", b"\n \n", b""]
+
+
+@st.composite
+def corpus_bytes(draw):
+    lines = draw(st.lists(draw(st.sampled_from([_json_lines, _tsv_lines, _clean_lines])), max_size=8))
+    return b"".join(line + draw(st.sampled_from(_ENDINGS)) for line in lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(corpus_bytes(), st.booleans())
+# an earlier line's error comes first, whichever check finds it, and a
+# sequence cut short by the line end is reported as such
+@example(b"d1\ta\n\tb\nd2\t\xff\n", False)
+@example(b"d1\ta\nd 2\tb\nd3\tc\xe2\x82\r\n", False)
+@example(b'{"docno": "d1", "text": " "}\n{"docno": \n', False)
+def test_reader_matches_per_line_reference(tmp_path_factory, data, dedup):
+    path = tmp_path_factory.mktemp("corpus") / "c.tsv"
+    path.write_bytes(data)
+    try:
+        expected = refcorpus.ingest(path, dedup=dedup)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            ingest_corpus(path, dedup=dedup)
+        assert str(got.value) == str(exc)
+        return
+    store, report = ingest_corpus(path, dedup=dedup)
+    assert (store.docnos, store.texts, store.alias, report) == expected
 
 
 def test_dedup_report_jsonl_format(tmp_path):

@@ -60,7 +60,7 @@ def test_gap_half_hides_exactly_half(tmp_path):
     for info in manifest["queries"]:
         qterms = set(info["query_terms"])
         for docno in info["hidden"]:
-            assert not qterms & set(tokenize(store.docs[store.doc_id(docno)].text))
+            assert not qterms & set(tokenize(store.texts[store.doc_id(docno)]))
 
 
 def test_same_seed_is_byte_identical(tmp_path):
