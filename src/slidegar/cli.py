@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import logging
 import os
 import sys
 import time
@@ -26,6 +27,8 @@ from .adaptive_rerank import RerankConfig
 from .rankers import IdentityRanker, NoisyOracleRanker, OracleRanker, RemoteRanker
 
 AUTH_ENV_VAR = "SLIDEGAR_RANKER_AUTH"
+
+log = logging.getLogger(__name__)
 
 CONFIG_DEFAULTS: dict = {
     "corpus": None,
@@ -117,9 +120,10 @@ class _Pipeline:
 
     def __init__(self, cfg: dict) -> None:
         self.cfg = cfg
-        # set-up wall times in seconds, written as the telemetry's setup record;
-        # a step the config does not need stays None
-        self.setup_s = dict.fromkeys(("ingest_s", "qrels_s", "index_load_s", "graph_load_s"))
+        # the telemetry's setup record: each set-up step's wall time in seconds and
+        # the count of absent judgments; what the config does not need stays None
+        keys = ("ingest_s", "qrels_s", "qrels_absent", "index_load_s", "embeddings_load_s", "graph_load_s")
+        self.setup = dict.fromkeys(keys)
         t0 = time.perf_counter()
         self.store, _ = corpus_store.ingest_corpus(cfg["corpus"], dedup=cfg["dedup"])
         self._lap("ingest_s", t0)
@@ -127,9 +131,7 @@ class _Pipeline:
         self.grades: dict[str, dict[str, int]] = {}
         if cfg["qrels"]:
             t0 = time.perf_counter()
-            entries = corpus_store.load_qrels(cfg["qrels"])
-            table, _ = corpus_store.map_qrels(entries, self.store)
-            self.grades = corpus_store.grades_by_docno(table, self.store)
+            self.grades = self._load_grades(cfg["qrels"])
             self._lap("qrels_s", t0)
         self.index = None
         if cfg["retriever"] == "bm25" or cfg["strategy"] == "slidegar_rm3":
@@ -142,10 +144,12 @@ class _Pipeline:
         self.table = None
         self.query_vectors: dict = {}
         if cfg["retriever"] == "dense":
+            t0 = time.perf_counter()
             self.table = dense_index.load_embeddings(
                 cfg["embeddings"], self.store, normalize=cfg["normalize_embeddings"]
             )
             self.query_vectors = dense_index.load_query_embeddings(cfg["query_embeddings"], self.queries)
+            self._lap("embeddings_load_s", t0)
         self.graph = None
         if cfg["graph"]:
             t0 = time.perf_counter()
@@ -154,7 +158,18 @@ class _Pipeline:
         self.ranker = self._make_ranker(cfg)
 
     def _lap(self, key: str, t0: float) -> None:
-        self.setup_s[key] = round(time.perf_counter() - t0, 6)
+        self.setup[key] = round(time.perf_counter() - t0, 6)
+
+    def _load_grades(self, path: str) -> dict[str, dict[str, int]]:
+        """Grades keyed by the store's docnos; the file's own table and the
+        absent judgments are dropped on return."""
+        grades, absent = corpus_store.map_qrels(corpus_store.load_qrels(path), self.store)
+        self.setup["qrels_absent"] = len(absent)
+        if absent:
+            log.warning(
+                "%s: %d judgments name docnos absent from the corpus, first (%s, %s)", path, len(absent), *absent[0]
+            )
+        return grades
 
     def _make_ranker(self, cfg: dict):
         kind = cfg["ranker"]
@@ -281,7 +296,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     run_eval.write_run(cfg["run_out"], run, cfg["run_tag"])
     with open(cfg["telemetry_out"], "w", encoding="utf-8") as f:
         f.write(json.dumps({"type": "config", "config": cfg}, sort_keys=True) + "\n")
-        f.write(json.dumps({"type": "setup", **pipeline.setup_s}, sort_keys=True) + "\n")
+        f.write(json.dumps({"type": "setup", **pipeline.setup}, sort_keys=True) + "\n")
         for record in telemetry:
             f.write(json.dumps(record, sort_keys=True) + "\n")
     lines = sum(len(r) for r in run.values())
@@ -291,9 +306,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     run, _ = run_eval.read_run(args.run)
-    qrels: dict[str, dict[str, int]] = {}
-    for entry in corpus_store.load_qrels(args.qrels):
-        qrels.setdefault(entry.qid, {})[entry.docno] = entry.grade
+    qrels = corpus_store.load_qrels(args.qrels)
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     for metric in metrics:
         run_eval.parse_metric(metric)

@@ -12,6 +12,8 @@ File formats:
   ``\\r`` is stripped and empty lines are skipped.
 - queries: ``qid<TAB>text`` lines.
 - qrels: whitespace-separated ``qid 0 docno grade`` (standard TREC layout).
+  Queries and qrels are read one line at a time, split on ``\\n`` only;
+  a trailing ``\\r`` is stripped and blank lines are skipped.
 - dedup report: JSON lines ``{"dropped": docno, "kept": docno}``.
 
 Docnos and qids may not contain whitespace: they become columns of
@@ -30,13 +32,6 @@ from pathlib import Path
 class Query:
     qid: str
     text: str
-
-
-@dataclass(frozen=True)
-class QrelEntry:
-    qid: str
-    docno: str
-    grade: int
 
 
 _WS_RUN = re.compile(r"\s+")
@@ -94,6 +89,16 @@ class CorpusStore:
         return None
 
 
+def _invalid_utf8(path: str | Path, lineno: int, line: bytes) -> str:
+    """The error for a line that does not decode, with the reason of decoding
+    it without its ending: a sequence the line cuts short reads as such."""
+    try:
+        line.rstrip(b"\r\n").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"{path}:{lineno}: invalid UTF-8 ({exc.reason})"
+    raise AssertionError("the line decodes")
+
+
 def _read_corpus(path: str | Path) -> CorpusStore:
     """One read of a corpus file into a store.
 
@@ -108,11 +113,7 @@ def _read_corpus(path: str | Path) -> CorpusStore:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         start = data.rfind(b"\n", 0, exc.start) + 1
-        bad_line = data.count(b"\n", 0, exc.start) + 1
-        try:  # the line's own reason: a sequence cut short by its end reads as such
-            data[start:].split(b"\n", 1)[0].rstrip(b"\r").decode("utf-8")
-        except UnicodeDecodeError as line_exc:
-            error = f"{path}:{bad_line}: invalid UTF-8 ({line_exc.reason})"
+        error = _invalid_utf8(path, data.count(b"\n", 0, exc.start) + 1, data[start:].split(b"\n", 1)[0])
         text = data[:start].decode("utf-8")  # the lines before it are valid
     lines = text.split("\n")  # not splitlines(): \x85, \u2028 and \x1c stay inside a line
     if "\r" in text:
@@ -219,9 +220,12 @@ def check_docnos(path: str | Path, store: CorpusStore, artifact: str) -> None:
 def load_queries(path: str | Path) -> list[Query]:
     queries: list[Query] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\r\n")
+    with open(path, "rb") as f:  # lines end at \n only, as in the corpus
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError:
+                raise ValueError(_invalid_utf8(path, lineno, raw)) from None
             if not line:
                 continue
             parts = line.split("\t", 1)
@@ -239,12 +243,20 @@ def load_queries(path: str | Path) -> list[Query]:
     return queries
 
 
-def load_qrels(path: str | Path) -> list[QrelEntry]:
-    entries: list[QrelEntry] = []
-    seen: set[tuple[str, str]] = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.split()
+def load_qrels(path: str | Path) -> dict[str, dict[str, int]]:
+    """``qid -> docno -> grade`` from a qrels file, read one line at a time.
+
+    Nothing is kept per judgment but its dict entry: every query that judges
+    a docno shares one string for it.
+    """
+    qrels: dict[str, dict[str, int]] = {}
+    docnos: dict[str, str] = {}
+    with open(path, "rb") as f:  # lines end at \n only, as in the corpus
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                parts = raw.decode("utf-8").split()
+            except UnicodeDecodeError:
+                raise ValueError(_invalid_utf8(path, lineno, raw)) from None
             if not parts:
                 continue
             if len(parts) != 4:
@@ -256,40 +268,40 @@ def load_qrels(path: str | Path) -> list[QrelEntry]:
                 raise ValueError(f"{path}:{lineno}: non-integer grade {grade_str!r}") from None
             if grade < 0:
                 raise ValueError(f"{path}:{lineno}: negative grade for ({qid}, {docno})")
-            if (qid, docno) in seen:
+            judged = qrels.get(qid)
+            if judged is None:  # setdefault(qid, {}) would build a dict per line
+                judged = qrels[qid] = {}
+            if docno in judged:
                 raise ValueError(f"{path}:{lineno}: duplicate qrel for ({qid}, {docno})")
-            seen.add((qid, docno))
-            entries.append(QrelEntry(qid, docno, grade))
-    return entries
+            judged[docnos.setdefault(docno, docno)] = grade
+    return qrels
 
 
 def map_qrels(
-    entries: list[QrelEntry], store: CorpusStore
-) -> tuple[dict[str, dict[int, int]], list[tuple[str, str]]]:
-    """Resolve qrel docnos to store doc ids.
+    qrels: dict[str, dict[str, int]], store: CorpusStore
+) -> tuple[dict[str, dict[str, int]], list[tuple[str, str]]]:
+    """Re-key judgments onto the store's own docno strings.
 
     Judgments on docnos dropped by dedup follow the alias to the kept
     representative; when both twins are judged, the larger grade wins.
-    Docnos absent from the store are reported, never silently dropped.
+    Docnos absent from the store are returned as ``(qid, docno)`` pairs,
+    by query in order of first appearance and in file order within a query
+    (file order for a file grouped by query, as TREC qrels are); a query
+    none of whose docnos is in the store gets no entry.
     """
-    table: dict[str, dict[int, int]] = {}
+    grades: dict[str, dict[str, int]] = {}
     absent: list[tuple[str, str]] = []
-    for entry in entries:
-        if entry.grade < 0:
-            raise ValueError(f"negative grade for ({entry.qid}, {entry.docno})")
-        doc_id = store.resolve(entry.docno)
-        if doc_id is None:
-            absent.append((entry.qid, entry.docno))
-            continue
-        per_query = table.setdefault(entry.qid, {})
-        prev = per_query.get(doc_id)
-        per_query[doc_id] = entry.grade if prev is None else max(prev, entry.grade)
-    return table, absent
-
-
-def grades_by_docno(table: dict[str, dict[int, int]], store: CorpusStore) -> dict[str, dict[str, int]]:
-    """Re-key a mapped qrel table by docno, for rankers and evaluation."""
-    return {
-        qid: {store.docnos[doc_id]: grade for doc_id, grade in per_query.items()}
-        for qid, per_query in table.items()
-    }
+    docnos, resolve = store.docnos, store.resolve
+    for qid, judged in qrels.items():
+        per_query: dict[str, int] = {}
+        for docno, grade in judged.items():
+            doc_id = resolve(docno)
+            if doc_id is None:
+                absent.append((qid, docno))
+                continue
+            docno = docnos[doc_id]
+            if per_query.get(docno, -1) < grade:
+                per_query[docno] = grade
+        if per_query:
+            grades[qid] = per_query
+    return grades, absent

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from slidegar.corpus_graph import SENTINEL, CorpusGraph, build_graph_dense
-from slidegar.corpus_store import (
-    CorpusStore,
-    grades_by_docno,
-    ingest_corpus,
-    load_qrels,
-    load_queries,
-    map_qrels,
-)
+from slidegar.corpus_store import CorpusStore, ingest_corpus, load_qrels, load_queries, map_qrels
 from slidegar.dense_index import load_embeddings
 from slidegar.lexical_index import build_index
 from slidegar.synth import SynthSpec, generate
@@ -41,10 +34,8 @@ class SynthBundle:
         self.table = load_embeddings(out_dir / "embeddings.bin", self.store)
         self.graph = build_graph_dense(self.table, 16)
         self.queries = load_queries(out_dir / "queries.tsv")
-        entries = load_qrels(out_dir / "qrels.txt")
-        table, absent = map_qrels(entries, self.store)
+        self.grades, absent = map_qrels(load_qrels(out_dir / "qrels.txt"), self.store)
         assert not absent
-        self.grades = grades_by_docno(table, self.store)
         self.by_qid = {info["qid"]: info for info in self.manifest["queries"]}
 
 

@@ -1,13 +1,19 @@
-"""Per-line reference reader for corpus files.
+"""Per-line reference readers for corpus and qrels files.
 
-The reader ``slidegar.corpus_store`` used before it read whole columns:
-each line is decoded and checked on its own, so the first bad line raises
-first. ``_read_corpus_records`` is kept verbatim; ``ingest`` is the old
-``ingest_corpus`` with plain lists in place of the store. Used by the
-randomized-equivalence test of the columnar reader.
+The corpus reader ``slidegar.corpus_store`` used before it read whole
+columns: each line is decoded and checked on its own, so the first bad line
+raises first. ``_read_corpus_records`` is kept verbatim; ``ingest`` is the
+old ``ingest_corpus`` with plain lists in place of the store.
+
+The qrels path it used before it read judgments straight into one grade
+table: ``load_qrels`` (one ``QrelEntry`` per judgment, read in text mode),
+``map_qrels`` (onto doc ids) and ``grades_by_docno``, kept verbatim.
+
+Used by the randomized-equivalence tests of the current readers.
 """
 
 import json
+from dataclasses import dataclass
 
 from slidegar.corpus_store import normalize_text
 
@@ -91,3 +97,57 @@ def ingest(path, dedup=False):
                 alias[docno] = kept_docno
     report = [{"dropped": dropped, "kept": kept} for dropped, kept in sorted(alias.items())]
     return docnos, texts, alias, report
+
+
+@dataclass(frozen=True)
+class QrelEntry:
+    qid: str
+    docno: str
+    grade: int
+
+
+def load_qrels(path):
+    entries: list[QrelEntry] = []
+    seen: set[tuple[str, str]] = set()
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) != 4:
+                raise ValueError(f"{path}:{lineno}: expected 'qid 0 docno grade'")
+            qid, _, docno, grade_str = parts
+            try:
+                grade = int(grade_str)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-integer grade {grade_str!r}") from None
+            if grade < 0:
+                raise ValueError(f"{path}:{lineno}: negative grade for ({qid}, {docno})")
+            if (qid, docno) in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate qrel for ({qid}, {docno})")
+            seen.add((qid, docno))
+            entries.append(QrelEntry(qid, docno, grade))
+    return entries
+
+
+def map_qrels(entries, store):
+    table: dict[str, dict[int, int]] = {}
+    absent: list[tuple[str, str]] = []
+    for entry in entries:
+        if entry.grade < 0:
+            raise ValueError(f"negative grade for ({entry.qid}, {entry.docno})")
+        doc_id = store.resolve(entry.docno)
+        if doc_id is None:
+            absent.append((entry.qid, entry.docno))
+            continue
+        per_query = table.setdefault(entry.qid, {})
+        prev = per_query.get(doc_id)
+        per_query[doc_id] = entry.grade if prev is None else max(prev, entry.grade)
+    return table, absent
+
+
+def grades_by_docno(table, store):
+    return {
+        qid: {store.docnos[doc_id]: grade for doc_id, grade in per_query.items()}
+        for qid, per_query in table.items()
+    }

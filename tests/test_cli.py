@@ -166,8 +166,11 @@ def test_telemetry_per_query_fields(workspace, tmp_path):
     records = [json.loads(line) for line in tel.read_text().splitlines()]
     assert [r["type"] for r in records] == ["config", "setup", "query", "query", "query"]
     setup = records[1]
-    assert sorted(setup) == ["graph_load_s", "index_load_s", "ingest_s", "qrels_s", "type"]
+    assert sorted(setup) == [
+        "embeddings_load_s", "graph_load_s", "index_load_s", "ingest_s", "qrels_absent", "qrels_s", "type",
+    ]
     assert all(setup[key] >= 0.0 for key in ("graph_load_s", "index_load_s", "ingest_s", "qrels_s"))
+    assert setup["qrels_absent"] == 0 and setup["embeddings_load_s"] is None  # bm25 loads no embeddings
     for record in records[2:]:
         for key in ("qid", "llm_calls", "first_stage_ms", "bookkeeping_ms", "ranker_ms", "escaped_docs"):
             assert key in record
@@ -183,8 +186,44 @@ def test_telemetry_marks_skipped_setup_steps(workspace, tmp_path):
     )
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
     setup = json.loads(tel.read_text().splitlines()[1])
-    assert setup["qrels_s"] is None and setup["graph_load_s"] is None
+    assert setup["qrels_s"] is None and setup["qrels_absent"] is None and setup["graph_load_s"] is None
     assert setup["ingest_s"] >= 0.0 and setup["index_load_s"] >= 0.0
+
+
+def test_telemetry_times_dense_embedding_loading(workspace, tmp_path):
+    tel = tmp_path / "t.jsonl"
+    data = workspace / "data"
+    cfg = base_config(
+        workspace, retriever="dense", embeddings=str(data / "embeddings.bin"),
+        query_embeddings=str(data / "query_embeddings.bin"), index_dir=None,
+        run_out=str(tmp_path / "r.trec"), telemetry_out=str(tel),
+    )
+    assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
+    setup = json.loads(tel.read_text().splitlines()[1])
+    assert setup["embeddings_load_s"] >= 0.0
+    assert setup["index_load_s"] is None and setup["graph_load_s"] >= 0.0
+
+
+def test_absent_judgments_are_counted_not_ranked(workspace, tmp_path, caplog):
+    # a judgment on a docno the corpus lacks changes no byte of the run
+    qrels = tmp_path / "qrels.txt"
+    text = (workspace / "data" / "qrels.txt").read_text(encoding="utf-8")
+    qid = text.split()[0]
+    qrels.write_text(text + f"{qid} 0 ghost-1 2\n{qid} 0 ghost-2 0\n", encoding="utf-8")
+    runs = {}
+    for name, path in (("plain", workspace / "data" / "qrels.txt"), ("ghost", qrels)):
+        cfg = base_config(
+            workspace, qrels=str(path), run_tag="t",
+            run_out=str(tmp_path / f"{name}.trec"), telemetry_out=str(tmp_path / f"{name}.jsonl"),
+        )
+        with caplog.at_level("WARNING", logger="slidegar.cli"):
+            assert main(["run", "--config", write_config(tmp_path / f"{name}.json", cfg)]) == 0
+        runs[name] = (tmp_path / f"{name}.trec").read_bytes()
+        setup = json.loads((tmp_path / f"{name}.jsonl").read_text().splitlines()[1])
+        assert setup["qrels_absent"] == (2 if name == "ghost" else 0)
+    assert runs["plain"] == runs["ghost"]
+    warnings = [r.getMessage() for r in caplog.records if r.name == "slidegar.cli"]
+    assert len(warnings) == 1 and f"2 judgments name docnos absent from the corpus, first ({qid}, ghost-1)" in warnings[0]
 
 
 def test_eval_ideal_run_scores_one(workspace, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,8 +10,7 @@ from hypothesis import strategies as st
 import refcorpus
 from slidegar.corpus_store import (
     CorpusStore,
-    QrelEntry,
-    grades_by_docno,
+    Query,
     ingest_corpus,
     load_qrels,
     load_queries,
@@ -257,62 +257,203 @@ def qrel_store(tmp_path):
 
 
 def test_qrel_on_dropped_docno_remaps_to_kept(tmp_path):
-    store = qrel_store(tmp_path)  # kk dropped? no: min("dd","kk") = "dd" keeps
-    table, absent = map_qrels([QrelEntry("q1", "kk", 2)], store)
+    store = qrel_store(tmp_path)  # min("dd", "kk") = "dd" is kept, "kk" dropped
+    grades, absent = map_qrels({"q1": {"kk": 2}}, store)
     assert absent == []
-    assert table["q1"] == {store.doc_id("dd"): 2}
+    assert grades == {"q1": {"dd": 2}}
 
 
 def test_qrel_max_grade_wins_for_twins(tmp_path):
     store = qrel_store(tmp_path)
-    table, _ = map_qrels([QrelEntry("q1", "kk", 1), QrelEntry("q1", "dd", 3)], store)
-    assert table["q1"] == {store.doc_id("dd"): 3}
-    table, _ = map_qrels([QrelEntry("q1", "kk", 3), QrelEntry("q1", "dd", 1)], store)
-    assert table["q1"] == {store.doc_id("dd"): 3}
+    grades, _ = map_qrels({"q1": {"kk": 1, "dd": 3}}, store)
+    assert grades == {"q1": {"dd": 3}}
+    grades, _ = map_qrels({"q1": {"kk": 3, "dd": 1}}, store)
+    assert grades == {"q1": {"dd": 3}}
 
 
 def test_qrel_absent_docno_reported(tmp_path):
     store = qrel_store(tmp_path)
-    entries = [
-        QrelEntry("q1", "dd", 1),
-        QrelEntry("q1", "zz", 2),
-        QrelEntry("q1", "kk", 1),
-        QrelEntry("q2", "dd", 0),
-        QrelEntry("q1", "ghost", 3),
-    ]
-    table, absent = map_qrels(entries, store)
-    assert absent == [("q1", "ghost")]
-    assert len(table["q1"]) == 2 and len(table["q2"]) == 1
+    qrels = {"q1": {"dd": 1, "zz": 2, "kk": 1, "ghost": 3}, "q2": {"dd": 0}, "q3": {"nope": 1}}
+    grades, absent = map_qrels(qrels, store)
+    assert absent == [("q1", "ghost"), ("q3", "nope")]
+    assert grades == {"q1": {"dd": 1, "zz": 2}, "q2": {"dd": 0}}
 
 
 def test_qrel_negative_grade_fatal(tmp_path):
-    store = qrel_store(tmp_path)
-    with pytest.raises(ValueError, match="negative grade"):
-        map_qrels([QrelEntry("q1", "dd", -1)], store)
     qrels = tmp_path / "q.txt"
-    qrels.write_text("q1 0 dd -2\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="negative grade"):
+    qrels.write_text("q1 0 dd 1\nq1 0 dd -2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":2: negative grade for \(q1, dd\)"):
         load_qrels(qrels)
 
 
 def test_load_qrels_trec_layout(tmp_path):
     qrels = tmp_path / "q.txt"
     qrels.write_text("q1 0 d1 2\nq1 0 d2 0\nq2 0 d1 1\n", encoding="utf-8")
-    entries = load_qrels(qrels)
-    assert entries == [QrelEntry("q1", "d1", 2), QrelEntry("q1", "d2", 0), QrelEntry("q2", "d1", 1)]
+    loaded = load_qrels(qrels)
+    assert loaded == {"q1": {"d1": 2, "d2": 0}, "q2": {"d1": 1}}
+    # one string per distinct docno, shared by the queries that judge it
+    assert next(iter(loaded["q1"])) is next(iter(loaded["q2"]))
 
 
 def test_load_qrels_duplicate_pair_fatal(tmp_path):
     qrels = tmp_path / "q.txt"
-    qrels.write_text("q1 0 d1 2\nq1 0 d1 1\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="duplicate qrel"):
+    qrels.write_text("q1 0 d1 2\nq2 0 d1 2\nq1 0 d1 1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":3: duplicate qrel for \(q1, d1\)"):
         load_qrels(qrels)
 
 
-def test_grades_by_docno_rekeys(tmp_path):
+def test_map_qrels_keys_on_store_docnos(tmp_path):
     store = qrel_store(tmp_path)
-    table, _ = map_qrels([QrelEntry("q1", "zz", 2)], store)
-    assert grades_by_docno(table, store) == {"q1": {"zz": 2}}
+    qrels = tmp_path / "q.txt"
+    qrels.write_text("q1 0 zz 2\nq2 0 kk 1\n", encoding="utf-8")
+    grades, _ = map_qrels(load_qrels(qrels), store)
+    assert grades == {"q1": {"zz": 2}, "q2": {"dd": 1}}
+    # the file's docno strings are not kept: every key is the store's own
+    for per_query in grades.values():
+        for docno in per_query:
+            assert docno is store.docnos[store.doc_id(docno)]
+
+
+def test_qrels_invalid_utf8_and_lone_cr(tmp_path):
+    qrels = tmp_path / "q.txt"
+    qrels.write_bytes(b"q1 0 d1 2\r\n\nq1 0 d\xff1 2\n")
+    with pytest.raises(ValueError, match=r"q\.txt:3: invalid UTF-8 \(invalid start byte\)"):
+        load_qrels(qrels)
+    # a sequence cut short by the line end reads as such, as in the corpus
+    qrels.write_bytes(b"q1 0 d1 2\nq1 0 d2 \xe2\x82\r\n")
+    with pytest.raises(ValueError, match=r":2: invalid UTF-8 \(unexpected end of data\)"):
+        load_qrels(qrels)
+    # lines end at \n only: a lone \r is whitespace inside a line
+    qrels.write_bytes(b"q1 0 d1 2\rq1 0 d2 1\n")
+    with pytest.raises(ValueError, match=r":1: expected 'qid 0 docno grade'"):
+        load_qrels(qrels)
+    qrels.write_bytes(b"q1\r0 d1 2\n")
+    assert load_qrels(qrels) == {"q1": {"d1": 2}}
+
+
+# Qrels lines from pieces: judged, dedup-dropped and absent docnos, grades
+# that are zero, negative or not integers, separators str.split sees, and
+# invalid or truncated UTF-8. No piece holds a lone \r: the reference reads
+# in text mode, where a lone \r ends a line (test_qrels_invalid_utf8_and_lone_cr).
+_QRELS_CORPUS = [("kk", "twin text"), ("dd", "twin text"), ("zz", "unrelated"), ("aa", "other")]
+_QIDS = [b"q1", b"q2", b"q3", b"q\xff"]
+_QREL_DOCNOS = [b"dd", b"kk", b"zz", b"aa", b"ghost", b"nope", b"d\xe2\x82", "d\xe9".encode()]
+_GRADES = [b"0", b"1", b"2", b"3", b"-1", b"x", b"1.5", b"+2", b"\xff"]
+_SEPS = [b" ", b"\t", b"  ", "\x85".encode(), "\u2028".encode()]
+_qrel_lines = st.one_of(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_SEPS),
+            st.one_of(st.sampled_from(_QIDS), st.sampled_from(_QREL_DOCNOS), st.sampled_from(_GRADES)),
+        ),
+        max_size=5,
+    ).map(lambda cols: b"".join(sep + col for sep, col in cols)),
+    st.builds(
+        lambda qid, it, docno, grade, sep: sep.join([qid, it, docno, grade]),
+        st.sampled_from(_QIDS[:3]), st.sampled_from([b"0", b"Q0"]), st.sampled_from(_QREL_DOCNOS),
+        st.sampled_from(_GRADES), st.sampled_from(_SEPS),
+    ),
+)
+_QREL_ENDINGS = [b"\n", b"\r\n", b"\n\n", b"\n \n", b""]
+
+
+@st.composite
+def qrels_bytes(draw):
+    # well-formed judgments on distinct pairs, so that tables of several
+    # queries, twins and absent docnos get built, then a few lines of anything
+    pairs = st.tuples(st.sampled_from(_QIDS[:3]), st.sampled_from(_QREL_DOCNOS[:6]))
+    lines = [
+        b" ".join([qid, b"0", docno, draw(st.sampled_from(_GRADES[:4]))])
+        for qid, docno in draw(st.lists(pairs, unique=True, max_size=10))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_qrel_lines))
+    return b"".join(line + draw(st.sampled_from(_QREL_ENDINGS)) for line in lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(qrels_bytes())
+# both twins judged: the larger grade wins, whichever line comes first
+@example(b"q1 0 kk 1\nq1 0 dd 3\nq2 0 dd 2\r\nq2 0 kk 0\n")
+# a bad line before invalid UTF-8 is reported first
+@example(b"q1 0 dd\n\nq1 0 d\xff 1\n")
+# absent pairs of interleaved queries
+@example(b"q1 0 dd 1\nq1 0 ghost 2\nq2 0 nope 0\nq1 0 nope 1\nq1 0 kk 1\n")
+def test_qrels_match_per_entry_reference(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("qrels")
+    store = ingest_corpus(write_tsv(tmp / "c.tsv", _QRELS_CORPUS), dedup=True)[0]
+    path = tmp / "q.txt"
+    path.write_bytes(data)
+    try:
+        entries = refcorpus.load_qrels(path)
+    except UnicodeDecodeError:
+        # the reference fails on the whole file; the first bad line wins
+        lines = data.split(b"\n")
+        bad = next(n for n, line in enumerate(lines) if not _decodes(line))
+        (tmp / "prefix.txt").write_bytes(b"\n".join(lines[:bad]))
+        try:
+            refcorpus.load_qrels(tmp / "prefix.txt")
+            message = f"{path}:{bad + 1}: invalid UTF-8 ({_reason(lines[bad])})"
+        except ValueError as exc:
+            message = str(exc).replace(str(tmp / "prefix.txt"), str(path))
+        with pytest.raises(ValueError) as got:
+            load_qrels(path)
+        assert str(got.value) == message
+        return
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            load_qrels(path)
+        assert str(got.value) == str(exc)
+        return
+    loaded = load_qrels(path)
+    expected_table: dict[str, dict[str, int]] = {}
+    for entry in entries:
+        expected_table.setdefault(entry.qid, {})[entry.docno] = entry.grade
+    assert [(q, list(j.items())) for q, j in loaded.items()] == [
+        (q, list(j.items())) for q, j in expected_table.items()
+    ]
+    table, absent = refcorpus.map_qrels(entries, store)
+    grades, got_absent = map_qrels(loaded, store)
+    assert grades == refcorpus.grades_by_docno(table, store)
+    # absent pairs come by query (first appearance), in file order within one
+    order = {qid: i for i, qid in enumerate(expected_table)}
+    assert got_absent == sorted(absent, key=lambda pair: order[pair[0]])
+    assert all(d is store.docnos[store.doc_id(d)] for per_query in grades.values() for d in per_query)
+
+
+def _decodes(line: bytes) -> bool:
+    try:
+        line.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _reason(line: bytes) -> str:
+    """Why ``line``, without a CR ending, does not decode."""
+    try:
+        line.rstrip(b"\r").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return exc.reason
+    raise AssertionError(line)
+
+
+def test_qrels_memory_per_judgment(tmp_path):
+    # 100 queries each judging the same 500 docnos, one docno at a time
+    docnos = [f"doc{i:05d}" for i in range(500)]
+    path = tmp_path / "q.txt"
+    path.write_text(
+        "".join(f"query{q:03d} 0 {d} {q % 3}\n" for d in docnos for q in range(100)), encoding="utf-8"
+    )
+    store = CorpusStore(docnos, ["text"] * len(docnos))
+    tracemalloc.start()
+    try:
+        grades, absent = map_qrels(load_qrels(path), store)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert absent == [] and sum(map(len, grades.values())) == 50_000
+    assert peak / 50_000 <= 100, f"{peak / 50_000:.0f} B per judgment"
 
 
 def test_load_queries(tmp_path):
@@ -322,4 +463,18 @@ def test_load_queries(tmp_path):
     assert [q.qid for q in queries] == ["q1", "q2"]
     path.write_text("q1\ta\nq1\tb\n", encoding="utf-8")
     with pytest.raises(ValueError, match="duplicate qid"):
+        load_queries(path)
+
+
+def test_load_queries_splits_on_newline_only(tmp_path):
+    # a lone \r stays inside a query; a CRLF ending and blank lines do not count
+    path = tmp_path / "q.tsv"
+    path.write_bytes("q1\tcat\rdog\r\n\r\n\nq2\tbird\x85fish\r".encode())
+    assert load_queries(path) == [Query("q1", "cat\rdog"), Query("q2", "bird\x85fish")]
+
+
+def test_load_queries_invalid_utf8_names_line(tmp_path):
+    path = tmp_path / "q.tsv"
+    path.write_bytes(b"q1\tcat\n\nq2\tdog \xff\n")
+    with pytest.raises(ValueError, match=r"q\.tsv:3: invalid UTF-8 \(invalid start byte\)"):
         load_queries(path)

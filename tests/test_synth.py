@@ -108,13 +108,12 @@ def test_dense_graph_connects_hidden_docs(synth_bundle):
 def test_qrels_grades(tmp_path):
     spec = SynthSpec(**SMALL, seed=5)
     manifest = generate(spec, tmp_path)
-    entries = load_qrels(tmp_path / "qrels.txt")
-    by_key = {(e.qid, e.docno): e.grade for e in entries}
     info = manifest["queries"][0]
+    grades = load_qrels(tmp_path / "qrels.txt")[info["qid"]]
     for docno in info["visible"] + info["hidden"]:
-        assert by_key[(info["qid"], docno)] == 2
+        assert grades[docno] == 2
     for docno in info["near_misses"]:
-        assert by_key[(info["qid"], docno)] == 1
+        assert grades[docno] == 1
 
 
 def test_embeddings_and_queries_load(tmp_path):
