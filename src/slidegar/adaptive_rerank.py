@@ -19,22 +19,20 @@ other, so every window after the first holds ``2b`` documents until both
 run dry. The loop ends once ``c - b`` documents are dumped, once it has
 made ``ceil((c - w) / b) + 1`` ranker calls (a hard cap: short windows dump
 fewer documents), or once no fresh document is left; the last carried
-top-``b`` goes on top of the output.
+top-``b`` goes on top of the output. Rankings, R0 and the result included,
+are lists of store doc ids; docnos appear only in the ranker's ``Window``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 from .corpus_graph import CorpusGraph, neighbours
 from .corpus_store import CorpusStore, Query
-from .lexical_index import InvertedIndex, retrieve_expanded, rm3_expand
+from .lexical_index import InvertedIndex, check_rm3, retrieve_expanded, rm3_expand
 from .rankers import ListwiseRanker, Window
-from .ranking import Ranking, ScoredDoc
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -63,19 +61,19 @@ class RerankConfig:
 class RerankResult:
     """What every strategy returns for one query.
 
-    ``ranking`` has at most c entries; ``ranker_s`` is the wall time spent
-    inside the ranker's ``calls`` calls and ``bookkeeping_s`` everything else
-    the strategy spent.
+    ``ranking`` holds at most c store doc ids, best first; ``ranker_s`` is
+    the wall time spent inside the ranker's ``calls`` calls and
+    ``bookkeeping_s`` everything else the strategy spent.
     """
 
-    ranking: Ranking
+    ranking: list[int]
     calls: int
     ranker_s: float
     bookkeeping_s: float
 
 
-def pseudo_scores(ordering: Sequence[T]) -> list[tuple[T, float]]:
-    """Reciprocal-rank surrogate scores for a score-free ordering."""
+def pseudo_scores(ordering: Sequence[int]) -> list[tuple[int, float]]:
+    """Reciprocal-rank surrogate scores for a score-free ordering (RM3's feedback weights)."""
     return [(item, 1.0 / rank) for rank, item in enumerate(ordering, start=1)]
 
 
@@ -88,7 +86,7 @@ class _QueryRun:
     """One query's ranker access on store ids; the only place ranker calls
     are counted and timed."""
 
-    def __init__(self, query: Query, r0: Ranking, ranker: ListwiseRanker, store: CorpusStore) -> None:
+    def __init__(self, query: Query, r0: list[int], ranker: ListwiseRanker, store: CorpusStore) -> None:
         if not r0:
             raise ValueError("initial ranking must be non-empty")
         self.started = time.perf_counter()
@@ -97,27 +95,25 @@ class _QueryRun:
         self.store = store
         self.calls = 0
         self.ranker_s = 0.0
-        self.pool = [store.doc_id(sd.docno) for sd in r0]
+        self.pool = list(r0)
 
     def rank(self, ids: list[int]) -> list[int]:
         docnos, texts = self.store.docnos, self.store.texts
         window = Window(query=self.query, docs=tuple((docnos[i], texts[i]) for i in ids))
         t0 = time.perf_counter()
-        batch = self.ranker.rank(window)
+        ordering = self.ranker.rank(window)
         self.ranker_s += time.perf_counter() - t0
         self.calls += 1
-        return [self.store.doc_id(docno) for docno in batch.ordering]
+        return [self.store.doc_id(docno) for docno in ordering]
 
     def result(self, ids: list[int]) -> RerankResult:
-        docnos = self.store.docnos
-        ranking = [ScoredDoc(docnos[i], 1.0 / position) for position, i in enumerate(ids, start=1)]
         bookkeeping_s = time.perf_counter() - self.started - self.ranker_s
-        return RerankResult(ranking, self.calls, self.ranker_s, bookkeeping_s)
+        return RerankResult(ids, self.calls, self.ranker_s, bookkeeping_s)
 
 
 def _run_window_loop(
     query: Query,
-    r0: Ranking,
+    r0: list[int],
     ranker: ListwiseRanker,
     cfg: RerankConfig,
     store: CorpusStore,
@@ -171,7 +167,7 @@ def _run_window_loop(
 
 def slidegar(
     query: Query,
-    r0: Ranking,
+    r0: list[int],
     ranker: ListwiseRanker,
     graph: CorpusGraph,
     cfg: RerankConfig,
@@ -179,13 +175,13 @@ def slidegar(
 ) -> RerankResult:
     """Graph-adaptive sliding-window rerank.
 
-    Feedback is the frontier of the batch's graph neighbours, prioritized
-    by reciprocal-rank pseudo-scores, minus R0 and everything already
-    ranked. Graph ids must be ``store`` ids.
+    Feedback is the frontier of the batch's graph neighbours, visited in
+    the batch's order, minus R0 and everything already ranked. Graph ids
+    must be ``store`` ids.
     """
 
     def feedback(order: list[int], blocked: set[int], n: int) -> list[int]:
-        frontier = neighbours(graph, pseudo_scores(order), cfg.truncate_k)
+        frontier = neighbours(graph, order, cfg.truncate_k)
         return [i for i in frontier if i not in blocked][:n]
 
     return _run_window_loop(query, r0, ranker, cfg, store, feedback)
@@ -193,7 +189,7 @@ def slidegar(
 
 def slidegar_rm3(
     query: Query,
-    r0: Ranking,
+    r0: list[int],
     ranker: ListwiseRanker,
     index: InvertedIndex,
     cfg: RerankConfig,
@@ -207,25 +203,24 @@ def slidegar_rm3(
     Feedback expands the query (RM3) from the top-b of the batch,
     pseudo-scored by reciprocal rank, and retrieves with the expanded query
     outside R0 and everything already ranked. The expanded query never
-    reaches the ranker; an expansion without usable terms yields nothing.
+    reaches the ranker; an expansion without usable terms yields nothing,
+    and invalid RM3 parameters raise before the first ranker call.
     """
+    check_rm3(fb_docs, fb_terms, orig_weight)
 
     def feedback(order: list[int], blocked: set[int], n: int) -> list[int]:
-        try:
-            expanded = rm3_expand(
-                index, query, pseudo_scores(order[: cfg.b]),
-                fb_docs=fb_docs, fb_terms=fb_terms, orig_weight=orig_weight,
-            )
-        except ValueError:  # no usable expansion terms
-            return []
-        return [store.doc_id(sd.docno) for sd in retrieve_expanded(index, expanded, n, exclude=blocked)]
+        expanded = rm3_expand(
+            index, query, pseudo_scores(order[: cfg.b]),
+            fb_docs=fb_docs, fb_terms=fb_terms, orig_weight=orig_weight,
+        )
+        return [] if expanded is None else retrieve_expanded(index, expanded, n, exclude=blocked)
 
     return _run_window_loop(query, r0, ranker, cfg, store, feedback)
 
 
 def sliding_window_baseline(
     query: Query,
-    r0: Ranking,
+    r0: list[int],
     ranker: ListwiseRanker,
     cfg: RerankConfig,
     store: CorpusStore,
@@ -243,15 +238,13 @@ def sliding_window_baseline(
     return run.result(items)
 
 
-def telemetry_record(qid: str, r0: Ranking, result: RerankResult) -> dict:
+def telemetry_record(qid: str, r0: list[int], result: RerankResult) -> dict:
     """Per-query telemetry: call count, split timings, and how many output
     documents were not in the initial pool."""
-    initial = {sd.docno for sd in r0}
-    escaped = sum(1 for sd in result.ranking if sd.docno not in initial)
     return {
         "qid": qid,
         "llm_calls": result.calls,
         "bookkeeping_ms": round(result.bookkeeping_s * 1000.0, 3),
         "ranker_ms": round(result.ranker_s * 1000.0, 3),
-        "escaped_docs": escaped,
+        "escaped_docs": len(set(result.ranking).difference(r0)),
     }

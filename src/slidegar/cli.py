@@ -113,6 +113,7 @@ def _validate_config(cfg: dict) -> None:
         raise ValueError("retriever 'dense' requires embeddings and query_embeddings")
     if cfg["jobs"] < 1:
         raise ValueError("jobs must be >= 1")
+    lexical_index.check_rm3(**cfg["rm3"])
 
 
 class _Pipeline:
@@ -186,12 +187,12 @@ class _Pipeline:
             auth=os.environ.get(AUTH_ENV_VAR),
         )
 
-    def initial_ranking(self, query: corpus_store.Query, k: int):
+    def initial_ranking(self, query: corpus_store.Query, k: int) -> list[int]:
         if self.cfg["retriever"] == "bm25":
             return lexical_index.bm25_retrieve(self.index, query, k)
         return dense_index.dense_retrieve(self.table, self.query_vectors[query.qid], k)
 
-    def rerank_one(self, query: corpus_store.Query, rcfg: RerankConfig) -> tuple[str, list, dict]:
+    def rerank_one(self, query: corpus_store.Query, rcfg: RerankConfig) -> tuple[str, list[str], dict]:
         cfg = self.cfg
         t0 = time.perf_counter()
         r0 = self.initial_ranking(query, rcfg.c)
@@ -211,7 +212,7 @@ class _Pipeline:
                 orig_weight=cfg["rm3"]["orig_weight"],
             )
         record.update(adaptive_rerank.telemetry_record(query.qid, r0, result))
-        return query.qid, result.ranking, record
+        return query.qid, [self.store.docnos[i] for i in result.ranking], record
 
     def execute(self, rcfg: RerankConfig) -> tuple[dict, list[dict]]:
         jobs = self.cfg["jobs"]
@@ -254,7 +255,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_build_index(args: argparse.Namespace) -> int:
     store, report = corpus_store.ingest_corpus(args.corpus, dedup=args.dedup)
     index = lexical_index.build_index(store)
-    lexical_index.save_index(index, args.out, dedup=args.dedup)
+    lexical_index.save_index(index, args.out, store, dedup=args.dedup)
     if args.dedup:
         corpus_store.write_dedup_report(Path(args.out) / "dedup_report.jsonl", report)
     print(f"wrote {args.out}: {index.doc_count} docs, {len(index.terms)} terms, {len(report)} dropped")
@@ -268,7 +269,7 @@ def cmd_load_embeddings(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dense_index.write_embeddings(
         out / "embeddings.bin", table.dim,
-        zip(table.docnos, table.matrix), normalized=table.normalized,
+        zip(store.docnos, table.matrix), normalized=table.normalized,
     )
     print(f"wrote {out / 'embeddings.bin'}: {len(table)} vectors, dim={table.dim}")
     return 0
@@ -284,7 +285,7 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
             raise ValueError("--source dense requires --embeddings")
         table = dense_index.load_embeddings(args.embeddings, store, normalize=args.normalize)
         graph = corpus_graph.build_graph_dense(table, args.k)
-    corpus_graph.save_graph(args.out, graph)
+    corpus_graph.save_graph(args.out, graph, store)
     print(f"wrote {args.out}: {len(graph)} nodes, k={graph.k}, source={graph.source}")
     return 0
 

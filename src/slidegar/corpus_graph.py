@@ -4,8 +4,8 @@ Graph file: one JSON header line
 ``{"version": 1, "k": K, "count": N, "source": "lexical"|"dense", "sentinel": 4294967295}``
 followed by N fixed-width rows of K little-endian u32 neighbour ids; row i
 belongs to doc id i and the sentinel value marks an unused slot. A companion
-``docnos.txt`` in the same directory lists one docno per line in doc-id
-order. Graph ids are corpus-store ids, so a graph only loads against a
+``docnos.txt`` in the same directory lists the store's docnos, one per line
+in doc-id order. The graph holds store ids only, so it loads only against a
 store whose docnos match ``docnos.txt`` line for line.
 
 Graphs are built once at full depth (k=16 by default) and shallower depths
@@ -35,18 +35,17 @@ BLOCK_BYTES = 4 << 20  # float32 similarities per row block of the dense build
 class CorpusGraph:
     """Adjacency rows of exactly k neighbour ids, similarity-descending."""
 
-    def __init__(self, k: int, adjacency: np.ndarray, docnos: list[str], source: str) -> None:
-        if adjacency.ndim != 2 or adjacency.shape != (len(docnos), k):
-            raise ValueError(f"adjacency must be ({len(docnos)}, {k}), got {adjacency.shape}")
+    def __init__(self, k: int, adjacency: np.ndarray, source: str) -> None:
+        if adjacency.ndim != 2 or adjacency.shape[1] != k:
+            raise ValueError(f"adjacency must be (n_docs, {k}), got {adjacency.shape}")
         if source not in ("lexical", "dense"):
             raise ValueError(f"unknown similarity source {source!r}")
         self.k = k
         self.adjacency = adjacency.astype(np.uint32, copy=False)
-        self.docnos = docnos
         self.source = source
 
     def __len__(self) -> int:
-        return len(self.docnos)
+        return len(self.adjacency)
 
 
 def _check_k(k: int, n_docs: int) -> None:
@@ -66,7 +65,7 @@ def build_graph_lexical(index: InvertedIndex, store: CorpusStore, k: int) -> Cor
     for doc_id, text in enumerate(store.texts):
         top = top_docs(index, Counter(tokenize(text)), k, exclude={doc_id})
         adjacency[doc_id, : len(top)] = [other for other, _ in top]
-    return CorpusGraph(k, adjacency, store.docnos, "lexical")
+    return CorpusGraph(k, adjacency, "lexical")
 
 
 def build_graph_dense(table: EmbeddingTable, k: int) -> CorpusGraph:
@@ -90,29 +89,26 @@ def build_graph_dense(table: EmbeddingTable, k: int) -> CorpusGraph:
         adjacency[start:stop] = top_k_ids(keys, k)
     if n - 1 < k:
         adjacency[:, n - 1 :] = SENTINEL
-    return CorpusGraph(k, adjacency, table.docnos, "dense")
+    return CorpusGraph(k, adjacency, "dense")
 
 
-def neighbours(graph: CorpusGraph, batch: list[tuple[int, float]], truncate_k: int) -> list[int]:
+def neighbours(graph: CorpusGraph, order: list[int], truncate_k: int) -> list[int]:
     """Ordered candidate expansion for one ranked batch.
 
-    Sources are visited by pseudo-score descending, each contributing its
-    first ``truncate_k`` neighbours; a candidate reachable from several
-    sources keeps its earliest slot, batch members and sentinels are
-    skipped.
+    The batch's doc ids are visited in ``order``, best first, each
+    contributing its first ``truncate_k`` neighbours; a candidate reachable
+    from several sources keeps its earliest slot, batch members and
+    sentinels are skipped.
     """
     if truncate_k < 0 or truncate_k > graph.k:
         raise ValueError(f"truncate_k must be in [0, {graph.k}], got {truncate_k}")
-    if truncate_k == 0 or not batch:
-        return []
-    sources = [doc_id for doc_id, _ in sorted(batch, key=lambda pair: -pair[1])]
-    candidates = dict.fromkeys(graph.adjacency[sources, :truncate_k].ravel().tolist())
-    for skipped in (SENTINEL, *sources):
+    candidates = dict.fromkeys(graph.adjacency[order, :truncate_k].ravel().tolist())
+    for skipped in (SENTINEL, *order):
         candidates.pop(skipped, None)
     return list(candidates)
 
 
-def save_graph(path: str | Path, graph: CorpusGraph) -> None:
+def save_graph(path: str | Path, graph: CorpusGraph, store: CorpusStore) -> None:
     path = Path(path)
     header = {
         "version": GRAPH_FORMAT_VERSION,
@@ -124,7 +120,7 @@ def save_graph(path: str | Path, graph: CorpusGraph) -> None:
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         f.write(graph.adjacency.astype("<u4").tobytes())
-    write_docnos(path.parent / "docnos.txt", graph.docnos)
+    write_docnos(path.parent / "docnos.txt", store.docnos)
 
 
 def load_graph(path: str | Path, store: CorpusStore) -> CorpusGraph:
@@ -159,4 +155,4 @@ def load_graph(path: str | Path, store: CorpusStore) -> CorpusGraph:
     check_docnos(path.parent / "docnos.txt", store, "graph")
     if count != len(store):
         raise ValueError(f"{path}: header count {count} does not match the {len(store)} docnos")
-    return CorpusGraph(k, adjacency.copy(), store.docnos, str(header["source"]))
+    return CorpusGraph(k, adjacency.copy(), str(header["source"]))

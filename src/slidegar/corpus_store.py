@@ -50,9 +50,9 @@ class CorpusStore:
     """Immutable document store: two parallel columns indexed by doc id.
 
     Doc ids are dense ints in corpus order so they can index directly into
-    postings lists, embedding matrices, and graph rows. ``docnos`` is shared
-    with every index, table and graph built on the store, and the store holds
-    the only docno -> id map; everything else works on ids.
+    postings lists, embedding matrices, and graph rows. The store alone
+    holds docnos and the docno -> id map; indexes, tables, graphs and
+    rankings hold ids, and artifacts check their ``docnos.txt`` against it.
     """
 
     def __init__(self, docnos: list[str], texts: list[str], alias: dict[str, str] | None = None) -> None:
@@ -206,8 +206,16 @@ def write_docnos(path: str | Path, docnos: list[str]) -> None:
 def check_docnos(path: str | Path, store: CorpusStore, artifact: str) -> None:
     """Reject an artifact whose ``docnos.txt`` is not ``store.docnos`` line
     for line; another corpus, another dedup setting or a reordering would
-    make every doc id point at the wrong document."""
-    docnos = Path(path).read_text(encoding="utf-8").splitlines()
+    make every doc id point at the wrong document. Lines are read as in the corpus."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(_invalid_utf8(path, lineno, data.split(b"\n")[lineno - 1])) from None
+    docnos = text.removesuffix("\n").split("\n") if text else []
+    if "\r" in text:
+        docnos = [docno.rstrip("\r") for docno in docnos]
     if docnos != store.docnos:
         pairs = zip(docnos, store.docnos)
         line = next((i for i, (a, b) in enumerate(pairs, start=1) if a != b), min(len(docnos), len(store)) + 1)

@@ -19,17 +19,15 @@ from typing import BinaryIO, Iterable, Iterator
 import numpy as np
 
 from .corpus_store import CorpusStore, Query
-from .ranking import Ranking, ScoredDoc
 
 
 class EmbeddingTable:
     """Dense vectors aligned with store doc ids (row i belongs to doc id i)."""
 
-    def __init__(self, matrix: np.ndarray, docnos: list[str], normalized: bool = False) -> None:
-        if matrix.ndim != 2 or matrix.shape[0] != len(docnos):
-            raise ValueError("matrix must be (n_docs, dim) and match docnos")
+    def __init__(self, matrix: np.ndarray, normalized: bool = False) -> None:
+        if matrix.ndim != 2:
+            raise ValueError("matrix must be (n_docs, dim)")
         self.matrix = matrix.astype(np.float32, copy=False)
-        self.docnos = docnos
         self.normalized = normalized
 
     def __len__(self) -> int:
@@ -131,7 +129,7 @@ def load_embeddings(path: str | Path, store: CorpusStore, normalize: bool = Fals
             raise ValueError(f"{path}: zero vector for docno {zero!r} cannot be normalized")
         matrix = matrix / norms[:, None]
         normalized = True
-    return EmbeddingTable(matrix, store.docnos, normalized=normalized)
+    return EmbeddingTable(matrix, normalized=normalized)
 
 
 def load_query_embeddings(path: str | Path, queries: list[Query]) -> dict[str, np.ndarray]:
@@ -170,13 +168,12 @@ def top_k_ids(keys: np.ndarray, k: int) -> np.ndarray:
     return top
 
 
-def dense_retrieve(table: EmbeddingTable, query_vector: np.ndarray, k: int) -> Ranking:
-    """Exact top-k by inner product over all documents; ties by doc id."""
+def dense_retrieve(table: EmbeddingTable, query_vector: np.ndarray, k: int) -> list[int]:
+    """Exact top-k doc ids by inner product, best first; ties by doc id."""
     if k < 1:
         raise ValueError("k must be >= 1")
     query = np.asarray(query_vector, dtype=np.float32)
     if query.shape != (table.dim,):
         raise ValueError(f"query vector has shape {query.shape}, table dim is {table.dim}")
     scores = table.matrix @ query
-    order = top_k_ids(-scores[None, :], k)[0]
-    return [ScoredDoc(table.docnos[i], float(scores[i])) for i in order]
+    return top_k_ids(-scores[None, :], k)[0].tolist()

@@ -1,4 +1,4 @@
-"""nDCG / recall metrics and TREC run-file I/O."""
+"""nDCG / recall metrics and TREC run-file I/O over docno lists, best first."""
 
 from __future__ import annotations
 
@@ -8,14 +8,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .ranking import Ranking, ScoredDoc
+from .corpus_store import _invalid_utf8
 
 
 def _gain(grade: int, exponential: bool) -> float:
     return float(2**grade - 1) if exponential else float(grade)
 
 
-def ndcg_at(ranking: Ranking, grades: Mapping[str, int], cutoff: int = 10, exponential: bool = False) -> float:
+def ndcg_at(ranking: list[str], grades: Mapping[str, int], cutoff: int = 10, exponential: bool = False) -> float:
     """Normalized discounted cumulative gain at ``cutoff``.
 
     ``grades`` maps docno -> graded relevance for one query; the ideal DCG
@@ -26,8 +26,8 @@ def ndcg_at(ranking: Ranking, grades: Mapping[str, int], cutoff: int = 10, expon
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     dcg = 0.0
-    for position, sd in enumerate(ranking[:cutoff], start=1):
-        grade = grades.get(sd.docno, 0)
+    for position, docno in enumerate(ranking[:cutoff], start=1):
+        grade = grades.get(docno, 0)
         if grade:
             dcg += _gain(grade, exponential) / math.log2(position + 1)
     ideal = 0.0
@@ -38,7 +38,7 @@ def ndcg_at(ranking: Ranking, grades: Mapping[str, int], cutoff: int = 10, expon
 
 
 def recall_at(
-    ranking: Ranking, grades: Mapping[str, int], cutoff: int, rel_threshold: int = 1
+    ranking: list[str], grades: Mapping[str, int], cutoff: int, rel_threshold: int = 1
 ) -> float | None:
     """Fraction of all relevant docs (grade >= rel_threshold) in the top
     ``cutoff``; None when the query has no relevant docs at this threshold
@@ -48,7 +48,7 @@ def recall_at(
     relevant = {docno for docno, grade in grades.items() if grade >= rel_threshold}
     if not relevant:
         return None
-    hits = sum(1 for sd in ranking[:cutoff] if sd.docno in relevant)
+    hits = sum(1 for docno in ranking[:cutoff] if docno in relevant)
     return hits / len(relevant)
 
 
@@ -66,7 +66,7 @@ def parse_metric(spec: str) -> tuple[str, int]:
 
 def _compute(
     metric: str,
-    ranking: Ranking,
+    ranking: list[str],
     grades: Mapping[str, int],
     rel_threshold: int,
     exponential: bool,
@@ -122,7 +122,7 @@ class MetricReport:
 
 
 def evaluate_run(
-    run: dict[str, Ranking],
+    run: dict[str, list[str]],
     qrels: dict[str, dict[str, int]],
     metrics: list[str],
     rel_threshold: int = 1,
@@ -146,25 +146,29 @@ def evaluate_run(
     return report
 
 
-def write_run(path: str | Path, run: dict[str, Ranking], tag: str) -> None:
-    """Standard 6-column TREC run lines, sorted by (qid, rank)."""
+def write_run(path: str | Path, run: dict[str, list[str]], tag: str) -> None:
+    """Standard 6-column TREC run lines, sorted by (qid, rank), scored ``1 / rank``."""
     with open(path, "w", encoding="utf-8") as f:
         for qid in sorted(run):
-            for rank, sd in enumerate(run[qid], start=1):
-                f.write(f"{qid} Q0 {sd.docno} {rank} {sd.score} {tag}\n")
+            for rank, docno in enumerate(run[qid], start=1):
+                f.write(f"{qid} Q0 {docno} {rank} {1.0 / rank} {tag}\n")
 
 
-def read_run(path: str | Path) -> tuple[dict[str, Ranking], str]:
+def read_run(path: str | Path) -> tuple[dict[str, list[str]], str]:
     """Parse and validate a TREC run file.
 
-    Within each qid: ranks must be contiguous from 1, scores non-increasing,
-    docnos unique. Returns (per-qid rankings, tag of the first line).
+    Lines are read as in the corpus. Within each qid: ranks must be
+    contiguous from 1, scores non-increasing, docnos unique. Returns
+    (per-qid docno lists, tag of the first line).
     """
     rows: dict[str, list[tuple[int, str, float]]] = {}
     tag = ""
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.split()
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                parts = raw.decode("utf-8").split()
+            except UnicodeDecodeError:
+                raise ValueError(_invalid_utf8(path, lineno, raw)) from None
             if not parts:
                 continue
             if len(parts) != 6:
@@ -177,7 +181,7 @@ def read_run(path: str | Path) -> tuple[dict[str, Ranking], str]:
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: invalid rank or score") from None
             rows.setdefault(qid, []).append((rank, docno, score))
-    run: dict[str, Ranking] = {}
+    run: dict[str, list[str]] = {}
     for qid, entries in rows.items():
         entries.sort(key=lambda t: t[0])
         ranks = [rank for rank, _, _ in entries]
@@ -189,5 +193,5 @@ def read_run(path: str | Path) -> tuple[dict[str, Ranking], str]:
         scores = [score for _, _, score in entries]
         if any(later > earlier for earlier, later in zip(scores, scores[1:])):
             raise ValueError(f"{path}: qid {qid}: scores increase with rank")
-        run[qid] = [ScoredDoc(docno, score) for _, docno, score in entries]
+        run[qid] = names
     return run, tag

@@ -14,8 +14,8 @@ In memory the index is compressed-sparse-row (CSR) arrays:
 Index directory layout (format version 3), every array as numpy holds it:
 
 - ``meta.json``    -- ``{"version": 3, "doc_count": N, "avgdl": ..., "dedup": ...}``
-- ``docnos.txt``   -- one docno per line in doc-id order; the index only
-  loads against a corpus store with exactly these docnos
+- ``docnos.txt``   -- the store's docnos, one per line in doc-id order; the
+  index only loads against a corpus store with exactly these docnos
 - ``doclens.bin``  -- N little-endian u32 token counts in doc-id order
 - ``terms.txt``    -- one term per line, sorted; a term's id is its line index
 - ``dfs.bin``      -- one little-endian u32 per term: its postings count, so
@@ -38,7 +38,6 @@ from typing import Mapping
 import numpy as np
 
 from .corpus_store import CorpusStore, Query, check_docnos, write_docnos
-from .ranking import Ranking, ScoredDoc
 
 K1 = 1.2
 B_LEN = 0.75
@@ -69,8 +68,8 @@ def tokenize(text: str) -> list[str]:
 class InvertedIndex:
     """Immutable CSR postings and forward index plus the stats BM25 needs.
 
-    ``docnos`` is the corpus store's list, so retrieval can emit external
-    ids directly. The layout is described in the module docstring.
+    Ids are corpus-store doc ids, and retrieval returns them; only the
+    store holds docnos. The layout is described in the module docstring.
     """
 
     def __init__(
@@ -80,7 +79,6 @@ class InvertedIndex:
         doc_ids: np.ndarray,
         tfs: np.ndarray,
         doc_lengths: list[int],
-        docnos: list[str],
     ) -> None:
         self.terms = terms
         self.term_ids = dict(zip(terms, range(len(terms))))
@@ -90,7 +88,6 @@ class InvertedIndex:
         self.doc_lengths = doc_lengths
         self.doc_count = len(doc_lengths)
         self.avg_doc_length = sum(doc_lengths) / self.doc_count if doc_lengths else 0.0
-        self.docnos = docnos
         lengths = np.asarray(doc_lengths, dtype=np.float64)
         if self.avg_doc_length > 0:
             self.norm = K1 * (1.0 - B_LEN + B_LEN * lengths / self.avg_doc_length)
@@ -130,7 +127,7 @@ def build_index(store: CorpusStore) -> InvertedIndex:
     offsets = np.zeros(len(terms) + 1, dtype=np.int64)
     np.cumsum(np.bincount(entry_term_ids, minlength=len(terms)), out=offsets[1:])
     tfs = np.frombuffer(entry_tfs, dtype=np.uintc)[order]
-    return InvertedIndex(terms, offsets, entry_docs[order], tfs, doc_lengths, store.docnos)
+    return InvertedIndex(terms, offsets, entry_docs[order], tfs, doc_lengths)
 
 
 def _idf(doc_count: int, df: int) -> float:
@@ -202,11 +199,10 @@ def top_docs(
     return _cut(*score_weighted_terms(index, term_weights), k, exclude)
 
 
-def bm25_retrieve(index: InvertedIndex, query: Query, k: int) -> Ranking:
+def bm25_retrieve(index: InvertedIndex, query: Query, k: int) -> list[int]:
     if k < 1:
         raise ValueError("k must be >= 1")
-    weights = Counter(tokenize(query.text))
-    return [ScoredDoc(index.docnos[doc_id], score) for doc_id, score in top_docs(index, weights, k)]
+    return [doc_id for doc_id, _ in top_docs(index, Counter(tokenize(query.text)), k)]
 
 
 @dataclass(frozen=True)
@@ -223,6 +219,15 @@ class ExpandedQuery:
                 raise ValueError(f"invalid weight {weight!r} for term {term!r}")
 
 
+def check_rm3(fb_docs: int, fb_terms: int, orig_weight: float) -> None:
+    """Reject RM3 parameters no expansion can use, naming the parameter."""
+    for name, value in (("fb_docs", fb_docs), ("fb_terms", fb_terms)):
+        if not isinstance(value, int) or value < 1:
+            raise ValueError(f"rm3 {name} must be an integer >= 1, got {value!r}")
+    if not isinstance(orig_weight, (int, float)) or not 0.0 <= orig_weight <= 1.0:
+        raise ValueError(f"rm3 orig_weight must be a number in [0, 1], got {orig_weight!r}")
+
+
 def rm3_expand(
     index: InvertedIndex,
     query: Query,
@@ -230,7 +235,7 @@ def rm3_expand(
     fb_docs: int = 10,
     fb_terms: int = 10,
     orig_weight: float = 0.6,
-) -> ExpandedQuery:
+) -> ExpandedQuery | None:
     """Relevance-model expansion from ranked feedback documents.
 
     ``feedback`` carries (doc_id, score) pairs, best first; listwise rankers
@@ -238,13 +243,11 @@ def rm3_expand(
     models are maximum-likelihood (tf / doc length), unsmoothed. Feedback
     scores are shifted to be non-negative and normalized to sum 1; if
     every score collapses to zero the documents are weighted uniformly.
+    None means that neither query nor feedback left a usable term.
     """
     if not feedback:
         raise ValueError("feedback must be non-empty")
-    if fb_docs < 1 or fb_terms < 1:
-        raise ValueError("fb_docs and fb_terms must be >= 1")
-    if not 0.0 <= orig_weight <= 1.0:
-        raise ValueError("orig_weight must be in [0, 1]")
+    check_rm3(fb_docs, fb_terms, orig_weight)
 
     top = feedback[: min(fb_docs, len(feedback))]
     raw = [score for _, score in top]
@@ -284,7 +287,7 @@ def rm3_expand(
 
     total_weight = sum(weights.values())
     if total_weight <= 0:
-        raise ValueError("expansion produced no usable terms")
+        return None
     if abs(total_weight - 1.0) > 1e-12:  # degenerate inputs (e.g. empty expansion)
         weights = {term: weight / total_weight for term, weight in weights.items()}
     return ExpandedQuery(weights)
@@ -292,21 +295,20 @@ def rm3_expand(
 
 def retrieve_expanded(
     index: InvertedIndex, expanded: ExpandedQuery, k: int, exclude: set[int] | None = None
-) -> Ranking:
+) -> list[int]:
     """BM25 with per-term contributions scaled by the expanded-query weights."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    hits = top_docs(index, expanded.weights, k, exclude)
-    return [ScoredDoc(index.docnos[doc_id], score) for doc_id, score in hits]
+    return [doc_id for doc_id, _ in top_docs(index, expanded.weights, k, exclude)]
 
 
 INDEX_FORMAT_VERSION = 3
 
 
-def save_index(index: InvertedIndex, out_dir: str | Path, dedup: bool = False) -> None:
+def save_index(index: InvertedIndex, out_dir: str | Path, store: CorpusStore, dedup: bool = False) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_docnos(out / "docnos.txt", index.docnos)
+    write_docnos(out / "docnos.txt", store.docnos)
     np.asarray(index.doc_lengths, dtype="<u4").tofile(out / "doclens.bin")
     (out / "terms.txt").write_text("".join(term + "\n" for term in index.terms), encoding="utf-8")
     np.diff(index.offsets).astype("<u4").tofile(out / "dfs.bin")
@@ -404,7 +406,7 @@ def load_index(in_dir: str | Path, store: CorpusStore) -> InvertedIndex:
             term = terms[int(np.searchsorted(offsets, posting, side="right")) - 1]
             raise ValueError(f"{postings_path}: term {term!r}: {problem} (posting {posting})")
 
-    index = InvertedIndex(terms, offsets, doc_ids, tfs, doc_lengths, store.docnos)
+    index = InvertedIndex(terms, offsets, doc_ids, tfs, doc_lengths)
     # avgdl is derived from doclens on load; check it agrees with what was saved
     if abs(index.avg_doc_length - meta["avgdl"]) > 1e-9:
         raise ValueError(f"{src}: avgdl mismatch between meta.json and doclens.bin")

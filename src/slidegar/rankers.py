@@ -49,13 +49,6 @@ class Window:
         return tuple(docno for docno, _ in self.docs)
 
 
-@dataclass(frozen=True)
-class Batch:
-    """A ranker's output: window docnos, best first."""
-
-    ordering: tuple[str, ...]
-
-
 def is_permutation(ordering: list[str], docnos: tuple[str, ...]) -> bool:
     return len(ordering) == len(docnos) and set(ordering) == set(docnos)
 
@@ -65,11 +58,12 @@ class ListwiseRanker:
 
     name = "listwise"
 
-    def rank(self, window: Window) -> Batch:
+    def rank(self, window: Window) -> tuple[str, ...]:
+        """The window's docnos, best first, checked to be a permutation."""
         ordering = [str(d) for d in self._order(window)]
         if not is_permutation(ordering, window.docnos):
             raise ValueError(f"{self.name}: response is not a permutation of the window")
-        return Batch(tuple(ordering))
+        return tuple(ordering)
 
     def _order(self, window: Window) -> list[str]:
         raise NotImplementedError

@@ -19,7 +19,7 @@ def graph_from_dict(adjacency: dict[str, list[str]], names: list[str], k: int) -
     for name, nbs in adjacency.items():
         for slot, nb in enumerate(nbs):
             rows[ids[name], slot] = ids[nb]
-    return CorpusGraph(k, rows, names, "dense")
+    return CorpusGraph(k, rows, "dense")
 
 
 class SynthBundle:

@@ -36,8 +36,15 @@ from slidegar.rankers import (
     RemoteRanker,
     Window,
 )
-from slidegar.ranking import ScoredDoc
-from test_adaptive_rerank import RecordingRanker, ReverseRanker, make_pair, names_store, r0_of, random_instance
+from test_adaptive_rerank import (
+    RecordingRanker,
+    ReverseRanker,
+    docnos_of,
+    ids_of,
+    make_pair,
+    names_store,
+    random_instance,
+)
 from test_corpus_graph import adjacency_rows, brute_force_dense, brute_force_lexical, dense_table
 
 Q = Query("q1", "query text")
@@ -69,7 +76,7 @@ def test_call_count_exactness(synth_bundle):
 
         for c, expected in ((50, 4), (100, 9)):
             cfg = RerankConfig(w=20, b=10, c=c, truncate_k=1)
-            result = slidegar(Q, r0_of(names[: c + 40]), IdentityRanker(), graph, cfg, store)
+            result = slidegar(Q, ids_of(store, names[: c + 40]), IdentityRanker(), graph, cfg, store)
             assert result.calls == expected == expected_llm_calls(cfg)
 
         rng = random.Random(2024)
@@ -79,23 +86,24 @@ def test_call_count_exactness(synth_bundle):
             c = rng.randint(w, min(w + 150, 380))
             cfg = RerankConfig(w=w, b=b, c=c, truncate_k=1)
             pool = names[: c + b + w]  # adequate |R0|: never exhausted mid-run
-            result = slidegar(Q, r0_of(pool), IdentityRanker(), graph, cfg, store)
+            result = slidegar(Q, ids_of(store, pool), IdentityRanker(), graph, cfg, store)
             assert result.calls == expected_llm_calls(cfg), (w, b, c)
 
         # A real dense graph with short frontiers: R0 is the BM25 pool padded
         # with the rest of the corpus in id order, and truncated neighbour
         # lists offer fewer than b unblocked documents in many windows.
         oracle = OracleRanker(synth_bundle.grades)
+        every_id = list(range(len(synth_bundle.store)))
         mixed = 0
         for c, truncate_k in ((50, 2), (50, 16), (100, 4), (100, 16)):
             cfg = RerankConfig(w=20, b=10, c=c, truncate_k=truncate_k)
             for query in synth_bundle.queries:
-                hits = [sd.docno for sd in bm25_retrieve(synth_bundle.index, query, c)]
-                r0 = r0_of(list(dict.fromkeys(hits + synth_bundle.store.docnos))[: c + cfg.w])
+                hits = bm25_retrieve(synth_bundle.index, query, c)
+                r0 = list(dict.fromkeys(hits + every_id))[: c + cfg.w]
                 recorder = RecordingRanker(oracle)
                 result = slidegar(query, r0, recorder, synth_bundle.graph, cfg, synth_bundle.store)
                 assert result.calls == expected_llm_calls(cfg), (query.qid, c, truncate_k)
-                in_r0 = {sd.docno for sd in r0}
+                in_r0 = set(docnos_of(synth_bundle.store, r0))
                 for window, _ in recorder.seen[1:]:
                     assert len(window) == 2 * cfg.b
                     mixed += 0 < sum(d in in_r0 for d in window[cfg.b :]) < cfg.b
@@ -112,17 +120,17 @@ def test_hand_trace_and_randomized_oracle_equivalence():
         graph = graph_from_dict({"d2": ["d9"], "d1": ["d8"]}, names, 1)
         ranker = OracleRanker({"q1": {"d2": 3, "d9": 2, "d1": 1}})
         cfg = RerankConfig(w=2, b=1, c=4, truncate_k=1)
-        result = slidegar(Q, r0_of(["d1", "d2", "d3", "d4"]), ranker, graph, cfg, store)
-        assert [sd.docno for sd in result.ranking] == ["d2", "d3", "d9", "d1"]
+        result = slidegar(Q, ids_of(store, ["d1", "d2", "d3", "d4"]), ranker, graph, cfg, store)
+        assert docnos_of(store, result.ranking) == ["d2", "d3", "d9", "d1"]
         assert result.calls == 3
 
         # worked baseline example: reversal ranker slides tail-to-head
         base_store = names_store(["d1", "d2", "d3", "d4"])
         base_cfg = RerankConfig(w=2, b=1, c=4)
         base = sliding_window_baseline(
-            Q, r0_of(["d1", "d2", "d3", "d4"]), ReverseRanker(), base_cfg, base_store
+            Q, ids_of(base_store, ["d1", "d2", "d3", "d4"]), ReverseRanker(), base_cfg, base_store
         )
-        assert [sd.docno for sd in base.ranking] == ["d4", "d1", "d2", "d3"]
+        assert docnos_of(base_store, base.ranking) == ["d4", "d1", "d2", "d3"]
         assert base.calls == 3
 
         rng = random.Random(777)
@@ -134,12 +142,12 @@ def test_hand_trace_and_randomized_oracle_equivalence():
 
             def rank_fn(docnos):
                 window = Window(query=Q, docs=tuple((d, store.texts[store.doc_id(d)]) for d in docnos))
-                return list(sim_ranker.rank(window).ordering)
+                return list(sim_ranker.rank(window))
 
-            result = slidegar(Q, r0_of(r0), engine_ranker, graph, cfg, store)
+            result = slidegar(Q, ids_of(store, r0), engine_ranker, graph, cfg, store)
             feedback_fn = graph_feedback(lambda d: adjacency.get(d, []), cfg.truncate_k)
             expected, calls, offered = simulate_window_loop(r0, rank_fn, feedback_fn, cfg.w, cfg.b, cfg.c)
-            got = [sd.docno for sd in result.ranking]
+            got = docnos_of(store, result.ranking)
             assert got == expected and result.calls == calls
             assert len(set(got)) == len(got) <= cfg.c
             assert set(got) <= set(r0) | offered
@@ -148,11 +156,11 @@ def test_hand_trace_and_randomized_oracle_equivalence():
 
             def rank_fn_b(docnos):
                 window = Window(query=Q, docs=tuple((d, store.texts[store.doc_id(d)]) for d in docnos))
-                return list(sim_b.rank(window).ordering)
+                return list(sim_b.rank(window))
 
-            base = sliding_window_baseline(Q, r0_of(r0), engine_b, cfg, store)
+            base = sliding_window_baseline(Q, ids_of(store, r0), engine_b, cfg, store)
             base_expected, base_calls = simulate_baseline(r0, rank_fn_b, cfg.w, cfg.b, cfg.c)
-            assert [sd.docno for sd in base.ranking] == base_expected
+            assert docnos_of(store, base.ranking) == base_expected
             assert base.calls == base_calls
 
 
@@ -174,11 +182,10 @@ def test_permutation_safety():
         for behavior in ("duplicate", "drop_one", "foreign", "garbage", "status:500"):
             with scripted_server([behavior]) as endpoint:
                 remote = RemoteRanker(endpoint, timeout=2, retries=1, backoff=0.01)
-                degraded = slidegar(Q, r0_of(names), remote, graph, cfg, store)
-            clean = slidegar(Q, r0_of(names), IdentityRanker(), graph, cfg, store)
-            got = [sd.docno for sd in degraded.ranking]
-            assert got == [sd.docno for sd in clean.ranking], behavior
-            assert len(set(got)) == len(got)
+                degraded = slidegar(Q, ids_of(store, names), remote, graph, cfg, store)
+            clean = slidegar(Q, ids_of(store, names), IdentityRanker(), graph, cfg, store)
+            assert degraded.ranking == clean.ranking, behavior
+            assert len(set(degraded.ranking)) == len(degraded.ranking)
             assert degraded.calls == clean.calls  # a retried window counts once
 
 
@@ -190,8 +197,8 @@ def _escape_numbers(bundle):
         query = Query(info["qid"], " ".join(info["query_terms"]))
         grades = bundle.grades[info["qid"]]
         r0 = bm25_retrieve(bundle.index, query, cfg.c)
-        base = sliding_window_baseline(query, r0, oracle, cfg, bundle.store).ranking
-        adaptive = slidegar(query, r0, oracle, bundle.graph, cfg, bundle.store).ranking
+        base = docnos_of(bundle.store, sliding_window_baseline(query, r0, oracle, cfg, bundle.store).ranking)
+        adaptive = docnos_of(bundle.store, slidegar(query, r0, oracle, bundle.graph, cfg, bundle.store).ranking)
         rows.append(
             {
                 "recall_base": recall_at(base, grades, 50, rel_threshold=2),
@@ -231,6 +238,7 @@ def test_graph_depth_monotone_trend(synth_bundle):
                 query = Query(info["qid"], " ".join(info["query_terms"]))
                 r0 = bm25_retrieve(synth_bundle.index, query, cfg.c)
                 adaptive = slidegar(query, r0, oracle, synth_bundle.graph, cfg, synth_bundle.store).ranking
+                adaptive = docnos_of(synth_bundle.store, adaptive)
                 values.append(recall_at(adaptive, synth_bundle.grades[info["qid"]], 50, rel_threshold=2))
             means.append(sum(values) / len(values))
         assert means[-1] >= means[0]
@@ -248,9 +256,10 @@ def test_rm3_variant_recall_gain(synth_bundle):
             grades = synth_bundle.grades[info["qid"]]
             r0 = bm25_retrieve(synth_bundle.index, query, cfg.c)
             base = sliding_window_baseline(query, r0, oracle, cfg, synth_bundle.store).ranking
+            base = docnos_of(synth_bundle.store, base)
             adaptive = slidegar_rm3(query, r0, oracle, synth_bundle.index, cfg, synth_bundle.store)
             base_vals.append(recall_at(base, grades, 50, rel_threshold=2))
-            rm3_vals.append(recall_at(adaptive.ranking, grades, 50, rel_threshold=2))
+            rm3_vals.append(recall_at(docnos_of(synth_bundle.store, adaptive.ranking), grades, 50, rel_threshold=2))
             escaped.append(telemetry_record(query.qid, r0, adaptive)["escaped_docs"])
         mean_base = sum(base_vals) / len(base_vals)
         mean_rm3 = sum(rm3_vals) / len(rm3_vals)
@@ -268,7 +277,7 @@ def test_graph_build_correctness():
         index = build_index(store)
         np_rng = np.random.default_rng(64)
         matrix = np_rng.normal(size=(64, 7)).astype(np.float32)
-        table = dense_table(matrix, store.docnos)
+        table = dense_table(matrix)
         for k in (2, 4, 8):
             lexical = build_graph_lexical(index, store, k)
             assert adjacency_rows(lexical) == brute_force_lexical(texts, k)
@@ -279,7 +288,6 @@ def test_graph_build_correctness():
 def test_metric_correctness():
     with criterion("metrics match hand-computed values on 13 fixtures to 1e-9"):
         lg = math.log2
-        rank = lambda docnos: [ScoredDoc(d, 1.0 / (i + 1)) for i, d in enumerate(docnos)]
         ndcg_cases = [
             (["a"], {"a": 1}, 10, False, 1.0),
             (["x", "y", "z"], {"a": 2}, 3, False, 0.0),
@@ -294,9 +302,9 @@ def test_metric_correctness():
             (["a"], {"a": 2, "b": 1}, 10, True, 3.0 / (3 + 1 / lg(3))),
         ]
         for docnos, grades, cutoff, exponential, expected in ndcg_cases:
-            got = ndcg_at(rank(docnos), grades, cutoff, exponential=exponential)
+            got = ndcg_at(docnos, grades, cutoff, exponential=exponential)
             assert abs(got - expected) < 1e-9, (docnos, grades)
-        assert round(ndcg_at(rank(["a", "b", "c"]), {"a": 2, "b": 3, "c": 0}, 10), 4) == 0.9134
+        assert round(ndcg_at(["a", "b", "c"], {"a": 2, "b": 3, "c": 0}, 10), 4) == 0.9134
 
         five = {f"r{i}": 1 for i in range(5)}
         recall_cases = [
@@ -307,7 +315,7 @@ def test_metric_correctness():
             (["b", "a"], {"a": 2, "b": 1, "c": 1}, 1, 1, 1 / 3),
         ]
         for docnos, grades, cutoff, threshold, expected in recall_cases:
-            got = recall_at(rank(docnos), grades, cutoff, rel_threshold=threshold)
+            got = recall_at(docnos, grades, cutoff, rel_threshold=threshold)
             assert abs(got - expected) < 1e-9, (docnos, grades)
 
 
@@ -319,9 +327,9 @@ def test_bookkeeping_overhead_on_100k_graph():
         adjacency = rng.integers(0, n, size=(n, 16), dtype=np.uint32)
         rows = np.arange(n, dtype=np.uint32)[:, None]
         adjacency = np.where(adjacency == rows, (adjacency + 1) % n, adjacency)
-        graph = CorpusGraph(16, adjacency, store.docnos, "dense")
+        graph = CorpusGraph(16, adjacency, "dense")
         cfg = RerankConfig(w=20, b=10, c=100, truncate_k=16)
-        r0 = r0_of(store.docnos[:: n // 140][:140])
+        r0 = list(range(0, n, n // 140))[:140]
         timings = []
         for _ in range(3):
             result = slidegar(Q, r0, IdentityRanker(), graph, cfg, store)
@@ -336,7 +344,7 @@ def test_bookkeeping_overhead_on_100k_graph():
 def test_run_determinism(synth_bundle, tmp_path):
     with criterion("determinism: identical config + seeds give byte-identical run files"):
         graph_path = tmp_path / "graph.bin"
-        save_graph(graph_path, synth_bundle.graph)
+        save_graph(graph_path, synth_bundle.graph, synth_bundle.store)
         outs = []
         for name in ("one", "two"):
             cfg = {

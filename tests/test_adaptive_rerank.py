@@ -19,13 +19,16 @@ from slidegar.adaptive_rerank import (
 from slidegar.corpus_store import Query
 from slidegar.lexical_index import build_index, retrieve_expanded, rm3_expand
 from slidegar.rankers import IdentityRanker, ListwiseRanker, NoisyOracleRanker, OracleRanker, Window
-from slidegar.ranking import ScoredDoc
 
 Q = Query("q1", "query text")
 
 
-def r0_of(docnos):
-    return [ScoredDoc(d, 1.0 / (i + 1)) for i, d in enumerate(docnos)]
+def ids_of(store, docnos):
+    return [store.doc_id(d) for d in docnos]
+
+
+def docnos_of(store, ids):
+    return [store.docnos[i] for i in ids]
 
 
 def names_store(names):
@@ -48,9 +51,9 @@ class RecordingRanker(ListwiseRanker):
         self.seen: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
 
     def _order(self, window):
-        batch = self.inner.rank(window)
-        self.seen.append((window.docnos, batch.ordering))
-        return list(batch.ordering)
+        ordering = self.inner.rank(window)
+        self.seen.append((window.docnos, ordering))
+        return list(ordering)
 
 
 # --- pseudo scores & config ---
@@ -88,13 +91,12 @@ def trace_fixture():
 def test_slidegar_hand_trace():
     store, graph, ranker = trace_fixture()
     cfg = RerankConfig(w=2, b=1, c=4, truncate_k=1)
-    result = slidegar(Q, r0_of(["d1", "d2", "d3", "d4"]), ranker, graph, cfg, store)
-    assert [sd.docno for sd in result.ranking] == ["d2", "d3", "d9", "d1"]
+    result = slidegar(Q, ids_of(store, ["d1", "d2", "d3", "d4"]), ranker, graph, cfg, store)
+    assert docnos_of(store, result.ranking) == ["d2", "d3", "d9", "d1"]
     assert result.calls == 3
     assert result.calls == expected_llm_calls(cfg)
     assert result.bookkeeping_s >= 0.0 and result.ranker_s >= 0.0
-    scores = [sd.score for sd in result.ranking]
-    assert scores == [1.0, 0.5, 1 / 3, 0.25]  # strictly decreasing synthetic scores
+    assert result.ranking == [1, 2, 5, 0]  # store ids, best first
 
 
 def test_slidegar_empty_graph_falls_back_to_initial_pool():
@@ -103,8 +105,8 @@ def test_slidegar_empty_graph_falls_back_to_initial_pool():
     store = names_store(names)
     graph = graph_from_dict({}, names, 1)
     cfg = RerankConfig(w=4, b=2, c=8, truncate_k=1)
-    result = slidegar(Q, r0_of(names), IdentityRanker(), graph, cfg, store)
-    assert {sd.docno for sd in result.ranking} == set(names[:8])
+    result = slidegar(Q, ids_of(store, names), IdentityRanker(), graph, cfg, store)
+    assert set(docnos_of(store, result.ranking)) == set(names[:8])
     assert result.calls == expected_llm_calls(cfg)
 
 
@@ -114,7 +116,7 @@ def test_slidegar_call_counts_match_formula():
     graph = graph_from_dict({}, names, 1)
     for c, expected in ((50, 4), (100, 9)):
         cfg = RerankConfig(w=20, b=10, c=c, truncate_k=1)
-        assert slidegar(Q, r0_of(names), IdentityRanker(), graph, cfg, store).calls == expected
+        assert slidegar(Q, ids_of(store, names), IdentityRanker(), graph, cfg, store).calls == expected
         assert expected_llm_calls(cfg) == expected
 
 
@@ -131,8 +133,8 @@ def test_baseline_single_window_when_budget_equals_w():
     names = ["a", "b", "c"]
     store = names_store(names)
     cfg = RerankConfig(w=3, b=1, c=3)
-    result = sliding_window_baseline(Q, r0_of(names), ReverseRanker(), cfg, store)
-    assert [sd.docno for sd in result.ranking] == ["c", "b", "a"]
+    result = sliding_window_baseline(Q, ids_of(store, names), ReverseRanker(), cfg, store)
+    assert docnos_of(store, result.ranking) == ["c", "b", "a"]
     assert result.calls == 1
 
 
@@ -140,16 +142,16 @@ def test_baseline_identity_is_noop():
     names = [f"d{i}" for i in range(9)]
     store = names_store(names)
     cfg = RerankConfig(w=4, b=2, c=8)
-    result = sliding_window_baseline(Q, r0_of(names), IdentityRanker(), cfg, store)
-    assert [sd.docno for sd in result.ranking] == names[:8]
+    result = sliding_window_baseline(Q, ids_of(store, names), IdentityRanker(), cfg, store)
+    assert docnos_of(store, result.ranking) == names[:8]
 
 
 def test_baseline_reversal_hand_trace():
     names = ["d1", "d2", "d3", "d4"]
     store = names_store(names)
     cfg = RerankConfig(w=2, b=1, c=4)
-    result = sliding_window_baseline(Q, r0_of(names), ReverseRanker(), cfg, store)
-    assert [sd.docno for sd in result.ranking] == ["d4", "d1", "d2", "d3"]
+    result = sliding_window_baseline(Q, ids_of(store, names), ReverseRanker(), cfg, store)
+    assert docnos_of(store, result.ranking) == ["d4", "d1", "d2", "d3"]
     assert result.calls == 3
 
 
@@ -195,13 +197,13 @@ def run_equivalence(n_instances, seed):
 
         def rank_fn(docnos):
             window = Window(query=Q, docs=tuple((d, store.texts[store.doc_id(d)]) for d in docnos))
-            return list(sim_ranker.rank(window).ordering)
+            return list(sim_ranker.rank(window))
 
         def neigh_fn(docno):
             return adjacency.get(docno, [])
 
-        result = slidegar(Q, r0_of(r0), engine_ranker, graph, cfg, store)
-        got = [sd.docno for sd in result.ranking]
+        result = slidegar(Q, ids_of(store, r0), engine_ranker, graph, cfg, store)
+        got = docnos_of(store, result.ranking)
         expected, calls, offered = simulate_window_loop(
             r0, rank_fn, graph_feedback(neigh_fn, cfg.truncate_k), cfg.w, cfg.b, cfg.c
         )
@@ -216,11 +218,11 @@ def run_equivalence(n_instances, seed):
 
         def rank_fn_b(docnos):
             window = Window(query=Q, docs=tuple((d, store.texts[store.doc_id(d)]) for d in docnos))
-            return list(sim_b.rank(window).ordering)
+            return list(sim_b.rank(window))
 
-        base = sliding_window_baseline(Q, r0_of(r0), engine_b, cfg, store)
+        base = sliding_window_baseline(Q, ids_of(store, r0), engine_b, cfg, store)
         base_expected, base_calls = simulate_baseline(r0, rank_fn_b, cfg.w, cfg.b, cfg.c)
-        assert [sd.docno for sd in base.ranking] == base_expected
+        assert docnos_of(store, base.ranking) == base_expected
         assert base.calls == base_calls
 
 
@@ -235,7 +237,7 @@ def test_oracle_carry_forward_local_correctness():
         store = names_store(names)
         graph = graph_from_dict(adjacency, names, k)
         recorder = RecordingRanker(OracleRanker({"q1": grades}))
-        slidegar(Q, r0_of(r0), recorder, graph, cfg, store)
+        slidegar(Q, ids_of(store, r0), recorder, graph, cfg, store)
         for _window, batch in recorder.seen:
             kept = [grades.get(d, 0) for d in batch[: cfg.b]]
             dumped = [grades.get(d, 0) for d in batch[cfg.b :]]
@@ -249,11 +251,11 @@ def test_monotone_escape():
     graph = graph_from_dict({"a": ["r"]}, names, 1)
     grades = {"q1": {"a": 2, "r": 2}}
     cfg = RerankConfig(w=2, b=1, c=3, truncate_k=1)
-    r0 = r0_of(["a", "b"])
+    r0 = ids_of(store, ["a", "b"])
     adaptive = slidegar(Q, r0, OracleRanker(grades), graph, cfg, store).ranking
     baseline = sliding_window_baseline(Q, r0, OracleRanker(grades), cfg, store).ranking
-    assert "r" in {sd.docno for sd in adaptive}
-    assert "r" not in {sd.docno for sd in baseline}
+    assert "r" in set(docnos_of(store, adaptive))
+    assert "r" not in set(docnos_of(store, baseline))
 
 
 def test_truncate_k_zero_equals_baseline_sets_on_aligned_configs():
@@ -268,9 +270,9 @@ def test_truncate_k_zero_equals_baseline_sets_on_aligned_configs():
         graph = graph_from_dict({}, names, 1)
         grades = {"q1": {name: rng.randint(0, 3) for name in names}}
         cfg = RerankConfig(w=w, b=b, c=c, truncate_k=0)
-        adaptive = slidegar(Q, r0_of(names), OracleRanker(grades), graph, cfg, store).ranking
-        baseline = sliding_window_baseline(Q, r0_of(names), OracleRanker(grades), cfg, store).ranking
-        assert {sd.docno for sd in adaptive} == {sd.docno for sd in baseline}
+        adaptive = slidegar(Q, ids_of(store, names), OracleRanker(grades), graph, cfg, store).ranking
+        baseline = sliding_window_baseline(Q, ids_of(store, names), OracleRanker(grades), cfg, store).ranking
+        assert set(docnos_of(store, adaptive)) == set(docnos_of(store, baseline))
 
 
 # --- rm3 variant ---
@@ -287,14 +289,14 @@ def test_rm3_orig_weight_one_consumes_bm25_order():
     from slidegar.lexical_index import bm25_retrieve
 
     r0 = bm25_retrieve(index, query, 6)
-    assert [sd.docno for sd in r0] == [f"d{i}" for i in range(6)]
+    assert docnos_of(store, r0) == [f"d{i}" for i in range(6)]
     cfg = RerankConfig(w=4, b=2, c=6)
     result = slidegar_rm3(query, r0, IdentityRanker(), index, cfg, store, orig_weight=1.0)
     # trace: W1=[d0..d3] dumps d2,d3; the fresh half is feedback's turn, and
     # feedback skips R0 (d0..d5), so W2=[d0,d1,d6,d7] dumps d6,d7 and the
     # 4 = c - b dumps end the run; final = carried d0,d1, then W2's dumps,
     # then W1's
-    assert [sd.docno for sd in result.ranking] == ["d0", "d1", "d6", "d7", "d2", "d3"]
+    assert docnos_of(store, result.ranking) == ["d0", "d1", "d6", "d7", "d2", "d3"]
     assert result.calls == expected_llm_calls(cfg)
 
 
@@ -304,8 +306,8 @@ def test_rm3_falls_back_to_initial_pool_when_corpus_exhausted():
     index = build_index(store)
     names = list(docs)
     cfg = RerankConfig(w=2, b=1, c=5)
-    ranking = slidegar_rm3(Query("q1", "shared"), r0_of(names), IdentityRanker(), index, cfg, store).ranking
-    got = {sd.docno for sd in ranking}
+    ranking = slidegar_rm3(Query("q1", "shared"), ids_of(store, names), IdentityRanker(), index, cfg, store).ranking
+    got = set(docnos_of(store, ranking))
     assert got <= set(names)
     assert len(got) == len(ranking)
 
@@ -326,16 +328,39 @@ def test_rm3_recall_gain_on_clustered_fixture():
     from slidegar.lexical_index import bm25_retrieve
 
     r0 = bm25_retrieve(index, query, 6)
-    assert [sd.docno for sd in r0] == ["v1", "v2", "x1", "x2"]  # hidden docs unreachable
+    assert docnos_of(store, r0) == ["v1", "v2", "x1", "x2"]  # hidden docs unreachable
     cfg = RerankConfig(w=4, b=2, c=6)
     adaptive = slidegar_rm3(query, r0, OracleRanker(grades), index, cfg, store).ranking
     baseline = sliding_window_baseline(query, r0, OracleRanker(grades), cfg, store).ranking
     relevant = set(grades["q1"])
-    recall_adaptive = len({sd.docno for sd in adaptive} & relevant) / len(relevant)
-    recall_baseline = len({sd.docno for sd in baseline} & relevant) / len(relevant)
+    recall_adaptive = len(set(docnos_of(store, adaptive)) & relevant) / len(relevant)
+    recall_baseline = len(set(docnos_of(store, baseline)) & relevant) / len(relevant)
     assert recall_baseline == 0.5
     assert recall_adaptive == 1.0
-    assert [sd.docno for sd in adaptive][:4] == ["v1", "v2", "h1", "h2"]
+    assert docnos_of(store, adaptive)[:4] == ["v1", "v2", "h1", "h2"]
+
+
+@pytest.mark.parametrize("param", [{"fb_docs": 0}, {"fb_terms": -3}, {"orig_weight": 1.5}])
+def test_rm3_invalid_parameter_raises_before_the_first_ranker_call(param):
+    docs = {f"d{i}": f"shared term{i}" for i in range(6)}
+    store = make_store(docs)
+    recorder = RecordingRanker(IdentityRanker())
+    cfg = RerankConfig(w=2, b=1, c=5)
+    with pytest.raises(ValueError, match=f"rm3 {next(iter(param))} must be"):
+        slidegar_rm3(Q, ids_of(store, list(docs)), recorder, build_index(store), cfg, store, **param)
+    assert recorder.seen == []
+
+
+def test_rm3_without_usable_terms_consumes_r0_alone():
+    # a stopword query over stopword-only docs leaves no expansion term, so
+    # every feedback half comes back empty and R0 fills the windows
+    docs = {f"d{i}": "the and of" for i in range(6)}
+    store = make_store(docs)
+    cfg = RerankConfig(w=2, b=1, c=4)
+    r0 = ids_of(store, list(docs))
+    result = slidegar_rm3(Query("q1", "the"), r0, IdentityRanker(), build_index(store), cfg, store)
+    assert docnos_of(store, result.ranking) == ["d0", "d3", "d2", "d1"]
+    assert result.calls == expected_llm_calls(cfg)
 
 
 # --- window-loop invariants of the baseline and the rm3 variant ---
@@ -366,19 +391,19 @@ def test_baseline_and_rm3_window_loop_invariants(instance, swap_prob, seed):
     hits: set[str] = set()
 
     def capture(*args, **kwargs):
-        ranking = retrieve_expanded(*args, **kwargs)
-        hits.update(sd.docno for sd in ranking)
-        return ranking
+        ids = retrieve_expanded(*args, **kwargs)
+        hits.update(docnos_of(store, ids))
+        return ids
 
     for strategy in ("baseline", "rm3"):
         ranker = RecordingRanker(NoisyOracleRanker({"q1": grades}, swap_prob=swap_prob, seed=seed))
         if strategy == "baseline":
-            result = sliding_window_baseline(query, r0_of(r0), ranker, cfg, store)
+            result = sliding_window_baseline(query, ids_of(store, r0), ranker, cfg, store)
         else:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(adaptive_rerank, "retrieve_expanded", capture)
-                result = slidegar_rm3(query, r0_of(r0), ranker, index, cfg, store)
-        got = [sd.docno for sd in result.ranking]
+                result = slidegar_rm3(query, ids_of(store, r0), ranker, index, cfg, store)
+        got = docnos_of(store, result.ranking)
         assert len(set(got)) == len(got) <= cfg.c
         assert result.calls == len(ranker.seen) >= 1
         if strategy == "baseline":
@@ -409,12 +434,10 @@ def test_window_loop_fills_every_window_until_sources_run_dry(instance, swap_pro
     query = Query("q1", text)
 
     def rm3_feedback(batch, blocked, n):
-        try:
-            expanded = rm3_expand(index, query, pseudo_scores([store.doc_id(d) for d in batch[: cfg.b]]))
-        except ValueError:
+        expanded = rm3_expand(index, query, pseudo_scores(ids_of(store, batch[: cfg.b])))
+        if expanded is None:
             return []
-        exclude = {store.doc_id(d) for d in blocked}
-        return [sd.docno for sd in retrieve_expanded(index, expanded, n, exclude=exclude)]
+        return docnos_of(store, retrieve_expanded(index, expanded, n, exclude=set(ids_of(store, blocked))))
 
     strategies = {  # the engine's feedback source, then the simulator's feedback_fn
         "slidegar": ("neighbours", graph_feedback(lambda d: adjacency.get(d, []), cfg.truncate_k)),
@@ -434,18 +457,18 @@ def test_window_loop_fills_every_window_until_sources_run_dry(instance, swap_pro
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(adaptive_rerank, source, count("engine", getattr(adaptive_rerank, source)))
             if strategy == "slidegar":
-                result = slidegar(query, r0_of(r0), ranker, graph, cfg, store)
+                result = slidegar(query, ids_of(store, r0), ranker, graph, cfg, store)
             else:
-                result = slidegar_rm3(query, r0_of(r0), ranker, index, cfg, store)
+                result = slidegar_rm3(query, ids_of(store, r0), ranker, index, cfg, store)
         sim_ranker = NoisyOracleRanker({"q1": grades}, swap_prob=swap_prob, seed=seed)
 
         def rank_fn(docnos):
-            return list(sim_ranker.rank(Window(query=query, docs=tuple((d, docs[d]) for d in docnos))).ordering)
+            return list(sim_ranker.rank(Window(query=query, docs=tuple((d, docs[d]) for d in docnos))))
 
         expected, calls, _ = simulate_window_loop(
             r0, rank_fn, count("simulator", feedback_fn), cfg.w, cfg.b, cfg.c
         )
-        assert [sd.docno for sd in result.ranking] == expected
+        assert docnos_of(store, result.ranking) == expected
         assert result.calls == calls == len(ranker.seen) <= expected_llm_calls(cfg)
         assert asked["engine"] == asked["simulator"]  # feedback is asked only when a window needs it
 
@@ -479,7 +502,7 @@ def test_window_loop_fills_every_window_until_sources_run_dry(instance, swap_pro
 def test_telemetry_record_fields():
     store, graph, ranker = trace_fixture()
     cfg = RerankConfig(w=2, b=1, c=4, truncate_k=1)
-    r0 = r0_of(["d1", "d2", "d3", "d4"])
+    r0 = ids_of(store, ["d1", "d2", "d3", "d4"])
     record = telemetry_record("q1", r0, slidegar(Q, r0, ranker, graph, cfg, store))
     assert record["qid"] == "q1"
     assert record["llm_calls"] == 3

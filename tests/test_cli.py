@@ -1,9 +1,11 @@
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,9 +13,9 @@ import pytest
 import slidegar
 from slidegar import cli
 from slidegar.cli import main
-from slidegar.corpus_store import Query, ingest_corpus
+from slidegar.corpus_store import Query, ingest_corpus, load_queries
 from slidegar.eval import read_run
-from slidegar.lexical_index import bm25_retrieve, build_index
+from slidegar.lexical_index import bm25_retrieve, build_index, tokenize, top_docs
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +76,7 @@ def test_baseline_identity_run_equals_bm25_order(workspace, tmp_path):
     manifest = json.loads((workspace / "data" / "spec.json").read_text())
     for info in manifest["queries"]:
         expected = bm25_retrieve(index, Query(info["qid"], " ".join(info["query_terms"])), 12)
-        assert [sd.docno for sd in run[info["qid"]]] == [sd.docno for sd in expected]
+        assert run[info["qid"]] == [store.docnos[i] for i in expected]
 
 
 def test_run_is_byte_identical_across_invocations(workspace, tmp_path):
@@ -175,6 +177,22 @@ def test_telemetry_per_query_fields(workspace, tmp_path):
         for key in ("qid", "llm_calls", "first_stage_ms", "bookkeeping_ms", "ranker_ms", "escaped_docs"):
             assert key in record
         assert record["first_stage_ms"] >= 0.0
+
+
+def test_escaped_docs_count_run_docnos_outside_bm25_top_c(workspace, tmp_path):
+    run_out, tel = tmp_path / "r.trec", tmp_path / "t.jsonl"
+    cfg = base_config(workspace, run_out=str(run_out), telemetry_out=str(tel))
+    assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
+    run, _ = read_run(run_out)
+    records = {r["qid"]: r for r in map(json.loads, tel.read_text().splitlines()) if r["type"] == "query"}
+    store, _ = ingest_corpus(workspace / "data" / "corpus.tsv")
+    index = build_index(store)
+    queries = load_queries(workspace / "data" / "queries.tsv")
+    assert sorted(records) == sorted(run) == sorted(q.qid for q in queries)
+    for query in queries:
+        top_c = {store.docnos[i] for i, _ in top_docs(index, Counter(tokenize(query.text)), cfg["c"])}
+        assert records[query.qid]["escaped_docs"] == len(set(run[query.qid]) - top_c), query.qid
+    assert sum(r["escaped_docs"] for r in records.values()) > 0
 
 
 def test_telemetry_marks_skipped_setup_steps(workspace, tmp_path):
@@ -293,6 +311,42 @@ def test_config_validation_errors(workspace, tmp_path, capsys):
     cfg["mystery_knob"] = 1
     assert main(["run", "--config", write_config(tmp_path / "bad2.json", cfg)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("fb_docs", 0), ("fb_terms", -3), ("orig_weight", 1.5)])
+def test_invalid_rm3_value_fails_config(workspace, tmp_path, capsys, key, value):
+    run_out = tmp_path / "r.trec"
+    cfg_path = write_config(tmp_path / "cfg.json", base_config(
+        workspace, strategy="slidegar_rm3", rm3={key: value}, run_out=str(run_out),
+    ))
+    with pytest.raises(ValueError, match=f"rm3 {key} must be"):  # at load time, before any set-up
+        cli.load_config(cfg_path)
+    assert main(["run", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: rm3 {key} must be {'a number in [0, 1]' if key == 'orig_weight' else 'an integer >= 1'}, "
+                   f"got {value!r}"]
+    assert not run_out.exists()
+
+
+def test_eval_invalid_utf8_names_line(workspace, tmp_path, capsys):
+    run_path = tmp_path / "r.trec"
+    run_path.write_bytes(b"q1 Q0 d\xff1 1 1.0 t\n")
+    assert main(["eval", "--run", str(run_path), "--qrels", str(workspace / "data" / "qrels.txt")]) == 2
+    assert capsys.readouterr().err == f"error: {run_path}:1: invalid UTF-8 (invalid start byte)\n"
+
+
+def test_invalid_utf8_in_index_docnos_fails_at_load(workspace, tmp_path, capsys):
+    index_dir = tmp_path / "index"
+    shutil.copytree(workspace / "index", index_dir)
+    docnos = index_dir / "docnos.txt"
+    data = docnos.read_bytes()
+    docnos.write_bytes(data + b"d\xff\n")
+    run_out = tmp_path / "r.trec"
+    cfg = base_config(workspace, index_dir=str(index_dir), run_out=str(run_out))
+    assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
+    line = data.count(b"\n") + 1
+    assert capsys.readouterr().err == f"error: {docnos}:{line}: invalid UTF-8 (invalid start byte)\n"
+    assert not run_out.exists()
 
 
 def test_build_index_with_dedup_writes_report(tmp_path, capsys):

@@ -19,10 +19,8 @@ from slidegar.dense_index import EmbeddingTable
 from slidegar.lexical_index import build_index, tokenize
 
 
-def dense_table(vectors, names=None):
-    matrix = np.asarray(vectors, dtype=np.float32)
-    names = names or [f"d{i}" for i in range(len(matrix))]
-    return EmbeddingTable(matrix, names)
+def dense_table(vectors):
+    return EmbeddingTable(np.asarray(vectors, dtype=np.float32))
 
 
 def brute_force_dense(matrix, k):
@@ -187,19 +185,20 @@ def test_build_invariant_under_insertion_order():
     rng = np.random.default_rng(24)
     names = [f"d{i}" for i in range(20)]
     vectors = rng.normal(size=(20, 4)).astype(np.float32)
-    graph_a = build_graph_dense(dense_table(vectors, names), 5)
+    graph_a = build_graph_dense(dense_table(vectors), 5)
 
     perm = list(range(20))
     random.Random(1).shuffle(perm)
-    graph_b = build_graph_dense(dense_table(vectors[perm], [names[i] for i in perm]), 5)
+    names_b = [names[i] for i in perm]
+    graph_b = build_graph_dense(dense_table(vectors[perm]), 5)
 
-    def as_docnos(graph):
+    def as_docnos(graph, docnos):
         return {
-            graph.docnos[i]: [graph.docnos[j] for j in row if j != SENTINEL]
+            docnos[i]: [docnos[j] for j in row if j != SENTINEL]
             for i, row in enumerate(graph.adjacency.tolist())
         }
 
-    assert as_docnos(graph_a) == as_docnos(graph_b)
+    assert as_docnos(graph_a, names) == as_docnos(graph_b, names_b)
 
 
 # --- neighbours ---
@@ -208,8 +207,8 @@ def test_build_invariant_under_insertion_order():
 def test_neighbours_two_source_example():
     names = ["d2", "d4", "d7", "d8", "d9"]
     graph = graph_from_dict({"d4": ["d7", "d9"], "d2": ["d9", "d8"]}, names, 2)
-    batch = [(names.index("d4"), 1 / 1), (names.index("d2"), 1 / 2)]
-    result = [graph.docnos[i] for i in neighbours(graph, batch, 2)]
+    order = [names.index("d4"), names.index("d2")]
+    result = [names[i] for i in neighbours(graph, order, 2)]
     assert result == ["d7", "d9", "d8"]
 
 
@@ -223,8 +222,8 @@ def test_neighbours_truncation_one_per_source():
     graph = graph_from_dict(
         {"s1": ["n1", "n4"], "s2": ["n2", "n4"], "s3": ["n3", "n4"]}, names, 2
     )
-    batch = [(names.index(s), 1 / (i + 1)) for i, s in enumerate(["s1", "s2", "s3"])]
-    result = [graph.docnos[i] for i in neighbours(graph, batch, 1)]
+    order = [names.index(s) for s in ["s1", "s2", "s3"]]
+    result = [names[i] for i in neighbours(graph, order, 1)]
     assert result == ["n1", "n2", "n3"]
     assert len(result) <= 3
 
@@ -232,8 +231,8 @@ def test_neighbours_truncation_one_per_source():
 def test_neighbours_excludes_batch_and_deduplicates():
     names = ["a", "b", "c", "d"]
     graph = graph_from_dict({"a": ["b", "c"], "b": ["c", "d"]}, names, 2)
-    batch = [(names.index("a"), 1.0), (names.index("b"), 0.5)]
-    result = [graph.docnos[i] for i in neighbours(graph, batch, 2)]
+    order = [names.index("a"), names.index("b")]
+    result = [names[i] for i in neighbours(graph, order, 2)]
     assert result == ["c", "d"]  # b excluded (in batch), c deduplicated
 
 
@@ -250,22 +249,22 @@ def test_neighbours_truncation_monotone():
     graph = graph_from_dict(adjacency, names, 6)
     for _ in range(20):
         sources = rng.sample(names, rng.randint(1, 5))
-        batch = [(names.index(s), 1 / (i + 1)) for i, s in enumerate(sources)]
+        order = [names.index(s) for s in sources]
         for tk in range(0, 6):
-            shallow = neighbours(graph, batch, tk)
-            deeper = neighbours(graph, batch, tk + 1)
+            shallow = neighbours(graph, order, tk)
+            deeper = neighbours(graph, order, tk + 1)
             assert set(shallow) <= set(deeper)
             assert len(set(shallow)) == len(shallow)
-            assert not set(shallow) & {doc_id for doc_id, _ in batch}
+            assert not set(shallow) & set(order)
 
 
 def test_neighbours_truncate_subsequence_when_sources_disjoint():
     names = ["s1", "s2", "a", "b", "c", "d", "e", "f"]
     graph = graph_from_dict({"s1": ["a", "b", "c"], "s2": ["d", "e", "f"]}, names, 3)
-    batch = [(names.index("s1"), 1.0), (names.index("s2"), 0.5)]
-    deep = neighbours(graph, batch, 3)
+    order = [names.index("s1"), names.index("s2")]
+    deep = neighbours(graph, order, 3)
     for tk in range(0, 4):
-        shallow = neighbours(graph, batch, tk)
+        shallow = neighbours(graph, order, tk)
         it = iter(deep)
         assert all(x in it for x in shallow)  # subsequence of the deeper output
 
@@ -273,8 +272,8 @@ def test_neighbours_truncate_subsequence_when_sources_disjoint():
 def test_neighbours_truncate_k_validation():
     graph = graph_from_dict({}, ["a", "b"], 2)
     with pytest.raises(ValueError):
-        neighbours(graph, [(0, 1.0)], 3)
-    assert neighbours(graph, [(0, 1.0)], 0) == []
+        neighbours(graph, [0], 3)
+    assert neighbours(graph, [0], 0) == []
 
 
 # --- persistence ---
@@ -283,11 +282,12 @@ def test_neighbours_truncate_k_validation():
 def test_graph_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(26)
     names = [f"doc{i:02d}" for i in range(12)]
-    graph = build_graph_dense(dense_table(rng.normal(size=(12, 3)).astype(np.float32), names), 4)
-    save_graph(tmp_path / "graph.bin", graph)
-    loaded = load_graph(tmp_path / "graph.bin", make_store({n: "text" for n in names}))
+    graph = build_graph_dense(dense_table(rng.normal(size=(12, 3)).astype(np.float32)), 4)
+    store = make_store({n: "text" for n in names})
+    save_graph(tmp_path / "graph.bin", graph, store)
+    loaded = load_graph(tmp_path / "graph.bin", store)
     assert (loaded.adjacency == graph.adjacency).all()
-    assert loaded.docnos == names
+    assert len(loaded) == len(names)
     assert loaded.k == 4 and loaded.source == "dense"
     docnos_txt = (tmp_path / "docnos.txt").read_text().splitlines()
     assert docnos_txt == names
@@ -298,7 +298,7 @@ def test_graph_header_fields(tmp_path):
 
     store = make_store({"a": "cat dog", "b": "cat dog", "c": "zebra foo"})
     graph = build_graph_lexical(build_index(store), store, 2)
-    save_graph(tmp_path / "g.bin", graph)
+    save_graph(tmp_path / "g.bin", graph, store)
     with open(tmp_path / "g.bin", "rb") as f:
         header = json.loads(f.readline())
     assert header == {"version": 1, "k": 2, "count": 3, "source": "lexical", "sentinel": 4294967295}
@@ -309,7 +309,7 @@ def test_graph_header_fields(tmp_path):
 def test_graph_load_rejects_bad_sizes(tmp_path):
     store = make_store({"a": "cat dog", "b": "cat dog"})
     graph = build_graph_lexical(build_index(store), store, 1)
-    save_graph(tmp_path / "g.bin", graph)
+    save_graph(tmp_path / "g.bin", graph, store)
     data = (tmp_path / "g.bin").read_bytes()
     (tmp_path / "g.bin").write_bytes(data[:-4])
     with pytest.raises(ValueError, match="adjacency bytes"):
@@ -326,7 +326,7 @@ def test_graph_load_rejects_bad_sizes(tmp_path):
 )
 def test_graph_load_rejects_malformed_header(tmp_path, header, message):
     store = make_store({"a": "cat dog", "b": "cat dog"})
-    save_graph(tmp_path / "g.bin", build_graph_lexical(build_index(store), store, 1))
+    save_graph(tmp_path / "g.bin", build_graph_lexical(build_index(store), store, 1), store)
     body = (tmp_path / "g.bin").read_bytes().split(b"\n", 1)[1]
     (tmp_path / "g.bin").write_bytes(header + b"\n" + body)
     with pytest.raises(ValueError, match=message):
@@ -338,18 +338,18 @@ def test_graph_load_rejects_neighbour_ids_out_of_range(tmp_path):
     graph = build_graph_lexical(build_index(store), store, 2)
     graph.adjacency[1, 1] = 3  # == count: not a doc id and not the sentinel
     graph.adjacency[2, 0] = 7
-    save_graph(tmp_path / "g.bin", graph)
+    save_graph(tmp_path / "g.bin", graph, store)
     with pytest.raises(ValueError, match=r"g\.bin: row 1: neighbour id 3 is not below count 3"):
         load_graph(tmp_path / "g.bin", store)
     graph.adjacency[1:, :] = SENTINEL  # sentinels are not ids
-    save_graph(tmp_path / "g.bin", graph)
+    save_graph(tmp_path / "g.bin", graph, store)
     assert load_graph(tmp_path / "g.bin", store).adjacency[1:].tolist() == [[SENTINEL] * 2] * 2
 
 
 def test_graph_load_rejects_docnos_of_another_corpus(tmp_path):
     store = make_store({"a": "cat dog", "b": "cat bird", "c": "dog bird"})
-    save_graph(tmp_path / "g.bin", build_graph_lexical(build_index(store), store, 1))
+    save_graph(tmp_path / "g.bin", build_graph_lexical(build_index(store), store, 1), store)
     reordered = make_store({"a": "cat dog", "c": "dog bird", "b": "cat bird"})
     with pytest.raises(ValueError, match=r"docnos\.txt:2: docnos do not match"):
         load_graph(tmp_path / "g.bin", reordered)
-    assert load_graph(tmp_path / "g.bin", store).docnos is store.docnos
+    assert len(load_graph(tmp_path / "g.bin", store)) == 3

@@ -111,8 +111,7 @@ def test_dense_retrieve_orthogonal(tmp_path):
     store = store_for(["d0", "d1"])
     path = write_table(tmp_path / "e.bin", 2, [("d0", [1, 0]), ("d1", [0, 1])])
     table = load_embeddings(path, store)
-    result = dense_retrieve(table, np.array([1.0, 0.0]), 1)
-    assert [sd.docno for sd in result] == ["d0"]
+    assert dense_retrieve(table, np.array([1.0, 0.0]), 1) == [store.doc_id("d0")]
 
 
 def test_dense_retrieve_k_past_corpus_returns_all_sorted(tmp_path):
@@ -120,7 +119,7 @@ def test_dense_retrieve_k_past_corpus_returns_all_sorted(tmp_path):
     path = write_table(tmp_path / "e.bin", 2, [("a", [1, 0]), ("b", [3, 0]), ("c", [2, 0])])
     table = load_embeddings(path, store)
     result = dense_retrieve(table, np.array([1.0, 0.0]), 99)
-    assert [sd.docno for sd in result] == ["b", "c", "a"]
+    assert [store.docnos[i] for i in result] == ["b", "c", "a"]
 
 
 def test_dense_retrieve_k_validation(tmp_path):
@@ -141,7 +140,7 @@ def test_dense_retrieve_matches_full_sort_oracle(tmp_path):
         write_table(tmp_path / "e.bin", 8, list(zip(names, vectors))), store
     )
     query = rng.normal(size=8).astype(np.float32)
-    got = [sd.docno for sd in dense_retrieve(table, query, 10)]
+    got = [store.docnos[i] for i in dense_retrieve(table, query, 10)]
     # independent oracle: full python sort over explicitly computed dot products
     scored = [(-float(np.dot(v, query)), i) for i, v in enumerate(vectors)]
     scored.sort()
@@ -175,8 +174,8 @@ def test_insertion_order_determinism(tmp_path):
         store_for(shuffled_names),
     )
     query = rng.normal(size=5)
-    assert [sd.docno for sd in dense_retrieve(table_a, query, 10)] == [
-        sd.docno for sd in dense_retrieve(table_b, query, 10)
+    assert [names[i] for i in dense_retrieve(table_a, query, 10)] == [
+        shuffled_names[i] for i in dense_retrieve(table_b, query, 10)
     ]
 
 

@@ -13,23 +13,18 @@ from slidegar.eval import (
     recall_at,
     write_run,
 )
-from slidegar.ranking import ScoredDoc
-
-
-def rank_of(docnos):
-    return [ScoredDoc(d, 1.0 / (i + 1)) for i, d in enumerate(docnos)]
 
 
 def test_ndcg_perfect_single_doc():
-    assert ndcg_at(rank_of(["a"]), {"a": 1}) == 1.0
+    assert ndcg_at(["a"], {"a": 1}) == 1.0
 
 
 def test_ndcg_zero_when_no_relevant_retrieved():
-    assert ndcg_at(rank_of(["x", "y", "z"]), {"a": 2}, cutoff=3) == 0.0
+    assert ndcg_at(["x", "y", "z"], {"a": 2}, cutoff=3) == 0.0
 
 
 def test_ndcg_worked_example():
-    got = ndcg_at(rank_of(["a", "b", "c"]), {"a": 2, "b": 3, "c": 0}, cutoff=10)
+    got = ndcg_at(["a", "b", "c"], {"a": 2, "b": 3, "c": 0}, cutoff=10)
     dcg = 2 / math.log2(2) + 3 / math.log2(3)
     idcg = 3 / math.log2(2) + 2 / math.log2(3)
     assert abs(got - dcg / idcg) < 1e-9
@@ -43,26 +38,26 @@ def test_ndcg_ideal_is_one_whenever_positive_grade_exists():
         if not any(grades.values()):
             grades["d0"] = 1
         ideal = [d for d, _ in sorted(grades.items(), key=lambda kv: (-kv[1], kv[0]))]
-        assert abs(ndcg_at(rank_of(ideal), grades) - 1.0) < 1e-12
+        assert abs(ndcg_at(ideal, grades) - 1.0) < 1e-12
 
 
 def test_ndcg_invariant_past_cutoff():
     grades = {"a": 3, "b": 1, "c": 2, "d": 1}
     head = ["a", "c"]
-    tail_one = rank_of(head + ["b", "d"])
-    tail_two = rank_of(head + ["d", "b"])
+    tail_one = head + ["b", "d"]
+    tail_two = head + ["d", "b"]
     assert ndcg_at(tail_one, grades, cutoff=2) == ndcg_at(tail_two, grades, cutoff=2)
 
 
 def test_ndcg_ideal_uses_unretrieved_grades():
     # the only relevant doc is not retrieved; idcg must still count it
-    assert ndcg_at(rank_of(["x"]), {"a": 3}, cutoff=5) == 0.0
-    got = ndcg_at(rank_of(["a"]), {"a": 1, "b": 3}, cutoff=1)
+    assert ndcg_at(["x"], {"a": 3}, cutoff=5) == 0.0
+    got = ndcg_at(["a"], {"a": 1, "b": 3}, cutoff=1)
     assert abs(got - 1.0 / 3.0) < 1e-9
 
 
 def test_ndcg_exponential_gain_flag():
-    got = ndcg_at(rank_of(["a", "b"]), {"a": 1, "b": 2}, cutoff=2, exponential=True)
+    got = ndcg_at(["a", "b"], {"a": 1, "b": 2}, cutoff=2, exponential=True)
     dcg = 1 / math.log2(2) + 3 / math.log2(3)
     idcg = 3 / math.log2(2) + 1 / math.log2(3)
     assert abs(got - dcg / idcg) < 1e-9
@@ -70,22 +65,22 @@ def test_ndcg_exponential_gain_flag():
 
 def test_recall_basics():
     grades = {f"r{i}": 1 for i in range(5)}
-    assert recall_at(rank_of([f"r{i}" for i in range(5)]), grades, cutoff=50) == 1.0
-    assert recall_at(rank_of(["x", "y"]), grades, cutoff=50) == 0.0
-    three_found = rank_of(["r0", "x", "r1", "y", "r2"])
+    assert recall_at([f"r{i}" for i in range(5)], grades, cutoff=50) == 1.0
+    assert recall_at(["x", "y"], grades, cutoff=50) == 0.0
+    three_found = ["r0", "x", "r1", "y", "r2"]
     assert recall_at(three_found, grades, cutoff=50) == pytest.approx(0.6)
 
 
 def test_recall_threshold():
     grades = {"a": 2, "b": 1, "c": 0}
-    ranking = rank_of(["a", "b", "c"])
+    ranking = ["a", "b", "c"]
     assert recall_at(ranking, grades, cutoff=1, rel_threshold=2) == 1.0
     assert recall_at(ranking, grades, cutoff=1, rel_threshold=1) == 0.5
 
 
 def test_recall_none_when_no_relevant():
-    assert recall_at(rank_of(["a"]), {"a": 0}, cutoff=5) is None
-    assert recall_at(rank_of(["a"]), {}, cutoff=5) is None
+    assert recall_at(["a"], {"a": 0}, cutoff=5) is None
+    assert recall_at(["a"], {}, cutoff=5) is None
 
 
 def test_recall_monotone_in_cutoff():
@@ -96,8 +91,7 @@ def test_recall_monotone_in_cutoff():
             grades["d0"] = 1
         order = list(grades)
         rng.shuffle(order)
-        ranking = rank_of(order)
-        values = [recall_at(ranking, grades, cutoff=k) for k in range(1, 16)]
+        values = [recall_at(order, grades, cutoff=k) for k in range(1, 16)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -111,9 +105,9 @@ def test_parse_metric():
 
 def test_evaluate_run_report():
     run = {
-        "q1": rank_of(["a", "b"]),
-        "q2": rank_of(["x"]),
-        "q3": rank_of(["y"]),  # no relevant docs at all
+        "q1": ["a", "b"],
+        "q2": ["x"],
+        "q3": ["y"],  # no relevant docs at all
     }
     qrels = {"q1": {"a": 2, "b": 0}, "q2": {"x": 1, "z": 1}, "q3": {"y": 0}}
     report = evaluate_run(run, qrels, ["ndcg@10", "recall@10"])
@@ -133,8 +127,8 @@ def test_evaluate_run_report():
 
 def test_run_file_roundtrip(tmp_path):
     run = {
-        "q2": rank_of(["d3", "d1"]),
-        "q1": rank_of(["d2", "d9", "d4"]),
+        "q2": ["d3", "d1"],
+        "q1": ["d2", "d9", "d4"],
     }
     path = tmp_path / "run.trec"
     write_run(path, run, tag="mytag")
@@ -144,6 +138,15 @@ def test_run_file_roundtrip(tmp_path):
     loaded, tag = read_run(path)
     assert tag == "mytag"
     assert loaded == run
+
+
+def test_run_file_lines_end_at_newline_only(tmp_path):
+    path = tmp_path / "run.trec"
+    path.write_bytes(b"q1 Q0 d1 1 1.0 t\r\nq1 Q0 d2 2 0.5 t\r\n")  # a trailing \r is stripped
+    assert read_run(path) == ({"q1": ["d1", "d2"]}, "t")
+    path.write_bytes(b"q1 Q0 d1 1 1.0 t\rq1 Q0 d2 2 0.5 t\n")  # a lone \r ends no line
+    with pytest.raises(ValueError, match=r"run\.trec:1: expected 6 columns"):
+        read_run(path)
 
 
 def test_run_file_validation(tmp_path):
@@ -160,35 +163,34 @@ def test_run_file_validation(tmp_path):
     path.write_text("q1 Q0 d1 1\n")
     with pytest.raises(ValueError, match="6 columns"):
         read_run(path)
+    path.write_bytes(b"q1 Q0 d1 1 1.0 t\nq1 Q0 d\xff2 2 0.5 t\n")
+    with pytest.raises(ValueError, match=r"bad\.trec:2: invalid UTF-8 \(invalid start byte\)$"):
+        read_run(path)
 
 
 def test_report_json_shape():
     import json
 
-    report = evaluate_run({"q1": rank_of(["a"])}, {"q1": {"a": 1}}, ["ndcg@10"])
+    report = evaluate_run({"q1": ["a"]}, {"q1": {"a": 1}}, ["ndcg@10"])
     payload = json.loads(report.to_json())
     assert payload["means"]["ndcg@10"] == 1.0
     assert payload["per_query"]["ndcg@10"]["q1"] == 1.0
 
 
-def test_scored_doc_score_written_verbatim(tmp_path):
+def test_run_score_is_reciprocal_rank(tmp_path):
     path = tmp_path / "r.trec"
-    write_run(path, {"q": [ScoredDoc("d", 1 / 3)]}, tag="t")
-    assert f"{1 / 3}" in path.read_text()
+    write_run(path, {"q": ["a", "b", "d"]}, tag="t")
+    assert path.read_text().splitlines()[2] == f"q Q0 d 3 {1 / 3} t"
 
 
 # no whitespace: run columns are whitespace-split
 NAME = st.text("ab09-_.:/#é中𝔸", min_size=1, max_size=6)
-RANKING = st.lists(st.tuples(NAME, st.floats(allow_nan=False)), min_size=1, max_size=6, unique_by=lambda p: p[0])
+RANKING = st.lists(NAME, min_size=1, max_size=6, unique=True)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.dictionaries(NAME, RANKING, min_size=1, max_size=4), NAME)
-def test_run_file_roundtrip_property(tmp_path_factory, pairs, tag):
-    run = {}
-    for qid, ranking in pairs.items():
-        scores = sorted((score for _, score in ranking), reverse=True)  # a run's scores never increase
-        run[qid] = [ScoredDoc(docno, score) for (docno, _), score in zip(ranking, scores)]
+def test_run_file_roundtrip_property(tmp_path_factory, run, tag):
     path = tmp_path_factory.mktemp("run") / "run.trec"
     write_run(path, run, tag=tag)
     assert read_run(path) == (run, tag)

@@ -20,6 +20,7 @@ from slidegar.lexical_index import (
     rm3_expand,
     save_index,
     tokenize,
+    top_docs,
 )
 
 CSR_FIELDS = ("offsets", "doc_ids", "tfs", "norm", "doc_offsets", "doc_term_ids", "doc_tfs")
@@ -64,9 +65,11 @@ def test_bm25_worked_example():
     result = bm25_retrieve(index, Query("q", "cat"), 10)
     # independent scalar evaluation of the scoring formula
     expected = math.log(1 + (2 - 1 + 0.5) / (1 + 0.5)) * (2 * 2.2) / (2 + 1.2 * (0.25 + 0.75 * 3 / 3))
-    assert [sd.docno for sd in result] == ["d1"]
-    assert result[0].score == pytest.approx(expected, abs=1e-12)
-    assert result[0].score == pytest.approx(0.9530773732699248, abs=1e-12)
+    assert [store.docnos[i] for i in result] == ["d1"]
+    [(doc_id, score)] = top_docs(index, {"cat": 1}, 10)
+    assert doc_id == result[0]
+    assert score == pytest.approx(expected, abs=1e-12)
+    assert score == pytest.approx(0.9530773732699248, abs=1e-12)
 
 
 def test_bm25_unknown_terms_empty():
@@ -96,10 +99,11 @@ def test_bm25_scores_non_increasing_no_duplicates():
     for _ in range(20):
         query = Query("q", " ".join(rng.choices(vocab, k=3)))
         result = bm25_retrieve(index, query, 15)
-        scores = [sd.score for sd in result]
+        hits = top_docs(index, Counter(tokenize(query.text)), 15)
+        assert result == [doc_id for doc_id, _ in hits]
+        scores = [score for _, score in hits]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
-        names = [sd.docno for sd in result]
-        assert len(set(names)) == len(names)
+        assert len(set(result)) == len(result)
 
 
 def test_bm25_prefix_monotonicity():
@@ -176,6 +180,11 @@ def test_rm3_validation():
         rm3_expand(index, Query("q", "cat"), [(0, 1.0)], fb_terms=0)
 
 
+def test_rm3_without_usable_terms_is_none():
+    store = make_store({"a": "the of", "b": "cat"})
+    assert rm3_expand(build_index(store), Query("q", "the"), [(0, 1.0)]) is None
+
+
 def test_rm3_all_stopword_query_uses_expansion_only():
     _, index = two_doc_index()
     eq = rm3_expand(index, Query("q", "the and of"), [(0, 1.0)], orig_weight=0.6)
@@ -192,7 +201,7 @@ def test_expanded_single_term_matches_bm25():
     eq = ExpandedQuery({"dog": 0.37})
     expanded = retrieve_expanded(index, eq, 10)
     plain = bm25_retrieve(index, Query("q", "dog"), 10)
-    assert [sd.docno for sd in expanded] == [sd.docno for sd in plain]
+    assert expanded == plain
 
 
 def test_expanded_exclude_everything():
@@ -202,16 +211,18 @@ def test_expanded_exclude_everything():
 
 
 def test_expanded_weighted_hand_computation():
-    _, index = two_doc_index()
+    store, index = two_doc_index()
     eq = ExpandedQuery({"cat": 0.8667, "dog": 0.1333})
     result = retrieve_expanded(index, eq, 10)
+    hits = top_docs(index, eq.weights, 10)
     idf_cat = math.log(1 + (2 - 1 + 0.5) / (1 + 0.5))
     idf_dog = math.log(1 + (2 - 2 + 0.5) / (2 + 0.5))
     d1 = 0.8667 * idf_cat * 2 * 2.2 / (2 + 1.2) + 0.1333 * idf_dog * 1 * 2.2 / (1 + 1.2)
     d2 = 0.1333 * idf_dog * 3 * 2.2 / (3 + 1.2)
-    assert [sd.docno for sd in result] == ["d1", "d2"]
-    assert result[0].score == pytest.approx(d1, abs=1e-12)
-    assert result[1].score == pytest.approx(d2, abs=1e-12)
+    assert [store.docnos[i] for i in result] == ["d1", "d2"]
+    assert result == [doc_id for doc_id, _ in hits]
+    assert hits[0][1] == pytest.approx(d1, abs=1e-12)
+    assert hits[1][1] == pytest.approx(d2, abs=1e-12)
 
 
 def test_expanded_scaling_invariance():
@@ -222,7 +233,7 @@ def test_expanded_scaling_invariance():
     weights = {t: rng.random() + 0.01 for t in rng.sample(vocab, 5)}
     base = retrieve_expanded(index, ExpandedQuery(weights), 25)
     scaled = retrieve_expanded(index, ExpandedQuery({t: 7.3 * w for t, w in weights.items()}), 25)
-    assert [sd.docno for sd in base] == [sd.docno for sd in scaled]
+    assert base == scaled
 
 
 # --- persistence ---
@@ -234,7 +245,7 @@ def test_index_save_load_roundtrip(tmp_path):
     docs = {f"d{i:03d}": " ".join(rng.choices(vocab, k=rng.randint(3, 14))) for i in range(30)}
     store = make_store(docs)
     index = build_index(store)
-    save_index(index, tmp_path / "idx", dedup=False)
+    save_index(index, tmp_path / "idx", store, dedup=False)
     loaded = load_index(tmp_path / "idx", store)
     assert_same_index(loaded, index)
     assert loaded.avg_doc_length == index.avg_doc_length
@@ -246,7 +257,7 @@ def test_index_files_exact_bytes(tmp_path):
     # two docs, tiny vocabulary: the on-disk layout is checked by hand
     store = make_store({"a": "cat cat dog", "b": "dog"})
     index = build_index(store)
-    save_index(index, tmp_path / "idx")
+    save_index(index, tmp_path / "idx", store)
     doclens = (tmp_path / "idx" / "doclens.bin").read_bytes()
     assert doclens == (3).to_bytes(4, "little") + (1).to_bytes(4, "little")
     assert (tmp_path / "idx" / "terms.txt").read_bytes() == b"cat\ndog\n"
@@ -258,10 +269,17 @@ def test_index_files_exact_bytes(tmp_path):
     assert (tmp_path / "idx" / "docnos.txt").read_text() == "a\nb\n"
 
 
+def test_index_loads_docnos_with_crlf_endings(tmp_path):
+    store = make_store({"a": "cat", "b": "dog"})
+    save_index(build_index(store), tmp_path, store)
+    (tmp_path / "docnos.txt").write_bytes(b"a\r\nb\r\n")
+    assert load_index(tmp_path, store).doc_count == 2
+
+
 def test_index_load_rejects_store_mismatch(tmp_path):
     store = make_store({"a": "cat", "b": "dog"})
     index = build_index(store)
-    save_index(index, tmp_path / "idx")
+    save_index(index, tmp_path / "idx", store)
     bigger = make_store({"a": "cat", "b": "dog", "c": "bird"})
     with pytest.raises(ValueError, match="dedup"):
         load_index(tmp_path / "idx", bigger)
@@ -287,7 +305,7 @@ def test_index_codec_roundtrip_property(tmp_path_factory, docs):
     store = make_store({f"d{i}": " ".join(words) or "the" for i, words in enumerate(docs)})
     index = build_index(store)
     out = tmp_path_factory.mktemp("idx")
-    save_index(index, out)
+    save_index(index, out, store)
     assert_same_index(load_index(out, store), index)
 
 
@@ -315,9 +333,8 @@ def test_csr_engine_matches_dict_reference():
     for text in queries:
         full = refindex.cut(refindex.score_weighted_terms(ref, Counter(tokenize(text))), len(texts))
         for k in range(1, len(full) + 2):
-            expected = [(store.docnos[d], s) for d, s in full[:k]]
-            got = [(sd.docno, sd.score) for sd in bm25_retrieve(index, Query("q", text), k)]
-            assert got == expected, (text, k)
+            assert top_docs(index, Counter(tokenize(text)), k) == full[:k], (text, k)
+            assert bm25_retrieve(index, Query("q", text), k) == [d for d, _ in full[:k]], (text, k)
             straddled += 0 < k < len(full) and full[k - 1][1] == full[k][1]
     assert straddled >= 10  # ties really do straddle the k-th place
 
@@ -331,9 +348,9 @@ def test_csr_engine_matches_dict_reference():
         exclude = set(rng.sample(range(len(texts)), rng.randint(1, 30)))
         scores = refindex.score_weighted_terms(ref, reference)
         for k in (1, 3, 7, 20):
-            expected = [(store.docnos[d], s) for d, s in refindex.cut(scores, k, exclude)]
-            got = [(sd.docno, sd.score) for sd in retrieve_expanded(index, expanded, k, exclude=exclude)]
-            assert got == expected
+            expected = refindex.cut(scores, k, exclude)
+            assert top_docs(index, expanded.weights, k, exclude) == expected
+            assert retrieve_expanded(index, expanded, k, exclude=exclude) == [d for d, _ in expected]
 
 
 # --- load-time validation ---
@@ -353,6 +370,8 @@ CORRUPTIONS = {
     "meta_no_doc_count": ("meta.json", b'{"avgdl": 2.0, "version": 3}', r"meta\.json: missing doc_count$"),
     "meta_no_counts": ("meta.json", b'{"version": 3}', r"meta\.json: missing doc_count, avgdl"),
     "foreign_docnos": ("docnos.txt", b"b\na\nc\n", r"docnos\.txt:1: docnos do not match"),
+    "lone_cr_in_docnos": ("docnos.txt", b"a\rb\nc\n", r"docnos\.txt:1: docnos do not match"),
+    "invalid_utf8_docno": ("docnos.txt", b"a\nb\nc\n\xff\n", r"docnos\.txt:4: invalid UTF-8 \(invalid start byte\)$"),
     "short_doclens": ("doclens.bin", u32(3, 1), r"doclens\.bin: expected 12 bytes, found 8"),
     "no_terms": ("terms.txt", b"", r"dfs\.bin: expected 0 bytes for 0 terms, found 12"),
     "unsorted_terms": ("terms.txt", b"cat\nbird\ndog\n", r"terms\.txt:2: term 'bird' is not after 'cat'"),
@@ -376,7 +395,7 @@ CORRUPTIONS = {
 @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
 def test_index_load_rejects_corruption(tmp_path, case):
     store = make_store({"a": "cat cat dog", "b": "dog", "c": "bird cat"})
-    save_index(build_index(store), tmp_path)
+    save_index(build_index(store), tmp_path, store)
     load_index(tmp_path, store)  # the intact directory loads
     name, data, message = CORRUPTIONS[case]
     (tmp_path / name).write_bytes(data)

@@ -1,0 +1,30 @@
+"""The README's Python API example runs as written."""
+
+import ast
+import re
+from pathlib import Path
+
+from slidegar.cli import main
+from slidegar.corpus_store import ingest_corpus, load_qrels, map_qrels
+from slidegar.rankers import OracleRanker
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):
+    [block] = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    # the inputs of the README's CLI walkthrough, under the paths the example reads
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out", "data/demo", "--seed", "7"]) == 0
+    assert main([
+        "build-graph", "--corpus", "data/demo/corpus.tsv", "--source", "dense",
+        "--embeddings", "data/demo/embeddings.bin", "--k", "16", "--out", "data/demo/graph.bin",
+    ]) == 0
+    store, _ = ingest_corpus("data/demo/corpus.tsv")
+    grades, _ = map_qrels(load_qrels("data/demo/qrels.txt"), store)
+    capsys.readouterr()
+    exec(compile(block, str(README), "exec"), {"my_ranker": OracleRanker(grades)})
+    calls, top = capsys.readouterr().out.split(" ", 1)
+    assert int(calls) == 4  # ceil((50 - 20) / 10) + 1
+    top = ast.literal_eval(top)
+    assert len(top) == 10 and all(docno in store for docno in top)

@@ -48,7 +48,7 @@ def test_gap_zero_gives_perfect_bm25_recall(tmp_path):
         assert info["hidden"] == []
         relevant = set(info["visible"])
         result = bm25_retrieve(index, Query(info["qid"], " ".join(info["query_terms"])), len(relevant))
-        assert {sd.docno for sd in result} == relevant  # Recall@|relevant| = 1.0
+        assert {store.docnos[i] for i in result} == relevant  # Recall@|relevant| = 1.0
 
 
 def test_gap_half_hides_exactly_half(tmp_path):
@@ -76,18 +76,16 @@ def test_bm25_never_retrieves_hidden_docs(synth_bundle):
     for info in synth_bundle.manifest["queries"]:
         query = Query(info["qid"], " ".join(info["query_terms"]))
         result = bm25_retrieve(synth_bundle.index, query, len(synth_bundle.store))
-        assert not {sd.docno for sd in result} & set(info["hidden"])
+        assert not {synth_bundle.store.docnos[i] for i in result} & set(info["hidden"])
 
 
 def test_initial_pool_is_full_budget(synth_bundle):
     # distractor construction: BM25 must fill well past the visible docs
     for info in synth_bundle.manifest["queries"]:
         query = Query(info["qid"], " ".join(info["query_terms"]))
-        result = bm25_retrieve(synth_bundle.index, query, 50)
+        result = [synth_bundle.store.docnos[i] for i in bm25_retrieve(synth_bundle.index, query, 50)]
         assert len(result) >= 20
-        assert [sd.docno for sd in result[:5]] == sorted(info["visible"]) or {
-            sd.docno for sd in result[: len(info["visible"])]
-        } == set(info["visible"])
+        assert result[:5] == sorted(info["visible"]) or set(result[: len(info["visible"])]) == set(info["visible"])
 
 
 def test_dense_graph_connects_hidden_docs(synth_bundle):
@@ -98,7 +96,7 @@ def test_dense_graph_connects_hidden_docs(synth_bundle):
         for docno in info["hidden"]:
             total += 1
             row = graph.adjacency[synth_bundle.store.doc_id(docno)].tolist()
-            neighbours = {graph.docnos[i] for i in row if i != SENTINEL}
+            neighbours = {synth_bundle.store.docnos[i] for i in row if i != SENTINEL}
             if neighbours & visible:
                 connected += 1
     assert total > 0
