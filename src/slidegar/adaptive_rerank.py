@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from .corpus_graph import CorpusGraph, neighbours
@@ -98,13 +99,15 @@ class _QueryRun:
         self.pool = list(r0)
 
     def rank(self, ids: list[int]) -> list[int]:
-        docnos, texts = self.store.docnos, self.store.texts
-        window = Window(query=self.query, docs=tuple((docnos[i], texts[i]) for i in ids))
+        store_docnos, store_texts = self.store.docnos, self.store.texts
+        docnos = tuple([store_docnos[i] for i in ids])
+        window = Window(self.query, docnos, tuple([store_texts[i] for i in ids]))
         t0 = time.perf_counter()
         ordering = self.ranker.rank(window)
         self.ranker_s += time.perf_counter() - t0
         self.calls += 1
-        return [self.store.doc_id(docno) for docno in ordering]
+        id_of = dict(zip(docnos, ids))
+        return [id_of[docno] for docno in ordering]
 
     def result(self, ids: list[int]) -> RerankResult:
         bookkeeping_s = time.perf_counter() - self.started - self.ranker_s
@@ -131,24 +134,23 @@ def _run_window_loop(
     max_calls = expected_llm_calls(cfg)
     pool = run.pool
     blocked = set(pool)
-    dumped: list[tuple[int, int, int]] = []  # (doc id, iteration, window rank)
+    dumps: list[list[int]] = []  # per window, the docs it dumped, best first
+    dumped = 0
     window = pool[: cfg.w]
     cursor = len(window)
-    iteration = 0
 
     while True:
-        iteration += 1
         order = run.rank(window)
         blocked.update(order)
         l1 = order[: cfg.b]
-        for rank, doc_id in enumerate(order[cfg.b :], start=cfg.b + 1):
-            dumped.append((doc_id, iteration, rank))
-        if len(dumped) >= cfg.c - cfg.b or run.calls == max_calls:
+        dumps.append(order[cfg.b :])
+        dumped += len(dumps[-1])
+        if dumped >= cfg.c - cfg.b or run.calls == max_calls:
             break
 
         # R0 fills its own turn and tops up a short feedback half; feedback
         # tops up a short R0 half
-        feedback_turn = iteration % 2 == 1
+        feedback_turn = run.calls % 2 == 1
         fresh = feedback(order, blocked, cfg.b) if feedback_turn else []
         from_r0 = pool[cursor : cursor + cfg.b - len(fresh)]
         cursor += len(from_r0)
@@ -159,9 +161,9 @@ def _run_window_loop(
             break
         window = l1 + fresh
 
-    # Last carried champions on top, then dumps: later iterations competed
-    # against stronger carried documents, so they outrank earlier ones.
-    final = l1 + [doc_id for doc_id, _, _ in sorted(dumped, key=lambda t: (-t[1], t[2]))]
+    # Last carried champions on top, then dumps newest window first: later
+    # windows competed against stronger carried documents, so they outrank earlier ones.
+    final = l1 + [doc_id for batch in reversed(dumps) for doc_id in batch]
     return run.result(final[: cfg.c])
 
 
@@ -179,12 +181,19 @@ def slidegar(
     the batch's order, minus R0 and everything already ranked. Graph ids
     must be ``store`` ids.
     """
+    return _run_window_loop(query, r0, ranker, cfg, store, partial(fresh_neighbours, graph, cfg.truncate_k))
 
-    def feedback(order: list[int], blocked: set[int], n: int) -> list[int]:
-        frontier = neighbours(graph, order, cfg.truncate_k)
-        return [i for i in frontier if i not in blocked][:n]
 
-    return _run_window_loop(query, r0, ranker, cfg, store, feedback)
+def fresh_neighbours(graph: CorpusGraph, truncate_k: int, order: list[int], blocked: set[int], n: int) -> list[int]:
+    """The first ``n >= 1`` ids of the batch's frontier outside ``blocked``;
+    the scan of the frontier stops once it has them."""
+    fresh: list[int] = []
+    for i in neighbours(graph, order, truncate_k):
+        if i not in blocked:
+            fresh.append(i)
+            if len(fresh) == n:
+                break
+    return fresh
 
 
 def slidegar_rm3(

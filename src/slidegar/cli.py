@@ -111,15 +111,24 @@ def _validate_config(cfg: dict) -> None:
         raise ValueError(f"ranker {cfg['ranker']!r} requires qrels")
     if cfg["retriever"] == "dense" and not (cfg["embeddings"] and cfg["query_embeddings"]):
         raise ValueError("retriever 'dense' requires embeddings and query_embeddings")
+    for key in ("w", "b", "c", "truncate_k", "jobs", "seed", "retries", "rel_threshold"):
+        if type(cfg[key]) is not int:  # bool is an int subclass and is rejected too
+            raise ValueError(f"config {key!r} must be an integer, got {cfg[key]!r}")
+    for key in ("timeout", "swap_prob"):
+        if type(cfg[key]) not in (int, float):
+            raise ValueError(f"config {key!r} must be a number, got {cfg[key]!r}")
     if cfg["jobs"] < 1:
         raise ValueError("jobs must be >= 1")
+    _rerank_config(cfg)
     lexical_index.check_rm3(**cfg["rm3"])
 
 
 class _Pipeline:
     """Artifacts loaded once per config; shared by run and sweep-k."""
 
-    def __init__(self, cfg: dict) -> None:
+    def __init__(self, cfg: dict, truncate_ks: list[int] | None = None) -> None:
+        """``truncate_ks`` are the graph depths the runs will use, by default
+        the config's ``truncate_k``."""
         self.cfg = cfg
         # the telemetry's setup record: each set-up step's wall time in seconds and
         # the count of absent judgments; what the config does not need stays None
@@ -156,6 +165,10 @@ class _Pipeline:
             t0 = time.perf_counter()
             self.graph = corpus_graph.load_graph(cfg["graph"], self.store)
             self._lap("graph_load_s", t0)
+            if cfg["strategy"] == "slidegar":
+                for k in truncate_ks or [cfg["truncate_k"]]:
+                    if k > self.graph.k:
+                        raise ValueError(f"truncate_k {k} exceeds the depth k={self.graph.k} of graph {cfg['graph']}")
         self.ranker = self._make_ranker(cfg)
 
     def _lap(self, key: str, t0: float) -> None:
@@ -326,7 +339,9 @@ def cmd_sweep_k(args: argparse.Namespace) -> int:
     if not cfg["qrels"]:
         raise ValueError("sweep-k requires qrels for evaluation")
     k_list = [int(k) for k in args.k_list.split(",") if k.strip()]
-    pipeline = _Pipeline(cfg)
+    for k in k_list:
+        _rerank_config(cfg, truncate_k=k)
+    pipeline = _Pipeline(cfg, truncate_ks=k_list)
     metrics = ["ndcg@10", f"recall@{cfg['c']}"]
     rows = []
     for k in k_list:

@@ -162,9 +162,17 @@ def score_weighted_terms(index: InvertedIndex, term_weights: Mapping[str, float]
     contrib = scale * tf * (K1 + 1.0) / (tf + index.norm[ids])
     if len(lists) == 1:
         return ids, contrib
-    # bincount adds each bin's weights in input order, i.e. in term order
-    docs, inverse = np.unique(ids, return_inverse=True)
-    return docs, np.bincount(inverse, weights=contrib)
+    # np.unique(ids, return_inverse=True) by hand: ids are one ascending run
+    # per term, which a stable argsort sorts faster than unique's quicksort.
+    # bincount adds each bin's weights in input order, i.e. in term order.
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    first = np.empty(len(ids), dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=first[1:])
+    inverse = np.empty(len(ids), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return sorted_ids[first], np.bincount(inverse, weights=contrib)
 
 
 # Not routed through dense_index.top_k_ids: on RM3 calls of ~130 scores that took ~43 us a call against ~16 us here.

@@ -1,10 +1,14 @@
 """Listwise-ranker contract plus test doubles and a remote HTTP client.
 
 A listwise ranker sees a window of documents for one query and returns an
-ordering (a permutation of the window's docnos), never scores. Every
-response is verified to be a permutation: local rankers raise on violation,
-the remote client retries and finally degrades to the window's input order
-so long experiments survive a misbehaving model endpoint.
+ordering (a permutation of the window's docnos), never scores. A
+``Window(query, docnos, texts)`` holds the candidates as two parallel
+tuples, in the order the ranker sees them, and is checked once when it is
+built: non-empty, equal lengths, no repeated docno. ``ListwiseRanker.rank``
+is the only entry point. It verifies every response to be a permutation:
+local rankers raise on violation, the remote client retries and finally
+degrades to the window's input order so long experiments survive a
+misbehaving model endpoint.
 
 Wire protocol: ``POST {endpoint}/rerank`` with JSON body
 ``{"qid": ..., "query": ..., "candidates": [{"docno": ..., "text": ...}, ...]}``;
@@ -19,7 +23,7 @@ import json
 import logging
 import random
 import time
-from dataclasses import dataclass
+from typing import Sequence
 
 from .corpus_store import Query
 
@@ -30,26 +34,25 @@ log = logging.getLogger(__name__)
 MAX_DOC_TOKENS = 512
 
 
-@dataclass(frozen=True)
 class Window:
-    """One query plus an ordered slice of (docno, text) candidates."""
+    """One query plus its candidates as parallel ``docnos`` and ``texts``
+    tuples, in the order the ranker sees them."""
 
-    query: Query
-    docs: tuple[tuple[str, str], ...]
+    __slots__ = ("query", "docnos", "texts")
 
-    def __post_init__(self) -> None:
-        if not self.docs:
+    def __init__(self, query: Query, docnos: tuple[str, ...], texts: tuple[str, ...]) -> None:
+        if not docnos:
             raise ValueError("window must contain at least one document")
-        names = [docno for docno, _ in self.docs]
-        if len(set(names)) != len(names):
+        if len(docnos) != len(texts):
+            raise ValueError(f"window has {len(docnos)} docnos but {len(texts)} texts")
+        if len(set(docnos)) != len(docnos):
             raise ValueError("window contains duplicate docnos")
+        self.query = query
+        self.docnos = tuple(docnos)
+        self.texts = tuple(texts)
 
-    @property
-    def docnos(self) -> tuple[str, ...]:
-        return tuple(docno for docno, _ in self.docs)
 
-
-def is_permutation(ordering: list[str], docnos: tuple[str, ...]) -> bool:
+def is_permutation(ordering: Sequence[str], docnos: tuple[str, ...]) -> bool:
     return len(ordering) == len(docnos) and set(ordering) == set(docnos)
 
 
@@ -60,10 +63,10 @@ class ListwiseRanker:
 
     def rank(self, window: Window) -> tuple[str, ...]:
         """The window's docnos, best first, checked to be a permutation."""
-        ordering = [str(d) for d in self._order(window)]
+        ordering = tuple(map(str, self._order(window)))
         if not is_permutation(ordering, window.docnos):
             raise ValueError(f"{self.name}: response is not a permutation of the window")
-        return tuple(ordering)
+        return ordering
 
     def _order(self, window: Window) -> list[str]:
         raise NotImplementedError
@@ -163,7 +166,8 @@ class RemoteRanker(ListwiseRanker):
             "qid": window.query.qid,
             "query": window.query.text,
             "candidates": [
-                {"docno": docno, "text": truncate_doc_text(text)} for docno, text in window.docs
+                {"docno": docno, "text": truncate_doc_text(text)}
+                for docno, text in zip(window.docnos, window.texts)
             ],
         }
         body = json.dumps(payload).encode("utf-8")

@@ -141,7 +141,7 @@ def test_hand_trace_and_randomized_oracle_equivalence():
             engine_ranker, sim_ranker = make_pair(kind, grades, 777)
 
             def rank_fn(docnos):
-                window = Window(query=Q, docs=tuple((d, store.texts[store.doc_id(d)]) for d in docnos))
+                window = Window(Q, tuple(docnos), tuple(store.texts[store.doc_id(d)] for d in docnos))
                 return list(sim_ranker.rank(window))
 
             result = slidegar(Q, ids_of(store, r0), engine_ranker, graph, cfg, store)
@@ -155,7 +155,7 @@ def test_hand_trace_and_randomized_oracle_equivalence():
             engine_b, sim_b = make_pair(kind, grades, 777)
 
             def rank_fn_b(docnos):
-                window = Window(query=Q, docs=tuple((d, store.texts[store.doc_id(d)]) for d in docnos))
+                window = Window(Q, tuple(docnos), tuple(store.texts[store.doc_id(d)] for d in docnos))
                 return list(sim_b.rank(window))
 
             base = sliding_window_baseline(Q, ids_of(store, r0), engine_b, cfg, store)
@@ -171,7 +171,7 @@ def test_permutation_safety():
                 return [window.docnos[0]] * len(window.docnos)
 
         with pytest.raises(ValueError, match="permutation"):
-            Broken().rank(Window(query=Q, docs=(("a", "t"), ("b", "t"))))
+            Broken().rank(Window(Q, ("a", "b"), ("t", "t")))
 
         # a remote endpoint that keeps violating the contract: every window
         # degrades to its input order, so the run must equal the identity run

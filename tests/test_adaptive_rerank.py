@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +11,14 @@ from slidegar import adaptive_rerank
 from slidegar.adaptive_rerank import (
     RerankConfig,
     expected_llm_calls,
+    fresh_neighbours,
     pseudo_scores,
     slidegar,
     slidegar_rm3,
     sliding_window_baseline,
     telemetry_record,
 )
+from slidegar.corpus_graph import SENTINEL, CorpusGraph, neighbours
 from slidegar.corpus_store import Query
 from slidegar.lexical_index import build_index, retrieve_expanded, rm3_expand
 from slidegar.rankers import IdentityRanker, ListwiseRanker, NoisyOracleRanker, OracleRanker, Window
@@ -196,7 +199,7 @@ def run_equivalence(n_instances, seed):
         engine_ranker, sim_ranker = make_pair(kind, grades, seed)
 
         def rank_fn(docnos):
-            window = Window(query=Q, docs=tuple((d, store.texts[store.doc_id(d)]) for d in docnos))
+            window = Window(Q, tuple(docnos), tuple(store.texts[store.doc_id(d)] for d in docnos))
             return list(sim_ranker.rank(window))
 
         def neigh_fn(docno):
@@ -217,7 +220,7 @@ def run_equivalence(n_instances, seed):
         engine_b, sim_b = make_pair(kind, grades, seed)
 
         def rank_fn_b(docnos):
-            window = Window(query=Q, docs=tuple((d, store.texts[store.doc_id(d)]) for d in docnos))
+            window = Window(Q, tuple(docnos), tuple(store.texts[store.doc_id(d)] for d in docnos))
             return list(sim_b.rank(window))
 
         base = sliding_window_baseline(Q, ids_of(store, r0), engine_b, cfg, store)
@@ -413,6 +416,26 @@ def test_baseline_and_rm3_window_loop_invariants(instance, swap_prob, seed):
 
 
 @st.composite
+def frontier_instances(draw):
+    n_docs = draw(st.integers(2, 30))
+    k = draw(st.integers(1, 6))
+    slot = st.one_of(st.integers(0, n_docs - 1), st.just(SENTINEL))
+    rows = draw(st.lists(st.lists(slot, min_size=k, max_size=k), min_size=n_docs, max_size=n_docs))
+    graph = CorpusGraph(k, np.array(rows, dtype=np.uint32), "dense")
+    order = draw(st.lists(st.integers(0, n_docs - 1), min_size=1, unique=True))
+    blocked = draw(st.sets(st.integers(0, n_docs - 1)))
+    return graph, order, blocked, draw(st.integers(0, k)), draw(st.integers(1, n_docs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(frontier_instances())
+def test_fresh_neighbours_early_exit_equals_filtered_frontier(instance):
+    graph, order, blocked, truncate_k, n = instance
+    expected = [i for i in neighbours(graph, order, truncate_k) if i not in blocked][:n]
+    assert fresh_neighbours(graph, truncate_k, order, blocked, n) == expected
+
+
+@st.composite
 def loop_instances(draw):
     docs, r0, cfg, text, grades = draw(rm3_instances())
     names = list(docs)
@@ -463,7 +486,7 @@ def test_window_loop_fills_every_window_until_sources_run_dry(instance, swap_pro
         sim_ranker = NoisyOracleRanker({"q1": grades}, swap_prob=swap_prob, seed=seed)
 
         def rank_fn(docnos):
-            return list(sim_ranker.rank(Window(query=query, docs=tuple((d, docs[d]) for d in docnos))))
+            return list(sim_ranker.rank(Window(query, tuple(docnos), tuple(docs[d] for d in docnos))))
 
         expected, calls, _ = simulate_window_loop(
             r0, rank_fn, count("simulator", feedback_fn), cfg.w, cfg.b, cfg.c

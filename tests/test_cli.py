@@ -290,6 +290,16 @@ def test_sweep_k_table(workspace, tmp_path, capsys):
     assert "recall trend non-decreasing" in lines[4]
 
 
+def test_sweep_k_rejects_a_depth_beyond_the_graph_before_its_first_run(workspace, tmp_path, capsys):
+    cfg = base_config(workspace, run_out=str(tmp_path / "s.trec"), telemetry_out=str(tmp_path / "s.jsonl"))
+    assert main(["sweep-k", "--config", write_config(tmp_path / "cfg.json", cfg), "--k-list", "2,9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: truncate_k 9 exceeds the depth k=8 of graph {workspace / 'graph.bin'}\n"
+    assert main(["sweep-k", "--config", str(tmp_path / "cfg.json"), "--k-list=2,-1"]) == 2
+    assert capsys.readouterr().err == "error: truncate_k must be >= 0\n"
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["run"]) == 1  # missing --config
     err = capsys.readouterr().err
@@ -311,6 +321,25 @@ def test_config_validation_errors(workspace, tmp_path, capsys):
     cfg["mystery_knob"] = 1
     assert main(["run", "--config", write_config(tmp_path / "bad2.json", cfg)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"jobs": "2"}, "config 'jobs' must be an integer, got '2'"),
+    ({"w": "2"}, "config 'w' must be an integer, got '2'"),
+    ({"c": 3.5}, "config 'c' must be an integer, got 3.5"),
+    ({"seed": True}, "config 'seed' must be an integer, got True"),
+    ({"timeout": "30"}, "config 'timeout' must be a number, got '30'"),
+    ({"w": 6, "b": 6}, "invalid config: need 1 <= b < w <= c, got w=6 b=6 c=12"),
+])
+def test_config_value_types_fail_at_load(workspace, tmp_path, capsys, overrides, message):
+    run_out = tmp_path / "r.trec"
+    cfg_path = write_config(tmp_path / "cfg.json", base_config(workspace, run_out=str(run_out), **overrides))
+    with pytest.raises(ValueError) as raised:  # at load time, before any set-up
+        cli.load_config(cfg_path)
+    assert str(raised.value) == message
+    assert main(["run", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not run_out.exists()
 
 
 @pytest.mark.parametrize("key, value", [("fb_docs", 0), ("fb_terms", -3), ("orig_weight", 1.5)])
@@ -392,6 +421,24 @@ def test_foreign_graph_fails_at_load(tmp_path, capsys):
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "docnos.txt" in err[0]
+    assert not run_out.exists()
+
+
+def test_graph_shallower_than_truncate_k_fails_at_load(tmp_path, capsys):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("a\tcat dog\nb\tcat bird\nc\tdog bird\nd\tbird fish\n", encoding="utf-8")
+    (tmp_path / "q.tsv").write_text("q1\tcat\n", encoding="utf-8")
+    graph = tmp_path / "g" / "graph.bin"
+    graph.parent.mkdir()
+    assert main(["build-graph", "--corpus", str(corpus), "--source", "lexical", "--k", "1", "--out", str(graph)]) == 0
+    capsys.readouterr()
+    run_out = tmp_path / "run.trec"
+    cfg = {  # truncate_k left at its default, 16
+        "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "graph": str(graph),
+        "ranker": "identity", "w": 2, "b": 1, "c": 3, "run_out": str(run_out),
+    }
+    assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
+    assert capsys.readouterr().err == f"error: truncate_k 16 exceeds the depth k=1 of graph {graph}\n"
     assert not run_out.exists()
 
 

@@ -16,17 +16,21 @@ Q = Query("q1", "some query")
 
 
 def window(*docnos):
-    return Window(query=Q, docs=tuple((d, f"text of {d}") for d in docnos))
+    return Window(Q, docnos, tuple(f"text of {d}" for d in docnos))
 
 
 # --- contract ---
 
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        Window(query=Q, docs=())
-    with pytest.raises(ValueError):
-        Window(query=Q, docs=(("a", "x"), ("a", "y")))
+    with pytest.raises(ValueError, match="at least one document"):
+        Window(Q, (), ())
+    with pytest.raises(ValueError, match="2 docnos but 1 texts"):
+        Window(Q, ("a", "b"), ("x",))
+    with pytest.raises(ValueError, match="duplicate docnos"):
+        Window(Q, ("a", "a"), ("x", "y"))
+    w = Window(Q, ["a", "b"], ["x", "y"])
+    assert (w.query, w.docnos, w.texts) == (Q, ("a", "b"), ("x", "y"))
 
 
 def test_singleton_window():
@@ -152,7 +156,7 @@ def test_remote_truncates_doc_text(mock_endpoint):
     ScriptedHandler.script = ["identity"]
     ranker = RemoteRanker(mock_endpoint, timeout=5, retries=0)
     long_text = " ".join(f"tok{i}" for i in range(600))
-    w = Window(query=Q, docs=(("a", long_text),))
+    w = Window(Q, ("a",), (long_text,))
     ranker.rank(w)
     sent = ScriptedHandler.requests_seen[-1]["candidates"][0]["text"]
     assert sent == " ".join(f"tok{i}" for i in range(512))
