@@ -53,7 +53,7 @@ CONFIG_DEFAULTS: dict = {
     "b": 10,
     "c": 50,
     "rm3": {"fb_docs": 10, "fb_terms": 10, "orig_weight": 0.6},
-    "rel_threshold": 1,
+    "rel_threshold": 1,  # read by sweep-k's evaluation only; run ignores it
     "run_tag": None,
     "run_out": "run.trec",
     "telemetry_out": None,
@@ -119,6 +119,12 @@ def _validate_config(cfg: dict) -> None:
             raise ValueError(f"config {key!r} must be a number, got {cfg[key]!r}")
     if cfg["jobs"] < 1:
         raise ValueError("jobs must be >= 1")
+    if cfg["retries"] < 0:
+        raise ValueError(f"config 'retries' must be >= 0, got {cfg['retries']!r}")
+    if not cfg["timeout"] > 0:  # also rejects NaN
+        raise ValueError(f"config 'timeout' must be > 0, got {cfg['timeout']!r}")
+    if not 0 <= cfg["swap_prob"] <= 1:
+        raise ValueError(f"config 'swap_prob' must be in [0, 1], got {cfg['swap_prob']!r}")
     _rerank_config(cfg)
     lexical_index.check_rm3(**cfg["rm3"])
 
@@ -151,11 +157,11 @@ class _Pipeline:
             else:
                 self.index = lexical_index.build_index(self.store)
             self._lap("index_load_s", t0)
-        self.table = None
+        self.embeddings = None
         self.query_vectors: dict = {}
         if cfg["retriever"] == "dense":
             t0 = time.perf_counter()
-            self.table = dense_index.load_embeddings(
+            self.embeddings = dense_index.load_embeddings(
                 cfg["embeddings"], self.store, normalize=cfg["normalize_embeddings"]
             )
             self.query_vectors = dense_index.load_query_embeddings(cfg["query_embeddings"], self.queries)
@@ -203,7 +209,7 @@ class _Pipeline:
     def initial_ranking(self, query: corpus_store.Query, k: int) -> list[int]:
         if self.cfg["retriever"] == "bm25":
             return lexical_index.bm25_retrieve(self.index, query, k)
-        return dense_index.dense_retrieve(self.table, self.query_vectors[query.qid], k)
+        return dense_index.dense_retrieve(self.embeddings, self.query_vectors[query.qid], k)
 
     def rerank_one(self, query: corpus_store.Query, rcfg: RerankConfig) -> tuple[str, list[str], dict]:
         cfg = self.cfg
@@ -275,19 +281,6 @@ def cmd_build_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_load_embeddings(args: argparse.Namespace) -> int:
-    store, _ = corpus_store.ingest_corpus(args.corpus, dedup=args.dedup)
-    table = dense_index.load_embeddings(args.embeddings, store, normalize=args.normalize)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dense_index.write_embeddings(
-        out / "embeddings.bin", table.dim,
-        zip(store.docnos, table.matrix), normalized=table.normalized,
-    )
-    print(f"wrote {out / 'embeddings.bin'}: {len(table)} vectors, dim={table.dim}")
-    return 0
-
-
 def cmd_build_graph(args: argparse.Namespace) -> int:
     store, _ = corpus_store.ingest_corpus(args.corpus, dedup=args.dedup)
     if args.source == "lexical":
@@ -296,8 +289,8 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
     else:
         if not args.embeddings:
             raise ValueError("--source dense requires --embeddings")
-        table = dense_index.load_embeddings(args.embeddings, store, normalize=args.normalize)
-        graph = corpus_graph.build_graph_dense(table, args.k)
+        embeddings = dense_index.load_embeddings(args.embeddings, store, normalize=args.normalize)
+        graph = corpus_graph.build_graph_dense(embeddings, args.k)
     corpus_graph.save_graph(args.out, graph, store)
     print(f"wrote {args.out}: {len(graph)} nodes, k={graph.k}, source={graph.source}")
     return 0
@@ -305,6 +298,8 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
+    for out in (cfg["run_out"], cfg["telemetry_out"]):
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
     pipeline = _Pipeline(cfg)
     run, telemetry = pipeline.execute(_rerank_config(cfg))
     run_eval.write_run(cfg["run_out"], run, cfg["run_tag"])
@@ -322,8 +317,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     run, _ = run_eval.read_run(args.run)
     qrels = corpus_store.load_qrels(args.qrels)
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    for metric in metrics:
-        run_eval.parse_metric(metric)
     report = run_eval.evaluate_run(
         run, qrels, metrics, rel_threshold=args.rel_threshold,
         exponential=(args.gain == "exp"),
@@ -381,14 +374,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--dedup", action="store_true")
     p.set_defaults(func=cmd_build_index)
-
-    p = sub.add_parser("load-embeddings", help="validate an embedding file against a corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--dedup", action="store_true")
-    p.add_argument("--normalize", action="store_true")
-    p.set_defaults(func=cmd_load_embeddings)
 
     p = sub.add_parser("build-graph", help="build and persist a corpus graph")
     p.add_argument("--corpus", required=True)

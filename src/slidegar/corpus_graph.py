@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus_store import CorpusStore, check_docnos, write_docnos
-from .dense_index import EmbeddingTable, top_k_ids
+from .dense_index import top_k_ids
 from .lexical_index import InvertedIndex, tokenize, top_docs
 
 SENTINEL = 0xFFFF_FFFF
@@ -68,14 +68,14 @@ def build_graph_lexical(index: InvertedIndex, store: CorpusStore, k: int) -> Cor
     return CorpusGraph(k, adjacency, "lexical")
 
 
-def build_graph_dense(table: EmbeddingTable, k: int) -> CorpusGraph:
-    """Exact inner-product k-NN graph, ties by doc id; every other document
-    is a candidate, so rows are full unless the corpus itself is smaller
-    than k. Rows are scored in blocks of about ``BLOCK_BYTES`` of
-    similarities against the whole corpus, so memory is O(block x N)."""
-    n = len(table)
+def build_graph_dense(matrix: np.ndarray, k: int) -> CorpusGraph:
+    """Exact inner-product k-NN graph over the rows of the embedding
+    ``matrix``, ties by doc id; every other document is a candidate, so
+    rows are full unless the corpus itself is smaller than k. Rows are
+    scored in blocks of about ``BLOCK_BYTES`` of similarities against the
+    whole corpus, so memory is O(block x N)."""
+    n = len(matrix)
     _check_k(k, n)
-    matrix = table.matrix
     rows = max(2, BLOCK_BYTES // (4 * n))
     adjacency = np.empty((n, k), dtype=np.uint32)
     # Starts stop short of n - 1, so a single leftover row joins the last
@@ -110,6 +110,7 @@ def neighbours(graph: CorpusGraph, order: list[int], truncate_k: int) -> list[in
 
 def save_graph(path: str | Path, graph: CorpusGraph, store: CorpusStore) -> None:
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     header = {
         "version": GRAPH_FORMAT_VERSION,
         "k": graph.k,

@@ -51,8 +51,9 @@ class CorpusStore:
 
     Doc ids are dense ints in corpus order so they can index directly into
     postings lists, embedding matrices, and graph rows. The store alone
-    holds docnos and the docno -> id map; indexes, tables, graphs and
-    rankings hold ids, and artifacts check their ``docnos.txt`` against it.
+    holds docnos and the docno -> id map; indexes, embedding matrices,
+    graphs and rankings hold ids, and artifacts check their ``docnos.txt``
+    against it.
     """
 
     def __init__(self, docnos: list[str], texts: list[str], alias: dict[str, str] | None = None) -> None:

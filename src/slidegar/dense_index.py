@@ -1,11 +1,14 @@
-"""Precomputed-embedding store and exact inner-product retrieval.
+"""Precomputed-embedding loading and exact inner-product retrieval.
 
 Embedding file format: one JSON header line
 ``{"dim": D, "count": N, "normalized": bool}`` followed by N binary records
-``u32 docno_length | docno utf-8 bytes | D little-endian f32``.
+``u32 docno_length | docno utf-8 bytes | D little-endian f32``. The
+``normalized`` field is written as given and never read.
 
-Vectors are ingested, never computed here; similarity is the inner product.
-Cosine behaviour is available by normalizing at load time.
+Vectors are ingested, never computed here: ``load_embeddings`` returns a
+``(n_docs, D)`` float32 matrix whose row i belongs to store doc id i, and
+similarity is the inner product. Cosine behaviour is available by
+normalizing at load time.
 """
 
 from __future__ import annotations
@@ -19,23 +22,6 @@ from typing import BinaryIO, Iterable, Iterator
 import numpy as np
 
 from .corpus_store import CorpusStore, Query
-
-
-class EmbeddingTable:
-    """Dense vectors aligned with store doc ids (row i belongs to doc id i)."""
-
-    def __init__(self, matrix: np.ndarray, normalized: bool = False) -> None:
-        if matrix.ndim != 2:
-            raise ValueError("matrix must be (n_docs, dim)")
-        self.matrix = matrix.astype(np.float32, copy=False)
-        self.normalized = normalized
-
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return int(self.matrix.shape[1])
 
 
 def write_embeddings(
@@ -99,8 +85,10 @@ def _open_records(path: str | Path) -> Iterator[tuple[dict, Iterator[tuple[int, 
         yield header, _records(f, path, dim, count)
 
 
-def load_embeddings(path: str | Path, store: CorpusStore, normalize: bool = False) -> EmbeddingTable:
-    """Load and validate vectors for every store document.
+def load_embeddings(path: str | Path, store: CorpusStore, normalize: bool = False) -> np.ndarray:
+    """The ``(len(store), dim)`` float32 matrix of every store document's
+    vector, row i for doc id i. Records of docnos that dedup dropped are
+    skipped; the kept twin is read from its own record.
 
     Fatal on: a record whose docno is not UTF-8 or unknown to the store, a
     duplicate record, a non-finite component (all reported with the record
@@ -111,6 +99,8 @@ def load_embeddings(path: str | Path, store: CorpusStore, normalize: bool = Fals
         matrix = np.zeros((len(store), int(header["dim"])), dtype=np.float32)
         filled = np.zeros(len(store), dtype=bool)
         for record_idx, docno, vector in records:
+            if docno in store.alias:
+                continue
             if docno not in store:
                 raise ValueError(f"{path}: record {record_idx}: docno {docno!r} not in store")
             doc_id = store.doc_id(docno)
@@ -121,15 +111,13 @@ def load_embeddings(path: str | Path, store: CorpusStore, normalize: bool = Fals
     if not filled.all():
         missing = store.docnos[int(np.flatnonzero(~filled)[0])]
         raise ValueError(f"{path}: no vector for store docno {missing!r}")
-    normalized = bool(header.get("normalized", False))
     if normalize:
         norms = np.linalg.norm(matrix, axis=1)
         if np.any(norms == 0):
             zero = store.docnos[int(np.flatnonzero(norms == 0)[0])]
             raise ValueError(f"{path}: zero vector for docno {zero!r} cannot be normalized")
         matrix = matrix / norms[:, None]
-        normalized = True
-    return EmbeddingTable(matrix, normalized=normalized)
+    return matrix
 
 
 def load_query_embeddings(path: str | Path, queries: list[Query]) -> dict[str, np.ndarray]:
@@ -168,12 +156,13 @@ def top_k_ids(keys: np.ndarray, k: int) -> np.ndarray:
     return top
 
 
-def dense_retrieve(table: EmbeddingTable, query_vector: np.ndarray, k: int) -> list[int]:
-    """Exact top-k doc ids by inner product, best first; ties by doc id."""
+def dense_retrieve(matrix: np.ndarray, query_vector: np.ndarray, k: int) -> list[int]:
+    """Exact top-k doc ids of the embedding ``matrix`` by inner product,
+    best first; ties by doc id."""
     if k < 1:
         raise ValueError("k must be >= 1")
     query = np.asarray(query_vector, dtype=np.float32)
-    if query.shape != (table.dim,):
-        raise ValueError(f"query vector has shape {query.shape}, table dim is {table.dim}")
-    scores = table.matrix @ query
+    if query.shape != matrix.shape[1:]:
+        raise ValueError(f"query vector has shape {query.shape}, embedding dim is {matrix.shape[1]}")
+    scores = matrix @ query
     return top_k_ids(-scores[None, :], k)[0].tolist()

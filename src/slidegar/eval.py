@@ -64,19 +64,6 @@ def parse_metric(spec: str) -> tuple[str, int]:
     return name, cutoff
 
 
-def _compute(
-    metric: str,
-    ranking: list[str],
-    grades: Mapping[str, int],
-    rel_threshold: int,
-    exponential: bool,
-) -> float | None:
-    name, cutoff = parse_metric(metric)
-    if name == "ndcg":
-        return ndcg_at(ranking, grades, cutoff, exponential=exponential)
-    return recall_at(ranking, grades, cutoff, rel_threshold=rel_threshold)
-
-
 @dataclass
 class MetricReport:
     """Per-query metric values plus arithmetic means.
@@ -129,12 +116,15 @@ def evaluate_run(
     exponential: bool = False,
 ) -> MetricReport:
     report = MetricReport(metrics=list(metrics))
-    for metric in metrics:
+    for metric, (name, cutoff) in zip(metrics, [parse_metric(m) for m in metrics]):
         values: dict[str, float] = {}
         skipped: list[str] = []
         for qid in sorted(run):
             grades = qrels.get(qid, {})
-            value = _compute(metric, run[qid], grades, rel_threshold, exponential)
+            if name == "ndcg":
+                value = ndcg_at(run[qid], grades, cutoff, exponential=exponential)
+            else:
+                value = recall_at(run[qid], grades, cutoff, rel_threshold=rel_threshold)
             if value is None:
                 skipped.append(qid)
             else:

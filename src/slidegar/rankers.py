@@ -150,6 +150,10 @@ class RemoteRanker(ListwiseRanker):
         backoff: float = 0.5,
         auth: str | None = None,
     ) -> None:
+        if retries < 0:
+            raise ValueError("retries must be >= 0")
+        if not timeout > 0:  # also rejects NaN
+            raise ValueError("timeout must be > 0")
         self.url = endpoint.rstrip("/") + "/rerank"
         self.timeout = timeout
         self.retries = retries

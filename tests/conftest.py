@@ -31,8 +31,8 @@ class SynthBundle:
         self.manifest = generate(self.spec, out_dir)
         self.store, _ = ingest_corpus(out_dir / "corpus.tsv")
         self.index = build_index(self.store)
-        self.table = load_embeddings(out_dir / "embeddings.bin", self.store)
-        self.graph = build_graph_dense(self.table, 16)
+        self.embeddings = load_embeddings(out_dir / "embeddings.bin", self.store)
+        self.graph = build_graph_dense(self.embeddings, 16)
         self.queries = load_queries(out_dir / "queries.tsv")
         self.grades, absent = map_qrels(load_qrels(out_dir / "qrels.txt"), self.store)
         assert not absent

@@ -45,7 +45,7 @@ from test_adaptive_rerank import (
     names_store,
     random_instance,
 )
-from test_corpus_graph import adjacency_rows, brute_force_dense, brute_force_lexical, dense_table
+from test_corpus_graph import adjacency_rows, brute_force_dense, brute_force_lexical
 
 Q = Query("q1", "query text")
 
@@ -277,11 +277,10 @@ def test_graph_build_correctness():
         index = build_index(store)
         np_rng = np.random.default_rng(64)
         matrix = np_rng.normal(size=(64, 7)).astype(np.float32)
-        table = dense_table(matrix)
         for k in (2, 4, 8):
             lexical = build_graph_lexical(index, store, k)
             assert adjacency_rows(lexical) == brute_force_lexical(texts, k)
-            dense = build_graph_dense(table, k)
+            dense = build_graph_dense(matrix, k)
             assert adjacency_rows(dense) == brute_force_dense(matrix, k)
 
 

@@ -14,6 +14,7 @@ import slidegar
 from slidegar import cli
 from slidegar.cli import main
 from slidegar.corpus_store import Query, ingest_corpus, load_queries
+from slidegar.dense_index import write_embeddings
 from slidegar.eval import read_run
 from slidegar.lexical_index import bm25_retrieve, build_index, tokenize, top_docs
 
@@ -330,10 +331,17 @@ def test_config_validation_errors(workspace, tmp_path, capsys):
     ({"seed": True}, "config 'seed' must be an integer, got True"),
     ({"timeout": "30"}, "config 'timeout' must be a number, got '30'"),
     ({"w": 6, "b": 6}, "invalid config: need 1 <= b < w <= c, got w=6 b=6 c=12"),
+    ({"retries": -1}, "config 'retries' must be >= 0, got -1"),
+    ({"timeout": 0}, "config 'timeout' must be > 0, got 0"),
+    ({"timeout": -1.5}, "config 'timeout' must be > 0, got -1.5"),
+    ({"swap_prob": 1.5}, "config 'swap_prob' must be in [0, 1], got 1.5"),
+    ({"swap_prob": -0.1}, "config 'swap_prob' must be in [0, 1], got -0.1"),
 ])
 def test_config_value_types_fail_at_load(workspace, tmp_path, capsys, overrides, message):
     run_out = tmp_path / "r.trec"
-    cfg_path = write_config(tmp_path / "cfg.json", base_config(workspace, run_out=str(run_out), **overrides))
+    # the corpus does not exist, so an error that names the key came before ingest
+    cfg = base_config(workspace, corpus=str(tmp_path / "missing.tsv"), run_out=str(run_out), **overrides)
+    cfg_path = write_config(tmp_path / "cfg.json", cfg)
     with pytest.raises(ValueError) as raised:  # at load time, before any set-up
         cli.load_config(cfg_path)
     assert str(raised.value) == message
@@ -386,13 +394,42 @@ def test_build_index_with_dedup_writes_report(tmp_path, capsys):
     assert report == [{"dropped": "b", "kept": "a"}]
 
 
-def test_load_embeddings_command(workspace, tmp_path):
-    data = workspace / "data"
+def test_dense_dedup_skips_vectors_of_dropped_twins(tmp_path, capsys):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("a\tcat dog\nb\tcat dog\nc\tdog bird\nd\tbird fish\n", encoding="utf-8")
+    vectors = {"a": [1, 0], "b": [1, 0], "c": [1, 1], "d": [0, 1]}
+    write_embeddings(tmp_path / "e.bin", 2, vectors.items())
+    graph = tmp_path / "graph.bin"
     assert main([
-        "load-embeddings", "--corpus", str(data / "corpus.tsv"),
-        "--embeddings", str(data / "embeddings.bin"), "--out", str(tmp_path / "emb"),
+        "build-graph", "--corpus", str(corpus), "--source", "dense", "--embeddings", str(tmp_path / "e.bin"),
+        "--k", "1", "--out", str(graph), "--dedup",
     ]) == 0
-    assert (tmp_path / "emb" / "embeddings.bin").exists()
+    assert capsys.readouterr().out == f"wrote {graph}: 3 nodes, k=1, source=dense\n"
+    write_embeddings(tmp_path / "q.bin", 2, [("q1", [0, 1])])
+    (tmp_path / "q.tsv").write_text("q1\tbird\n", encoding="utf-8")
+    run_out = tmp_path / "run.trec"
+    cfg = {
+        "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "dedup": True, "retriever": "dense",
+        "embeddings": str(tmp_path / "e.bin"), "query_embeddings": str(tmp_path / "q.bin"),
+        "graph": str(graph), "ranker": "identity", "w": 2, "b": 1, "c": 3, "truncate_k": 1,
+        "run_out": str(run_out),
+    }
+    assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
+    assert sorted(read_run(run_out)[0]["q1"]) == ["a", "c", "d"]  # the dropped twin "b" is never ranked
+
+
+def test_outputs_go_into_missing_directories(workspace, tmp_path):
+    data = workspace / "data"
+    graph = tmp_path / "g" / "graph.bin"
+    assert main([
+        "build-graph", "--corpus", str(data / "corpus.tsv"), "--source", "lexical", "--k", "8", "--out", str(graph),
+    ]) == 0
+    assert graph.exists() and (graph.parent / "docnos.txt").exists()
+    run_out = tmp_path / "runs" / "r.trec"
+    telemetry = tmp_path / "tele" / "t.jsonl"
+    cfg = base_config(workspace, graph=str(graph), run_out=str(run_out), telemetry_out=str(telemetry))
+    assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
+    assert run_out.exists() and telemetry.exists()
 
 
 def test_remote_ranker_requires_endpoint(workspace, tmp_path, capsys):

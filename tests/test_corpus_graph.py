@@ -15,12 +15,11 @@ from slidegar.corpus_graph import (
     neighbours,
     save_graph,
 )
-from slidegar.dense_index import EmbeddingTable
 from slidegar.lexical_index import build_index, tokenize
 
 
-def dense_table(vectors):
-    return EmbeddingTable(np.asarray(vectors, dtype=np.float32))
+def dense_matrix(vectors):
+    return np.asarray(vectors, dtype=np.float32)
 
 
 def brute_force_dense(matrix, k):
@@ -123,7 +122,7 @@ def test_dense_two_separated_clusters():
     rng = np.random.default_rng(22)
     cluster_a = rng.normal(0, 0.05, size=(5, 2)) + np.array([10.0, 0.0])
     cluster_b = rng.normal(0, 0.05, size=(5, 2)) + np.array([0.0, 10.0])
-    graph = build_graph_dense(dense_table(np.vstack([cluster_a, cluster_b])), 4)
+    graph = build_graph_dense(dense_matrix(np.vstack([cluster_a, cluster_b])), 4)
     for i in range(5):
         assert set(graph.adjacency[i].tolist()) == {0, 1, 2, 3, 4} - {i}
     for i in range(5, 10):
@@ -132,7 +131,7 @@ def test_dense_two_separated_clusters():
 
 def test_dense_k_equals_n_minus_one_is_full_sort():
     matrix = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.5, 0.5]], dtype=np.float32)
-    graph = build_graph_dense(dense_table(matrix), 3)
+    graph = build_graph_dense(dense_matrix(matrix), 3)
     assert adjacency_rows(graph) == brute_force_dense(matrix, 3)
     assert not (graph.adjacency == SENTINEL).any()
 
@@ -140,7 +139,7 @@ def test_dense_k_equals_n_minus_one_is_full_sort():
 def test_dense_matches_exhaustive_oracle():
     rng = np.random.default_rng(23)
     matrix = rng.normal(size=(64, 6)).astype(np.float32)
-    graph = build_graph_dense(dense_table(matrix), 8)
+    graph = build_graph_dense(dense_matrix(matrix), 8)
     assert adjacency_rows(graph) == brute_force_dense(matrix, 8)
 
 
@@ -152,13 +151,13 @@ def test_blocked_dense_matches_full_matrix_with_ties_at_the_cut():
     np.fill_diagonal(keys, np.inf)
     keys.sort(axis=1)
     assert (keys[:, 7] == keys[:, 8]).sum() > 100  # ties straddle the k-th place
-    assert np.array_equal(build_graph_dense(dense_table(matrix), 8).adjacency, expected)
+    assert np.array_equal(build_graph_dense(dense_matrix(matrix), 8).adjacency, expected)
 
 
 def test_blocked_dense_matches_full_matrix_over_several_blocks():
     matrix = permuted_rows(2500, 28)
     assert 2500 // (BLOCK_BYTES // (4 * 2500)) >= 4
-    assert np.array_equal(build_graph_dense(dense_table(matrix), 16).adjacency, full_matrix_dense(matrix, 16))
+    assert np.array_equal(build_graph_dense(dense_matrix(matrix), 16).adjacency, full_matrix_dense(matrix, 16))
 
 
 def test_blocked_dense_never_builds_a_one_row_block():
@@ -167,7 +166,7 @@ def test_blocked_dense_never_builds_a_one_row_block():
     # The tail row scores every permutation of a base row equally in exact
     # arithmetic, so its top k is decided by the rounding of each sum.
     matrix[-1] = np.float32(0.1)
-    assert np.array_equal(build_graph_dense(dense_table(matrix), 16).adjacency, full_matrix_dense(matrix, 16))
+    assert np.array_equal(build_graph_dense(dense_matrix(matrix), 16).adjacency, full_matrix_dense(matrix, 16))
 
 
 def test_builders_reject_k_not_below_corpus_size():
@@ -176,21 +175,21 @@ def test_builders_reject_k_not_below_corpus_size():
     with pytest.raises(ValueError):
         build_graph_lexical(index, store, 3)
     with pytest.raises(ValueError):
-        build_graph_dense(dense_table(np.eye(3)), 3)
+        build_graph_dense(dense_matrix(np.eye(3)), 3)
     with pytest.raises(ValueError):
-        build_graph_dense(dense_table(np.eye(3)), 0)
+        build_graph_dense(dense_matrix(np.eye(3)), 0)
 
 
 def test_build_invariant_under_insertion_order():
     rng = np.random.default_rng(24)
     names = [f"d{i}" for i in range(20)]
     vectors = rng.normal(size=(20, 4)).astype(np.float32)
-    graph_a = build_graph_dense(dense_table(vectors), 5)
+    graph_a = build_graph_dense(dense_matrix(vectors), 5)
 
     perm = list(range(20))
     random.Random(1).shuffle(perm)
     names_b = [names[i] for i in perm]
-    graph_b = build_graph_dense(dense_table(vectors[perm]), 5)
+    graph_b = build_graph_dense(dense_matrix(vectors[perm]), 5)
 
     def as_docnos(graph, docnos):
         return {
@@ -282,7 +281,7 @@ def test_neighbours_truncate_k_validation():
 def test_graph_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(26)
     names = [f"doc{i:02d}" for i in range(12)]
-    graph = build_graph_dense(dense_table(rng.normal(size=(12, 3)).astype(np.float32)), 4)
+    graph = build_graph_dense(dense_matrix(rng.normal(size=(12, 3)).astype(np.float32)), 4)
     store = make_store({n: "text" for n in names})
     save_graph(tmp_path / "graph.bin", graph, store)
     loaded = load_graph(tmp_path / "graph.bin", store)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_store
 from slidegar import dense_index
 from slidegar.cli import main
-from slidegar.corpus_store import Query
+from slidegar.corpus_store import Query, ingest_corpus
 from slidegar.dense_index import (
     dense_retrieve,
     load_embeddings,
@@ -32,9 +32,20 @@ def store_for(names):
 def test_load_three_docs(tmp_path):
     store = store_for(["a", "b", "c"])
     path = write_table(tmp_path / "e.bin", 4, [(n, [i, 0, 0, 1]) for i, n in enumerate(["a", "b", "c"])])
-    table = load_embeddings(path, store)
-    assert len(table) == 3 and table.dim == 4
-    assert table.matrix[store.doc_id("b")].tolist() == [1, 0, 0, 1]
+    matrix = load_embeddings(path, store)
+    assert matrix.shape == (3, 4) and matrix.dtype == np.float32
+    assert matrix[store.doc_id("b")].tolist() == [1, 0, 0, 1]
+
+
+def test_records_of_dedup_dropped_twins_are_skipped(tmp_path):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("a\tcat dog\nb\tcat dog\nc\tdog bird\n", encoding="utf-8")
+    store, _ = ingest_corpus(corpus, dedup=True)
+    assert store.alias == {"b": "a"}
+    # the kept twin's row comes from its own record, not the dropped twin's
+    rows = [("a", [1, 0]), ("c", [0, 1]), ("b", [5, 5])]
+    matrix = load_embeddings(write_table(tmp_path / "e.bin", 2, rows), store)
+    assert matrix.tolist() == [[1, 0], [0, 1]]
 
 
 def test_nan_vector_fatal(tmp_path):
@@ -102,33 +113,32 @@ def test_header_that_is_not_an_object(tmp_path):
 def test_normalize_flag(tmp_path):
     store = store_for(["a"])
     path = write_table(tmp_path / "e.bin", 2, [("a", [3.0, 4.0])])
-    table = load_embeddings(path, store, normalize=True)
-    assert table.normalized
-    assert np.allclose(table.matrix[store.doc_id("a")], [0.6, 0.8])
+    matrix = load_embeddings(path, store, normalize=True)
+    assert np.allclose(matrix[store.doc_id("a")], [0.6, 0.8])
 
 
 def test_dense_retrieve_orthogonal(tmp_path):
     store = store_for(["d0", "d1"])
     path = write_table(tmp_path / "e.bin", 2, [("d0", [1, 0]), ("d1", [0, 1])])
-    table = load_embeddings(path, store)
-    assert dense_retrieve(table, np.array([1.0, 0.0]), 1) == [store.doc_id("d0")]
+    matrix = load_embeddings(path, store)
+    assert dense_retrieve(matrix, np.array([1.0, 0.0]), 1) == [store.doc_id("d0")]
 
 
 def test_dense_retrieve_k_past_corpus_returns_all_sorted(tmp_path):
     store = store_for(["a", "b", "c"])
     path = write_table(tmp_path / "e.bin", 2, [("a", [1, 0]), ("b", [3, 0]), ("c", [2, 0])])
-    table = load_embeddings(path, store)
-    result = dense_retrieve(table, np.array([1.0, 0.0]), 99)
+    matrix = load_embeddings(path, store)
+    result = dense_retrieve(matrix, np.array([1.0, 0.0]), 99)
     assert [store.docnos[i] for i in result] == ["b", "c", "a"]
 
 
 def test_dense_retrieve_k_validation(tmp_path):
     store = store_for(["a"])
-    table = load_embeddings(write_table(tmp_path / "e.bin", 2, [("a", [1, 0])]), store)
+    matrix = load_embeddings(write_table(tmp_path / "e.bin", 2, [("a", [1, 0])]), store)
     with pytest.raises(ValueError):
-        dense_retrieve(table, np.array([1.0, 0.0]), 0)
+        dense_retrieve(matrix, np.array([1.0, 0.0]), 0)
     with pytest.raises(ValueError):
-        dense_retrieve(table, np.array([1.0, 0.0, 0.0]), 1)
+        dense_retrieve(matrix, np.array([1.0, 0.0, 0.0]), 1)
 
 
 def test_dense_retrieve_matches_full_sort_oracle(tmp_path):
@@ -136,11 +146,11 @@ def test_dense_retrieve_matches_full_sort_oracle(tmp_path):
     names = [f"d{i:03d}" for i in range(100)]
     vectors = rng.normal(size=(100, 8)).astype(np.float32)
     store = store_for(names)
-    table = load_embeddings(
+    matrix = load_embeddings(
         write_table(tmp_path / "e.bin", 8, list(zip(names, vectors))), store
     )
     query = rng.normal(size=8).astype(np.float32)
-    got = [store.docnos[i] for i in dense_retrieve(table, query, 10)]
+    got = [store.docnos[i] for i in dense_retrieve(matrix, query, 10)]
     # independent oracle: full python sort over explicitly computed dot products
     scored = [(-float(np.dot(v, query)), i) for i, v in enumerate(vectors)]
     scored.sort()
@@ -152,12 +162,12 @@ def test_dense_retrieve_prefix_property(tmp_path):
     rng = np.random.default_rng(12)
     names = [f"d{i}" for i in range(40)]
     vectors = rng.normal(size=(40, 6)).astype(np.float32)
-    table = load_embeddings(
+    matrix = load_embeddings(
         write_table(tmp_path / "e.bin", 6, list(zip(names, vectors))), store_for(names)
     )
     query = rng.normal(size=6)
     for k in range(1, 15):
-        assert dense_retrieve(table, query, k) == dense_retrieve(table, query, k + 1)[:k]
+        assert dense_retrieve(matrix, query, k) == dense_retrieve(matrix, query, k + 1)[:k]
 
 
 def test_insertion_order_determinism(tmp_path):
@@ -165,17 +175,17 @@ def test_insertion_order_determinism(tmp_path):
     names = [f"d{i}" for i in range(25)]
     vectors = rng.normal(size=(25, 5)).astype(np.float32)
     rows = list(zip(names, vectors))
-    table_a = load_embeddings(write_table(tmp_path / "a.bin", 5, rows), store_for(names))
+    matrix_a = load_embeddings(write_table(tmp_path / "a.bin", 5, rows), store_for(names))
     shuffled_names = names[:]
     random.Random(0).shuffle(shuffled_names)
     by_name = dict(rows)
-    table_b = load_embeddings(
+    matrix_b = load_embeddings(
         write_table(tmp_path / "b.bin", 5, [(n, by_name[n]) for n in shuffled_names]),
         store_for(shuffled_names),
     )
     query = rng.normal(size=5)
-    assert [names[i] for i in dense_retrieve(table_a, query, 10)] == [
-        shuffled_names[i] for i in dense_retrieve(table_b, query, 10)
+    assert [names[i] for i in dense_retrieve(matrix_a, query, 10)] == [
+        shuffled_names[i] for i in dense_retrieve(matrix_b, query, 10)
     ]
 
 
@@ -210,8 +220,8 @@ def test_non_utf8_docno_fatal_with_record_index(tmp_path, capsys):
     with pytest.raises(ValueError, match=r"e\.bin: record 2: docno is not valid UTF-8"):
         load_embeddings(path, store_for(["a", "b"]))
     (tmp_path / "c.tsv").write_text("a\ttext a\nb\ttext b\n", encoding="utf-8")
-    args = ["load-embeddings", "--corpus", str(tmp_path / "c.tsv"), "--embeddings", str(path)]
-    assert main(args + ["--out", str(tmp_path / "out.json")]) == 2
+    args = ["build-graph", "--corpus", str(tmp_path / "c.tsv"), "--source", "dense", "--embeddings", str(path)]
+    assert main(args + ["--k", "1", "--out", str(tmp_path / "graph.bin")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "record 2" in err[0]
 

@@ -103,6 +103,11 @@ def test_parse_metric():
             parse_metric(bad)
 
 
+def test_evaluate_run_rejects_a_bad_metric_even_for_an_empty_run():
+    with pytest.raises(ValueError, match="unknown metric 'bogus@1'"):
+        evaluate_run({}, {}, ["bogus@1"])
+
+
 def test_evaluate_run_report():
     run = {
         "q1": ["a", "b"],

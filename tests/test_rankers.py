@@ -147,6 +147,17 @@ def test_remote_garbage_body_degrades(mock_endpoint):
     assert ranker.rank(window("x", "y")) == ("x", "y")
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"retries": -1}, "retries must be >= 0"),
+    ({"timeout": 0}, "timeout must be > 0"),
+    ({"timeout": -1.0}, "timeout must be > 0"),
+    ({"timeout": float("nan")}, "timeout must be > 0"),
+])
+def test_remote_rejects_out_of_range_settings(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        RemoteRanker("http://127.0.0.1:9", **kwargs)
+
+
 def test_remote_connection_refused_degrades():
     ranker = RemoteRanker("http://127.0.0.1:9", timeout=0.2, retries=1, backoff=0.01)
     assert ranker.rank(window("a", "b")) == ("a", "b")

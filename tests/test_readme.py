@@ -1,7 +1,8 @@
-"""The README's Python API example runs as written."""
+"""The README's CLI walkthrough and Python API example run as written."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 from slidegar.cli import main
@@ -28,3 +29,24 @@ def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):
     assert int(calls) == 4  # ceil((50 - 20) / 10) + 1
     top = ast.literal_eval(top)
     assert len(top) == 10 and all(docno in store for docno in top)
+
+
+def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    [block] = re.findall(r"## CLI walkthrough\n.*?```bash\n(.*?)```", text, re.S)
+    lines = block.replace("\\\n", " ").splitlines()
+    monkeypatch.chdir(tmp_path)
+    commands = []
+    while lines:
+        line = lines.pop(0)
+        heredoc = re.fullmatch(r"cat > (\S+) <<'EOF'", line)
+        if heredoc:
+            end = lines.index("EOF")
+            Path(heredoc[1]).write_text("\n".join(lines[:end]) + "\n", encoding="utf-8")
+            del lines[: end + 1]
+        elif line.strip():
+            commands.append(shlex.split(line))
+    assert commands and all(argv[0] == "slidegar" for argv in commands)
+    for argv in commands:
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+    assert Path("runs/slidegar.trec").exists()

@@ -118,8 +118,8 @@ def test_embeddings_and_queries_load(tmp_path):
     spec = SynthSpec(**SMALL, seed=6)
     generate(spec, tmp_path)
     store, _ = ingest_corpus(tmp_path / "corpus.tsv")
-    table = load_embeddings(tmp_path / "embeddings.bin", store)
-    assert len(table) == len(store) and table.dim == spec.dim
+    embeddings = load_embeddings(tmp_path / "embeddings.bin", store)
+    assert embeddings.shape == (len(store), spec.dim)
     queries = load_queries(tmp_path / "queries.tsv")
     assert len(queries) == spec.n_queries
 
