@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -123,6 +124,8 @@ def _validate_config(cfg: dict) -> None:
         raise ValueError(f"config 'retries' must be >= 0, got {cfg['retries']!r}")
     if not cfg["timeout"] > 0:  # also rejects NaN
         raise ValueError(f"config 'timeout' must be > 0, got {cfg['timeout']!r}")
+    if cfg["timeout"] > threading.TIMEOUT_MAX:  # the socket layer overflows above it; also rejects Infinity
+        raise ValueError(f"config 'timeout' must be <= {threading.TIMEOUT_MAX}, got {cfg['timeout']!r}")
     if not 0 <= cfg["swap_prob"] <= 1:
         raise ValueError(f"config 'swap_prob' must be in [0, 1], got {cfg['swap_prob']!r}")
     _rerank_config(cfg)
@@ -156,6 +159,8 @@ class _Pipeline:
                 self.index = lexical_index.load_index(cfg["index_dir"], self.store)
             else:
                 self.index = lexical_index.build_index(self.store)
+            if cfg["strategy"] == "slidegar_rm3":
+                self.index.forward  # built here, in set-up, not by the first query or racing threads
             self._lap("index_load_s", t0)
         self.embeddings = None
         self.query_vectors: dict = {}
@@ -305,12 +310,26 @@ def cmd_run(args: argparse.Namespace) -> int:
     run_eval.write_run(cfg["run_out"], run, cfg["run_tag"])
     with open(cfg["telemetry_out"], "w", encoding="utf-8") as f:
         f.write(json.dumps({"type": "config", "config": cfg}, sort_keys=True) + "\n")
-        f.write(json.dumps({"type": "setup", **pipeline.setup}, sort_keys=True) + "\n")
+        f.write(json.dumps({"type": "setup", **pipeline.setup, "vm_hwm_mb": _vm_hwm_mb()}, sort_keys=True) + "\n")
         for record in telemetry:
             f.write(json.dumps(record, sort_keys=True) + "\n")
     lines = sum(len(r) for r in run.values())
     print(f"wrote {cfg['run_out']} ({len(run)} queries, {lines} lines) and {cfg['telemetry_out']}")
     return 0
+
+
+def _vm_hwm_mb() -> float | None:
+    """This process's peak RSS so far in MB (``VmHWM``), or None where
+    ``/proc/self/status`` does not exist. Unlike the ``ru_maxrss`` that a
+    parent reads from ``wait4``, it is not floored by the parent's RSS."""
+    try:
+        with open("/proc/self/status", "rb") as f:
+            for line in f:
+                if line.startswith(b"VmHWM:"):
+                    return round(int(line.split()[1]) / 1024.0, 3)  # the line reads "VmHWM:  <n> kB"
+    except OSError:
+        pass
+    return None
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

@@ -116,9 +116,11 @@ def _read_corpus(path: str | Path) -> CorpusStore:
         start = data.rfind(b"\n", 0, exc.start) + 1
         error = _invalid_utf8(path, data.count(b"\n", 0, exc.start) + 1, data[start:].split(b"\n", 1)[0])
         text = data[:start].decode("utf-8")  # the lines before it are valid
+    del data  # the lines hold the text from here on
     lines = text.split("\n")  # not splitlines(): \x85, \u2028 and \x1c stay inside a line
     if "\r" in text:
         lines = [line.rstrip("\r") for line in lines]
+    del text
     records = list(filter(None, lines))
 
     def lineno(j: int) -> int:

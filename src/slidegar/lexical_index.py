@@ -4,12 +4,14 @@ In memory the index is compressed-sparse-row (CSR) arrays:
 
 - ``terms`` (sorted) and ``term_ids`` (term -> position in ``terms``), so
   term ids follow sorted-term order;
-- postings: term t owns ``doc_ids[offsets[t]:offsets[t + 1]]`` (ascending)
-  and the matching ``tfs``;
+- postings: term t owns ``doc_ids[offsets[t]:offsets[t + 1]]`` (ascending
+  u32 doc ids) and the matching u32 ``tfs``, the same widths as on disk;
 - ``doc_lengths`` (a list of ints) and the per-doc BM25 length ``norm``;
-- a forward index: doc d owns ``doc_term_ids[doc_offsets[d]:doc_offsets[d + 1]]``
-  (ascending) and the matching ``doc_tfs``. It is built with the index,
-  so nothing is computed lazily and threads share only read-only arrays.
+- ``forward``, the forward index only RM3 reads: doc d owns
+  ``term_ids[doc_offsets[d]:doc_offsets[d + 1]]`` (ascending) and the
+  matching ``tfs``. It is built on first access and then kept, so index
+  builds, graph builds and BM25 runs never pay its memory; a run that
+  expands queries reads it once during set-up, before any thread does.
 
 Index directory layout (format version 3), every array as numpy holds it:
 
@@ -28,10 +30,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -66,7 +70,8 @@ def tokenize(text: str) -> list[str]:
 
 
 class InvertedIndex:
-    """Immutable CSR postings and forward index plus the stats BM25 needs.
+    """Immutable CSR postings plus the stats BM25 needs, and RM3's forward
+    index on demand.
 
     Ids are corpus-store doc ids, and retrieval returns them; only the
     store holds docnos. The layout is described in the module docstring.
@@ -93,13 +98,20 @@ class InvertedIndex:
             self.norm = K1 * (1.0 - B_LEN + B_LEN * lengths / self.avg_doc_length)
         else:
             self.norm = np.zeros_like(lengths)
-        # forward index: a stable sort by doc id keeps each doc's terms in id order
-        order = np.argsort(doc_ids, kind="stable")
-        posting_terms = np.repeat(np.arange(len(terms), dtype=np.int32), np.diff(offsets))
-        self.doc_term_ids = posting_terms[order]
-        self.doc_tfs = tfs[order]
-        self.doc_offsets = np.zeros(self.doc_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(doc_ids, minlength=self.doc_count), out=self.doc_offsets[1:])
+
+    @cached_property
+    def forward(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(doc_offsets, term_ids, tfs)``: the postings regrouped by doc."""
+        # a stable sort by doc id keeps each doc's terms in id order
+        order = np.argsort(self.doc_ids, kind="stable")
+        posting_terms = np.repeat(np.arange(len(self.terms), dtype=np.int32), np.diff(self.offsets))
+        term_ids = posting_terms[order]
+        del posting_terms
+        tfs = self.tfs[order]
+        del order
+        doc_offsets = np.zeros(self.doc_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.doc_ids, minlength=self.doc_count), out=doc_offsets[1:])
+        return doc_offsets, term_ids, tfs
 
 
 def build_index(store: CorpusStore) -> InvertedIndex:
@@ -117,17 +129,24 @@ def build_index(store: CorpusStore) -> InvertedIndex:
         for term, tf in counts.items():
             entry_terms.append(first_seen.setdefault(term, len(first_seen)))
             entry_tfs.append(tf)
+    # each temporary is dropped as soon as it is consumed, so the peak stays
+    # close to the index itself
     terms = sorted(first_seen)
-    sorted_id = np.empty(len(terms), dtype=np.int64)
-    sorted_id[[first_seen[term] for term in terms]] = np.arange(len(terms))
+    sorted_id = np.empty(len(terms), dtype=np.int32)
+    sorted_id[[first_seen[term] for term in terms]] = np.arange(len(terms), dtype=np.int32)
+    del first_seen
     entry_term_ids = sorted_id[np.frombuffer(entry_terms, dtype=np.intc)]
-    entry_docs = np.repeat(np.arange(len(doc_lengths), dtype=np.int64), distinct)
-    # entries are in doc order, so a stable sort by term leaves each list ascending
-    order = np.argsort(entry_term_ids, kind="stable")
+    del entry_terms, sorted_id
     offsets = np.zeros(len(terms) + 1, dtype=np.int64)
     np.cumsum(np.bincount(entry_term_ids, minlength=len(terms)), out=offsets[1:])
+    # entries are in doc order, so a stable sort by term leaves each list ascending
+    order = np.argsort(entry_term_ids, kind="stable")
+    del entry_term_ids
     tfs = np.frombuffer(entry_tfs, dtype=np.uintc)[order]
-    return InvertedIndex(terms, offsets, entry_docs[order], tfs, doc_lengths)
+    del entry_tfs
+    doc_ids = np.repeat(np.arange(len(doc_lengths), dtype=np.uint32), distinct)[order]
+    del order, distinct
+    return InvertedIndex(terms, offsets, doc_ids, tfs, doc_lengths)
 
 
 def _idf(doc_count: int, df: int) -> float:
@@ -155,8 +174,9 @@ def score_weighted_terms(index: InvertedIndex, term_weights: Mapping[str, float]
         lists.append(slice(start, end))
         scales.append(weight * _idf(index.doc_count, end - start))
     if not lists or index.avg_doc_length == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0)
-    ids = np.concatenate([index.doc_ids[span] for span in lists])
+        return np.zeros(0, dtype=np.intp), np.zeros(0)
+    # widened once here: u32 ids would cost a conversion in every index below
+    ids = np.concatenate([index.doc_ids[span] for span in lists], dtype=np.intp)
     tf = np.concatenate([index.tfs[span] for span in lists]).astype(np.float64)
     scale = np.repeat(scales, [span.stop - span.start for span in lists])
     contrib = scale * tf * (K1 + 1.0) / (tf + index.norm[ids])
@@ -267,14 +287,15 @@ def rm3_expand(
         total = float(len(top))
 
     # keyed by term id; ids follow sorted-term order, so ties still break by term
+    doc_offsets, doc_term_ids, doc_tfs = index.forward
     relevance_model: dict[int, float] = {}
     for (doc_id, _), shifted_score in zip(top, shifted):
         doc_weight = shifted_score / total
         length = index.doc_lengths[doc_id]
         if length == 0:
             continue
-        span = slice(index.doc_offsets[doc_id], index.doc_offsets[doc_id + 1])
-        for term_id, tf in zip(index.doc_term_ids[span].tolist(), index.doc_tfs[span].tolist()):
+        span = slice(doc_offsets[doc_id], doc_offsets[doc_id + 1])
+        for term_id, tf in zip(doc_term_ids[span].tolist(), doc_tfs[span].tolist()):
             relevance_model[term_id] = relevance_model.get(term_id, 0.0) + doc_weight * tf / length
 
     kept = sorted(relevance_model.items(), key=lambda pair: (-pair[1], pair[0]))[:fb_terms]
@@ -320,7 +341,10 @@ def save_index(index: InvertedIndex, out_dir: str | Path, store: CorpusStore, de
     np.asarray(index.doc_lengths, dtype="<u4").tofile(out / "doclens.bin")
     (out / "terms.txt").write_text("".join(term + "\n" for term in index.terms), encoding="utf-8")
     np.diff(index.offsets).astype("<u4").tofile(out / "dfs.bin")
-    np.column_stack((index.doc_ids.astype("<u4"), index.tfs.astype("<u4"))).tofile(out / "postings.bin")
+    pairs = np.empty((len(index.doc_ids), 2), dtype="<u4")
+    pairs[:, 0] = index.doc_ids
+    pairs[:, 1] = index.tfs
+    pairs.tofile(out / "postings.bin")
     meta = {
         "version": INDEX_FORMAT_VERSION,
         "doc_count": index.doc_count,
@@ -395,14 +419,17 @@ def load_index(in_dir: str | Path, store: CorpusStore) -> InvertedIndex:
     offsets = np.zeros(len(terms) + 1, dtype=np.int64)
     np.cumsum(dfs, dtype=np.int64, out=offsets[1:])
     postings_path = src / "postings.bin"
-    blob = postings_path.read_bytes()
-    if len(blob) != 8 * offsets[-1]:
-        raise ValueError(f"{postings_path}: {len(blob)} bytes, but dfs.bin counts {offsets[-1]} postings of 8 bytes")
-    pairs = np.frombuffer(blob, dtype="<u4").reshape(-1, 2)
-    doc_ids = pairs[:, 0].astype(np.int64)
-    tfs = pairs[:, 1].copy()
+    with open(postings_path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size  # fromfile would drop a ragged tail unseen
+        if size != 8 * offsets[-1]:
+            raise ValueError(f"{postings_path}: {size} bytes, but dfs.bin counts {offsets[-1]} postings of 8 bytes")
+        pairs = np.fromfile(f, dtype="<u4").reshape(-1, 2)
+    doc_ids = pairs[:, 0].astype(np.uint32)
+    tfs = pairs[:, 1].astype(np.uint32)
+    del pairs
 
-    falls = np.diff(doc_ids, prepend=-1) <= 0
+    falls = np.zeros(len(doc_ids), dtype=bool)
+    np.less_equal(doc_ids[1:], doc_ids[:-1], out=falls[1:])
     falls[offsets[:-1][dfs > 0]] = False  # a list may start below where the previous one ended
     for bad, problem in (
         (falls, "doc ids do not strictly increase"),
@@ -413,6 +440,7 @@ def load_index(in_dir: str | Path, store: CorpusStore) -> InvertedIndex:
             posting = int(np.argmax(bad))
             term = terms[int(np.searchsorted(offsets, posting, side="right")) - 1]
             raise ValueError(f"{postings_path}: term {term!r}: {problem} (posting {posting})")
+    del falls
 
     index = InvertedIndex(terms, offsets, doc_ids, tfs, doc_lengths)
     # avgdl is derived from doclens on load; check it agrees with what was saved

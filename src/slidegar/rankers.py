@@ -22,6 +22,7 @@ import hashlib
 import json
 import logging
 import random
+import threading
 import time
 from typing import Sequence
 
@@ -154,6 +155,8 @@ class RemoteRanker(ListwiseRanker):
             raise ValueError("retries must be >= 0")
         if not timeout > 0:  # also rejects NaN
             raise ValueError("timeout must be > 0")
+        if timeout > threading.TIMEOUT_MAX:  # the socket layer overflows above it
+            raise ValueError(f"timeout must be <= {threading.TIMEOUT_MAX}")
         self.url = endpoint.rstrip("/") + "/rerank"
         self.timeout = timeout
         self.retries = retries

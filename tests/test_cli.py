@@ -4,6 +4,7 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -105,6 +106,16 @@ def test_jobs_flag_does_not_change_output(workspace, tmp_path):
         assert outputs[0] == outputs[1], strategy
 
 
+def test_pipeline_builds_the_forward_index_for_rm3_runs_only(workspace, tmp_path):
+    for strategy, built in (("slidegar", False), ("slidegar_rm3", True)):
+        for index_dir in (str(workspace / "index"), None):  # loaded, and built in memory
+            cfg = cli.load_config(write_config(tmp_path / "cfg.json", base_config(
+                workspace, strategy=strategy, index_dir=index_dir,
+            )))
+            # in set-up, so neither the first query nor a --jobs thread builds it
+            assert ("forward" in vars(cli._Pipeline(cfg).index)) is built, (strategy, index_dir)
+
+
 def test_jobs_byte_identical_under_racing_ranker(workspace, tmp_path, monkeypatch):
     # every query is ranked by a thread of its own while the others read the
     # store's columns; a ranker that yields between reading its window and
@@ -171,7 +182,10 @@ def test_telemetry_per_query_fields(workspace, tmp_path):
     setup = records[1]
     assert sorted(setup) == [
         "embeddings_load_s", "graph_load_s", "index_load_s", "ingest_s", "qrels_absent", "qrels_s", "type",
+        "vm_hwm_mb",
     ]
+    if sys.platform == "linux":  # the process's own peak RSS, read from /proc/self/status
+        assert type(setup["vm_hwm_mb"]) is float and setup["vm_hwm_mb"] > 0
     assert all(setup[key] >= 0.0 for key in ("graph_load_s", "index_load_s", "ingest_s", "qrels_s"))
     assert setup["qrels_absent"] == 0 and setup["embeddings_load_s"] is None  # bm25 loads no embeddings
     for record in records[2:]:
@@ -334,6 +348,8 @@ def test_config_validation_errors(workspace, tmp_path, capsys):
     ({"retries": -1}, "config 'retries' must be >= 0, got -1"),
     ({"timeout": 0}, "config 'timeout' must be > 0, got 0"),
     ({"timeout": -1.5}, "config 'timeout' must be > 0, got -1.5"),
+    ({"timeout": 1e300}, f"config 'timeout' must be <= {threading.TIMEOUT_MAX}, got 1e+300"),
+    ({"timeout": float("inf")}, f"config 'timeout' must be <= {threading.TIMEOUT_MAX}, got inf"),  # JSON Infinity
     ({"swap_prob": 1.5}, "config 'swap_prob' must be in [0, 1], got 1.5"),
     ({"swap_prob": -0.1}, "config 'swap_prob' must be in [0, 1], got -0.1"),
 ])

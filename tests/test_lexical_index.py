@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 import refindex
 from conftest import make_store
-from slidegar.corpus_store import Query
+from slidegar.cli import main
+from slidegar.corpus_graph import build_graph_lexical
+from slidegar.corpus_store import Query, ingest_corpus
 from slidegar.lexical_index import (
     ExpandedQuery,
     bm25_retrieve,
@@ -23,7 +26,8 @@ from slidegar.lexical_index import (
     top_docs,
 )
 
-CSR_FIELDS = ("offsets", "doc_ids", "tfs", "norm", "doc_offsets", "doc_term_ids", "doc_tfs")
+CSR_FIELDS = ("offsets", "doc_ids", "tfs", "norm")
+FORWARD_FIELDS = ("doc_offsets", "doc_term_ids", "doc_tfs")  # index.forward, in order
 
 TWO_DOCS = {"d1": "cat cat dog", "d2": "dog dog dog"}
 
@@ -291,8 +295,54 @@ def assert_same_index(loaded, index):
     for field in CSR_FIELDS:
         a, b = getattr(loaded, field), getattr(index, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
+    for field, a, b in zip(FORWARD_FIELDS, loaded.forward, index.forward, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
     assert loaded.doc_lengths == index.doc_lengths
     assert loaded.avg_doc_length == index.avg_doc_length
+
+
+def test_forward_index_is_built_on_first_use_only(tmp_path):
+    store = make_store({"a": "cat cat dog", "b": "dog bird", "c": "bird cat"})
+    index = build_index(store)
+    build_graph_lexical(index, store, 1)
+    save_index(index, tmp_path, store)
+    loaded = load_index(tmp_path, store)
+    bm25_retrieve(loaded, Query("q", "cat"), 2)
+    assert "forward" not in vars(index) and "forward" not in vars(loaded)
+    rm3_expand(loaded, Query("q", "cat"), [(0, 1.0)])
+    assert "forward" in vars(loaded)
+    doc_offsets, term_ids, tfs = loaded.forward  # terms bird, cat, dog
+    assert doc_offsets.tolist() == [0, 2, 4, 6]
+    assert term_ids.tolist() == [1, 2, 0, 2, 0, 1] and tfs.tolist() == [2, 1, 1, 1, 1, 1]
+
+
+def test_index_memory_stays_near_what_it_keeps(tmp_path):
+    """Traced allocations of a build and a load peak at a bounded multiple of
+    the index they return, so no dead copy or unused structure is held."""
+    assert main([
+        "synth", "--out", str(tmp_path), "--seed", "3", "--clusters", "8", "--docs-per-cluster", "250",
+        "--vocab-per-cluster", "60", "--queries", "8", "--relevant-per-query", "20", "--dim", "16",
+    ]) == 0
+    store, _ = ingest_corpus(tmp_path / "corpus.tsv")
+    assert len(store) == 2000
+
+    def traced(make):
+        """(peak, retained) bytes of ``make()`` above what was allocated before it."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            made = make()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return made, peak - base, current - base
+
+    index, build_peak, build_kept = traced(lambda: build_index(store))
+    save_index(index, tmp_path / "idx", store)
+    del index
+    _, load_peak, load_kept = traced(lambda: load_index(tmp_path / "idx", store))
+    assert build_peak <= 2.0 * build_kept, (build_peak, build_kept)
+    assert load_peak <= 1.4 * load_kept, (load_peak, load_kept)
 
 
 WORDS = st.sampled_from(["ant", "bee", "cat", "the", "dog", "eel"])
@@ -384,6 +434,9 @@ CORRUPTIONS = {
     "short_dfs": ("dfs.bin", u32(1, 2), r"dfs\.bin: expected 12 bytes for 3 terms, found 8"),
     "dfs_sum_mismatch": ("dfs.bin", u32(1, 2, 1), r"postings\.bin: 40 bytes, but dfs\.bin counts 4 postings"),
     "ragged_postings": ("postings.bin", u32(2, 1, 0, 2, 2, 1, 0, 1, 1, 1, 7), r"postings\.bin: 44 bytes"),
+    # half a u32 past the pairs: a u32 read would drop it unseen, so the file's byte count must catch it
+    "half_u32_past_postings": ("postings.bin", u32(2, 1, 0, 2, 2, 1, 0, 1, 1, 1) + b"\x07\x00",
+                               r"postings\.bin: 42 bytes, but dfs\.bin counts 5 postings of 8 bytes"),
     "ids_not_increasing": ("postings.bin", u32(2, 1, 0, 2, 0, 1, 0, 1, 1, 1),
                            r"postings\.bin: term 'cat': doc ids do not strictly increase"),
     "id_out_of_range": ("postings.bin", u32(3, 1, 0, 2, 2, 1, 0, 1, 1, 1),

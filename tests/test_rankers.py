@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from mockserver import ScriptedHandler, scripted_server
@@ -152,10 +154,18 @@ def test_remote_garbage_body_degrades(mock_endpoint):
     ({"timeout": 0}, "timeout must be > 0"),
     ({"timeout": -1.0}, "timeout must be > 0"),
     ({"timeout": float("nan")}, "timeout must be > 0"),
+    ({"timeout": 1e10}, "timeout must be <= "),
+    ({"timeout": 1e300}, "timeout must be <= "),
+    ({"timeout": float("inf")}, "timeout must be <= "),
 ])
 def test_remote_rejects_out_of_range_settings(kwargs, message):
     with pytest.raises(ValueError, match=message):
         RemoteRanker("http://127.0.0.1:9", **kwargs)
+
+
+def test_remote_largest_timeout_degrades_instead_of_overflowing():
+    ranker = RemoteRanker("http://127.0.0.1:9", timeout=threading.TIMEOUT_MAX, retries=0)
+    assert ranker.rank(window("a", "b")) == ("a", "b")
 
 
 def test_remote_connection_refused_degrades():
