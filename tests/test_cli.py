@@ -348,10 +348,10 @@ def test_config_validation_errors(workspace, tmp_path, capsys):
     ({"retries": -1}, "config 'retries' must be >= 0, got -1"),
     ({"timeout": 0}, "config 'timeout' must be > 0, got 0"),
     ({"timeout": -1.5}, "config 'timeout' must be > 0, got -1.5"),
-    ({"timeout": 1e300}, f"config 'timeout' must be <= {threading.TIMEOUT_MAX}, got 1e+300"),
-    ({"timeout": float("inf")}, f"config 'timeout' must be <= {threading.TIMEOUT_MAX}, got inf"),  # JSON Infinity
     ({"swap_prob": 1.5}, "config 'swap_prob' must be in [0, 1], got 1.5"),
     ({"swap_prob": -0.1}, "config 'swap_prob' must be in [0, 1], got -0.1"),
+    ({"timeout": 1e300}, f"config 'timeout' must be <= {threading.TIMEOUT_MAX}, got 1e+300"),
+    ({"timeout": float("inf")}, f"config 'timeout' must be <= {threading.TIMEOUT_MAX}, got inf"),  # JSON Infinity
 ])
 def test_config_value_types_fail_at_load(workspace, tmp_path, capsys, overrides, message):
     run_out = tmp_path / "r.trec"
