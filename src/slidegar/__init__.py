@@ -10,7 +10,6 @@ from .adaptive_rerank import (
     RerankConfig,
     RerankResult,
     expected_llm_calls,
-    pseudo_scores,
     slidegar,
     slidegar_rm3,
     sliding_window_baseline,
@@ -22,7 +21,6 @@ __all__ = [
     "RerankConfig",
     "RerankResult",
     "expected_llm_calls",
-    "pseudo_scores",
     "slidegar",
     "slidegar_rm3",
     "sliding_window_baseline",

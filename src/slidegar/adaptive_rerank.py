@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 from .corpus_graph import CorpusGraph, neighbours
 from .corpus_store import CorpusStore, Query
@@ -71,11 +71,6 @@ class RerankResult:
     calls: int
     ranker_s: float
     bookkeeping_s: float
-
-
-def pseudo_scores(ordering: Sequence[int]) -> list[tuple[int, float]]:
-    """Reciprocal-rank surrogate scores for a score-free ordering (RM3's feedback weights)."""
-    return [(item, 1.0 / rank) for rank, item in enumerate(ordering, start=1)]
 
 
 def expected_llm_calls(cfg: RerankConfig) -> int:
@@ -209,20 +204,17 @@ def slidegar_rm3(
 ) -> RerankResult:
     """Feedback variant: fresh candidates come from the lexical index.
 
-    Feedback expands the query (RM3) from the top-b of the batch,
-    pseudo-scored by reciprocal rank, and retrieves with the expanded query
-    outside R0 and everything already ranked. The expanded query never
-    reaches the ranker; an expansion without usable terms yields nothing,
-    and invalid RM3 parameters raise before the first ranker call.
+    Feedback expands the query (RM3) from the top-b of the batch, weighted
+    by reciprocal rank, and retrieves with the expanded query outside R0
+    and everything already ranked. The expanded query never reaches the
+    ranker; an expansion without usable terms yields nothing, and invalid
+    RM3 parameters raise before the first ranker call.
     """
     check_rm3(fb_docs, fb_terms, orig_weight)
 
     def feedback(order: list[int], blocked: set[int], n: int) -> list[int]:
-        expanded = rm3_expand(
-            index, query, pseudo_scores(order[: cfg.b]),
-            fb_docs=fb_docs, fb_terms=fb_terms, orig_weight=orig_weight,
-        )
-        return [] if expanded is None else retrieve_expanded(index, expanded, n, exclude=blocked)
+        weights = rm3_expand(index, query, order[: cfg.b], fb_docs=fb_docs, fb_terms=fb_terms, orig_weight=orig_weight)
+        return retrieve_expanded(index, weights, n, exclude=blocked)
 
     return _run_window_loop(query, r0, ranker, cfg, store, feedback)
 

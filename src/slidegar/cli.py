@@ -80,6 +80,8 @@ def load_config(path: str) -> dict:
     cfg = copy.deepcopy(CONFIG_DEFAULTS)
     for key, value in user.items():
         if key == "rm3":
+            if type(value) is not dict:
+                raise ValueError(f"config 'rm3' must be an object, got {value!r}")
             bad = set(value) - set(cfg["rm3"])
             if bad:
                 raise ValueError(f"{path}: unknown rm3 keys: {', '.join(sorted(bad))}")
@@ -90,14 +92,23 @@ def load_config(path: str) -> dict:
     if cfg["run_tag"] is None:
         cfg["run_tag"] = cfg["strategy"]
     if cfg["telemetry_out"] is None:
-        cfg["telemetry_out"] = str(cfg["run_out"]) + ".telemetry.jsonl"
+        cfg["telemetry_out"] = cfg["run_out"] + ".telemetry.jsonl"
     return cfg
 
 
 def _validate_config(cfg: dict) -> None:
-    for key in ("corpus", "queries"):
+    for key in ("corpus", "queries", "run_out"):
         if not cfg[key]:
             raise ValueError(f"config requires {key!r}")
+    for key in ("corpus", "queries", "qrels", "index_dir", "embeddings", "query_embeddings",
+                "graph", "endpoint", "run_tag", "run_out", "telemetry_out"):
+        if cfg[key] is not None and (type(cfg[key]) is not str or not cfg[key]):
+            raise ValueError(f"config {key!r} must be a non-empty string, got {cfg[key]!r}")
+    for key in ("dedup", "normalize_embeddings"):
+        if type(cfg[key]) is not bool:
+            raise ValueError(f"config {key!r} must be true or false, got {cfg[key]!r}")
+    if cfg["run_tag"] is not None and cfg["run_tag"].split() != [cfg["run_tag"]]:  # a run-file column
+        raise ValueError(f"config 'run_tag' must not contain whitespace, got {cfg['run_tag']!r}")
     if cfg["retriever"] not in ("bm25", "dense"):
         raise ValueError(f"unknown retriever {cfg['retriever']!r}")
     if cfg["strategy"] not in ("baseline", "slidegar", "slidegar_rm3"):

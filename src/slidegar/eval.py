@@ -56,9 +56,12 @@ def parse_metric(spec: str) -> tuple[str, int]:
     """'ndcg@10' -> ('ndcg', 10); 'recall@50' -> ('recall', 50)."""
     name, _, cutoff_str = spec.partition("@")
     name = name.strip().lower()
-    if name not in ("ndcg", "recall") or not cutoff_str:
+    try:
+        cutoff = int(cutoff_str)
+    except ValueError:  # an empty cutoff too
+        cutoff = None
+    if name not in ("ndcg", "recall") or cutoff is None:
         raise ValueError(f"unknown metric {spec!r} (expected ndcg@N or recall@N)")
-    cutoff = int(cutoff_str)
     if cutoff < 1:
         raise ValueError(f"metric cutoff must be >= 1 in {spec!r}")
     return name, cutoff

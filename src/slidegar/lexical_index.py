@@ -34,7 +34,6 @@ import os
 import re
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping
@@ -233,64 +232,44 @@ def bm25_retrieve(index: InvertedIndex, query: Query, k: int) -> list[int]:
     return [doc_id for doc_id, _ in top_docs(index, Counter(tokenize(query.text)), k)]
 
 
-@dataclass(frozen=True)
-class ExpandedQuery:
-    """Weighted query terms; weights are finite, non-negative, sum to 1."""
-
-    weights: dict[str, float]
-
-    def __post_init__(self) -> None:
-        if not self.weights or not any(w > 0 for w in self.weights.values()):
-            raise ValueError("expanded query needs at least one positive-weight term")
-        for term, weight in self.weights.items():
-            if not math.isfinite(weight) or weight < 0:
-                raise ValueError(f"invalid weight {weight!r} for term {term!r}")
-
-
 def check_rm3(fb_docs: int, fb_terms: int, orig_weight: float) -> None:
     """Reject RM3 parameters no expansion can use, naming the parameter."""
     for name, value in (("fb_docs", fb_docs), ("fb_terms", fb_terms)):
-        if not isinstance(value, int) or value < 1:
+        if type(value) is not int or value < 1:  # bool is an int subclass and is rejected too
             raise ValueError(f"rm3 {name} must be an integer >= 1, got {value!r}")
-    if not isinstance(orig_weight, (int, float)) or not 0.0 <= orig_weight <= 1.0:
+    if type(orig_weight) not in (int, float) or not 0.0 <= orig_weight <= 1.0:
         raise ValueError(f"rm3 orig_weight must be a number in [0, 1], got {orig_weight!r}")
 
 
 def rm3_expand(
     index: InvertedIndex,
     query: Query,
-    feedback: list[tuple[int, float]],
+    ranked: list[int],
     fb_docs: int = 10,
     fb_terms: int = 10,
     orig_weight: float = 0.6,
-) -> ExpandedQuery | None:
-    """Relevance-model expansion from ranked feedback documents.
+) -> dict[str, float]:
+    """Relevance-model (RM3) term weights from ranked feedback documents.
 
-    ``feedback`` carries (doc_id, score) pairs, best first; listwise rankers
-    emit no scores, so callers supply reciprocal ranks. Document language
-    models are maximum-likelihood (tf / doc length), unsmoothed. Feedback
-    scores are shifted to be non-negative and normalized to sum 1; if
-    every score collapses to zero the documents are weighted uniformly.
-    None means that neither query nor feedback left a usable term.
+    ``ranked`` holds doc ids, best first. Listwise rankers emit no scores,
+    so the first ``fb_docs`` of them are weighted by reciprocal rank,
+    normalized to sum 1. Document language models are maximum-likelihood
+    (tf / doc length), unsmoothed. The weights sum to 1; they are empty
+    when neither query nor feedback left a usable term.
     """
-    if not feedback:
+    if not ranked:
         raise ValueError("feedback must be non-empty")
     check_rm3(fb_docs, fb_terms, orig_weight)
 
-    top = feedback[: min(fb_docs, len(feedback))]
-    raw = [score for _, score in top]
-    low = min(raw)
-    shifted = [score - low for score in raw] if low < 0 else list(raw)
-    total = sum(shifted)
-    if total <= 0:
-        shifted = [1.0] * len(top)
-        total = float(len(top))
+    top = ranked[:fb_docs]
+    rank_weights = [1.0 / rank for rank in range(1, len(top) + 1)]
+    total = sum(rank_weights)
 
     # keyed by term id; ids follow sorted-term order, so ties still break by term
     doc_offsets, doc_term_ids, doc_tfs = index.forward
     relevance_model: dict[int, float] = {}
-    for (doc_id, _), shifted_score in zip(top, shifted):
-        doc_weight = shifted_score / total
+    for doc_id, rank_weight in zip(top, rank_weights):
+        doc_weight = rank_weight / total
         length = index.doc_lengths[doc_id]
         if length == 0:
             continue
@@ -300,7 +279,7 @@ def rm3_expand(
 
     kept = sorted(relevance_model.items(), key=lambda pair: (-pair[1], pair[0]))[:fb_terms]
     kept_total = sum(weight for _, weight in kept)
-    expansion = {index.terms[term_id]: weight / kept_total for term_id, weight in kept} if kept_total > 0 else {}
+    expansion = {index.terms[term_id]: weight / kept_total for term_id, weight in kept}
 
     query_tokens = tokenize(query.text)
     weights: dict[str, float] = {}
@@ -315,20 +294,20 @@ def rm3_expand(
         weights[term] = weights.get(term, 0.0) + mix * weight
 
     total_weight = sum(weights.values())
-    if total_weight <= 0:
-        return None
-    if abs(total_weight - 1.0) > 1e-12:  # degenerate inputs (e.g. empty expansion)
+    if total_weight <= 0:  # no feedback doc has a token, and no query term is weighted
+        return {}
+    if abs(total_weight - 1.0) > 1e-12:  # an empty expansion leaves only the query's share
         weights = {term: weight / total_weight for term, weight in weights.items()}
-    return ExpandedQuery(weights)
+    return weights
 
 
 def retrieve_expanded(
-    index: InvertedIndex, expanded: ExpandedQuery, k: int, exclude: set[int] | None = None
+    index: InvertedIndex, weights: Mapping[str, float], k: int, exclude: set[int] | None = None
 ) -> list[int]:
     """BM25 with per-term contributions scaled by the expanded-query weights."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return [doc_id for doc_id, _ in top_docs(index, expanded.weights, k, exclude)]
+    return [doc_id for doc_id, _ in top_docs(index, weights, k, exclude)]
 
 
 INDEX_FORMAT_VERSION = 3

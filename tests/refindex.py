@@ -58,18 +58,13 @@ def cut(scores, k, exclude=None):
     return items[:k]
 
 
-def rm3_weights(index, query_text, feedback, fb_docs=10, fb_terms=10, orig_weight=0.6):
-    top = feedback[: min(fb_docs, len(feedback))]
-    raw = [score for _, score in top]
-    low = min(raw)
-    shifted = [score - low for score in raw] if low < 0 else list(raw)
-    total = sum(shifted)
-    if total <= 0:
-        shifted = [1.0] * len(top)
-        total = float(len(top))
+def rm3_weights(index, query_text, ranked, fb_docs=10, fb_terms=10, orig_weight=0.6):
+    """RM3 weights from ranked doc ids, each feedback doc weighted by 1 / rank."""
+    top = [(doc_id, 1.0 / rank) for rank, doc_id in enumerate(ranked[:fb_docs], start=1)]
+    total = sum(score for _, score in top)
     relevance_model = {}
-    for (doc_id, _), shifted_score in zip(top, shifted):
-        doc_weight = shifted_score / total
+    for doc_id, score in top:
+        doc_weight = score / total
         length = index.doc_lengths[doc_id]
         if length == 0:
             continue

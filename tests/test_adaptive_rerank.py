@@ -12,7 +12,6 @@ from slidegar.adaptive_rerank import (
     RerankConfig,
     expected_llm_calls,
     fresh_neighbours,
-    pseudo_scores,
     slidegar,
     slidegar_rm3,
     sliding_window_baseline,
@@ -59,13 +58,7 @@ class RecordingRanker(ListwiseRanker):
         return list(ordering)
 
 
-# --- pseudo scores & config ---
-
-
-def test_pseudo_scores_definition():
-    assert pseudo_scores(("dA", "dB", "dC")) == [("dA", 1.0), ("dB", 0.5), ("dC", 1 / 3)]
-    assert pseudo_scores(["only"]) == [("only", 1.0)]
-    assert pseudo_scores(range(20))[19] == (19, 0.05)
+# --- config ---
 
 
 def test_config_validation():
@@ -457,10 +450,8 @@ def test_window_loop_fills_every_window_until_sources_run_dry(instance, swap_pro
     query = Query("q1", text)
 
     def rm3_feedback(batch, blocked, n):
-        expanded = rm3_expand(index, query, pseudo_scores(ids_of(store, batch[: cfg.b])))
-        if expanded is None:
-            return []
-        return docnos_of(store, retrieve_expanded(index, expanded, n, exclude=set(ids_of(store, blocked))))
+        weights = rm3_expand(index, query, ids_of(store, batch[: cfg.b]))
+        return docnos_of(store, retrieve_expanded(index, weights, n, exclude=set(ids_of(store, blocked))))
 
     strategies = {  # the engine's feedback source, then the simulator's feedback_fn
         "slidegar": ("neighbours", graph_feedback(lambda d: adjacency.get(d, []), cfg.truncate_k)),

@@ -352,11 +352,21 @@ def test_config_validation_errors(workspace, tmp_path, capsys):
     ({"swap_prob": -0.1}, "config 'swap_prob' must be in [0, 1], got -0.1"),
     ({"timeout": 1e300}, f"config 'timeout' must be <= {threading.TIMEOUT_MAX}, got 1e+300"),
     ({"timeout": float("inf")}, f"config 'timeout' must be <= {threading.TIMEOUT_MAX}, got inf"),  # JSON Infinity
+    ({"rm3": 5}, "config 'rm3' must be an object, got 5"),
+    ({"rm3": ["fb_docs"]}, "config 'rm3' must be an object, got ['fb_docs']"),
+    ({"rm3": "fb"}, "config 'rm3' must be an object, got 'fb'"),
+    ({"normalize_embeddings": "false"}, "config 'normalize_embeddings' must be true or false, got 'false'"),
+    ({"dedup": "no"}, "config 'dedup' must be true or false, got 'no'"),
+    ({"corpus": 5}, "config 'corpus' must be a non-empty string, got 5"),
+    ({"endpoint": 5}, "config 'endpoint' must be a non-empty string, got 5"),
+    ({"run_tag": "my tag"}, "config 'run_tag' must not contain whitespace, got 'my tag'"),
+    ({"run_tag": ""}, "config 'run_tag' must be a non-empty string, got ''"),
+    ({"telemetry_out": ""}, "config 'telemetry_out' must be a non-empty string, got ''"),
 ])
 def test_config_value_types_fail_at_load(workspace, tmp_path, capsys, overrides, message):
     run_out = tmp_path / "r.trec"
     # the corpus does not exist, so an error that names the key came before ingest
-    cfg = base_config(workspace, corpus=str(tmp_path / "missing.tsv"), run_out=str(run_out), **overrides)
+    cfg = base_config(workspace, **{"corpus": str(tmp_path / "missing.tsv"), "run_out": str(run_out), **overrides})
     cfg_path = write_config(tmp_path / "cfg.json", cfg)
     with pytest.raises(ValueError) as raised:  # at load time, before any set-up
         cli.load_config(cfg_path)
@@ -366,7 +376,10 @@ def test_config_value_types_fail_at_load(workspace, tmp_path, capsys, overrides,
     assert not run_out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("fb_docs", 0), ("fb_terms", -3), ("orig_weight", 1.5)])
+@pytest.mark.parametrize("key, value", [
+    ("fb_docs", 0), ("fb_terms", -3), ("orig_weight", 1.5),
+    ("fb_docs", True), ("fb_terms", True), ("orig_weight", True),
+])
 def test_invalid_rm3_value_fails_config(workspace, tmp_path, capsys, key, value):
     run_out = tmp_path / "r.trec"
     cfg_path = write_config(tmp_path / "cfg.json", base_config(

@@ -101,6 +101,8 @@ def test_parse_metric():
     for bad in ("ndcg", "foo@3", "recall@0", "recall@"):
         with pytest.raises(ValueError):
             parse_metric(bad)
+    with pytest.raises(ValueError, match=r"^unknown metric 'ndcg@x' \(expected ndcg@N or recall@N\)$"):
+        parse_metric("ndcg@x")
 
 
 def test_evaluate_run_rejects_a_bad_metric_even_for_an_empty_run():

@@ -15,7 +15,6 @@ from slidegar.cli import main
 from slidegar.corpus_graph import build_graph_lexical
 from slidegar.corpus_store import Query, ingest_corpus
 from slidegar.lexical_index import (
-    ExpandedQuery,
     bm25_retrieve,
     build_index,
     load_index,
@@ -127,23 +126,28 @@ def test_bm25_prefix_monotonicity():
 
 def test_rm3_worked_example():
     _, index = two_doc_index()
-    feedback = [(0, 1.0)]
-    eq = rm3_expand(index, Query("q", "cat"), feedback, fb_docs=10, fb_terms=2, orig_weight=0.6)
-    assert eq.weights["cat"] == pytest.approx(0.6 + 0.4 * (2 / 3), abs=1e-12)
-    assert eq.weights["dog"] == pytest.approx(0.4 * (1 / 3), abs=1e-12)
+    weights = rm3_expand(index, Query("q", "cat"), [0], fb_docs=10, fb_terms=2, orig_weight=0.6)
+    assert weights["cat"] == pytest.approx(0.6 + 0.4 * (2 / 3), abs=1e-12)
+    assert weights["dog"] == pytest.approx(0.4 * (1 / 3), abs=1e-12)
 
 
 def test_rm3_orig_weight_one_is_query_only():
     _, index = two_doc_index()
-    eq = rm3_expand(index, Query("q", "cat dog"), [(1, 1.0)], orig_weight=1.0)
-    assert eq.weights == {"cat": pytest.approx(0.5), "dog": pytest.approx(0.5)}
+    weights = rm3_expand(index, Query("q", "cat dog"), [1], orig_weight=1.0)
+    assert weights == {"cat": pytest.approx(0.5), "dog": pytest.approx(0.5)}
 
 
 def test_rm3_orig_weight_zero_is_feedback_distribution():
     _, index = two_doc_index()
-    eq = rm3_expand(index, Query("q", "cat"), [(0, 1.0)], orig_weight=0.0)
-    assert eq.weights["cat"] == pytest.approx(2 / 3)
-    assert eq.weights["dog"] == pytest.approx(1 / 3)
+    weights = rm3_expand(index, Query("q", "cat"), [0], orig_weight=0.0)
+    assert weights["cat"] == pytest.approx(2 / 3)
+    assert weights["dog"] == pytest.approx(1 / 3)
+    # reciprocal-rank doc weights 1/1.5 and 0.5/1.5: 2/3 * {cat 2/3, dog 1/3} + 1/3 * {dog 1}
+    weights = rm3_expand(index, Query("q", "cat"), [0, 1], orig_weight=0.0)
+    assert weights == {"cat": pytest.approx(4 / 9, abs=1e-12), "dog": pytest.approx(5 / 9, abs=1e-12)}
+    assert rm3_expand(index, Query("q", "cat"), [0, 1], fb_docs=1, orig_weight=0.0) == rm3_expand(
+        index, Query("q", "cat"), [0], orig_weight=0.0
+    )
 
 
 def test_rm3_weights_sum_to_one():
@@ -153,25 +157,15 @@ def test_rm3_weights_sum_to_one():
     index = build_index(make_store(docs))
     for trial in range(25):
         n_fb = rng.randint(1, 8)
-        feedback = [(i, 1.0 / (r + 1)) for r, i in enumerate(rng.sample(range(20), n_fb))]
-        eq = rm3_expand(
+        weights = rm3_expand(
             index,
             Query("q", " ".join(rng.choices(vocab, k=2))),
-            feedback,
+            rng.sample(range(20), n_fb),
             fb_docs=rng.randint(1, 10),
             fb_terms=rng.randint(1, 12),
             orig_weight=rng.random(),
         )
-        assert sum(eq.weights.values()) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_rm3_all_zero_scores_fall_back_to_uniform():
-    _, index = two_doc_index()
-    feedback = [(0, 0.0), (1, 0.0)]
-    eq = rm3_expand(index, Query("q", "cat"), feedback, orig_weight=0.0)
-    # uniform doc weights: 0.5 * {cat 2/3, dog 1/3} + 0.5 * {dog 1}
-    assert eq.weights["cat"] == pytest.approx(0.5 * 2 / 3)
-    assert eq.weights["dog"] == pytest.approx(0.5 * 1 / 3 + 0.5)
+        assert sum(weights.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_rm3_validation():
@@ -179,22 +173,25 @@ def test_rm3_validation():
     with pytest.raises(ValueError):
         rm3_expand(index, Query("q", "cat"), [])
     with pytest.raises(ValueError):
-        rm3_expand(index, Query("q", "cat"), [(0, 1.0)], orig_weight=1.5)
+        rm3_expand(index, Query("q", "cat"), [0], orig_weight=1.5)
     with pytest.raises(ValueError):
-        rm3_expand(index, Query("q", "cat"), [(0, 1.0)], fb_terms=0)
+        rm3_expand(index, Query("q", "cat"), [0], fb_terms=0)
 
 
-def test_rm3_without_usable_terms_is_none():
-    store = make_store({"a": "the of", "b": "cat"})
-    assert rm3_expand(build_index(store), Query("q", "the"), [(0, 1.0)]) is None
+def test_rm3_without_usable_terms_is_empty():
+    index = build_index(make_store({"a": "the of", "b": "cat"}))
+    assert rm3_expand(index, Query("q", "the"), [0]) == {}
+    # a query term weighted 0 and a token-free feedback doc leave nothing either
+    assert rm3_expand(index, Query("q", "cat"), [0], orig_weight=0.0) == {}
+    assert retrieve_expanded(index, {}, 5) == []
 
 
 def test_rm3_all_stopword_query_uses_expansion_only():
     _, index = two_doc_index()
-    eq = rm3_expand(index, Query("q", "the and of"), [(0, 1.0)], orig_weight=0.6)
-    assert eq.weights["cat"] == pytest.approx(2 / 3)
-    assert eq.weights["dog"] == pytest.approx(1 / 3)
-    assert sum(eq.weights.values()) == pytest.approx(1.0, abs=1e-9)
+    weights = rm3_expand(index, Query("q", "the and of"), [0], orig_weight=0.6)
+    assert weights["cat"] == pytest.approx(2 / 3)
+    assert weights["dog"] == pytest.approx(1 / 3)
+    assert sum(weights.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 # --- retrieve_expanded ---
@@ -202,23 +199,21 @@ def test_rm3_all_stopword_query_uses_expansion_only():
 
 def test_expanded_single_term_matches_bm25():
     _, index = two_doc_index()
-    eq = ExpandedQuery({"dog": 0.37})
-    expanded = retrieve_expanded(index, eq, 10)
+    expanded = retrieve_expanded(index, {"dog": 0.37}, 10)
     plain = bm25_retrieve(index, Query("q", "dog"), 10)
     assert expanded == plain
 
 
 def test_expanded_exclude_everything():
     _, index = two_doc_index()
-    eq = ExpandedQuery({"dog": 1.0})
-    assert retrieve_expanded(index, eq, 10, exclude={0, 1}) == []
+    assert retrieve_expanded(index, {"dog": 1.0}, 10, exclude={0, 1}) == []
 
 
 def test_expanded_weighted_hand_computation():
     store, index = two_doc_index()
-    eq = ExpandedQuery({"cat": 0.8667, "dog": 0.1333})
-    result = retrieve_expanded(index, eq, 10)
-    hits = top_docs(index, eq.weights, 10)
+    weights = {"cat": 0.8667, "dog": 0.1333}
+    result = retrieve_expanded(index, weights, 10)
+    hits = top_docs(index, weights, 10)
     idf_cat = math.log(1 + (2 - 1 + 0.5) / (1 + 0.5))
     idf_dog = math.log(1 + (2 - 2 + 0.5) / (2 + 0.5))
     d1 = 0.8667 * idf_cat * 2 * 2.2 / (2 + 1.2) + 0.1333 * idf_dog * 1 * 2.2 / (1 + 1.2)
@@ -235,8 +230,8 @@ def test_expanded_scaling_invariance():
     docs = {f"d{i}": " ".join(rng.choices(vocab, k=8)) for i in range(25)}
     index = build_index(make_store(docs))
     weights = {t: rng.random() + 0.01 for t in rng.sample(vocab, 5)}
-    base = retrieve_expanded(index, ExpandedQuery(weights), 25)
-    scaled = retrieve_expanded(index, ExpandedQuery({t: 7.3 * w for t, w in weights.items()}), 25)
+    base = retrieve_expanded(index, weights, 25)
+    scaled = retrieve_expanded(index, {t: 7.3 * w for t, w in weights.items()}, 25)
     assert base == scaled
 
 
@@ -309,7 +304,7 @@ def test_forward_index_is_built_on_first_use_only(tmp_path):
     loaded = load_index(tmp_path, store)
     bm25_retrieve(loaded, Query("q", "cat"), 2)
     assert "forward" not in vars(index) and "forward" not in vars(loaded)
-    rm3_expand(loaded, Query("q", "cat"), [(0, 1.0)])
+    rm3_expand(loaded, Query("q", "cat"), [0])
     assert "forward" in vars(loaded)
     doc_offsets, term_ids, tfs = loaded.forward  # terms bird, cat, dog
     assert doc_offsets.tolist() == [0, 2, 4, 6]
@@ -389,17 +384,17 @@ def test_csr_engine_matches_dict_reference():
     assert straddled >= 10  # ties really do straddle the k-th place
 
     for _ in range(40):
-        feedback = [(d, 1.0 / (r + 1)) for r, d in enumerate(rng.sample(range(len(texts)), rng.randint(1, 12)))]
+        ranked = rng.sample(range(len(texts)), rng.randint(1, 12))
         query = " ".join(rng.choices(vocab, k=rng.randint(0, 3)))
         fb_terms = rng.randint(1, 12)
-        expanded = rm3_expand(index, Query("q", query), feedback, fb_terms=fb_terms)
-        reference = refindex.rm3_weights(ref, query, feedback, fb_terms=fb_terms)
-        assert list(expanded.weights.items()) == list(reference.items())
+        expanded = rm3_expand(index, Query("q", query), ranked, fb_terms=fb_terms)
+        reference = refindex.rm3_weights(ref, query, ranked, fb_terms=fb_terms)
+        assert list(expanded.items()) == list(reference.items())
         exclude = set(rng.sample(range(len(texts)), rng.randint(1, 30)))
         scores = refindex.score_weighted_terms(ref, reference)
         for k in (1, 3, 7, 20):
             expected = refindex.cut(scores, k, exclude)
-            assert top_docs(index, expanded.weights, k, exclude) == expected
+            assert top_docs(index, expanded, k, exclude) == expected
             assert retrieve_expanded(index, expanded, k, exclude=exclude) == [d for d, _ in expected]
 
 
