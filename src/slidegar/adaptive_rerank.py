@@ -209,12 +209,26 @@ def slidegar_rm3(
     and everything already ranked. The expanded query never reaches the
     ranker; an expansion without usable terms yields nothing, and invalid
     RM3 parameters raise before the first ranker call.
+
+    The expansion reads only the batch's head, its first ``min(b, fb_docs)``
+    ids, so expansion and retrieval run once per distinct head in a query;
+    a ranker that keeps the carried head in place reuses them. Each
+    retrieval keeps ``depth = len(r0) + expected_llm_calls(cfg) * b`` hits
+    and each call filters them. That is exact: ``blocked`` never holds more
+    than ``len(r0) + (calls - 1) * b`` ids and a call asks for at most
+    ``b``, so the first ``n`` unblocked hits lie within the first ``depth``.
     """
     check_rm3(fb_docs, fb_terms, orig_weight)
+    depth = len(r0) + expected_llm_calls(cfg) * cfg.b
+    hits_of: dict[tuple[int, ...], list[int]] = {}  # one query's, so --jobs threads share none
 
     def feedback(order: list[int], blocked: set[int], n: int) -> list[int]:
-        weights = rm3_expand(index, query, order[: cfg.b], fb_docs=fb_docs, fb_terms=fb_terms, orig_weight=orig_weight)
-        return retrieve_expanded(index, weights, n, exclude=blocked)
+        head = order[: min(cfg.b, fb_docs)]
+        hits = hits_of.get(tuple(head))
+        if hits is None:
+            weights = rm3_expand(index, query, head, fb_docs=fb_docs, fb_terms=fb_terms, orig_weight=orig_weight)
+            hits = hits_of[tuple(head)] = retrieve_expanded(index, weights, depth)
+        return [i for i in hits if i not in blocked][:n]
 
     return _run_window_loop(query, r0, ranker, cfg, store, feedback)
 

@@ -361,13 +361,12 @@ def cmd_sweep_k(args: argparse.Namespace) -> int:
         raise ValueError("sweep-k requires strategy 'slidegar'")
     if not cfg["qrels"]:
         raise ValueError("sweep-k requires qrels for evaluation")
-    k_list = [int(k) for k in args.k_list.split(",") if k.strip()]
-    for k in k_list:
+    for k in args.k_list:
         _rerank_config(cfg, truncate_k=k)
-    pipeline = _Pipeline(cfg, truncate_ks=k_list)
+    pipeline = _Pipeline(cfg, truncate_ks=args.k_list)
     metrics = ["ndcg@10", f"recall@{cfg['c']}"]
     rows = []
-    for k in k_list:
+    for k in args.k_list:
         run, _ = pipeline.execute(_rerank_config(cfg, truncate_k=k))
         report = run_eval.evaluate_run(run, pipeline.grades, metrics, rel_threshold=cfg["rel_threshold"])
         rows.append((k, [report.means.get(m) for m in metrics]))
@@ -380,6 +379,20 @@ def cmd_sweep_k(args: argparse.Namespace) -> int:
     non_decreasing = all(b >= a - 0.01 for a, b in zip(recall, recall[1:]))
     print(f"# recall trend non-decreasing within 0.01: {'yes' if non_decreasing else 'no'}")
     return 0
+
+
+def _k_list(text: str) -> list[int]:
+    """``--k-list``: comma-separated integer depths, at least one."""
+    items = [item.strip() for item in text.split(",") if item.strip()]
+    if not items:
+        raise argparse.ArgumentTypeError(f"no depth in {text!r}")
+    depths = []
+    for item in items:
+        try:
+            depths.append(int(item))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{item!r} is not an integer") from None
+    return depths
 
 
 def _build_parser() -> _Parser:
@@ -430,7 +443,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep-k", help="rerun one config over several graph depths")
     p.add_argument("--config", required=True)
-    p.add_argument("--k-list", default="2,4,6,8,10,12,14,16")
+    p.add_argument("--k-list", type=_k_list, default="2,4,6,8,10,12,14,16")
     p.set_defaults(func=cmd_sweep_k)
 
     return parser

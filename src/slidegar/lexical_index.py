@@ -195,41 +195,38 @@ def score_weighted_terms(index: InvertedIndex, term_weights: Mapping[str, float]
 
 
 # Not routed through dense_index.top_k_ids: on RM3 calls of ~130 scores that took ~43 us a call against ~16 us here.
-def _cut(
-    docs: np.ndarray, scores: np.ndarray, k: int, exclude: set[int] | None = None
-) -> list[tuple[int, float]]:
-    """Top-k (doc id, score) pairs of positive score outside ``exclude``,
+def _ranked(docs: np.ndarray, scores: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``depth`` doc ids of positive score and their scores,
     ordered score desc then doc id asc. ``docs`` must be ascending."""
     keep = scores > 0.0
     docs, scores = docs[keep], scores[keep]
-    # at most len(exclude) excluded docs can precede the k-th kept one
-    depth = k + (len(exclude) if exclude else 0)
     if len(scores) > depth:
         # every doc tied with the depth-th best score stays, for the id tie-break
         floor = np.partition(scores, len(scores) - depth)[len(scores) - depth]
         keep = scores >= floor
         docs, scores = docs[keep], scores[keep]
     order = np.argsort(-scores, kind="stable")[:depth]  # stable on ascending ids
-    out: list[tuple[int, float]] = []
-    for doc_id, score in zip(docs[order].tolist(), scores[order].tolist()):
-        if exclude is None or doc_id not in exclude:
-            out.append((doc_id, score))
-            if len(out) == k:
-                break
-    return out
+    return docs[order], scores[order]
 
 
 def top_docs(
     index: InvertedIndex, term_weights: Mapping[str, float], k: int, exclude: set[int] | None = None
 ) -> list[tuple[int, float]]:
-    """The k best (doc id, score) pairs for a weighted query, ties by doc id."""
-    return _cut(*score_weighted_terms(index, term_weights), k, exclude)
+    """The k best (doc id, score) pairs outside ``exclude`` for a weighted
+    query, ties by doc id."""
+    # at most len(exclude) excluded docs can precede the k-th kept one
+    depth = k + (len(exclude) if exclude else 0)
+    docs, scores = _ranked(*score_weighted_terms(index, term_weights), depth)
+    pairs = zip(docs.tolist(), scores.tolist())
+    if exclude:
+        return [pair for pair in pairs if pair[0] not in exclude][:k]
+    return list(pairs)
 
 
 def bm25_retrieve(index: InvertedIndex, query: Query, k: int) -> list[int]:
     if k < 1:
         raise ValueError("k must be >= 1")
-    return [doc_id for doc_id, _ in top_docs(index, Counter(tokenize(query.text)), k)]
+    return _ranked(*score_weighted_terms(index, Counter(tokenize(query.text))), k)[0].tolist()
 
 
 def check_rm3(fb_docs: int, fb_terms: int, orig_weight: float) -> None:
@@ -301,13 +298,11 @@ def rm3_expand(
     return weights
 
 
-def retrieve_expanded(
-    index: InvertedIndex, weights: Mapping[str, float], k: int, exclude: set[int] | None = None
-) -> list[int]:
+def retrieve_expanded(index: InvertedIndex, weights: Mapping[str, float], k: int) -> list[int]:
     """BM25 with per-term contributions scaled by the expanded-query weights."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return [doc_id for doc_id, _ in top_docs(index, weights, k, exclude)]
+    return _ranked(*score_weighted_terms(index, weights), k)[0].tolist()
 
 
 INDEX_FORMAT_VERSION = 3

@@ -19,7 +19,7 @@ from slidegar.adaptive_rerank import (
 )
 from slidegar.corpus_graph import SENTINEL, CorpusGraph, neighbours
 from slidegar.corpus_store import Query
-from slidegar.lexical_index import build_index, retrieve_expanded, rm3_expand
+from slidegar.lexical_index import bm25_retrieve, build_index, retrieve_expanded, rm3_expand, top_docs
 from slidegar.rankers import IdentityRanker, ListwiseRanker, NoisyOracleRanker, OracleRanker, Window
 
 Q = Query("q1", "query text")
@@ -31,6 +31,17 @@ def ids_of(store, docnos):
 
 def docnos_of(store, ids):
     return [store.docnos[i] for i in ids]
+
+
+def rm3_reference(store, index, query, b, fb_docs=10):
+    """The simulator's RM3 feedback_fn: a fresh expansion of ``batch[:b]``
+    and a retrieval outside ``blocked`` on every call."""
+
+    def feedback_fn(batch, blocked, n):
+        weights = rm3_expand(index, query, ids_of(store, batch[:b]), fb_docs=fb_docs)
+        return docnos_of(store, [i for i, _ in top_docs(index, weights, n, set(ids_of(store, blocked)))])
+
+    return feedback_fn
 
 
 def names_store(names):
@@ -282,8 +293,6 @@ def test_rm3_orig_weight_one_consumes_bm25_order():
     store = make_store(docs)
     index = build_index(store)
     query = Query("q1", "t")
-    from slidegar.lexical_index import bm25_retrieve
-
     r0 = bm25_retrieve(index, query, 6)
     assert docnos_of(store, r0) == [f"d{i}" for i in range(6)]
     cfg = RerankConfig(w=4, b=2, c=6)
@@ -321,8 +330,6 @@ def test_rm3_recall_gain_on_clustered_fixture():
     index = build_index(store)
     query = Query("q1", "qa qb")
     grades = {"q1": {"v1": 2, "v2": 2, "h1": 2, "h2": 2}}
-    from slidegar.lexical_index import bm25_retrieve
-
     r0 = bm25_retrieve(index, query, 6)
     assert docnos_of(store, r0) == ["v1", "v2", "x1", "x2"]  # hidden docs unreachable
     cfg = RerankConfig(w=4, b=2, c=6)
@@ -357,6 +364,84 @@ def test_rm3_without_usable_terms_consumes_r0_alone():
     result = slidegar_rm3(Query("q1", "the"), r0, IdentityRanker(), build_index(store), cfg, store)
     assert docnos_of(store, result.ranking) == ["d0", "d3", "d2", "d1"]
     assert result.calls == expected_llm_calls(cfg)
+
+
+def counting(mp, name, counts):
+    """Patch ``adaptive_rerank.<name>`` to count its calls in ``counts``."""
+    inner = getattr(adaptive_rerank, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return inner(*args, **kwargs)
+
+    mp.setattr(adaptive_rerank, name, counted)
+
+
+def simulate_rm3(store, docs, query, r0, ranker, cfg, fb_docs=10):
+    def rank_fn(docnos):
+        return list(ranker.rank(Window(query, tuple(docnos), tuple(docs[d] for d in docnos))))
+
+    feedback_fn = rm3_reference(store, build_index(store), query, cfg.b, fb_docs)
+    return simulate_window_loop(r0, rank_fn, feedback_fn, cfg.w, cfg.b, cfg.c)
+
+
+def test_rm3_one_retrieval_serves_the_deepest_blocked_set():
+    # every doc holds only "ant", so any expansion is {"ant": 1.0}: one hit
+    # list, ordered by tf desc then id. R0 is its top w and the identity
+    # ranker keeps the head in place, so each feedback half is the next b
+    # hits; the last reaches past every blocked doc the loop can hold.
+    docs = {f"d{i:02d}": " ".join(["ant"] * (1 + i * 7 % 5)) for i in range(40)}
+    store = make_store(docs)
+    index = build_index(store)
+    query = Query("q1", "ant")
+    cfg = RerankConfig(w=4, b=2, c=14)
+    r0 = bm25_retrieve(index, query, cfg.w)
+    depth = len(r0) + expected_llm_calls(cfg) * cfg.b
+    hits = [i for i, _ in top_docs(index, {"ant": 1.0}, len(docs))]
+    assert len(hits) == len(docs) > depth
+    counts: dict[str, int] = {}
+    with pytest.MonkeyPatch.context() as mp:
+        counting(mp, "rm3_expand", counts)
+        counting(mp, "retrieve_expanded", counts)
+        result = slidegar_rm3(query, r0, IdentityRanker(), index, cfg, store)
+    expected, calls, _ = simulate_rm3(store, docs, query, docnos_of(store, r0), IdentityRanker(), cfg)
+    assert docnos_of(store, result.ranking) == expected
+    assert result.calls == calls == expected_llm_calls(cfg) == 6
+    # the last half is hits 12 and 13, behind the len(r0) + (calls - 2) * b
+    # = 12 blocked ones
+    assert set(result.ranking) == set(hits[:14])
+    assert counts == {"rm3_expand": 1, "retrieve_expanded": 1}
+
+
+class HeadKeeper(ListwiseRanker):
+    """Keeps the first two docs of a window in place and reverses the rest."""
+
+    name = "head-keeper"
+
+    def _order(self, window):
+        return [*window.docnos[:2], *reversed(window.docnos[2:])]
+
+
+def test_rm3_heads_equal_on_their_first_fb_docs_share_one_expansion():
+    docs = {f"d{i}": f"ant bee w{i % 3} w{i % 4}" for i in range(16)}
+    store = make_store(docs)
+    index = build_index(store)
+    query = Query("q1", "ant")
+    cfg = RerankConfig(w=6, b=3, c=15)
+    r0 = ids_of(store, ["d0", "d1", "d2", "d3", "d4", "d5"])
+    recorder = RecordingRanker(HeadKeeper())
+    counts: dict[str, int] = {}
+    with pytest.MonkeyPatch.context() as mp:
+        counting(mp, "rm3_expand", counts)
+        result = slidegar_rm3(query, r0, recorder, index, cfg, store, fb_docs=2)
+    expected, calls, _ = simulate_rm3(store, docs, query, docnos_of(store, r0), HeadKeeper(), cfg, fb_docs=2)
+    assert docnos_of(store, result.ranking) == expected
+    assert result.calls == calls
+    heads = [batch[: cfg.b] for _, batch in recorder.seen]
+    # the batches' top-b heads differ, but all start with d0, d1
+    assert len(set(heads)) == len(heads) >= 3
+    assert {head[:2] for head in heads} == {("d0", "d1")}
+    assert counts == {"rm3_expand": 1}
 
 
 # --- window-loop invariants of the baseline and the rm3 variant ---
@@ -449,20 +534,19 @@ def test_window_loop_fills_every_window_until_sources_run_dry(instance, swap_pro
     graph = graph_from_dict(adjacency, list(docs), 4)
     query = Query("q1", text)
 
-    def rm3_feedback(batch, blocked, n):
-        weights = rm3_expand(index, query, ids_of(store, batch[: cfg.b]))
-        return docnos_of(store, retrieve_expanded(index, weights, n, exclude=set(ids_of(store, blocked))))
-
     strategies = {  # the engine's feedback source, then the simulator's feedback_fn
         "slidegar": ("neighbours", graph_feedback(lambda d: adjacency.get(d, []), cfg.truncate_k)),
-        "slidegar_rm3": ("rm3_expand", rm3_feedback),
+        "slidegar_rm3": ("rm3_expand", rm3_reference(store, index, query, cfg.b)),
     }
     for strategy, (source, feedback_fn) in strategies.items():
         asked = {"engine": 0, "simulator": 0}
+        heads = set()  # what RM3 reads of each batch the simulator asks feedback for (fb_docs is 10)
 
         def count(who, fn):
             def counted(*args, **kwargs):
                 asked[who] += 1
+                if who == "simulator":
+                    heads.add(tuple(args[0][: min(cfg.b, 10)]))
                 return fn(*args, **kwargs)
 
             return counted
@@ -484,7 +568,8 @@ def test_window_loop_fills_every_window_until_sources_run_dry(instance, swap_pro
         )
         assert docnos_of(store, result.ranking) == expected
         assert result.calls == calls == len(ranker.seen) <= expected_llm_calls(cfg)
-        assert asked["engine"] == asked["simulator"]  # feedback is asked only when a window needs it
+        # feedback is asked only when a window needs it, and RM3 expands once per distinct head
+        assert asked["engine"] == (len(heads) if strategy == "slidegar_rm3" else asked["simulator"])
 
         # each fresh half holds b documents unless the unranked rest of R0
         # and everything feedback could still offer add up to fewer

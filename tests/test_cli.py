@@ -315,6 +315,18 @@ def test_sweep_k_rejects_a_depth_beyond_the_graph_before_its_first_run(workspace
     assert capsys.readouterr().err == "error: truncate_k must be >= 0\n"
 
 
+@pytest.mark.parametrize(
+    "k_list, message", [(",", "no depth in ','"), (" , ", "no depth in ' , '"), ("4,x", "'x' is not an integer")]
+)
+def test_sweep_k_rejects_a_bad_k_list_as_a_usage_error(workspace, tmp_path, capsys, k_list, message):
+    cfg = base_config(workspace, run_out=str(tmp_path / "s.trec"), telemetry_out=str(tmp_path / "s.jsonl"))
+    assert main(["sweep-k", "--config", write_config(tmp_path / "cfg.json", cfg), "--k-list", k_list]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument --k-list: {message}\n")
+    assert not (tmp_path / "s.trec").exists()
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["run"]) == 1  # missing --config
     err = capsys.readouterr().err
