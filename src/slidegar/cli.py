@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import argparse
 import copy
+import gc
 import json
 import logging
 import os
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from . import adaptive_rerank, corpus_graph, corpus_store, dense_index, eval as run_eval, lexical_index, synth
+from . import adaptive_rerank, corpus_graph, corpus_store, dense_index, eval as run_eval, lexical_index
 from .adaptive_rerank import RerankConfig
 from .rankers import IdentityRanker, NoisyOracleRanker, OracleRanker, RemoteRanker
 
@@ -152,7 +152,8 @@ class _Pipeline:
         self.cfg = cfg
         # the telemetry's setup record: each set-up step's wall time in seconds and
         # the count of absent judgments; what the config does not need stays None
-        keys = ("ingest_s", "qrels_s", "qrels_absent", "index_load_s", "embeddings_load_s", "graph_load_s")
+        keys = ("ingest_s", "qrels_s", "qrels_absent", "index_load_s", "forward_index_s", "embeddings_load_s",
+                "graph_load_s")
         self.setup = dict.fromkeys(keys)
         t0 = time.perf_counter()
         self.store, _ = corpus_store.ingest_corpus(cfg["corpus"], dedup=cfg["dedup"])
@@ -170,9 +171,11 @@ class _Pipeline:
                 self.index = lexical_index.load_index(cfg["index_dir"], self.store)
             else:
                 self.index = lexical_index.build_index(self.store)
-            if cfg["strategy"] == "slidegar_rm3":
-                self.index.forward  # built here, in set-up, not by the first query or racing threads
             self._lap("index_load_s", t0)
+            if cfg["strategy"] == "slidegar_rm3":
+                t0 = time.perf_counter()
+                self.index.forward  # built here, in set-up, not by the first query or racing threads
+                self._lap("forward_index_s", t0)
         self.embeddings = None
         self.query_vectors: dict = {}
         if cfg["retriever"] == "dense":
@@ -254,6 +257,8 @@ class _Pipeline:
         if jobs == 1:
             results = [self.rerank_one(q, rcfg) for q in self.queries]
         else:
+            from concurrent.futures import ThreadPoolExecutor  # here, not at module level: it costs every CLI process about 2 ms
+
             with ThreadPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(lambda q: self.rerank_one(q, rcfg), self.queries))
         results.sort(key=lambda t: t[0])
@@ -270,6 +275,8 @@ def _rerank_config(cfg: dict, truncate_k: int | None = None) -> RerankConfig:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from . import synth  # here, not at module level: it costs every other command about 3 ms
+
     spec = synth.SynthSpec(
         n_clusters=args.clusters,
         docs_per_cluster=args.docs_per_cluster,
@@ -463,6 +470,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
+    gc.freeze()  # exit's final collections then skip the import-time objects, numpy's above all
     sys.exit(main())
 
 

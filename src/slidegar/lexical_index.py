@@ -100,16 +100,27 @@ class InvertedIndex:
 
     @cached_property
     def forward(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(doc_offsets, term_ids, tfs)``: the postings regrouped by doc."""
-        # a stable sort by doc id keeps each doc's terms in id order
-        order = np.argsort(self.doc_ids, kind="stable")
+        """``(doc_offsets, term_ids, tfs)``: the postings regrouped by doc,
+        each doc's terms in id order."""
+        # Postings run in term-id order, so ordering them by (doc id, position)
+        # is the stable argsort by doc id. The keys doc_id * n + position are
+        # unique, so one in-place value sort, faster than argsort, finds that
+        # order, and % n turns the keys back into positions. Keys stay below
+        # doc_count * n < 2**63: doc_count <= 2**32 (ids are u32), and
+        # n < 2**31 since that many postings would already hold 16 GiB.
+        n = len(self.doc_ids)
+        order = self.doc_ids.astype(np.int64)
+        doc_offsets = np.zeros(self.doc_count + 1, dtype=np.int64)
+        # counted from the int64 copy, which bincount reads without casting the u32 ids
+        np.cumsum(np.bincount(order, minlength=self.doc_count), out=doc_offsets[1:])
+        order *= n
+        order += np.arange(n, dtype=np.int64)
+        order.sort()
+        order %= n  # an empty index has n = 0 and nothing to divide
         posting_terms = np.repeat(np.arange(len(self.terms), dtype=np.int32), np.diff(self.offsets))
         term_ids = posting_terms[order]
         del posting_terms
         tfs = self.tfs[order]
-        del order
-        doc_offsets = np.zeros(self.doc_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.doc_ids, minlength=self.doc_count), out=doc_offsets[1:])
         return doc_offsets, term_ids, tfs
 
 
@@ -342,8 +353,9 @@ def _read_terms(path: Path) -> list[str]:
     terms = text.split("\n")
     if terms.pop():
         raise ValueError(f"{path}:{len(terms) + 1}: no newline at the end of the file")
-    # newlines are whitespace too, so a clean file splits into exactly its lines
-    if text.split() != terms:
+    # one scan over all terms, as for docnos: clean terms join into a single word
+    joined = "".join(terms)
+    if terms and not (all(terms) and joined.split() == [joined]):
         lineno, term = next((n, t) for n, t in enumerate(terms, start=1) if t.split() != [t])
         raise ValueError(f"{path}:{lineno}: term {term!r} is empty or contains whitespace")
     if not all(map(str.__lt__, terms, terms[1:])):

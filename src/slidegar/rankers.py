@@ -13,12 +13,12 @@ misbehaving model endpoint.
 Wire protocol: ``POST {endpoint}/rerank`` with JSON body
 ``{"qid": ..., "query": ..., "candidates": [{"docno": ..., "text": ...}, ...]}``;
 the endpoint answers HTTP 200 with ``{"ordering": [docno, ...]}``. Any other
-status, a malformed body, or a non-permutation takes the retry path.
+status, a malformed response or body, or a non-permutation takes the retry
+path.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import random
@@ -97,6 +97,8 @@ class OracleRanker(ListwiseRanker):
 def _window_rng(seed: int, window: Window) -> random.Random:
     # Derived from (seed, qid, window content) so the same window always gets
     # the same perturbation, regardless of call order or threading.
+    import hashlib  # here, not at module level: it loads OpenSSL, about 3 ms of every CLI process
+
     digest = hashlib.sha256()
     digest.update(str(seed).encode("utf-8"))
     digest.update(b"\x00" + window.query.qid.encode("utf-8"))
@@ -134,11 +136,12 @@ def truncate_doc_text(text: str, max_tokens: int = MAX_DOC_TOKENS) -> str:
 class RemoteRanker(ListwiseRanker):
     """HTTP client for a real listwise model behind the wire protocol above.
 
-    Failures (timeouts, non-200 statuses, malformed bodies, non-permutation
-    orderings) are retried with exponential backoff; once attempts are
-    exhausted the window's input order is used and the degradation is
-    logged, so a flaky endpoint degrades quality instead of crashing runs.
-    One logical rank() counts once no matter how many attempts it took.
+    Failures (timeouts, non-200 statuses, malformed responses or bodies,
+    non-permutation orderings) are retried with exponential backoff; once
+    attempts are exhausted the window's input order is used and the
+    degradation is logged, so a flaky endpoint degrades quality instead of
+    crashing runs. One logical rank() counts once no matter how many
+    attempts it took.
     """
 
     name = "remote"
@@ -168,6 +171,7 @@ class RemoteRanker(ListwiseRanker):
     def _order(self, window: Window) -> list[str]:
         import urllib.error  # here, not at module level: it costs every CLI process about 20 ms
         import urllib.request
+        from http.client import HTTPException  # a malformed response: a bad status line, a short body
 
         payload = {
             "qid": window.query.qid,
@@ -187,7 +191,7 @@ class RemoteRanker(ListwiseRanker):
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
                     data = json.loads(response.read().decode("utf-8"))
                 ordering = [str(d) for d in data["ordering"]]
-            except (urllib.error.URLError, OSError, ValueError, KeyError, TypeError) as exc:
+            except (urllib.error.URLError, HTTPException, OSError, ValueError, KeyError, TypeError) as exc:
                 log.warning(
                     "remote ranker request failed (attempt %d/%d, qid=%s): %s",
                     attempt + 1, attempts, window.query.qid, exc,

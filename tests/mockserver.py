@@ -39,6 +39,15 @@ class ScriptedHandler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(b"this is not json")
             return
+        elif behavior == "bad_status":  # not an HTTP status line
+            self.wfile.write(b"garbage\r\n\r\n")
+            return
+        elif behavior == "truncated":  # the connection closes 86 bytes short of Content-Length
+            self.send_response(200)
+            self.send_header("Content-Length", "100")
+            self.end_headers()
+            self.wfile.write(b'{"ordering": [')
+            return
         elif behavior.startswith("status:"):
             self.send_response(int(behavior.split(":")[1]))
             self.end_headers()

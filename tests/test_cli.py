@@ -113,7 +113,10 @@ def test_pipeline_builds_the_forward_index_for_rm3_runs_only(workspace, tmp_path
                 workspace, strategy=strategy, index_dir=index_dir,
             )))
             # in set-up, so neither the first query nor a --jobs thread builds it
-            assert ("forward" in vars(cli._Pipeline(cfg).index)) is built, (strategy, index_dir)
+            pipeline = cli._Pipeline(cfg)
+            assert ("forward" in vars(pipeline.index)) is built, (strategy, index_dir)
+            # and timed on its own, outside index_load_s
+            assert (type(pipeline.setup["forward_index_s"]) is float) is built, (strategy, index_dir)
 
 
 def test_jobs_byte_identical_under_racing_ranker(workspace, tmp_path, monkeypatch):
@@ -149,11 +152,40 @@ def test_jobs_byte_identical_under_racing_ranker(workspace, tmp_path, monkeypatc
 
 
 def test_cli_import_leaves_http_client_unloaded():
-    # the remote ranker imports urllib on its first request; no other command needs it
-    code = "import sys, slidegar.cli; print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))"
+    # the remote ranker imports urllib on its first request, the noisy oracle
+    # hashlib, synth and --jobs > 1 theirs; no other command needs them
+    lazy = {"urllib.request", "http.client", "hashlib", "slidegar.synth", "concurrent.futures"}
+    code = f"import sys, slidegar.cli; print(sorted({lazy!r} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(Path(slidegar.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_console_entry_exit_codes(workspace, tmp_path):
+    """``python -m slidegar.cli`` enters through ``run()``, as the console
+    script does: exit 0 with complete outputs, 1 on a usage error, and 2
+    with a single error line on a bad config."""
+    env = {**os.environ, "PYTHONPATH": str(Path(slidegar.__file__).resolve().parents[1])}
+
+    def console(*args):
+        return subprocess.run([sys.executable, "-m", "slidegar.cli", *args], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    run_out = tmp_path / "run.trec"
+    cfg = base_config(workspace, strategy="baseline", ranker="identity", graph=None, run_out=str(run_out))
+    done = console("run", "--config", write_config(tmp_path / "cfg.json", cfg))
+    assert done.returncode == 0, done.stderr
+    qids = sorted(q.qid for q in load_queries(workspace / "data" / "queries.tsv"))
+    run, tag = read_run(run_out)
+    assert tag == "baseline" and sorted(run) == qids and all(run.values())
+    records = [json.loads(line) for line in Path(f"{run_out}.telemetry.jsonl").read_text().splitlines()]
+    assert [r["type"] for r in records] == ["config", "setup"] + ["query"] * len(qids)
+
+    usage = console("run")
+    assert usage.returncode == 1 and usage.stderr.endswith("error: the following arguments are required: --config\n")
+
+    bad = console("run", "--config", write_config(tmp_path / "bad.json", {**cfg, "w": "x"}))
+    assert (bad.returncode, bad.stderr) == (2, "error: config 'w' must be an integer, got 'x'\n")
 
 
 def test_telemetry_config_reruns_verbatim(workspace, tmp_path):
@@ -181,8 +213,8 @@ def test_telemetry_per_query_fields(workspace, tmp_path):
     assert [r["type"] for r in records] == ["config", "setup", "query", "query", "query"]
     setup = records[1]
     assert sorted(setup) == [
-        "embeddings_load_s", "graph_load_s", "index_load_s", "ingest_s", "qrels_absent", "qrels_s", "type",
-        "vm_hwm_mb",
+        "embeddings_load_s", "forward_index_s", "graph_load_s", "index_load_s", "ingest_s", "qrels_absent",
+        "qrels_s", "type", "vm_hwm_mb",
     ]
     if sys.platform == "linux":  # the process's own peak RSS, read from /proc/self/status
         assert type(setup["vm_hwm_mb"]) is float and setup["vm_hwm_mb"] > 0

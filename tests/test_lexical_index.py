@@ -398,6 +398,29 @@ def test_csr_engine_matches_dict_reference():
             assert retrieve_expanded(index, expanded, k) == [d for d, _ in refindex.cut(scores, k)]
 
 
+def assert_forward_matches_reference(texts):
+    index = build_index(make_store({f"d{i:03d}": text for i, text in enumerate(texts)}))
+    doc_offsets, term_ids, tfs = index.forward
+    assert (doc_offsets.dtype, term_ids.dtype, tfs.dtype) == (np.int64, np.int32, np.uint32)
+    ref = refindex.RefIndex(texts)
+    assert len(doc_offsets) == len(ref.forward) + 1 and doc_offsets[0] == 0
+    assert doc_offsets[-1] == len(term_ids) == len(tfs) == len(index.doc_ids)
+    for doc_id, counts in enumerate(ref.forward):  # each doc's {term: tf}, in term order
+        span = slice(doc_offsets[doc_id], doc_offsets[doc_id + 1])
+        assert [index.terms[t] for t in term_ids[span].tolist()] == list(counts), doc_id
+        assert tfs[span].tolist() == list(counts.values()), doc_id
+
+
+def test_forward_index_matches_dict_reference():
+    rng = random.Random(5)
+    vocab = [f"t{i}" for i in range(30)] + ["the", "of", "and"]
+    for _ in range(20):
+        texts = [" ".join(rng.choices(vocab, k=rng.randint(0, 25))) for _ in range(rng.randint(1, 60))]
+        assert_forward_matches_reference(texts + ["the of and"])  # a doc of stopwords only
+    assert_forward_matches_reference(["cat dog cat bird"])  # a single doc
+    assert_forward_matches_reference(["the of", "and"])  # zero postings
+
+
 # --- load-time validation ---
 
 
@@ -423,6 +446,8 @@ CORRUPTIONS = {
     "duplicate_term": ("terms.txt", b"bird\nbird\ndog\n", r"terms\.txt:2: term 'bird' is not after"),
     "blank_term_line": ("terms.txt", b"bird\n\ncat\ndog\n", r"terms\.txt:2: term '' is empty or contains whitespace"),
     "crlf_term_line": ("terms.txt", b"bird\r\ncat\r\ndog\r\n", r"terms\.txt:1: term 'bird\\r' is empty or contains"),
+    "whitespace_only_term": ("terms.txt", b" \n", r"terms\.txt:1: term ' ' is empty or contains whitespace"),
+    "leading_space_term": ("terms.txt", b"bird\n cat\ndog\n", r"terms\.txt:2: term ' cat' is empty or contains"),
     "space_in_term": ("terms.txt", b"bird\ncat\ndo g\n", r"terms\.txt:3: term 'do g' is empty or contains"),
     "no_final_newline": ("terms.txt", b"bird\ncat\ndog", r"terms\.txt:3: no newline at the end of the file"),
     "invalid_utf8_term": ("terms.txt", b"bird\ncat\nd\xffg\n", r"terms\.txt:3: invalid UTF-8"),

@@ -149,6 +149,22 @@ def test_remote_garbage_body_degrades(mock_endpoint):
     assert ranker.rank(window("x", "y")) == ("x", "y")
 
 
+@pytest.mark.parametrize("behavior", ["bad_status", "truncated"])
+def test_remote_malformed_response_then_success(mock_endpoint, behavior):
+    ScriptedHandler.script = [behavior, "reverse"]
+    ranker = RemoteRanker(mock_endpoint, timeout=5, retries=1, backoff=0.01)
+    assert ranker.rank(window("a", "b")) == ("b", "a")
+
+
+def test_remote_malformed_responses_degrade(mock_endpoint, caplog):
+    ScriptedHandler.script = ["bad_status", "truncated", "bad_status"]
+    ranker = RemoteRanker(mock_endpoint, timeout=5, retries=2, backoff=0.01)
+    with caplog.at_level("WARNING", logger="slidegar.rankers"):
+        assert ranker.rank(window("x", "y")) == ("x", "y")
+    assert len(ScriptedHandler.requests_seen) == 3
+    assert any("degraded" in r.message for r in caplog.records)
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"retries": -1}, "retries must be >= 0"),
     ({"timeout": 0}, "timeout must be > 0"),
