@@ -171,6 +171,7 @@ class _Pipeline:
                 self.index = lexical_index.load_index(cfg["index_dir"], self.store)
             else:
                 self.index = lexical_index.build_index(self.store)
+            self.index.term_ids  # built here, like forward below, not by the first query or racing threads
             self._lap("index_load_s", t0)
             if cfg["strategy"] == "slidegar_rm3":
                 t0 = time.perf_counter()

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 
@@ -53,7 +54,8 @@ class CorpusStore:
     postings lists, embedding matrices, and graph rows. The store alone
     holds docnos and the docno -> id map; indexes, embedding matrices,
     graphs and rankings hold ids, and artifacts check their ``docnos.txt``
-    against it.
+    against it. The map is built on the first lookup, so a step that only
+    reads the columns, such as an index build, never holds it.
     """
 
     def __init__(self, docnos: list[str], texts: list[str], alias: dict[str, str] | None = None) -> None:
@@ -62,10 +64,14 @@ class CorpusStore:
         self.docnos = docnos
         self.texts = texts
         self.alias = alias or {}  # dropped docno -> kept docno
-        self._ids = dict(zip(docnos, range(len(docnos))))
-        if len(self._ids) != len(docnos):
-            docno = next(d for i, d in enumerate(docnos) if self._ids[d] != i)
+        if len(set(docnos)) != len(docnos):  # a transient set: the map itself waits for a lookup
+            first: dict[str, int] = {}
+            docno = next(d for i, d in enumerate(docnos) if first.setdefault(d, i) != i)
             raise ValueError(f"duplicate docno {docno!r}")
+
+    @cached_property
+    def _ids(self) -> dict[str, int]:
+        return dict(zip(self.docnos, range(len(self.docnos))))
 
     def __len__(self) -> int:
         return len(self.docnos)

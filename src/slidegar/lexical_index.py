@@ -2,16 +2,20 @@
 
 In memory the index is compressed-sparse-row (CSR) arrays:
 
-- ``terms`` (sorted) and ``term_ids`` (term -> position in ``terms``), so
-  term ids follow sorted-term order;
+- ``terms`` (sorted), so term ids follow sorted-term order;
 - postings: term t owns ``doc_ids[offsets[t]:offsets[t + 1]]`` (ascending
   u32 doc ids) and the matching u32 ``tfs``, the same widths as on disk;
-- ``doc_lengths`` (a list of ints) and the per-doc BM25 length ``norm``;
+- ``doc_lengths`` (a list of ints) and the per-doc BM25 length ``norm``.
+
+Two more structures are built on first access and then kept, so a step
+that never reads one never pays its memory; a run reads the ones it needs
+once during set-up, before any thread does:
+
+- ``term_ids`` (term -> position in ``terms``), which retrieval reads and
+  an index build or save does not;
 - ``forward``, the forward index only RM3 reads: doc d owns
   ``term_ids[doc_offsets[d]:doc_offsets[d + 1]]`` (ascending) and the
-  matching ``tfs``. It is built on first access and then kept, so index
-  builds, graph builds and BM25 runs never pay its memory; a run that
-  expands queries reads it once during set-up, before any thread does.
+  matching ``tfs``, so index builds, graph builds and BM25 runs skip it.
 
 Index directory layout (format version 3), every array as numpy holds it:
 
@@ -23,7 +27,8 @@ Index directory layout (format version 3), every array as numpy holds it:
 - ``dfs.bin``      -- one little-endian u32 per term: its postings count, so
   ``offsets`` is their cumulative sum
 - ``postings.bin`` -- per term: df pairs of little-endian u32 ``(doc_id, tf)``,
-  ids ascending
+  ids ascending; written ``POSTINGS_CHUNK`` pairs at a time, so saving
+  never holds a second copy of the postings
 """
 
 from __future__ import annotations
@@ -59,13 +64,9 @@ _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
 def tokenize(text: str) -> list[str]:
     """Lowercased alphanumeric tokens, stopwords and over-long tokens dropped."""
-    out = []
-    for match in _TOKEN.finditer(text.lower()):
-        token = match.group()
-        if len(token) > MAX_TOKEN_LEN or token in STOPWORDS:
-            continue
-        out.append(token)
-    return out
+    return [
+        token for token in _TOKEN.findall(text.lower()) if len(token) <= MAX_TOKEN_LEN and token not in STOPWORDS
+    ]
 
 
 class InvertedIndex:
@@ -82,21 +83,27 @@ class InvertedIndex:
         offsets: np.ndarray,
         doc_ids: np.ndarray,
         tfs: np.ndarray,
-        doc_lengths: list[int],
+        lengths: np.ndarray,
     ) -> None:
+        """``lengths`` holds the u32 token count of each doc."""
         self.terms = terms
-        self.term_ids = dict(zip(terms, range(len(terms))))
         self.offsets = offsets
         self.doc_ids = doc_ids
         self.tfs = tfs
-        self.doc_lengths = doc_lengths
-        self.doc_count = len(doc_lengths)
-        self.avg_doc_length = sum(doc_lengths) / self.doc_count if doc_lengths else 0.0
-        lengths = np.asarray(doc_lengths, dtype=np.float64)
+        self.doc_lengths = lengths.tolist()  # rm3_expand reads one per feedback doc
+        self.doc_count = len(lengths)
+        # the exact integer sum, as summing the list would give
+        self.avg_doc_length = int(lengths.sum(dtype=np.uint64)) / self.doc_count if self.doc_count else 0.0
+        lengths = lengths.astype(np.float64)
         if self.avg_doc_length > 0:
             self.norm = K1 * (1.0 - B_LEN + B_LEN * lengths / self.avg_doc_length)
         else:
             self.norm = np.zeros_like(lengths)
+
+    @cached_property
+    def term_ids(self) -> dict[str, int]:
+        """term -> id, its position in ``terms``."""
+        return dict(zip(self.terms, range(len(self.terms))))
 
     @cached_property
     def forward(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,7 +136,7 @@ def build_index(store: CorpusStore) -> InvertedIndex:
     first_seen: dict[str, int] = {}
     entry_terms = array("i")
     entry_tfs = array("I")
-    doc_lengths: list[int] = []
+    doc_lengths = array("I")
     distinct: list[int] = []
     for text in store.texts:
         tokens = tokenize(text)
@@ -156,7 +163,7 @@ def build_index(store: CorpusStore) -> InvertedIndex:
     del entry_tfs
     doc_ids = np.repeat(np.arange(len(doc_lengths), dtype=np.uint32), distinct)[order]
     del order, distinct
-    return InvertedIndex(terms, offsets, doc_ids, tfs, doc_lengths)
+    return InvertedIndex(terms, offsets, doc_ids, tfs, np.frombuffer(doc_lengths, dtype=np.uintc))
 
 
 def _idf(doc_count: int, df: int) -> float:
@@ -317,6 +324,7 @@ def retrieve_expanded(index: InvertedIndex, weights: Mapping[str, float], k: int
 
 
 INDEX_FORMAT_VERSION = 3
+POSTINGS_CHUNK = 1 << 16  # (doc_id, tf) pairs per write of postings.bin, 512 KiB
 
 
 def save_index(index: InvertedIndex, out_dir: str | Path, store: CorpusStore, dedup: bool = False) -> None:
@@ -326,10 +334,15 @@ def save_index(index: InvertedIndex, out_dir: str | Path, store: CorpusStore, de
     np.asarray(index.doc_lengths, dtype="<u4").tofile(out / "doclens.bin")
     (out / "terms.txt").write_text("".join(term + "\n" for term in index.terms), encoding="utf-8")
     np.diff(index.offsets).astype("<u4").tofile(out / "dfs.bin")
-    pairs = np.empty((len(index.doc_ids), 2), dtype="<u4")
-    pairs[:, 0] = index.doc_ids
-    pairs[:, 1] = index.tfs
-    pairs.tofile(out / "postings.bin")
+    n = len(index.doc_ids)
+    pairs = np.empty((min(n, POSTINGS_CHUNK), 2), dtype="<u4")  # one chunk, reused
+    with open(out / "postings.bin", "wb") as f:
+        for start in range(0, n, POSTINGS_CHUNK):
+            stop = min(start + POSTINGS_CHUNK, n)
+            chunk = pairs[: stop - start]
+            chunk[:, 0] = index.doc_ids[start:stop]
+            chunk[:, 1] = index.tfs[start:stop]
+            f.write(chunk)
     meta = {
         "version": INDEX_FORMAT_VERSION,
         "doc_count": index.doc_count,
@@ -394,7 +407,7 @@ def load_index(in_dir: str | Path, store: CorpusStore) -> InvertedIndex:
     raw_lens = (src / "doclens.bin").read_bytes()
     if len(raw_lens) != 4 * doc_count:
         raise ValueError(f"{src / 'doclens.bin'}: expected {4 * doc_count} bytes, found {len(raw_lens)}")
-    doc_lengths = np.frombuffer(raw_lens, dtype="<u4").tolist()
+    lengths = np.frombuffer(raw_lens, dtype="<u4")
 
     terms = _read_terms(src / "terms.txt")
     dfs_path = src / "dfs.bin"
@@ -428,7 +441,7 @@ def load_index(in_dir: str | Path, store: CorpusStore) -> InvertedIndex:
             raise ValueError(f"{postings_path}: term {term!r}: {problem} (posting {posting})")
     del falls
 
-    index = InvertedIndex(terms, offsets, doc_ids, tfs, doc_lengths)
+    index = InvertedIndex(terms, offsets, doc_ids, tfs, lengths)
     # avgdl is derived from doclens on load; check it agrees with what was saved
     if abs(index.avg_doc_length - meta["avgdl"]) > 1e-9:
         raise ValueError(f"{src}: avgdl mismatch between meta.json and doclens.bin")

@@ -12,9 +12,9 @@ misbehaving model endpoint.
 
 Wire protocol: ``POST {endpoint}/rerank`` with JSON body
 ``{"qid": ..., "query": ..., "candidates": [{"docno": ..., "text": ...}, ...]}``;
-the endpoint answers HTTP 200 with ``{"ordering": [docno, ...]}``. Any other
-status, a malformed response or body, or a non-permutation takes the retry
-path.
+the endpoint answers HTTP 200 with ``{"ordering": [docno, ...]}``, a JSON
+object whose ``ordering`` is a list of strings. Any other status, a
+malformed response or body, or a non-permutation takes the retry path.
 """
 
 from __future__ import annotations
@@ -190,7 +190,9 @@ class RemoteRanker(ListwiseRanker):
                 request = urllib.request.Request(self.url, data=body, headers=self.headers, method="POST")
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
                     data = json.loads(response.read().decode("utf-8"))
-                ordering = [str(d) for d in data["ordering"]]
+                ordering = data["ordering"]  # KeyError, or TypeError unless data is a JSON object
+                if not (isinstance(ordering, list) and all(isinstance(d, str) for d in ordering)):
+                    raise TypeError("'ordering' is not a list of strings")
             except (urllib.error.URLError, HTTPException, OSError, ValueError, KeyError, TypeError) as exc:
                 log.warning(
                     "remote ranker request failed (attempt %d/%d, qid=%s): %s",

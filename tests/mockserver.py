@@ -34,6 +34,12 @@ class ScriptedHandler(BaseHTTPRequestHandler):
             payload = {"ordering": docnos[:-1]}
         elif behavior == "foreign":
             payload = {"ordering": ["not-a-real-docno"] + docnos[1:]}
+        elif behavior == "string":  # "ba" for docnos a, b: a string, not a list
+            payload = {"ordering": "".join(reversed(docnos))}
+        elif behavior == "object":  # the reversed docnos as the keys of an object
+            payload = {"ordering": dict.fromkeys(reversed(docnos), 0)}
+        elif behavior == "not_an_object":  # the reversed docnos, without the object around them
+            payload = list(reversed(docnos))
         elif behavior == "garbage":
             self.send_response(200)
             self.end_headers()

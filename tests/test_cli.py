@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -115,6 +116,7 @@ def test_pipeline_builds_the_forward_index_for_rm3_runs_only(workspace, tmp_path
             # in set-up, so neither the first query nor a --jobs thread builds it
             pipeline = cli._Pipeline(cfg)
             assert ("forward" in vars(pipeline.index)) is built, (strategy, index_dir)
+            assert "term_ids" in vars(pipeline.index), (strategy, index_dir)
             # and timed on its own, outside index_load_s
             assert (type(pipeline.setup["forward_index_s"]) is float) is built, (strategy, index_dir)
 
@@ -137,17 +139,18 @@ def test_jobs_byte_identical_under_racing_ranker(workspace, tmp_path, monkeypatc
     (tmp_path / "qrels.txt").write_text(
         "".join(f"{qid}-{r} 0 {docno} {grade}\n" for r in range(4) for qid, _, docno, grade in qrels)
     )
-    for strategy in ("slidegar", "slidegar_rm3"):
+    # a loaded index, and a fresh in-memory one whose lazy maps no earlier run built
+    for strategy, index_dir in itertools.product(("slidegar", "slidegar_rm3"), (str(workspace / "index"), None)):
         outputs = []
         for jobs in (1, 4):
             name = f"{strategy}-j{jobs}"
             cfg = base_config(
-                workspace, strategy=strategy, jobs=jobs, queries=str(tmp_path / "q.tsv"),
+                workspace, strategy=strategy, jobs=jobs, queries=str(tmp_path / "q.tsv"), index_dir=index_dir,
                 qrels=str(tmp_path / "qrels.txt"), run_out=str(tmp_path / f"{name}.trec"),
             )
             assert main(["run", "--config", write_config(tmp_path / f"{name}.json", cfg)]) == 0
             outputs.append((tmp_path / f"{name}.trec").read_bytes())
-        assert outputs[0] == outputs[1], strategy
+        assert outputs[0] == outputs[1], (strategy, index_dir)
         assert len({line.split()[0] for line in outputs[0].splitlines()}) == 12
 
 

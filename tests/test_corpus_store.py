@@ -146,6 +146,10 @@ def test_duplicate_docno_fatal(tmp_path):
     path = write_tsv(tmp_path / "c.tsv", [("d1", "one"), ("d1", "two")])
     with pytest.raises(ValueError, match="duplicate docno"):
         ingest_corpus(path)
+    # the first line that repeats a docno, and the line it repeats; blank lines count
+    path.write_text("d1\tone\n\nd2\ttwo\nd3\tthree\nd2\tfour\nd1\tfive\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":5: duplicate docno 'd2' \(first at line 3\)$"):
+        ingest_corpus(path)
 
 
 def test_empty_text_fatal(tmp_path):
@@ -167,6 +171,8 @@ def test_store_columns_reject_duplicate_docno():
     assert store.doc_id("b") == 1 and "a" in store and len(store) == 2
     with pytest.raises(ValueError, match="duplicate docno 'a'"):
         CorpusStore(["a", "b", "a"], ["cat", "dog", "bird"])
+    with pytest.raises(ValueError, match="duplicate docno 'b'"):  # the first repeat, as the reader names it
+        CorpusStore(["a", "b", "b", "a"], ["cat", "dog", "bird", "eel"])
 
 
 def test_lines_split_on_newline_only(tmp_path):

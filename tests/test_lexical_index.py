@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 
 import refindex
 from conftest import make_store
+from slidegar import lexical_index
 from slidegar.cli import main
 from slidegar.corpus_graph import build_graph_lexical
 from slidegar.corpus_store import Query, ingest_corpus
 from slidegar.lexical_index import (
+    B_LEN,
+    K1,
     bm25_retrieve,
     build_index,
     load_index,
@@ -311,6 +314,51 @@ def test_forward_index_is_built_on_first_use_only(tmp_path):
     assert term_ids.tolist() == [1, 2, 0, 2, 0, 1] and tfs.tolist() == [2, 1, 1, 1, 1, 1]
 
 
+def test_term_and_docno_maps_are_built_on_first_lookup_only(tmp_path):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("a\tcat cat dog\nb\tdog bird\nc\tcat cat dog\n", encoding="utf-8")
+    store, _ = ingest_corpus(corpus)
+    deduped, _ = ingest_corpus(corpus, dedup=True)
+    index = build_index(store)
+    save_index(index, tmp_path / "idx", store)
+    loaded = load_index(tmp_path / "idx", store)
+    assert "_ids" not in vars(store) and "_ids" not in vars(deduped)
+    assert "term_ids" not in vars(index) and "term_ids" not in vars(loaded)
+    assert bm25_retrieve(loaded, Query("q", "bird"), 2) == [1]
+    assert loaded.term_ids == {"bird": 0, "cat": 1, "dog": 2} and "term_ids" not in vars(index)
+    assert store.doc_id("b") == 1 and "_ids" in vars(store)
+    assert deduped.resolve("c") == 0 and "_ids" in vars(deduped)
+
+
+@pytest.mark.parametrize("pairs", [0, 1, 3, 4, 5])  # around a chunk of 4
+def test_postings_written_in_chunks(tmp_path, monkeypatch, pairs):
+    monkeypatch.setattr(lexical_index, "POSTINGS_CHUNK", 4)
+    # doc i holds term t{i} i + 1 times: one posting each; the stopword doc holds none
+    store = make_store({**{f"d{i}": f"t{i} " * (i + 1) for i in range(pairs)}, "z": "the"})
+    index = build_index(store)
+    save_index(index, tmp_path, store)
+    expected = u32(*[value for i in range(pairs) for value in (i, i + 1)])
+    assert (tmp_path / "postings.bin").read_bytes() == expected
+    assert np.stack([index.doc_ids, index.tfs], axis=1).astype("<u4").tobytes() == expected
+    assert_same_index(load_index(tmp_path, store), index)
+
+
+def test_loaded_norm_is_bit_identical_to_the_built_one(tmp_path):
+    rng = random.Random(5)
+    vocab = [f"t{i}" for i in range(30)] + ["the"]
+    store = make_store({f"d{i}": " ".join(rng.choices(vocab, k=rng.randint(1, 40))) for i in range(300)})
+    index = build_index(store)
+    save_index(index, tmp_path, store)
+    loaded = load_index(tmp_path, store)
+    assert loaded.norm.tobytes() == index.norm.tobytes()
+    assert loaded.avg_doc_length == index.avg_doc_length
+    # the formula over the float64 list of lengths and their Python sum
+    avgdl = sum(index.doc_lengths) / len(index.doc_lengths)
+    assert index.avg_doc_length == avgdl
+    expected = K1 * (1.0 - B_LEN + B_LEN * np.asarray(index.doc_lengths, dtype=np.float64) / avgdl)
+    assert index.norm.tobytes() == expected.tobytes()
+
+
 def test_index_memory_stays_near_what_it_keeps(tmp_path):
     """Traced allocations of a build and a load peak at a bounded multiple of
     the index they return, so no dead copy or unused structure is held."""
@@ -332,10 +380,14 @@ def test_index_memory_stays_near_what_it_keeps(tmp_path):
             tracemalloc.stop()
         return made, peak - base, current - base
 
-    index, build_peak, build_kept = traced(lambda: build_index(store))
+    def with_term_ids(index):
+        index.term_ids  # built on first access: measured with the arrays, as a run holds them
+        return index
+
+    index, build_peak, build_kept = traced(lambda: with_term_ids(build_index(store)))
     save_index(index, tmp_path / "idx", store)
     del index
-    _, load_peak, load_kept = traced(lambda: load_index(tmp_path / "idx", store))
+    _, load_peak, load_kept = traced(lambda: with_term_ids(load_index(tmp_path / "idx", store)))
     assert build_peak <= 2.0 * build_kept, (build_peak, build_kept)
     assert load_peak <= 1.4 * load_kept, (load_peak, load_kept)
 

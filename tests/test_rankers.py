@@ -165,6 +165,27 @@ def test_remote_malformed_responses_degrade(mock_endpoint, caplog):
     assert any("degraded" in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize("behavior", ["string", "object", "not_an_object"])
+def test_remote_ordering_of_the_wrong_type_degrades(mock_endpoint, caplog, behavior):
+    # every answer here reads as ("b", "a") if iterated; none is a list of strings in an object
+    ScriptedHandler.script = [behavior]
+    ranker = RemoteRanker(mock_endpoint, timeout=5, retries=1, backoff=0.01)
+    with caplog.at_level("WARNING", logger="slidegar.rankers"):
+        assert ranker.rank(window("a", "b")) == ("a", "b")
+    assert len(ScriptedHandler.requests_seen) == 2
+    assert sum("request failed" in r.message for r in caplog.records) == 2
+    assert any("degraded" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("behavior", ["string", "object"])
+def test_remote_ordering_of_the_wrong_type_then_success(mock_endpoint, behavior):
+    # the first answer would read as ("c", "b", "a"); the retry's answer is taken
+    ScriptedHandler.script = [behavior, "identity"]
+    ranker = RemoteRanker(mock_endpoint, timeout=5, retries=2, backoff=0.01)
+    assert ranker.rank(window("a", "b", "c")) == ("a", "b", "c")
+    assert len(ScriptedHandler.requests_seen) == 2
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"retries": -1}, "retries must be >= 0"),
     ({"timeout": 0}, "timeout must be > 0"),
