@@ -1,9 +1,9 @@
-"""Operator surface: build artifacts, run experiments, evaluate, sweep.
+"""Operator surface: build artifacts, run experiments, evaluate.
 
 Exit codes: 0 ok, 1 usage error, 2 runtime error. Fatal errors print one
 machine-parsable ``error: ...`` line on stderr.
 
-The ``run`` and ``sweep-k`` commands take a single JSON config document;
+The ``run`` command takes a single JSON config document;
 unset keys fall back to the defaults below and the fully resolved config is
 echoed as the first telemetry record, so any run can be reproduced verbatim.
 Remote-ranker credentials are read from the ``SLIDEGAR_RANKER_AUTH``
@@ -54,7 +54,9 @@ CONFIG_DEFAULTS: dict = {
     "b": 10,
     "c": 50,
     "rm3": {"fb_docs": 10, "fb_terms": 10, "orig_weight": 0.6},
-    "rel_threshold": 1,  # read by sweep-k's evaluation only; run ignores it
+    # no command reads it; perfbench/run.py writes it into every config, so it
+    # stays accepted and type-checked until the benchmark stops writing it
+    "rel_threshold": 1,
     "run_tag": None,
     "run_out": "run.trec",
     "telemetry_out": None,
@@ -139,17 +141,16 @@ def _validate_config(cfg: dict) -> None:
         raise ValueError(f"config 'timeout' must be <= {threading.TIMEOUT_MAX}, got {cfg['timeout']!r}")
     if not 0 <= cfg["swap_prob"] <= 1:
         raise ValueError(f"config 'swap_prob' must be in [0, 1], got {cfg['swap_prob']!r}")
-    _rerank_config(cfg)
+    RerankConfig(w=cfg["w"], b=cfg["b"], c=cfg["c"], truncate_k=cfg["truncate_k"])
     lexical_index.check_rm3(**cfg["rm3"])
 
 
 class _Pipeline:
-    """Artifacts loaded once per config; shared by run and sweep-k."""
+    """The artifacts and ranker one ``run`` config needs, loaded once."""
 
-    def __init__(self, cfg: dict, truncate_ks: list[int] | None = None) -> None:
-        """``truncate_ks`` are the graph depths the runs will use, by default
-        the config's ``truncate_k``."""
+    def __init__(self, cfg: dict) -> None:
         self.cfg = cfg
+        self.rerank = RerankConfig(w=cfg["w"], b=cfg["b"], c=cfg["c"], truncate_k=cfg["truncate_k"])
         # the telemetry's setup record: each set-up step's wall time in seconds and
         # the count of absent judgments; what the config does not need stays None
         keys = ("ingest_s", "qrels_s", "qrels_absent", "index_load_s", "forward_index_s", "embeddings_load_s",
@@ -191,10 +192,10 @@ class _Pipeline:
             t0 = time.perf_counter()
             self.graph = corpus_graph.load_graph(cfg["graph"], self.store)
             self._lap("graph_load_s", t0)
-            if cfg["strategy"] == "slidegar":
-                for k in truncate_ks or [cfg["truncate_k"]]:
-                    if k > self.graph.k:
-                        raise ValueError(f"truncate_k {k} exceeds the depth k={self.graph.k} of graph {cfg['graph']}")
+            if cfg["strategy"] == "slidegar" and cfg["truncate_k"] > self.graph.k:
+                raise ValueError(
+                    f"truncate_k {cfg['truncate_k']} exceeds the depth k={self.graph.k} of graph {cfg['graph']}"
+                )
         self.ranker = self._make_ranker(cfg)
 
     def _lap(self, key: str, t0: float) -> None:
@@ -231,8 +232,8 @@ class _Pipeline:
             return lexical_index.bm25_retrieve(self.index, query, k)
         return dense_index.dense_retrieve(self.embeddings, self.query_vectors[query.qid], k)
 
-    def rerank_one(self, query: corpus_store.Query, rcfg: RerankConfig) -> tuple[str, list[str], dict]:
-        cfg = self.cfg
+    def rerank_one(self, query: corpus_store.Query) -> tuple[str, list[str], dict]:
+        cfg, rcfg = self.cfg, self.rerank
         t0 = time.perf_counter()
         r0 = self.initial_ranking(query, rcfg.c)
         first_stage_ms = round((time.perf_counter() - t0) * 1000.0, 3)
@@ -253,26 +254,19 @@ class _Pipeline:
         record.update(adaptive_rerank.telemetry_record(query.qid, r0, result))
         return query.qid, [self.store.docnos[i] for i in result.ranking], record
 
-    def execute(self, rcfg: RerankConfig) -> tuple[dict, list[dict]]:
+    def execute(self) -> tuple[dict, list[dict]]:
         jobs = self.cfg["jobs"]
         if jobs == 1:
-            results = [self.rerank_one(q, rcfg) for q in self.queries]
+            results = [self.rerank_one(q) for q in self.queries]
         else:
             from concurrent.futures import ThreadPoolExecutor  # here, not at module level: it costs every CLI process about 2 ms
 
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(lambda q: self.rerank_one(q, rcfg), self.queries))
+                results = list(pool.map(self.rerank_one, self.queries))
         results.sort(key=lambda t: t[0])
         run = {qid: ranking for qid, ranking, _ in results if ranking}
         telemetry = [record for _, _, record in results]
         return run, telemetry
-
-
-def _rerank_config(cfg: dict, truncate_k: int | None = None) -> RerankConfig:
-    return RerankConfig(
-        w=cfg["w"], b=cfg["b"], c=cfg["c"],
-        truncate_k=cfg["truncate_k"] if truncate_k is None else truncate_k,
-    )
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -325,7 +319,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     for out in (cfg["run_out"], cfg["telemetry_out"]):
         Path(out).parent.mkdir(parents=True, exist_ok=True)
     pipeline = _Pipeline(cfg)
-    run, telemetry = pipeline.execute(_rerank_config(cfg))
+    run, telemetry = pipeline.execute()
     run_eval.write_run(cfg["run_out"], run, cfg["run_tag"])
     with open(cfg["telemetry_out"], "w", encoding="utf-8") as f:
         f.write(json.dumps({"type": "config", "config": cfg}, sort_keys=True) + "\n")
@@ -361,46 +355,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     )
     print(report.to_json() if args.json else report.format_table())
     return 0
-
-
-def cmd_sweep_k(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    if cfg["strategy"] != "slidegar":
-        raise ValueError("sweep-k requires strategy 'slidegar'")
-    if not cfg["qrels"]:
-        raise ValueError("sweep-k requires qrels for evaluation")
-    for k in args.k_list:
-        _rerank_config(cfg, truncate_k=k)
-    pipeline = _Pipeline(cfg, truncate_ks=args.k_list)
-    metrics = ["ndcg@10", f"recall@{cfg['c']}"]
-    rows = []
-    for k in args.k_list:
-        run, _ = pipeline.execute(_rerank_config(cfg, truncate_k=k))
-        report = run_eval.evaluate_run(run, pipeline.grades, metrics, rel_threshold=cfg["rel_threshold"])
-        rows.append((k, [report.means.get(m) for m in metrics]))
-    header = "k".rjust(4) + "  " + "  ".join(m.rjust(10) for m in metrics)
-    print(header)
-    for k, values in rows:
-        cells = "  ".join(("-" if v is None else f"{v:.4f}").rjust(10) for v in values)
-        print(f"{k:>4}  {cells}")
-    recall = [values[1] for _, values in rows if values[1] is not None]
-    non_decreasing = all(b >= a - 0.01 for a, b in zip(recall, recall[1:]))
-    print(f"# recall trend non-decreasing within 0.01: {'yes' if non_decreasing else 'no'}")
-    return 0
-
-
-def _k_list(text: str) -> list[int]:
-    """``--k-list``: comma-separated integer depths, at least one."""
-    items = [item.strip() for item in text.split(",") if item.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError(f"no depth in {text!r}")
-    depths = []
-    for item in items:
-        try:
-            depths.append(int(item))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{item!r} is not an integer") from None
-    return depths
 
 
 def _build_parser() -> _Parser:
@@ -448,11 +402,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--gain", choices=["linear", "exp"], default="linear")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sweep-k", help="rerun one config over several graph depths")
-    p.add_argument("--config", required=True)
-    p.add_argument("--k-list", type=_k_list, default="2,4,6,8,10,12,14,16")
-    p.set_defaults(func=cmd_sweep_k)
 
     return parser
 

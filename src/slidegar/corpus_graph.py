@@ -138,6 +138,8 @@ def load_graph(path: str | Path, store: CorpusStore) -> CorpusGraph:
             if not isinstance(header, dict):
                 raise ValueError("not a JSON object")
             k, count = int(header["k"]), int(header["count"])
+            if header["source"] not in ("lexical", "dense"):
+                raise ValueError(f"unknown similarity source {header['source']!r}")
         except (ValueError, KeyError, TypeError) as exc:  # UnicodeDecodeError is a ValueError
             raise ValueError(f"{path}: invalid graph header ({exc})") from None
         if header.get("version") != GRAPH_FORMAT_VERSION:
@@ -156,4 +158,4 @@ def load_graph(path: str | Path, store: CorpusStore) -> CorpusGraph:
     check_docnos(path.parent / "docnos.txt", store, "graph")
     if count != len(store):
         raise ValueError(f"{path}: header count {count} does not match the {len(store)} docnos")
-    return CorpusGraph(k, adjacency.copy(), str(header["source"]))
+    return CorpusGraph(k, adjacency.copy(), header["source"])

@@ -5,7 +5,8 @@ In memory the index is compressed-sparse-row (CSR) arrays:
 - ``terms`` (sorted), so term ids follow sorted-term order;
 - postings: term t owns ``doc_ids[offsets[t]:offsets[t + 1]]`` (ascending
   u32 doc ids) and the matching u32 ``tfs``, the same widths as on disk;
-- ``doc_lengths`` (a list of ints) and the per-doc BM25 length ``norm``.
+- ``doc_lengths``, each doc's u32 token count as on disk, and the per-doc
+  BM25 length ``norm``.
 
 Two more structures are built on first access and then kept, so a step
 that never reads one never pays its memory; a run reads the ones it needs
@@ -90,9 +91,9 @@ class InvertedIndex:
         self.offsets = offsets
         self.doc_ids = doc_ids
         self.tfs = tfs
-        self.doc_lengths = lengths.tolist()  # rm3_expand reads one per feedback doc
+        self.doc_lengths = lengths
         self.doc_count = len(lengths)
-        # the exact integer sum, as summing the list would give
+        # the exact integer sum, as summing the lengths as Python ints would give
         self.avg_doc_length = int(lengths.sum(dtype=np.uint64)) / self.doc_count if self.doc_count else 0.0
         lengths = lengths.astype(np.float64)
         if self.avg_doc_length > 0:
@@ -285,7 +286,7 @@ def rm3_expand(
     relevance_model: dict[int, float] = {}
     for doc_id, rank_weight in zip(top, rank_weights):
         doc_weight = rank_weight / total
-        length = index.doc_lengths[doc_id]
+        length = int(index.doc_lengths[doc_id])
         if length == 0:
             continue
         span = slice(doc_offsets[doc_id], doc_offsets[doc_id + 1])
@@ -331,7 +332,7 @@ def save_index(index: InvertedIndex, out_dir: str | Path, store: CorpusStore, de
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_docnos(out / "docnos.txt", store.docnos)
-    np.asarray(index.doc_lengths, dtype="<u4").tofile(out / "doclens.bin")
+    index.doc_lengths.astype("<u4", copy=False).tofile(out / "doclens.bin")
     (out / "terms.txt").write_text("".join(term + "\n" for term in index.terms), encoding="utf-8")
     np.diff(index.offsets).astype("<u4").tofile(out / "dfs.bin")
     n = len(index.doc_ids)
@@ -398,6 +399,10 @@ def load_index(in_dir: str | Path, store: CorpusStore) -> InvertedIndex:
     if missing:
         raise ValueError(f"{meta_path}: missing {', '.join(missing)}")
     doc_count = meta["doc_count"]
+    if type(doc_count) is not int:  # bool is an int subclass and is rejected too
+        raise ValueError(f"{meta_path}: doc_count must be an integer, got {doc_count!r}")
+    if type(meta["avgdl"]) not in (int, float):
+        raise ValueError(f"{meta_path}: avgdl must be a number, got {meta['avgdl']!r}")
     if doc_count != len(store):
         raise ValueError(
             f"{src}: index has {doc_count} docs but store has {len(store)}; "
@@ -443,6 +448,6 @@ def load_index(in_dir: str | Path, store: CorpusStore) -> InvertedIndex:
 
     index = InvertedIndex(terms, offsets, doc_ids, tfs, lengths)
     # avgdl is derived from doclens on load; check it agrees with what was saved
-    if abs(index.avg_doc_length - meta["avgdl"]) > 1e-9:
+    if not abs(index.avg_doc_length - meta["avgdl"]) <= 1e-9:  # a NaN avgdl fails too
         raise ValueError(f"{src}: avgdl mismatch between meta.json and doclens.bin")
     return index

@@ -327,41 +327,6 @@ def test_eval_text_table(workspace, tmp_path, capsys):
     assert "mean" in out and "ndcg@10" in out
 
 
-def test_sweep_k_table(workspace, tmp_path, capsys):
-    cfg = base_config(workspace, run_out=str(tmp_path / "s.trec"), telemetry_out=str(tmp_path / "s.jsonl"))
-    assert main([
-        "sweep-k", "--config", write_config(tmp_path / "cfg.json", cfg),
-        "--k-list", "2,4,8",
-    ]) == 0
-    out = capsys.readouterr().out
-    lines = out.splitlines()
-    assert lines[0].split() == ["k", "ndcg@10", "recall@12"]
-    assert [line.split()[0] for line in lines[1:4]] == ["2", "4", "8"]
-    assert "recall trend non-decreasing" in lines[4]
-
-
-def test_sweep_k_rejects_a_depth_beyond_the_graph_before_its_first_run(workspace, tmp_path, capsys):
-    cfg = base_config(workspace, run_out=str(tmp_path / "s.trec"), telemetry_out=str(tmp_path / "s.jsonl"))
-    assert main(["sweep-k", "--config", write_config(tmp_path / "cfg.json", cfg), "--k-list", "2,9"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: truncate_k 9 exceeds the depth k=8 of graph {workspace / 'graph.bin'}\n"
-    assert main(["sweep-k", "--config", str(tmp_path / "cfg.json"), "--k-list=2,-1"]) == 2
-    assert capsys.readouterr().err == "error: truncate_k must be >= 0\n"
-
-
-@pytest.mark.parametrize(
-    "k_list, message", [(",", "no depth in ','"), (" , ", "no depth in ' , '"), ("4,x", "'x' is not an integer")]
-)
-def test_sweep_k_rejects_a_bad_k_list_as_a_usage_error(workspace, tmp_path, capsys, k_list, message):
-    cfg = base_config(workspace, run_out=str(tmp_path / "s.trec"), telemetry_out=str(tmp_path / "s.jsonl"))
-    assert main(["sweep-k", "--config", write_config(tmp_path / "cfg.json", cfg), "--k-list", k_list]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.endswith(f"error: argument --k-list: {message}\n")
-    assert not (tmp_path / "s.trec").exists()
-
-
 def test_usage_error_exits_1(capsys):
     assert main(["run"]) == 1  # missing --config
     err = capsys.readouterr().err
@@ -409,6 +374,7 @@ def test_config_validation_errors(workspace, tmp_path, capsys):
     ({"run_tag": "my tag"}, "config 'run_tag' must not contain whitespace, got 'my tag'"),
     ({"run_tag": ""}, "config 'run_tag' must be a non-empty string, got ''"),
     ({"telemetry_out": ""}, "config 'telemetry_out' must be a non-empty string, got ''"),
+    ({"truncate_k": -1}, "truncate_k must be >= 0"),
 ])
 def test_config_value_types_fail_at_load(workspace, tmp_path, capsys, overrides, message):
     run_out = tmp_path / "r.trec"

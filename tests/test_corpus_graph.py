@@ -321,6 +321,10 @@ def test_graph_load_rejects_bad_sizes(tmp_path):
         (b"not json", r"g\.bin: invalid graph header \("),
         (b"[1, 2]", r"g\.bin: invalid graph header \(not a JSON object\)"),
         (b'{"count": 2, "version": 1}', r"g\.bin: invalid graph header \('k'\)"),
+        (
+            b'{"count": 2, "k": 1, "sentinel": 4294967295, "source": "bogus", "version": 1}',
+            r"g\.bin: invalid graph header \(unknown similarity source 'bogus'\)$",
+        ),
     ],
 )
 def test_graph_load_rejects_malformed_header(tmp_path, header, message):

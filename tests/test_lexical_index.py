@@ -28,7 +28,7 @@ from slidegar.lexical_index import (
     top_docs,
 )
 
-CSR_FIELDS = ("offsets", "doc_ids", "tfs", "norm")
+CSR_FIELDS = ("offsets", "doc_ids", "tfs", "doc_lengths", "norm")
 FORWARD_FIELDS = ("doc_offsets", "doc_term_ids", "doc_tfs")  # index.forward, in order
 
 TWO_DOCS = {"d1": "cat cat dog", "d2": "dog dog dog"}
@@ -295,7 +295,6 @@ def assert_same_index(loaded, index):
         assert a.dtype == b.dtype and np.array_equal(a, b), field
     for field, a, b in zip(FORWARD_FIELDS, loaded.forward, index.forward, strict=True):
         assert a.dtype == b.dtype and np.array_equal(a, b), field
-    assert loaded.doc_lengths == index.doc_lengths
     assert loaded.avg_doc_length == index.avg_doc_length
 
 
@@ -353,9 +352,10 @@ def test_loaded_norm_is_bit_identical_to_the_built_one(tmp_path):
     assert loaded.norm.tobytes() == index.norm.tobytes()
     assert loaded.avg_doc_length == index.avg_doc_length
     # the formula over the float64 list of lengths and their Python sum
-    avgdl = sum(index.doc_lengths) / len(index.doc_lengths)
+    lengths = index.doc_lengths.tolist()
+    avgdl = sum(lengths) / len(lengths)
     assert index.avg_doc_length == avgdl
-    expected = K1 * (1.0 - B_LEN + B_LEN * np.asarray(index.doc_lengths, dtype=np.float64) / avgdl)
+    expected = K1 * (1.0 - B_LEN + B_LEN * np.asarray(lengths, dtype=np.float64) / avgdl)
     assert index.norm.tobytes() == expected.tobytes()
 
 
@@ -489,6 +489,21 @@ CORRUPTIONS = {
     "meta_not_object": ("meta.json", b"[1, 2]", r"meta\.json: invalid index metadata \(not a JSON object\)"),
     "meta_no_doc_count": ("meta.json", b'{"avgdl": 2.0, "version": 3}', r"meta\.json: missing doc_count$"),
     "meta_no_counts": ("meta.json", b'{"version": 3}', r"meta\.json: missing doc_count, avgdl"),
+    "meta_null_doc_count": ("meta.json", b'{"avgdl": 2.0, "doc_count": null, "version": 3}',
+                            r"meta\.json: doc_count must be an integer, got None$"),
+    "meta_float_doc_count": ("meta.json", b'{"avgdl": 2.0, "doc_count": 3.0, "version": 3}',
+                             r"meta\.json: doc_count must be an integer, got 3\.0$"),
+    "meta_bool_doc_count": ("meta.json", b'{"avgdl": 2.0, "doc_count": true, "version": 3}',
+                            r"meta\.json: doc_count must be an integer, got True$"),
+    "meta_string_avgdl": ("meta.json", b'{"avgdl": "x", "doc_count": 3, "version": 3}',
+                          r"meta\.json: avgdl must be a number, got 'x'$"),
+    "meta_null_avgdl": ("meta.json", b'{"avgdl": null, "doc_count": 3, "version": 3}',
+                        r"meta\.json: avgdl must be a number, got None$"),
+    # the docs hold 3 + 1 + 2 tokens, so the saved avgdl is 2.0
+    "meta_wrong_avgdl": ("meta.json", b'{"avgdl": 2.5, "doc_count": 3, "version": 3}',
+                         r"avgdl mismatch between meta\.json and doclens\.bin"),
+    "meta_nan_avgdl": ("meta.json", b'{"avgdl": NaN, "doc_count": 3, "version": 3}',
+                       r"avgdl mismatch between meta\.json and doclens\.bin"),
     "foreign_docnos": ("docnos.txt", b"b\na\nc\n", r"docnos\.txt:1: docnos do not match"),
     "lone_cr_in_docnos": ("docnos.txt", b"a\rb\nc\n", r"docnos\.txt:1: docnos do not match"),
     "invalid_utf8_docno": ("docnos.txt", b"a\nb\nc\n\xff\n", r"docnos\.txt:4: invalid UTF-8 \(invalid start byte\)$"),
