@@ -30,7 +30,9 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .corpus_graph import CorpusGraph, neighbours
+import numpy as np
+
+from .corpus_graph import neighbours
 from .corpus_store import CorpusStore, Query
 from .lexical_index import InvertedIndex, check_rm3, retrieve_expanded, rm3_expand
 from .rankers import ListwiseRanker, Window
@@ -166,20 +168,21 @@ def slidegar(
     query: Query,
     r0: list[int],
     ranker: ListwiseRanker,
-    graph: CorpusGraph,
+    graph: np.ndarray,
     cfg: RerankConfig,
     store: CorpusStore,
 ) -> RerankResult:
     """Graph-adaptive sliding-window rerank.
 
     Feedback is the frontier of the batch's graph neighbours, visited in
-    the batch's order, minus R0 and everything already ranked. Graph ids
-    must be ``store`` ids.
+    the batch's order, minus R0 and everything already ranked. ``graph`` is
+    the adjacency matrix of ``corpus_graph``, whose ids must be ``store``
+    ids.
     """
     return _run_window_loop(query, r0, ranker, cfg, store, partial(fresh_neighbours, graph, cfg.truncate_k))
 
 
-def fresh_neighbours(graph: CorpusGraph, truncate_k: int, order: list[int], blocked: set[int], n: int) -> list[int]:
+def fresh_neighbours(graph: np.ndarray, truncate_k: int, order: list[int], blocked: set[int], n: int) -> list[int]:
     """The first ``n >= 1`` ids of the batch's frontier outside ``blocked``;
     the scan of the frontier stops once it has them."""
     fresh: list[int] = []

@@ -192,9 +192,9 @@ class _Pipeline:
             t0 = time.perf_counter()
             self.graph = corpus_graph.load_graph(cfg["graph"], self.store)
             self._lap("graph_load_s", t0)
-            if cfg["strategy"] == "slidegar" and cfg["truncate_k"] > self.graph.k:
+            if cfg["strategy"] == "slidegar" and cfg["truncate_k"] > self.graph.shape[1]:
                 raise ValueError(
-                    f"truncate_k {cfg['truncate_k']} exceeds the depth k={self.graph.k} of graph {cfg['graph']}"
+                    f"truncate_k {cfg['truncate_k']} exceeds the depth k={self.graph.shape[1]} of graph {cfg['graph']}"
                 )
         self.ranker = self._make_ranker(cfg)
 
@@ -309,8 +309,8 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
             raise ValueError("--source dense requires --embeddings")
         embeddings = dense_index.load_embeddings(args.embeddings, store, normalize=args.normalize)
         graph = corpus_graph.build_graph_dense(embeddings, args.k)
-    corpus_graph.save_graph(args.out, graph, store)
-    print(f"wrote {args.out}: {len(graph)} nodes, k={graph.k}, source={graph.source}")
+    corpus_graph.save_graph(args.out, graph, args.source, store)
+    print(f"wrote {args.out}: {len(graph)} nodes, k={graph.shape[1]}, source={args.source}")
     return 0
 
 

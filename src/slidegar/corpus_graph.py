@@ -1,18 +1,22 @@
 """Fixed-degree document-similarity graph with constant-time neighbour lookup.
 
+In memory a graph is its ``(n_docs, k)`` u32 adjacency matrix: row i holds
+doc id i's neighbour ids, similarity-descending, and ``SENTINEL`` marks an
+unused slot.
+
 Graph file: one JSON header line
 ``{"version": 1, "k": K, "count": N, "source": "lexical"|"dense", "sentinel": 4294967295}``
-followed by N fixed-width rows of K little-endian u32 neighbour ids; row i
-belongs to doc id i and the sentinel value marks an unused slot. A companion
+followed by the N rows of K little-endian u32 neighbour ids. A companion
 ``docnos.txt`` in the same directory lists the store's docnos, one per line
 in doc-id order. The graph holds store ids only, so it loads only against a
 store whose docnos match ``docnos.txt`` line for line.
 
 Graphs are built once at full depth (k=16 by default) and shallower depths
 are realized at query time by truncating each neighbour list, never by
-rebuilding. The dense build is exact and blocked: a block of rows is
-scored against the whole corpus at a time, so its memory is O(block x N),
-never N x N.
+rebuilding. The lexical build queries the BM25 index with each document's
+text; the dense build is exact and blocked: a block of rows is scored
+against the whole corpus at a time, so its memory is O(block x N), never
+N x N.
 """
 
 from __future__ import annotations
@@ -25,27 +29,12 @@ import numpy as np
 
 from .corpus_store import CorpusStore, check_docnos, write_docnos
 from .dense_index import top_k_ids
-from .lexical_index import InvertedIndex, tokenize, top_docs
+from .lexical_index import InvertedIndex, retrieve_expanded, tokenize
 
 SENTINEL = 0xFFFF_FFFF
 GRAPH_FORMAT_VERSION = 1
 BLOCK_BYTES = 4 << 20  # float32 similarities per row block of the dense build
-
-
-class CorpusGraph:
-    """Adjacency rows of exactly k neighbour ids, similarity-descending."""
-
-    def __init__(self, k: int, adjacency: np.ndarray, source: str) -> None:
-        if adjacency.ndim != 2 or adjacency.shape[1] != k:
-            raise ValueError(f"adjacency must be (n_docs, {k}), got {adjacency.shape}")
-        if source not in ("lexical", "dense"):
-            raise ValueError(f"unknown similarity source {source!r}")
-        self.k = k
-        self.adjacency = adjacency.astype(np.uint32, copy=False)
-        self.source = source
-
-    def __len__(self) -> int:
-        return len(self.adjacency)
+SOURCES = ("lexical", "dense")
 
 
 def _check_k(k: int, n_docs: int) -> None:
@@ -55,7 +44,7 @@ def _check_k(k: int, n_docs: int) -> None:
         raise ValueError(f"k={k} must be smaller than the corpus size {n_docs}")
 
 
-def build_graph_lexical(index: InvertedIndex, store: CorpusStore, k: int) -> CorpusGraph:
+def build_graph_lexical(index: InvertedIndex, store: CorpusStore, k: int) -> np.ndarray:
     """Each document's text queries the BM25 index; top-k hits become its
     neighbours. Scoring walks only postings of the document's own terms, so
     zero-overlap documents are never considered -- they could not enter the
@@ -63,12 +52,13 @@ def build_graph_lexical(index: InvertedIndex, store: CorpusStore, k: int) -> Cor
     _check_k(k, len(store))
     adjacency = np.full((len(store), k), SENTINEL, dtype=np.uint32)
     for doc_id, text in enumerate(store.texts):
-        top = top_docs(index, Counter(tokenize(text)), k, exclude={doc_id})
-        adjacency[doc_id, : len(top)] = [other for other, _ in top]
-    return CorpusGraph(k, adjacency, "lexical")
+        hits = retrieve_expanded(index, Counter(tokenize(text)), k + 1)
+        top = [other for other in hits if other != doc_id][:k]
+        adjacency[doc_id, : len(top)] = top
+    return adjacency
 
 
-def build_graph_dense(matrix: np.ndarray, k: int) -> CorpusGraph:
+def build_graph_dense(matrix: np.ndarray, k: int) -> np.ndarray:
     """Exact inner-product k-NN graph over the rows of the embedding
     ``matrix``, ties by doc id; every other document is a candidate, so
     rows are full unless the corpus itself is smaller than k. Rows are
@@ -89,10 +79,10 @@ def build_graph_dense(matrix: np.ndarray, k: int) -> CorpusGraph:
         adjacency[start:stop] = top_k_ids(keys, k)
     if n - 1 < k:
         adjacency[:, n - 1 :] = SENTINEL
-    return CorpusGraph(k, adjacency, "dense")
+    return adjacency
 
 
-def neighbours(graph: CorpusGraph, order: list[int], truncate_k: int) -> list[int]:
+def neighbours(graph: np.ndarray, order: list[int], truncate_k: int) -> list[int]:
     """Ordered candidate expansion for one ranked batch.
 
     The batch's doc ids are visited in ``order``, best first, each
@@ -100,32 +90,36 @@ def neighbours(graph: CorpusGraph, order: list[int], truncate_k: int) -> list[in
     from several sources keeps its earliest slot, batch members and
     sentinels are skipped.
     """
-    if truncate_k < 0 or truncate_k > graph.k:
-        raise ValueError(f"truncate_k must be in [0, {graph.k}], got {truncate_k}")
-    candidates = dict.fromkeys(graph.adjacency[order, :truncate_k].ravel().tolist())
+    k = graph.shape[1]
+    if truncate_k < 0 or truncate_k > k:
+        raise ValueError(f"truncate_k must be in [0, {k}], got {truncate_k}")
+    candidates = dict.fromkeys(graph[order, :truncate_k].ravel().tolist())
     for skipped in (SENTINEL, *order):
         candidates.pop(skipped, None)
     return list(candidates)
 
 
-def save_graph(path: str | Path, graph: CorpusGraph, store: CorpusStore) -> None:
+def save_graph(path: str | Path, graph: np.ndarray, source: str, store: CorpusStore) -> None:
+    """Write ``graph``, built from ``source`` similarities, and ``store``'s docnos."""
+    if source not in SOURCES:
+        raise ValueError(f"unknown similarity source {source!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = {
         "version": GRAPH_FORMAT_VERSION,
-        "k": graph.k,
+        "k": graph.shape[1],
         "count": len(graph),
-        "source": graph.source,
+        "source": source,
         "sentinel": SENTINEL,
     }
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        f.write(graph.adjacency.astype("<u4").tobytes())
+        f.write(graph.astype("<u4").tobytes())
     write_docnos(path.parent / "docnos.txt", store.docnos)
 
 
-def load_graph(path: str | Path, store: CorpusStore) -> CorpusGraph:
-    """Load a graph whose rows are ``store``'s doc ids.
+def load_graph(path: str | Path, store: CorpusStore) -> np.ndarray:
+    """Load the adjacency matrix of a graph whose rows are ``store``'s doc ids.
 
     ``docnos.txt`` must list exactly ``store.docnos`` in id order; anything
     else (another corpus, another dedup setting, a reordering) would make
@@ -137,8 +131,11 @@ def load_graph(path: str | Path, store: CorpusStore) -> CorpusGraph:
             header = json.loads(f.readline().decode("utf-8"))
             if not isinstance(header, dict):
                 raise ValueError("not a JSON object")
-            k, count = int(header["k"]), int(header["count"])
-            if header["source"] not in ("lexical", "dense"):
+            k, count = header["k"], header["count"]
+            for name, value in (("k", k), ("count", count)):
+                if type(value) is not int or value < 0:  # bool is an int subclass and is rejected too
+                    raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+            if header["source"] not in SOURCES:
                 raise ValueError(f"unknown similarity source {header['source']!r}")
         except (ValueError, KeyError, TypeError) as exc:  # UnicodeDecodeError is a ValueError
             raise ValueError(f"{path}: invalid graph header ({exc})") from None
@@ -158,4 +155,4 @@ def load_graph(path: str | Path, store: CorpusStore) -> CorpusGraph:
     check_docnos(path.parent / "docnos.txt", store, "graph")
     if count != len(store):
         raise ValueError(f"{path}: header count {count} does not match the {len(store)} docnos")
-    return CorpusGraph(k, adjacency.copy(), header["source"])
+    return adjacency.copy()

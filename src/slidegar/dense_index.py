@@ -77,8 +77,11 @@ def _open_records(path: str | Path) -> Iterator[tuple[dict, Iterator[tuple[int, 
     with open(path, "rb") as f:
         try:
             header = json.loads(f.readline().decode("utf-8"))
-            dim, count = int(header["dim"]), int(header["count"])
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
+            dim, count = header["dim"], header["count"]
+            for name, value in (("dim", dim), ("count", count)):
+                if type(value) is not int:  # bool is an int subclass and is rejected too
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+        except (ValueError, KeyError, TypeError) as exc:  # UnicodeDecodeError is a ValueError
             raise ValueError(f"{path}: invalid embedding header ({exc})") from None
         if dim < 1 or count < 0:
             raise ValueError(f"{path}: invalid embedding header values dim={dim} count={count}")
@@ -96,7 +99,7 @@ def load_embeddings(path: str | Path, store: CorpusStore, normalize: bool = Fals
     docno).
     """
     with _open_records(path) as (header, records):
-        matrix = np.zeros((len(store), int(header["dim"])), dtype=np.float32)
+        matrix = np.zeros((len(store), header["dim"]), dtype=np.float32)
         filled = np.zeros(len(store), dtype=bool)
         for record_idx, docno, vector in records:
             if docno in store.alias:

@@ -214,38 +214,26 @@ def score_weighted_terms(index: InvertedIndex, term_weights: Mapping[str, float]
 
 
 # Not routed through dense_index.top_k_ids: on RM3 calls of ~130 scores that took ~43 us a call against ~16 us here.
-def _ranked(docs: np.ndarray, scores: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``depth`` doc ids of positive score and their scores,
-    ordered score desc then doc id asc. ``docs`` must be ascending."""
+def retrieve_expanded(index: InvertedIndex, weights: Mapping[str, float], k: int) -> list[int]:
+    """BM25 with per-term contributions scaled by the expanded-query
+    weights: the first ``k`` doc ids of positive score, ordered score desc
+    then doc id asc."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    docs, scores = score_weighted_terms(index, weights)
     keep = scores > 0.0
     docs, scores = docs[keep], scores[keep]
-    if len(scores) > depth:
-        # every doc tied with the depth-th best score stays, for the id tie-break
-        floor = np.partition(scores, len(scores) - depth)[len(scores) - depth]
+    if len(scores) > k:
+        # every doc tied with the k-th best score stays, for the id tie-break
+        floor = np.partition(scores, len(scores) - k)[len(scores) - k]
         keep = scores >= floor
         docs, scores = docs[keep], scores[keep]
-    order = np.argsort(-scores, kind="stable")[:depth]  # stable on ascending ids
-    return docs[order], scores[order]
-
-
-def top_docs(
-    index: InvertedIndex, term_weights: Mapping[str, float], k: int, exclude: set[int] | None = None
-) -> list[tuple[int, float]]:
-    """The k best (doc id, score) pairs outside ``exclude`` for a weighted
-    query, ties by doc id."""
-    # at most len(exclude) excluded docs can precede the k-th kept one
-    depth = k + (len(exclude) if exclude else 0)
-    docs, scores = _ranked(*score_weighted_terms(index, term_weights), depth)
-    pairs = zip(docs.tolist(), scores.tolist())
-    if exclude:
-        return [pair for pair in pairs if pair[0] not in exclude][:k]
-    return list(pairs)
+    order = np.argsort(-scores, kind="stable")[:k]  # stable on ascending ids
+    return docs[order].tolist()
 
 
 def bm25_retrieve(index: InvertedIndex, query: Query, k: int) -> list[int]:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _ranked(*score_weighted_terms(index, Counter(tokenize(query.text))), k)[0].tolist()
+    return retrieve_expanded(index, Counter(tokenize(query.text)), k)
 
 
 def check_rm3(fb_docs: int, fb_terms: int, orig_weight: float) -> None:
@@ -315,13 +303,6 @@ def rm3_expand(
     if abs(total_weight - 1.0) > 1e-12:  # an empty expansion leaves only the query's share
         weights = {term: weight / total_weight for term, weight in weights.items()}
     return weights
-
-
-def retrieve_expanded(index: InvertedIndex, weights: Mapping[str, float], k: int) -> list[int]:
-    """BM25 with per-term contributions scaled by the expanded-query weights."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _ranked(*score_weighted_terms(index, weights), k)[0].tolist()
 
 
 INDEX_FORMAT_VERSION = 3

@@ -169,8 +169,7 @@ class RemoteRanker(ListwiseRanker):
             self.headers["Authorization"] = auth
 
     def _order(self, window: Window) -> list[str]:
-        import urllib.error  # here, not at module level: it costs every CLI process about 20 ms
-        import urllib.request
+        import urllib.request  # here, not at module level: it costs every CLI process about 20 ms
         from http.client import HTTPException  # a malformed response: a bad status line, a short body
 
         payload = {
@@ -193,7 +192,7 @@ class RemoteRanker(ListwiseRanker):
                 ordering = data["ordering"]  # KeyError, or TypeError unless data is a JSON object
                 if not (isinstance(ordering, list) and all(isinstance(d, str) for d in ordering)):
                     raise TypeError("'ordering' is not a list of strings")
-            except (urllib.error.URLError, HTTPException, OSError, ValueError, KeyError, TypeError) as exc:
+            except (HTTPException, OSError, ValueError, KeyError, TypeError) as exc:
                 log.warning(
                     "remote ranker request failed (attempt %d/%d, qid=%s): %s",
                     attempt + 1, attempts, window.query.qid, exc,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slidegar.corpus_graph import SENTINEL, CorpusGraph, build_graph_dense
+from slidegar.corpus_graph import SENTINEL, build_graph_dense
 from slidegar.corpus_store import CorpusStore, ingest_corpus, load_qrels, load_queries, map_qrels
 from slidegar.dense_index import load_embeddings
 from slidegar.lexical_index import build_index
@@ -12,14 +12,14 @@ def make_store(docs: dict[str, str]) -> CorpusStore:
     return CorpusStore(list(docs), list(docs.values()))
 
 
-def graph_from_dict(adjacency: dict[str, list[str]], names: list[str], k: int) -> CorpusGraph:
-    """Hand-built graph over docnos; absent slots stay sentinel."""
+def graph_from_dict(adjacency: dict[str, list[str]], names: list[str], k: int) -> np.ndarray:
+    """Hand-built adjacency matrix over docnos; absent slots stay sentinel."""
     ids = {name: i for i, name in enumerate(names)}
     rows = np.full((len(names), k), SENTINEL, dtype=np.uint32)
     for name, nbs in adjacency.items():
         for slot, nb in enumerate(nbs):
             rows[ids[name], slot] = ids[nb]
-    return CorpusGraph(k, rows, "dense")
+    return rows
 
 
 class SynthBundle:

@@ -47,13 +47,9 @@ def score_weighted_terms(index, term_weights):
     return scores
 
 
-def cut(scores, k, exclude=None):
+def cut(scores, k):
     """Top-k (doc_id, score) of positive score, score desc then doc id asc."""
-    items = [
-        (doc_id, score)
-        for doc_id, score in scores.items()
-        if score > 0.0 and (exclude is None or doc_id not in exclude)
-    ]
+    items = [(doc_id, score) for doc_id, score in scores.items() if score > 0.0]
     items.sort(key=lambda pair: (-pair[1], pair[0]))
     return items[:k]
 

@@ -25,7 +25,7 @@ from slidegar.adaptive_rerank import (
     telemetry_record,
 )
 from slidegar.cli import main
-from slidegar.corpus_graph import CorpusGraph, build_graph_dense, build_graph_lexical, save_graph
+from slidegar.corpus_graph import build_graph_dense, build_graph_lexical, save_graph
 from slidegar.corpus_store import CorpusStore, Query
 from slidegar.eval import ndcg_at, recall_at
 from slidegar.lexical_index import bm25_retrieve, build_index
@@ -325,8 +325,7 @@ def test_bookkeeping_overhead_on_100k_graph():
         rng = np.random.default_rng(5)
         adjacency = rng.integers(0, n, size=(n, 16), dtype=np.uint32)
         rows = np.arange(n, dtype=np.uint32)[:, None]
-        adjacency = np.where(adjacency == rows, (adjacency + 1) % n, adjacency)
-        graph = CorpusGraph(16, adjacency, "dense")
+        graph = np.where(adjacency == rows, (adjacency + 1) % n, adjacency)
         cfg = RerankConfig(w=20, b=10, c=100, truncate_k=16)
         r0 = list(range(0, n, n // 140))[:140]
         timings = []
@@ -343,7 +342,7 @@ def test_bookkeeping_overhead_on_100k_graph():
 def test_run_determinism(synth_bundle, tmp_path):
     with criterion("determinism: identical config + seeds give byte-identical run files"):
         graph_path = tmp_path / "graph.bin"
-        save_graph(graph_path, synth_bundle.graph, synth_bundle.store)
+        save_graph(graph_path, synth_bundle.graph, "dense", synth_bundle.store)
         outs = []
         for name in ("one", "two"):
             cfg = {

@@ -17,9 +17,9 @@ from slidegar.adaptive_rerank import (
     sliding_window_baseline,
     telemetry_record,
 )
-from slidegar.corpus_graph import SENTINEL, CorpusGraph, neighbours
+from slidegar.corpus_graph import SENTINEL, neighbours
 from slidegar.corpus_store import Query
-from slidegar.lexical_index import bm25_retrieve, build_index, retrieve_expanded, rm3_expand, top_docs
+from slidegar.lexical_index import bm25_retrieve, build_index, retrieve_expanded, rm3_expand
 from slidegar.rankers import IdentityRanker, ListwiseRanker, NoisyOracleRanker, OracleRanker, Window
 
 Q = Query("q1", "query text")
@@ -35,11 +35,12 @@ def docnos_of(store, ids):
 
 def rm3_reference(store, index, query, b, fb_docs=10):
     """The simulator's RM3 feedback_fn: a fresh expansion of ``batch[:b]``
-    and a retrieval outside ``blocked`` on every call."""
+    and a retrieval of the whole corpus, filtered by ``blocked``, on every call."""
 
     def feedback_fn(batch, blocked, n):
         weights = rm3_expand(index, query, ids_of(store, batch[:b]), fb_docs=fb_docs)
-        return docnos_of(store, [i for i, _ in top_docs(index, weights, n, set(ids_of(store, blocked)))])
+        hits = docnos_of(store, retrieve_expanded(index, weights, len(store)))
+        return [d for d in hits if d not in blocked][:n]
 
     return feedback_fn
 
@@ -397,7 +398,7 @@ def test_rm3_one_retrieval_serves_the_deepest_blocked_set():
     cfg = RerankConfig(w=4, b=2, c=14)
     r0 = bm25_retrieve(index, query, cfg.w)
     depth = len(r0) + expected_llm_calls(cfg) * cfg.b
-    hits = [i for i, _ in top_docs(index, {"ant": 1.0}, len(docs))]
+    hits = retrieve_expanded(index, {"ant": 1.0}, len(docs))
     assert len(hits) == len(docs) > depth
     counts: dict[str, int] = {}
     with pytest.MonkeyPatch.context() as mp:
@@ -499,7 +500,7 @@ def frontier_instances(draw):
     k = draw(st.integers(1, 6))
     slot = st.one_of(st.integers(0, n_docs - 1), st.just(SENTINEL))
     rows = draw(st.lists(st.lists(slot, min_size=k, max_size=k), min_size=n_docs, max_size=n_docs))
-    graph = CorpusGraph(k, np.array(rows, dtype=np.uint32), "dense")
+    graph = np.array(rows, dtype=np.uint32)
     order = draw(st.lists(st.integers(0, n_docs - 1), min_size=1, unique=True))
     blocked = draw(st.sets(st.integers(0, n_docs - 1)))
     return graph, order, blocked, draw(st.integers(0, k)), draw(st.integers(1, n_docs))

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import threading
 import time
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,7 @@ from slidegar.cli import main
 from slidegar.corpus_store import Query, ingest_corpus, load_queries
 from slidegar.dense_index import write_embeddings
 from slidegar.eval import read_run
-from slidegar.lexical_index import bm25_retrieve, build_index, tokenize, top_docs
+from slidegar.lexical_index import bm25_retrieve, build_index
 
 
 @pytest.fixture(scope="module")
@@ -240,7 +239,7 @@ def test_escaped_docs_count_run_docnos_outside_bm25_top_c(workspace, tmp_path):
     queries = load_queries(workspace / "data" / "queries.tsv")
     assert sorted(records) == sorted(run) == sorted(q.qid for q in queries)
     for query in queries:
-        top_c = {store.docnos[i] for i, _ in top_docs(index, Counter(tokenize(query.text)), cfg["c"])}
+        top_c = {store.docnos[i] for i in bm25_retrieve(index, query, cfg["c"])}
         assert records[query.qid]["escaped_docs"] == len(set(run[query.qid]) - top_c), query.qid
     assert sum(r["escaped_docs"] for r in records.values()) > 0
 

@@ -82,7 +82,7 @@ def brute_force_lexical(texts, k):
 
 
 def adjacency_rows(graph):
-    return [[x for x in row if x != SENTINEL] for row in graph.adjacency.tolist()]
+    return [[x for x in row if x != SENTINEL] for row in graph.tolist()]
 
 
 # --- builders ---
@@ -96,7 +96,7 @@ def test_lexical_near_identical_docs_point_at_each_other():
     })
     graph = build_graph_lexical(build_index(store), store, 2)
     for i in range(3):
-        assert set(graph.adjacency[i].tolist()) == {0, 1, 2} - {i}
+        assert set(graph[i].tolist()) == {0, 1, 2} - {i}
 
 
 def test_lexical_isolated_doc_gets_sentinels():
@@ -106,7 +106,7 @@ def test_lexical_isolated_doc_gets_sentinels():
         "c": "zebra quux",
     })
     graph = build_graph_lexical(build_index(store), store, 2)
-    assert graph.adjacency[2].tolist() == [SENTINEL, SENTINEL]
+    assert graph[2].tolist() == [SENTINEL, SENTINEL]
 
 
 def test_lexical_matches_exhaustive_oracle():
@@ -124,16 +124,16 @@ def test_dense_two_separated_clusters():
     cluster_b = rng.normal(0, 0.05, size=(5, 2)) + np.array([0.0, 10.0])
     graph = build_graph_dense(dense_matrix(np.vstack([cluster_a, cluster_b])), 4)
     for i in range(5):
-        assert set(graph.adjacency[i].tolist()) == {0, 1, 2, 3, 4} - {i}
+        assert set(graph[i].tolist()) == {0, 1, 2, 3, 4} - {i}
     for i in range(5, 10):
-        assert set(graph.adjacency[i].tolist()) == {5, 6, 7, 8, 9} - {i}
+        assert set(graph[i].tolist()) == {5, 6, 7, 8, 9} - {i}
 
 
 def test_dense_k_equals_n_minus_one_is_full_sort():
     matrix = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.5, 0.5]], dtype=np.float32)
     graph = build_graph_dense(dense_matrix(matrix), 3)
     assert adjacency_rows(graph) == brute_force_dense(matrix, 3)
-    assert not (graph.adjacency == SENTINEL).any()
+    assert not (graph == SENTINEL).any()
 
 
 def test_dense_matches_exhaustive_oracle():
@@ -151,13 +151,13 @@ def test_blocked_dense_matches_full_matrix_with_ties_at_the_cut():
     np.fill_diagonal(keys, np.inf)
     keys.sort(axis=1)
     assert (keys[:, 7] == keys[:, 8]).sum() > 100  # ties straddle the k-th place
-    assert np.array_equal(build_graph_dense(dense_matrix(matrix), 8).adjacency, expected)
+    assert np.array_equal(build_graph_dense(dense_matrix(matrix), 8), expected)
 
 
 def test_blocked_dense_matches_full_matrix_over_several_blocks():
     matrix = permuted_rows(2500, 28)
     assert 2500 // (BLOCK_BYTES // (4 * 2500)) >= 4
-    assert np.array_equal(build_graph_dense(dense_matrix(matrix), 16).adjacency, full_matrix_dense(matrix, 16))
+    assert np.array_equal(build_graph_dense(dense_matrix(matrix), 16), full_matrix_dense(matrix, 16))
 
 
 def test_blocked_dense_never_builds_a_one_row_block():
@@ -166,7 +166,7 @@ def test_blocked_dense_never_builds_a_one_row_block():
     # The tail row scores every permutation of a base row equally in exact
     # arithmetic, so its top k is decided by the rounding of each sum.
     matrix[-1] = np.float32(0.1)
-    assert np.array_equal(build_graph_dense(dense_matrix(matrix), 16).adjacency, full_matrix_dense(matrix, 16))
+    assert np.array_equal(build_graph_dense(dense_matrix(matrix), 16), full_matrix_dense(matrix, 16))
 
 
 def test_builders_reject_k_not_below_corpus_size():
@@ -194,7 +194,7 @@ def test_build_invariant_under_insertion_order():
     def as_docnos(graph, docnos):
         return {
             docnos[i]: [docnos[j] for j in row if j != SENTINEL]
-            for i, row in enumerate(graph.adjacency.tolist())
+            for i, row in enumerate(graph.tolist())
         }
 
     assert as_docnos(graph_a, names) == as_docnos(graph_b, names_b)
@@ -283,11 +283,10 @@ def test_graph_save_load_roundtrip(tmp_path):
     names = [f"doc{i:02d}" for i in range(12)]
     graph = build_graph_dense(dense_matrix(rng.normal(size=(12, 3)).astype(np.float32)), 4)
     store = make_store({n: "text" for n in names})
-    save_graph(tmp_path / "graph.bin", graph, store)
+    save_graph(tmp_path / "graph.bin", graph, "dense", store)
     loaded = load_graph(tmp_path / "graph.bin", store)
-    assert (loaded.adjacency == graph.adjacency).all()
-    assert len(loaded) == len(names)
-    assert loaded.k == 4 and loaded.source == "dense"
+    assert loaded.dtype == np.uint32 and loaded.shape == (len(names), 4)
+    assert (loaded == graph).all()
     docnos_txt = (tmp_path / "docnos.txt").read_text().splitlines()
     assert docnos_txt == names
 
@@ -297,18 +296,18 @@ def test_graph_header_fields(tmp_path):
 
     store = make_store({"a": "cat dog", "b": "cat dog", "c": "zebra foo"})
     graph = build_graph_lexical(build_index(store), store, 2)
-    save_graph(tmp_path / "g.bin", graph, store)
+    save_graph(tmp_path / "g.bin", graph, "lexical", store)
     with open(tmp_path / "g.bin", "rb") as f:
         header = json.loads(f.readline())
     assert header == {"version": 1, "k": 2, "count": 3, "source": "lexical", "sentinel": 4294967295}
     loaded = load_graph(tmp_path / "g.bin", store)
-    assert loaded.adjacency[2].tolist() == [SENTINEL, SENTINEL]
+    assert loaded[2].tolist() == [SENTINEL, SENTINEL]
 
 
 def test_graph_load_rejects_bad_sizes(tmp_path):
     store = make_store({"a": "cat dog", "b": "cat dog"})
     graph = build_graph_lexical(build_index(store), store, 1)
-    save_graph(tmp_path / "g.bin", graph, store)
+    save_graph(tmp_path / "g.bin", graph, "lexical", store)
     data = (tmp_path / "g.bin").read_bytes()
     (tmp_path / "g.bin").write_bytes(data[:-4])
     with pytest.raises(ValueError, match="adjacency bytes"):
@@ -325,11 +324,27 @@ def test_graph_load_rejects_bad_sizes(tmp_path):
             b'{"count": 2, "k": 1, "sentinel": 4294967295, "source": "bogus", "version": 1}',
             r"g\.bin: invalid graph header \(unknown similarity source 'bogus'\)$",
         ),
+        (
+            b'{"count": 2, "k": 1.9, "sentinel": 4294967295, "source": "lexical", "version": 1}',
+            r"g\.bin: invalid graph header \(k must be a non-negative integer, got 1\.9\)$",
+        ),
+        (
+            b'{"count": 2, "k": true, "sentinel": 4294967295, "source": "lexical", "version": 1}',
+            r"g\.bin: invalid graph header \(k must be a non-negative integer, got True\)$",
+        ),
+        (
+            b'{"count": "2", "k": 1, "sentinel": 4294967295, "source": "lexical", "version": 1}',
+            r"g\.bin: invalid graph header \(count must be a non-negative integer, got '2'\)$",
+        ),
+        (
+            b'{"count": -2, "k": -1, "sentinel": 4294967295, "source": "lexical", "version": 1}',
+            r"g\.bin: invalid graph header \(k must be a non-negative integer, got -1\)$",
+        ),
     ],
 )
 def test_graph_load_rejects_malformed_header(tmp_path, header, message):
     store = make_store({"a": "cat dog", "b": "cat dog"})
-    save_graph(tmp_path / "g.bin", build_graph_lexical(build_index(store), store, 1), store)
+    save_graph(tmp_path / "g.bin", build_graph_lexical(build_index(store), store, 1), "lexical", store)
     body = (tmp_path / "g.bin").read_bytes().split(b"\n", 1)[1]
     (tmp_path / "g.bin").write_bytes(header + b"\n" + body)
     with pytest.raises(ValueError, match=message):
@@ -339,19 +354,19 @@ def test_graph_load_rejects_malformed_header(tmp_path, header, message):
 def test_graph_load_rejects_neighbour_ids_out_of_range(tmp_path):
     store = make_store({"a": "cat dog", "b": "cat bird", "c": "dog bird"})
     graph = build_graph_lexical(build_index(store), store, 2)
-    graph.adjacency[1, 1] = 3  # == count: not a doc id and not the sentinel
-    graph.adjacency[2, 0] = 7
-    save_graph(tmp_path / "g.bin", graph, store)
+    graph[1, 1] = 3  # == count: not a doc id and not the sentinel
+    graph[2, 0] = 7
+    save_graph(tmp_path / "g.bin", graph, "lexical", store)
     with pytest.raises(ValueError, match=r"g\.bin: row 1: neighbour id 3 is not below count 3"):
         load_graph(tmp_path / "g.bin", store)
-    graph.adjacency[1:, :] = SENTINEL  # sentinels are not ids
-    save_graph(tmp_path / "g.bin", graph, store)
-    assert load_graph(tmp_path / "g.bin", store).adjacency[1:].tolist() == [[SENTINEL] * 2] * 2
+    graph[1:, :] = SENTINEL  # sentinels are not ids
+    save_graph(tmp_path / "g.bin", graph, "lexical", store)
+    assert load_graph(tmp_path / "g.bin", store)[1:].tolist() == [[SENTINEL] * 2] * 2
 
 
 def test_graph_load_rejects_docnos_of_another_corpus(tmp_path):
     store = make_store({"a": "cat dog", "b": "cat bird", "c": "dog bird"})
-    save_graph(tmp_path / "g.bin", build_graph_lexical(build_index(store), store, 1), store)
+    save_graph(tmp_path / "g.bin", build_graph_lexical(build_index(store), store, 1), "lexical", store)
     reordered = make_store({"a": "cat dog", "c": "dog bird", "b": "cat bird"})
     with pytest.raises(ValueError, match=r"docnos\.txt:2: docnos do not match"):
         load_graph(tmp_path / "g.bin", reordered)

@@ -96,11 +96,23 @@ def test_truncated_file_fatal(tmp_path):
         load_embeddings(path, store)
 
 
-def test_header_validation(tmp_path):
-    path = tmp_path / "e.bin"
-    path.write_bytes(b"not json\n")
-    with pytest.raises(ValueError, match="header"):
-        load_embeddings(path, store_for(["a"]))
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (b"not json", r"e\.bin: invalid embedding header \("),
+        (b'{"count": 2, "dim": "2"}', r"e\.bin: invalid embedding header \(dim must be an integer, got '2'\)"),
+        (b'{"count": 2, "dim": 2.7}', r"e\.bin: invalid embedding header \(dim must be an integer, got 2\.7\)"),
+        (b'{"count": 2.5, "dim": 2}', r"e\.bin: invalid embedding header \(count must be an integer, got 2\.5\)"),
+    ],
+    ids=["not-json", "dim-str", "dim-float", "count-float"],
+)
+def test_header_validation(tmp_path, header, message):
+    # the records are a valid dim-2 body, so only the header can fail
+    path = write_table(tmp_path / "e.bin", 2, [("a", [1, 0]), ("b", [0, 1])])
+    body = path.read_bytes().split(b"\n", 1)[1]
+    path.write_bytes(header + b"\n" + body)
+    with pytest.raises(ValueError, match=message):
+        load_embeddings(path, store_for(["a", "b"]))
 
 
 def test_header_that_is_not_an_object(tmp_path):

@@ -24,8 +24,8 @@ from slidegar.lexical_index import (
     retrieve_expanded,
     rm3_expand,
     save_index,
+    score_weighted_terms,
     tokenize,
-    top_docs,
 )
 
 CSR_FIELDS = ("offsets", "doc_ids", "tfs", "doc_lengths", "norm")
@@ -72,8 +72,8 @@ def test_bm25_worked_example():
     # independent scalar evaluation of the scoring formula
     expected = math.log(1 + (2 - 1 + 0.5) / (1 + 0.5)) * (2 * 2.2) / (2 + 1.2 * (0.25 + 0.75 * 3 / 3))
     assert [store.docnos[i] for i in result] == ["d1"]
-    [(doc_id, score)] = top_docs(index, {"cat": 1}, 10)
-    assert doc_id == result[0]
+    ids, [score] = score_weighted_terms(index, {"cat": 1})
+    assert ids.tolist() == result
     assert score == pytest.approx(expected, abs=1e-12)
     assert score == pytest.approx(0.9530773732699248, abs=1e-12)
 
@@ -105,9 +105,9 @@ def test_bm25_scores_non_increasing_no_duplicates():
     for _ in range(20):
         query = Query("q", " ".join(rng.choices(vocab, k=3)))
         result = bm25_retrieve(index, query, 15)
-        hits = top_docs(index, Counter(tokenize(query.text)), 15)
-        assert result == [doc_id for doc_id, _ in hits]
-        scores = [score for _, score in hits]
+        ids, all_scores = score_weighted_terms(index, Counter(tokenize(query.text)))
+        score_of = dict(zip(ids.tolist(), all_scores.tolist()))
+        scores = [score_of[doc_id] for doc_id in result]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
         assert len(set(result)) == len(result)
 
@@ -207,24 +207,19 @@ def test_expanded_single_term_matches_bm25():
     assert expanded == plain
 
 
-def test_top_docs_exclude_everything():
-    _, index = two_doc_index()
-    assert top_docs(index, {"dog": 1.0}, 10, exclude={0, 1}) == []
-
-
 def test_expanded_weighted_hand_computation():
     store, index = two_doc_index()
     weights = {"cat": 0.8667, "dog": 0.1333}
     result = retrieve_expanded(index, weights, 10)
-    hits = top_docs(index, weights, 10)
+    ids, scores = score_weighted_terms(index, weights)
     idf_cat = math.log(1 + (2 - 1 + 0.5) / (1 + 0.5))
     idf_dog = math.log(1 + (2 - 2 + 0.5) / (2 + 0.5))
     d1 = 0.8667 * idf_cat * 2 * 2.2 / (2 + 1.2) + 0.1333 * idf_dog * 1 * 2.2 / (1 + 1.2)
     d2 = 0.1333 * idf_dog * 3 * 2.2 / (3 + 1.2)
     assert [store.docnos[i] for i in result] == ["d1", "d2"]
-    assert result == [doc_id for doc_id, _ in hits]
-    assert hits[0][1] == pytest.approx(d1, abs=1e-12)
-    assert hits[1][1] == pytest.approx(d2, abs=1e-12)
+    assert ids.tolist() == result
+    assert scores[0] == pytest.approx(d1, abs=1e-12)
+    assert scores[1] == pytest.approx(d2, abs=1e-12)
 
 
 def test_expanded_scaling_invariance():
@@ -421,6 +416,15 @@ def tie_corpus():
     return rng, vocab, store, texts
 
 
+def assert_scores_match_reference(index, ref, weights):
+    """The CSR ids and scores equal the reference's, float for float."""
+    ids, scores = score_weighted_terms(index, weights)
+    expected = refindex.score_weighted_terms(ref, weights)
+    assert ids.tolist() == sorted(expected), weights
+    assert scores.tolist() == [expected[d] for d in sorted(expected)], weights
+    return expected
+
+
 def test_csr_engine_matches_dict_reference():
     rng, vocab, store, texts = tie_corpus()
     index = build_index(store)
@@ -428,9 +432,10 @@ def test_csr_engine_matches_dict_reference():
     straddled = 0
     queries = ["t1 t2 t5", "t3 t4", "t2", "t4 t4 t9"] + [" ".join(rng.choices(vocab, k=3)) for _ in range(20)]
     for text in queries:
-        full = refindex.cut(refindex.score_weighted_terms(ref, Counter(tokenize(text))), len(texts))
+        weights = Counter(tokenize(text))
+        full = refindex.cut(assert_scores_match_reference(index, ref, weights), len(texts))
         for k in range(1, len(full) + 2):
-            assert top_docs(index, Counter(tokenize(text)), k) == full[:k], (text, k)
+            assert retrieve_expanded(index, weights, k) == [d for d, _ in full[:k]], (text, k)
             assert bm25_retrieve(index, Query("q", text), k) == [d for d, _ in full[:k]], (text, k)
             straddled += 0 < k < len(full) and full[k - 1][1] == full[k][1]
     assert straddled >= 10  # ties really do straddle the k-th place
@@ -442,11 +447,8 @@ def test_csr_engine_matches_dict_reference():
         expanded = rm3_expand(index, Query("q", query), ranked, fb_terms=fb_terms)
         reference = refindex.rm3_weights(ref, query, ranked, fb_terms=fb_terms)
         assert list(expanded.items()) == list(reference.items())
-        exclude = set(rng.sample(range(len(texts)), rng.randint(1, 30)))
-        scores = refindex.score_weighted_terms(ref, reference)
+        scores = assert_scores_match_reference(index, ref, expanded)
         for k in (1, 3, 7, 20):
-            expected = refindex.cut(scores, k, exclude)
-            assert top_docs(index, expanded, k, exclude) == expected
             assert retrieve_expanded(index, expanded, k) == [d for d, _ in refindex.cut(scores, k)]
 
 

@@ -95,7 +95,7 @@ def test_dense_graph_connects_hidden_docs(synth_bundle):
         visible = set(info["visible"])
         for docno in info["hidden"]:
             total += 1
-            row = graph.adjacency[synth_bundle.store.doc_id(docno)].tolist()
+            row = graph[synth_bundle.store.doc_id(docno)].tolist()
             neighbours = {synth_bundle.store.docnos[i] for i in row if i != SENTINEL}
             if neighbours & visible:
                 connected += 1
