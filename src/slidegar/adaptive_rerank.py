@@ -97,14 +97,12 @@ class _QueryRun:
 
     def rank(self, ids: list[int]) -> list[int]:
         store_docnos, store_texts = self.store.docnos, self.store.texts
-        docnos = tuple([store_docnos[i] for i in ids])
-        window = Window(self.query, docnos, tuple([store_texts[i] for i in ids]))
+        window = Window(self.query, tuple([store_docnos[i] for i in ids]), tuple([store_texts[i] for i in ids]))
         t0 = time.perf_counter()
         ordering = self.ranker.rank(window)
         self.ranker_s += time.perf_counter() - t0
         self.calls += 1
-        id_of = dict(zip(docnos, ids))
-        return [id_of[docno] for docno in ordering]
+        return list(map(self.store.id_of.__getitem__, ordering))
 
     def result(self, ids: list[int]) -> RerankResult:
         bookkeeping_s = time.perf_counter() - self.started - self.ranker_s

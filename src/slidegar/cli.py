@@ -158,6 +158,7 @@ class _Pipeline:
         self.setup = dict.fromkeys(keys)
         t0 = time.perf_counter()
         self.store, _ = corpus_store.ingest_corpus(cfg["corpus"], dedup=cfg["dedup"])
+        self.store.id_of  # built here, in set-up, not by the first window or racing threads
         self._lap("ingest_s", t0)
         self.queries = corpus_store.load_queries(cfg["queries"])
         self.grades: dict[str, dict[str, int]] = {}

@@ -9,7 +9,8 @@ Graph file: one JSON header line
 followed by the N rows of K little-endian u32 neighbour ids. A companion
 ``docnos.txt`` in the same directory lists the store's docnos, one per line
 in doc-id order. The graph holds store ids only, so it loads only against a
-store whose docnos match ``docnos.txt`` line for line.
+store whose docnos match ``docnos.txt`` line for line. A load reads the rows
+straight into the one array it returns and checks them in place.
 
 Graphs are built once at full depth (k=16 by default) and shallower depths
 are realized at query time by truncating each neighbour list, never by
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus_store import CorpusStore, check_docnos, write_docnos
+from .corpus_store import CorpusStore, check_docnos, read_u32, write_docnos
 from .dense_index import top_k_ids
 from .lexical_index import InvertedIndex, retrieve_expanded, tokenize
 
@@ -143,16 +144,17 @@ def load_graph(path: str | Path, store: CorpusStore) -> np.ndarray:
             raise ValueError(f"{path}: unsupported graph format version {header.get('version')!r}")
         if header.get("sentinel") != SENTINEL:
             raise ValueError(f"{path}: unexpected sentinel {header.get('sentinel')!r}")
-        blob = f.read()
-    expected = count * k * 4
-    if len(blob) != expected:
-        raise ValueError(f"{path}: expected {expected} adjacency bytes, found {len(blob)}")
-    adjacency = np.frombuffer(blob, dtype="<u4").reshape(count, k)
-    bad = (adjacency >= count) & (adjacency != SENTINEL)
-    if bad.any():
-        row = int(np.argmax(bad.any(axis=1)))
-        raise ValueError(f"{path}: row {row}: neighbour id {int(adjacency[row][bad[row]][0])} is not below count {count}")
+        body = f.tell()
+    adjacency = read_u32(path, count * k, offset=body).reshape(count, k)
+    # +1 wraps SENTINEL to 0, so a slot is a doc id or the sentinel exactly when
+    # its shifted value is at most count; shifted in place and back, nothing is copied
+    adjacency += 1
+    if adjacency.max(initial=0) > count:
+        row = int(np.argmax((adjacency > count).any(axis=1)))
+        neighbour = int(adjacency[row][adjacency[row] > count][0]) - 1
+        raise ValueError(f"{path}: row {row}: neighbour id {neighbour} is not below count {count}")
+    adjacency -= 1
     check_docnos(path.parent / "docnos.txt", store, "graph")
     if count != len(store):
         raise ValueError(f"{path}: header count {count} does not match the {len(store)} docnos")
-    return adjacency.copy()
+    return adjacency

@@ -1,4 +1,5 @@
-"""Document / query / qrel ingestion and the docno <-> doc-id mapping.
+"""Document / query / qrel ingestion and the docno <-> doc-id mapping, plus
+what every artifact loader shares: ``docnos.txt`` and size-checked u32 arrays.
 
 The corpus is held as two parallel columns, ``docnos`` and ``texts``,
 indexed by doc id, read from the file in one pass.
@@ -28,6 +29,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Query:
@@ -54,8 +57,8 @@ class CorpusStore:
     postings lists, embedding matrices, and graph rows. The store alone
     holds docnos and the docno -> id map; indexes, embedding matrices,
     graphs and rankings hold ids, and artifacts check their ``docnos.txt``
-    against it. The map is built on the first lookup, so a step that only
-    reads the columns, such as an index build, never holds it.
+    against it. The map, ``id_of``, is built on the first lookup, so a step
+    that only reads the columns, such as an index build, never holds it.
     """
 
     def __init__(self, docnos: list[str], texts: list[str], alias: dict[str, str] | None = None) -> None:
@@ -70,29 +73,29 @@ class CorpusStore:
             raise ValueError(f"duplicate docno {docno!r}")
 
     @cached_property
-    def _ids(self) -> dict[str, int]:
+    def id_of(self) -> dict[str, int]:
         return dict(zip(self.docnos, range(len(self.docnos))))
 
     def __len__(self) -> int:
         return len(self.docnos)
 
     def __contains__(self, docno: str) -> bool:
-        return docno in self._ids
+        return docno in self.id_of
 
     def doc_id(self, docno: str) -> int:
         try:
-            return self._ids[docno]
+            return self.id_of[docno]
         except KeyError:
             raise KeyError(f"unknown docno {docno!r}") from None
 
     def resolve(self, docno: str) -> int | None:
         """Doc id for ``docno``, following the dedup alias map; None if absent."""
-        doc_id = self._ids.get(docno)
+        doc_id = self.id_of.get(docno)
         if doc_id is not None:
             return doc_id
         kept = self.alias.get(docno)
         if kept is not None:
-            return self._ids[kept]
+            return self.id_of[kept]
         return None
 
 
@@ -104,6 +107,15 @@ def _invalid_utf8(path: str | Path, lineno: int, line: bytes) -> str:
     except UnicodeDecodeError as exc:
         return f"{path}:{lineno}: invalid UTF-8 ({exc.reason})"
     raise AssertionError("the line decodes")
+
+
+def decode_utf8(path: str | Path, data: bytes) -> str:
+    """The text of a file read as ``data``; an undecodable line fails as in every reader."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(_invalid_utf8(path, lineno, data.split(b"\n")[lineno - 1])) from None
 
 
 def _read_corpus(path: str | Path) -> CorpusStore:
@@ -205,23 +217,25 @@ def write_dedup_report(path: str | Path, report: list[dict]) -> None:
             f.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
+def _docnos_bytes(docnos: list[str]) -> bytes:
+    return "\n".join([*docnos, ""]).encode("utf-8")
+
+
 def write_docnos(path: str | Path, docnos: list[str]) -> None:
     """``docnos.txt``: one docno per line in doc-id order, written beside an
     artifact whose rows are doc ids."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(docno + "\n" for docno in docnos)
+    Path(path).write_bytes(_docnos_bytes(docnos))
 
 
 def check_docnos(path: str | Path, store: CorpusStore, artifact: str) -> None:
     """Reject an artifact whose ``docnos.txt`` is not ``store.docnos`` line
     for line; another corpus, another dedup setting or a reordering would
-    make every doc id point at the wrong document. Lines are read as in the corpus."""
+    make every doc id point at the wrong document. A file that differs from
+    what ``write_docnos`` writes is read as the corpus is, so CRLF lines pass."""
     data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(_invalid_utf8(path, lineno, data.split(b"\n")[lineno - 1])) from None
+    if data == _docnos_bytes(store.docnos):
+        return
+    text = decode_utf8(path, data)
     docnos = text.removesuffix("\n").split("\n") if text else []
     if "\r" in text:
         docnos = [docno.rstrip("\r") for docno in docnos]
@@ -232,6 +246,16 @@ def check_docnos(path: str | Path, store: CorpusStore, artifact: str) -> None:
             f"{path}:{line}: docnos do not match the corpus in doc-id order; "
             f"rebuild the {artifact} from the same corpus with the same dedup setting"
         )
+
+
+def read_u32(path: str | Path, count: int, offset: int = 0) -> np.ndarray:
+    """The ``count`` little-endian u32 values in ``path`` from byte ``offset``
+    to its end, read straight into one writable array. Any other size fails,
+    naming the file: a short file or a ragged tail would otherwise go unseen."""
+    found = Path(path).stat().st_size - offset
+    if found != 4 * count:
+        raise ValueError(f"{path}: expected {4 * count} bytes, found {found}")
+    return np.fromfile(path, dtype="<u4", count=count, offset=offset)
 
 
 def load_queries(path: str | Path) -> list[Query]:

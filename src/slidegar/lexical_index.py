@@ -18,25 +18,26 @@ once during set-up, before any thread does:
   ``term_ids[doc_offsets[d]:doc_offsets[d + 1]]`` (ascending) and the
   matching ``tfs``, so index builds, graph builds and BM25 runs skip it.
 
-Index directory layout (format version 3), every array as numpy holds it:
+Index directory layout (format version 4), every array as numpy holds it,
+written with one ``tofile`` and read back with one size-checked
+``read_u32``:
 
-- ``meta.json``    -- ``{"version": 3, "doc_count": N, "avgdl": ..., "dedup": ...}``
+- ``meta.json``    -- ``{"version": 4, "doc_count": N, "avgdl": ..., "dedup": ...}``
 - ``docnos.txt``   -- the store's docnos, one per line in doc-id order; the
   index only loads against a corpus store with exactly these docnos
 - ``doclens.bin``  -- N little-endian u32 token counts in doc-id order
 - ``terms.txt``    -- one term per line, sorted; a term's id is its line index
 - ``dfs.bin``      -- one little-endian u32 per term: its postings count, so
   ``offsets`` is their cumulative sum
-- ``postings.bin`` -- per term: df pairs of little-endian u32 ``(doc_id, tf)``,
-  ids ascending; written ``POSTINGS_CHUNK`` pairs at a time, so saving
-  never holds a second copy of the postings
+- ``docids.bin``   -- the postings' little-endian u32 doc ids, term after
+  term, ascending within a term
+- ``tfs.bin``      -- the matching little-endian u32 term frequencies
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import re
 from array import array
 from collections import Counter
@@ -46,7 +47,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .corpus_store import CorpusStore, Query, check_docnos, write_docnos
+from .corpus_store import CorpusStore, Query, check_docnos, decode_utf8, read_u32, write_docnos
 
 K1 = 1.2
 B_LEN = 0.75
@@ -305,8 +306,7 @@ def rm3_expand(
     return weights
 
 
-INDEX_FORMAT_VERSION = 3
-POSTINGS_CHUNK = 1 << 16  # (doc_id, tf) pairs per write of postings.bin, 512 KiB
+INDEX_FORMAT_VERSION = 4
 
 
 def save_index(index: InvertedIndex, out_dir: str | Path, store: CorpusStore, dedup: bool = False) -> None:
@@ -316,15 +316,8 @@ def save_index(index: InvertedIndex, out_dir: str | Path, store: CorpusStore, de
     index.doc_lengths.astype("<u4", copy=False).tofile(out / "doclens.bin")
     (out / "terms.txt").write_text("".join(term + "\n" for term in index.terms), encoding="utf-8")
     np.diff(index.offsets).astype("<u4").tofile(out / "dfs.bin")
-    n = len(index.doc_ids)
-    pairs = np.empty((min(n, POSTINGS_CHUNK), 2), dtype="<u4")  # one chunk, reused
-    with open(out / "postings.bin", "wb") as f:
-        for start in range(0, n, POSTINGS_CHUNK):
-            stop = min(start + POSTINGS_CHUNK, n)
-            chunk = pairs[: stop - start]
-            chunk[:, 0] = index.doc_ids[start:stop]
-            chunk[:, 1] = index.tfs[start:stop]
-            f.write(chunk)
+    index.doc_ids.astype("<u4", copy=False).tofile(out / "docids.bin")
+    index.tfs.astype("<u4", copy=False).tofile(out / "tfs.bin")
     meta = {
         "version": INDEX_FORMAT_VERSION,
         "doc_count": index.doc_count,
@@ -339,13 +332,7 @@ def save_index(index: InvertedIndex, out_dir: str | Path, store: CorpusStore, de
 def _read_terms(path: Path) -> list[str]:
     """Sorted unique terms, one per line, each ended by a newline. The
     checks scan the whole text; a line is searched for only once one fails."""
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})") from None
-    terms = text.split("\n")
+    terms = decode_utf8(path, path.read_bytes()).split("\n")
     if terms.pop():
         raise ValueError(f"{path}:{len(terms) + 1}: no newline at the end of the file")
     # one scan over all terms, as for docnos: clean terms join into a single word
@@ -390,41 +377,26 @@ def load_index(in_dir: str | Path, store: CorpusStore) -> InvertedIndex:
             "was the corpus ingested with the same dedup setting?"
         )
     check_docnos(src / "docnos.txt", store, "index")
-    raw_lens = (src / "doclens.bin").read_bytes()
-    if len(raw_lens) != 4 * doc_count:
-        raise ValueError(f"{src / 'doclens.bin'}: expected {4 * doc_count} bytes, found {len(raw_lens)}")
-    lengths = np.frombuffer(raw_lens, dtype="<u4")
-
+    lengths = read_u32(src / "doclens.bin", doc_count)
     terms = _read_terms(src / "terms.txt")
-    dfs_path = src / "dfs.bin"
-    raw_dfs = dfs_path.read_bytes()
-    if len(raw_dfs) != 4 * len(terms):
-        raise ValueError(f"{dfs_path}: expected {4 * len(terms)} bytes for {len(terms)} terms, found {len(raw_dfs)}")
-    dfs = np.frombuffer(raw_dfs, dtype="<u4")
+    dfs = read_u32(src / "dfs.bin", len(terms))
     offsets = np.zeros(len(terms) + 1, dtype=np.int64)
     np.cumsum(dfs, dtype=np.int64, out=offsets[1:])
-    postings_path = src / "postings.bin"
-    with open(postings_path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size  # fromfile would drop a ragged tail unseen
-        if size != 8 * offsets[-1]:
-            raise ValueError(f"{postings_path}: {size} bytes, but dfs.bin counts {offsets[-1]} postings of 8 bytes")
-        pairs = np.fromfile(f, dtype="<u4").reshape(-1, 2)
-    doc_ids = pairs[:, 0].astype(np.uint32)
-    tfs = pairs[:, 1].astype(np.uint32)
-    del pairs
+    doc_ids = read_u32(src / "docids.bin", int(offsets[-1]))
+    tfs = read_u32(src / "tfs.bin", int(offsets[-1]))
 
     falls = np.zeros(len(doc_ids), dtype=bool)
     np.less_equal(doc_ids[1:], doc_ids[:-1], out=falls[1:])
     falls[offsets[:-1][dfs > 0]] = False  # a list may start below where the previous one ended
-    for bad, problem in (
-        (falls, "doc ids do not strictly increase"),
-        (doc_ids >= doc_count, f"doc id is not below doc_count {doc_count}"),
-        (tfs == 0, "tf is 0"),
+    for name, bad, problem in (
+        ("docids.bin", falls, "doc ids do not strictly increase"),
+        ("docids.bin", doc_ids >= doc_count, f"doc id is not below doc_count {doc_count}"),
+        ("tfs.bin", tfs == 0, "tf is 0"),
     ):
         if bad.any():
             posting = int(np.argmax(bad))
             term = terms[int(np.searchsorted(offsets, posting, side="right")) - 1]
-            raise ValueError(f"{postings_path}: term {term!r}: {problem} (posting {posting})")
+            raise ValueError(f"{src / name}: term {term!r}: {problem} (posting {posting})")
     del falls
 
     index = InvertedIndex(terms, offsets, doc_ids, tfs, lengths)

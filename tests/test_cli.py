@@ -120,6 +120,13 @@ def test_pipeline_builds_the_forward_index_for_rm3_runs_only(workspace, tmp_path
             assert (type(pipeline.setup["forward_index_s"]) is float) is built, (strategy, index_dir)
 
 
+def test_pipeline_builds_the_docno_map_also_without_qrels(workspace, tmp_path):
+    # every window maps the ranker's docnos back through it, so set-up builds
+    # it even when no qrels lookup does, and no --jobs thread races to
+    cfg = cli.load_config(write_config(tmp_path / "cfg.json", base_config(workspace, qrels=None, ranker="identity")))
+    assert "id_of" in vars(cli._Pipeline(cfg).store)
+
+
 def test_jobs_byte_identical_under_racing_ranker(workspace, tmp_path, monkeypatch):
     # every query is ranked by a thread of its own while the others read the
     # store's columns; a ranker that yields between reading its window and
@@ -592,7 +599,7 @@ SENTINEL_U32 = (0xFFFF_FFFF).to_bytes(4, "little")
          "graph.bin: row 1: neighbour id 9 is not below count 3"),
         ("g/graph.bin", b"[1, 2]\n", "graph.bin: invalid graph header (not a JSON object)"),
         ("idx/meta.json", b"not json", "meta.json: invalid index metadata (Expecting value"),
-        ("idx/meta.json", b'{"version": 3}', "meta.json: missing doc_count, avgdl"),
+        ("idx/meta.json", b'{"version": 4}', "meta.json: missing doc_count, avgdl"),
     ],
     ids=["graph_id_out_of_range", "graph_header_not_object", "meta_not_json", "meta_no_counts"],
 )

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -310,7 +311,7 @@ def test_graph_load_rejects_bad_sizes(tmp_path):
     save_graph(tmp_path / "g.bin", graph, "lexical", store)
     data = (tmp_path / "g.bin").read_bytes()
     (tmp_path / "g.bin").write_bytes(data[:-4])
-    with pytest.raises(ValueError, match="adjacency bytes"):
+    with pytest.raises(ValueError, match=r"g\.bin: expected 8 bytes, found 4$"):
         load_graph(tmp_path / "g.bin", store)
 
 
@@ -362,6 +363,26 @@ def test_graph_load_rejects_neighbour_ids_out_of_range(tmp_path):
     graph[1:, :] = SENTINEL  # sentinels are not ids
     save_graph(tmp_path / "g.bin", graph, "lexical", store)
     assert load_graph(tmp_path / "g.bin", store)[1:].tolist() == [[SENTINEL] * 2] * 2
+
+
+def test_graph_load_holds_one_copy_of_the_adjacency(tmp_path):
+    """Traced allocations of a load peak near the one matrix it returns: the
+    body is read straight into it and the id check copies nothing."""
+    n, k = 20_000, 16
+    rng = np.random.default_rng(3)
+    graph = rng.integers(0, n, size=(n, k), dtype=np.uint32)
+    graph[rng.random((n, k)) < 0.05] = SENTINEL
+    store = make_store({f"d{i}": "text" for i in range(n)})
+    save_graph(tmp_path / "g.bin", graph, "dense", store)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = load_graph(tmp_path / "g.bin", store)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded, graph) and loaded.flags.writeable
+    assert peak <= 1.5 * loaded.nbytes, peak / loaded.nbytes
 
 
 def test_graph_load_rejects_docnos_of_another_corpus(tmp_path):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import refindex
 from conftest import make_store
-from slidegar import lexical_index
 from slidegar.cli import main
 from slidegar.corpus_graph import build_graph_lexical
 from slidegar.corpus_store import Query, ingest_corpus
@@ -259,10 +258,10 @@ def test_index_files_exact_bytes(tmp_path):
     assert doclens == (3).to_bytes(4, "little") + (1).to_bytes(4, "little")
     assert (tmp_path / "idx" / "terms.txt").read_bytes() == b"cat\ndog\n"
     assert (tmp_path / "idx" / "dfs.bin").read_bytes() == u32(1, 2)
-    postings = (tmp_path / "idx" / "postings.bin").read_bytes()
-    assert postings == u32(0, 2,  # cat: doc 0 tf 2
-                           0, 1, 1, 1)  # dog: doc 0 tf 1, doc 1 tf 1
-    assert json.loads((tmp_path / "idx" / "meta.json").read_text())["version"] == 3
+    # cat: doc 0 tf 2; dog: doc 0 tf 1, doc 1 tf 1
+    assert (tmp_path / "idx" / "docids.bin").read_bytes() == u32(0, 0, 1)
+    assert (tmp_path / "idx" / "tfs.bin").read_bytes() == u32(2, 1, 1)
+    assert json.loads((tmp_path / "idx" / "meta.json").read_text())["version"] == 4
     assert (tmp_path / "idx" / "docnos.txt").read_text() == "a\nb\n"
 
 
@@ -316,25 +315,12 @@ def test_term_and_docno_maps_are_built_on_first_lookup_only(tmp_path):
     index = build_index(store)
     save_index(index, tmp_path / "idx", store)
     loaded = load_index(tmp_path / "idx", store)
-    assert "_ids" not in vars(store) and "_ids" not in vars(deduped)
+    assert "id_of" not in vars(store) and "id_of" not in vars(deduped)
     assert "term_ids" not in vars(index) and "term_ids" not in vars(loaded)
     assert bm25_retrieve(loaded, Query("q", "bird"), 2) == [1]
     assert loaded.term_ids == {"bird": 0, "cat": 1, "dog": 2} and "term_ids" not in vars(index)
-    assert store.doc_id("b") == 1 and "_ids" in vars(store)
-    assert deduped.resolve("c") == 0 and "_ids" in vars(deduped)
-
-
-@pytest.mark.parametrize("pairs", [0, 1, 3, 4, 5])  # around a chunk of 4
-def test_postings_written_in_chunks(tmp_path, monkeypatch, pairs):
-    monkeypatch.setattr(lexical_index, "POSTINGS_CHUNK", 4)
-    # doc i holds term t{i} i + 1 times: one posting each; the stopword doc holds none
-    store = make_store({**{f"d{i}": f"t{i} " * (i + 1) for i in range(pairs)}, "z": "the"})
-    index = build_index(store)
-    save_index(index, tmp_path, store)
-    expected = u32(*[value for i in range(pairs) for value in (i, i + 1)])
-    assert (tmp_path / "postings.bin").read_bytes() == expected
-    assert np.stack([index.doc_ids, index.tfs], axis=1).astype("<u4").tobytes() == expected
-    assert_same_index(load_index(tmp_path, store), index)
+    assert store.doc_id("b") == 1 and "id_of" in vars(store)
+    assert deduped.resolve("c") == 0 and "id_of" in vars(deduped)
 
 
 def test_loaded_norm_is_bit_identical_to_the_built_one(tmp_path):
@@ -483,34 +469,35 @@ def u32(*values):
 
 
 # built from {"a": "cat cat dog", "b": "dog", "c": "bird cat"}: terms bird, cat, dog;
-# dfs 1, 2, 2; postings bird [(2, 1)], cat [(0, 2), (2, 1)], dog [(0, 1), (1, 1)]
+# dfs 1, 2, 2; doc ids bird [2], cat [0, 2], dog [0, 1]; tfs bird [1], cat [2, 1], dog [1, 1]
 CORRUPTIONS = {
-    "old_version": ("meta.json", b'{"avgdl": 2.0, "dedup": false, "doc_count": 3, "version": 2}',
-                    r"meta\.json: unsupported index format version 2 \(expected 3\); rebuild the index"),
+    # the version that stored the postings as interleaved (doc_id, tf) pairs
+    "old_version": ("meta.json", b'{"avgdl": 2.0, "dedup": false, "doc_count": 3, "version": 3}',
+                    r"meta\.json: unsupported index format version 3 \(expected 4\); rebuild the index"),
     "meta_not_json": ("meta.json", b"not json", r"meta\.json: invalid index metadata \(Expecting value"),
     "meta_not_object": ("meta.json", b"[1, 2]", r"meta\.json: invalid index metadata \(not a JSON object\)"),
-    "meta_no_doc_count": ("meta.json", b'{"avgdl": 2.0, "version": 3}', r"meta\.json: missing doc_count$"),
-    "meta_no_counts": ("meta.json", b'{"version": 3}', r"meta\.json: missing doc_count, avgdl"),
-    "meta_null_doc_count": ("meta.json", b'{"avgdl": 2.0, "doc_count": null, "version": 3}',
+    "meta_no_doc_count": ("meta.json", b'{"avgdl": 2.0, "version": 4}', r"meta\.json: missing doc_count$"),
+    "meta_no_counts": ("meta.json", b'{"version": 4}', r"meta\.json: missing doc_count, avgdl"),
+    "meta_null_doc_count": ("meta.json", b'{"avgdl": 2.0, "doc_count": null, "version": 4}',
                             r"meta\.json: doc_count must be an integer, got None$"),
-    "meta_float_doc_count": ("meta.json", b'{"avgdl": 2.0, "doc_count": 3.0, "version": 3}',
+    "meta_float_doc_count": ("meta.json", b'{"avgdl": 2.0, "doc_count": 3.0, "version": 4}',
                              r"meta\.json: doc_count must be an integer, got 3\.0$"),
-    "meta_bool_doc_count": ("meta.json", b'{"avgdl": 2.0, "doc_count": true, "version": 3}',
+    "meta_bool_doc_count": ("meta.json", b'{"avgdl": 2.0, "doc_count": true, "version": 4}',
                             r"meta\.json: doc_count must be an integer, got True$"),
-    "meta_string_avgdl": ("meta.json", b'{"avgdl": "x", "doc_count": 3, "version": 3}',
+    "meta_string_avgdl": ("meta.json", b'{"avgdl": "x", "doc_count": 3, "version": 4}',
                           r"meta\.json: avgdl must be a number, got 'x'$"),
-    "meta_null_avgdl": ("meta.json", b'{"avgdl": null, "doc_count": 3, "version": 3}',
+    "meta_null_avgdl": ("meta.json", b'{"avgdl": null, "doc_count": 3, "version": 4}',
                         r"meta\.json: avgdl must be a number, got None$"),
     # the docs hold 3 + 1 + 2 tokens, so the saved avgdl is 2.0
-    "meta_wrong_avgdl": ("meta.json", b'{"avgdl": 2.5, "doc_count": 3, "version": 3}',
+    "meta_wrong_avgdl": ("meta.json", b'{"avgdl": 2.5, "doc_count": 3, "version": 4}',
                          r"avgdl mismatch between meta\.json and doclens\.bin"),
-    "meta_nan_avgdl": ("meta.json", b'{"avgdl": NaN, "doc_count": 3, "version": 3}',
+    "meta_nan_avgdl": ("meta.json", b'{"avgdl": NaN, "doc_count": 3, "version": 4}',
                        r"avgdl mismatch between meta\.json and doclens\.bin"),
     "foreign_docnos": ("docnos.txt", b"b\na\nc\n", r"docnos\.txt:1: docnos do not match"),
     "lone_cr_in_docnos": ("docnos.txt", b"a\rb\nc\n", r"docnos\.txt:1: docnos do not match"),
     "invalid_utf8_docno": ("docnos.txt", b"a\nb\nc\n\xff\n", r"docnos\.txt:4: invalid UTF-8 \(invalid start byte\)$"),
     "short_doclens": ("doclens.bin", u32(3, 1), r"doclens\.bin: expected 12 bytes, found 8"),
-    "no_terms": ("terms.txt", b"", r"dfs\.bin: expected 0 bytes for 0 terms, found 12"),
+    "no_terms": ("terms.txt", b"", r"dfs\.bin: expected 0 bytes, found 12"),
     "unsorted_terms": ("terms.txt", b"cat\nbird\ndog\n", r"terms\.txt:2: term 'bird' is not after 'cat'"),
     "duplicate_term": ("terms.txt", b"bird\nbird\ndog\n", r"terms\.txt:2: term 'bird' is not after"),
     "blank_term_line": ("terms.txt", b"bird\n\ncat\ndog\n", r"terms\.txt:2: term '' is empty or contains whitespace"),
@@ -520,17 +507,18 @@ CORRUPTIONS = {
     "space_in_term": ("terms.txt", b"bird\ncat\ndo g\n", r"terms\.txt:3: term 'do g' is empty or contains"),
     "no_final_newline": ("terms.txt", b"bird\ncat\ndog", r"terms\.txt:3: no newline at the end of the file"),
     "invalid_utf8_term": ("terms.txt", b"bird\ncat\nd\xffg\n", r"terms\.txt:3: invalid UTF-8"),
-    "short_dfs": ("dfs.bin", u32(1, 2), r"dfs\.bin: expected 12 bytes for 3 terms, found 8"),
-    "dfs_sum_mismatch": ("dfs.bin", u32(1, 2, 1), r"postings\.bin: 40 bytes, but dfs\.bin counts 4 postings"),
-    "ragged_postings": ("postings.bin", u32(2, 1, 0, 2, 2, 1, 0, 1, 1, 1, 7), r"postings\.bin: 44 bytes"),
-    # half a u32 past the pairs: a u32 read would drop it unseen, so the file's byte count must catch it
-    "half_u32_past_postings": ("postings.bin", u32(2, 1, 0, 2, 2, 1, 0, 1, 1, 1) + b"\x07\x00",
-                               r"postings\.bin: 42 bytes, but dfs\.bin counts 5 postings of 8 bytes"),
-    "ids_not_increasing": ("postings.bin", u32(2, 1, 0, 2, 0, 1, 0, 1, 1, 1),
-                           r"postings\.bin: term 'cat': doc ids do not strictly increase"),
-    "id_out_of_range": ("postings.bin", u32(3, 1, 0, 2, 2, 1, 0, 1, 1, 1),
-                        r"postings\.bin: term 'bird': doc id is not below doc_count 3"),
-    "zero_tf": ("postings.bin", u32(2, 1, 0, 2, 2, 1, 0, 1, 1, 0), r"postings\.bin: term 'dog': tf is 0"),
+    # the reason is the line's own, as in every reader: the newline does not continue the sequence
+    "truncated_utf8_term": ("terms.txt", b"bird\ncat\nab\xe2\x82\n",
+                            r"terms\.txt:3: invalid UTF-8 \(unexpected end of data\)$"),
+    "short_dfs": ("dfs.bin", u32(1, 2), r"dfs\.bin: expected 12 bytes, found 8"),
+    "dfs_sum_mismatch": ("dfs.bin", u32(1, 2, 1), r"docids\.bin: expected 16 bytes, found 20"),
+    "ragged_postings": ("docids.bin", u32(2, 0, 2, 0, 1, 7), r"docids\.bin: expected 20 bytes, found 24"),
+    # half a u32 past the column: a u32 read would drop it unseen, so the file's byte count must catch it
+    "half_u32_past_postings": ("tfs.bin", u32(1, 2, 1, 1, 1) + b"\x07\x00", r"tfs\.bin: expected 20 bytes, found 22"),
+    "ids_not_increasing": ("docids.bin", u32(2, 0, 0, 0, 1),
+                           r"docids\.bin: term 'cat': doc ids do not strictly increase"),
+    "id_out_of_range": ("docids.bin", u32(3, 0, 2, 0, 1), r"docids\.bin: term 'bird': doc id is not below doc_count 3"),
+    "zero_tf": ("tfs.bin", u32(1, 2, 1, 1, 0), r"tfs\.bin: term 'dog': tf is 0"),
 }
 
 
