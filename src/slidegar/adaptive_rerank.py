@@ -19,8 +19,9 @@ other, so every window after the first holds ``2b`` documents until both
 run dry. The loop ends once ``c - b`` documents are dumped, once it has
 made ``ceil((c - w) / b) + 1`` ranker calls (a hard cap: short windows dump
 fewer documents), or once no fresh document is left; the last carried
-top-``b`` goes on top of the output. Rankings, R0 and the result included,
-are lists of store doc ids; docnos appear only in the ranker's ``Window``.
+top-``b`` goes on top of the output. Rankings, R0, the result and every
+ranker ``Window`` included, are lists of store doc ids; docnos appear only
+where a ranker reads them off its window and in the run file.
 """
 
 from __future__ import annotations
@@ -66,13 +67,17 @@ class RerankResult:
 
     ``ranking`` holds at most c store doc ids, best first; ``ranker_s`` is
     the wall time spent inside the ranker's ``calls`` calls and
-    ``bookkeeping_s`` everything else the strategy spent.
+    ``bookkeeping_s`` everything else the strategy spent. Those calls took
+    ``attempts`` attempts in all, and ``degraded`` of them fell back to the
+    window's input order.
     """
 
     ranking: list[int]
     calls: int
     ranker_s: float
     bookkeeping_s: float
+    attempts: int
+    degraded: int
 
 
 def expected_llm_calls(cfg: RerankConfig) -> int:
@@ -82,7 +87,7 @@ def expected_llm_calls(cfg: RerankConfig) -> int:
 
 class _QueryRun:
     """One query's ranker access on store ids; the only place ranker calls
-    are counted and timed."""
+    are counted and timed, and their attempts and degradations summed."""
 
     def __init__(self, query: Query, r0: list[int], ranker: ListwiseRanker, store: CorpusStore) -> None:
         if not r0:
@@ -93,20 +98,23 @@ class _QueryRun:
         self.store = store
         self.calls = 0
         self.ranker_s = 0.0
+        self.attempts = 0
+        self.degraded = 0
         self.pool = list(r0)
 
     def rank(self, ids: list[int]) -> list[int]:
-        store_docnos, store_texts = self.store.docnos, self.store.texts
-        window = Window(self.query, tuple([store_docnos[i] for i in ids]), tuple([store_texts[i] for i in ids]))
+        window = Window(self.query, ids, self.store)
         t0 = time.perf_counter()
         ordering = self.ranker.rank(window)
         self.ranker_s += time.perf_counter() - t0
         self.calls += 1
-        return list(map(self.store.id_of.__getitem__, ordering))
+        self.attempts += window.attempts
+        self.degraded += window.degraded
+        return ordering
 
     def result(self, ids: list[int]) -> RerankResult:
         bookkeeping_s = time.perf_counter() - self.started - self.ranker_s
-        return RerankResult(ids, self.calls, self.ranker_s, bookkeeping_s)
+        return RerankResult(ids, self.calls, self.ranker_s, bookkeeping_s, self.attempts, self.degraded)
 
 
 def _run_window_loop(
@@ -255,11 +263,13 @@ def sliding_window_baseline(
 
 
 def telemetry_record(qid: str, r0: list[int], result: RerankResult) -> dict:
-    """Per-query telemetry: call count, split timings, and how many output
-    documents were not in the initial pool."""
+    """Per-query telemetry: call and attempt counts, degraded windows, split
+    timings, and how many output documents were not in the initial pool."""
     return {
         "qid": qid,
         "llm_calls": result.calls,
+        "ranker_attempts": result.attempts,
+        "degraded_windows": result.degraded,
         "bookkeeping_ms": round(result.bookkeeping_s * 1000.0, 3),
         "ranker_ms": round(result.ranker_s * 1000.0, 3),
         "escaped_docs": len(set(result.ranking).difference(r0)),

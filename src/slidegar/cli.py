@@ -158,10 +158,9 @@ class _Pipeline:
         self.setup = dict.fromkeys(keys)
         t0 = time.perf_counter()
         self.store, _ = corpus_store.ingest_corpus(cfg["corpus"], dedup=cfg["dedup"])
-        self.store.id_of  # built here, in set-up, not by the first window or racing threads
         self._lap("ingest_s", t0)
         self.queries = corpus_store.load_queries(cfg["queries"])
-        self.grades: dict[str, dict[str, int]] = {}
+        self.grades: dict[str, dict[int, int]] = {}
         if cfg["qrels"]:
             t0 = time.perf_counter()
             self.grades = self._load_grades(cfg["qrels"])
@@ -202,8 +201,8 @@ class _Pipeline:
     def _lap(self, key: str, t0: float) -> None:
         self.setup[key] = round(time.perf_counter() - t0, 6)
 
-    def _load_grades(self, path: str) -> dict[str, dict[str, int]]:
-        """Grades keyed by the store's docnos; the file's own table and the
+    def _load_grades(self, path: str) -> dict[str, dict[int, int]]:
+        """Grades keyed by store doc ids; the file's own table and the
         absent judgments are dropped on return."""
         grades, absent = corpus_store.map_qrels(corpus_store.load_qrels(path), self.store)
         self.setup["qrels_absent"] = len(absent)

@@ -59,6 +59,7 @@ class CorpusStore:
     graphs and rankings hold ids, and artifacts check their ``docnos.txt``
     against it. The map, ``id_of``, is built on the first lookup, so a step
     that only reads the columns, such as an index build, never holds it.
+    Only set-up looks docnos up (qrels, embeddings); queries run on ids.
     """
 
     def __init__(self, docnos: list[str], texts: list[str], alias: dict[str, str] | None = None) -> None:
@@ -320,8 +321,9 @@ def load_qrels(path: str | Path) -> dict[str, dict[str, int]]:
 
 def map_qrels(
     qrels: dict[str, dict[str, int]], store: CorpusStore
-) -> tuple[dict[str, dict[str, int]], list[tuple[str, str]]]:
-    """Re-key judgments onto the store's own docno strings.
+) -> tuple[dict[str, dict[int, int]], list[tuple[str, str]]]:
+    """Re-key judgments onto store doc ids, ``qid -> doc id -> grade``, the
+    keys the in-process rankers read off their windows.
 
     Judgments on docnos dropped by dedup follow the alias to the kept
     representative; when both twins are judged, the larger grade wins.
@@ -330,19 +332,18 @@ def map_qrels(
     (file order for a file grouped by query, as TREC qrels are); a query
     none of whose docnos is in the store gets no entry.
     """
-    grades: dict[str, dict[str, int]] = {}
+    grades: dict[str, dict[int, int]] = {}
     absent: list[tuple[str, str]] = []
-    docnos, resolve = store.docnos, store.resolve
+    resolve = store.resolve
     for qid, judged in qrels.items():
-        per_query: dict[str, int] = {}
+        per_query: dict[int, int] = {}
         for docno, grade in judged.items():
             doc_id = resolve(docno)
             if doc_id is None:
                 absent.append((qid, docno))
                 continue
-            docno = docnos[doc_id]
-            if per_query.get(docno, -1) < grade:
-                per_query[docno] = grade
+            if per_query.get(doc_id, -1) < grade:
+                per_query[doc_id] = grade
         if per_query:
             grades[qid] = per_query
     return grades, absent

@@ -38,6 +38,10 @@ class SynthBundle:
         assert not absent
         self.by_qid = {info["qid"]: info for info in self.manifest["queries"]}
 
+    def grades_by_docno(self, qid):
+        """One query's grades keyed by docno, as the run-file metrics read them."""
+        return {self.store.docnos[doc_id]: grade for doc_id, grade in self.grades[qid].items()}
+
 
 @pytest.fixture(scope="session")
 def synth_bundle(tmp_path_factory) -> SynthBundle:

@@ -1,6 +1,7 @@
 """Scripted HTTP endpoint for exercising the remote-ranker wire protocol."""
 
 import json
+import random
 import threading
 import time
 from contextlib import contextmanager
@@ -8,10 +9,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):
-    """Behaviors are consumed one per request; the last one repeats."""
+    """Behaviors are consumed one per request; the last one repeats. Every
+    JSON payload sent is kept in ``answers``."""
 
     script: list[str] = []
     requests_seen: list[dict] = []
+    answers: list = []
     lock = threading.Lock()
 
     def log_message(self, *args):  # keep test output clean
@@ -26,6 +29,8 @@ class ScriptedHandler(BaseHTTPRequestHandler):
         docnos = [c["docno"] for c in body["candidates"]]
         if behavior == "reverse":
             payload = {"ordering": list(reversed(docnos))}
+        elif behavior == "shuffle":  # the same shuffle for every window of one length
+            payload = {"ordering": random.Random(0).sample(docnos, len(docnos))}
         elif behavior == "identity":
             payload = {"ordering": docnos}
         elif behavior == "duplicate":
@@ -63,6 +68,8 @@ class ScriptedHandler(BaseHTTPRequestHandler):
             payload = {"ordering": list(reversed(docnos))}
         else:
             raise AssertionError(f"unknown behavior {behavior}")
+        with self.lock:
+            self.answers.append(payload)
         data = json.dumps(payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -76,6 +83,7 @@ def scripted_server(script):
     server = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
     ScriptedHandler.script = list(script)
     ScriptedHandler.requests_seen = []
+    ScriptedHandler.answers = []
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

@@ -6,8 +6,8 @@ raises first. ``_read_corpus_records`` is kept verbatim; ``ingest`` is the
 old ``ingest_corpus`` with plain lists in place of the store.
 
 The qrels path it used before it read judgments straight into one grade
-table: ``load_qrels`` (one ``QrelEntry`` per judgment, read in text mode),
-``map_qrels`` (onto doc ids) and ``grades_by_docno``, kept verbatim.
+table: ``load_qrels`` (one ``QrelEntry`` per judgment, read in text mode)
+and ``map_qrels`` (onto doc ids, as the current one maps them), kept verbatim.
 
 Used by the randomized-equivalence tests of the current readers.
 """
@@ -144,10 +144,3 @@ def map_qrels(entries, store):
         prev = per_query.get(doc_id)
         per_query[doc_id] = entry.grade if prev is None else max(prev, entry.grade)
     return table, absent
-
-
-def grades_by_docno(table, store):
-    return {
-        qid: {store.docnos[doc_id]: grade for doc_id, grade in per_query.items()}
-        for qid, per_query in table.items()
-    }

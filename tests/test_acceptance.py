@@ -39,11 +39,13 @@ from slidegar.rankers import (
 from test_adaptive_rerank import (
     RecordingRanker,
     ReverseRanker,
+    by_id,
     docnos_of,
     ids_of,
     make_pair,
     names_store,
     random_instance,
+    sim_rank,
 )
 from test_corpus_graph import adjacency_rows, brute_force_dense, brute_force_lexical
 
@@ -118,7 +120,7 @@ def test_hand_trace_and_randomized_oracle_equivalence():
         names = ["d1", "d2", "d3", "d4", "d8", "d9"]
         store = names_store(names)
         graph = graph_from_dict({"d2": ["d9"], "d1": ["d8"]}, names, 1)
-        ranker = OracleRanker({"q1": {"d2": 3, "d9": 2, "d1": 1}})
+        ranker = OracleRanker(by_id(store, {"q1": {"d2": 3, "d9": 2, "d1": 1}}))
         cfg = RerankConfig(w=2, b=1, c=4, truncate_k=1)
         result = slidegar(Q, ids_of(store, ["d1", "d2", "d3", "d4"]), ranker, graph, cfg, store)
         assert docnos_of(store, result.ranking) == ["d2", "d3", "d9", "d1"]
@@ -138,11 +140,10 @@ def test_hand_trace_and_randomized_oracle_equivalence():
             names, adjacency, k, r0, cfg, grades, kind = random_instance(rng)
             store = names_store(names)
             graph = graph_from_dict(adjacency, names, k)
-            engine_ranker, sim_ranker = make_pair(kind, grades, 777)
+            engine_ranker, sim_ranker = make_pair(kind, grades, 777, store)
 
             def rank_fn(docnos):
-                window = Window(Q, tuple(docnos), tuple(store.texts[store.doc_id(d)] for d in docnos))
-                return list(sim_ranker.rank(window))
+                return sim_rank(sim_ranker, Q, store, docnos)
 
             result = slidegar(Q, ids_of(store, r0), engine_ranker, graph, cfg, store)
             feedback_fn = graph_feedback(lambda d: adjacency.get(d, []), cfg.truncate_k)
@@ -152,11 +153,10 @@ def test_hand_trace_and_randomized_oracle_equivalence():
             assert len(set(got)) == len(got) <= cfg.c
             assert set(got) <= set(r0) | offered
 
-            engine_b, sim_b = make_pair(kind, grades, 777)
+            engine_b, sim_b = make_pair(kind, grades, 777, store)
 
             def rank_fn_b(docnos):
-                window = Window(Q, tuple(docnos), tuple(store.texts[store.doc_id(d)] for d in docnos))
-                return list(sim_b.rank(window))
+                return sim_rank(sim_b, Q, store, docnos)
 
             base = sliding_window_baseline(Q, ids_of(store, r0), engine_b, cfg, store)
             base_expected, base_calls = simulate_baseline(r0, rank_fn_b, cfg.w, cfg.b, cfg.c)
@@ -168,10 +168,10 @@ def test_permutation_safety():
     with criterion("permutation safety: validation everywhere, malformed responses degrade"):
         class Broken(ListwiseRanker):
             def _order(self, window):
-                return [window.docnos[0]] * len(window.docnos)
+                return [window.ids[0]] * len(window.ids)
 
         with pytest.raises(ValueError, match="permutation"):
-            Broken().rank(Window(Q, ("a", "b"), ("t", "t")))
+            Broken().rank(Window(Q, [0, 1], names_store(["a", "b"])))
 
         # a remote endpoint that keeps violating the contract: every window
         # degrades to its input order, so the run must equal the identity run
@@ -187,6 +187,9 @@ def test_permutation_safety():
             assert degraded.ranking == clean.ranking, behavior
             assert len(set(degraded.ranking)) == len(degraded.ranking)
             assert degraded.calls == clean.calls  # a retried window counts once
+            # but every attempt is counted, and every window degraded
+            assert (degraded.attempts, degraded.degraded) == (2 * clean.calls, clean.calls), behavior
+            assert (clean.attempts, clean.degraded) == (clean.calls, 0)
 
 
 def _escape_numbers(bundle):
@@ -195,7 +198,7 @@ def _escape_numbers(bundle):
     rows = []
     for info in bundle.manifest["queries"]:
         query = Query(info["qid"], " ".join(info["query_terms"]))
-        grades = bundle.grades[info["qid"]]
+        grades = bundle.grades_by_docno(info["qid"])
         r0 = bm25_retrieve(bundle.index, query, cfg.c)
         base = docnos_of(bundle.store, sliding_window_baseline(query, r0, oracle, cfg, bundle.store).ranking)
         adaptive = docnos_of(bundle.store, slidegar(query, r0, oracle, bundle.graph, cfg, bundle.store).ranking)
@@ -239,7 +242,7 @@ def test_graph_depth_monotone_trend(synth_bundle):
                 r0 = bm25_retrieve(synth_bundle.index, query, cfg.c)
                 adaptive = slidegar(query, r0, oracle, synth_bundle.graph, cfg, synth_bundle.store).ranking
                 adaptive = docnos_of(synth_bundle.store, adaptive)
-                values.append(recall_at(adaptive, synth_bundle.grades[info["qid"]], 50, rel_threshold=2))
+                values.append(recall_at(adaptive, synth_bundle.grades_by_docno(info["qid"]), 50, rel_threshold=2))
             means.append(sum(values) / len(values))
         assert means[-1] >= means[0]
         assert all(later >= earlier - 0.01 for earlier, later in zip(means, means[1:]))
@@ -253,7 +256,7 @@ def test_rm3_variant_recall_gain(synth_bundle):
         base_vals, rm3_vals, escaped = [], [], []
         for info in synth_bundle.manifest["queries"]:
             query = Query(info["qid"], " ".join(info["query_terms"]))
-            grades = synth_bundle.grades[info["qid"]]
+            grades = synth_bundle.grades_by_docno(info["qid"])
             r0 = bm25_retrieve(synth_bundle.index, query, cfg.c)
             base = sliding_window_baseline(query, r0, oracle, cfg, synth_bundle.store).ranking
             base = docnos_of(synth_bundle.store, base)

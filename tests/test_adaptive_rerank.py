@@ -33,6 +33,16 @@ def docnos_of(store, ids):
     return [store.docnos[i] for i in ids]
 
 
+def by_id(store, grades):
+    """Grades keyed by docno, re-keyed by store id as the rankers read them."""
+    return {qid: {store.doc_id(d): grade for d, grade in per_query.items()} for qid, per_query in grades.items()}
+
+
+def sim_rank(ranker, query, store, docnos):
+    """A reference simulator's rank_fn: the ranker's order of ``docnos``."""
+    return docnos_of(store, ranker.rank(Window(query, ids_of(store, docnos), store)))
+
+
 def rm3_reference(store, index, query, b, fb_docs=10):
     """The simulator's RM3 feedback_fn: a fresh expansion of ``batch[:b]``
     and a retrieval of the whole corpus, filtered by ``blocked``, on every call."""
@@ -53,11 +63,11 @@ class ReverseRanker(ListwiseRanker):
     name = "reverse"
 
     def _order(self, window):
-        return list(reversed(window.docnos))
+        return list(reversed(window.ids))
 
 
 class RecordingRanker(ListwiseRanker):
-    """Wraps another ranker and keeps every (window, batch) pair."""
+    """Wraps another ranker and keeps every (window, batch) pair, as docnos."""
 
     def __init__(self, inner):
         super().__init__()
@@ -66,8 +76,8 @@ class RecordingRanker(ListwiseRanker):
 
     def _order(self, window):
         ordering = self.inner.rank(window)
-        self.seen.append((window.docnos, ordering))
-        return list(ordering)
+        self.seen.append((window.docnos, tuple(docnos_of(window.store, ordering))))
+        return ordering
 
 
 # --- config ---
@@ -92,7 +102,7 @@ def trace_fixture():
     names = ["d1", "d2", "d3", "d4", "d8", "d9"]
     store = names_store(names)
     graph = graph_from_dict({"d2": ["d9"], "d1": ["d8"]}, names, 1)
-    ranker = OracleRanker({"q1": {"d2": 3, "d9": 2, "d1": 1}})
+    ranker = OracleRanker(by_id(store, {"q1": {"d2": 3, "d9": 2, "d1": 1}}))
     return store, graph, ranker
 
 
@@ -184,13 +194,13 @@ def random_instance(rng):
     return names, adjacency, k, r0, RerankConfig(w=w, b=b, c=c, truncate_k=tk), grades, kind
 
 
-def make_pair(kind, grades, seed):
+def make_pair(kind, grades, seed, store):
     def build():
         if kind == "identity":
             return IdentityRanker()
         if kind == "oracle":
-            return OracleRanker({"q1": grades})
-        return NoisyOracleRanker({"q1": grades}, swap_prob=0.4, seed=seed)
+            return OracleRanker(by_id(store, {"q1": grades}))
+        return NoisyOracleRanker(by_id(store, {"q1": grades}), swap_prob=0.4, seed=seed)
 
     return build(), build()
 
@@ -201,11 +211,10 @@ def run_equivalence(n_instances, seed):
         names, adjacency, k, r0, cfg, grades, kind = random_instance(rng)
         store = names_store(names)
         graph = graph_from_dict(adjacency, names, k)
-        engine_ranker, sim_ranker = make_pair(kind, grades, seed)
+        engine_ranker, sim_ranker = make_pair(kind, grades, seed, store)
 
         def rank_fn(docnos):
-            window = Window(Q, tuple(docnos), tuple(store.texts[store.doc_id(d)] for d in docnos))
-            return list(sim_ranker.rank(window))
+            return sim_rank(sim_ranker, Q, store, docnos)
 
         def neigh_fn(docno):
             return adjacency.get(docno, [])
@@ -222,11 +231,10 @@ def run_equivalence(n_instances, seed):
         assert len(got) <= cfg.c
         assert set(got) <= set(r0) | offered  # provenance closure
 
-        engine_b, sim_b = make_pair(kind, grades, seed)
+        engine_b, sim_b = make_pair(kind, grades, seed, store)
 
         def rank_fn_b(docnos):
-            window = Window(Q, tuple(docnos), tuple(store.texts[store.doc_id(d)] for d in docnos))
-            return list(sim_b.rank(window))
+            return sim_rank(sim_b, Q, store, docnos)
 
         base = sliding_window_baseline(Q, ids_of(store, r0), engine_b, cfg, store)
         base_expected, base_calls = simulate_baseline(r0, rank_fn_b, cfg.w, cfg.b, cfg.c)
@@ -244,7 +252,7 @@ def test_oracle_carry_forward_local_correctness():
         names, adjacency, k, r0, cfg, grades, _ = random_instance(rng)
         store = names_store(names)
         graph = graph_from_dict(adjacency, names, k)
-        recorder = RecordingRanker(OracleRanker({"q1": grades}))
+        recorder = RecordingRanker(OracleRanker(by_id(store, {"q1": grades})))
         slidegar(Q, ids_of(store, r0), recorder, graph, cfg, store)
         for _window, batch in recorder.seen:
             kept = [grades.get(d, 0) for d in batch[: cfg.b]]
@@ -257,7 +265,7 @@ def test_monotone_escape():
     names = ["a", "b", "r"]
     store = names_store(names)
     graph = graph_from_dict({"a": ["r"]}, names, 1)
-    grades = {"q1": {"a": 2, "r": 2}}
+    grades = by_id(store, {"q1": {"a": 2, "r": 2}})
     cfg = RerankConfig(w=2, b=1, c=3, truncate_k=1)
     r0 = ids_of(store, ["a", "b"])
     adaptive = slidegar(Q, r0, OracleRanker(grades), graph, cfg, store).ranking
@@ -276,7 +284,7 @@ def test_truncate_k_zero_equals_baseline_sets_on_aligned_configs():
         names = [f"d{i:02d}" for i in range(n)]
         store = names_store(names)
         graph = graph_from_dict({}, names, 1)
-        grades = {"q1": {name: rng.randint(0, 3) for name in names}}
+        grades = by_id(store, {"q1": {name: rng.randint(0, 3) for name in names}})
         cfg = RerankConfig(w=w, b=b, c=c, truncate_k=0)
         adaptive = slidegar(Q, ids_of(store, names), OracleRanker(grades), graph, cfg, store).ranking
         baseline = sliding_window_baseline(Q, ids_of(store, names), OracleRanker(grades), cfg, store).ranking
@@ -334,8 +342,8 @@ def test_rm3_recall_gain_on_clustered_fixture():
     r0 = bm25_retrieve(index, query, 6)
     assert docnos_of(store, r0) == ["v1", "v2", "x1", "x2"]  # hidden docs unreachable
     cfg = RerankConfig(w=4, b=2, c=6)
-    adaptive = slidegar_rm3(query, r0, OracleRanker(grades), index, cfg, store).ranking
-    baseline = sliding_window_baseline(query, r0, OracleRanker(grades), cfg, store).ranking
+    adaptive = slidegar_rm3(query, r0, OracleRanker(by_id(store, grades)), index, cfg, store).ranking
+    baseline = sliding_window_baseline(query, r0, OracleRanker(by_id(store, grades)), cfg, store).ranking
     relevant = set(grades["q1"])
     recall_adaptive = len(set(docnos_of(store, adaptive)) & relevant) / len(relevant)
     recall_baseline = len(set(docnos_of(store, baseline)) & relevant) / len(relevant)
@@ -380,7 +388,7 @@ def counting(mp, name, counts):
 
 def simulate_rm3(store, docs, query, r0, ranker, cfg, fb_docs=10):
     def rank_fn(docnos):
-        return list(ranker.rank(Window(query, tuple(docnos), tuple(docs[d] for d in docnos))))
+        return sim_rank(ranker, query, store, docnos)
 
     feedback_fn = rm3_reference(store, build_index(store), query, cfg.b, fb_docs)
     return simulate_window_loop(r0, rank_fn, feedback_fn, cfg.w, cfg.b, cfg.c)
@@ -420,7 +428,7 @@ class HeadKeeper(ListwiseRanker):
     name = "head-keeper"
 
     def _order(self, window):
-        return [*window.docnos[:2], *reversed(window.docnos[2:])]
+        return [*window.ids[:2], *reversed(window.ids[2:])]
 
 
 def test_rm3_heads_equal_on_their_first_fb_docs_share_one_expansion():
@@ -478,7 +486,7 @@ def test_baseline_and_rm3_window_loop_invariants(instance, swap_prob, seed):
         return ids
 
     for strategy in ("baseline", "rm3"):
-        ranker = RecordingRanker(NoisyOracleRanker({"q1": grades}, swap_prob=swap_prob, seed=seed))
+        ranker = RecordingRanker(NoisyOracleRanker(by_id(store, {"q1": grades}), swap_prob=swap_prob, seed=seed))
         if strategy == "baseline":
             result = sliding_window_baseline(query, ids_of(store, r0), ranker, cfg, store)
         else:
@@ -552,17 +560,17 @@ def test_window_loop_fills_every_window_until_sources_run_dry(instance, swap_pro
 
             return counted
 
-        ranker = RecordingRanker(NoisyOracleRanker({"q1": grades}, swap_prob=swap_prob, seed=seed))
+        ranker = RecordingRanker(NoisyOracleRanker(by_id(store, {"q1": grades}), swap_prob=swap_prob, seed=seed))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(adaptive_rerank, source, count("engine", getattr(adaptive_rerank, source)))
             if strategy == "slidegar":
                 result = slidegar(query, ids_of(store, r0), ranker, graph, cfg, store)
             else:
                 result = slidegar_rm3(query, ids_of(store, r0), ranker, index, cfg, store)
-        sim_ranker = NoisyOracleRanker({"q1": grades}, swap_prob=swap_prob, seed=seed)
+        sim_ranker = NoisyOracleRanker(by_id(store, {"q1": grades}), swap_prob=swap_prob, seed=seed)
 
         def rank_fn(docnos):
-            return list(sim_ranker.rank(Window(query, tuple(docnos), tuple(docs[d] for d in docnos))))
+            return sim_rank(sim_ranker, query, store, docnos)
 
         expected, calls, _ = simulate_window_loop(
             r0, rank_fn, count("simulator", feedback_fn), cfg.w, cfg.b, cfg.c
@@ -606,6 +614,7 @@ def test_telemetry_record_fields():
     record = telemetry_record("q1", r0, slidegar(Q, r0, ranker, graph, cfg, store))
     assert record["qid"] == "q1"
     assert record["llm_calls"] == 3
+    assert (record["ranker_attempts"], record["degraded_windows"]) == (3, 0)
     assert record["escaped_docs"] == 1  # d9 entered from the graph
     assert record["bookkeeping_ms"] >= 0.0
     assert record["ranker_ms"] >= 0.0

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import slidegar
+from mockserver import ScriptedHandler, scripted_server
 from slidegar import cli
 from slidegar.cli import main
 from slidegar.corpus_store import Query, ingest_corpus, load_queries
@@ -120,11 +121,16 @@ def test_pipeline_builds_the_forward_index_for_rm3_runs_only(workspace, tmp_path
             assert (type(pipeline.setup["forward_index_s"]) is float) is built, (strategy, index_dir)
 
 
-def test_pipeline_builds_the_docno_map_also_without_qrels(workspace, tmp_path):
-    # every window maps the ranker's docnos back through it, so set-up builds
-    # it even when no qrels lookup does, and no --jobs thread races to
-    cfg = cli.load_config(write_config(tmp_path / "cfg.json", base_config(workspace, qrels=None, ranker="identity")))
-    assert "id_of" in vars(cli._Pipeline(cfg).store)
+def test_query_phase_reads_no_docno_map(workspace, tmp_path):
+    # windows carry store ids, so only set-up's docno lookups (qrels,
+    # embeddings) build the map, and no --jobs thread can race to build it
+    for strategy in ("baseline", "slidegar", "slidegar_rm3"):
+        cfg = cli.load_config(write_config(tmp_path / "cfg.json", base_config(
+            workspace, qrels=None, ranker="identity", strategy=strategy, jobs=2,
+        )))
+        pipeline = cli._Pipeline(cfg)
+        run, _ = pipeline.execute()
+        assert run and "id_of" not in vars(pipeline.store), strategy
 
 
 def test_jobs_byte_identical_under_racing_ranker(workspace, tmp_path, monkeypatch):
@@ -233,6 +239,25 @@ def test_telemetry_per_query_fields(workspace, tmp_path):
         for key in ("qid", "llm_calls", "first_stage_ms", "bookkeeping_ms", "ranker_ms", "escaped_docs"):
             assert key in record
         assert record["first_stage_ms"] >= 0.0
+        # an in-process ranker answers every call at its first attempt
+        assert (record["ranker_attempts"], record["degraded_windows"]) == (record["llm_calls"], 0)
+
+
+def test_telemetry_counts_remote_attempts_and_degraded_windows(workspace, tmp_path):
+    # one query, three windows: a timeout then an answer, two garbage bodies
+    # (the window degrades), then an answer at the first attempt
+    query = (workspace / "data" / "queries.tsv").read_text().splitlines()[0]
+    (tmp_path / "q.tsv").write_text(query + "\n")
+    tel = tmp_path / "t.jsonl"
+    with scripted_server(["sleep:1.0", "reverse", "garbage", "garbage", "identity"]) as endpoint:
+        cfg = base_config(
+            workspace, queries=str(tmp_path / "q.tsv"), qrels=None, strategy="baseline", ranker="remote",
+            endpoint=endpoint, timeout=0.3, retries=1, run_out=str(tmp_path / "r.trec"), telemetry_out=str(tel),
+        )
+        assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
+        assert len(ScriptedHandler.requests_seen) == 5
+    [record] = [json.loads(line) for line in tel.read_text().splitlines()][2:]
+    assert (record["llm_calls"], record["ranker_attempts"], record["degraded_windows"]) == (3, 5, 1)
 
 
 def test_escaped_docs_count_run_docnos_outside_bm25_top_c(workspace, tmp_path):

@@ -266,15 +266,15 @@ def test_qrel_on_dropped_docno_remaps_to_kept(tmp_path):
     store = qrel_store(tmp_path)  # min("dd", "kk") = "dd" is kept, "kk" dropped
     grades, absent = map_qrels({"q1": {"kk": 2}}, store)
     assert absent == []
-    assert grades == {"q1": {"dd": 2}}
+    assert grades == {"q1": {store.doc_id("dd"): 2}}
 
 
 def test_qrel_max_grade_wins_for_twins(tmp_path):
     store = qrel_store(tmp_path)
     grades, _ = map_qrels({"q1": {"kk": 1, "dd": 3}}, store)
-    assert grades == {"q1": {"dd": 3}}
+    assert grades == {"q1": {store.doc_id("dd"): 3}}
     grades, _ = map_qrels({"q1": {"kk": 3, "dd": 1}}, store)
-    assert grades == {"q1": {"dd": 3}}
+    assert grades == {"q1": {store.doc_id("dd"): 3}}
 
 
 def test_qrel_absent_docno_reported(tmp_path):
@@ -282,7 +282,7 @@ def test_qrel_absent_docno_reported(tmp_path):
     qrels = {"q1": {"dd": 1, "zz": 2, "kk": 1, "ghost": 3}, "q2": {"dd": 0}, "q3": {"nope": 1}}
     grades, absent = map_qrels(qrels, store)
     assert absent == [("q1", "ghost"), ("q3", "nope")]
-    assert grades == {"q1": {"dd": 1, "zz": 2}, "q2": {"dd": 0}}
+    assert grades == {"q1": {store.doc_id("dd"): 1, store.doc_id("zz"): 2}, "q2": {store.doc_id("dd"): 0}}
 
 
 def test_qrel_negative_grade_fatal(tmp_path):
@@ -308,16 +308,17 @@ def test_load_qrels_duplicate_pair_fatal(tmp_path):
         load_qrels(qrels)
 
 
-def test_map_qrels_keys_on_store_docnos(tmp_path):
+def test_map_qrels_keys_on_store_ids(tmp_path):
     store = qrel_store(tmp_path)
     qrels = tmp_path / "q.txt"
     qrels.write_text("q1 0 zz 2\nq2 0 kk 1\n", encoding="utf-8")
     grades, _ = map_qrels(load_qrels(qrels), store)
-    assert grades == {"q1": {"zz": 2}, "q2": {"dd": 1}}
-    # the file's docno strings are not kept: every key is the store's own
+    assert grades == {"q1": {1: 2}, "q2": {0: 1}}
+    assert [store.docnos[i] for per_query in grades.values() for i in per_query] == ["zz", "dd"]
+    # the file's docno strings are not kept: every key is the store map's own id
     for per_query in grades.values():
-        for docno in per_query:
-            assert docno is store.docnos[store.doc_id(docno)]
+        for doc_id in per_query:
+            assert doc_id is store.id_of[store.docnos[doc_id]]
 
 
 def test_qrels_invalid_utf8_and_lone_cr(tmp_path):
@@ -420,11 +421,11 @@ def test_qrels_match_per_entry_reference(tmp_path_factory, data):
     ]
     table, absent = refcorpus.map_qrels(entries, store)
     grades, got_absent = map_qrels(loaded, store)
-    assert grades == refcorpus.grades_by_docno(table, store)
+    assert grades == table
     # absent pairs come by query (first appearance), in file order within one
     order = {qid: i for i, qid in enumerate(expected_table)}
     assert got_absent == sorted(absent, key=lambda pair: order[pair[0]])
-    assert all(d is store.docnos[store.doc_id(d)] for per_query in grades.values() for d in per_query)
+    assert all(i is store.id_of[store.docnos[i]] for per_query in grades.values() for i in per_query)
 
 
 def _decodes(line: bytes) -> bool:

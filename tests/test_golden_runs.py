@@ -18,6 +18,14 @@ GOLDEN_SHA256 = {
     "slidegar_rm3": "6d6e2f026e75db1ced510dff6d2d400e678cd67a1facaa99357edf9694f9a4fc",
 }
 
+# noisy_oracle at swap_prob 0.3, seed 1: pins the per-window generator, which
+# is seeded from the qid and the window's docnos in window order
+NOISY_SHA256 = {
+    "baseline": "5709722e92931975a037d29d2c28295daa16c5199e1807521d0eb3829a6c445a",
+    "slidegar": "710d8b344727fb8465ff5c9aa547ad132a0549ca46141b3c185e4f668d14fb22",
+    "slidegar_rm3": "902ee6952dfb5c9407ad64a32df5ee7d8d560f6f955d5194cba46e69927bb0c9",
+}
+
 
 @pytest.fixture(scope="module")
 def data(tmp_path_factory):
@@ -30,8 +38,7 @@ def data(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("strategy", sorted(GOLDEN_SHA256))
-def test_run_file_digest(data, tmp_path, strategy):
+def run_digest(data, tmp_path, strategy, ranker="oracle", **options):
     run_out = tmp_path / "run.trec"
     cfg = {
         "corpus": str(data / "data" / "corpus.tsv"),
@@ -40,7 +47,8 @@ def test_run_file_digest(data, tmp_path, strategy):
         "strategy": strategy,
         "graph": str(data / "graph.bin") if strategy == "slidegar" else None,
         "truncate_k": 8,
-        "ranker": "oracle",
+        "ranker": ranker,
+        **options,
         "w": 10,
         "b": 5,
         "c": 30,
@@ -49,4 +57,15 @@ def test_run_file_digest(data, tmp_path, strategy):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["run", "--config", str(cfg_path)]) == 0
-    assert hashlib.sha256(run_out.read_bytes()).hexdigest() == GOLDEN_SHA256[strategy]
+    return hashlib.sha256(run_out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("strategy", sorted(GOLDEN_SHA256))
+def test_run_file_digest(data, tmp_path, strategy):
+    assert run_digest(data, tmp_path, strategy) == GOLDEN_SHA256[strategy]
+
+
+@pytest.mark.parametrize("strategy", sorted(NOISY_SHA256))
+def test_noisy_run_file_digest(data, tmp_path, strategy):
+    digest = run_digest(data, tmp_path, strategy, ranker="noisy_oracle", swap_prob=0.3, seed=1)
+    assert digest == NOISY_SHA256[strategy]

@@ -265,6 +265,28 @@ def test_index_files_exact_bytes(tmp_path):
     assert (tmp_path / "idx" / "docnos.txt").read_text() == "a\nb\n"
 
 
+def test_rebuilding_a_version_3_index_in_place_removes_its_postings(tmp_path):
+    # a version-3 directory: interleaved (doc id, tf) postings in postings.bin
+    (tmp_path / "c.tsv").write_text("a\tcat cat dog\nb\tdog\n", encoding="utf-8")
+    store, _ = ingest_corpus(tmp_path / "c.tsv")
+    idx = tmp_path / "idx"
+    save_index(build_index(store), idx, store)
+    columns = [np.fromfile(idx / name, dtype="<u4") for name in ("docids.bin", "tfs.bin")]
+    np.stack(columns, axis=1).tofile(idx / "postings.bin")
+    for name in ("docids.bin", "tfs.bin"):
+        (idx / name).unlink()
+    meta = json.loads((idx / "meta.json").read_text())
+    (idx / "meta.json").write_text(json.dumps({**meta, "version": 3}))
+    (idx / "notes.txt").write_text("kept")
+    with pytest.raises(ValueError, match="rebuild"):
+        load_index(idx, store)
+    assert main(["build-index", "--corpus", str(tmp_path / "c.tsv"), "--out", str(idx)]) == 0
+    assert sorted(p.name for p in idx.iterdir()) == [
+        "dfs.bin", "docids.bin", "doclens.bin", "docnos.txt", "meta.json", "notes.txt", "terms.txt", "tfs.bin",
+    ]
+    assert bm25_retrieve(load_index(idx, store), Query("q", "cat"), 2) == [0]
+
+
 def test_index_loads_docnos_with_crlf_endings(tmp_path):
     store = make_store({"a": "cat", "b": "dog"})
     save_index(build_index(store), tmp_path, store)

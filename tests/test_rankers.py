@@ -3,7 +3,7 @@ import threading
 import pytest
 
 from mockserver import ScriptedHandler, scripted_server
-from slidegar.corpus_store import Query
+from slidegar.corpus_store import CorpusStore, Query
 from slidegar.rankers import (
     IdentityRanker,
     ListwiseRanker,
@@ -15,10 +15,25 @@ from slidegar.rankers import (
 )
 
 Q = Query("q1", "some query")
+NAMES = ["a", "b", "c", "d", "only", "x", "y", *(f"d{i}" for i in range(20))]
+STORE = CorpusStore(NAMES, [f"text of {d}" for d in NAMES])
+
+
+def ids(*docnos):
+    return [STORE.doc_id(d) for d in docnos]
 
 
 def window(*docnos):
-    return Window(Q, docnos, tuple(f"text of {d}" for d in docnos))
+    return Window(Q, ids(*docnos), STORE)
+
+
+def docnos(ordering):
+    return [STORE.docnos[i] for i in ordering]
+
+
+def grades(per_docno):
+    """One query's grades, keyed by doc id as ``map_qrels`` returns them."""
+    return {"q1": {STORE.doc_id(d): grade for d, grade in per_docno.items()}}
 
 
 # --- contract ---
@@ -26,82 +41,106 @@ def window(*docnos):
 
 def test_window_validation():
     with pytest.raises(ValueError, match="at least one document"):
-        Window(Q, (), ())
-    with pytest.raises(ValueError, match="2 docnos but 1 texts"):
-        Window(Q, ("a", "b"), ("x",))
-    with pytest.raises(ValueError, match="duplicate docnos"):
-        Window(Q, ("a", "a"), ("x", "y"))
-    w = Window(Q, ["a", "b"], ["x", "y"])
-    assert (w.query, w.docnos, w.texts) == (Q, ("a", "b"), ("x", "y"))
+        Window(Q, (), STORE)
+    for names in (("a", "a"), ("a", "b", "c", "b")):
+        with pytest.raises(ValueError, match="duplicate ids"):
+            window(*names)
+
+
+def test_window_reads_docnos_and_texts_from_the_store():
+    w = Window(Q, ids("c", "a"), STORE)  # a list, kept as a tuple
+    assert (w.query, w.ids, w.store) == (Q, tuple(ids("c", "a")), STORE)
+    assert (w.docnos, w.texts) == (("c", "a"), ("text of c", "text of a"))
+    assert (w.attempts, w.degraded) == (1, False)
 
 
 def test_singleton_window():
-    ordering = IdentityRanker().rank(window("only"))
-    assert ordering == ("only",)
+    assert IdentityRanker().rank(window("only")) == ids("only")
 
 
 def test_identity_keeps_order():
-    ordering = IdentityRanker().rank(window("a", "b", "c"))
-    assert ordering == ("a", "b", "c")
+    assert IdentityRanker().rank(window("c", "a", "b")) == ids("c", "a", "b")
 
 
 def test_oracle_orders_by_grade():
-    ranker = OracleRanker({"q1": {"a": 0, "b": 3, "c": 1}})
-    ordering = ranker.rank(window("a", "b", "c"))
-    assert ordering == ("b", "c", "a")
+    ranker = OracleRanker(grades({"a": 0, "b": 3, "c": 1}))
+    assert docnos(ranker.rank(window("a", "b", "c"))) == ["b", "c", "a"]
 
 
 def test_oracle_unjudged_is_zero_and_ties_stable():
-    ranker = OracleRanker({"q1": {"b": 1}})
-    ordering = ranker.rank(window("a", "b", "c", "d"))
-    assert ordering == ("b", "a", "c", "d")
+    ranker = OracleRanker(grades({"b": 1}))
+    assert docnos(ranker.rank(window("a", "b", "c", "d"))) == ["b", "a", "c", "d"]
 
 
 def test_non_permutation_from_local_ranker_raises():
     class Broken(ListwiseRanker):
         def _order(self, w):
-            return [w.docnos[0]] * len(w.docnos)
+            return bad(w)
 
-    with pytest.raises(ValueError, match="permutation"):
-        Broken().rank(window("a", "b"))
+    for bad in (
+        lambda w: [w.ids[0]] * len(w.ids),  # the right length, one id repeated
+        lambda w: [*w.ids[:-1], w.ids[0]],  # the right length, the last id missing
+        lambda w: [*w.ids[:-1], STORE.doc_id("only")],  # an id outside the window
+        lambda w: list(w.ids[:-1]),  # one id short
+        lambda w: [*w.ids, STORE.doc_id("only")],  # one id too many
+        lambda w: list(w.docnos),  # docnos, not ids
+    ):
+        with pytest.raises(ValueError, match="permutation"):
+            Broken().rank(window("a", "b", "c"))
+
+
+def test_in_process_rankers_report_one_attempt_and_no_degradation():
+    for ranker in (IdentityRanker(), OracleRanker(grades({"b": 1})), NoisyOracleRanker({}, swap_prob=0.5, seed=1)):
+        w = window("a", "b", "c")
+        ranker.rank(w)
+        assert (w.attempts, w.degraded) == (1, False), ranker.name
 
 
 # --- noisy oracle ---
 
 
 def test_noisy_zero_prob_equals_oracle():
-    grades = {"q1": {"a": 2, "b": 1, "c": 3}}
-    noisy = NoisyOracleRanker(grades, swap_prob=0.0, seed=9)
-    oracle = OracleRanker(grades)
+    table = grades({"a": 2, "b": 1, "c": 3})
+    noisy = NoisyOracleRanker(table, swap_prob=0.0, seed=9)
+    oracle = OracleRanker(table)
     w = window("a", "b", "c")
     assert noisy.rank(w) == oracle.rank(w)
 
 
 def test_noisy_reproducible_per_window():
-    grades = {"q1": {f"d{i}": i % 4 for i in range(10)}}
-    ranker = NoisyOracleRanker(grades, swap_prob=0.5, seed=123)
+    table = grades({f"d{i}": i % 4 for i in range(10)})
+    ranker = NoisyOracleRanker(table, swap_prob=0.5, seed=123)
     w = window(*[f"d{i}" for i in range(10)])
     first = ranker.rank(w)
     # interleave an unrelated window: the repeated window must not notice
     ranker.rank(window("d1", "d2"))
     assert ranker.rank(w) == first
-    again = NoisyOracleRanker(grades, swap_prob=0.5, seed=123)
+    again = NoisyOracleRanker(table, swap_prob=0.5, seed=123)
     assert again.rank(w) == first
 
 
+def test_noisy_seeds_from_docnos_not_ids():
+    # the same docnos under other ids get the same perturbation, so a run's
+    # noise does not depend on which other documents the corpus holds
+    names = [f"d{i}" for i in range(12)]
+    shifted = CorpusStore(["pad", *names], ["pad text", *(f"text of {d}" for d in names)])
+    ranker = NoisyOracleRanker({}, swap_prob=0.5, seed=5)
+    here = docnos(ranker.rank(window(*names)))
+    there = ranker.rank(Window(Q, [shifted.doc_id(d) for d in names], shifted))
+    assert here == [shifted.docnos[i] for i in there] != names
+
+
 def test_noisy_seed_changes_output():
-    grades = {"q1": {}}
     w = window(*[f"d{i}" for i in range(12)])
-    a = NoisyOracleRanker(grades, swap_prob=0.5, seed=1).rank(w)
-    b = NoisyOracleRanker(grades, swap_prob=0.5, seed=2).rank(w)
+    a = NoisyOracleRanker({"q1": {}}, swap_prob=0.5, seed=1).rank(w)
+    b = NoisyOracleRanker({"q1": {}}, swap_prob=0.5, seed=2).rank(w)
     assert a != b  # twelve docs at p=0.5: collision is astronomically unlikely
 
 
 def test_noisy_output_is_permutation():
-    grades = {"q1": {f"d{i}": (7 * i) % 5 for i in range(20)}}
-    ranker = NoisyOracleRanker(grades, swap_prob=0.9, seed=4)
+    ranker = NoisyOracleRanker(grades({f"d{i}": (7 * i) % 5 for i in range(20)}), swap_prob=0.9, seed=4)
     w = window(*[f"d{i}" for i in range(20)])
-    assert sorted(ranker.rank(w)) == sorted(w.docnos)
+    assert sorted(ranker.rank(w)) == sorted(w.ids)
 
 
 # --- remote ranker and its degradation paths ---
@@ -116,51 +155,85 @@ def mock_endpoint():
 def test_remote_reversed_echo(mock_endpoint):
     ScriptedHandler.script = ["reverse"]
     ranker = RemoteRanker(mock_endpoint, timeout=5, retries=0)
-    ordering = ranker.rank(window("a", "b", "c"))
-    assert ordering == ("c", "b", "a")
+    assert ranker.rank(window("a", "b", "c")) == ids("c", "b", "a")
+
+
+@pytest.mark.parametrize("behavior", ["reverse", "shuffle"])
+def test_remote_answer_maps_back_to_the_window_ids(mock_endpoint, behavior):
+    ScriptedHandler.script = [behavior]
+    names = ("y", "a", "d12", "c", "d3")  # not in store order
+    w = window(*names)
+    ordering = RemoteRanker(mock_endpoint, timeout=5, retries=0).rank(w)
+    answered = ScriptedHandler.answers[-1]["ordering"]
+    assert sorted(answered) == sorted(names) and answered != list(names)
+    assert ordering == ids(*answered)
+    assert (w.attempts, w.degraded) == (1, False)
 
 
 def test_remote_duplicate_docno_degrades_to_input_order(mock_endpoint, caplog):
     ScriptedHandler.script = ["duplicate"]
     ranker = RemoteRanker(mock_endpoint, timeout=5, retries=1, backoff=0.01)
+    w = window("a", "b", "c")
     with caplog.at_level("WARNING", logger="slidegar.rankers"):
-        ordering = ranker.rank(window("a", "b", "c"))
-    assert ordering == ("a", "b", "c")
+        assert ranker.rank(w) == ids("a", "b", "c")
+    assert (w.attempts, w.degraded) == (2, True)
     assert any("non-permutation" in r.message for r in caplog.records)
     assert any("degraded" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("behavior", ["duplicate", "drop_one", "foreign", "garbage"])
+def test_remote_degrades_to_the_window_ids(mock_endpoint, behavior):
+    ScriptedHandler.script = [behavior]
+    ranker = RemoteRanker(mock_endpoint, timeout=5, retries=1, backoff=0.01)
+    w = window("y", "a", "d12", "c")  # not in store order
+    assert ranker.rank(w) == list(w.ids) == ids("y", "a", "d12", "c")
+    assert (w.attempts, w.degraded) == (2, True)
 
 
 def test_remote_timeout_twice_then_success(mock_endpoint):
     ScriptedHandler.script = ["sleep:1.0", "sleep:1.0", "reverse"]
     ranker = RemoteRanker(mock_endpoint, timeout=0.3, retries=3, backoff=0.01)
-    ordering = ranker.rank(window("a", "b"))
-    assert ordering == ("b", "a")
+    w = window("a", "b")
+    assert ranker.rank(w) == ids("b", "a")
+    assert (w.attempts, w.degraded) == (3, False)
 
 
 def test_remote_http_error_then_success(mock_endpoint):
     ScriptedHandler.script = ["status:500", "reverse"]
     ranker = RemoteRanker(mock_endpoint, timeout=5, retries=2, backoff=0.01)
-    assert ranker.rank(window("a", "b")) == ("b", "a")
+    assert ranker.rank(window("a", "b")) == ids("b", "a")
 
 
 def test_remote_garbage_body_degrades(mock_endpoint):
     ScriptedHandler.script = ["garbage"]
     ranker = RemoteRanker(mock_endpoint, timeout=5, retries=1, backoff=0.01)
-    assert ranker.rank(window("x", "y")) == ("x", "y")
+    w = window("x", "y")
+    assert ranker.rank(w) == ids("x", "y")
+    assert (w.attempts, w.degraded) == (2, True)
+
+
+def test_remote_calls_count_on_their_own_windows(mock_endpoint):
+    # a degraded call does not mark the next call's window
+    ScriptedHandler.script = ["garbage", "garbage", "identity"]
+    ranker = RemoteRanker(mock_endpoint, timeout=5, retries=1, backoff=0.01)
+    first, second = window("x", "y"), window("x", "y")
+    ranker.rank(first)
+    ranker.rank(second)
+    assert [(w.attempts, w.degraded) for w in (first, second)] == [(2, True), (1, False)]
 
 
 @pytest.mark.parametrize("behavior", ["bad_status", "truncated"])
 def test_remote_malformed_response_then_success(mock_endpoint, behavior):
     ScriptedHandler.script = [behavior, "reverse"]
     ranker = RemoteRanker(mock_endpoint, timeout=5, retries=1, backoff=0.01)
-    assert ranker.rank(window("a", "b")) == ("b", "a")
+    assert ranker.rank(window("a", "b")) == ids("b", "a")
 
 
 def test_remote_malformed_responses_degrade(mock_endpoint, caplog):
     ScriptedHandler.script = ["bad_status", "truncated", "bad_status"]
     ranker = RemoteRanker(mock_endpoint, timeout=5, retries=2, backoff=0.01)
     with caplog.at_level("WARNING", logger="slidegar.rankers"):
-        assert ranker.rank(window("x", "y")) == ("x", "y")
+        assert ranker.rank(window("x", "y")) == ids("x", "y")
     assert len(ScriptedHandler.requests_seen) == 3
     assert any("degraded" in r.message for r in caplog.records)
 
@@ -171,7 +244,7 @@ def test_remote_ordering_of_the_wrong_type_degrades(mock_endpoint, caplog, behav
     ScriptedHandler.script = [behavior]
     ranker = RemoteRanker(mock_endpoint, timeout=5, retries=1, backoff=0.01)
     with caplog.at_level("WARNING", logger="slidegar.rankers"):
-        assert ranker.rank(window("a", "b")) == ("a", "b")
+        assert ranker.rank(window("a", "b")) == ids("a", "b")
     assert len(ScriptedHandler.requests_seen) == 2
     assert sum("request failed" in r.message for r in caplog.records) == 2
     assert any("degraded" in r.message for r in caplog.records)
@@ -182,7 +255,7 @@ def test_remote_ordering_of_the_wrong_type_then_success(mock_endpoint, behavior)
     # the first answer would read as ("c", "b", "a"); the retry's answer is taken
     ScriptedHandler.script = [behavior, "identity"]
     ranker = RemoteRanker(mock_endpoint, timeout=5, retries=2, backoff=0.01)
-    assert ranker.rank(window("a", "b", "c")) == ("a", "b", "c")
+    assert ranker.rank(window("a", "b", "c")) == ids("a", "b", "c")
     assert len(ScriptedHandler.requests_seen) == 2
 
 
@@ -202,20 +275,19 @@ def test_remote_rejects_out_of_range_settings(kwargs, message):
 
 def test_remote_largest_timeout_degrades_instead_of_overflowing():
     ranker = RemoteRanker("http://127.0.0.1:9", timeout=threading.TIMEOUT_MAX, retries=0)
-    assert ranker.rank(window("a", "b")) == ("a", "b")
+    assert ranker.rank(window("a", "b")) == ids("a", "b")
 
 
 def test_remote_connection_refused_degrades():
     ranker = RemoteRanker("http://127.0.0.1:9", timeout=0.2, retries=1, backoff=0.01)
-    assert ranker.rank(window("a", "b")) == ("a", "b")
+    assert ranker.rank(window("a", "b")) == ids("a", "b")
 
 
 def test_remote_truncates_doc_text(mock_endpoint):
     ScriptedHandler.script = ["identity"]
     ranker = RemoteRanker(mock_endpoint, timeout=5, retries=0)
     long_text = " ".join(f"tok{i}" for i in range(600))
-    w = Window(Q, ("a",), (long_text,))
-    ranker.rank(w)
+    ranker.rank(Window(Q, [0], CorpusStore(["a"], [long_text])))
     sent = ScriptedHandler.requests_seen[-1]["candidates"][0]["text"]
     assert sent == " ".join(f"tok{i}" for i in range(512))
     assert sent == truncate_doc_text(long_text)
@@ -223,12 +295,12 @@ def test_remote_truncates_doc_text(mock_endpoint):
 
 def test_remote_sends_wire_protocol_fields(mock_endpoint):
     ScriptedHandler.script = ["identity"]
-    RemoteRanker(mock_endpoint, timeout=5, retries=0).rank(window("a", "b"))
+    RemoteRanker(mock_endpoint, timeout=5, retries=0).rank(window("b", "a"))
     body = ScriptedHandler.requests_seen[-1]
     assert body["qid"] == "q1" and body["query"] == "some query"
     assert body["candidates"] == [
-        {"docno": "a", "text": "text of a"},
         {"docno": "b", "text": "text of b"},
+        {"docno": "a", "text": "text of a"},
     ]
 
 
