@@ -13,28 +13,29 @@ Three strategies share one windowed loop:
 Each window keeps its top ``b`` documents for the next round and dumps the
 rest to the result accumulator; a dumped document is final. The fresh half
 of the next window alternates between feedback and the initial ranking R0,
-feedback first. Feedback never returns an R0 document or one already
-ranked, and a half that one source leaves short is topped up from the
-other, so every window after the first holds ``2b`` documents until both
-run dry. The loop ends once ``c - b`` documents are dumped, once it has
+feedback first. The loop takes from a feedback source's candidates only
+documents outside R0 that are not yet ranked, and a half that one source
+leaves short is topped up from the other, so every window after the first
+holds ``2b`` documents until both run dry. The loop ends once ``c - b`` documents are dumped, once it has
 made ``ceil((c - w) / b) + 1`` ranker calls (a hard cap: short windows dump
 fewer documents), or once no fresh document is left; the last carried
 top-``b`` goes on top of the output. Rankings, R0, the result and every
-ranker ``Window`` included, are lists of store doc ids; docnos appear only
-where a ranker reads them off its window and in the run file.
+ranker ``Window`` included, are lists of store doc ids, so no strategy
+takes the store; docnos appear only inside the rankers that read them and
+in the run file.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
+from itertools import filterfalse, islice
 from typing import Callable
 
 import numpy as np
 
 from .corpus_graph import neighbours
-from .corpus_store import CorpusStore, Query
+from .corpus_store import Query
 from .lexical_index import InvertedIndex, check_rm3, retrieve_expanded, rm3_expand
 from .rankers import ListwiseRanker, Window
 
@@ -89,13 +90,12 @@ class _QueryRun:
     """One query's ranker access on store ids; the only place ranker calls
     are counted and timed, and their attempts and degradations summed."""
 
-    def __init__(self, query: Query, r0: list[int], ranker: ListwiseRanker, store: CorpusStore) -> None:
+    def __init__(self, query: Query, r0: list[int], ranker: ListwiseRanker) -> None:
         if not r0:
             raise ValueError("initial ranking must be non-empty")
         self.started = time.perf_counter()
         self.query = query
         self.ranker = ranker
-        self.store = store
         self.calls = 0
         self.ranker_s = 0.0
         self.attempts = 0
@@ -103,7 +103,7 @@ class _QueryRun:
         self.pool = list(r0)
 
     def rank(self, ids: list[int]) -> list[int]:
-        window = Window(self.query, ids, self.store)
+        window = Window(self.query, ids)
         t0 = time.perf_counter()
         ordering = self.ranker.rank(window)
         self.ranker_s += time.perf_counter() - t0
@@ -122,18 +122,18 @@ def _run_window_loop(
     r0: list[int],
     ranker: ListwiseRanker,
     cfg: RerankConfig,
-    store: CorpusStore,
-    feedback: Callable[[list[int], set[int], int], list[int]],
+    feedback: Callable[[list[int]], list[int]],
 ) -> RerankResult:
     """Shared do-while loop over store doc ids, and the only owner of the
     fresh-half policy the module docstring describes.
 
-    ``feedback(order, blocked, n)`` returns at most ``n`` ids outside
-    ``blocked`` (R0 plus everything ranked), best first, for the batch
-    ``order`` just ranked; R0 itself is consumed in order through a cursor.
-    The budget, in dumps and in calls, is checked before feedback is asked.
+    ``feedback(order)`` returns distinct candidate ids, best first, for the
+    batch ``order`` just ranked; the loop takes the first of them outside
+    ``blocked`` (R0 plus everything ranked) and stops reading once it has
+    enough. R0 itself is consumed in order through a cursor. The budget, in
+    dumps and in calls, is checked before feedback is asked.
     """
-    run = _QueryRun(query, r0, ranker, store)
+    run = _QueryRun(query, r0, ranker)
     max_calls = expected_llm_calls(cfg)
     pool = run.pool
     blocked = set(pool)
@@ -141,6 +141,9 @@ def _run_window_loop(
     dumped = 0
     window = pool[: cfg.w]
     cursor = len(window)
+
+    def fresh_feedback(order: list[int], n: int) -> list[int]:
+        return list(islice(filterfalse(blocked.__contains__, feedback(order)), n))
 
     while True:
         order = run.rank(window)
@@ -154,12 +157,12 @@ def _run_window_loop(
         # R0 fills its own turn and tops up a short feedback half; feedback
         # tops up a short R0 half
         feedback_turn = run.calls % 2 == 1
-        fresh = feedback(order, blocked, cfg.b) if feedback_turn else []
+        fresh = fresh_feedback(order, cfg.b) if feedback_turn else []
         from_r0 = pool[cursor : cursor + cfg.b - len(fresh)]
         cursor += len(from_r0)
         fresh += from_r0
         if len(fresh) < cfg.b and not feedback_turn:
-            fresh += feedback(order, blocked, cfg.b - len(fresh))
+            fresh += fresh_feedback(order, cfg.b - len(fresh))
         if not fresh:
             break
         window = l1 + fresh
@@ -176,28 +179,14 @@ def slidegar(
     ranker: ListwiseRanker,
     graph: np.ndarray,
     cfg: RerankConfig,
-    store: CorpusStore,
 ) -> RerankResult:
     """Graph-adaptive sliding-window rerank.
 
     Feedback is the frontier of the batch's graph neighbours, visited in
-    the batch's order, minus R0 and everything already ranked. ``graph`` is
-    the adjacency matrix of ``corpus_graph``, whose ids must be ``store``
-    ids.
+    the batch's order. ``graph`` is the adjacency matrix of
+    ``corpus_graph``, over the same doc ids as ``r0``.
     """
-    return _run_window_loop(query, r0, ranker, cfg, store, partial(fresh_neighbours, graph, cfg.truncate_k))
-
-
-def fresh_neighbours(graph: np.ndarray, truncate_k: int, order: list[int], blocked: set[int], n: int) -> list[int]:
-    """The first ``n >= 1`` ids of the batch's frontier outside ``blocked``;
-    the scan of the frontier stops once it has them."""
-    fresh: list[int] = []
-    for i in neighbours(graph, order, truncate_k):
-        if i not in blocked:
-            fresh.append(i)
-            if len(fresh) == n:
-                break
-    return fresh
+    return _run_window_loop(query, r0, ranker, cfg, lambda order: neighbours(graph, order, cfg.truncate_k))
 
 
 def slidegar_rm3(
@@ -206,7 +195,6 @@ def slidegar_rm3(
     ranker: ListwiseRanker,
     index: InvertedIndex,
     cfg: RerankConfig,
-    store: CorpusStore,
     fb_docs: int = 10,
     fb_terms: int = 10,
     orig_weight: float = 0.6,
@@ -214,32 +202,33 @@ def slidegar_rm3(
     """Feedback variant: fresh candidates come from the lexical index.
 
     Feedback expands the query (RM3) from the top-b of the batch, weighted
-    by reciprocal rank, and retrieves with the expanded query outside R0
-    and everything already ranked. The expanded query never reaches the
-    ranker; an expansion without usable terms yields nothing, and invalid
-    RM3 parameters raise before the first ranker call.
+    by reciprocal rank, and retrieves with the expanded query. The
+    expanded query never reaches the ranker; an expansion without usable
+    terms yields nothing, and invalid RM3 parameters raise before the
+    first ranker call.
 
     The expansion reads only the batch's head, its first ``min(b, fb_docs)``
     ids, so expansion and retrieval run once per distinct head in a query;
     a ranker that keeps the carried head in place reuses them. Each
-    retrieval keeps ``depth = len(r0) + expected_llm_calls(cfg) * b`` hits
-    and each call filters them. That is exact: ``blocked`` never holds more
-    than ``len(r0) + (calls - 1) * b`` ids and a call asks for at most
-    ``b``, so the first ``n`` unblocked hits lie within the first ``depth``.
+    retrieval keeps ``depth = len(r0) + expected_llm_calls(cfg) * b`` hits,
+    of which the loop takes the first outside R0 and the ranked ids.
+    That is exact: those never number more than ``len(r0) + (calls - 1) * b``
+    and a window takes at most ``b``, so what it takes lies within the
+    first ``depth``.
     """
     check_rm3(fb_docs, fb_terms, orig_weight)
     depth = len(r0) + expected_llm_calls(cfg) * cfg.b
     hits_of: dict[tuple[int, ...], list[int]] = {}  # one query's, so --jobs threads share none
 
-    def feedback(order: list[int], blocked: set[int], n: int) -> list[int]:
+    def feedback(order: list[int]) -> list[int]:
         head = order[: min(cfg.b, fb_docs)]
         hits = hits_of.get(tuple(head))
         if hits is None:
             weights = rm3_expand(index, query, head, fb_docs=fb_docs, fb_terms=fb_terms, orig_weight=orig_weight)
             hits = hits_of[tuple(head)] = retrieve_expanded(index, weights, depth)
-        return [i for i in hits if i not in blocked][:n]
+        return hits
 
-    return _run_window_loop(query, r0, ranker, cfg, store, feedback)
+    return _run_window_loop(query, r0, ranker, cfg, feedback)
 
 
 def sliding_window_baseline(
@@ -247,7 +236,6 @@ def sliding_window_baseline(
     r0: list[int],
     ranker: ListwiseRanker,
     cfg: RerankConfig,
-    store: CorpusStore,
 ) -> RerankResult:
     """Standard tail-to-head sliding-window rerank of the initial pool.
 
@@ -255,7 +243,7 @@ def sliding_window_baseline(
     reranked in place from the back of the list towards the front with
     stride b (the last window clamps to the list head).
     """
-    run = _QueryRun(query, r0[: cfg.c], ranker, store)
+    run = _QueryRun(query, r0[: cfg.c], ranker)
     items = run.pool
     for start in [*range(len(items) - cfg.w, 0, -cfg.b), 0]:
         items[start : start + cfg.w] = run.rank(items[start : start + cfg.w])

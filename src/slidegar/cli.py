@@ -219,9 +219,10 @@ class _Pipeline:
         if kind == "oracle":
             return OracleRanker(self.grades)
         if kind == "noisy_oracle":
-            return NoisyOracleRanker(self.grades, swap_prob=cfg["swap_prob"], seed=cfg["seed"])
+            return NoisyOracleRanker(self.grades, self.store.docnos, swap_prob=cfg["swap_prob"], seed=cfg["seed"])
         return RemoteRanker(
             cfg["endpoint"],
+            self.store,
             timeout=cfg["timeout"],
             retries=cfg["retries"],
             auth=os.environ.get(AUTH_ENV_VAR),
@@ -238,15 +239,16 @@ class _Pipeline:
         r0 = self.initial_ranking(query, rcfg.c)
         first_stage_ms = round((time.perf_counter() - t0) * 1000.0, 3)
         record = {"type": "query", "qid": query.qid, "first_stage_ms": first_stage_ms}
-        if not r0:
-            return query.qid, [], {**record, "note": "empty initial ranking"}
-        if cfg["strategy"] == "baseline":
-            result = adaptive_rerank.sliding_window_baseline(query, r0, self.ranker, rcfg, self.store)
+        if not r0:  # no strategy runs, so every count is 0
+            record["note"] = "empty initial ranking"
+            result = adaptive_rerank.RerankResult([], 0, 0.0, 0.0, 0, 0)
+        elif cfg["strategy"] == "baseline":
+            result = adaptive_rerank.sliding_window_baseline(query, r0, self.ranker, rcfg)
         elif cfg["strategy"] == "slidegar":
-            result = adaptive_rerank.slidegar(query, r0, self.ranker, self.graph, rcfg, self.store)
+            result = adaptive_rerank.slidegar(query, r0, self.ranker, self.graph, rcfg)
         else:
             result = adaptive_rerank.slidegar_rm3(
-                query, r0, self.ranker, self.index, rcfg, self.store,
+                query, r0, self.ranker, self.index, rcfg,
                 fb_docs=cfg["rm3"]["fb_docs"],
                 fb_terms=cfg["rm3"]["fb_terms"],
                 orig_weight=cfg["rm3"]["orig_weight"],
@@ -293,8 +295,11 @@ def cmd_build_index(args: argparse.Namespace) -> int:
     store, report = corpus_store.ingest_corpus(args.corpus, dedup=args.dedup)
     index = lexical_index.build_index(store)
     lexical_index.save_index(index, args.out, store, dedup=args.dedup)
+    report_path = Path(args.out) / "dedup_report.jsonl"
     if args.dedup:
-        corpus_store.write_dedup_report(Path(args.out) / "dedup_report.jsonl", report)
+        corpus_store.write_dedup_report(report_path, report)
+    else:  # an earlier --dedup build's report would describe another corpus
+        report_path.unlink(missing_ok=True)
     print(f"wrote {args.out}: {index.doc_count} docs, {len(index.terms)} terms, {len(report)} dropped")
     return 0
 

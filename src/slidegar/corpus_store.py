@@ -123,9 +123,10 @@ def _read_corpus(path: str | Path) -> CorpusStore:
     """One read of a corpus file into a store.
 
     The checks run over whole columns and a line is searched for only once
-    one fails, so every error names the first bad line, as a line-by-line
-    read would: a record before a bad line is checked in full before that
-    line's own error is raised.
+    one fails. The error raised is, in this order: the first line that
+    fails on its own (invalid UTF-8 or JSON, a missing tab, an empty docno
+    or text), then the first docno holding whitespace, then the first
+    repeated docno. So ``a b<TAB>x`` followed by ``no tab`` names line 2.
     """
     data = Path(path).read_bytes()
     error = ""  # the error of the line the columns stop before

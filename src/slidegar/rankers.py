@@ -2,10 +2,11 @@
 
 A listwise ranker sees a window of documents for one query and returns an
 ordering (a permutation of the window's store doc ids), never scores. A
-``Window(query, ids, store)`` holds the candidates' ids in the order the
-ranker sees them and is checked once when it is built: non-empty, no
-repeated id. Its ``docnos`` and ``texts`` are read from the store on
-access, so only a ranker that sends text out of the process pays for them.
+``Window(query, ids)`` holds the candidates' ids in the order the ranker
+sees them and is checked once when it is built: non-empty, no repeated
+id. A ranker that reads more of a document than its id is given what it
+reads when it is built: the noisy oracle the store's docno column, the
+remote client the store itself, so the window loop deals only in ids.
 ``ListwiseRanker.rank`` is the only entry point. It verifies every
 response to be a permutation: local rankers raise on violation, the remote
 client retries and finally degrades to the window's input order so long
@@ -43,9 +44,9 @@ class Window:
     it ``degraded`` to the input order. Every call gets a window of its own,
     so concurrent calls share no counter."""
 
-    __slots__ = ("query", "ids", "store", "attempts", "degraded")
+    __slots__ = ("query", "ids", "attempts", "degraded")
 
-    def __init__(self, query: Query, ids: Sequence[int], store: CorpusStore) -> None:
+    def __init__(self, query: Query, ids: Sequence[int]) -> None:
         ids = tuple(ids)
         if not ids:
             raise ValueError("window must contain at least one document")
@@ -53,22 +54,11 @@ class Window:
             raise ValueError("window contains duplicate ids")
         self.query = query
         self.ids = ids
-        self.store = store
         self.attempts = 1
         self.degraded = False
 
-    @property
-    def docnos(self) -> tuple[str, ...]:
-        docnos = self.store.docnos
-        return tuple([docnos[i] for i in self.ids])
 
-    @property
-    def texts(self) -> tuple[str, ...]:
-        texts = self.store.texts
-        return tuple([texts[i] for i in self.ids])
-
-
-def is_permutation(ordering: Sequence, items: tuple) -> bool:
+def is_permutation(ordering: Sequence, items: Sequence) -> bool:
     return len(ordering) == len(items) and set(ordering) == set(items)
 
 
@@ -109,7 +99,7 @@ class OracleRanker(ListwiseRanker):
         return sorted(window.ids, key=lambda doc_id: -per_query.get(doc_id, 0))
 
 
-def _window_rng(seed: int, window: Window) -> random.Random:
+def _window_rng(seed: int, qid: str, docnos: Sequence[str]) -> random.Random:
     # Derived from (seed, qid, the window's docnos) so the same window always
     # gets the same perturbation, regardless of call order, threading or the
     # ids a corpus with other documents would give it.
@@ -117,28 +107,30 @@ def _window_rng(seed: int, window: Window) -> random.Random:
 
     digest = hashlib.sha256()
     digest.update(str(seed).encode("utf-8"))
-    digest.update(b"\x00" + window.query.qid.encode("utf-8"))
-    for docno in window.docnos:
+    digest.update(b"\x00" + qid.encode("utf-8"))
+    for docno in docnos:
         digest.update(b"\x00" + docno.encode("utf-8"))
     return random.Random(int.from_bytes(digest.digest()[:8], "little"))
 
 
 class NoisyOracleRanker(OracleRanker):
     """Oracle ordering with each adjacent pair independently swapped with
-    probability swap_prob, under a deterministic per-window generator."""
+    probability swap_prob, under a deterministic per-window generator seeded
+    from the window's docnos, read from ``docnos`` (the store's column)."""
 
     name = "noisy_oracle"
 
-    def __init__(self, grades: dict[str, dict[int, int]], swap_prob: float, seed: int) -> None:
+    def __init__(self, grades: dict[str, dict[int, int]], docnos: Sequence[str], swap_prob: float, seed: int) -> None:
         super().__init__(grades)
         if not 0.0 <= swap_prob <= 1.0:
             raise ValueError("swap_prob must be in [0, 1]")
+        self.docnos = docnos
         self.swap_prob = swap_prob
         self.seed = seed
 
     def _order(self, window: Window) -> list[int]:
         order = super()._order(window)
-        rng = _window_rng(self.seed, window)
+        rng = _window_rng(self.seed, window.query.qid, [self.docnos[i] for i in window.ids])
         for i in range(len(order) - 1):
             if rng.random() < self.swap_prob:
                 order[i], order[i + 1] = order[i + 1], order[i]
@@ -150,7 +142,8 @@ def truncate_doc_text(text: str, max_tokens: int = MAX_DOC_TOKENS) -> str:
 
 
 class RemoteRanker(ListwiseRanker):
-    """HTTP client for a real listwise model behind the wire protocol above.
+    """HTTP client for a real listwise model behind the wire protocol above;
+    it reads the candidates' docnos and texts from ``store``.
 
     Failures (timeouts, non-200 statuses, malformed responses or bodies,
     non-permutation orderings) are retried with exponential backoff; once
@@ -167,6 +160,7 @@ class RemoteRanker(ListwiseRanker):
     def __init__(
         self,
         endpoint: str,
+        store: CorpusStore,
         timeout: float = 30.0,
         retries: int = 3,
         backoff: float = 0.5,
@@ -178,7 +172,10 @@ class RemoteRanker(ListwiseRanker):
             raise ValueError("timeout must be > 0")
         if timeout > threading.TIMEOUT_MAX:  # the socket layer overflows above it
             raise ValueError(f"timeout must be <= {threading.TIMEOUT_MAX}")
+        if not 0 <= backoff < float("inf"):  # also rejects NaN
+            raise ValueError("backoff must be >= 0 and finite")
         self.url = endpoint.rstrip("/") + "/rerank"
+        self.store = store
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
@@ -190,12 +187,12 @@ class RemoteRanker(ListwiseRanker):
         import urllib.request  # here, not at module level: it costs every CLI process about 20 ms
         from http.client import HTTPException  # a malformed response: a bad status line, a short body
 
-        docnos = window.docnos
+        docnos = [self.store.docnos[i] for i in window.ids]
         payload = {
             "qid": window.query.qid,
             "query": window.query.text,
             "candidates": [
-                {"docno": docno, "text": truncate_doc_text(text)} for docno, text in zip(docnos, window.texts)
+                {"docno": docno, "text": truncate_doc_text(self.store.texts[i])} for docno, i in zip(docnos, window.ids)
             ],
         }
         body = json.dumps(payload).encode("utf-8")

@@ -78,7 +78,7 @@ def test_call_count_exactness(synth_bundle):
 
         for c, expected in ((50, 4), (100, 9)):
             cfg = RerankConfig(w=20, b=10, c=c, truncate_k=1)
-            result = slidegar(Q, ids_of(store, names[: c + 40]), IdentityRanker(), graph, cfg, store)
+            result = slidegar(Q, ids_of(store, names[: c + 40]), IdentityRanker(), graph, cfg)
             assert result.calls == expected == expected_llm_calls(cfg)
 
         rng = random.Random(2024)
@@ -88,7 +88,7 @@ def test_call_count_exactness(synth_bundle):
             c = rng.randint(w, min(w + 150, 380))
             cfg = RerankConfig(w=w, b=b, c=c, truncate_k=1)
             pool = names[: c + b + w]  # adequate |R0|: never exhausted mid-run
-            result = slidegar(Q, ids_of(store, pool), IdentityRanker(), graph, cfg, store)
+            result = slidegar(Q, ids_of(store, pool), IdentityRanker(), graph, cfg)
             assert result.calls == expected_llm_calls(cfg), (w, b, c)
 
         # A real dense graph with short frontiers: R0 is the BM25 pool padded
@@ -102,8 +102,8 @@ def test_call_count_exactness(synth_bundle):
             for query in synth_bundle.queries:
                 hits = bm25_retrieve(synth_bundle.index, query, c)
                 r0 = list(dict.fromkeys(hits + every_id))[: c + cfg.w]
-                recorder = RecordingRanker(oracle)
-                result = slidegar(query, r0, recorder, synth_bundle.graph, cfg, synth_bundle.store)
+                recorder = RecordingRanker(oracle, synth_bundle.store)
+                result = slidegar(query, r0, recorder, synth_bundle.graph, cfg)
                 assert result.calls == expected_llm_calls(cfg), (query.qid, c, truncate_k)
                 in_r0 = set(docnos_of(synth_bundle.store, r0))
                 for window, _ in recorder.seen[1:]:
@@ -122,7 +122,7 @@ def test_hand_trace_and_randomized_oracle_equivalence():
         graph = graph_from_dict({"d2": ["d9"], "d1": ["d8"]}, names, 1)
         ranker = OracleRanker(by_id(store, {"q1": {"d2": 3, "d9": 2, "d1": 1}}))
         cfg = RerankConfig(w=2, b=1, c=4, truncate_k=1)
-        result = slidegar(Q, ids_of(store, ["d1", "d2", "d3", "d4"]), ranker, graph, cfg, store)
+        result = slidegar(Q, ids_of(store, ["d1", "d2", "d3", "d4"]), ranker, graph, cfg)
         assert docnos_of(store, result.ranking) == ["d2", "d3", "d9", "d1"]
         assert result.calls == 3
 
@@ -130,7 +130,7 @@ def test_hand_trace_and_randomized_oracle_equivalence():
         base_store = names_store(["d1", "d2", "d3", "d4"])
         base_cfg = RerankConfig(w=2, b=1, c=4)
         base = sliding_window_baseline(
-            Q, ids_of(base_store, ["d1", "d2", "d3", "d4"]), ReverseRanker(), base_cfg, base_store
+            Q, ids_of(base_store, ["d1", "d2", "d3", "d4"]), ReverseRanker(), base_cfg
         )
         assert docnos_of(base_store, base.ranking) == ["d4", "d1", "d2", "d3"]
         assert base.calls == 3
@@ -145,7 +145,7 @@ def test_hand_trace_and_randomized_oracle_equivalence():
             def rank_fn(docnos):
                 return sim_rank(sim_ranker, Q, store, docnos)
 
-            result = slidegar(Q, ids_of(store, r0), engine_ranker, graph, cfg, store)
+            result = slidegar(Q, ids_of(store, r0), engine_ranker, graph, cfg)
             feedback_fn = graph_feedback(lambda d: adjacency.get(d, []), cfg.truncate_k)
             expected, calls, offered = simulate_window_loop(r0, rank_fn, feedback_fn, cfg.w, cfg.b, cfg.c)
             got = docnos_of(store, result.ranking)
@@ -158,7 +158,7 @@ def test_hand_trace_and_randomized_oracle_equivalence():
             def rank_fn_b(docnos):
                 return sim_rank(sim_b, Q, store, docnos)
 
-            base = sliding_window_baseline(Q, ids_of(store, r0), engine_b, cfg, store)
+            base = sliding_window_baseline(Q, ids_of(store, r0), engine_b, cfg)
             base_expected, base_calls = simulate_baseline(r0, rank_fn_b, cfg.w, cfg.b, cfg.c)
             assert docnos_of(store, base.ranking) == base_expected
             assert base.calls == base_calls
@@ -171,7 +171,7 @@ def test_permutation_safety():
                 return [window.ids[0]] * len(window.ids)
 
         with pytest.raises(ValueError, match="permutation"):
-            Broken().rank(Window(Q, [0, 1], names_store(["a", "b"])))
+            Broken().rank(Window(Q, [0, 1]))
 
         # a remote endpoint that keeps violating the contract: every window
         # degrades to its input order, so the run must equal the identity run
@@ -181,9 +181,9 @@ def test_permutation_safety():
         cfg = RerankConfig(w=4, b=2, c=10, truncate_k=3)
         for behavior in ("duplicate", "drop_one", "foreign", "garbage", "status:500"):
             with scripted_server([behavior]) as endpoint:
-                remote = RemoteRanker(endpoint, timeout=2, retries=1, backoff=0.01)
-                degraded = slidegar(Q, ids_of(store, names), remote, graph, cfg, store)
-            clean = slidegar(Q, ids_of(store, names), IdentityRanker(), graph, cfg, store)
+                remote = RemoteRanker(endpoint, store, timeout=2, retries=1, backoff=0.01)
+                degraded = slidegar(Q, ids_of(store, names), remote, graph, cfg)
+            clean = slidegar(Q, ids_of(store, names), IdentityRanker(), graph, cfg)
             assert degraded.ranking == clean.ranking, behavior
             assert len(set(degraded.ranking)) == len(degraded.ranking)
             assert degraded.calls == clean.calls  # a retried window counts once
@@ -200,8 +200,8 @@ def _escape_numbers(bundle):
         query = Query(info["qid"], " ".join(info["query_terms"]))
         grades = bundle.grades_by_docno(info["qid"])
         r0 = bm25_retrieve(bundle.index, query, cfg.c)
-        base = docnos_of(bundle.store, sliding_window_baseline(query, r0, oracle, cfg, bundle.store).ranking)
-        adaptive = docnos_of(bundle.store, slidegar(query, r0, oracle, bundle.graph, cfg, bundle.store).ranking)
+        base = docnos_of(bundle.store, sliding_window_baseline(query, r0, oracle, cfg).ranking)
+        adaptive = docnos_of(bundle.store, slidegar(query, r0, oracle, bundle.graph, cfg).ranking)
         rows.append(
             {
                 "recall_base": recall_at(base, grades, 50, rel_threshold=2),
@@ -240,7 +240,7 @@ def test_graph_depth_monotone_trend(synth_bundle):
             for info in synth_bundle.manifest["queries"]:
                 query = Query(info["qid"], " ".join(info["query_terms"]))
                 r0 = bm25_retrieve(synth_bundle.index, query, cfg.c)
-                adaptive = slidegar(query, r0, oracle, synth_bundle.graph, cfg, synth_bundle.store).ranking
+                adaptive = slidegar(query, r0, oracle, synth_bundle.graph, cfg).ranking
                 adaptive = docnos_of(synth_bundle.store, adaptive)
                 values.append(recall_at(adaptive, synth_bundle.grades_by_docno(info["qid"]), 50, rel_threshold=2))
             means.append(sum(values) / len(values))
@@ -258,9 +258,9 @@ def test_rm3_variant_recall_gain(synth_bundle):
             query = Query(info["qid"], " ".join(info["query_terms"]))
             grades = synth_bundle.grades_by_docno(info["qid"])
             r0 = bm25_retrieve(synth_bundle.index, query, cfg.c)
-            base = sliding_window_baseline(query, r0, oracle, cfg, synth_bundle.store).ranking
+            base = sliding_window_baseline(query, r0, oracle, cfg).ranking
             base = docnos_of(synth_bundle.store, base)
-            adaptive = slidegar_rm3(query, r0, oracle, synth_bundle.index, cfg, synth_bundle.store)
+            adaptive = slidegar_rm3(query, r0, oracle, synth_bundle.index, cfg)
             base_vals.append(recall_at(base, grades, 50, rel_threshold=2))
             rm3_vals.append(recall_at(docnos_of(synth_bundle.store, adaptive.ranking), grades, 50, rel_threshold=2))
             escaped.append(telemetry_record(query.qid, r0, adaptive)["escaped_docs"])
@@ -333,7 +333,7 @@ def test_bookkeeping_overhead_on_100k_graph():
         r0 = list(range(0, n, n // 140))[:140]
         timings = []
         for _ in range(3):
-            result = slidegar(Q, r0, IdentityRanker(), graph, cfg, store)
+            result = slidegar(Q, r0, IdentityRanker(), graph, cfg)
             assert result.calls == expected_llm_calls(cfg)
             timings.append(result.bookkeeping_s)
         best = min(timings)

@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,13 +10,11 @@ from slidegar import adaptive_rerank
 from slidegar.adaptive_rerank import (
     RerankConfig,
     expected_llm_calls,
-    fresh_neighbours,
     slidegar,
     slidegar_rm3,
     sliding_window_baseline,
     telemetry_record,
 )
-from slidegar.corpus_graph import SENTINEL, neighbours
 from slidegar.corpus_store import Query
 from slidegar.lexical_index import bm25_retrieve, build_index, retrieve_expanded, rm3_expand
 from slidegar.rankers import IdentityRanker, ListwiseRanker, NoisyOracleRanker, OracleRanker, Window
@@ -40,7 +37,7 @@ def by_id(store, grades):
 
 def sim_rank(ranker, query, store, docnos):
     """A reference simulator's rank_fn: the ranker's order of ``docnos``."""
-    return docnos_of(store, ranker.rank(Window(query, ids_of(store, docnos), store)))
+    return docnos_of(store, ranker.rank(Window(query, ids_of(store, docnos))))
 
 
 def rm3_reference(store, index, query, b, fb_docs=10):
@@ -67,16 +64,18 @@ class ReverseRanker(ListwiseRanker):
 
 
 class RecordingRanker(ListwiseRanker):
-    """Wraps another ranker and keeps every (window, batch) pair, as docnos."""
+    """Wraps another ranker and keeps every (window, batch) pair, as the
+    docnos of ``store``."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, store):
         super().__init__()
         self.inner = inner
+        self.store = store
         self.seen: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
 
     def _order(self, window):
         ordering = self.inner.rank(window)
-        self.seen.append((window.docnos, tuple(docnos_of(window.store, ordering))))
+        self.seen.append((tuple(docnos_of(self.store, window.ids)), tuple(docnos_of(self.store, ordering))))
         return ordering
 
 
@@ -109,7 +108,7 @@ def trace_fixture():
 def test_slidegar_hand_trace():
     store, graph, ranker = trace_fixture()
     cfg = RerankConfig(w=2, b=1, c=4, truncate_k=1)
-    result = slidegar(Q, ids_of(store, ["d1", "d2", "d3", "d4"]), ranker, graph, cfg, store)
+    result = slidegar(Q, ids_of(store, ["d1", "d2", "d3", "d4"]), ranker, graph, cfg)
     assert docnos_of(store, result.ranking) == ["d2", "d3", "d9", "d1"]
     assert result.calls == 3
     assert result.calls == expected_llm_calls(cfg)
@@ -123,7 +122,7 @@ def test_slidegar_empty_graph_falls_back_to_initial_pool():
     store = names_store(names)
     graph = graph_from_dict({}, names, 1)
     cfg = RerankConfig(w=4, b=2, c=8, truncate_k=1)
-    result = slidegar(Q, ids_of(store, names), IdentityRanker(), graph, cfg, store)
+    result = slidegar(Q, ids_of(store, names), IdentityRanker(), graph, cfg)
     assert set(docnos_of(store, result.ranking)) == set(names[:8])
     assert result.calls == expected_llm_calls(cfg)
 
@@ -134,14 +133,14 @@ def test_slidegar_call_counts_match_formula():
     graph = graph_from_dict({}, names, 1)
     for c, expected in ((50, 4), (100, 9)):
         cfg = RerankConfig(w=20, b=10, c=c, truncate_k=1)
-        assert slidegar(Q, ids_of(store, names), IdentityRanker(), graph, cfg, store).calls == expected
+        assert slidegar(Q, ids_of(store, names), IdentityRanker(), graph, cfg).calls == expected
         assert expected_llm_calls(cfg) == expected
 
 
 def test_slidegar_requires_nonempty_r0():
     store, graph, ranker = trace_fixture()
     with pytest.raises(ValueError):
-        slidegar(Q, [], ranker, graph, RerankConfig(w=2, b=1, c=4), store)
+        slidegar(Q, [], ranker, graph, RerankConfig(w=2, b=1, c=4))
 
 
 # --- baseline ---
@@ -151,7 +150,7 @@ def test_baseline_single_window_when_budget_equals_w():
     names = ["a", "b", "c"]
     store = names_store(names)
     cfg = RerankConfig(w=3, b=1, c=3)
-    result = sliding_window_baseline(Q, ids_of(store, names), ReverseRanker(), cfg, store)
+    result = sliding_window_baseline(Q, ids_of(store, names), ReverseRanker(), cfg)
     assert docnos_of(store, result.ranking) == ["c", "b", "a"]
     assert result.calls == 1
 
@@ -160,7 +159,7 @@ def test_baseline_identity_is_noop():
     names = [f"d{i}" for i in range(9)]
     store = names_store(names)
     cfg = RerankConfig(w=4, b=2, c=8)
-    result = sliding_window_baseline(Q, ids_of(store, names), IdentityRanker(), cfg, store)
+    result = sliding_window_baseline(Q, ids_of(store, names), IdentityRanker(), cfg)
     assert docnos_of(store, result.ranking) == names[:8]
 
 
@@ -168,7 +167,7 @@ def test_baseline_reversal_hand_trace():
     names = ["d1", "d2", "d3", "d4"]
     store = names_store(names)
     cfg = RerankConfig(w=2, b=1, c=4)
-    result = sliding_window_baseline(Q, ids_of(store, names), ReverseRanker(), cfg, store)
+    result = sliding_window_baseline(Q, ids_of(store, names), ReverseRanker(), cfg)
     assert docnos_of(store, result.ranking) == ["d4", "d1", "d2", "d3"]
     assert result.calls == 3
 
@@ -200,7 +199,7 @@ def make_pair(kind, grades, seed, store):
             return IdentityRanker()
         if kind == "oracle":
             return OracleRanker(by_id(store, {"q1": grades}))
-        return NoisyOracleRanker(by_id(store, {"q1": grades}), swap_prob=0.4, seed=seed)
+        return NoisyOracleRanker(by_id(store, {"q1": grades}), store.docnos, swap_prob=0.4, seed=seed)
 
     return build(), build()
 
@@ -219,7 +218,7 @@ def run_equivalence(n_instances, seed):
         def neigh_fn(docno):
             return adjacency.get(docno, [])
 
-        result = slidegar(Q, ids_of(store, r0), engine_ranker, graph, cfg, store)
+        result = slidegar(Q, ids_of(store, r0), engine_ranker, graph, cfg)
         got = docnos_of(store, result.ranking)
         expected, calls, offered = simulate_window_loop(
             r0, rank_fn, graph_feedback(neigh_fn, cfg.truncate_k), cfg.w, cfg.b, cfg.c
@@ -236,7 +235,7 @@ def run_equivalence(n_instances, seed):
         def rank_fn_b(docnos):
             return sim_rank(sim_b, Q, store, docnos)
 
-        base = sliding_window_baseline(Q, ids_of(store, r0), engine_b, cfg, store)
+        base = sliding_window_baseline(Q, ids_of(store, r0), engine_b, cfg)
         base_expected, base_calls = simulate_baseline(r0, rank_fn_b, cfg.w, cfg.b, cfg.c)
         assert docnos_of(store, base.ranking) == base_expected
         assert base.calls == base_calls
@@ -252,8 +251,8 @@ def test_oracle_carry_forward_local_correctness():
         names, adjacency, k, r0, cfg, grades, _ = random_instance(rng)
         store = names_store(names)
         graph = graph_from_dict(adjacency, names, k)
-        recorder = RecordingRanker(OracleRanker(by_id(store, {"q1": grades})))
-        slidegar(Q, ids_of(store, r0), recorder, graph, cfg, store)
+        recorder = RecordingRanker(OracleRanker(by_id(store, {"q1": grades})), store)
+        slidegar(Q, ids_of(store, r0), recorder, graph, cfg)
         for _window, batch in recorder.seen:
             kept = [grades.get(d, 0) for d in batch[: cfg.b]]
             dumped = [grades.get(d, 0) for d in batch[cfg.b :]]
@@ -268,8 +267,8 @@ def test_monotone_escape():
     grades = by_id(store, {"q1": {"a": 2, "r": 2}})
     cfg = RerankConfig(w=2, b=1, c=3, truncate_k=1)
     r0 = ids_of(store, ["a", "b"])
-    adaptive = slidegar(Q, r0, OracleRanker(grades), graph, cfg, store).ranking
-    baseline = sliding_window_baseline(Q, r0, OracleRanker(grades), cfg, store).ranking
+    adaptive = slidegar(Q, r0, OracleRanker(grades), graph, cfg).ranking
+    baseline = sliding_window_baseline(Q, r0, OracleRanker(grades), cfg).ranking
     assert "r" in set(docnos_of(store, adaptive))
     assert "r" not in set(docnos_of(store, baseline))
 
@@ -286,8 +285,8 @@ def test_truncate_k_zero_equals_baseline_sets_on_aligned_configs():
         graph = graph_from_dict({}, names, 1)
         grades = by_id(store, {"q1": {name: rng.randint(0, 3) for name in names}})
         cfg = RerankConfig(w=w, b=b, c=c, truncate_k=0)
-        adaptive = slidegar(Q, ids_of(store, names), OracleRanker(grades), graph, cfg, store).ranking
-        baseline = sliding_window_baseline(Q, ids_of(store, names), OracleRanker(grades), cfg, store).ranking
+        adaptive = slidegar(Q, ids_of(store, names), OracleRanker(grades), graph, cfg).ranking
+        baseline = sliding_window_baseline(Q, ids_of(store, names), OracleRanker(grades), cfg).ranking
         assert set(docnos_of(store, adaptive)) == set(docnos_of(store, baseline))
 
 
@@ -305,7 +304,7 @@ def test_rm3_orig_weight_one_consumes_bm25_order():
     r0 = bm25_retrieve(index, query, 6)
     assert docnos_of(store, r0) == [f"d{i}" for i in range(6)]
     cfg = RerankConfig(w=4, b=2, c=6)
-    result = slidegar_rm3(query, r0, IdentityRanker(), index, cfg, store, orig_weight=1.0)
+    result = slidegar_rm3(query, r0, IdentityRanker(), index, cfg, orig_weight=1.0)
     # trace: W1=[d0..d3] dumps d2,d3; the fresh half is feedback's turn, and
     # feedback skips R0 (d0..d5), so W2=[d0,d1,d6,d7] dumps d6,d7 and the
     # 4 = c - b dumps end the run; final = carried d0,d1, then W2's dumps,
@@ -320,7 +319,7 @@ def test_rm3_falls_back_to_initial_pool_when_corpus_exhausted():
     index = build_index(store)
     names = list(docs)
     cfg = RerankConfig(w=2, b=1, c=5)
-    ranking = slidegar_rm3(Query("q1", "shared"), ids_of(store, names), IdentityRanker(), index, cfg, store).ranking
+    ranking = slidegar_rm3(Query("q1", "shared"), ids_of(store, names), IdentityRanker(), index, cfg).ranking
     got = set(docnos_of(store, ranking))
     assert got <= set(names)
     assert len(got) == len(ranking)
@@ -342,8 +341,8 @@ def test_rm3_recall_gain_on_clustered_fixture():
     r0 = bm25_retrieve(index, query, 6)
     assert docnos_of(store, r0) == ["v1", "v2", "x1", "x2"]  # hidden docs unreachable
     cfg = RerankConfig(w=4, b=2, c=6)
-    adaptive = slidegar_rm3(query, r0, OracleRanker(by_id(store, grades)), index, cfg, store).ranking
-    baseline = sliding_window_baseline(query, r0, OracleRanker(by_id(store, grades)), cfg, store).ranking
+    adaptive = slidegar_rm3(query, r0, OracleRanker(by_id(store, grades)), index, cfg).ranking
+    baseline = sliding_window_baseline(query, r0, OracleRanker(by_id(store, grades)), cfg).ranking
     relevant = set(grades["q1"])
     recall_adaptive = len(set(docnos_of(store, adaptive)) & relevant) / len(relevant)
     recall_baseline = len(set(docnos_of(store, baseline)) & relevant) / len(relevant)
@@ -356,10 +355,10 @@ def test_rm3_recall_gain_on_clustered_fixture():
 def test_rm3_invalid_parameter_raises_before_the_first_ranker_call(param):
     docs = {f"d{i}": f"shared term{i}" for i in range(6)}
     store = make_store(docs)
-    recorder = RecordingRanker(IdentityRanker())
+    recorder = RecordingRanker(IdentityRanker(), store)
     cfg = RerankConfig(w=2, b=1, c=5)
     with pytest.raises(ValueError, match=f"rm3 {next(iter(param))} must be"):
-        slidegar_rm3(Q, ids_of(store, list(docs)), recorder, build_index(store), cfg, store, **param)
+        slidegar_rm3(Q, ids_of(store, list(docs)), recorder, build_index(store), cfg, **param)
     assert recorder.seen == []
 
 
@@ -370,7 +369,7 @@ def test_rm3_without_usable_terms_consumes_r0_alone():
     store = make_store(docs)
     cfg = RerankConfig(w=2, b=1, c=4)
     r0 = ids_of(store, list(docs))
-    result = slidegar_rm3(Query("q1", "the"), r0, IdentityRanker(), build_index(store), cfg, store)
+    result = slidegar_rm3(Query("q1", "the"), r0, IdentityRanker(), build_index(store), cfg)
     assert docnos_of(store, result.ranking) == ["d0", "d3", "d2", "d1"]
     assert result.calls == expected_llm_calls(cfg)
 
@@ -412,7 +411,7 @@ def test_rm3_one_retrieval_serves_the_deepest_blocked_set():
     with pytest.MonkeyPatch.context() as mp:
         counting(mp, "rm3_expand", counts)
         counting(mp, "retrieve_expanded", counts)
-        result = slidegar_rm3(query, r0, IdentityRanker(), index, cfg, store)
+        result = slidegar_rm3(query, r0, IdentityRanker(), index, cfg)
     expected, calls, _ = simulate_rm3(store, docs, query, docnos_of(store, r0), IdentityRanker(), cfg)
     assert docnos_of(store, result.ranking) == expected
     assert result.calls == calls == expected_llm_calls(cfg) == 6
@@ -438,11 +437,11 @@ def test_rm3_heads_equal_on_their_first_fb_docs_share_one_expansion():
     query = Query("q1", "ant")
     cfg = RerankConfig(w=6, b=3, c=15)
     r0 = ids_of(store, ["d0", "d1", "d2", "d3", "d4", "d5"])
-    recorder = RecordingRanker(HeadKeeper())
+    recorder = RecordingRanker(HeadKeeper(), store)
     counts: dict[str, int] = {}
     with pytest.MonkeyPatch.context() as mp:
         counting(mp, "rm3_expand", counts)
-        result = slidegar_rm3(query, r0, recorder, index, cfg, store, fb_docs=2)
+        result = slidegar_rm3(query, r0, recorder, index, cfg, fb_docs=2)
     expected, calls, _ = simulate_rm3(store, docs, query, docnos_of(store, r0), HeadKeeper(), cfg, fb_docs=2)
     assert docnos_of(store, result.ranking) == expected
     assert result.calls == calls
@@ -486,13 +485,14 @@ def test_baseline_and_rm3_window_loop_invariants(instance, swap_prob, seed):
         return ids
 
     for strategy in ("baseline", "rm3"):
-        ranker = RecordingRanker(NoisyOracleRanker(by_id(store, {"q1": grades}), swap_prob=swap_prob, seed=seed))
+        noisy = NoisyOracleRanker(by_id(store, {"q1": grades}), store.docnos, swap_prob=swap_prob, seed=seed)
+        ranker = RecordingRanker(noisy, store)
         if strategy == "baseline":
-            result = sliding_window_baseline(query, ids_of(store, r0), ranker, cfg, store)
+            result = sliding_window_baseline(query, ids_of(store, r0), ranker, cfg)
         else:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(adaptive_rerank, "retrieve_expanded", capture)
-                result = slidegar_rm3(query, ids_of(store, r0), ranker, index, cfg, store)
+                result = slidegar_rm3(query, ids_of(store, r0), ranker, index, cfg)
         got = docnos_of(store, result.ranking)
         assert len(set(got)) == len(got) <= cfg.c
         assert result.calls == len(ranker.seen) >= 1
@@ -502,24 +502,50 @@ def test_baseline_and_rm3_window_loop_invariants(instance, swap_prob, seed):
             assert set(got) <= set(r0) | hits
 
 
-@st.composite
-def frontier_instances(draw):
-    n_docs = draw(st.integers(2, 30))
-    k = draw(st.integers(1, 6))
-    slot = st.one_of(st.integers(0, n_docs - 1), st.just(SENTINEL))
-    rows = draw(st.lists(st.lists(slot, min_size=k, max_size=k), min_size=n_docs, max_size=n_docs))
-    graph = np.array(rows, dtype=np.uint32)
-    order = draw(st.lists(st.integers(0, n_docs - 1), min_size=1, unique=True))
-    blocked = draw(st.sets(st.integers(0, n_docs - 1)))
-    return graph, order, blocked, draw(st.integers(0, k)), draw(st.integers(1, n_docs))
+class ShuffleRanker(ListwiseRanker):
+    """Shuffles every window with a seeded generator and keeps each window's ids."""
+
+    name = "shuffle"
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.windows: list[tuple[int, ...]] = []
+
+    def _order(self, window):
+        self.windows.append(window.ids)
+        return self.rng.sample(window.ids, len(window.ids))
 
 
-@settings(max_examples=300, deadline=None)
-@given(frontier_instances())
-def test_fresh_neighbours_early_exit_equals_filtered_frontier(instance):
-    graph, order, blocked, truncate_k, n = instance
-    expected = [i for i in neighbours(graph, order, truncate_k) if i not in blocked][:n]
-    assert fresh_neighbours(graph, truncate_k, order, blocked, n) == expected
+def test_window_loop_takes_from_feedback_only_ids_outside_r0_and_ranked():
+    # the source offers the batch just ranked, then R0 reversed, then every
+    # other id shuffled, those ranked earlier included: only the loop's own
+    # filter keeps them out of the windows
+    rng = random.Random(5)
+    for seed in range(300):
+        c = rng.randint(2, 20)
+        w = rng.randint(2, c)
+        cfg = RerankConfig(w=w, b=rng.randint(1, w - 1), c=c)
+        n_r0 = rng.randint(1, 2 * c)
+        n_docs = n_r0 + c + rng.randint(0, 10)  # enough ids outside R0 to fill every fresh half
+        r0 = rng.sample(range(n_docs), n_r0)
+        outside = sorted(set(range(n_docs)).difference(r0))
+
+        def feedback(order):
+            rng.shuffle(outside)
+            return list(dict.fromkeys([*order, *reversed(r0), *outside]))
+
+        ranker = ShuffleRanker(seed)
+        result = adaptive_rerank._run_window_loop(Q, r0, ranker, cfg, feedback)
+        assert result.calls == len(ranker.windows) == expected_llm_calls(cfg)
+        ranked = set(ranker.windows[0])
+        taken_from_r0 = list(ranker.windows[0])
+        for before, window in zip(ranker.windows, ranker.windows[1:]):
+            carried = min(cfg.b, len(before))
+            fresh = window[carried:]
+            assert len(fresh) == cfg.b and ranked.isdisjoint(fresh)
+            ranked.update(fresh)
+            taken_from_r0 += [i for i in fresh if i in r0]
+        assert taken_from_r0 == r0[: len(taken_from_r0)]  # R0's own order: feedback gave none of them
 
 
 @st.composite
@@ -560,14 +586,15 @@ def test_window_loop_fills_every_window_until_sources_run_dry(instance, swap_pro
 
             return counted
 
-        ranker = RecordingRanker(NoisyOracleRanker(by_id(store, {"q1": grades}), swap_prob=swap_prob, seed=seed))
+        noisy = NoisyOracleRanker(by_id(store, {"q1": grades}), store.docnos, swap_prob=swap_prob, seed=seed)
+        ranker = RecordingRanker(noisy, store)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(adaptive_rerank, source, count("engine", getattr(adaptive_rerank, source)))
             if strategy == "slidegar":
-                result = slidegar(query, ids_of(store, r0), ranker, graph, cfg, store)
+                result = slidegar(query, ids_of(store, r0), ranker, graph, cfg)
             else:
-                result = slidegar_rm3(query, ids_of(store, r0), ranker, index, cfg, store)
-        sim_ranker = NoisyOracleRanker(by_id(store, {"q1": grades}), swap_prob=swap_prob, seed=seed)
+                result = slidegar_rm3(query, ids_of(store, r0), ranker, index, cfg)
+        sim_ranker = NoisyOracleRanker(by_id(store, {"q1": grades}), store.docnos, swap_prob=swap_prob, seed=seed)
 
         def rank_fn(docnos):
             return sim_rank(sim_ranker, query, store, docnos)
@@ -611,7 +638,7 @@ def test_telemetry_record_fields():
     store, graph, ranker = trace_fixture()
     cfg = RerankConfig(w=2, b=1, c=4, truncate_k=1)
     r0 = ids_of(store, ["d1", "d2", "d3", "d4"])
-    record = telemetry_record("q1", r0, slidegar(Q, r0, ranker, graph, cfg, store))
+    record = telemetry_record("q1", r0, slidegar(Q, r0, ranker, graph, cfg))
     assert record["qid"] == "q1"
     assert record["llm_calls"] == 3
     assert (record["ranker_attempts"], record["degraded_windows"]) == (3, 0)

@@ -243,6 +243,29 @@ def test_telemetry_per_query_fields(workspace, tmp_path):
         assert (record["ranker_attempts"], record["degraded_windows"]) == (record["llm_calls"], 0)
 
 
+def test_query_without_first_stage_hits_is_left_out_of_the_run(workspace, tmp_path):
+    # a stopword-only query retrieves nothing, so no strategy runs for it:
+    # the run file leaves it out, and its record has every other query
+    # record's keys, with counts of 0, plus a note
+    queries = (workspace / "data" / "queries.tsv").read_text()
+    (tmp_path / "q.tsv").write_text(queries + "qempty\tthe and of\n")
+    for strategy in ("baseline", "slidegar", "slidegar_rm3"):
+        tel = tmp_path / f"{strategy}.jsonl"
+        cfg = base_config(
+            workspace, strategy=strategy, queries=str(tmp_path / "q.tsv"),
+            run_out=str(tmp_path / f"{strategy}.trec"), telemetry_out=str(tel),
+        )
+        assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
+        run, _ = read_run(tmp_path / f"{strategy}.trec")
+        records = {r["qid"]: r for r in map(json.loads, tel.read_text().splitlines()) if r["type"] == "query"}
+        assert len(records) == 4 and sorted(run) == sorted(set(records) - {"qempty"}), strategy
+        empty = records.pop("qempty")
+        assert empty.pop("note") == "empty initial ranking"
+        assert all(sorted(record) == sorted(empty) for record in records.values()), strategy
+        counts = ("llm_calls", "ranker_attempts", "degraded_windows", "bookkeeping_ms", "ranker_ms", "escaped_docs")
+        assert [empty[key] for key in counts] == [0] * len(counts)
+
+
 def test_telemetry_counts_remote_attempts_and_degraded_windows(workspace, tmp_path):
     # one query, three windows: a timeout then an answer, two garbage bodies
     # (the window degrades), then an answer at the first attempt
@@ -465,6 +488,18 @@ def test_build_index_with_dedup_writes_report(tmp_path, capsys):
     assert main(["build-index", "--corpus", str(corpus), "--out", str(tmp_path / "idx"), "--dedup"]) == 0
     report = [json.loads(line) for line in (tmp_path / "idx" / "dedup_report.jsonl").read_text().splitlines()]
     assert report == [{"dropped": "b", "kept": "a"}]
+
+
+def test_build_index_without_dedup_removes_an_earlier_report(tmp_path, capsys):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("b\tsame text\na\tsame text\nc\tother\n", encoding="utf-8")
+    out = tmp_path / "idx"
+    assert main(["build-index", "--corpus", str(corpus), "--out", str(out), "--dedup"]) == 0
+    assert (out / "dedup_report.jsonl").exists()
+    assert main(["build-index", "--corpus", str(corpus), "--out", str(out)]) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert (meta["dedup"], meta["doc_count"]) == (False, 3)
+    assert not (out / "dedup_report.jsonl").exists()
 
 
 def test_dense_dedup_skips_vectors_of_dropped_twins(tmp_path, capsys):

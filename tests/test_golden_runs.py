@@ -67,5 +67,7 @@ def test_run_file_digest(data, tmp_path, strategy):
 
 @pytest.mark.parametrize("strategy", sorted(NOISY_SHA256))
 def test_noisy_run_file_digest(data, tmp_path, strategy):
-    digest = run_digest(data, tmp_path, strategy, ranker="noisy_oracle", swap_prob=0.3, seed=1)
-    assert digest == NOISY_SHA256[strategy]
+    # two threads draw each window's perturbation in another order, yet the bytes hold
+    for jobs in (1, 2):
+        digest = run_digest(data, tmp_path, strategy, ranker="noisy_oracle", swap_prob=0.3, seed=1, jobs=jobs)
+        assert digest == NOISY_SHA256[strategy], jobs

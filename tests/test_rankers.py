@@ -24,7 +24,7 @@ def ids(*docnos):
 
 
 def window(*docnos):
-    return Window(Q, ids(*docnos), STORE)
+    return Window(Q, ids(*docnos))
 
 
 def docnos(ordering):
@@ -41,17 +41,17 @@ def grades(per_docno):
 
 def test_window_validation():
     with pytest.raises(ValueError, match="at least one document"):
-        Window(Q, (), STORE)
+        Window(Q, ())
     for names in (("a", "a"), ("a", "b", "c", "b")):
         with pytest.raises(ValueError, match="duplicate ids"):
             window(*names)
 
 
-def test_window_reads_docnos_and_texts_from_the_store():
-    w = Window(Q, ids("c", "a"), STORE)  # a list, kept as a tuple
-    assert (w.query, w.ids, w.store) == (Q, tuple(ids("c", "a")), STORE)
-    assert (w.docnos, w.texts) == (("c", "a"), ("text of c", "text of a"))
+def test_window_holds_the_query_and_ids_only():
+    w = Window(Q, ids("c", "a"))  # a list, kept as a tuple
+    assert (w.query, w.ids) == (Q, tuple(ids("c", "a")))
     assert (w.attempts, w.degraded) == (1, False)
+    assert not hasattr(w, "docnos") and not hasattr(w, "texts")
 
 
 def test_singleton_window():
@@ -83,14 +83,15 @@ def test_non_permutation_from_local_ranker_raises():
         lambda w: [*w.ids[:-1], STORE.doc_id("only")],  # an id outside the window
         lambda w: list(w.ids[:-1]),  # one id short
         lambda w: [*w.ids, STORE.doc_id("only")],  # one id too many
-        lambda w: list(w.docnos),  # docnos, not ids
+        lambda w: docnos(w.ids),  # docnos, not ids
     ):
         with pytest.raises(ValueError, match="permutation"):
             Broken().rank(window("a", "b", "c"))
 
 
 def test_in_process_rankers_report_one_attempt_and_no_degradation():
-    for ranker in (IdentityRanker(), OracleRanker(grades({"b": 1})), NoisyOracleRanker({}, swap_prob=0.5, seed=1)):
+    noisy = NoisyOracleRanker({}, STORE.docnos, swap_prob=0.5, seed=1)
+    for ranker in (IdentityRanker(), OracleRanker(grades({"b": 1})), noisy):
         w = window("a", "b", "c")
         ranker.rank(w)
         assert (w.attempts, w.degraded) == (1, False), ranker.name
@@ -101,7 +102,7 @@ def test_in_process_rankers_report_one_attempt_and_no_degradation():
 
 def test_noisy_zero_prob_equals_oracle():
     table = grades({"a": 2, "b": 1, "c": 3})
-    noisy = NoisyOracleRanker(table, swap_prob=0.0, seed=9)
+    noisy = NoisyOracleRanker(table, STORE.docnos, swap_prob=0.0, seed=9)
     oracle = OracleRanker(table)
     w = window("a", "b", "c")
     assert noisy.rank(w) == oracle.rank(w)
@@ -109,13 +110,13 @@ def test_noisy_zero_prob_equals_oracle():
 
 def test_noisy_reproducible_per_window():
     table = grades({f"d{i}": i % 4 for i in range(10)})
-    ranker = NoisyOracleRanker(table, swap_prob=0.5, seed=123)
+    ranker = NoisyOracleRanker(table, STORE.docnos, swap_prob=0.5, seed=123)
     w = window(*[f"d{i}" for i in range(10)])
     first = ranker.rank(w)
     # interleave an unrelated window: the repeated window must not notice
     ranker.rank(window("d1", "d2"))
     assert ranker.rank(w) == first
-    again = NoisyOracleRanker(table, swap_prob=0.5, seed=123)
+    again = NoisyOracleRanker(table, STORE.docnos, swap_prob=0.5, seed=123)
     assert again.rank(w) == first
 
 
@@ -124,21 +125,20 @@ def test_noisy_seeds_from_docnos_not_ids():
     # noise does not depend on which other documents the corpus holds
     names = [f"d{i}" for i in range(12)]
     shifted = CorpusStore(["pad", *names], ["pad text", *(f"text of {d}" for d in names)])
-    ranker = NoisyOracleRanker({}, swap_prob=0.5, seed=5)
-    here = docnos(ranker.rank(window(*names)))
-    there = ranker.rank(Window(Q, [shifted.doc_id(d) for d in names], shifted))
+    here = docnos(NoisyOracleRanker({}, STORE.docnos, swap_prob=0.5, seed=5).rank(window(*names)))
+    there = NoisyOracleRanker({}, shifted.docnos, swap_prob=0.5, seed=5).rank(Window(Q, map(shifted.doc_id, names)))
     assert here == [shifted.docnos[i] for i in there] != names
 
 
 def test_noisy_seed_changes_output():
     w = window(*[f"d{i}" for i in range(12)])
-    a = NoisyOracleRanker({"q1": {}}, swap_prob=0.5, seed=1).rank(w)
-    b = NoisyOracleRanker({"q1": {}}, swap_prob=0.5, seed=2).rank(w)
+    a = NoisyOracleRanker({"q1": {}}, STORE.docnos, swap_prob=0.5, seed=1).rank(w)
+    b = NoisyOracleRanker({"q1": {}}, STORE.docnos, swap_prob=0.5, seed=2).rank(w)
     assert a != b  # twelve docs at p=0.5: collision is astronomically unlikely
 
 
 def test_noisy_output_is_permutation():
-    ranker = NoisyOracleRanker(grades({f"d{i}": (7 * i) % 5 for i in range(20)}), swap_prob=0.9, seed=4)
+    ranker = NoisyOracleRanker(grades({f"d{i}": (7 * i) % 5 for i in range(20)}), STORE.docnos, swap_prob=0.9, seed=4)
     w = window(*[f"d{i}" for i in range(20)])
     assert sorted(ranker.rank(w)) == sorted(w.ids)
 
@@ -154,7 +154,7 @@ def mock_endpoint():
 
 def test_remote_reversed_echo(mock_endpoint):
     ScriptedHandler.script = ["reverse"]
-    ranker = RemoteRanker(mock_endpoint, timeout=5, retries=0)
+    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=0)
     assert ranker.rank(window("a", "b", "c")) == ids("c", "b", "a")
 
 
@@ -163,7 +163,7 @@ def test_remote_answer_maps_back_to_the_window_ids(mock_endpoint, behavior):
     ScriptedHandler.script = [behavior]
     names = ("y", "a", "d12", "c", "d3")  # not in store order
     w = window(*names)
-    ordering = RemoteRanker(mock_endpoint, timeout=5, retries=0).rank(w)
+    ordering = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=0).rank(w)
     answered = ScriptedHandler.answers[-1]["ordering"]
     assert sorted(answered) == sorted(names) and answered != list(names)
     assert ordering == ids(*answered)
@@ -172,7 +172,7 @@ def test_remote_answer_maps_back_to_the_window_ids(mock_endpoint, behavior):
 
 def test_remote_duplicate_docno_degrades_to_input_order(mock_endpoint, caplog):
     ScriptedHandler.script = ["duplicate"]
-    ranker = RemoteRanker(mock_endpoint, timeout=5, retries=1, backoff=0.01)
+    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=1, backoff=0.01)
     w = window("a", "b", "c")
     with caplog.at_level("WARNING", logger="slidegar.rankers"):
         assert ranker.rank(w) == ids("a", "b", "c")
@@ -184,7 +184,7 @@ def test_remote_duplicate_docno_degrades_to_input_order(mock_endpoint, caplog):
 @pytest.mark.parametrize("behavior", ["duplicate", "drop_one", "foreign", "garbage"])
 def test_remote_degrades_to_the_window_ids(mock_endpoint, behavior):
     ScriptedHandler.script = [behavior]
-    ranker = RemoteRanker(mock_endpoint, timeout=5, retries=1, backoff=0.01)
+    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=1, backoff=0.01)
     w = window("y", "a", "d12", "c")  # not in store order
     assert ranker.rank(w) == list(w.ids) == ids("y", "a", "d12", "c")
     assert (w.attempts, w.degraded) == (2, True)
@@ -192,7 +192,7 @@ def test_remote_degrades_to_the_window_ids(mock_endpoint, behavior):
 
 def test_remote_timeout_twice_then_success(mock_endpoint):
     ScriptedHandler.script = ["sleep:1.0", "sleep:1.0", "reverse"]
-    ranker = RemoteRanker(mock_endpoint, timeout=0.3, retries=3, backoff=0.01)
+    ranker = RemoteRanker(mock_endpoint, STORE, timeout=0.3, retries=3, backoff=0.01)
     w = window("a", "b")
     assert ranker.rank(w) == ids("b", "a")
     assert (w.attempts, w.degraded) == (3, False)
@@ -200,13 +200,13 @@ def test_remote_timeout_twice_then_success(mock_endpoint):
 
 def test_remote_http_error_then_success(mock_endpoint):
     ScriptedHandler.script = ["status:500", "reverse"]
-    ranker = RemoteRanker(mock_endpoint, timeout=5, retries=2, backoff=0.01)
+    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=2, backoff=0.01)
     assert ranker.rank(window("a", "b")) == ids("b", "a")
 
 
 def test_remote_garbage_body_degrades(mock_endpoint):
     ScriptedHandler.script = ["garbage"]
-    ranker = RemoteRanker(mock_endpoint, timeout=5, retries=1, backoff=0.01)
+    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=1, backoff=0.01)
     w = window("x", "y")
     assert ranker.rank(w) == ids("x", "y")
     assert (w.attempts, w.degraded) == (2, True)
@@ -215,7 +215,7 @@ def test_remote_garbage_body_degrades(mock_endpoint):
 def test_remote_calls_count_on_their_own_windows(mock_endpoint):
     # a degraded call does not mark the next call's window
     ScriptedHandler.script = ["garbage", "garbage", "identity"]
-    ranker = RemoteRanker(mock_endpoint, timeout=5, retries=1, backoff=0.01)
+    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=1, backoff=0.01)
     first, second = window("x", "y"), window("x", "y")
     ranker.rank(first)
     ranker.rank(second)
@@ -225,13 +225,13 @@ def test_remote_calls_count_on_their_own_windows(mock_endpoint):
 @pytest.mark.parametrize("behavior", ["bad_status", "truncated"])
 def test_remote_malformed_response_then_success(mock_endpoint, behavior):
     ScriptedHandler.script = [behavior, "reverse"]
-    ranker = RemoteRanker(mock_endpoint, timeout=5, retries=1, backoff=0.01)
+    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=1, backoff=0.01)
     assert ranker.rank(window("a", "b")) == ids("b", "a")
 
 
 def test_remote_malformed_responses_degrade(mock_endpoint, caplog):
     ScriptedHandler.script = ["bad_status", "truncated", "bad_status"]
-    ranker = RemoteRanker(mock_endpoint, timeout=5, retries=2, backoff=0.01)
+    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=2, backoff=0.01)
     with caplog.at_level("WARNING", logger="slidegar.rankers"):
         assert ranker.rank(window("x", "y")) == ids("x", "y")
     assert len(ScriptedHandler.requests_seen) == 3
@@ -242,7 +242,7 @@ def test_remote_malformed_responses_degrade(mock_endpoint, caplog):
 def test_remote_ordering_of_the_wrong_type_degrades(mock_endpoint, caplog, behavior):
     # every answer here reads as ("b", "a") if iterated; none is a list of strings in an object
     ScriptedHandler.script = [behavior]
-    ranker = RemoteRanker(mock_endpoint, timeout=5, retries=1, backoff=0.01)
+    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=1, backoff=0.01)
     with caplog.at_level("WARNING", logger="slidegar.rankers"):
         assert ranker.rank(window("a", "b")) == ids("a", "b")
     assert len(ScriptedHandler.requests_seen) == 2
@@ -254,7 +254,7 @@ def test_remote_ordering_of_the_wrong_type_degrades(mock_endpoint, caplog, behav
 def test_remote_ordering_of_the_wrong_type_then_success(mock_endpoint, behavior):
     # the first answer would read as ("c", "b", "a"); the retry's answer is taken
     ScriptedHandler.script = [behavior, "identity"]
-    ranker = RemoteRanker(mock_endpoint, timeout=5, retries=2, backoff=0.01)
+    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=2, backoff=0.01)
     assert ranker.rank(window("a", "b", "c")) == ids("a", "b", "c")
     assert len(ScriptedHandler.requests_seen) == 2
 
@@ -267,27 +267,30 @@ def test_remote_ordering_of_the_wrong_type_then_success(mock_endpoint, behavior)
     ({"timeout": 1e10}, "timeout must be <= "),
     ({"timeout": 1e300}, "timeout must be <= "),
     ({"timeout": float("inf")}, "timeout must be <= "),
+    ({"backoff": -1.0}, "backoff must be >= 0 and finite"),
+    ({"backoff": float("nan")}, "backoff must be >= 0 and finite"),
+    ({"backoff": float("inf")}, "backoff must be >= 0 and finite"),
 ])
 def test_remote_rejects_out_of_range_settings(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        RemoteRanker("http://127.0.0.1:9", **kwargs)
+        RemoteRanker("http://127.0.0.1:9", STORE, **kwargs)
 
 
 def test_remote_largest_timeout_degrades_instead_of_overflowing():
-    ranker = RemoteRanker("http://127.0.0.1:9", timeout=threading.TIMEOUT_MAX, retries=0)
+    ranker = RemoteRanker("http://127.0.0.1:9", STORE, timeout=threading.TIMEOUT_MAX, retries=0)
     assert ranker.rank(window("a", "b")) == ids("a", "b")
 
 
 def test_remote_connection_refused_degrades():
-    ranker = RemoteRanker("http://127.0.0.1:9", timeout=0.2, retries=1, backoff=0.01)
+    ranker = RemoteRanker("http://127.0.0.1:9", STORE, timeout=0.2, retries=1, backoff=0.01)
     assert ranker.rank(window("a", "b")) == ids("a", "b")
 
 
 def test_remote_truncates_doc_text(mock_endpoint):
     ScriptedHandler.script = ["identity"]
-    ranker = RemoteRanker(mock_endpoint, timeout=5, retries=0)
     long_text = " ".join(f"tok{i}" for i in range(600))
-    ranker.rank(Window(Q, [0], CorpusStore(["a"], [long_text])))
+    ranker = RemoteRanker(mock_endpoint, CorpusStore(["a"], [long_text]), timeout=5, retries=0)
+    ranker.rank(Window(Q, [0]))
     sent = ScriptedHandler.requests_seen[-1]["candidates"][0]["text"]
     assert sent == " ".join(f"tok{i}" for i in range(512))
     assert sent == truncate_doc_text(long_text)
@@ -295,7 +298,7 @@ def test_remote_truncates_doc_text(mock_endpoint):
 
 def test_remote_sends_wire_protocol_fields(mock_endpoint):
     ScriptedHandler.script = ["identity"]
-    RemoteRanker(mock_endpoint, timeout=5, retries=0).rank(window("b", "a"))
+    RemoteRanker(mock_endpoint, STORE, timeout=5, retries=0).rank(window("b", "a"))
     body = ScriptedHandler.requests_seen[-1]
     assert body["qid"] == "q1" and body["query"] == "some query"
     assert body["candidates"] == [
@@ -306,6 +309,6 @@ def test_remote_sends_wire_protocol_fields(mock_endpoint):
 
 def test_remote_sends_auth_header(mock_endpoint):
     ScriptedHandler.script = ["identity"]
-    ranker = RemoteRanker(mock_endpoint, timeout=5, retries=0, auth="Bearer sekrit")
+    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=0, auth="Bearer sekrit")
     assert ranker.headers["Authorization"] == "Bearer sekrit"
     ranker.rank(window("a"))  # header accepted by the endpoint
