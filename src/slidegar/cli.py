@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import adaptive_rerank, corpus_graph, corpus_store, dense_index, eval as run_eval, lexical_index
 from .adaptive_rerank import RerankConfig
-from .rankers import IdentityRanker, NoisyOracleRanker, OracleRanker, RemoteRanker
+from .rankers import BACKOFF_S, OracleRanker, RemoteRanker, check_retries
 
 AUTH_ENV_VAR = "SLIDEGAR_RANKER_AUTH"
 
@@ -135,6 +135,7 @@ def _validate_config(cfg: dict) -> None:
         raise ValueError("jobs must be >= 1")
     if cfg["retries"] < 0:
         raise ValueError(f"config 'retries' must be >= 0, got {cfg['retries']!r}")
+    check_retries(cfg["retries"], BACKOFF_S)  # the backoff _make_ranker's remote ranker keeps
     if not cfg["timeout"] > 0:  # also rejects NaN
         raise ValueError(f"config 'timeout' must be > 0, got {cfg['timeout']!r}")
     if cfg["timeout"] > threading.TIMEOUT_MAX:  # the socket layer overflows above it; also rejects Infinity
@@ -214,19 +215,14 @@ class _Pipeline:
 
     def _make_ranker(self, cfg: dict):
         kind = cfg["ranker"]
-        if kind == "identity":
-            return IdentityRanker()
+        if kind == "identity":  # the oracle without grades keeps the window order, whatever the qrels
+            return OracleRanker({}, self.store.docnos)
         if kind == "oracle":
             return OracleRanker(self.grades)
         if kind == "noisy_oracle":
-            return NoisyOracleRanker(self.grades, self.store.docnos, swap_prob=cfg["swap_prob"], seed=cfg["seed"])
-        return RemoteRanker(
-            cfg["endpoint"],
-            self.store,
-            timeout=cfg["timeout"],
-            retries=cfg["retries"],
-            auth=os.environ.get(AUTH_ENV_VAR),
-        )
+            return OracleRanker(self.grades, self.store.docnos, swap_prob=cfg["swap_prob"], seed=cfg["seed"])
+        auth = os.environ.get(AUTH_ENV_VAR)
+        return RemoteRanker(cfg["endpoint"], self.store, timeout=cfg["timeout"], retries=cfg["retries"], auth=auth)
 
     def initial_ranking(self, query: corpus_store.Query, k: int) -> list[int]:
         if self.cfg["retriever"] == "bm25":

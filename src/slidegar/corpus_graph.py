@@ -61,8 +61,8 @@ def build_graph_lexical(index: InvertedIndex, store: CorpusStore, k: int) -> np.
 
 def build_graph_dense(matrix: np.ndarray, k: int) -> np.ndarray:
     """Exact inner-product k-NN graph over the rows of the embedding
-    ``matrix``, ties by doc id; every other document is a candidate, so
-    rows are full unless the corpus itself is smaller than k. Rows are
+    ``matrix``, ties by doc id; every other document is a candidate and
+    ``k`` is below the corpus size, so every row is full. Rows are
     scored in blocks of about ``BLOCK_BYTES`` of similarities against the
     whole corpus, so memory is O(block x N)."""
     n = len(matrix)
@@ -78,8 +78,6 @@ def build_graph_dense(matrix: np.ndarray, k: int) -> np.ndarray:
         np.negative(keys, out=keys)
         keys[np.arange(stop - start), np.arange(start, stop)] = np.inf
         adjacency[start:stop] = top_k_ids(keys, k)
-    if n - 1 < k:
-        adjacency[:, n - 1 :] = SENTINEL
     return adjacency
 
 
@@ -88,15 +86,14 @@ def neighbours(graph: np.ndarray, order: list[int], truncate_k: int) -> list[int
 
     The batch's doc ids are visited in ``order``, best first, each
     contributing its first ``truncate_k`` neighbours; a candidate reachable
-    from several sources keeps its earliest slot, batch members and
-    sentinels are skipped.
+    from several sources keeps its earliest slot and sentinels are skipped.
+    Batch members stay in: the window loop alone drops R0 and ranked ids.
     """
     k = graph.shape[1]
     if truncate_k < 0 or truncate_k > k:
         raise ValueError(f"truncate_k must be in [0, {k}], got {truncate_k}")
     candidates = dict.fromkeys(graph[order, :truncate_k].ravel().tolist())
-    for skipped in (SENTINEL, *order):
-        candidates.pop(skipped, None)
+    candidates.pop(SENTINEL, None)
     return list(candidates)
 
 

@@ -17,17 +17,20 @@ File formats:
   a trailing ``\\r`` is stripped and blank lines are skipped.
 - dedup report: JSON lines ``{"dropped": docno, "kept": docno}``.
 
-Docnos and qids may not contain whitespace: they become columns of
-whitespace-separated run lines.
+A corpus, queries or qrels file may start with a UTF-8 byte-order mark;
+it is dropped, as the ``utf-8-sig`` codec drops it. Docnos and qids may not contain
+whitespace: they become columns of whitespace-separated run lines.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -128,7 +131,7 @@ def _read_corpus(path: str | Path) -> CorpusStore:
     or text), then the first docno holding whitespace, then the first
     repeated docno. So ``a b<TAB>x`` followed by ``no tab`` names line 2.
     """
-    data = Path(path).read_bytes()
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)  # as the utf-8-sig codec drops it
     error = ""  # the error of the line the columns stop before
     try:
         text = data.decode("utf-8")
@@ -260,29 +263,39 @@ def read_u32(path: str | Path, count: int, offset: int = 0) -> np.ndarray:
     return np.fromfile(path, dtype="<u4", count=count, offset=offset)
 
 
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each line of a file, split on ``\\n`` only and
+    read one at a time, ending kept and one leading byte-order mark dropped;
+    a line that does not decode fails naming its number."""
+    with open(path, "rb") as f:
+        if f.peek(3).startswith(codecs.BOM_UTF8):
+            f.read(3)
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(_invalid_utf8(path, lineno, raw)) from None
+
+
 def load_queries(path: str | Path) -> list[Query]:
     queries: list[Query] = []
     seen: set[str] = set()
-    with open(path, "rb") as f:  # lines end at \n only, as in the corpus
-        for lineno, raw in enumerate(f, start=1):
-            try:
-                line = raw.decode("utf-8").rstrip("\r\n")
-            except UnicodeDecodeError:
-                raise ValueError(_invalid_utf8(path, lineno, raw)) from None
-            if not line:
-                continue
-            parts = line.split("\t", 1)
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'qid<TAB>text'")
-            qid, text = parts[0].strip(), parts[1].strip()
-            if not qid or not text:
-                raise ValueError(f"{path}:{lineno}: empty qid or query text")
-            if _WS_RUN.search(qid):
-                raise ValueError(f"{path}:{lineno}: qid {qid!r} contains whitespace")
-            if qid in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate qid {qid!r}")
-            seen.add(qid)
-            queries.append(Query(qid, text))
+    for lineno, line in read_lines(path):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        parts = line.split("\t", 1)
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'qid<TAB>text'")
+        qid, text = parts[0].strip(), parts[1].strip()
+        if not qid or not text:
+            raise ValueError(f"{path}:{lineno}: empty qid or query text")
+        if _WS_RUN.search(qid):
+            raise ValueError(f"{path}:{lineno}: qid {qid!r} contains whitespace")
+        if qid in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate qid {qid!r}")
+        seen.add(qid)
+        queries.append(Query(qid, text))
     return queries
 
 
@@ -294,29 +307,25 @@ def load_qrels(path: str | Path) -> dict[str, dict[str, int]]:
     """
     qrels: dict[str, dict[str, int]] = {}
     docnos: dict[str, str] = {}
-    with open(path, "rb") as f:  # lines end at \n only, as in the corpus
-        for lineno, raw in enumerate(f, start=1):
-            try:
-                parts = raw.decode("utf-8").split()
-            except UnicodeDecodeError:
-                raise ValueError(_invalid_utf8(path, lineno, raw)) from None
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 'qid 0 docno grade'")
-            qid, _, docno, grade_str = parts
-            try:
-                grade = int(grade_str)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer grade {grade_str!r}") from None
-            if grade < 0:
-                raise ValueError(f"{path}:{lineno}: negative grade for ({qid}, {docno})")
-            judged = qrels.get(qid)
-            if judged is None:  # setdefault(qid, {}) would build a dict per line
-                judged = qrels[qid] = {}
-            if docno in judged:
-                raise ValueError(f"{path}:{lineno}: duplicate qrel for ({qid}, {docno})")
-            judged[docnos.setdefault(docno, docno)] = grade
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 4:
+            raise ValueError(f"{path}:{lineno}: expected 'qid 0 docno grade'")
+        qid, _, docno, grade_str = parts
+        try:
+            grade = int(grade_str)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-integer grade {grade_str!r}") from None
+        if grade < 0:
+            raise ValueError(f"{path}:{lineno}: negative grade for ({qid}, {docno})")
+        judged = qrels.get(qid)
+        if judged is None:  # setdefault(qid, {}) would build a dict per line
+            judged = qrels[qid] = {}
+        if docno in judged:
+            raise ValueError(f"{path}:{lineno}: duplicate qrel for ({qid}, {docno})")
+        judged[docnos.setdefault(docno, docno)] = grade
     return qrels
 
 

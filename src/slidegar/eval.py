@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .corpus_store import _invalid_utf8
+from .corpus_store import read_lines
 
 
 def _gain(grade: int, exponential: bool) -> float:
@@ -150,30 +150,26 @@ def write_run(path: str | Path, run: dict[str, list[str]], tag: str) -> None:
 def read_run(path: str | Path) -> tuple[dict[str, list[str]], str]:
     """Parse and validate a TREC run file.
 
-    Lines are read as in the corpus. Within each qid: ranks must be
+    Lines are read by ``corpus_store.read_lines``. Within each qid: ranks must be
     contiguous from 1, scores non-increasing, docnos unique. Returns
     (per-qid docno lists, tag of the first line).
     """
     rows: dict[str, list[tuple[int, str, float]]] = {}
     tag = ""
-    with open(path, "rb") as f:
-        for lineno, raw in enumerate(f, start=1):
-            try:
-                parts = raw.decode("utf-8").split()
-            except UnicodeDecodeError:
-                raise ValueError(_invalid_utf8(path, lineno, raw)) from None
-            if not parts:
-                continue
-            if len(parts) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 columns 'qid Q0 docno rank score tag'")
-            qid, _, docno, rank_str, score_str, line_tag = parts
-            if not tag:
-                tag = line_tag
-            try:
-                rank, score = int(rank_str), float(score_str)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: invalid rank or score") from None
-            rows.setdefault(qid, []).append((rank, docno, score))
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 6:
+            raise ValueError(f"{path}:{lineno}: expected 6 columns 'qid Q0 docno rank score tag'")
+        qid, _, docno, rank_str, score_str, line_tag = parts
+        if not tag:
+            tag = line_tag
+        try:
+            rank, score = int(rank_str), float(score_str)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: invalid rank or score") from None
+        rows.setdefault(qid, []).append((rank, docno, score))
     run: dict[str, list[str]] = {}
     for qid, entries in rows.items():
         entries.sort(key=lambda t: t[0])

@@ -1,11 +1,11 @@
-"""Listwise-ranker contract plus test doubles and a remote HTTP client.
+"""Listwise-ranker contract, the one in-process ranker and a remote HTTP client.
 
 A listwise ranker sees a window of documents for one query and returns an
 ordering (a permutation of the window's store doc ids), never scores. A
 ``Window(query, ids)`` holds the candidates' ids in the order the ranker
 sees them and is checked once when it is built: non-empty, no repeated
 id. A ranker that reads more of a document than its id is given what it
-reads when it is built: the noisy oracle the store's docno column, the
+reads when it is built: the swapping oracle the store's docno column, the
 remote client the store itself, so the window loop deals only in ids.
 ``ListwiseRanker.rank`` is the only entry point. It verifies every
 response to be a permutation: local rankers raise on violation, the remote
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 import threading
 import time
@@ -36,6 +37,9 @@ log = logging.getLogger(__name__)
 # Per-document text cap (whitespace tokens) sent to remote rankers, keeping
 # a full window inside a few thousand model tokens.
 MAX_DOC_TOKENS = 512
+
+# Seconds before a remote ranker's first retry; each later retry waits twice as long.
+BACKOFF_S = 0.5
 
 
 class Window:
@@ -78,27 +82,6 @@ class ListwiseRanker:
         raise NotImplementedError
 
 
-class IdentityRanker(ListwiseRanker):
-    name = "identity"
-
-    def _order(self, window: Window) -> list[int]:
-        return list(window.ids)
-
-
-class OracleRanker(ListwiseRanker):
-    """Orders by qrel grade descending; unjudged docs count as grade 0 and
-    ties keep the window order (stable sort)."""
-
-    name = "oracle"
-
-    def __init__(self, grades: dict[str, dict[int, int]]) -> None:
-        self.grades = grades  # qid -> doc id -> grade, as corpus_store.map_qrels returns them
-
-    def _order(self, window: Window) -> list[int]:
-        per_query = self.grades.get(window.query.qid, {})
-        return sorted(window.ids, key=lambda doc_id: -per_query.get(doc_id, 0))
-
-
 def _window_rng(seed: int, qid: str, docnos: Sequence[str]) -> random.Random:
     # Derived from (seed, qid, the window's docnos) so the same window always
     # gets the same perturbation, regardless of call order, threading or the
@@ -113,28 +96,42 @@ def _window_rng(seed: int, qid: str, docnos: Sequence[str]) -> random.Random:
     return random.Random(int.from_bytes(digest.digest()[:8], "little"))
 
 
-class NoisyOracleRanker(OracleRanker):
-    """Oracle ordering with each adjacent pair independently swapped with
-    probability swap_prob, under a deterministic per-window generator seeded
-    from the window's docnos, read from ``docnos`` (the store's column)."""
+class OracleRanker(ListwiseRanker):
+    """The in-process ranker: by qrel grade descending, unjudged docs at 0 and
+    ties in window order (stable sort), so without grades it is the identity.
+    With ``swap_prob > 0`` each adjacent pair is then swapped with that
+    probability, under a generator seeded from ``seed``, the qid and the
+    window's docnos, read from ``docnos`` (the store's column)."""
 
-    name = "noisy_oracle"
+    name = "oracle"
 
-    def __init__(self, grades: dict[str, dict[int, int]], docnos: Sequence[str], swap_prob: float, seed: int) -> None:
-        super().__init__(grades)
+    def __init__(self, grades: dict[str, dict[int, int]], docnos: Sequence[str] | None = None,
+                 swap_prob: float = 0.0, seed: int = 0) -> None:
         if not 0.0 <= swap_prob <= 1.0:
             raise ValueError("swap_prob must be in [0, 1]")
+        if swap_prob > 0 and docnos is None:  # an empty corpus's docnos are fine: it has no window
+            raise ValueError("swap_prob > 0 requires the store's docnos")
+        self.grades = grades  # qid -> doc id -> grade, as corpus_store.map_qrels returns them
         self.docnos = docnos
         self.swap_prob = swap_prob
         self.seed = seed
 
     def _order(self, window: Window) -> list[int]:
-        order = super()._order(window)
-        rng = _window_rng(self.seed, window.query.qid, [self.docnos[i] for i in window.ids])
-        for i in range(len(order) - 1):
-            if rng.random() < self.swap_prob:
-                order[i], order[i + 1] = order[i + 1], order[i]
+        per_query = self.grades.get(window.query.qid, {})
+        order = sorted(window.ids, key=lambda doc_id: -per_query.get(doc_id, 0))
+        if self.swap_prob:
+            rng = _window_rng(self.seed, window.query.qid, [self.docnos[i] for i in window.ids])
+            for i in range(len(order) - 1):
+                if rng.random() < self.swap_prob:
+                    order[i], order[i + 1] = order[i + 1], order[i]
         return order
+
+
+def check_retries(retries: int, backoff: float) -> None:
+    """Reject ``retries`` whose last sleep, ``backoff * 2 ** (retries - 1)``
+    seconds, exceeds ``threading.TIMEOUT_MAX``, above which the sleep overflows."""
+    if retries > 0 and backoff > 0 and math.log2(backoff) + retries - 1 > math.log2(threading.TIMEOUT_MAX):
+        raise ValueError(f"retries {retries} with backoff {backoff} s would sleep more than {threading.TIMEOUT_MAX} s")
 
 
 def truncate_doc_text(text: str, max_tokens: int = MAX_DOC_TOKENS) -> str:
@@ -163,7 +160,7 @@ class RemoteRanker(ListwiseRanker):
         store: CorpusStore,
         timeout: float = 30.0,
         retries: int = 3,
-        backoff: float = 0.5,
+        backoff: float = BACKOFF_S,
         auth: str | None = None,
     ) -> None:
         if retries < 0:
@@ -174,6 +171,7 @@ class RemoteRanker(ListwiseRanker):
             raise ValueError(f"timeout must be <= {threading.TIMEOUT_MAX}")
         if not 0 <= backoff < float("inf"):  # also rejects NaN
             raise ValueError("backoff must be >= 0 and finite")
+        check_retries(retries, backoff)
         self.url = endpoint.rstrip("/") + "/rerank"
         self.store = store
         self.timeout = timeout
@@ -200,7 +198,7 @@ class RemoteRanker(ListwiseRanker):
         for attempt in range(attempts):
             window.attempts = attempt + 1
             if attempt:
-                time.sleep(self.backoff * 2 ** (attempt - 1))
+                time.sleep(math.ldexp(self.backoff, attempt - 1))  # backoff * 2 ** (attempt - 1), never an int
             try:
                 request = urllib.request.Request(self.url, data=body, headers=self.headers, method="POST")
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:

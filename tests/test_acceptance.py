@@ -30,7 +30,6 @@ from slidegar.corpus_store import CorpusStore, Query
 from slidegar.eval import ndcg_at, recall_at
 from slidegar.lexical_index import bm25_retrieve, build_index
 from slidegar.rankers import (
-    IdentityRanker,
     ListwiseRanker,
     OracleRanker,
     RemoteRanker,
@@ -78,7 +77,7 @@ def test_call_count_exactness(synth_bundle):
 
         for c, expected in ((50, 4), (100, 9)):
             cfg = RerankConfig(w=20, b=10, c=c, truncate_k=1)
-            result = slidegar(Q, ids_of(store, names[: c + 40]), IdentityRanker(), graph, cfg)
+            result = slidegar(Q, ids_of(store, names[: c + 40]), OracleRanker({}), graph, cfg)
             assert result.calls == expected == expected_llm_calls(cfg)
 
         rng = random.Random(2024)
@@ -88,7 +87,7 @@ def test_call_count_exactness(synth_bundle):
             c = rng.randint(w, min(w + 150, 380))
             cfg = RerankConfig(w=w, b=b, c=c, truncate_k=1)
             pool = names[: c + b + w]  # adequate |R0|: never exhausted mid-run
-            result = slidegar(Q, ids_of(store, pool), IdentityRanker(), graph, cfg)
+            result = slidegar(Q, ids_of(store, pool), OracleRanker({}), graph, cfg)
             assert result.calls == expected_llm_calls(cfg), (w, b, c)
 
         # A real dense graph with short frontiers: R0 is the BM25 pool padded
@@ -183,7 +182,7 @@ def test_permutation_safety():
             with scripted_server([behavior]) as endpoint:
                 remote = RemoteRanker(endpoint, store, timeout=2, retries=1, backoff=0.01)
                 degraded = slidegar(Q, ids_of(store, names), remote, graph, cfg)
-            clean = slidegar(Q, ids_of(store, names), IdentityRanker(), graph, cfg)
+            clean = slidegar(Q, ids_of(store, names), OracleRanker({}), graph, cfg)
             assert degraded.ranking == clean.ranking, behavior
             assert len(set(degraded.ranking)) == len(degraded.ranking)
             assert degraded.calls == clean.calls  # a retried window counts once
@@ -333,7 +332,7 @@ def test_bookkeeping_overhead_on_100k_graph():
         r0 = list(range(0, n, n // 140))[:140]
         timings = []
         for _ in range(3):
-            result = slidegar(Q, r0, IdentityRanker(), graph, cfg)
+            result = slidegar(Q, r0, OracleRanker({}), graph, cfg)
             assert result.calls == expected_llm_calls(cfg)
             timings.append(result.bookkeeping_s)
         best = min(timings)

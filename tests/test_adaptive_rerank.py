@@ -17,7 +17,7 @@ from slidegar.adaptive_rerank import (
 )
 from slidegar.corpus_store import Query
 from slidegar.lexical_index import bm25_retrieve, build_index, retrieve_expanded, rm3_expand
-from slidegar.rankers import IdentityRanker, ListwiseRanker, NoisyOracleRanker, OracleRanker, Window
+from slidegar.rankers import ListwiseRanker, OracleRanker, Window
 
 Q = Query("q1", "query text")
 
@@ -122,7 +122,7 @@ def test_slidegar_empty_graph_falls_back_to_initial_pool():
     store = names_store(names)
     graph = graph_from_dict({}, names, 1)
     cfg = RerankConfig(w=4, b=2, c=8, truncate_k=1)
-    result = slidegar(Q, ids_of(store, names), IdentityRanker(), graph, cfg)
+    result = slidegar(Q, ids_of(store, names), OracleRanker({}), graph, cfg)
     assert set(docnos_of(store, result.ranking)) == set(names[:8])
     assert result.calls == expected_llm_calls(cfg)
 
@@ -133,7 +133,7 @@ def test_slidegar_call_counts_match_formula():
     graph = graph_from_dict({}, names, 1)
     for c, expected in ((50, 4), (100, 9)):
         cfg = RerankConfig(w=20, b=10, c=c, truncate_k=1)
-        assert slidegar(Q, ids_of(store, names), IdentityRanker(), graph, cfg).calls == expected
+        assert slidegar(Q, ids_of(store, names), OracleRanker({}), graph, cfg).calls == expected
         assert expected_llm_calls(cfg) == expected
 
 
@@ -159,7 +159,7 @@ def test_baseline_identity_is_noop():
     names = [f"d{i}" for i in range(9)]
     store = names_store(names)
     cfg = RerankConfig(w=4, b=2, c=8)
-    result = sliding_window_baseline(Q, ids_of(store, names), IdentityRanker(), cfg)
+    result = sliding_window_baseline(Q, ids_of(store, names), OracleRanker({}), cfg)
     assert docnos_of(store, result.ranking) == names[:8]
 
 
@@ -196,10 +196,10 @@ def random_instance(rng):
 def make_pair(kind, grades, seed, store):
     def build():
         if kind == "identity":
-            return IdentityRanker()
+            return OracleRanker({})
         if kind == "oracle":
             return OracleRanker(by_id(store, {"q1": grades}))
-        return NoisyOracleRanker(by_id(store, {"q1": grades}), store.docnos, swap_prob=0.4, seed=seed)
+        return OracleRanker(by_id(store, {"q1": grades}), store.docnos, swap_prob=0.4, seed=seed)
 
     return build(), build()
 
@@ -304,7 +304,7 @@ def test_rm3_orig_weight_one_consumes_bm25_order():
     r0 = bm25_retrieve(index, query, 6)
     assert docnos_of(store, r0) == [f"d{i}" for i in range(6)]
     cfg = RerankConfig(w=4, b=2, c=6)
-    result = slidegar_rm3(query, r0, IdentityRanker(), index, cfg, orig_weight=1.0)
+    result = slidegar_rm3(query, r0, OracleRanker({}), index, cfg, orig_weight=1.0)
     # trace: W1=[d0..d3] dumps d2,d3; the fresh half is feedback's turn, and
     # feedback skips R0 (d0..d5), so W2=[d0,d1,d6,d7] dumps d6,d7 and the
     # 4 = c - b dumps end the run; final = carried d0,d1, then W2's dumps,
@@ -319,7 +319,7 @@ def test_rm3_falls_back_to_initial_pool_when_corpus_exhausted():
     index = build_index(store)
     names = list(docs)
     cfg = RerankConfig(w=2, b=1, c=5)
-    ranking = slidegar_rm3(Query("q1", "shared"), ids_of(store, names), IdentityRanker(), index, cfg).ranking
+    ranking = slidegar_rm3(Query("q1", "shared"), ids_of(store, names), OracleRanker({}), index, cfg).ranking
     got = set(docnos_of(store, ranking))
     assert got <= set(names)
     assert len(got) == len(ranking)
@@ -355,7 +355,7 @@ def test_rm3_recall_gain_on_clustered_fixture():
 def test_rm3_invalid_parameter_raises_before_the_first_ranker_call(param):
     docs = {f"d{i}": f"shared term{i}" for i in range(6)}
     store = make_store(docs)
-    recorder = RecordingRanker(IdentityRanker(), store)
+    recorder = RecordingRanker(OracleRanker({}), store)
     cfg = RerankConfig(w=2, b=1, c=5)
     with pytest.raises(ValueError, match=f"rm3 {next(iter(param))} must be"):
         slidegar_rm3(Q, ids_of(store, list(docs)), recorder, build_index(store), cfg, **param)
@@ -369,7 +369,7 @@ def test_rm3_without_usable_terms_consumes_r0_alone():
     store = make_store(docs)
     cfg = RerankConfig(w=2, b=1, c=4)
     r0 = ids_of(store, list(docs))
-    result = slidegar_rm3(Query("q1", "the"), r0, IdentityRanker(), build_index(store), cfg)
+    result = slidegar_rm3(Query("q1", "the"), r0, OracleRanker({}), build_index(store), cfg)
     assert docnos_of(store, result.ranking) == ["d0", "d3", "d2", "d1"]
     assert result.calls == expected_llm_calls(cfg)
 
@@ -411,8 +411,8 @@ def test_rm3_one_retrieval_serves_the_deepest_blocked_set():
     with pytest.MonkeyPatch.context() as mp:
         counting(mp, "rm3_expand", counts)
         counting(mp, "retrieve_expanded", counts)
-        result = slidegar_rm3(query, r0, IdentityRanker(), index, cfg)
-    expected, calls, _ = simulate_rm3(store, docs, query, docnos_of(store, r0), IdentityRanker(), cfg)
+        result = slidegar_rm3(query, r0, OracleRanker({}), index, cfg)
+    expected, calls, _ = simulate_rm3(store, docs, query, docnos_of(store, r0), OracleRanker({}), cfg)
     assert docnos_of(store, result.ranking) == expected
     assert result.calls == calls == expected_llm_calls(cfg) == 6
     # the last half is hits 12 and 13, behind the len(r0) + (calls - 2) * b
@@ -485,7 +485,7 @@ def test_baseline_and_rm3_window_loop_invariants(instance, swap_prob, seed):
         return ids
 
     for strategy in ("baseline", "rm3"):
-        noisy = NoisyOracleRanker(by_id(store, {"q1": grades}), store.docnos, swap_prob=swap_prob, seed=seed)
+        noisy = OracleRanker(by_id(store, {"q1": grades}), store.docnos, swap_prob=swap_prob, seed=seed)
         ranker = RecordingRanker(noisy, store)
         if strategy == "baseline":
             result = sliding_window_baseline(query, ids_of(store, r0), ranker, cfg)
@@ -586,7 +586,7 @@ def test_window_loop_fills_every_window_until_sources_run_dry(instance, swap_pro
 
             return counted
 
-        noisy = NoisyOracleRanker(by_id(store, {"q1": grades}), store.docnos, swap_prob=swap_prob, seed=seed)
+        noisy = OracleRanker(by_id(store, {"q1": grades}), store.docnos, swap_prob=swap_prob, seed=seed)
         ranker = RecordingRanker(noisy, store)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(adaptive_rerank, source, count("engine", getattr(adaptive_rerank, source)))
@@ -594,7 +594,7 @@ def test_window_loop_fills_every_window_until_sources_run_dry(instance, swap_pro
                 result = slidegar(query, ids_of(store, r0), ranker, graph, cfg)
             else:
                 result = slidegar_rm3(query, ids_of(store, r0), ranker, index, cfg)
-        sim_ranker = NoisyOracleRanker(by_id(store, {"q1": grades}), store.docnos, swap_prob=swap_prob, seed=seed)
+        sim_ranker = OracleRanker(by_id(store, {"q1": grades}), store.docnos, swap_prob=swap_prob, seed=seed)
 
         def rank_fn(docnos):
             return sim_rank(sim_ranker, query, store, docnos)

@@ -429,6 +429,19 @@ def test_config_validation_errors(workspace, tmp_path, capsys):
     ({"run_tag": ""}, "config 'run_tag' must be a non-empty string, got ''"),
     ({"telemetry_out": ""}, "config 'telemetry_out' must be a non-empty string, got ''"),
     ({"truncate_k": -1}, "truncate_k must be >= 0"),
+    ({"corpus": None}, "config requires 'corpus'"),
+    ({"queries": None}, "config requires 'queries'"),
+    ({"run_out": None}, "config requires 'run_out'"),
+    ({"retriever": "splade"}, "unknown retriever 'splade'"),
+    ({"strategy": "rrf"}, "unknown strategy 'rrf'"),
+    ({"ranker": "gpt"}, "unknown ranker 'gpt'"),
+    ({"qrels": None}, "ranker 'oracle' requires qrels"),
+    ({"qrels": None, "ranker": "noisy_oracle"}, "ranker 'noisy_oracle' requires qrels"),
+    ({"retriever": "dense", "query_embeddings": "q.bin"}, "retriever 'dense' requires embeddings and query_embeddings"),
+    ({"jobs": 0}, "jobs must be >= 1"),
+    # the remote ranker's last backoff, 0.5 * 2 ** (retries - 1) s, must stay within threading.TIMEOUT_MAX
+    ({"retries": 36}, f"retries 36 with backoff 0.5 s would sleep more than {threading.TIMEOUT_MAX} s"),
+    ({"retries": 1100}, f"retries 1100 with backoff 0.5 s would sleep more than {threading.TIMEOUT_MAX} s"),
 ])
 def test_config_value_types_fail_at_load(workspace, tmp_path, capsys, overrides, message):
     run_out = tmp_path / "r.trec"
@@ -459,6 +472,28 @@ def test_invalid_rm3_value_fails_config(workspace, tmp_path, capsys, key, value)
     assert err == [f"error: rm3 {key} must be {'a number in [0, 1]' if key == 'orig_weight' else 'an integer >= 1'}, "
                    f"got {value!r}"]
     assert not run_out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "config must be a JSON object"),
+    ('{"rm3": {"fb_docs": 5, "mu": 1}}', "unknown rm3 keys: mu"),
+], ids=["not_an_object", "unknown_rm3_key"])
+def test_malformed_config_fails_naming_its_file(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as raised:
+        cli.load_config(str(cfg_path))
+    assert str(raised.value) == f"{cfg_path}: {message}"
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
+
+
+def test_dense_graph_requires_embeddings(workspace, tmp_path, capsys):
+    out = tmp_path / "graph.bin"
+    corpus = str(workspace / "data" / "corpus.tsv")
+    assert main(["build-graph", "--corpus", corpus, "--source", "dense", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --source dense requires --embeddings\n"
+    assert not out.exists()
 
 
 def test_eval_invalid_utf8_names_line(workspace, tmp_path, capsys):
@@ -658,10 +693,20 @@ SENTINEL_U32 = (0xFFFF_FFFF).to_bytes(4, "little")
          + (1).to_bytes(4, "little") + (9).to_bytes(4, "little") + SENTINEL_U32,
          "graph.bin: row 1: neighbour id 9 is not below count 3"),
         ("g/graph.bin", b"[1, 2]\n", "graph.bin: invalid graph header (not a JSON object)"),
+        ("g/graph.bin",
+         b'{"count": 3, "k": 1, "sentinel": 4294967295, "source": "lexical", "version": 2}\n' + SENTINEL_U32 * 3,
+         "graph.bin: unsupported graph format version 2"),
+        ("g/graph.bin",
+         b'{"count": 3, "k": 1, "sentinel": 0, "source": "lexical", "version": 1}\n' + SENTINEL_U32 * 3,
+         "graph.bin: unexpected sentinel 0"),
+        ("g/graph.bin",
+         b'{"count": 2, "k": 1, "sentinel": 4294967295, "source": "lexical", "version": 1}\n' + SENTINEL_U32 * 2,
+         "graph.bin: header count 2 does not match the 3 docnos"),
         ("idx/meta.json", b"not json", "meta.json: invalid index metadata (Expecting value"),
         ("idx/meta.json", b'{"version": 4}', "meta.json: missing doc_count, avgdl"),
     ],
-    ids=["graph_id_out_of_range", "graph_header_not_object", "meta_not_json", "meta_no_counts"],
+    ids=["graph_id_out_of_range", "graph_header_not_object", "graph_version_2", "graph_sentinel_0",
+         "graph_count_short", "meta_not_json", "meta_no_counts"],
 )
 def test_malformed_artifact_fails_with_its_path(tmp_path, capsys, name, data, message):
     corpus = tmp_path / "c.tsv"

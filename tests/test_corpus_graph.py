@@ -228,12 +228,12 @@ def test_neighbours_truncation_one_per_source():
     assert len(result) <= 3
 
 
-def test_neighbours_excludes_batch_and_deduplicates():
+def test_neighbours_keeps_batch_members_and_deduplicates():
     names = ["a", "b", "c", "d"]
     graph = graph_from_dict({"a": ["b", "c"], "b": ["c", "d"]}, names, 2)
     order = [names.index("a"), names.index("b")]
     result = [names[i] for i in neighbours(graph, order, 2)]
-    assert result == ["c", "d"]  # b excluded (in batch), c deduplicated
+    assert result == ["b", "c", "d"]  # b kept (the window loop drops ranked ids), c deduplicated
 
 
 def test_neighbours_truncation_monotone():
@@ -255,7 +255,7 @@ def test_neighbours_truncation_monotone():
             deeper = neighbours(graph, order, tk + 1)
             assert set(shallow) <= set(deeper)
             assert len(set(shallow)) == len(shallow)
-            assert not set(shallow) & set(order)
+            assert set(shallow) == set(graph[order, :tk].ravel().tolist()) - {SENTINEL}
 
 
 def test_neighbours_truncate_subsequence_when_sources_disjoint():
@@ -350,6 +350,14 @@ def test_graph_load_rejects_malformed_header(tmp_path, header, message):
     (tmp_path / "g.bin").write_bytes(header + b"\n" + body)
     with pytest.raises(ValueError, match=message):
         load_graph(tmp_path / "g.bin", store)
+
+
+def test_graph_save_rejects_an_unknown_source(tmp_path):
+    store = make_store({"a": "cat dog", "b": "cat dog"})
+    graph = build_graph_lexical(build_index(store), store, 1)
+    with pytest.raises(ValueError, match="^unknown similarity source 'bm25'$"):
+        save_graph(tmp_path / "g.bin", graph, "bm25", store)
+    assert not (tmp_path / "g.bin").exists()
 
 
 def test_graph_load_rejects_neighbour_ids_out_of_range(tmp_path):

@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 import random
@@ -18,6 +19,7 @@ from slidegar.corpus_store import (
     normalize_text,
     write_dedup_report,
 )
+from slidegar.eval import read_run
 
 
 def write_tsv(path, rows):
@@ -173,6 +175,12 @@ def test_store_columns_reject_duplicate_docno():
         CorpusStore(["a", "b", "a"], ["cat", "dog", "bird"])
     with pytest.raises(ValueError, match="duplicate docno 'b'"):  # the first repeat, as the reader names it
         CorpusStore(["a", "b", "b", "a"], ["cat", "dog", "bird", "eel"])
+
+
+def test_store_columns_must_have_equal_lengths():
+    with pytest.raises(ValueError) as raised:
+        CorpusStore(["a", "b"], ["cat"])
+    assert str(raised.value) == "2 docnos but 1 texts"
 
 
 def test_lines_split_on_newline_only(tmp_path):
@@ -485,3 +493,36 @@ def test_load_queries_invalid_utf8_names_line(tmp_path):
     path.write_bytes(b"q1\tcat\n\nq2\tdog \xff\n")
     with pytest.raises(ValueError, match=r"q\.tsv:3: invalid UTF-8 \(invalid start byte\)"):
         load_queries(path)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"q1\tcat\nq2 dog\n", "q.tsv:2: expected 'qid<TAB>text'"),
+    (b"\n \tcat\n", "q.tsv:2: empty qid or query text"),
+    (b"q1\t \r\n", "q.tsv:1: empty qid or query text"),
+], ids=["missing_tab", "empty_qid", "empty_text"])
+def test_load_queries_malformed_line_names_it(tmp_path, data, message):
+    path = tmp_path / "q.tsv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as raised:
+        load_queries(path)
+    assert str(raised.value) == f"{tmp_path}/{message}"
+
+
+def _columns(path):
+    store, _ = ingest_corpus(path)
+    return store.docnos, store.texts
+
+
+@pytest.mark.parametrize("read, data", [
+    (load_queries, b"q1\tcat\nq2\tdog\n"),
+    (_columns, b"d1\tcat\nd2\tdog\n"),
+    (_columns, b'{"docno": "d1", "text": "cat"}\n{"docno": "d2", "text": "dog"}\n'),
+    (load_qrels, b"q1 0 d1 1\nq1 0 d2 0\n"),
+    (read_run, b"q1 Q0 d1 1 1.0 t\nq1 Q0 d2 2 0.5 t\n"),
+], ids=["queries", "corpus_tsv", "corpus_jsonl", "qrels", "run"])
+def test_leading_byte_order_mark_is_dropped(tmp_path, read, data):
+    # as the utf-8-sig codec does: the mark starts neither the first qid nor the first docno
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(data)
+    marked.write_bytes(codecs.BOM_UTF8 + data)
+    assert read(marked) == read(plain)

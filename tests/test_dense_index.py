@@ -96,6 +96,41 @@ def test_truncated_file_fatal(tmp_path):
         load_embeddings(path, store)
 
 
+@pytest.mark.parametrize("count, tail, message", [
+    (3, b"", "record 3: truncated file"),  # the file ends where a length field starts
+    (3, b"\x01\x00", "record 3: truncated file"),  # and within one
+    (2, b"\x00", "trailing bytes after 2 records"),
+], ids=["length_missing", "length_cut", "trailing_byte"])
+def test_record_count_must_match_the_body(tmp_path, count, tail, message):
+    path = write_table(tmp_path / "e.bin", 2, [("a", [1, 0]), ("b", [0, 1])])
+    body = path.read_bytes().split(b"\n", 1)[1]
+    path.write_bytes(json.dumps({"count": count, "dim": 2}).encode() + b"\n" + body + tail)
+    with pytest.raises(ValueError) as raised:
+        load_embeddings(path, store_for(["a", "b"]))
+    assert str(raised.value) == f"{path}: {message}"
+
+
+def test_duplicate_docno_fatal_with_record_index(tmp_path):
+    path = write_table(tmp_path / "e.bin", 2, [("a", [1, 0]), ("a", [0, 1])])
+    with pytest.raises(ValueError) as raised:
+        load_embeddings(path, store_for(["a"]))
+    assert str(raised.value) == f"{path}: record 2: duplicate docno 'a'"
+
+
+def test_zero_vector_cannot_be_normalized(tmp_path):
+    path = write_table(tmp_path / "e.bin", 2, [("a", [1, 0]), ("b", [0, 0])])
+    assert load_embeddings(path, store_for(["a", "b"])).tolist() == [[1, 0], [0, 0]]
+    with pytest.raises(ValueError) as raised:
+        load_embeddings(path, store_for(["a", "b"]), normalize=True)
+    assert str(raised.value) == f"{path}: zero vector for docno 'b' cannot be normalized"
+
+
+def test_write_rejects_a_vector_of_the_wrong_shape(tmp_path):
+    with pytest.raises(ValueError) as raised:
+        write_embeddings(tmp_path / "e.bin", 2, [("a", [1, 0]), ("b", [0, 1, 0])])
+    assert str(raised.value) == "vector for 'b' has shape (3,), expected (2,)"
+
+
 @pytest.mark.parametrize(
     "header, message",
     [
@@ -103,8 +138,10 @@ def test_truncated_file_fatal(tmp_path):
         (b'{"count": 2, "dim": "2"}', r"e\.bin: invalid embedding header \(dim must be an integer, got '2'\)"),
         (b'{"count": 2, "dim": 2.7}', r"e\.bin: invalid embedding header \(dim must be an integer, got 2\.7\)"),
         (b'{"count": 2.5, "dim": 2}', r"e\.bin: invalid embedding header \(count must be an integer, got 2\.5\)"),
+        (b'{"count": 2, "dim": 0}', r"e\.bin: invalid embedding header values dim=0 count=2$"),
+        (b'{"count": -1, "dim": 2}', r"e\.bin: invalid embedding header values dim=2 count=-1$"),
     ],
-    ids=["not-json", "dim-str", "dim-float", "count-float"],
+    ids=["not-json", "dim-str", "dim-float", "count-float", "dim-0", "count-negative"],
 )
 def test_header_validation(tmp_path, header, message):
     # the records are a valid dim-2 body, so only the header can fail

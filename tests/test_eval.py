@@ -95,6 +95,12 @@ def test_recall_monotone_in_cutoff():
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
+def test_cutoff_below_one_fails():
+    for metric in (ndcg_at, recall_at):
+        with pytest.raises(ValueError, match="^cutoff must be >= 1$"):
+            metric(["a"], {"a": 1}, cutoff=0)
+
+
 def test_parse_metric():
     assert parse_metric("ndcg@10") == ("ndcg", 10)
     assert parse_metric("recall@50") == ("recall", 50)
@@ -170,6 +176,10 @@ def test_run_file_validation(tmp_path):
     path.write_text("q1 Q0 d1 1\n")
     with pytest.raises(ValueError, match="6 columns"):
         read_run(path)
+    for line in ("q1 Q0 d1 one 1.0 t\n", "q1 Q0 d1 1 high t\n"):
+        path.write_text(line)
+        with pytest.raises(ValueError, match=r"bad\.trec:1: invalid rank or score$"):
+            read_run(path)
     path.write_bytes(b"q1 Q0 d1 1 1.0 t\nq1 Q0 d\xff2 2 0.5 t\n")
     with pytest.raises(ValueError, match=r"bad\.trec:2: invalid UTF-8 \(invalid start byte\)$"):
         read_run(path)

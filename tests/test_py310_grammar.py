@@ -1,4 +1,5 @@
-"""Every module of the package parses under the Python 3.10 grammar.
+"""Every Python file CI runs under 3.10 parses under the Python 3.10 grammar:
+the package, the tests and the benchmark harness the smoke test runs.
 
 ``requires-python`` is ``>=3.10``. This checks syntax only: ``ast.parse``
 with ``feature_version=(3, 10)`` rejects, on a best-effort basis, grammar
@@ -11,9 +12,15 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "slidegar"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "slidegar"
+SOURCES = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def _name(path):  # a package module by its file name, any other file by its path in the repo
+    return path.name if path.parent == PACKAGE else path.relative_to(ROOT).as_posix()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=_name)
 def test_module_parses_as_python_3_10(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -1,3 +1,4 @@
+import re
 import threading
 
 import pytest
@@ -5,9 +6,7 @@ import pytest
 from mockserver import ScriptedHandler, scripted_server
 from slidegar.corpus_store import CorpusStore, Query
 from slidegar.rankers import (
-    IdentityRanker,
     ListwiseRanker,
-    NoisyOracleRanker,
     OracleRanker,
     RemoteRanker,
     Window,
@@ -55,11 +54,11 @@ def test_window_holds_the_query_and_ids_only():
 
 
 def test_singleton_window():
-    assert IdentityRanker().rank(window("only")) == ids("only")
+    assert OracleRanker({}).rank(window("only")) == ids("only")
 
 
 def test_identity_keeps_order():
-    assert IdentityRanker().rank(window("c", "a", "b")) == ids("c", "a", "b")
+    assert OracleRanker({}).rank(window("c", "a", "b")) == ids("c", "a", "b")
 
 
 def test_oracle_orders_by_grade():
@@ -90,8 +89,8 @@ def test_non_permutation_from_local_ranker_raises():
 
 
 def test_in_process_rankers_report_one_attempt_and_no_degradation():
-    noisy = NoisyOracleRanker({}, STORE.docnos, swap_prob=0.5, seed=1)
-    for ranker in (IdentityRanker(), OracleRanker(grades({"b": 1})), noisy):
+    noisy = OracleRanker({}, STORE.docnos, swap_prob=0.5, seed=1)
+    for ranker in (OracleRanker({}), OracleRanker(grades({"b": 1})), noisy):
         w = window("a", "b", "c")
         ranker.rank(w)
         assert (w.attempts, w.degraded) == (1, False), ranker.name
@@ -102,7 +101,7 @@ def test_in_process_rankers_report_one_attempt_and_no_degradation():
 
 def test_noisy_zero_prob_equals_oracle():
     table = grades({"a": 2, "b": 1, "c": 3})
-    noisy = NoisyOracleRanker(table, STORE.docnos, swap_prob=0.0, seed=9)
+    noisy = OracleRanker(table, STORE.docnos, swap_prob=0.0, seed=9)
     oracle = OracleRanker(table)
     w = window("a", "b", "c")
     assert noisy.rank(w) == oracle.rank(w)
@@ -110,13 +109,13 @@ def test_noisy_zero_prob_equals_oracle():
 
 def test_noisy_reproducible_per_window():
     table = grades({f"d{i}": i % 4 for i in range(10)})
-    ranker = NoisyOracleRanker(table, STORE.docnos, swap_prob=0.5, seed=123)
+    ranker = OracleRanker(table, STORE.docnos, swap_prob=0.5, seed=123)
     w = window(*[f"d{i}" for i in range(10)])
     first = ranker.rank(w)
     # interleave an unrelated window: the repeated window must not notice
     ranker.rank(window("d1", "d2"))
     assert ranker.rank(w) == first
-    again = NoisyOracleRanker(table, STORE.docnos, swap_prob=0.5, seed=123)
+    again = OracleRanker(table, STORE.docnos, swap_prob=0.5, seed=123)
     assert again.rank(w) == first
 
 
@@ -125,22 +124,35 @@ def test_noisy_seeds_from_docnos_not_ids():
     # noise does not depend on which other documents the corpus holds
     names = [f"d{i}" for i in range(12)]
     shifted = CorpusStore(["pad", *names], ["pad text", *(f"text of {d}" for d in names)])
-    here = docnos(NoisyOracleRanker({}, STORE.docnos, swap_prob=0.5, seed=5).rank(window(*names)))
-    there = NoisyOracleRanker({}, shifted.docnos, swap_prob=0.5, seed=5).rank(Window(Q, map(shifted.doc_id, names)))
+    here = docnos(OracleRanker({}, STORE.docnos, swap_prob=0.5, seed=5).rank(window(*names)))
+    there = OracleRanker({}, shifted.docnos, swap_prob=0.5, seed=5).rank(Window(Q, map(shifted.doc_id, names)))
     assert here == [shifted.docnos[i] for i in there] != names
 
 
 def test_noisy_seed_changes_output():
     w = window(*[f"d{i}" for i in range(12)])
-    a = NoisyOracleRanker({"q1": {}}, STORE.docnos, swap_prob=0.5, seed=1).rank(w)
-    b = NoisyOracleRanker({"q1": {}}, STORE.docnos, swap_prob=0.5, seed=2).rank(w)
+    a = OracleRanker({"q1": {}}, STORE.docnos, swap_prob=0.5, seed=1).rank(w)
+    b = OracleRanker({"q1": {}}, STORE.docnos, swap_prob=0.5, seed=2).rank(w)
     assert a != b  # twelve docs at p=0.5: collision is astronomically unlikely
 
 
 def test_noisy_output_is_permutation():
-    ranker = NoisyOracleRanker(grades({f"d{i}": (7 * i) % 5 for i in range(20)}), STORE.docnos, swap_prob=0.9, seed=4)
+    ranker = OracleRanker(grades({f"d{i}": (7 * i) % 5 for i in range(20)}), STORE.docnos, swap_prob=0.9, seed=4)
     w = window(*[f"d{i}" for i in range(20)])
     assert sorted(ranker.rank(w)) == sorted(w.ids)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"docnos": STORE.docnos, "swap_prob": -0.1}, "swap_prob must be in [0, 1]"),
+    ({"docnos": STORE.docnos, "swap_prob": 1.5}, "swap_prob must be in [0, 1]"),
+    ({"docnos": STORE.docnos, "swap_prob": float("nan")}, "swap_prob must be in [0, 1]"),
+    ({"swap_prob": 0.5}, "swap_prob > 0 requires the store's docnos"),
+])
+def test_oracle_rejects_noise_settings_when_built(kwargs, message):
+    with pytest.raises(ValueError) as raised:
+        OracleRanker({}, **kwargs)
+    assert str(raised.value) == message
+    OracleRanker({}, [], swap_prob=0.5)  # the docnos of an empty corpus, which has no window to rank
 
 
 # --- remote ranker and its degradation paths ---
@@ -270,10 +282,29 @@ def test_remote_ordering_of_the_wrong_type_then_success(mock_endpoint, behavior)
     ({"backoff": -1.0}, "backoff must be >= 0 and finite"),
     ({"backoff": float("nan")}, "backoff must be >= 0 and finite"),
     ({"backoff": float("inf")}, "backoff must be >= 0 and finite"),
+    # the last sleep, backoff * 2 ** (retries - 1) s, must stay within threading.TIMEOUT_MAX
+    ({"retries": 36}, f"retries 36 with backoff 0.5 s would sleep more than {threading.TIMEOUT_MAX} s"),
+    ({"retries": 1, "backoff": 1e300}, f"retries 1 with backoff 1e+300 s would sleep more than {threading.TIMEOUT_MAX} s"),
+    ({"retries": 1100, "backoff": 0.5}, f"retries 1100 with backoff 0.5 s would sleep more than {threading.TIMEOUT_MAX} s"),
+    ({"retries": 2000, "backoff": 1e-300},
+     f"retries 2000 with backoff 1e-300 s would sleep more than {threading.TIMEOUT_MAX} s"),
 ])
 def test_remote_rejects_out_of_range_settings(kwargs, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         RemoteRanker("http://127.0.0.1:9", STORE, **kwargs)
+
+
+def test_remote_longest_accepted_backoff_is_within_the_sleep_limit():
+    RemoteRanker("http://127.0.0.1:9", STORE, retries=35)  # sleeps 0.5 * 2 ** 34 s before its last attempt
+    RemoteRanker("http://127.0.0.1:9", STORE, retries=1, backoff=float(threading.TIMEOUT_MAX))
+
+
+def test_remote_zero_backoff_degrades_after_any_number_of_retries():
+    # 2 ** 1025 overflows a float, so the sleeps are computed without it
+    ranker = RemoteRanker("http://127.0.0.1:9", STORE, timeout=1, retries=1030, backoff=0.0)
+    w = window("a", "b")
+    assert ranker.rank(w) == ids("a", "b")
+    assert (w.attempts, w.degraded) == (1031, True)
 
 
 def test_remote_largest_timeout_degrades_instead_of_overflowing():

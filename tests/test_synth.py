@@ -27,6 +27,8 @@ def file_hashes(out_dir):
 
 
 def test_spec_validation():
+    with pytest.raises(ValueError, match="^n_clusters must be >= 1, got 0$"):
+        SynthSpec(n_clusters=0)
     with pytest.raises(ValueError, match="retrieval_gap"):
         SynthSpec(retrieval_gap=1.0)
     with pytest.raises(ValueError, match="n_queries"):
