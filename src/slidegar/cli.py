@@ -13,6 +13,7 @@ environment variable and sent as the ``Authorization`` header.
 from __future__ import annotations
 
 import argparse
+import codecs
 import copy
 import gc
 import json
@@ -72,8 +73,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        user = json.load(f)
+    """The run config at ``path``, read like a data file: one leading
+    byte-order mark dropped, invalid UTF-8 naming its line."""
+    text = corpus_store.decode_utf8(path, Path(path).read_bytes().removeprefix(codecs.BOM_UTF8))
+    try:
+        user = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON config ({exc})") from None
     if not isinstance(user, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     unknown = set(user) - set(CONFIG_DEFAULTS)
@@ -159,26 +165,26 @@ class _Pipeline:
         self.setup = dict.fromkeys(keys)
         t0 = time.perf_counter()
         self.store, _ = corpus_store.ingest_corpus(cfg["corpus"], dedup=cfg["dedup"])
-        self._lap("ingest_s", t0)
+        _lap(self.setup, "ingest_s", t0)
         self.queries = corpus_store.load_queries(cfg["queries"])
         self.grades: dict[str, dict[int, int]] = {}
         if cfg["qrels"]:
             t0 = time.perf_counter()
             self.grades = self._load_grades(cfg["qrels"])
-            self._lap("qrels_s", t0)
+            _lap(self.setup, "qrels_s", t0)
         self.index = None
         if cfg["retriever"] == "bm25" or cfg["strategy"] == "slidegar_rm3":
             t0 = time.perf_counter()
             if cfg["index_dir"]:
                 self.index = lexical_index.load_index(cfg["index_dir"], self.store)
             else:
-                self.index = lexical_index.build_index(self.store)
+                self.index = lexical_index.build_index(self.store.texts)
             self.index.term_ids  # built here, like forward below, not by the first query or racing threads
-            self._lap("index_load_s", t0)
+            _lap(self.setup, "index_load_s", t0)
             if cfg["strategy"] == "slidegar_rm3":
                 t0 = time.perf_counter()
                 self.index.forward  # built here, in set-up, not by the first query or racing threads
-                self._lap("forward_index_s", t0)
+                _lap(self.setup, "forward_index_s", t0)
         self.embeddings = None
         self.query_vectors: dict = {}
         if cfg["retriever"] == "dense":
@@ -187,20 +193,17 @@ class _Pipeline:
                 cfg["embeddings"], self.store, normalize=cfg["normalize_embeddings"]
             )
             self.query_vectors = dense_index.load_query_embeddings(cfg["query_embeddings"], self.queries)
-            self._lap("embeddings_load_s", t0)
+            _lap(self.setup, "embeddings_load_s", t0)
         self.graph = None
         if cfg["graph"]:
             t0 = time.perf_counter()
             self.graph = corpus_graph.load_graph(cfg["graph"], self.store)
-            self._lap("graph_load_s", t0)
+            _lap(self.setup, "graph_load_s", t0)
             if cfg["strategy"] == "slidegar" and cfg["truncate_k"] > self.graph.shape[1]:
                 raise ValueError(
                     f"truncate_k {cfg['truncate_k']} exceeds the depth k={self.graph.shape[1]} of graph {cfg['graph']}"
                 )
         self.ranker = self._make_ranker(cfg)
-
-    def _lap(self, key: str, t0: float) -> None:
-        self.setup[key] = round(time.perf_counter() - t0, 6)
 
     def _load_grades(self, path: str) -> dict[str, dict[int, int]]:
         """Grades keyed by store doc ids; the file's own table and the
@@ -288,31 +291,59 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_build_index(args: argparse.Namespace) -> int:
-    store, report = corpus_store.ingest_corpus(args.corpus, dedup=args.dedup)
-    index = lexical_index.build_index(store)
-    lexical_index.save_index(index, args.out, store, dedup=args.dedup)
+    build: dict = {}
+    t0 = time.perf_counter()
+    # the corpus streams through the tokenizer: only the docnos are kept
+    documents = corpus_store.Documents(args.corpus, dedup=args.dedup)
+    index = lexical_index.build_index(documents)
+    t0 = _lap(build, "index_build_s", t0)
+    lexical_index.save_index(index, args.out, documents.docnos, dedup=args.dedup)
     report_path = Path(args.out) / "dedup_report.jsonl"
     if args.dedup:
-        corpus_store.write_dedup_report(report_path, report)
+        corpus_store.write_dedup_report(report_path, documents.report())
     else:  # an earlier --dedup build's report would describe another corpus
         report_path.unlink(missing_ok=True)
-    print(f"wrote {args.out}: {index.doc_count} docs, {len(index.terms)} terms, {len(report)} dropped")
+    _lap(build, "index_save_s", t0)
+    print(f"wrote {args.out}: {index.doc_count} docs, {len(index.terms)} terms, {len(documents.dropped)} dropped")
+    _print_build_record(build)
     return 0
 
 
 def cmd_build_graph(args: argparse.Namespace) -> int:
+    build = dict.fromkeys(("ingest_s", "index_build_s", "embeddings_load_s", "graph_build_s", "graph_save_s"))
+    t0 = time.perf_counter()
     store, _ = corpus_store.ingest_corpus(args.corpus, dedup=args.dedup)
+    t0 = _lap(build, "ingest_s", t0)
     if args.source == "lexical":
-        index = lexical_index.build_index(store)
+        index = lexical_index.build_index(store.texts)
+        t0 = _lap(build, "index_build_s", t0)
         graph = corpus_graph.build_graph_lexical(index, store, args.k)
     else:
         if not args.embeddings:
             raise ValueError("--source dense requires --embeddings")
         embeddings = dense_index.load_embeddings(args.embeddings, store, normalize=args.normalize)
+        t0 = _lap(build, "embeddings_load_s", t0)
         graph = corpus_graph.build_graph_dense(embeddings, args.k)
+    t0 = _lap(build, "graph_build_s", t0)
     corpus_graph.save_graph(args.out, graph, args.source, store)
+    _lap(build, "graph_save_s", t0)
     print(f"wrote {args.out}: {len(graph)} nodes, k={graph.shape[1]}, source={args.source}")
+    _print_build_record(build)
     return 0
+
+
+def _lap(record: dict, key: str, t0: float) -> float:
+    """Record the seconds since ``t0`` under ``key``; return the time now,
+    where the next step starts."""
+    now = time.perf_counter()
+    record[key] = round(now - t0, 6)
+    return now
+
+
+def _print_build_record(build: dict) -> None:
+    """A build's last line of output: the wall time in seconds of each of its
+    steps (null for a step its options skip) and its own peak RSS."""
+    print(json.dumps({"type": "build", **build, "vm_hwm_mb": _vm_hwm_mb()}, sort_keys=True))
 
 
 def cmd_run(args: argparse.Namespace) -> int:

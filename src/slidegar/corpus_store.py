@@ -1,8 +1,11 @@
 """Document / query / qrel ingestion and the docno <-> doc-id mapping, plus
 what every artifact loader shares: ``docnos.txt`` and size-checked u32 arrays.
 
-The corpus is held as two parallel columns, ``docnos`` and ``texts``,
-indexed by doc id, read from the file in one pass.
+The corpus file is read in one pass, in blocks of whole lines of about
+``BLOCK_BYTES``, so a reader never holds the whole file: ``Documents``
+yields each document's text in doc-id order, and a step that only
+tokenizes, such as an index build, keeps no text. The store holds the
+corpus as two parallel columns, ``docnos`` and ``texts``, indexed by doc id.
 
 File formats:
 
@@ -25,12 +28,13 @@ whitespace: they become columns of whitespace-separated run lines.
 from __future__ import annotations
 
 import codecs
+import itertools
 import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +46,8 @@ class Query:
 
 
 _WS_RUN = re.compile(r"\s+")
+
+BLOCK_BYTES = 1 << 19  # a corpus is read in blocks of whole lines of at least this many bytes
 
 
 def normalize_text(text: str) -> str:
@@ -122,98 +128,178 @@ def decode_utf8(path: str | Path, data: bytes) -> str:
         raise ValueError(_invalid_utf8(path, lineno, data.split(b"\n")[lineno - 1])) from None
 
 
-def _read_corpus(path: str | Path) -> CorpusStore:
-    """One read of a corpus file into a store.
+def _parsed_blocks(path: str | Path) -> Iterator[tuple[Sequence[int], list[str], list[str]]]:
+    """``(line numbers, docnos, texts)`` of the records of each block of a
+    corpus file: ``BLOCK_BYTES`` read, then the rest of the line they end in.
+    One leading byte-order mark is dropped.
 
-    The checks run over whole columns and a line is searched for only once
-    one fails. The error raised is, in this order: the first line that
-    fails on its own (invalid UTF-8 or JSON, a missing tab, an empty docno
-    or text), then the first docno holding whitespace, then the first
-    repeated docno. So ``a b<TAB>x`` followed by ``no tab`` names line 2.
+    The checks of a line on its own run over whole columns and a line is
+    searched for only once one fails. The error raised is the first line
+    that fails: invalid UTF-8 or JSON, a missing tab, an empty docno or text.
     """
-    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)  # as the utf-8-sig codec drops it
-    error = ""  # the error of the line the columns stop before
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        start = data.rfind(b"\n", 0, exc.start) + 1
-        error = _invalid_utf8(path, data.count(b"\n", 0, exc.start) + 1, data[start:].split(b"\n", 1)[0])
-        text = data[:start].decode("utf-8")  # the lines before it are valid
-    del data  # the lines hold the text from here on
-    lines = text.split("\n")  # not splitlines(): \x85, \u2028 and \x1c stay inside a line
-    if "\r" in text:
-        lines = [line.rstrip("\r") for line in lines]
-    del text
-    records = list(filter(None, lines))
-
-    def lineno(j: int) -> int:
-        return [n for n, line in enumerate(lines, start=1) if line][j]
-
-    if records and records[0][0] == "{":
-        docnos, texts = [], []
-        for j, line in enumerate(records):
+    size = BLOCK_BYTES
+    json_lines = None  # set by the first record of the file
+    with open(path, "rb") as f:
+        if f.read(3) != codecs.BOM_UTF8:  # dropped as the utf-8-sig codec drops it
+            f.seek(0)
+        first = 1  # the number of the block's first line
+        while data := f.read(size):
+            if not data.endswith(b"\n"):
+                data += f.readline()
+            error = ""  # the error of the line the columns stop before
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                error = f"{path}:{lineno(j)}: invalid JSON ({exc.msg})"
-                break
-            if not isinstance(obj, dict) or "docno" not in obj or "text" not in obj:
-                error = f"{path}:{lineno(j)}: record must carry 'docno' and 'text'"
-                break
-            docnos.append(str(obj["docno"]).strip())
-            texts.append(str(obj["text"]).strip())
-    else:
-        tabs = [line.find("\t") for line in records]
-        if -1 in tabs:
-            del tabs[tabs.index(-1) :]
-            error = f"{path}:{lineno(len(tabs))}: expected 'docno<TAB>text'"
-        docnos = [line[:i].strip() for line, i in zip(records, tabs)]
-        texts = [line[i + 1 :].strip() for line, i in zip(records, tabs)]
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                start = data.rfind(b"\n", 0, exc.start) + 1
+                lineno = first + data.count(b"\n", 0, exc.start)
+                error = _invalid_utf8(path, lineno, data[start:].split(b"\n", 1)[0])
+                text = data[:start].decode("utf-8")  # the lines before it are valid
+            del data  # the lines hold the text from here on
+            lines = text.split("\n")  # not splitlines(): \x85, \u2028 and \x1c stay inside a line
+            if "\r" in text:
+                lines = [line.rstrip("\r") for line in lines]
+            del text
+            records = list(filter(None, lines))
+            if len(records) == len(lines) - 1 and not lines[-1]:  # no blank line but the end
+                numbers: Sequence[int] = range(first, first + len(records))
+            else:
+                numbers = [n for n, line in enumerate(lines, start=first) if line]
+            first += len(lines) - 1
+            del lines
 
-    if not (all(docnos) and all(texts)):
-        j, docno = next((j, d) for j, (d, t) in enumerate(zip(docnos, texts)) if not (d and t))
-        raise ValueError(f"{path}:{lineno(j)}: " + (f"empty text for docno {docno!r}" if docno else "empty docno"))
-    if error:
-        raise ValueError(error)
-    # one scan over all docnos: clean ones join into a single word
-    if len("".join(docnos).split()) > 1:
-        j, docno = next((j, d) for j, d in enumerate(docnos) if len(d.split()) > 1)
-        raise ValueError(f"{path}:{lineno(j)}: docno {docno!r} contains whitespace")
-    try:
-        return CorpusStore(docnos, texts)
-    except ValueError:  # a repeated docno: name the line that repeats it first
+            if json_lines is None and records:
+                json_lines = records[0][0] == "{"
+            if json_lines:
+                docnos, texts = [], []
+                for j, line in enumerate(records):
+                    try:
+                        obj = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        error = f"{path}:{numbers[j]}: invalid JSON ({exc.msg})"
+                        break
+                    if not isinstance(obj, dict) or "docno" not in obj or "text" not in obj:
+                        error = f"{path}:{numbers[j]}: record must carry 'docno' and 'text'"
+                        break
+                    docnos.append(str(obj["docno"]).strip())
+                    texts.append(str(obj["text"]).strip())
+            else:
+                tabs = [line.find("\t") for line in records]
+                if -1 in tabs:
+                    del tabs[tabs.index(-1) :]
+                    error = f"{path}:{numbers[len(tabs)]}: expected 'docno<TAB>text'"
+                docnos = [line[:i].strip() for line, i in zip(records, tabs)]
+                texts = [line[i + 1 :].strip() for line, i in zip(records, tabs)]
+            del records
+
+            if not (all(docnos) and all(texts)):
+                j, docno = next((j, d) for j, (d, t) in enumerate(zip(docnos, texts)) if not (d and t))
+                problem = f"empty text for docno {docno!r}" if docno else "empty docno"
+                raise ValueError(f"{path}:{numbers[j]}: {problem}")
+            if error:
+                raise ValueError(error)
+            yield numbers, docnos, texts
+
+
+def _read_corpus(path: str | Path) -> Iterator[tuple[list[str], list[str]]]:
+    """The records of a corpus file in file order, as the ``(docnos, texts)``
+    columns of one block at a time, so no more of the file is held than a
+    block: a consumer that lets each block go holds no text.
+
+    The error raised is, in this order: the first line that fails on its
+    own, then the first docno holding whitespace, then the first repeated
+    docno, so ``a b<TAB>x`` followed by ``no tab`` names line 2. The last two
+    are raised once the last block is read.
+    """
+    spaced = ""  # the error of the first docno holding whitespace
+    # Equal docnos hash alike, so distinct hashes rule a repeat out. Sorting
+    # 8 bytes per docno costs less than a set of them, which the store
+    # built from the docnos then builds again.
+    hashes = [np.zeros(0, dtype=np.int64)]  # one array per block, after one for an empty file
+    for numbers, docnos, texts in _parsed_blocks(path):
+        # one scan over the block's docnos: clean ones join into a single word
+        if not spaced and len("".join(docnos).split()) > 1:
+            j, docno = next((j, d) for j, d in enumerate(docnos) if len(d.split()) > 1)
+            spaced = f"{path}:{numbers[j]}: docno {docno!r} contains whitespace"
+        hashes.append(np.fromiter(map(hash, docnos), dtype=np.int64, count=len(docnos)))
+        yield docnos, texts
+    if spaced:
+        raise ValueError(spaced)
+    keys = np.sort(np.concatenate(hashes))
+    if (keys[1:] == keys[:-1]).any():  # a repeated docno, or hashes that collide: read again to tell
         first: dict[str, int] = {}
-        j = next(j for j, docno in enumerate(docnos) if first.setdefault(docno, j) != j)
-        raise ValueError(
-            f"{path}:{lineno(j)}: duplicate docno {docnos[j]!r} (first at line {lineno(first[docnos[j]])})"
-        ) from None
+        for numbers, docnos, _ in _parsed_blocks(path):
+            for line, docno in zip(numbers, docnos):
+                if first.setdefault(docno, line) != line:
+                    raise ValueError(f"{path}:{line}: duplicate docno {docno!r} (first at line {first[docno]})")
+
+
+class Documents:
+    """The documents of a corpus file in doc-id order, read in one pass.
+
+    Iterating yields each document's text as the document gets its doc id,
+    and appends its docno to ``docnos``; ``texts``, when given, keeps the
+    texts. With ``dedup`` on, documents whose normalized texts are identical
+    are merged: doc ids follow the order in which each distinct text first
+    appears, the lexicographically smallest docno of the group survives (a
+    deterministic, order-independent tie-break) with its own text, and every
+    other docno is dropped. Twins differ only in whitespace, which the
+    tokenizer splits on, so the text yielded, the group's first, tokenizes
+    as the survivor's does. Iterate it once.
+    """
+
+    def __init__(self, path: str | Path, dedup: bool = False, texts: list[str] | None = None) -> None:
+        self.path = path
+        self.dedup = dedup
+        self.texts = texts
+        self.docnos: list[str] = []
+        self.dropped: dict[str, int] = {}  # dropped docno -> doc id of its survivor
+
+    def __iter__(self) -> Iterator[str]:
+        return itertools.chain.from_iterable(self.blocks())
+
+    def blocks(self) -> Iterator[list[str]]:
+        """The texts of the documents each block of the file adds."""
+        docnos, texts = self.docnos, self.texts
+        ids: dict[str, int] = {}  # normalized text -> doc id, under dedup
+        for block_docnos, block_texts in _read_corpus(self.path):
+            if not self.dedup:
+                docnos += block_docnos
+                if texts is not None:
+                    texts += block_texts
+                yield block_texts
+                continue
+            added = []
+            for docno, text in zip(block_docnos, block_texts):
+                doc_id = ids.setdefault(normalize_text(text), len(docnos))
+                if doc_id == len(docnos):
+                    docnos.append(docno)
+                    added.append(text)
+                    if texts is not None:
+                        texts.append(text)
+                    continue
+                if docno < docnos[doc_id]:  # it survives in place of the earlier survivor
+                    docno, docnos[doc_id] = docnos[doc_id], docno
+                    if texts is not None:
+                        texts[doc_id] = text
+                self.dropped[docno] = doc_id
+            yield added
+
+    def alias(self) -> dict[str, str]:
+        """Dropped docno -> surviving docno."""
+        return {docno: self.docnos[doc_id] for docno, doc_id in self.dropped.items()}
+
+    def report(self) -> list[dict]:
+        """One ``{"dropped": ..., "kept": ...}`` entry per dropped docno, sorted."""
+        return [{"dropped": dropped, "kept": kept} for dropped, kept in sorted(self.alias().items())]
 
 
 def ingest_corpus(path: str | Path, dedup: bool = False) -> tuple[CorpusStore, list[dict]]:
-    """Build a CorpusStore from a corpus file.
-
-    With ``dedup`` on, documents whose normalized texts are identical are
-    merged: the lexicographically smallest docno survives (a deterministic,
-    order-independent tie-break) and every dropped twin is reported as a
-    ``{"dropped": ..., "kept": ...}`` entry. Doc ids follow the order in
-    which each distinct text first appears in the stream.
-    """
-    store = _read_corpus(path)
-    if not dedup:
-        return store, []
-
-    groups: dict[str, list[tuple[str, str]]] = {}  # in order of first appearance
-    for docno, text in zip(store.docnos, store.texts):
-        groups.setdefault(normalize_text(text), []).append((docno, text))
-    docnos, texts = [], []
-    alias: dict[str, str] = {}
-    for members in groups.values():
-        kept_docno, kept_text = min(members)
-        docnos.append(kept_docno)
-        texts.append(kept_text)
-        alias.update((docno, kept_docno) for docno, _ in members if docno != kept_docno)
-    report = [{"dropped": dropped, "kept": kept} for dropped, kept in sorted(alias.items())]
-    return CorpusStore(docnos, texts, alias), report
+    """A CorpusStore of a corpus file's ``Documents`` and their dedup report."""
+    texts: list[str] = []
+    documents = Documents(path, dedup, texts)
+    for _ in documents.blocks():
+        pass
+    return CorpusStore(documents.docnos, texts, documents.alias()), documents.report()
 
 
 def write_dedup_report(path: str | Path, report: list[dict]) -> None:

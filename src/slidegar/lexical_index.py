@@ -46,7 +46,7 @@ from array import array
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -136,14 +136,16 @@ class InvertedIndex:
         return doc_offsets, term_ids, tfs
 
 
-def build_index(store: CorpusStore) -> InvertedIndex:
+def build_index(texts: Iterable[str]) -> InvertedIndex:
+    """The index of ``texts``, doc id i for the i-th; each text is read once,
+    so an iterator that lets each text go holds none of them."""
     # one (first-seen term id, tf) entry per distinct term of each doc, in doc order
     first_seen: dict[str, int] = {}
     entry_terms = array("i")
     entry_tfs = array("I")
     doc_lengths = array("I")
     distinct: list[int] = []
-    for text in store.texts:
+    for text in texts:
         tokens = tokenize(text)
         doc_lengths.append(len(tokens))
         counts = Counter(tokens)
@@ -312,11 +314,12 @@ def rm3_expand(
 INDEX_FORMAT_VERSION = 4
 
 
-def save_index(index: InvertedIndex, out_dir: str | Path, store: CorpusStore, dedup: bool = False) -> None:
+def save_index(index: InvertedIndex, out_dir: str | Path, docnos: list[str], dedup: bool = False) -> None:
+    """Write ``index`` to ``out_dir`` beside ``docnos``, the docno of each doc id."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "postings.bin").unlink(missing_ok=True)  # a version-3 index's postings, rebuilt in place
-    write_docnos(out / "docnos.txt", store.docnos)
+    write_docnos(out / "docnos.txt", docnos)
     index.doc_lengths.astype("<u4", copy=False).tofile(out / "doclens.bin")
     (out / "terms.txt").write_text("".join(term + "\n" for term in index.terms), encoding="utf-8")
     np.diff(index.offsets).astype("<u4").tofile(out / "dfs.bin")

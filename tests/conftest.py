@@ -1,6 +1,9 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from slidegar import corpus_store
 from slidegar.corpus_graph import SENTINEL, build_graph_dense
 from slidegar.corpus_store import CorpusStore, ingest_corpus, load_qrels, load_queries, map_qrels
 from slidegar.dense_index import load_embeddings
@@ -10,6 +13,16 @@ from slidegar.synth import SynthSpec, generate
 
 def make_store(docs: dict[str, str]) -> CorpusStore:
     return CorpusStore(list(docs), list(docs.values()))
+
+
+@contextmanager
+def block_bytes(size: int):
+    """Corpus files read in blocks of ``size`` bytes within the block."""
+    saved, corpus_store.BLOCK_BYTES = corpus_store.BLOCK_BYTES, size
+    try:
+        yield
+    finally:
+        corpus_store.BLOCK_BYTES = saved
 
 
 def graph_from_dict(adjacency: dict[str, list[str]], names: list[str], k: int) -> np.ndarray:
@@ -30,7 +43,7 @@ class SynthBundle:
         self.spec = SynthSpec(seed=7)
         self.manifest = generate(self.spec, out_dir)
         self.store, _ = ingest_corpus(out_dir / "corpus.tsv")
-        self.index = build_index(self.store)
+        self.index = build_index(self.store.texts)
         self.embeddings = load_embeddings(out_dir / "embeddings.bin", self.store)
         self.graph = build_graph_dense(self.embeddings, 16)
         self.queries = load_queries(out_dir / "queries.tsv")

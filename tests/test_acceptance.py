@@ -276,7 +276,7 @@ def test_graph_build_correctness():
         vocab = [f"w{i}" for i in range(30)]
         texts = [" ".join(rng.choices(vocab, k=rng.randint(4, 12))) for _ in range(64)]
         store = make_store({f"d{i:02d}": t for i, t in enumerate(texts)})
-        index = build_index(store)
+        index = build_index(store.texts)
         np_rng = np.random.default_rng(64)
         matrix = np_rng.normal(size=(64, 7)).astype(np.float32)
         for k in (2, 4, 8):

@@ -299,7 +299,7 @@ def test_rm3_orig_weight_one_consumes_bm25_order():
     # the ranked docs
     docs = {f"d{i}": ("t " * (9 - i) + f"u{i}").strip() for i in range(8)}
     store = make_store(docs)
-    index = build_index(store)
+    index = build_index(store.texts)
     query = Query("q1", "t")
     r0 = bm25_retrieve(index, query, 6)
     assert docnos_of(store, r0) == [f"d{i}" for i in range(6)]
@@ -316,7 +316,7 @@ def test_rm3_orig_weight_one_consumes_bm25_order():
 def test_rm3_falls_back_to_initial_pool_when_corpus_exhausted():
     docs = {f"d{i}": f"shared term{i}" for i in range(6)}
     store = make_store(docs)
-    index = build_index(store)
+    index = build_index(store.texts)
     names = list(docs)
     cfg = RerankConfig(w=2, b=1, c=5)
     ranking = slidegar_rm3(Query("q1", "shared"), ids_of(store, names), OracleRanker({}), index, cfg).ranking
@@ -335,7 +335,7 @@ def test_rm3_recall_gain_on_clustered_fixture():
         "x2": "qb f5 f6",
     }
     store = make_store(docs)
-    index = build_index(store)
+    index = build_index(store.texts)
     query = Query("q1", "qa qb")
     grades = {"q1": {"v1": 2, "v2": 2, "h1": 2, "h2": 2}}
     r0 = bm25_retrieve(index, query, 6)
@@ -358,7 +358,7 @@ def test_rm3_invalid_parameter_raises_before_the_first_ranker_call(param):
     recorder = RecordingRanker(OracleRanker({}), store)
     cfg = RerankConfig(w=2, b=1, c=5)
     with pytest.raises(ValueError, match=f"rm3 {next(iter(param))} must be"):
-        slidegar_rm3(Q, ids_of(store, list(docs)), recorder, build_index(store), cfg, **param)
+        slidegar_rm3(Q, ids_of(store, list(docs)), recorder, build_index(store.texts), cfg, **param)
     assert recorder.seen == []
 
 
@@ -369,7 +369,7 @@ def test_rm3_without_usable_terms_consumes_r0_alone():
     store = make_store(docs)
     cfg = RerankConfig(w=2, b=1, c=4)
     r0 = ids_of(store, list(docs))
-    result = slidegar_rm3(Query("q1", "the"), r0, OracleRanker({}), build_index(store), cfg)
+    result = slidegar_rm3(Query("q1", "the"), r0, OracleRanker({}), build_index(store.texts), cfg)
     assert docnos_of(store, result.ranking) == ["d0", "d3", "d2", "d1"]
     assert result.calls == expected_llm_calls(cfg)
 
@@ -389,7 +389,7 @@ def simulate_rm3(store, docs, query, r0, ranker, cfg, fb_docs=10):
     def rank_fn(docnos):
         return sim_rank(ranker, query, store, docnos)
 
-    feedback_fn = rm3_reference(store, build_index(store), query, cfg.b, fb_docs)
+    feedback_fn = rm3_reference(store, build_index(store.texts), query, cfg.b, fb_docs)
     return simulate_window_loop(r0, rank_fn, feedback_fn, cfg.w, cfg.b, cfg.c)
 
 
@@ -400,7 +400,7 @@ def test_rm3_one_retrieval_serves_the_deepest_blocked_set():
     # hits; the last reaches past every blocked doc the loop can hold.
     docs = {f"d{i:02d}": " ".join(["ant"] * (1 + i * 7 % 5)) for i in range(40)}
     store = make_store(docs)
-    index = build_index(store)
+    index = build_index(store.texts)
     query = Query("q1", "ant")
     cfg = RerankConfig(w=4, b=2, c=14)
     r0 = bm25_retrieve(index, query, cfg.w)
@@ -433,7 +433,7 @@ class HeadKeeper(ListwiseRanker):
 def test_rm3_heads_equal_on_their_first_fb_docs_share_one_expansion():
     docs = {f"d{i}": f"ant bee w{i % 3} w{i % 4}" for i in range(16)}
     store = make_store(docs)
-    index = build_index(store)
+    index = build_index(store.texts)
     query = Query("q1", "ant")
     cfg = RerankConfig(w=6, b=3, c=15)
     r0 = ids_of(store, ["d0", "d1", "d2", "d3", "d4", "d5"])
@@ -475,7 +475,7 @@ def rm3_instances(draw):
 def test_baseline_and_rm3_window_loop_invariants(instance, swap_prob, seed):
     docs, r0, cfg, text, grades = instance
     store = make_store(docs)
-    index = build_index(store)
+    index = build_index(store.texts)
     query = Query("q1", text)
     hits: set[str] = set()
 
@@ -565,7 +565,7 @@ def loop_instances(draw):
 def test_window_loop_fills_every_window_until_sources_run_dry(instance, swap_prob, seed):
     docs, adjacency, r0, cfg, text, grades = instance
     store = make_store(docs)
-    index = build_index(store)
+    index = build_index(store.texts)
     graph = graph_from_dict(adjacency, list(docs), 4)
     query = Query("q1", text)
 

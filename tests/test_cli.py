@@ -12,13 +12,14 @@ from pathlib import Path
 import pytest
 
 import slidegar
+from conftest import block_bytes
 from mockserver import ScriptedHandler, scripted_server
-from slidegar import cli
+from slidegar import cli, corpus_store
 from slidegar.cli import main
 from slidegar.corpus_store import Query, ingest_corpus, load_queries
 from slidegar.dense_index import write_embeddings
 from slidegar.eval import read_run
-from slidegar.lexical_index import bm25_retrieve, build_index
+from slidegar.lexical_index import bm25_retrieve, build_index, save_index
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +76,7 @@ def test_baseline_identity_run_equals_bm25_order(workspace, tmp_path):
     run, tag = read_run(run_out)
     assert tag == "baseline"
     store, _ = ingest_corpus(workspace / "data" / "corpus.tsv")
-    index = build_index(store)
+    index = build_index(store.texts)
     manifest = json.loads((workspace / "data" / "spec.json").read_text())
     for info in manifest["queries"]:
         expected = bm25_retrieve(index, Query(info["qid"], " ".join(info["query_terms"])), 12)
@@ -290,7 +291,7 @@ def test_escaped_docs_count_run_docnos_outside_bm25_top_c(workspace, tmp_path):
     run, _ = read_run(run_out)
     records = {r["qid"]: r for r in map(json.loads, tel.read_text().splitlines()) if r["type"] == "query"}
     store, _ = ingest_corpus(workspace / "data" / "corpus.tsv")
-    index = build_index(store)
+    index = build_index(store.texts)
     queries = load_queries(workspace / "data" / "queries.tsv")
     assert sorted(records) == sorted(run) == sorted(q.qid for q in queries)
     for query in queries:
@@ -477,7 +478,8 @@ def test_invalid_rm3_value_fails_config(workspace, tmp_path, capsys, key, value)
 @pytest.mark.parametrize("text, message", [
     ("[1, 2]", "config must be a JSON object"),
     ('{"rm3": {"fb_docs": 5, "mu": 1}}', "unknown rm3 keys: mu"),
-], ids=["not_an_object", "unknown_rm3_key"])
+    ("{bad", "invalid JSON config (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"),
+], ids=["not_an_object", "unknown_rm3_key", "not_json"])
 def test_malformed_config_fails_naming_its_file(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text, encoding="utf-8")
@@ -486,6 +488,21 @@ def test_malformed_config_fails_naming_its_file(tmp_path, capsys, text, message)
     assert str(raised.value) == f"{cfg_path}: {message}"
     assert main(["run", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
+
+
+def test_config_is_read_like_a_data_file(workspace, tmp_path, capsys):
+    # one leading byte-order mark is dropped, as the data readers drop it
+    run_out = tmp_path / "run.trec"
+    cfg_path = Path(write_config(tmp_path / "cfg.json", base_config(workspace, run_out=str(run_out))))
+    plain = cli.load_config(str(cfg_path))
+    cfg_path.write_bytes(b"\xef\xbb\xbf" + cfg_path.read_bytes())
+    assert cli.load_config(str(cfg_path)) == plain
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert run_out.exists()
+    # invalid UTF-8 names the file and the line
+    cfg_path.write_bytes(b'{"corpus":\n "c\xff"}\n')
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg_path}:2: invalid UTF-8 (invalid start byte)\n"
 
 
 def test_dense_graph_requires_embeddings(workspace, tmp_path, capsys):
@@ -537,6 +554,68 @@ def test_build_index_without_dedup_removes_an_earlier_report(tmp_path, capsys):
     assert not (out / "dedup_report.jsonl").exists()
 
 
+CORPORA = {
+    "tsv": b"d2\tThe cat sat\nd1\tdog  days\n\nd3\tcat dog bird\n",
+    "jsonl": b'{"docno": "d2", "text": "The cat sat"}\n{"docno": "d1", "text": "dog days"}\n',
+    "crlf": b"d2\tThe cat sat\r\n\r\nd1\tdog days\r\nd3\tcat\xc3\xa9 dog\r\n",
+    # twins in whitespace only; a later twin with a smaller docno survives
+    "twins": "z9\t cat\u2028 dog\nb2\tbird\na1\tcat dog \nm5\tcat\t dog\nb1\tbird\nc3\tCat dog\n".encode(),
+}
+
+
+@pytest.mark.parametrize("name, dedup", [
+    ("tsv", False), ("jsonl", False), ("crlf", False), ("twins", True), ("twins", False),
+])
+def test_build_index_writes_what_save_index_writes_of_the_ingested_texts(tmp_path, capsys, name, dedup):
+    corpus = tmp_path / "corpus"
+    corpus.write_bytes(CORPORA[name])
+    flags = ["--dedup"] if dedup else []
+    for size in (corpus_store.BLOCK_BYTES, 3):
+        with block_bytes(size):
+            assert main(["build-index", "--corpus", str(corpus), "--out", str(tmp_path / f"cli{size}"), *flags]) == 0
+    store, report = ingest_corpus(corpus, dedup=dedup)
+    save_index(build_index(store.texts), tmp_path / "api", store.docnos, dedup=dedup)
+    if dedup:
+        corpus_store.write_dedup_report(tmp_path / "api" / "dedup_report.jsonl", report)
+        assert report
+    api = sorted(path.name for path in (tmp_path / "api").iterdir())
+    for size in (corpus_store.BLOCK_BYTES, 3):
+        built = tmp_path / f"cli{size}"
+        assert sorted(path.name for path in built.iterdir()) == api
+        for file in api:
+            assert (built / file).read_bytes() == (tmp_path / "api" / file).read_bytes(), (size, file)
+
+
+def test_builds_end_their_output_with_a_build_record(workspace, tmp_path, capsys):
+    corpus = str(workspace / "data" / "corpus.tsv")
+    commands = {
+        "index": (["build-index", "--corpus", corpus, "--out", str(tmp_path / "index")],
+                  {"index_build_s", "index_save_s"}),
+        "lexical": (["build-graph", "--corpus", corpus, "--source", "lexical", "--k", "2",
+                     "--out", str(tmp_path / "lexical" / "graph.bin")],
+                    {"ingest_s", "index_build_s", "graph_build_s", "graph_save_s"}),
+        "dense": (["build-graph", "--corpus", corpus, "--source", "dense", "--embeddings",
+                   str(workspace / "data" / "embeddings.bin"), "--k", "2", "--out", str(tmp_path / "dense" / "graph.bin")],
+                  {"ingest_s", "embeddings_load_s", "graph_build_s", "graph_save_s"}),
+    }
+    steps = {"index_build_s", "index_save_s", "ingest_s", "embeddings_load_s", "graph_build_s", "graph_save_s"}
+    for name, (argv, timed) in commands.items():
+        capsys.readouterr()
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("wrote "), name
+        record = json.loads(lines[1])
+        assert record.pop("type") == "build"
+        assert record.pop("vm_hwm_mb") > 0
+        assert set(record) == (timed if name == "index" else steps - {"index_save_s"}), name
+        assert all(type(record[key]) is float and record[key] >= 0 for key in timed), name
+        assert all(record[key] is None for key in set(record) - timed), name
+    # the record goes to standard output only: the artifacts are as before
+    assert sorted(path.name for path in (tmp_path / "index").iterdir()) == sorted(
+        path.name for path in (workspace / "index").iterdir())
+    assert sorted(path.name for path in (tmp_path / "lexical").iterdir()) == ["docnos.txt", "graph.bin"]
+
+
 def test_dense_dedup_skips_vectors_of_dropped_twins(tmp_path, capsys):
     corpus = tmp_path / "c.tsv"
     corpus.write_text("a\tcat dog\nb\tcat dog\nc\tdog bird\nd\tbird fish\n", encoding="utf-8")
@@ -547,7 +626,9 @@ def test_dense_dedup_skips_vectors_of_dropped_twins(tmp_path, capsys):
         "build-graph", "--corpus", str(corpus), "--source", "dense", "--embeddings", str(tmp_path / "e.bin"),
         "--k", "1", "--out", str(graph), "--dedup",
     ]) == 0
-    assert capsys.readouterr().out == f"wrote {graph}: 3 nodes, k=1, source=dense\n"
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"wrote {graph}: 3 nodes, k=1, source=dense"
+    assert json.loads(out[1])["type"] == "build"
     write_embeddings(tmp_path / "q.bin", 2, [("q1", [0, 1])])
     (tmp_path / "q.tsv").write_text("q1\tbird\n", encoding="utf-8")
     run_out = tmp_path / "run.trec"

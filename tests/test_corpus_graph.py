@@ -95,7 +95,7 @@ def test_lexical_near_identical_docs_point_at_each_other():
         "b": "cat dog bird river",
         "c": "cat dog bird cloud",
     })
-    graph = build_graph_lexical(build_index(store), store, 2)
+    graph = build_graph_lexical(build_index(store.texts), store, 2)
     for i in range(3):
         assert set(graph[i].tolist()) == {0, 1, 2} - {i}
 
@@ -106,7 +106,7 @@ def test_lexical_isolated_doc_gets_sentinels():
         "b": "cat dog bird",
         "c": "zebra quux",
     })
-    graph = build_graph_lexical(build_index(store), store, 2)
+    graph = build_graph_lexical(build_index(store.texts), store, 2)
     assert graph[2].tolist() == [SENTINEL, SENTINEL]
 
 
@@ -115,7 +115,7 @@ def test_lexical_matches_exhaustive_oracle():
     vocab = [f"w{i}" for i in range(25)]
     texts = [" ".join(rng.choices(vocab, k=rng.randint(4, 12))) for _ in range(50)]
     store = make_store({f"d{i:02d}": t for i, t in enumerate(texts)})
-    graph = build_graph_lexical(build_index(store), store, 4)
+    graph = build_graph_lexical(build_index(store.texts), store, 4)
     assert adjacency_rows(graph) == brute_force_lexical(texts, 4)
 
 
@@ -172,7 +172,7 @@ def test_blocked_dense_never_builds_a_one_row_block():
 
 def test_builders_reject_k_not_below_corpus_size():
     store = make_store({"a": "cat", "b": "cat", "c": "cat"})
-    index = build_index(store)
+    index = build_index(store.texts)
     with pytest.raises(ValueError):
         build_graph_lexical(index, store, 3)
     with pytest.raises(ValueError):
@@ -296,7 +296,7 @@ def test_graph_header_fields(tmp_path):
     import json
 
     store = make_store({"a": "cat dog", "b": "cat dog", "c": "zebra foo"})
-    graph = build_graph_lexical(build_index(store), store, 2)
+    graph = build_graph_lexical(build_index(store.texts), store, 2)
     save_graph(tmp_path / "g.bin", graph, "lexical", store)
     with open(tmp_path / "g.bin", "rb") as f:
         header = json.loads(f.readline())
@@ -307,7 +307,7 @@ def test_graph_header_fields(tmp_path):
 
 def test_graph_load_rejects_bad_sizes(tmp_path):
     store = make_store({"a": "cat dog", "b": "cat dog"})
-    graph = build_graph_lexical(build_index(store), store, 1)
+    graph = build_graph_lexical(build_index(store.texts), store, 1)
     save_graph(tmp_path / "g.bin", graph, "lexical", store)
     data = (tmp_path / "g.bin").read_bytes()
     (tmp_path / "g.bin").write_bytes(data[:-4])
@@ -345,7 +345,7 @@ def test_graph_load_rejects_bad_sizes(tmp_path):
 )
 def test_graph_load_rejects_malformed_header(tmp_path, header, message):
     store = make_store({"a": "cat dog", "b": "cat dog"})
-    save_graph(tmp_path / "g.bin", build_graph_lexical(build_index(store), store, 1), "lexical", store)
+    save_graph(tmp_path / "g.bin", build_graph_lexical(build_index(store.texts), store, 1), "lexical", store)
     body = (tmp_path / "g.bin").read_bytes().split(b"\n", 1)[1]
     (tmp_path / "g.bin").write_bytes(header + b"\n" + body)
     with pytest.raises(ValueError, match=message):
@@ -354,7 +354,7 @@ def test_graph_load_rejects_malformed_header(tmp_path, header, message):
 
 def test_graph_save_rejects_an_unknown_source(tmp_path):
     store = make_store({"a": "cat dog", "b": "cat dog"})
-    graph = build_graph_lexical(build_index(store), store, 1)
+    graph = build_graph_lexical(build_index(store.texts), store, 1)
     with pytest.raises(ValueError, match="^unknown similarity source 'bm25'$"):
         save_graph(tmp_path / "g.bin", graph, "bm25", store)
     assert not (tmp_path / "g.bin").exists()
@@ -362,7 +362,7 @@ def test_graph_save_rejects_an_unknown_source(tmp_path):
 
 def test_graph_load_rejects_neighbour_ids_out_of_range(tmp_path):
     store = make_store({"a": "cat dog", "b": "cat bird", "c": "dog bird"})
-    graph = build_graph_lexical(build_index(store), store, 2)
+    graph = build_graph_lexical(build_index(store.texts), store, 2)
     graph[1, 1] = 3  # == count: not a doc id and not the sentinel
     graph[2, 0] = 7
     save_graph(tmp_path / "g.bin", graph, "lexical", store)
@@ -395,7 +395,7 @@ def test_graph_load_holds_one_copy_of_the_adjacency(tmp_path):
 
 def test_graph_load_rejects_docnos_of_another_corpus(tmp_path):
     store = make_store({"a": "cat dog", "b": "cat bird", "c": "dog bird"})
-    save_graph(tmp_path / "g.bin", build_graph_lexical(build_index(store), store, 1), "lexical", store)
+    save_graph(tmp_path / "g.bin", build_graph_lexical(build_index(store.texts), store, 1), "lexical", store)
     reordered = make_store({"a": "cat dog", "c": "dog bird", "b": "cat bird"})
     with pytest.raises(ValueError, match=r"docnos\.txt:2: docnos do not match"):
         load_graph(tmp_path / "g.bin", reordered)

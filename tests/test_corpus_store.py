@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import refcorpus
+from conftest import block_bytes
+from slidegar import corpus_store
 from slidegar.corpus_store import (
     CorpusStore,
     Query,
@@ -20,6 +22,11 @@ from slidegar.corpus_store import (
     write_dedup_report,
 )
 from slidegar.eval import read_run
+
+
+# a few bytes: every record, CRLF pair, multi-byte character, cut-short
+# sequence and byte-order mark falls across where a block's read stops
+BLOCK_SIZES = (corpus_store.BLOCK_BYTES, 1, 2, 5)
 
 
 def write_tsv(path, rows):
@@ -154,6 +161,16 @@ def test_duplicate_docno_fatal(tmp_path):
         ingest_corpus(path)
 
 
+def test_docnos_whose_hashes_collide_are_read_again_not_rejected(tmp_path, monkeypatch):
+    # every docno hashing alike sends the repeat check to its exact second read
+    monkeypatch.setattr(corpus_store, "hash", lambda docno: 7, raising=False)
+    path = write_tsv(tmp_path / "c.tsv", [("d1", "one"), ("d2", "two"), ("d3", "three")])
+    assert ingest_corpus(path)[0].docnos == ["d1", "d2", "d3"]
+    path.write_text("d1\tone\nd2\ttwo\nd1\tthree\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":3: duplicate docno 'd1' \(first at line 1\)$"):
+        ingest_corpus(path)
+
+
 def test_empty_text_fatal(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_text("d1\t   \n", encoding="utf-8")
@@ -186,13 +203,38 @@ def test_store_columns_must_have_equal_lengths():
 def test_lines_split_on_newline_only(tmp_path):
     # \x85, \u2028 and \x1c end a line for str.splitlines but not here
     path = tmp_path / "c.tsv"
-    path.write_bytes("d1\ta\x85b\u2028c\x1cd\r\n\r\n\nd2\tx\ty\r".encode())
-    store, _ = ingest_corpus(path)
-    assert store.docnos == ["d1", "d2"]
-    assert store.texts == ["a\x85b\u2028c\x1cd", "x\ty"]
-    path.write_bytes(b"d1\ta\r\n\r\n\nd2\r\n")
-    with pytest.raises(ValueError, match=r":4: expected 'docno<TAB>text'"):
-        ingest_corpus(path)
+    for size in BLOCK_SIZES:
+        path.write_bytes("d1\ta\x85b\u2028c\x1cd\r\n\r\n\nd2\tx\ty\r".encode())
+        with block_bytes(size):
+            store, _ = ingest_corpus(path)
+        assert store.docnos == ["d1", "d2"]
+        assert store.texts == ["a\x85b\u2028c\x1cd", "x\ty"]
+        path.write_bytes(b"d1\ta\r\n\r\n\nd2\r\n")
+        with block_bytes(size), pytest.raises(ValueError, match=r":4: expected 'docno<TAB>text'"):
+            ingest_corpus(path)
+
+
+@pytest.mark.parametrize("tail, message", [
+    (b"d 0\tx\nbad line\n", ":202: expected 'docno<TAB>text'"),
+    (b"d 0\tx\nd0\t\xe2\x82\r\n", ":202: invalid UTF-8 (unexpected end of data)"),
+    (b"d 0\tx\nd5\ty\n", ":201: docno 'd 0' contains whitespace"),
+    (b"\r\n\nd0\t\n", ":203: empty text for docno 'd0'"),
+    (b"\r\n\nd150\tagain\nd5\tagain\n", ":203: duplicate docno 'd150' (first at line 151)"),
+], ids=["missing_tab", "cut_short", "spaced_docno", "empty_text", "duplicate"])
+def test_errors_name_lines_past_the_first_block(tmp_path, tail, message):
+    # 199 records and a blank line after the 40th, then a tail: a line's own
+    # failure comes before an earlier docno holding whitespace, and that
+    # before a repeated docno
+    head = [b"d%d\ttext %d\n" % (i, i) for i in range(1, 200)]
+    path = tmp_path / "c.tsv"
+    path.write_bytes(b"".join(head[:40]) + b"\n" + b"".join(head[40:]) + tail)
+    with pytest.raises(ValueError) as exc:
+        refcorpus.ingest(path)
+    assert str(exc.value) == f"{path}{message}"
+    for size in BLOCK_SIZES:
+        with block_bytes(size), pytest.raises(ValueError) as got:
+            ingest_corpus(path)
+        assert str(got.value) == str(exc.value), size
 
 
 # Corpus lines from pieces: docnos clean, padded, holding whitespace or bad
@@ -246,12 +288,15 @@ def test_reader_matches_per_line_reference(tmp_path_factory, data, dedup):
     try:
         expected = refcorpus.ingest(path, dedup=dedup)
     except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            ingest_corpus(path, dedup=dedup)
-        assert str(got.value) == str(exc)
+        for size in BLOCK_SIZES:
+            with block_bytes(size), pytest.raises(ValueError) as got:
+                ingest_corpus(path, dedup=dedup)
+            assert str(got.value) == str(exc), size
         return
-    store, report = ingest_corpus(path, dedup=dedup)
-    assert (store.docnos, store.texts, store.alias, report) == expected
+    for size in BLOCK_SIZES:
+        with block_bytes(size):
+            store, report = ingest_corpus(path, dedup=dedup)
+        assert (store.docnos, store.texts, store.alias, report) == expected, size
 
 
 def test_dedup_report_jsonl_format(tmp_path):
@@ -509,8 +554,12 @@ def test_load_queries_malformed_line_names_it(tmp_path, data, message):
 
 
 def _columns(path):
-    store, _ = ingest_corpus(path)
-    return store.docnos, store.texts
+    columns = []
+    for size in BLOCK_SIZES:
+        with block_bytes(size):
+            store, _ = ingest_corpus(path)
+        columns.append((store.docnos, store.texts))
+    return columns
 
 
 @pytest.mark.parametrize("read, data", [

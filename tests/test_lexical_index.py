@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refindex
-from conftest import make_store
+from conftest import block_bytes, make_store
 from slidegar.cli import main
 from slidegar.corpus_graph import build_graph_lexical
 from slidegar.corpus_store import Query, ingest_corpus
@@ -35,7 +36,7 @@ TWO_DOCS = {"d1": "cat cat dog", "d2": "dog dog dog"}
 
 def two_doc_index():
     store = make_store(TWO_DOCS)
-    return store, build_index(store)
+    return store, build_index(store.texts)
 
 
 # --- tokenize ---
@@ -85,7 +86,7 @@ def test_bm25_unknown_terms_empty():
 
 def test_bm25_truncates_to_k():
     store = make_store({"a": "fish one", "b": "fish two", "c": "fish three"})
-    index = build_index(store)
+    index = build_index(store.texts)
     result = bm25_retrieve(index, Query("q", "fish"), 1)
     assert len(result) == 1
 
@@ -100,7 +101,7 @@ def test_bm25_scores_non_increasing_no_duplicates():
     rng = random.Random(3)
     vocab = [f"t{i}" for i in range(30)]
     docs = {f"d{i}": " ".join(rng.choices(vocab, k=12)) for i in range(40)}
-    index = build_index(make_store(docs))
+    index = build_index(docs.values())
     for _ in range(20):
         query = Query("q", " ".join(rng.choices(vocab, k=3)))
         result = bm25_retrieve(index, query, 15)
@@ -115,7 +116,7 @@ def test_bm25_prefix_monotonicity():
     rng = random.Random(4)
     vocab = [f"t{i}" for i in range(20)]
     docs = {f"d{i}": " ".join(rng.choices(vocab, k=10)) for i in range(30)}
-    index = build_index(make_store(docs))
+    index = build_index(docs.values())
     query = Query("q", "t1 t2 t3")
     for k in range(1, 12):
         smaller = bm25_retrieve(index, query, k)
@@ -156,7 +157,7 @@ def test_rm3_weights_sum_to_one():
     rng = random.Random(5)
     vocab = [f"t{i}" for i in range(25)]
     docs = {f"d{i}": " ".join(rng.choices(vocab, k=15)) for i in range(20)}
-    index = build_index(make_store(docs))
+    index = build_index(docs.values())
     for trial in range(25):
         n_fb = rng.randint(1, 8)
         weights = rm3_expand(
@@ -181,7 +182,7 @@ def test_rm3_validation():
 
 
 def test_rm3_without_usable_terms_is_empty():
-    index = build_index(make_store({"a": "the of", "b": "cat"}))
+    index = build_index(["the of", "cat"])
     assert rm3_expand(index, Query("q", "the"), [0]) == {}
     # a query term weighted 0 and a token-free feedback doc leave nothing either
     assert rm3_expand(index, Query("q", "cat"), [0], orig_weight=0.0) == {}
@@ -225,7 +226,7 @@ def test_expanded_scaling_invariance():
     rng = random.Random(6)
     vocab = [f"t{i}" for i in range(15)]
     docs = {f"d{i}": " ".join(rng.choices(vocab, k=8)) for i in range(25)}
-    index = build_index(make_store(docs))
+    index = build_index(docs.values())
     weights = {t: rng.random() + 0.01 for t in rng.sample(vocab, 5)}
     base = retrieve_expanded(index, weights, 25)
     scaled = retrieve_expanded(index, {t: 7.3 * w for t, w in weights.items()}, 25)
@@ -240,8 +241,8 @@ def test_index_save_load_roundtrip(tmp_path):
     vocab = [f"t{i}" for i in range(20)]
     docs = {f"d{i:03d}": " ".join(rng.choices(vocab, k=rng.randint(3, 14))) for i in range(30)}
     store = make_store(docs)
-    index = build_index(store)
-    save_index(index, tmp_path / "idx", store, dedup=False)
+    index = build_index(store.texts)
+    save_index(index, tmp_path / "idx", store.docnos, dedup=False)
     loaded = load_index(tmp_path / "idx", store)
     assert_same_index(loaded, index)
     assert loaded.avg_doc_length == index.avg_doc_length
@@ -252,8 +253,8 @@ def test_index_save_load_roundtrip(tmp_path):
 def test_index_files_exact_bytes(tmp_path):
     # two docs, tiny vocabulary: the on-disk layout is checked by hand
     store = make_store({"a": "cat cat dog", "b": "dog"})
-    index = build_index(store)
-    save_index(index, tmp_path / "idx", store)
+    index = build_index(store.texts)
+    save_index(index, tmp_path / "idx", store.docnos)
     doclens = (tmp_path / "idx" / "doclens.bin").read_bytes()
     assert doclens == (3).to_bytes(4, "little") + (1).to_bytes(4, "little")
     assert (tmp_path / "idx" / "terms.txt").read_bytes() == b"cat\ndog\n"
@@ -270,7 +271,7 @@ def test_rebuilding_a_version_3_index_in_place_removes_its_postings(tmp_path):
     (tmp_path / "c.tsv").write_text("a\tcat cat dog\nb\tdog\n", encoding="utf-8")
     store, _ = ingest_corpus(tmp_path / "c.tsv")
     idx = tmp_path / "idx"
-    save_index(build_index(store), idx, store)
+    save_index(build_index(store.texts), idx, store.docnos)
     columns = [np.fromfile(idx / name, dtype="<u4") for name in ("docids.bin", "tfs.bin")]
     np.stack(columns, axis=1).tofile(idx / "postings.bin")
     for name in ("docids.bin", "tfs.bin"):
@@ -289,15 +290,15 @@ def test_rebuilding_a_version_3_index_in_place_removes_its_postings(tmp_path):
 
 def test_index_loads_docnos_with_crlf_endings(tmp_path):
     store = make_store({"a": "cat", "b": "dog"})
-    save_index(build_index(store), tmp_path, store)
+    save_index(build_index(store.texts), tmp_path, store.docnos)
     (tmp_path / "docnos.txt").write_bytes(b"a\r\nb\r\n")
     assert load_index(tmp_path, store).doc_count == 2
 
 
 def test_index_load_rejects_store_mismatch(tmp_path):
     store = make_store({"a": "cat", "b": "dog"})
-    index = build_index(store)
-    save_index(index, tmp_path / "idx", store)
+    index = build_index(store.texts)
+    save_index(index, tmp_path / "idx", store.docnos)
     bigger = make_store({"a": "cat", "b": "dog", "c": "bird"})
     with pytest.raises(ValueError, match="dedup"):
         load_index(tmp_path / "idx", bigger)
@@ -316,9 +317,9 @@ def assert_same_index(loaded, index):
 
 def test_forward_index_is_built_on_first_use_only(tmp_path):
     store = make_store({"a": "cat cat dog", "b": "dog bird", "c": "bird cat"})
-    index = build_index(store)
+    index = build_index(store.texts)
     build_graph_lexical(index, store, 1)
-    save_index(index, tmp_path, store)
+    save_index(index, tmp_path, store.docnos)
     loaded = load_index(tmp_path, store)
     bm25_retrieve(loaded, Query("q", "cat"), 2)
     assert "forward" not in vars(index) and "forward" not in vars(loaded)
@@ -334,8 +335,8 @@ def test_term_and_docno_maps_are_built_on_first_lookup_only(tmp_path):
     corpus.write_text("a\tcat cat dog\nb\tdog bird\nc\tcat cat dog\n", encoding="utf-8")
     store, _ = ingest_corpus(corpus)
     deduped, _ = ingest_corpus(corpus, dedup=True)
-    index = build_index(store)
-    save_index(index, tmp_path / "idx", store)
+    index = build_index(store.texts)
+    save_index(index, tmp_path / "idx", store.docnos)
     loaded = load_index(tmp_path / "idx", store)
     assert "id_of" not in vars(store) and "id_of" not in vars(deduped)
     assert "term_ids" not in vars(index) and "term_ids" not in vars(loaded)
@@ -349,8 +350,8 @@ def test_loaded_norm_is_bit_identical_to_the_built_one(tmp_path):
     rng = random.Random(5)
     vocab = [f"t{i}" for i in range(30)] + ["the"]
     store = make_store({f"d{i}": " ".join(rng.choices(vocab, k=rng.randint(1, 40))) for i in range(300)})
-    index = build_index(store)
-    save_index(index, tmp_path, store)
+    index = build_index(store.texts)
+    save_index(index, tmp_path, store.docnos)
     loaded = load_index(tmp_path, store)
     assert loaded.norm.tobytes() == index.norm.tobytes()
     assert loaded.avg_doc_length == index.avg_doc_length
@@ -362,37 +363,63 @@ def test_loaded_norm_is_bit_identical_to_the_built_one(tmp_path):
     assert index.norm.tobytes() == expected.tobytes()
 
 
-def test_index_memory_stays_near_what_it_keeps(tmp_path):
-    """Traced allocations of a build and a load peak at a bounded multiple of
-    the index they return, so no dead copy or unused structure is held."""
+@pytest.fixture(scope="module")
+def synth_2000(tmp_path_factory):
+    """A generated corpus of 2,000 documents."""
+    out = tmp_path_factory.mktemp("synth2000")
     assert main([
-        "synth", "--out", str(tmp_path), "--seed", "3", "--clusters", "8", "--docs-per-cluster", "250",
+        "synth", "--out", str(out), "--seed", "3", "--clusters", "8", "--docs-per-cluster", "250",
         "--vocab-per-cluster", "60", "--queries", "8", "--relevant-per-query", "20", "--dim", "16",
     ]) == 0
-    store, _ = ingest_corpus(tmp_path / "corpus.tsv")
-    assert len(store) == 2000
+    return out / "corpus.tsv"
 
-    def traced(make):
-        """(peak, retained) bytes of ``make()`` above what was allocated before it."""
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            made = make()
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return made, peak - base, current - base
+
+def traced(make):
+    """(made, peak, retained): ``make()`` and the bytes it allocated at its
+    peak and on return, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        made = make()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return made, peak - base, current - base
+
+
+def test_index_memory_stays_near_what_it_keeps(tmp_path, synth_2000):
+    """Traced allocations of a build and a load peak at a bounded multiple of
+    the index they return, so no dead copy or unused structure is held."""
+    store, _ = ingest_corpus(synth_2000)
+    assert len(store) == 2000
 
     def with_term_ids(index):
         index.term_ids  # built on first access: measured with the arrays, as a run holds them
         return index
 
-    index, build_peak, build_kept = traced(lambda: with_term_ids(build_index(store)))
-    save_index(index, tmp_path / "idx", store)
+    index, build_peak, build_kept = traced(lambda: with_term_ids(build_index(store.texts)))
+    save_index(index, tmp_path / "idx", store.docnos)
     del index
     _, load_peak, load_kept = traced(lambda: with_term_ids(load_index(tmp_path / "idx", store)))
     assert build_peak <= 2.0 * build_kept, (build_peak, build_kept)
     assert load_peak <= 1.4 * load_kept, (load_peak, load_kept)
+
+
+def test_build_index_command_holds_no_text_past_its_block(tmp_path, capsys, synth_2000):
+    """``build-index`` peaks at what an in-memory build of the same texts
+    allocates, plus the docnos it writes, plus about one block of text:
+    a command that held every text would exceed it by the corpus's texts.
+    Blocks of 4 KiB make the 150 KB corpus many blocks long."""
+    store, _ = ingest_corpus(synth_2000)
+    texts = sum(map(sys.getsizeof, store.texts))
+    docnos = sum(map(sys.getsizeof, store.docnos))
+    _, build_peak, _ = traced(lambda: build_index(store.texts))
+    del store
+    with block_bytes(4096):
+        code, peak, _ = traced(lambda: main(["build-index", "--corpus", str(synth_2000), "--out", str(tmp_path)]))
+    assert code == 0
+    held = (peak - build_peak - docnos) / texts  # texts held at the peak, as a share of all of them
+    assert held <= 0.5, (peak, build_peak, docnos, texts)
 
 
 WORDS = st.sampled_from(["ant", "bee", "cat", "the", "dog", "eel"])
@@ -403,9 +430,9 @@ WORDS = st.sampled_from(["ant", "bee", "cat", "the", "dog", "eel"])
 def test_index_codec_roundtrip_property(tmp_path_factory, docs):
     # docs may be all stopwords, so zero lengths and an empty index occur
     store = make_store({f"d{i}": " ".join(words) or "the" for i, words in enumerate(docs)})
-    index = build_index(store)
+    index = build_index(store.texts)
     out = tmp_path_factory.mktemp("idx")
-    save_index(index, out, store)
+    save_index(index, out, store.docnos)
     assert_same_index(load_index(out, store), index)
 
 
@@ -435,7 +462,7 @@ def assert_scores_match_reference(index, ref, weights):
 
 def test_csr_engine_matches_dict_reference():
     rng, vocab, store, texts = tie_corpus()
-    index = build_index(store)
+    index = build_index(store.texts)
     ref = refindex.RefIndex(texts)
     straddled = 0
     queries = ["t1 t2 t5", "t3 t4", "t2", "t4 t4 t9"] + [" ".join(rng.choices(vocab, k=3)) for _ in range(20)]
@@ -461,7 +488,7 @@ def test_csr_engine_matches_dict_reference():
 
 
 def assert_forward_matches_reference(texts):
-    index = build_index(make_store({f"d{i:03d}": text for i, text in enumerate(texts)}))
+    index = build_index(texts)
     doc_offsets, term_ids, tfs = index.forward
     assert (doc_offsets.dtype, term_ids.dtype, tfs.dtype) == (np.int64, np.int32, np.uint32)
     ref = refindex.RefIndex(texts)
@@ -547,7 +574,7 @@ CORRUPTIONS = {
 @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
 def test_index_load_rejects_corruption(tmp_path, case):
     store = make_store({"a": "cat cat dog", "b": "dog", "c": "bird cat"})
-    save_index(build_index(store), tmp_path, store)
+    save_index(build_index(store.texts), tmp_path, store.docnos)
     load_index(tmp_path, store)  # the intact directory loads
     name, data, message = CORRUPTIONS[case]
     (tmp_path / name).write_bytes(data)

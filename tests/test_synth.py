@@ -45,7 +45,7 @@ def test_gap_zero_gives_perfect_bm25_recall(tmp_path):
     spec = SynthSpec(**SMALL, retrieval_gap=0.0, seed=3)
     manifest = generate(spec, tmp_path)
     store, _ = ingest_corpus(tmp_path / "corpus.tsv")
-    index = build_index(store)
+    index = build_index(store.texts)
     for info in manifest["queries"]:
         assert info["hidden"] == []
         relevant = set(info["visible"])
