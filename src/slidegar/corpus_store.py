@@ -1,28 +1,28 @@
 """Document / query / qrel ingestion and the docno <-> doc-id mapping, plus
 what every artifact loader shares: ``docnos.txt`` and size-checked u32 arrays.
 
-The corpus file is read in one pass, in blocks of whole lines of about
-``BLOCK_BYTES``, so a reader never holds the whole file: ``Documents``
-yields each document's text in doc-id order, and a step that only
-tokenizes, such as an index build, keeps no text. The store holds the
-corpus as two parallel columns, ``docnos`` and ``texts``, indexed by doc id.
+Corpus, queries, qrels and run files are read by ``read_lines``, in blocks
+of whole lines of about ``BLOCK_BYTES``, so a reader never holds the whole
+file: ``Documents`` yields each document's text in doc-id order, and a step
+that only tokenizes, such as an index build, keeps no text. The store holds
+the corpus as two parallel columns, ``docnos`` and ``texts``, indexed by doc
+id, and the one docno -> id map.
 
 File formats:
 
 - corpus: one record per line, either ``docno<TAB>text`` or a JSON object
-  with fields ``docno`` and ``text``. JSON lines are auto-detected when the
-  first non-empty line starts with ``{``. Lines are split on ``\\n`` only
-  (``\\x85``, ``\\u2028`` and ``\\x1c`` stay inside a text), a trailing
-  ``\\r`` is stripped and empty lines are skipped.
+  whose ``docno`` and ``text`` are strings or numbers. JSON lines are
+  auto-detected when the first non-empty line starts with ``{``.
 - queries: ``qid<TAB>text`` lines.
 - qrels: whitespace-separated ``qid 0 docno grade`` (standard TREC layout).
-  Queries and qrels are read one line at a time, split on ``\\n`` only;
-  a trailing ``\\r`` is stripped and blank lines are skipped.
 - dedup report: JSON lines ``{"dropped": docno, "kept": docno}``.
 
-A corpus, queries or qrels file may start with a UTF-8 byte-order mark;
-it is dropped, as the ``utf-8-sig`` codec drops it. Docnos and qids may not contain
-whitespace: they become columns of whitespace-separated run lines.
+Line rules, the same for every file ``read_lines`` reads: one leading UTF-8
+byte-order mark is dropped, as the ``utf-8-sig`` codec drops it; lines are
+split on ``\\n`` only (``\\x85``, ``\\u2028`` and ``\\x1c`` stay inside a
+line), a trailing ``\\r`` is stripped, empty lines are skipped, and a line
+that does not decode fails naming its number. Docnos and qids may not
+contain whitespace: they become columns of whitespace-separated run lines.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -47,7 +46,7 @@ class Query:
 
 _WS_RUN = re.compile(r"\s+")
 
-BLOCK_BYTES = 1 << 19  # a corpus is read in blocks of whole lines of at least this many bytes
+BLOCK_BYTES = 1 << 19  # read_lines reads blocks of whole lines of at least this many bytes
 
 
 def normalize_text(text: str) -> str:
@@ -64,11 +63,11 @@ class CorpusStore:
 
     Doc ids are dense ints in corpus order so they can index directly into
     postings lists, embedding matrices, and graph rows. The store alone
-    holds docnos and the docno -> id map; indexes, embedding matrices,
-    graphs and rankings hold ids, and artifacts check their ``docnos.txt``
-    against it. The map, ``id_of``, is built on the first lookup, so a step
-    that only reads the columns, such as an index build, never holds it.
-    Only set-up looks docnos up (qrels, embeddings); queries run on ids.
+    holds docnos and the docno -> id map, ``id_of``, built with the store;
+    its size is the check that no docno repeats. Indexes, embedding
+    matrices, graphs and rankings hold ids, and artifacts check their
+    ``docnos.txt`` against the store. Only set-up looks docnos up (qrels,
+    embeddings); queries run on ids.
     """
 
     def __init__(self, docnos: list[str], texts: list[str], alias: dict[str, str] | None = None) -> None:
@@ -77,26 +76,14 @@ class CorpusStore:
         self.docnos = docnos
         self.texts = texts
         self.alias = alias or {}  # dropped docno -> kept docno
-        if len(set(docnos)) != len(docnos):  # a transient set: the map itself waits for a lookup
+        self.id_of = dict(zip(docnos, range(len(docnos))))
+        if len(self.id_of) != len(docnos):
             first: dict[str, int] = {}
             docno = next(d for i, d in enumerate(docnos) if first.setdefault(d, i) != i)
             raise ValueError(f"duplicate docno {docno!r}")
 
-    @cached_property
-    def id_of(self) -> dict[str, int]:
-        return dict(zip(self.docnos, range(len(self.docnos))))
-
     def __len__(self) -> int:
         return len(self.docnos)
-
-    def __contains__(self, docno: str) -> bool:
-        return docno in self.id_of
-
-    def doc_id(self, docno: str) -> int:
-        try:
-            return self.id_of[docno]
-        except KeyError:
-            raise KeyError(f"unknown docno {docno!r}") from None
 
     def resolve(self, docno: str) -> int | None:
         """Doc id for ``docno``, following the dedup alias map; None if absent."""
@@ -128,25 +115,20 @@ def decode_utf8(path: str | Path, data: bytes) -> str:
         raise ValueError(_invalid_utf8(path, lineno, data.split(b"\n")[lineno - 1])) from None
 
 
-def _parsed_blocks(path: str | Path) -> Iterator[tuple[Sequence[int], list[str], list[str]]]:
-    """``(line numbers, docnos, texts)`` of the records of each block of a
-    corpus file: ``BLOCK_BYTES`` read, then the rest of the line they end in.
-    One leading byte-order mark is dropped.
-
-    The checks of a line on its own run over whole columns and a line is
-    searched for only once one fails. The error raised is the first line
-    that fails: invalid UTF-8 or JSON, a missing tab, an empty docno or text.
-    """
+def read_lines(path: str | Path) -> Iterator[tuple[Sequence[int], list[str]]]:
+    """``(line numbers, lines)`` of the non-blank lines of each block of a file,
+    ``BLOCK_BYTES`` read and then the rest of the line they end in, under the
+    line rules above. A line that does not decode fails once the lines before
+    it are yielded, so a consumer's error on an earlier line comes first."""
     size = BLOCK_BYTES
-    json_lines = None  # set by the first record of the file
     with open(path, "rb") as f:
-        if f.read(3) != codecs.BOM_UTF8:  # dropped as the utf-8-sig codec drops it
+        if f.read(3) != codecs.BOM_UTF8:
             f.seek(0)
         first = 1  # the number of the block's first line
         while data := f.read(size):
             if not data.endswith(b"\n"):
                 data += f.readline()
-            error = ""  # the error of the line the columns stop before
+            error = ""  # the error of the line the block stops before
             try:
                 text = data.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -155,7 +137,7 @@ def _parsed_blocks(path: str | Path) -> Iterator[tuple[Sequence[int], list[str],
                 error = _invalid_utf8(path, lineno, data[start:].split(b"\n", 1)[0])
                 text = data[:start].decode("utf-8")  # the lines before it are valid
             del data  # the lines hold the text from here on
-            lines = text.split("\n")  # not splitlines(): \x85, \u2028 and \x1c stay inside a line
+            lines = text.split("\n")
             if "\r" in text:
                 lines = [line.rstrip("\r") for line in lines]
             del text
@@ -166,38 +148,56 @@ def _parsed_blocks(path: str | Path) -> Iterator[tuple[Sequence[int], list[str],
                 numbers = [n for n, line in enumerate(lines, start=first) if line]
             first += len(lines) - 1
             del lines
-
-            if json_lines is None and records:
-                json_lines = records[0][0] == "{"
-            if json_lines:
-                docnos, texts = [], []
-                for j, line in enumerate(records):
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        error = f"{path}:{numbers[j]}: invalid JSON ({exc.msg})"
-                        break
-                    if not isinstance(obj, dict) or "docno" not in obj or "text" not in obj:
-                        error = f"{path}:{numbers[j]}: record must carry 'docno' and 'text'"
-                        break
-                    docnos.append(str(obj["docno"]).strip())
-                    texts.append(str(obj["text"]).strip())
-            else:
-                tabs = [line.find("\t") for line in records]
-                if -1 in tabs:
-                    del tabs[tabs.index(-1) :]
-                    error = f"{path}:{numbers[len(tabs)]}: expected 'docno<TAB>text'"
-                docnos = [line[:i].strip() for line, i in zip(records, tabs)]
-                texts = [line[i + 1 :].strip() for line, i in zip(records, tabs)]
-            del records
-
-            if not (all(docnos) and all(texts)):
-                j, docno = next((j, d) for j, (d, t) in enumerate(zip(docnos, texts)) if not (d and t))
-                problem = f"empty text for docno {docno!r}" if docno else "empty docno"
-                raise ValueError(f"{path}:{numbers[j]}: {problem}")
+            yield numbers, records
             if error:
                 raise ValueError(error)
-            yield numbers, docnos, texts
+
+
+def _parsed_blocks(path: str | Path) -> Iterator[tuple[Sequence[int], list[str], list[str]]]:
+    """``(line numbers, docnos, texts)`` of the records of each block of a
+    corpus file. The checks of a line on its own run over whole columns and
+    a line is searched for only once one fails. The error raised is the first
+    line that fails: invalid UTF-8 or JSON, a missing tab, a JSON field that
+    is neither a string nor a number, an empty docno or text."""
+    json_lines = None  # set by the first record of the file
+    for numbers, records in read_lines(path):
+        if json_lines is None and records:
+            json_lines = records[0][0] == "{"
+        error = ""  # the error of the line the columns stop before
+        if json_lines:
+            docnos, texts = [], []
+            for lineno, line in zip(numbers, records):
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    error = f"{path}:{lineno}: invalid JSON ({exc.msg})"
+                    break
+                if not isinstance(obj, dict) or "docno" not in obj or "text" not in obj:
+                    error = f"{path}:{lineno}: record must carry 'docno' and 'text'"
+                    break
+                # a number keeps its str() form; bool is an int subclass and is rejected too
+                bad = [name for name in ("docno", "text") if type(obj[name]) not in (str, int, float)]
+                if bad:
+                    error = f"{path}:{lineno}: {bad[0]!r} must be a string or a number"
+                    break
+                docnos.append(str(obj["docno"]).strip())
+                texts.append(str(obj["text"]).strip())
+        else:
+            tabs = [line.find("\t") for line in records]
+            if -1 in tabs:
+                del tabs[tabs.index(-1) :]
+                error = f"{path}:{numbers[len(tabs)]}: expected 'docno<TAB>text'"
+            docnos = [line[:i].strip() for line, i in zip(records, tabs)]
+            texts = [line[i + 1 :].strip() for line, i in zip(records, tabs)]
+        records.clear()  # the reader holds the list until its next block: the lines go now
+
+        if not (all(docnos) and all(texts)):
+            j, docno = next((j, d) for j, (d, t) in enumerate(zip(docnos, texts)) if not (d and t))
+            problem = f"empty text for docno {docno!r}" if docno else "empty docno"
+            raise ValueError(f"{path}:{numbers[j]}: {problem}")
+        if error:
+            raise ValueError(error)
+        yield numbers, docnos, texts
 
 
 def _read_corpus(path: str | Path) -> Iterator[tuple[list[str], list[str]]]:
@@ -244,7 +244,8 @@ class Documents:
     deterministic, order-independent tie-break) with its own text, and every
     other docno is dropped. Twins differ only in whitespace, which the
     tokenizer splits on, so the text yielded, the group's first, tokenizes
-    as the survivor's does. Iterate it once.
+    as the survivor's does. It is read once: a second pass raises and
+    changes nothing.
     """
 
     def __init__(self, path: str | Path, dedup: bool = False, texts: list[str] | None = None) -> None:
@@ -253,12 +254,16 @@ class Documents:
         self.texts = texts
         self.docnos: list[str] = []
         self.dropped: dict[str, int] = {}  # dropped docno -> doc id of its survivor
+        self.started = False
 
     def __iter__(self) -> Iterator[str]:
         return itertools.chain.from_iterable(self.blocks())
 
     def blocks(self) -> Iterator[list[str]]:
         """The texts of the documents each block of the file adds."""
+        if self.started:  # a second pass would append every docno again
+            raise RuntimeError(f"{self.path}: Documents are read once; make a new one to read the file again")
+        self.started = True
         docnos, texts = self.docnos, self.texts
         ids: dict[str, int] = {}  # normalized text -> doc id, under dedup
         for block_docnos, block_texts in _read_corpus(self.path):
@@ -349,69 +354,54 @@ def read_u32(path: str | Path, count: int, offset: int = 0) -> np.ndarray:
     return np.fromfile(path, dtype="<u4", count=count, offset=offset)
 
 
-def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """``(line number, line)`` for each line of a file, split on ``\\n`` only and
-    read one at a time, ending kept and one leading byte-order mark dropped;
-    a line that does not decode fails naming its number."""
-    with open(path, "rb") as f:
-        if f.peek(3).startswith(codecs.BOM_UTF8):
-            f.read(3)
-        for lineno, raw in enumerate(f, start=1):
-            try:
-                yield lineno, raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise ValueError(_invalid_utf8(path, lineno, raw)) from None
-
-
 def load_queries(path: str | Path) -> list[Query]:
     queries: list[Query] = []
     seen: set[str] = set()
-    for lineno, line in read_lines(path):
-        line = line.rstrip("\r\n")
-        if not line:
-            continue
-        parts = line.split("\t", 1)
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'qid<TAB>text'")
-        qid, text = parts[0].strip(), parts[1].strip()
-        if not qid or not text:
-            raise ValueError(f"{path}:{lineno}: empty qid or query text")
-        if _WS_RUN.search(qid):
-            raise ValueError(f"{path}:{lineno}: qid {qid!r} contains whitespace")
-        if qid in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate qid {qid!r}")
-        seen.add(qid)
-        queries.append(Query(qid, text))
+    for numbers, lines in read_lines(path):
+        for lineno, line in zip(numbers, lines):
+            parts = line.split("\t", 1)
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 'qid<TAB>text'")
+            qid, text = parts[0].strip(), parts[1].strip()
+            if not qid or not text:
+                raise ValueError(f"{path}:{lineno}: empty qid or query text")
+            if _WS_RUN.search(qid):
+                raise ValueError(f"{path}:{lineno}: qid {qid!r} contains whitespace")
+            if qid in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate qid {qid!r}")
+            seen.add(qid)
+            queries.append(Query(qid, text))
     return queries
 
 
 def load_qrels(path: str | Path) -> dict[str, dict[str, int]]:
-    """``qid -> docno -> grade`` from a qrels file, read one line at a time.
+    """``qid -> docno -> grade`` from a qrels file, read by ``read_lines``.
 
     Nothing is kept per judgment but its dict entry: every query that judges
     a docno shares one string for it.
     """
     qrels: dict[str, dict[str, int]] = {}
     docnos: dict[str, str] = {}
-    for lineno, line in read_lines(path):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 4:
-            raise ValueError(f"{path}:{lineno}: expected 'qid 0 docno grade'")
-        qid, _, docno, grade_str = parts
-        try:
-            grade = int(grade_str)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-integer grade {grade_str!r}") from None
-        if grade < 0:
-            raise ValueError(f"{path}:{lineno}: negative grade for ({qid}, {docno})")
-        judged = qrels.get(qid)
-        if judged is None:  # setdefault(qid, {}) would build a dict per line
-            judged = qrels[qid] = {}
-        if docno in judged:
-            raise ValueError(f"{path}:{lineno}: duplicate qrel for ({qid}, {docno})")
-        judged[docnos.setdefault(docno, docno)] = grade
+    for numbers, lines in read_lines(path):
+        for lineno, line in zip(numbers, lines):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) != 4:
+                raise ValueError(f"{path}:{lineno}: expected 'qid 0 docno grade'")
+            qid, _, docno, grade_str = parts
+            try:
+                grade = int(grade_str)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-integer grade {grade_str!r}") from None
+            if grade < 0:
+                raise ValueError(f"{path}:{lineno}: negative grade for ({qid}, {docno})")
+            judged = qrels.get(qid)
+            if judged is None:  # setdefault(qid, {}) would build a dict per line
+                judged = qrels[qid] = {}
+            if docno in judged:
+                raise ValueError(f"{path}:{lineno}: duplicate qrel for ({qid}, {docno})")
+            judged[docnos.setdefault(docno, docno)] = grade
     return qrels
 
 

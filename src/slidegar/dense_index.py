@@ -102,11 +102,11 @@ def load_embeddings(path: str | Path, store: CorpusStore, normalize: bool = Fals
         matrix = np.zeros((len(store), header["dim"]), dtype=np.float32)
         filled = np.zeros(len(store), dtype=bool)
         for record_idx, docno, vector in records:
-            if docno in store.alias:
-                continue
-            if docno not in store:
+            doc_id = store.id_of.get(docno)
+            if doc_id is None:
+                if docno in store.alias:
+                    continue
                 raise ValueError(f"{path}: record {record_idx}: docno {docno!r} not in store")
-            doc_id = store.doc_id(docno)
             if filled[doc_id]:
                 raise ValueError(f"{path}: record {record_idx}: duplicate docno {docno!r}")
             matrix[doc_id] = vector

@@ -156,20 +156,21 @@ def read_run(path: str | Path) -> tuple[dict[str, list[str]], str]:
     """
     rows: dict[str, list[tuple[int, str, float]]] = {}
     tag = ""
-    for lineno, line in read_lines(path):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 6:
-            raise ValueError(f"{path}:{lineno}: expected 6 columns 'qid Q0 docno rank score tag'")
-        qid, _, docno, rank_str, score_str, line_tag = parts
-        if not tag:
-            tag = line_tag
-        try:
-            rank, score = int(rank_str), float(score_str)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: invalid rank or score") from None
-        rows.setdefault(qid, []).append((rank, docno, score))
+    for numbers, lines in read_lines(path):
+        for lineno, line in zip(numbers, lines):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) != 6:
+                raise ValueError(f"{path}:{lineno}: expected 6 columns 'qid Q0 docno rank score tag'")
+            qid, _, docno, rank_str, score_str, line_tag = parts
+            if not tag:
+                tag = line_tag
+            try:
+                rank, score = int(rank_str), float(score_str)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: invalid rank or score") from None
+            rows.setdefault(qid, []).append((rank, docno, score))
     run: dict[str, list[str]] = {}
     for qid, entries in rows.items():
         entries.sort(key=lambda t: t[0])

@@ -15,9 +15,15 @@ def make_store(docs: dict[str, str]) -> CorpusStore:
     return CorpusStore(list(docs), list(docs.values()))
 
 
+# a few bytes: every record, CRLF pair, multi-byte character, cut-short
+# sequence and byte-order mark falls across where a block's read stops
+BLOCK_SIZES = (corpus_store.BLOCK_BYTES, 1, 2, 5)
+
+
 @contextmanager
 def block_bytes(size: int):
-    """Corpus files read in blocks of ``size`` bytes within the block."""
+    """Line-oriented files (corpus, queries, qrels, run files) read in blocks
+    of ``size`` bytes, then the rest of the line, within the block."""
     saved, corpus_store.BLOCK_BYTES = corpus_store.BLOCK_BYTES, size
     try:
         yield

@@ -2,8 +2,9 @@
 
 The corpus reader ``slidegar.corpus_store`` used before it read whole
 columns: each line is decoded and checked on its own, so the first bad line
-raises first. ``_read_corpus_records`` is kept verbatim; ``ingest`` is the
-old ``ingest_corpus`` with plain lists in place of the store.
+raises first. ``_read_corpus_records`` is kept verbatim, but for the rule
+added since that a JSON ``docno`` or ``text`` is a string or a number;
+``ingest`` is the old ``ingest_corpus`` with plain lists in place of the store.
 
 The qrels path it used before it read judgments straight into one grade
 table: ``load_qrels`` (one ``QrelEntry`` per judgment, read in text mode)
@@ -44,6 +45,9 @@ def _read_corpus_records(path):
                     raise ValueError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
                 if not isinstance(obj, dict) or "docno" not in obj or "text" not in obj:
                     raise ValueError(f"{path}:{lineno}: record must carry 'docno' and 'text'")
+                for name in ("docno", "text"):  # a number keeps its str() form; bool is an int
+                    if type(obj[name]) not in (str, int, float):
+                        raise ValueError(f"{path}:{lineno}: {name!r} must be a string or a number")
                 docno, text = str(obj["docno"]), str(obj["text"])
             else:
                 parts = line.split("\t", 1)

@@ -23,7 +23,7 @@ Q = Query("q1", "query text")
 
 
 def ids_of(store, docnos):
-    return [store.doc_id(d) for d in docnos]
+    return [store.id_of[d] for d in docnos]
 
 
 def docnos_of(store, ids):
@@ -32,7 +32,7 @@ def docnos_of(store, ids):
 
 def by_id(store, grades):
     """Grades keyed by docno, re-keyed by store id as the rankers read them."""
-    return {qid: {store.doc_id(d): grade for d, grade in per_query.items()} for qid, per_query in grades.items()}
+    return {qid: {store.id_of[d]: grade for d, grade in per_query.items()} for qid, per_query in grades.items()}
 
 
 def sim_rank(ranker, query, store, docnos):

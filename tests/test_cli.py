@@ -7,12 +7,13 @@ import subprocess
 import sys
 import threading
 import time
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
 
 import slidegar
-from conftest import block_bytes
+from conftest import BLOCK_SIZES, block_bytes
 from mockserver import ScriptedHandler, scripted_server
 from slidegar import cli, corpus_store
 from slidegar.cli import main
@@ -122,16 +123,30 @@ def test_pipeline_builds_the_forward_index_for_rm3_runs_only(workspace, tmp_path
             assert (type(pipeline.setup["forward_index_s"]) is float) is built, (strategy, index_dir)
 
 
+class _UnreadableMap(Mapping):
+    """Stands in for the docno map: any read fails."""
+
+    def __getitem__(self, docno):
+        raise AssertionError(f"a query looked up {docno!r}")
+
+    def __iter__(self):
+        raise AssertionError("a query iterated the docno map")
+
+    def __len__(self):
+        raise AssertionError("a query sized the docno map")
+
+
 def test_query_phase_reads_no_docno_map(workspace, tmp_path):
-    # windows carry store ids, so only set-up's docno lookups (qrels,
-    # embeddings) build the map, and no --jobs thread can race to build it
+    # windows carry store ids, so only set-up looks docnos up (qrels,
+    # embeddings), and no query, on any --jobs thread, reads the map
     for strategy in ("baseline", "slidegar", "slidegar_rm3"):
         cfg = cli.load_config(write_config(tmp_path / "cfg.json", base_config(
             workspace, qrels=None, ranker="identity", strategy=strategy, jobs=2,
         )))
         pipeline = cli._Pipeline(cfg)
+        pipeline.store.id_of = _UnreadableMap()
         run, _ = pipeline.execute()
-        assert run and "id_of" not in vars(pipeline.store), strategy
+        assert run, strategy
 
 
 def test_jobs_byte_identical_under_racing_ranker(workspace, tmp_path, monkeypatch):
@@ -516,8 +531,10 @@ def test_dense_graph_requires_embeddings(workspace, tmp_path, capsys):
 def test_eval_invalid_utf8_names_line(workspace, tmp_path, capsys):
     run_path = tmp_path / "r.trec"
     run_path.write_bytes(b"q1 Q0 d\xff1 1 1.0 t\n")
-    assert main(["eval", "--run", str(run_path), "--qrels", str(workspace / "data" / "qrels.txt")]) == 2
-    assert capsys.readouterr().err == f"error: {run_path}:1: invalid UTF-8 (invalid start byte)\n"
+    for size in BLOCK_SIZES:
+        with block_bytes(size):
+            assert main(["eval", "--run", str(run_path), "--qrels", str(workspace / "data" / "qrels.txt")]) == 2
+        assert capsys.readouterr().err == f"error: {run_path}:1: invalid UTF-8 (invalid start byte)\n", size
 
 
 def test_invalid_utf8_in_index_docnos_fails_at_load(workspace, tmp_path, capsys):

@@ -2,6 +2,7 @@ import codecs
 import hashlib
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import refcorpus
-from conftest import block_bytes
+from conftest import BLOCK_SIZES, block_bytes
 from slidegar import corpus_store
 from slidegar.corpus_store import (
     CorpusStore,
+    Documents,
     Query,
     ingest_corpus,
     load_qrels,
@@ -22,11 +24,6 @@ from slidegar.corpus_store import (
     write_dedup_report,
 )
 from slidegar.eval import read_run
-
-
-# a few bytes: every record, CRLF pair, multi-byte character, cut-short
-# sequence and byte-order mark falls across where a block's read stops
-BLOCK_SIZES = (corpus_store.BLOCK_BYTES, 1, 2, 5)
 
 
 def write_tsv(path, rows):
@@ -106,7 +103,7 @@ def test_docno_roundtrip(tmp_path):
     rows = [("b", "one"), ("a", "two"), ("c", "three")]
     store, _ = ingest_corpus(write_tsv(tmp_path / "c.tsv", rows), dedup=False)
     for docno in ("a", "b", "c"):
-        assert store.docnos[store.doc_id(docno)] == docno
+        assert store.docnos[store.id_of[docno]] == docno
 
 
 def test_jsonl_autodetect(tmp_path):
@@ -118,7 +115,7 @@ def test_jsonl_autodetect(tmp_path):
     )
     store, _ = ingest_corpus(path)
     assert store.docnos == ["j1", "j2"]
-    assert store.texts[store.doc_id("j1")] == "hello world"
+    assert store.texts[store.id_of["j1"]] == "hello world"
 
 
 def test_malformed_record_reports_line_number(tmp_path):
@@ -185,9 +182,33 @@ def test_missing_json_field_fatal(tmp_path):
         ingest_corpus(path)
 
 
+@pytest.mark.parametrize("record, field", [
+    ('{"docno": "d3", "text": null}', "text"),
+    ('{"docno": ["a"], "text": {"x": 1}}', "docno"),
+    ('{"docno": "d3", "text": false}', "text"),
+    ('{"docno": {"a": 1}, "text": "cat"}', "docno"),
+], ids=["null", "array_and_object", "bool", "object"])
+def test_json_field_of_another_type_fatal(tmp_path, record, field):
+    # numbers keep their str() form; any other value fails on its line,
+    # before an earlier docno holding whitespace
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"docno": 1, "text": 2.5}\n', encoding="utf-8")
+    store, _ = ingest_corpus(path)
+    assert (store.docnos, store.texts) == (["1"], ["2.5"])
+    path.write_text('{"docno": 1, "text": 2.5}\n{"docno": "d 2", "text": "dog"}\n' + record + "\n", encoding="utf-8")
+    message = f"{path}:3: {field!r} must be a string or a number"
+    with pytest.raises(ValueError) as exc:
+        refcorpus.ingest(path)
+    assert str(exc.value) == message
+    for size in BLOCK_SIZES:
+        with block_bytes(size), pytest.raises(ValueError) as got:
+            ingest_corpus(path)
+        assert str(got.value) == message, size
+
+
 def test_store_columns_reject_duplicate_docno():
     store = CorpusStore(["a", "b"], ["cat", "dog"])
-    assert store.doc_id("b") == 1 and "a" in store and len(store) == 2
+    assert store.id_of["b"] == 1 and "a" in store.id_of and len(store) == 2
     with pytest.raises(ValueError, match="duplicate docno 'a'"):
         CorpusStore(["a", "b", "a"], ["cat", "dog", "bird"])
     with pytest.raises(ValueError, match="duplicate docno 'b'"):  # the first repeat, as the reader names it
@@ -257,7 +278,9 @@ _json_lines = st.one_of(
         st.text(alphabet="ab \t\x1c\x85\u2028\u2029", max_size=4),
         st.booleans(),
     ),
-    st.sampled_from([b'{"docno": "d1"}', b"[1, 2]", b"{", b'{"docno": 7, "text": 8}']),
+    st.sampled_from([
+        b'{"docno": "d1"}', b"[1, 2]", b"{", b'{"docno": 7, "text": 8}', b'{"docno": "d1", "text": null}',
+    ]),
     _tsv_lines,
 )
 # well-formed records under a few docnos, so that stores of
@@ -299,6 +322,18 @@ def test_reader_matches_per_line_reference(tmp_path_factory, data, dedup):
         assert (store.docnos, store.texts, store.alias, report) == expected, size
 
 
+def test_documents_are_read_once(tmp_path):
+    # a second pass would append every docno and text again
+    path = write_tsv(tmp_path / "c.tsv", [("a", "cat"), ("b", "dog"), ("c", "bird")])
+    texts: list[str] = []
+    documents = Documents(path, texts=texts)
+    assert list(documents) == ["cat", "dog", "bird"]
+    for again in (list, lambda documents: list(documents.blocks())):
+        with pytest.raises(RuntimeError, match=f"^{re.escape(str(path))}: Documents are read once"):
+            again(documents)
+    assert documents.docnos == ["a", "b", "c"] and texts == ["cat", "dog", "bird"]
+
+
 def test_dedup_report_jsonl_format(tmp_path):
     report = [{"dropped": "d2", "kept": "d1"}]
     out = tmp_path / "report.jsonl"
@@ -319,15 +354,15 @@ def test_qrel_on_dropped_docno_remaps_to_kept(tmp_path):
     store = qrel_store(tmp_path)  # min("dd", "kk") = "dd" is kept, "kk" dropped
     grades, absent = map_qrels({"q1": {"kk": 2}}, store)
     assert absent == []
-    assert grades == {"q1": {store.doc_id("dd"): 2}}
+    assert grades == {"q1": {store.id_of["dd"]: 2}}
 
 
 def test_qrel_max_grade_wins_for_twins(tmp_path):
     store = qrel_store(tmp_path)
     grades, _ = map_qrels({"q1": {"kk": 1, "dd": 3}}, store)
-    assert grades == {"q1": {store.doc_id("dd"): 3}}
+    assert grades == {"q1": {store.id_of["dd"]: 3}}
     grades, _ = map_qrels({"q1": {"kk": 3, "dd": 1}}, store)
-    assert grades == {"q1": {store.doc_id("dd"): 3}}
+    assert grades == {"q1": {store.id_of["dd"]: 3}}
 
 
 def test_qrel_absent_docno_reported(tmp_path):
@@ -335,7 +370,7 @@ def test_qrel_absent_docno_reported(tmp_path):
     qrels = {"q1": {"dd": 1, "zz": 2, "kk": 1, "ghost": 3}, "q2": {"dd": 0}, "q3": {"nope": 1}}
     grades, absent = map_qrels(qrels, store)
     assert absent == [("q1", "ghost"), ("q3", "nope")]
-    assert grades == {"q1": {store.doc_id("dd"): 1, store.doc_id("zz"): 2}, "q2": {store.doc_id("dd"): 0}}
+    assert grades == {"q1": {store.id_of["dd"]: 1, store.id_of["zz"]: 2}, "q2": {store.id_of["dd"]: 0}}
 
 
 def test_qrel_negative_grade_fatal(tmp_path):
@@ -376,19 +411,21 @@ def test_map_qrels_keys_on_store_ids(tmp_path):
 
 def test_qrels_invalid_utf8_and_lone_cr(tmp_path):
     qrels = tmp_path / "q.txt"
-    qrels.write_bytes(b"q1 0 d1 2\r\n\nq1 0 d\xff1 2\n")
-    with pytest.raises(ValueError, match=r"q\.txt:3: invalid UTF-8 \(invalid start byte\)"):
-        load_qrels(qrels)
-    # a sequence cut short by the line end reads as such, as in the corpus
-    qrels.write_bytes(b"q1 0 d1 2\nq1 0 d2 \xe2\x82\r\n")
-    with pytest.raises(ValueError, match=r":2: invalid UTF-8 \(unexpected end of data\)"):
-        load_qrels(qrels)
-    # lines end at \n only: a lone \r is whitespace inside a line
-    qrels.write_bytes(b"q1 0 d1 2\rq1 0 d2 1\n")
-    with pytest.raises(ValueError, match=r":1: expected 'qid 0 docno grade'"):
-        load_qrels(qrels)
-    qrels.write_bytes(b"q1\r0 d1 2\n")
-    assert load_qrels(qrels) == {"q1": {"d1": 2}}
+    for size in BLOCK_SIZES:
+        with block_bytes(size):
+            qrels.write_bytes(b"q1 0 d1 2\r\n\nq1 0 d\xff1 2\n")
+            with pytest.raises(ValueError, match=r"q\.txt:3: invalid UTF-8 \(invalid start byte\)"):
+                load_qrels(qrels)
+            # a sequence cut short by the line end reads as such, as in the corpus
+            qrels.write_bytes(b"q1 0 d1 2\nq1 0 d2 \xe2\x82\r\n")
+            with pytest.raises(ValueError, match=r":2: invalid UTF-8 \(unexpected end of data\)"):
+                load_qrels(qrels)
+            # lines end at \n only: a lone \r is whitespace inside a line
+            qrels.write_bytes(b"q1 0 d1 2\rq1 0 d2 1\n")
+            with pytest.raises(ValueError, match=r":1: expected 'qid 0 docno grade'"):
+                load_qrels(qrels)
+            qrels.write_bytes(b"q1\r0 d1 2\n")
+            assert load_qrels(qrels) == {"q1": {"d1": 2}}
 
 
 # Qrels lines from pieces: judged, dedup-dropped and absent docnos, grades
@@ -530,14 +567,17 @@ def test_load_queries_splits_on_newline_only(tmp_path):
     # a lone \r stays inside a query; a CRLF ending and blank lines do not count
     path = tmp_path / "q.tsv"
     path.write_bytes("q1\tcat\rdog\r\n\r\n\nq2\tbird\x85fish\r".encode())
-    assert load_queries(path) == [Query("q1", "cat\rdog"), Query("q2", "bird\x85fish")]
+    for size in BLOCK_SIZES:
+        with block_bytes(size):
+            assert load_queries(path) == [Query("q1", "cat\rdog"), Query("q2", "bird\x85fish")], size
 
 
 def test_load_queries_invalid_utf8_names_line(tmp_path):
     path = tmp_path / "q.tsv"
     path.write_bytes(b"q1\tcat\n\nq2\tdog \xff\n")
-    with pytest.raises(ValueError, match=r"q\.tsv:3: invalid UTF-8 \(invalid start byte\)"):
-        load_queries(path)
+    for size in BLOCK_SIZES:
+        with block_bytes(size), pytest.raises(ValueError, match=r"q\.tsv:3: invalid UTF-8 \(invalid start byte\)"):
+            load_queries(path)
 
 
 @pytest.mark.parametrize("data, message", [
@@ -548,18 +588,15 @@ def test_load_queries_invalid_utf8_names_line(tmp_path):
 def test_load_queries_malformed_line_names_it(tmp_path, data, message):
     path = tmp_path / "q.tsv"
     path.write_bytes(data)
-    with pytest.raises(ValueError) as raised:
-        load_queries(path)
-    assert str(raised.value) == f"{tmp_path}/{message}"
+    for size in BLOCK_SIZES:
+        with block_bytes(size), pytest.raises(ValueError) as raised:
+            load_queries(path)
+        assert str(raised.value) == f"{tmp_path}/{message}", size
 
 
 def _columns(path):
-    columns = []
-    for size in BLOCK_SIZES:
-        with block_bytes(size):
-            store, _ = ingest_corpus(path)
-        columns.append((store.docnos, store.texts))
-    return columns
+    store, _ = ingest_corpus(path)
+    return store.docnos, store.texts
 
 
 @pytest.mark.parametrize("read, data", [
@@ -574,4 +611,6 @@ def test_leading_byte_order_mark_is_dropped(tmp_path, read, data):
     plain, marked = tmp_path / "plain", tmp_path / "marked"
     plain.write_bytes(data)
     marked.write_bytes(codecs.BOM_UTF8 + data)
-    assert read(marked) == read(plain)
+    for size in BLOCK_SIZES:
+        with block_bytes(size):
+            assert read(marked) == read(plain), size

@@ -34,7 +34,7 @@ def test_load_three_docs(tmp_path):
     path = write_table(tmp_path / "e.bin", 4, [(n, [i, 0, 0, 1]) for i, n in enumerate(["a", "b", "c"])])
     matrix = load_embeddings(path, store)
     assert matrix.shape == (3, 4) and matrix.dtype == np.float32
-    assert matrix[store.doc_id("b")].tolist() == [1, 0, 0, 1]
+    assert matrix[store.id_of["b"]].tolist() == [1, 0, 0, 1]
 
 
 def test_records_of_dedup_dropped_twins_are_skipped(tmp_path):
@@ -163,14 +163,14 @@ def test_normalize_flag(tmp_path):
     store = store_for(["a"])
     path = write_table(tmp_path / "e.bin", 2, [("a", [3.0, 4.0])])
     matrix = load_embeddings(path, store, normalize=True)
-    assert np.allclose(matrix[store.doc_id("a")], [0.6, 0.8])
+    assert np.allclose(matrix[store.id_of["a"]], [0.6, 0.8])
 
 
 def test_dense_retrieve_orthogonal(tmp_path):
     store = store_for(["d0", "d1"])
     path = write_table(tmp_path / "e.bin", 2, [("d0", [1, 0]), ("d1", [0, 1])])
     matrix = load_embeddings(path, store)
-    assert dense_retrieve(matrix, np.array([1.0, 0.0]), 1) == [store.doc_id("d0")]
+    assert dense_retrieve(matrix, np.array([1.0, 0.0]), 1) == [store.id_of["d0"]]
 
 
 def test_dense_retrieve_k_past_corpus_returns_all_sorted(tmp_path):

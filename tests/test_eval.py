@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import BLOCK_SIZES, block_bytes
 from slidegar.eval import (
     evaluate_run,
     ndcg_at,
@@ -155,11 +156,13 @@ def test_run_file_roundtrip(tmp_path):
 
 def test_run_file_lines_end_at_newline_only(tmp_path):
     path = tmp_path / "run.trec"
-    path.write_bytes(b"q1 Q0 d1 1 1.0 t\r\nq1 Q0 d2 2 0.5 t\r\n")  # a trailing \r is stripped
-    assert read_run(path) == ({"q1": ["d1", "d2"]}, "t")
-    path.write_bytes(b"q1 Q0 d1 1 1.0 t\rq1 Q0 d2 2 0.5 t\n")  # a lone \r ends no line
-    with pytest.raises(ValueError, match=r"run\.trec:1: expected 6 columns"):
-        read_run(path)
+    for size in BLOCK_SIZES:
+        with block_bytes(size):
+            path.write_bytes(b"q1 Q0 d1 1 1.0 t\r\nq1 Q0 d2 2 0.5 t\r\n")  # a trailing \r is stripped
+            assert read_run(path) == ({"q1": ["d1", "d2"]}, "t")
+            path.write_bytes(b"q1 Q0 d1 1 1.0 t\rq1 Q0 d2 2 0.5 t\n")  # a lone \r ends no line
+            with pytest.raises(ValueError, match=r"run\.trec:1: expected 6 columns"):
+                read_run(path)
 
 
 def test_run_file_validation(tmp_path):

@@ -19,7 +19,7 @@ STORE = CorpusStore(NAMES, [f"text of {d}" for d in NAMES])
 
 
 def ids(*docnos):
-    return [STORE.doc_id(d) for d in docnos]
+    return [STORE.id_of[d] for d in docnos]
 
 
 def window(*docnos):
@@ -32,7 +32,7 @@ def docnos(ordering):
 
 def grades(per_docno):
     """One query's grades, keyed by doc id as ``map_qrels`` returns them."""
-    return {"q1": {STORE.doc_id(d): grade for d, grade in per_docno.items()}}
+    return {"q1": {STORE.id_of[d]: grade for d, grade in per_docno.items()}}
 
 
 # --- contract ---
@@ -79,9 +79,9 @@ def test_non_permutation_from_local_ranker_raises():
     for bad in (
         lambda w: [w.ids[0]] * len(w.ids),  # the right length, one id repeated
         lambda w: [*w.ids[:-1], w.ids[0]],  # the right length, the last id missing
-        lambda w: [*w.ids[:-1], STORE.doc_id("only")],  # an id outside the window
+        lambda w: [*w.ids[:-1], STORE.id_of["only"]],  # an id outside the window
         lambda w: list(w.ids[:-1]),  # one id short
-        lambda w: [*w.ids, STORE.doc_id("only")],  # one id too many
+        lambda w: [*w.ids, STORE.id_of["only"]],  # one id too many
         lambda w: docnos(w.ids),  # docnos, not ids
     ):
         with pytest.raises(ValueError, match="permutation"):
@@ -125,7 +125,7 @@ def test_noisy_seeds_from_docnos_not_ids():
     names = [f"d{i}" for i in range(12)]
     shifted = CorpusStore(["pad", *names], ["pad text", *(f"text of {d}" for d in names)])
     here = docnos(OracleRanker({}, STORE.docnos, swap_prob=0.5, seed=5).rank(window(*names)))
-    there = OracleRanker({}, shifted.docnos, swap_prob=0.5, seed=5).rank(Window(Q, map(shifted.doc_id, names)))
+    there = OracleRanker({}, shifted.docnos, swap_prob=0.5, seed=5).rank(Window(Q, [shifted.id_of[d] for d in names]))
     assert here == [shifted.docnos[i] for i in there] != names
 
 

@@ -26,7 +26,7 @@ def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):
     calls, attempts, top = capsys.readouterr().out.split(" ", 2)
     assert int(calls) == int(attempts) == 4  # ceil((50 - 20) / 10) + 1, one attempt each
     top = ast.literal_eval(top)
-    assert len(top) == 10 and all(docno in store for docno in top)
+    assert len(top) == 10 and all(docno in store.id_of for docno in top)
 
 
 def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
