@@ -16,13 +16,14 @@ of the next window alternates between feedback and the initial ranking R0,
 feedback first. The loop takes from a feedback source's candidates only
 documents outside R0 that are not yet ranked, and a half that one source
 leaves short is topped up from the other, so every window after the first
-holds ``2b`` documents until both run dry. The loop ends once ``c - b`` documents are dumped, once it has
-made ``ceil((c - w) / b) + 1`` ranker calls (a hard cap: short windows dump
-fewer documents), or once no fresh document is left; the last carried
-top-``b`` goes on top of the output. Rankings, R0, the result and every
-ranker ``Window`` included, are lists of store doc ids, so no strategy
-takes the store; docnos appear only inside the rankers that read them and
-in the run file.
+holds ``2b`` documents until both run dry. The loop ends once it has made
+``ceil((c - w) / b) + 1`` ranker calls, the cap that spends the budget of
+``c`` documents when every window is full (a short window dumps fewer
+documents, and the run then holds fewer than ``c``), or once no fresh
+document is left; the last carried top-``b`` goes on top of the output.
+Rankings, R0, the result and every ranker ``Window`` included, are lists
+of store doc ids, so no strategy takes the store; docnos appear only
+inside the rankers that read them and in the run file.
 """
 
 from __future__ import annotations
@@ -130,15 +131,14 @@ def _run_window_loop(
     ``feedback(order)`` returns distinct candidate ids, best first, for the
     batch ``order`` just ranked; the loop takes the first of them outside
     ``blocked`` (R0 plus everything ranked) and stops reading once it has
-    enough. R0 itself is consumed in order through a cursor. The budget, in
-    dumps and in calls, is checked before feedback is asked.
+    enough. R0 itself is consumed in order through a cursor. The call cap,
+    the only budget, is checked before feedback is asked.
     """
     run = _QueryRun(query, r0, ranker)
     max_calls = expected_llm_calls(cfg)
     pool = run.pool
     blocked = set(pool)
     dumps: list[list[int]] = []  # per window, the docs it dumped, best first
-    dumped = 0
     window = pool[: cfg.w]
     cursor = len(window)
 
@@ -150,8 +150,7 @@ def _run_window_loop(
         blocked.update(order)
         l1 = order[: cfg.b]
         dumps.append(order[cfg.b :])
-        dumped += len(dumps[-1])
-        if dumped >= cfg.c - cfg.b or run.calls == max_calls:
+        if run.calls == max_calls:
             break
 
         # R0 fills its own turn and tops up a short feedback half; feedback

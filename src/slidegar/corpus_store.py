@@ -63,8 +63,9 @@ class CorpusStore:
 
     Doc ids are dense ints in corpus order so they can index directly into
     postings lists, embedding matrices, and graph rows. The store alone
-    holds docnos and the docno -> id map, ``id_of``, built with the store;
-    its size is the check that no docno repeats. Indexes, embedding
+    holds docnos and the docno -> id map, ``id_of``, built with the store
+    from docnos that do not repeat: the corpus reader rejects a repeat on
+    the raw file, before dedup merges any document. Indexes, embedding
     matrices, graphs and rankings hold ids, and artifacts check their
     ``docnos.txt`` against the store. Only set-up looks docnos up (qrels,
     embeddings); queries run on ids.
@@ -77,10 +78,6 @@ class CorpusStore:
         self.texts = texts
         self.alias = alias or {}  # dropped docno -> kept docno
         self.id_of = dict(zip(docnos, range(len(docnos))))
-        if len(self.id_of) != len(docnos):
-            first: dict[str, int] = {}
-            docno = next(d for i, d in enumerate(docnos) if first.setdefault(d, i) != i)
-            raise ValueError(f"duplicate docno {docno!r}")
 
     def __len__(self) -> int:
         return len(self.docnos)
@@ -211,9 +208,9 @@ def _read_corpus(path: str | Path) -> Iterator[tuple[list[str], list[str]]]:
     are raised once the last block is read.
     """
     spaced = ""  # the error of the first docno holding whitespace
-    # Equal docnos hash alike, so distinct hashes rule a repeat out. Sorting
-    # 8 bytes per docno costs less than a set of them, which the store
-    # built from the docnos then builds again.
+    # The one check that no docno repeats, on the raw file: dedup can merge a
+    # repeat away before a store sees it. Equal docnos hash alike, so distinct
+    # hashes rule a repeat out; sorting 8 bytes per docno costs less than a set.
     hashes = [np.zeros(0, dtype=np.int64)]  # one array per block, after one for an empty file
     for numbers, docnos, texts in _parsed_blocks(path):
         # one scan over the block's docnos: clean ones join into a single word

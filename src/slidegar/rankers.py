@@ -127,9 +127,19 @@ class OracleRanker(ListwiseRanker):
         return order
 
 
-def check_retries(retries: int, backoff: float) -> None:
-    """Reject ``retries`` whose last sleep, ``backoff * 2 ** (retries - 1)``
-    seconds, exceeds ``threading.TIMEOUT_MAX``, above which the sleep overflows."""
+def check_remote(timeout: float, retries: int, backoff: float = BACKOFF_S) -> None:
+    """Reject remote-ranker settings: ``retries`` below 0, a ``timeout``
+    outside ``(0, threading.TIMEOUT_MAX]``, a negative, NaN or infinite
+    ``backoff``, and a last sleep, ``backoff * 2 ** (retries - 1)`` seconds,
+    above ``threading.TIMEOUT_MAX``; beyond it the socket and the sleep overflow."""
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries!r}")
+    if not timeout > 0:  # also rejects NaN
+        raise ValueError(f"timeout must be > 0, got {timeout!r}")
+    if timeout > threading.TIMEOUT_MAX:
+        raise ValueError(f"timeout must be <= {threading.TIMEOUT_MAX}, got {timeout!r}")
+    if not 0 <= backoff < float("inf"):  # also rejects NaN
+        raise ValueError(f"backoff must be >= 0 and finite, got {backoff!r}")
     if retries > 0 and backoff > 0 and math.log2(backoff) + retries - 1 > math.log2(threading.TIMEOUT_MAX):
         raise ValueError(f"retries {retries} with backoff {backoff} s would sleep more than {threading.TIMEOUT_MAX} s")
 
@@ -163,15 +173,7 @@ class RemoteRanker(ListwiseRanker):
         backoff: float = BACKOFF_S,
         auth: str | None = None,
     ) -> None:
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if not timeout > 0:  # also rejects NaN
-            raise ValueError("timeout must be > 0")
-        if timeout > threading.TIMEOUT_MAX:  # the socket layer overflows above it
-            raise ValueError(f"timeout must be <= {threading.TIMEOUT_MAX}")
-        if not 0 <= backoff < float("inf"):  # also rejects NaN
-            raise ValueError("backoff must be >= 0 and finite")
-        check_retries(retries, backoff)
+        check_remote(timeout, retries, backoff)
         self.url = endpoint.rstrip("/") + "/rerank"
         self.store = store
         self.timeout = timeout

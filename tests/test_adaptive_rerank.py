@@ -613,10 +613,11 @@ def test_window_loop_fills_every_window_until_sources_run_dry(instance, swap_pro
         ranked: set[str] = set()
         for i, (_, batch) in enumerate(ranker.seen):
             ranked.update(batch)
-            # the budget is spent: c - b documents dumped, or the last call made
-            if len(ranked) - len(batch[: cfg.b]) >= cfg.c - cfg.b or i + 1 == expected_llm_calls(cfg):
+            if i + 1 == expected_llm_calls(cfg):  # the call cap, the engine's only budget
                 assert i == len(ranker.seen) - 1
                 break
+            # so the simulator's other rule, c - b documents dumped, never fires first
+            assert len(ranked) - len(batch[: cfg.b]) < cfg.c - cfg.b
             supply = sum(d not in ranked for d in r0)
             supply += len(feedback_fn(list(batch), set(r0) | ranked, len(docs)))
             dry |= supply < cfg.b

@@ -259,6 +259,33 @@ def test_telemetry_per_query_fields(workspace, tmp_path):
         assert (record["ranker_attempts"], record["degraded_windows"]) == (record["llm_calls"], 0)
 
 
+def test_telemetry_timings_bound_a_ranker_of_known_latency(workspace, tmp_path, monkeypatch):
+    # lower bounds only, so a slow host cannot fail it: the ranker time holds
+    # every sleep, the loop's own time is less, and every step that ran took time
+    sleep_s = 0.005
+
+    class SleepingOracle(cli.OracleRanker):
+        def _order(self, window):
+            time.sleep(sleep_s)
+            return super()._order(window)
+
+    monkeypatch.setattr(cli, "OracleRanker", SleepingOracle)
+    tel = tmp_path / "t.jsonl"
+    cfg = base_config(workspace, strategy="slidegar_rm3", run_out=str(tmp_path / "r.trec"), telemetry_out=str(tel))
+    t0 = time.perf_counter()
+    assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
+    wall_s = time.perf_counter() - t0
+    records = [json.loads(line) for line in tel.read_text().splitlines()]
+    laps = {key: value for key, value in records[1].items() if key.endswith("_s") and value is not None}
+    assert sorted(laps) == ["forward_index_s", "graph_load_s", "index_load_s", "ingest_s", "qrels_s"]
+    assert all(value > 0 for value in laps.values()), laps
+    assert sum(laps.values()) <= wall_s
+    for record in records[2:]:
+        assert record["llm_calls"] > 0 and record["first_stage_ms"] > 0, record
+        assert record["ranker_ms"] >= sleep_s * 1000.0 * record["llm_calls"], record
+        assert record["bookkeeping_ms"] < record["ranker_ms"], record
+
+
 def test_query_without_first_stage_hits_is_left_out_of_the_run(workspace, tmp_path):
     # a stopword-only query retrieves nothing, so no strategy runs for it:
     # the run file leaves it out, and its record has every other query
@@ -427,13 +454,13 @@ def test_config_validation_errors(workspace, tmp_path, capsys):
     ({"seed": True}, "config 'seed' must be an integer, got True"),
     ({"timeout": "30"}, "config 'timeout' must be a number, got '30'"),
     ({"w": 6, "b": 6}, "invalid config: need 1 <= b < w <= c, got w=6 b=6 c=12"),
-    ({"retries": -1}, "config 'retries' must be >= 0, got -1"),
-    ({"timeout": 0}, "config 'timeout' must be > 0, got 0"),
-    ({"timeout": -1.5}, "config 'timeout' must be > 0, got -1.5"),
+    ({"retries": -1}, "retries must be >= 0, got -1"),
+    ({"timeout": 0}, "timeout must be > 0, got 0"),
+    ({"timeout": -1.5}, "timeout must be > 0, got -1.5"),
     ({"swap_prob": 1.5}, "config 'swap_prob' must be in [0, 1], got 1.5"),
     ({"swap_prob": -0.1}, "config 'swap_prob' must be in [0, 1], got -0.1"),
-    ({"timeout": 1e300}, f"config 'timeout' must be <= {threading.TIMEOUT_MAX}, got 1e+300"),
-    ({"timeout": float("inf")}, f"config 'timeout' must be <= {threading.TIMEOUT_MAX}, got inf"),  # JSON Infinity
+    ({"timeout": 1e300}, f"timeout must be <= {threading.TIMEOUT_MAX}, got 1e+300"),
+    ({"timeout": float("inf")}, f"timeout must be <= {threading.TIMEOUT_MAX}, got inf"),  # JSON Infinity
     ({"rm3": 5}, "config 'rm3' must be an object, got 5"),
     ({"rm3": ["fb_docs"]}, "config 'rm3' must be an object, got ['fb_docs']"),
     ({"rm3": "fb"}, "config 'rm3' must be an object, got 'fb'"),

@@ -1,5 +1,6 @@
 import codecs
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import refcorpus
 from conftest import BLOCK_SIZES, block_bytes
 from slidegar import corpus_store
+from slidegar.cli import main
 from slidegar.corpus_store import (
     CorpusStore,
     Documents,
@@ -148,7 +150,7 @@ def test_invalid_utf8_reports_line_number(tmp_path):
         ingest_corpus(path)
 
 
-def test_duplicate_docno_fatal(tmp_path):
+def test_duplicate_docno_fatal(tmp_path, capsys):
     path = write_tsv(tmp_path / "c.tsv", [("d1", "one"), ("d1", "two")])
     with pytest.raises(ValueError, match="duplicate docno"):
         ingest_corpus(path)
@@ -156,6 +158,22 @@ def test_duplicate_docno_fatal(tmp_path):
     path.write_text("d1\tone\n\nd2\ttwo\nd3\tthree\nd2\tfour\nd1\tfive\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r":5: duplicate docno 'd2' \(first at line 3\)$"):
         ingest_corpus(path)
+    # with dedup too, and in build-index, which builds no store: the raw file is
+    # checked before merging, so dedup hides neither a repeat of a twin nor a
+    # docno that would be both kept and dropped
+    for data, message in [
+        (b"a\tx\nd\tx\nd\tx\n", ":3: duplicate docno 'd' (first at line 2)"),
+        (b"d1\tx\nd0\ty\nd1\ty\n", ":3: duplicate docno 'd1' (first at line 1)"),
+    ]:
+        path.write_bytes(data)
+        for size, dedup in itertools.product(BLOCK_SIZES, (False, True)):
+            with block_bytes(size), pytest.raises(ValueError) as raised:
+                ingest_corpus(path, dedup=dedup)
+            assert str(raised.value) == f"{path}{message}", (size, dedup)
+            flags = ["--dedup"] if dedup else []
+            with block_bytes(size):
+                assert main(["build-index", "--corpus", str(path), "--out", str(tmp_path / "idx"), *flags]) == 2
+            assert capsys.readouterr().err == f"error: {path}{message}\n", (size, dedup)
 
 
 def test_docnos_whose_hashes_collide_are_read_again_not_rejected(tmp_path, monkeypatch):
@@ -204,15 +222,6 @@ def test_json_field_of_another_type_fatal(tmp_path, record, field):
         with block_bytes(size), pytest.raises(ValueError) as got:
             ingest_corpus(path)
         assert str(got.value) == message, size
-
-
-def test_store_columns_reject_duplicate_docno():
-    store = CorpusStore(["a", "b"], ["cat", "dog"])
-    assert store.id_of["b"] == 1 and "a" in store.id_of and len(store) == 2
-    with pytest.raises(ValueError, match="duplicate docno 'a'"):
-        CorpusStore(["a", "b", "a"], ["cat", "dog", "bird"])
-    with pytest.raises(ValueError, match="duplicate docno 'b'"):  # the first repeat, as the reader names it
-        CorpusStore(["a", "b", "b", "a"], ["cat", "dog", "bird", "eel"])
 
 
 def test_store_columns_must_have_equal_lengths():
@@ -305,6 +314,9 @@ def corpus_bytes(draw):
 @example(b"d1\ta\n\tb\nd2\t\xff\n", False)
 @example(b"d1\ta\nd 2\tb\nd3\tc\xe2\x82\r\n", False)
 @example(b'{"docno": "d1", "text": " "}\n{"docno": \n', False)
+# a repeat that dedup would merge into a twin, and one it would keep once and drop once
+@example(b"a\tx\nd\tx\nd\tx\n", True)
+@example(b"d1\tx\nd0\ty\nd1\ty\n", True)
 def test_reader_matches_per_line_reference(tmp_path_factory, data, dedup):
     path = tmp_path_factory.mktemp("corpus") / "c.tsv"
     path.write_bytes(data)
