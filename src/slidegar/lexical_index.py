@@ -18,6 +18,10 @@ once during set-up, before any thread does:
   ``term_ids[doc_offsets[d]:doc_offsets[d + 1]]`` (ascending) and the
   matching ``tfs``, so index builds, graph builds and BM25 runs skip it.
 
+Both directions of the transpose, a build's doc-major entries into
+term-major postings and the postings into ``forward``'s doc-major rows, are
+one stable regroup, ``_regroup``, which holds one int64 key per entry.
+
 Index directory layout (format version 4), every array as numpy holds it,
 written with one ``tofile`` and read back with one size-checked
 ``read_u32``:
@@ -112,28 +116,51 @@ class InvertedIndex:
 
     @cached_property
     def forward(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(doc_offsets, term_ids, tfs)``: the postings regrouped by doc,
-        each doc's terms in id order."""
-        # Postings run in term-id order, so ordering them by (doc id, position)
-        # is the stable argsort by doc id. The keys doc_id * n + position are
-        # unique, so one in-place value sort, faster than argsort, finds that
-        # order, and % n turns the keys back into positions. Keys stay below
-        # doc_count * n < 2**63: doc_count <= 2**32 (ids are u32), and
-        # n < 2**31 since that many postings would already hold 16 GiB.
-        n = len(self.doc_ids)
-        order = self.doc_ids.astype(np.int64)
-        doc_offsets = np.zeros(self.doc_count + 1, dtype=np.int64)
-        # counted from the int64 copy, which bincount reads without casting the u32 ids
-        np.cumsum(np.bincount(order, minlength=self.doc_count), out=doc_offsets[1:])
-        order *= n
-        order += np.arange(n, dtype=np.int64)
-        order.sort()
-        order %= n  # an empty index has n = 0 and nothing to divide
+        """``(doc_offsets, term_ids, tfs)``: the postings regrouped by doc
+        with ``_regroup``, each doc's terms in id order."""
+        doc_offsets, order = _regroup(self.doc_ids, self.doc_count)
         posting_terms = np.repeat(np.arange(len(self.terms), dtype=np.int32), np.diff(self.offsets))
         term_ids = posting_terms[order]
         del posting_terms
         tfs = self.tfs[order]
         return doc_offsets, term_ids, tfs
+
+
+# Entries per slice where a regroup adds positions to its keys and a build
+# gathers doc ids: each slice's temporary takes 16 KiB, so neither step
+# makes a second array as long as the postings.
+SLICE = 2048
+
+
+def _regroup(groups: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(offsets, order)``: ``order`` is the stable argsort of ``groups``
+    (ids below ``n_groups``), so group g's entries are
+    ``order[offsets[g]:offsets[g + 1]]``, ascending. Beyond ``groups`` it
+    holds one int64 per entry."""
+    keys = groups.astype(np.int64)
+    offsets = np.zeros(n_groups + 1, dtype=np.int64)
+    # counted from the int64 copy, which bincount reads without casting the ids
+    np.cumsum(np.bincount(keys, minlength=n_groups), out=offsets[1:])
+    return offsets, _stable_order(keys)
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """The stable argsort of the int64 group ids ``keys``, written over them.
+
+    The keys group * n + position are unique, so one in-place value sort,
+    faster than argsort and without its merge buffer, finds that order, and
+    % n turns the keys back into positions. Keys stay below 2**32 * n <
+    2**63: groups are i32 term ids or u32 doc ids, and n < 2**31 since that
+    many postings would already hold 16 GiB.
+    """
+    n = len(keys)
+    keys *= n
+    for start in range(0, n, SLICE):
+        chunk = keys[start : start + SLICE]
+        chunk += np.arange(start, start + len(chunk), dtype=np.int64)
+    keys.sort()
+    keys %= n  # an empty input has n = 0 and nothing to divide
+    return keys
 
 
 def build_index(texts: Iterable[str]) -> InvertedIndex:
@@ -144,7 +171,7 @@ def build_index(texts: Iterable[str]) -> InvertedIndex:
     entry_terms = array("i")
     entry_tfs = array("I")
     doc_lengths = array("I")
-    distinct: list[int] = []
+    distinct = array("I")
     for text in texts:
         tokens = tokenize(text)
         doc_lengths.append(len(tokens))
@@ -161,15 +188,18 @@ def build_index(texts: Iterable[str]) -> InvertedIndex:
     del first_seen
     entry_term_ids = sorted_id[np.frombuffer(entry_terms, dtype=np.intc)]
     del entry_terms, sorted_id
-    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(entry_term_ids, minlength=len(terms)), out=offsets[1:])
-    # entries are in doc order, so a stable sort by term leaves each list ascending
-    order = np.argsort(entry_term_ids, kind="stable")
+    # entries are in doc order, so a stable regroup by term leaves each list ascending
+    offsets, order = _regroup(entry_term_ids, len(terms))
     del entry_term_ids
     tfs = np.frombuffer(entry_tfs, dtype=np.uintc)[order]
     del entry_tfs
-    doc_ids = np.repeat(np.arange(len(doc_lengths), dtype=np.uint32), distinct)[order]
-    del order, distinct
+    # entry p belongs to the first doc whose entries end after p
+    ends = np.cumsum(np.frombuffer(distinct, dtype=np.uintc), dtype=np.int64)
+    del distinct
+    doc_ids = np.empty(len(order), dtype=np.uint32)
+    for start in range(0, len(order), SLICE):
+        doc_ids[start : start + SLICE] = np.searchsorted(ends, order[start : start + SLICE], side="right")
+    del order, ends
     return InvertedIndex(terms, offsets, doc_ids, tfs, np.frombuffer(doc_lengths, dtype=np.uintc))
 
 

@@ -17,8 +17,9 @@ from conftest import BLOCK_SIZES, block_bytes
 from mockserver import ScriptedHandler, scripted_server
 from slidegar import cli, corpus_store
 from slidegar.cli import main
+from slidegar.corpus_graph import build_graph_dense, save_graph
 from slidegar.corpus_store import Query, ingest_corpus, load_queries
-from slidegar.dense_index import write_embeddings
+from slidegar.dense_index import load_embeddings, write_embeddings
 from slidegar.eval import read_run
 from slidegar.lexical_index import bm25_retrieve, build_index, save_index
 
@@ -641,6 +642,10 @@ def test_builds_end_their_output_with_a_build_record(workspace, tmp_path, capsys
         "dense": (["build-graph", "--corpus", corpus, "--source", "dense", "--embeddings",
                    str(workspace / "data" / "embeddings.bin"), "--k", "2", "--out", str(tmp_path / "dense" / "graph.bin")],
                   {"ingest_s", "embeddings_load_s", "graph_build_s", "graph_save_s"}),
+        "normalized": (["build-graph", "--corpus", corpus, "--source", "dense", "--embeddings",
+                        str(workspace / "data" / "embeddings.bin"), "--k", "2", "--normalize",
+                        "--out", str(tmp_path / "normalized" / "graph.bin")],
+                       {"ingest_s", "embeddings_load_s", "graph_build_s", "graph_save_s"}),
     }
     steps = {"index_build_s", "index_save_s", "ingest_s", "embeddings_load_s", "graph_build_s", "graph_save_s"}
     for name, (argv, timed) in commands.items():
@@ -658,6 +663,13 @@ def test_builds_end_their_output_with_a_build_record(workspace, tmp_path, capsys
     assert sorted(path.name for path in (tmp_path / "index").iterdir()) == sorted(
         path.name for path in (workspace / "index").iterdir())
     assert sorted(path.name for path in (tmp_path / "lexical").iterdir()) == ["docnos.txt", "graph.bin"]
+    # --normalize builds the graph of the unit-length vectors, which differs here from the raw ones
+    store, _ = ingest_corpus(corpus)
+    normalized = load_embeddings(workspace / "data" / "embeddings.bin", store, normalize=True)
+    save_graph(tmp_path / "api" / "graph.bin", build_graph_dense(normalized, 2), "dense", store)
+    for name in ("graph.bin", "docnos.txt"):
+        assert (tmp_path / "normalized" / name).read_bytes() == (tmp_path / "api" / name).read_bytes(), name
+    assert (tmp_path / "normalized" / "graph.bin").read_bytes() != (tmp_path / "dense" / "graph.bin").read_bytes()
 
 
 def test_dense_dedup_skips_vectors_of_dropped_twins(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Golden run files: the exact bytes of one small run per strategy.
+"""Golden run files: the exact bytes of one small run per strategy, and of
+the index that ``build-index`` writes for the same corpus.
 
 The inputs are pure Python end to end (synth uses ``random``, BM25 and the
 lexical graph never touch BLAS), so the digests are stable across hosts and
@@ -24,6 +25,24 @@ NOISY_SHA256 = {
     "baseline": "5709722e92931975a037d29d2c28295daa16c5199e1807521d0eb3829a6c445a",
     "slidegar": "710d8b344727fb8465ff5c9aa547ad132a0549ca46141b3c185e4f668d14fb22",
     "slidegar_rm3": "902ee6952dfb5c9407ad64a32df5ee7d8d560f6f955d5194cba46e69927bb0c9",
+}
+
+# every file build-index writes for the same corpus: the run digests see the
+# index bytes only through rankings
+INDEX_SHA256 = {
+    "dfs.bin": "40013a03bf5be73e36c3ec558eb9fc38b01ec37ffb5a1d7b4c92aff768e50bdb",
+    "docids.bin": "a0aec5b2a5ef25cb65cfa08aa025c411c2987046417854e2aafdb76882d33ebd",
+    "doclens.bin": "e7198b350738cef4278288009b69e6308f756c1050741ec62fd5080cbf91d193",
+    "docnos.txt": "4d79b882685826ee91a63b0cb893b823160fc15f858563255bbf39f296605e41",
+    "meta.json": "485b2163674e3f7d05e99e241372acbd706a0d2cc9f72ba740bdec0d3dcd6f54",
+    "terms.txt": "ed2cdbd87de9ad85f9537b8339b35bd4ea019484779a7cfc8ce32faab7ceb73b",
+    "tfs.bin": "7c4b84476d00a6932a2512d948efc0bb19f0667ccd6abc84808347f5daee6ab2",
+}
+# the corpus has no twins: --dedup drops none, so only meta.json and the empty report differ
+DEDUP_INDEX_SHA256 = {
+    **INDEX_SHA256,
+    "dedup_report.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "meta.json": "3e8c6b2859eae8c6cd597c15e4b673600a41ae315d22f6792cf4dc68d67cb08b",
 }
 
 
@@ -58,6 +77,14 @@ def run_digest(data, tmp_path, strategy, ranker="oracle", **options):
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["run", "--config", str(cfg_path)]) == 0
     return hashlib.sha256(run_out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+def test_index_file_digests(data, tmp_path, dedup):
+    args = ["build-index", "--corpus", str(data / "data" / "corpus.tsv"), "--out", str(tmp_path)]
+    assert main(args + ["--dedup"] * dedup) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+    assert digests == (DEDUP_INDEX_SHA256 if dedup else INDEX_SHA256)
 
 
 @pytest.mark.parametrize("strategy", sorted(GOLDEN_SHA256))
