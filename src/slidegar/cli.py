@@ -287,7 +287,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_build_index(args: argparse.Namespace) -> int:
     build: dict = {}
     t0 = time.perf_counter()
-    # the corpus streams through the tokenizer: only the docnos are kept
+    # the corpus streams through the tokenizer: only the docnos are kept, as the bytes of docnos.txt
     documents = corpus_store.Documents(args.corpus, dedup=args.dedup)
     index = lexical_index.build_index(documents)
     t0 = _lap(build, "index_build_s", t0)

@@ -4,9 +4,10 @@ what every artifact loader shares: ``docnos.txt`` and size-checked u32 arrays.
 Corpus, queries, qrels and run files are read by ``read_lines``, in blocks
 of whole lines of about ``BLOCK_BYTES``, so a reader never holds the whole
 file: ``Documents`` yields each document's text in doc-id order, and a step
-that only tokenizes, such as an index build, keeps no text. The store holds
-the corpus as two parallel columns, ``docnos`` and ``texts``, indexed by doc
-id, and the one docno -> id map.
+that only tokenizes, such as an index build, keeps no text and keeps the
+docnos as the bytes ``docnos.txt`` holds, not a ``str`` per document. The
+store holds the corpus as two parallel columns, ``docnos`` and ``texts``,
+indexed by doc id, and the one docno -> id map.
 
 File formats:
 
@@ -31,6 +32,7 @@ import codecs
 import itertools
 import json
 import re
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -234,23 +236,25 @@ class Documents:
     """The documents of a corpus file in doc-id order, read in one pass.
 
     Iterating yields each document's text as the document gets its doc id,
-    and appends its docno to ``docnos``; ``texts``, when given, keeps the
-    texts. With ``dedup`` on, documents whose normalized texts are identical
-    are merged: doc ids follow the order in which each distinct text first
-    appears, the lexicographically smallest docno of the group survives (a
-    deterministic, order-independent tie-break) with its own text, and every
-    other docno is dropped. Twins differ only in whitespace, which the
-    tokenizer splits on, so the text yielded, the group's first, tokenizes
-    as the survivor's does. It is read once: a second pass raises and
-    changes nothing.
+    and appends its docno to ``docnos``, the bytes ``docnos.txt`` holds: one
+    UTF-8 docno and a newline per document, so no ``str`` is kept per
+    docno. ``texts``, when given, keeps the texts. With ``dedup`` on,
+    documents whose normalized texts are identical are merged: doc ids
+    follow the order in which each distinct text first appears, the
+    lexicographically smallest docno of the group survives (a deterministic,
+    order-independent tie-break) with its own text, and every other docno is
+    dropped; ``dropped`` maps it to its survivor once the file is read.
+    Twins differ only in whitespace, which the tokenizer splits on, so the
+    text yielded, the group's first, tokenizes as the survivor's does. It is
+    read once: a second pass raises and changes nothing.
     """
 
     def __init__(self, path: str | Path, dedup: bool = False, texts: list[str] | None = None) -> None:
         self.path = path
         self.dedup = dedup
         self.texts = texts
-        self.docnos: list[str] = []
-        self.dropped: dict[str, int] = {}  # dropped docno -> doc id of its survivor
+        self.docnos = bytearray()
+        self.dropped: dict[str, str] = {}  # dropped docno -> surviving docno
         self.started = False
 
     def __iter__(self) -> Iterator[str]:
@@ -261,38 +265,53 @@ class Documents:
         if self.started:  # a second pass would append every docno again
             raise RuntimeError(f"{self.path}: Documents are read once; make a new one to read the file again")
         self.started = True
-        docnos, texts = self.docnos, self.texts
-        ids: dict[str, int] = {}  # normalized text -> doc id, under dedup
-        for block_docnos, block_texts in _read_corpus(self.path):
-            if not self.dedup:
-                docnos += block_docnos
+        column, texts = self.docnos, self.texts
+        if not self.dedup:
+            for block_docnos, block_texts in _read_corpus(self.path):
+                column += _docnos_bytes(block_docnos)
                 if texts is not None:
                     texts += block_texts
                 yield block_texts
-                continue
+            return
+        ids: dict[str, int] = {}  # normalized text -> doc id
+        starts = array("Q", [0])  # the offset of each doc id's docno in the column, then the column's end
+        replaced: dict[int, str] = {}  # doc id -> the docno that survives in place of the column's
+        dropped: dict[str, int] = {}  # dropped docno -> doc id of its survivor
+
+        def survivor(doc_id: int) -> str:
+            kept = replaced.get(doc_id)
+            return kept if kept is not None else column[starts[doc_id] : starts[doc_id + 1] - 1].decode()
+
+        for block_docnos, block_texts in _read_corpus(self.path):
             added = []
             for docno, text in zip(block_docnos, block_texts):
-                doc_id = ids.setdefault(normalize_text(text), len(docnos))
-                if doc_id == len(docnos):
-                    docnos.append(docno)
+                doc_id = ids.setdefault(normalize_text(text), len(starts) - 1)
+                if doc_id == len(starts) - 1:
+                    column += docno.encode() + b"\n"
+                    starts.append(len(column))
                     added.append(text)
                     if texts is not None:
                         texts.append(text)
                     continue
-                if docno < docnos[doc_id]:  # it survives in place of the earlier survivor
-                    docno, docnos[doc_id] = docnos[doc_id], docno
+                kept = survivor(doc_id)
+                if docno < kept:  # it survives in place of the earlier survivor
+                    docno, replaced[doc_id] = kept, docno
                     if texts is not None:
                         texts[doc_id] = text
-                self.dropped[docno] = doc_id
+                dropped[docno] = doc_id
             yield added
-
-    def alias(self) -> dict[str, str]:
-        """Dropped docno -> surviving docno."""
-        return {docno: self.docnos[doc_id] for docno, doc_id in self.dropped.items()}
+        del ids  # the normalized texts go before the survivors are written in
+        self.dropped = {docno: survivor(doc_id) for docno, doc_id in dropped.items()}
+        if replaced:  # one pass writes each survivor over the docno it replaced
+            pieces, end = [], 0
+            for doc_id in sorted(replaced):
+                pieces += column[end : starts[doc_id]], replaced[doc_id].encode() + b"\n"
+                end = starts[doc_id + 1]
+            column[:] = b"".join([*pieces, column[end:]])
 
     def report(self) -> list[dict]:
         """One ``{"dropped": ..., "kept": ...}`` entry per dropped docno, sorted."""
-        return [{"dropped": dropped, "kept": kept} for dropped, kept in sorted(self.alias().items())]
+        return [{"dropped": dropped, "kept": kept} for dropped, kept in sorted(self.dropped.items())]
 
 
 def ingest_corpus(path: str | Path, dedup: bool = False) -> tuple[CorpusStore, list[dict]]:
@@ -301,7 +320,9 @@ def ingest_corpus(path: str | Path, dedup: bool = False) -> tuple[CorpusStore, l
     documents = Documents(path, dedup, texts)
     for _ in documents.blocks():
         pass
-    return CorpusStore(documents.docnos, texts, documents.alias()), documents.report()
+    docnos = documents.docnos.decode().split("\n")
+    docnos.pop()  # the empty string after the last newline
+    return CorpusStore(docnos, texts, documents.dropped), documents.report()
 
 
 def write_dedup_report(path: str | Path, report: list[dict]) -> None:

@@ -54,7 +54,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .corpus_store import CorpusStore, Query, check_docnos, decode_utf8, read_u32, write_docnos
+from .corpus_store import CorpusStore, Query, check_docnos, decode_utf8, read_u32
 
 K1 = 1.2
 B_LEN = 0.75
@@ -344,12 +344,14 @@ def rm3_expand(
 INDEX_FORMAT_VERSION = 4
 
 
-def save_index(index: InvertedIndex, out_dir: str | Path, docnos: list[str], dedup: bool = False) -> None:
-    """Write ``index`` to ``out_dir`` beside ``docnos``, the docno of each doc id."""
+def save_index(index: InvertedIndex, out_dir: str | Path, docnos: bytes, dedup: bool = False) -> None:
+    """Write ``index`` to ``out_dir`` beside ``docnos``, the bytes of
+    ``docnos.txt`` as ``Documents.docnos`` holds them: each doc id's docno
+    and a newline, in doc-id order. They are written as they are."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "postings.bin").unlink(missing_ok=True)  # a version-3 index's postings, rebuilt in place
-    write_docnos(out / "docnos.txt", docnos)
+    (out / "docnos.txt").write_bytes(docnos)
     index.doc_lengths.astype("<u4", copy=False).tofile(out / "doclens.bin")
     (out / "terms.txt").write_text("".join(term + "\n" for term in index.terms), encoding="utf-8")
     np.diff(index.offsets).astype("<u4").tofile(out / "dfs.bin")

@@ -18,7 +18,7 @@ from mockserver import ScriptedHandler, scripted_server
 from slidegar import cli, corpus_store
 from slidegar.cli import main
 from slidegar.corpus_graph import build_graph_dense, save_graph
-from slidegar.corpus_store import Query, ingest_corpus, load_queries
+from slidegar.corpus_store import Query, _docnos_bytes, ingest_corpus, load_queries
 from slidegar.dense_index import load_embeddings, write_embeddings
 from slidegar.eval import read_run
 from slidegar.lexical_index import bm25_retrieve, build_index, save_index
@@ -619,7 +619,7 @@ def test_build_index_writes_what_save_index_writes_of_the_ingested_texts(tmp_pat
         with block_bytes(size):
             assert main(["build-index", "--corpus", str(corpus), "--out", str(tmp_path / f"cli{size}"), *flags]) == 0
     store, report = ingest_corpus(corpus, dedup=dedup)
-    save_index(build_index(store.texts), tmp_path / "api", store.docnos, dedup=dedup)
+    save_index(build_index(store.texts), tmp_path / "api", _docnos_bytes(store.docnos), dedup=dedup)
     if dedup:
         corpus_store.write_dedup_report(tmp_path / "api" / "dedup_report.jsonl", report)
         assert report

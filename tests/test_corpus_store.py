@@ -1,5 +1,7 @@
 import codecs
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import random
@@ -334,6 +336,49 @@ def test_reader_matches_per_line_reference(tmp_path_factory, data, dedup):
         assert (store.docnos, store.texts, store.alias, report) == expected, size
 
 
+# distinct docnos of several byte lengths, and texts that are twins in whitespace only
+_TWIN_DOCNOS = ["z9", "a1", "m55", "b", "\xe91", "c", "d\xe9\xe9", "aa"]
+_TWIN_TEXTS = ["cat dog", " cat  dog", "cat\tdog ", "Cat dog", "bird", "bird ", "eel"]
+
+
+@st.composite
+def twin_corpora(draw):
+    docnos = draw(st.lists(st.sampled_from(_TWIN_DOCNOS), unique=True, max_size=8))
+    return "".join(f"{docno}\t{draw(st.sampled_from(_TWIN_TEXTS))}\n" for docno in docnos).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(twin_corpora(), corpus_bytes()), st.booleans())
+# a later twin with a smaller docno replaces the survivor: in the survivor's
+# own block at the default block size, in a later block at the others
+@example(b"z9\tcat dog\nb2\tbird\na1\tcat  dog\n", True)
+# replaced twice, by docnos of other byte lengths, with docnos after it
+@example("z9\tcat dog\n\xe91\tbird\nm55\tcat dog\nb\tbird\na1\t cat dog\nq\teel\n".encode(), True)
+def test_build_index_writes_the_reference_docnos_and_report(tmp_path_factory, data, dedup):
+    path = tmp_path_factory.mktemp("corpus") / "c.tsv"
+    path.write_bytes(data)
+    flags = ["--dedup"] if dedup else []
+    try:
+        docnos, _, _, report = refcorpus.ingest(path, dedup=dedup)
+    except ValueError as exc:
+        docnos, error = None, f"error: {exc}\n"
+    for size in BLOCK_SIZES:
+        out = path.parent / str(size)
+        with block_bytes(size), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as stderr:
+            code = main(["build-index", "--corpus", str(path), "--out", str(out), *flags])
+        if docnos is None:
+            assert (code, stderr.getvalue()) == (2, error), size
+            continue
+        assert code == 0, (size, stderr.getvalue())
+        assert (out / "docnos.txt").read_text(encoding="utf-8") == "".join(d + "\n" for d in docnos), size
+        if dedup:
+            lines = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in report)
+            assert (out / "dedup_report.jsonl").read_text(encoding="utf-8") == lines, size
+        else:
+            assert not (out / "dedup_report.jsonl").exists()
+
+
 def test_documents_are_read_once(tmp_path):
     # a second pass would append every docno and text again
     path = write_tsv(tmp_path / "c.tsv", [("a", "cat"), ("b", "dog"), ("c", "bird")])
@@ -343,7 +388,7 @@ def test_documents_are_read_once(tmp_path):
     for again in (list, lambda documents: list(documents.blocks())):
         with pytest.raises(RuntimeError, match=f"^{re.escape(str(path))}: Documents are read once"):
             again(documents)
-    assert documents.docnos == ["a", "b", "c"] and texts == ["cat", "dog", "bird"]
+    assert documents.docnos == b"a\nb\nc\n" and texts == ["cat", "dog", "bird"]
 
 
 def test_dedup_report_jsonl_format(tmp_path):

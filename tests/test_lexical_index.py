@@ -14,7 +14,7 @@ import refindex
 from conftest import block_bytes, make_store
 from slidegar.cli import main
 from slidegar.corpus_graph import build_graph_lexical
-from slidegar.corpus_store import Query, ingest_corpus
+from slidegar.corpus_store import Query, _docnos_bytes, ingest_corpus
 from slidegar.lexical_index import (
     B_LEN,
     K1,
@@ -245,7 +245,7 @@ def test_index_save_load_roundtrip(tmp_path):
     docs = {f"d{i:03d}": " ".join(rng.choices(vocab, k=rng.randint(3, 14))) for i in range(30)}
     store = make_store(docs)
     index = build_index(store.texts)
-    save_index(index, tmp_path / "idx", store.docnos, dedup=False)
+    save_index(index, tmp_path / "idx", _docnos_bytes(store.docnos), dedup=False)
     loaded = load_index(tmp_path / "idx", store)
     assert_same_index(loaded, index)
     assert loaded.avg_doc_length == index.avg_doc_length
@@ -257,7 +257,7 @@ def test_index_files_exact_bytes(tmp_path):
     # two docs, tiny vocabulary: the on-disk layout is checked by hand
     store = make_store({"a": "cat cat dog", "b": "dog"})
     index = build_index(store.texts)
-    save_index(index, tmp_path / "idx", store.docnos)
+    save_index(index, tmp_path / "idx", _docnos_bytes(store.docnos))
     doclens = (tmp_path / "idx" / "doclens.bin").read_bytes()
     assert doclens == (3).to_bytes(4, "little") + (1).to_bytes(4, "little")
     assert (tmp_path / "idx" / "terms.txt").read_bytes() == b"cat\ndog\n"
@@ -274,7 +274,7 @@ def test_rebuilding_a_version_3_index_in_place_removes_its_postings(tmp_path):
     (tmp_path / "c.tsv").write_text("a\tcat cat dog\nb\tdog\n", encoding="utf-8")
     store, _ = ingest_corpus(tmp_path / "c.tsv")
     idx = tmp_path / "idx"
-    save_index(build_index(store.texts), idx, store.docnos)
+    save_index(build_index(store.texts), idx, _docnos_bytes(store.docnos))
     columns = [np.fromfile(idx / name, dtype="<u4") for name in ("docids.bin", "tfs.bin")]
     np.stack(columns, axis=1).tofile(idx / "postings.bin")
     for name in ("docids.bin", "tfs.bin"):
@@ -293,7 +293,7 @@ def test_rebuilding_a_version_3_index_in_place_removes_its_postings(tmp_path):
 
 def test_index_loads_docnos_with_crlf_endings(tmp_path):
     store = make_store({"a": "cat", "b": "dog"})
-    save_index(build_index(store.texts), tmp_path, store.docnos)
+    save_index(build_index(store.texts), tmp_path, _docnos_bytes(store.docnos))
     (tmp_path / "docnos.txt").write_bytes(b"a\r\nb\r\n")
     assert load_index(tmp_path, store).doc_count == 2
 
@@ -301,7 +301,7 @@ def test_index_loads_docnos_with_crlf_endings(tmp_path):
 def test_index_load_rejects_store_mismatch(tmp_path):
     store = make_store({"a": "cat", "b": "dog"})
     index = build_index(store.texts)
-    save_index(index, tmp_path / "idx", store.docnos)
+    save_index(index, tmp_path / "idx", _docnos_bytes(store.docnos))
     bigger = make_store({"a": "cat", "b": "dog", "c": "bird"})
     with pytest.raises(ValueError, match="dedup"):
         load_index(tmp_path / "idx", bigger)
@@ -322,7 +322,7 @@ def test_forward_index_is_built_on_first_use_only(tmp_path):
     store = make_store({"a": "cat cat dog", "b": "dog bird", "c": "bird cat"})
     index = build_index(store.texts)
     build_graph_lexical(index, store, 1)
-    save_index(index, tmp_path, store.docnos)
+    save_index(index, tmp_path, _docnos_bytes(store.docnos))
     loaded = load_index(tmp_path, store)
     bm25_retrieve(loaded, Query("q", "cat"), 2)
     assert "forward" not in vars(index) and "forward" not in vars(loaded)
@@ -336,7 +336,7 @@ def test_forward_index_is_built_on_first_use_only(tmp_path):
 def test_term_map_is_built_on_first_lookup_only(tmp_path):
     store = make_store({"a": "cat cat dog", "b": "dog bird", "c": "cat cat dog"})
     index = build_index(store.texts)
-    save_index(index, tmp_path / "idx", store.docnos)
+    save_index(index, tmp_path / "idx", _docnos_bytes(store.docnos))
     loaded = load_index(tmp_path / "idx", store)
     assert "term_ids" not in vars(index) and "term_ids" not in vars(loaded)
     assert bm25_retrieve(loaded, Query("q", "bird"), 2) == [1]
@@ -348,7 +348,7 @@ def test_loaded_norm_is_bit_identical_to_the_built_one(tmp_path):
     vocab = [f"t{i}" for i in range(30)] + ["the"]
     store = make_store({f"d{i}": " ".join(rng.choices(vocab, k=rng.randint(1, 40))) for i in range(300)})
     index = build_index(store.texts)
-    save_index(index, tmp_path, store.docnos)
+    save_index(index, tmp_path, _docnos_bytes(store.docnos))
     loaded = load_index(tmp_path, store)
     assert loaded.norm.tobytes() == index.norm.tobytes()
     assert loaded.avg_doc_length == index.avg_doc_length
@@ -396,7 +396,7 @@ def test_index_memory_stays_near_what_it_keeps(tmp_path, synth_2000):
 
     index, build_peak, build_kept = traced(lambda: with_term_ids(build_index(store.texts)))
     postings = len(index.doc_ids)
-    save_index(index, tmp_path / "idx", store.docnos)
+    save_index(index, tmp_path / "idx", _docnos_bytes(store.docnos))
     del index
     _, load_peak, load_kept = traced(lambda: with_term_ids(load_index(tmp_path / "idx", store)))
     assert build_peak <= 2.0 * build_kept, (build_peak, build_kept)
@@ -409,17 +409,18 @@ def test_index_memory_stays_near_what_it_keeps(tmp_path, synth_2000):
 
 def test_build_index_command_holds_no_text_past_its_block(tmp_path, capsys, synth_2000):
     """``build-index`` peaks at what an in-memory build of the same texts
-    allocates, plus the docnos it writes, plus about one block of text:
-    a command that held every text would exceed it by the corpus's texts.
-    Blocks of 4 KiB make the 150 KB corpus many blocks long."""
+    allocates, plus the bytes of the ``docnos.txt`` it writes, plus about
+    one block of text: a command that held every text, or a ``str`` per
+    docno, would exceed it. Blocks of 4 KiB make the 150 KB corpus many
+    blocks long."""
     store, _ = ingest_corpus(synth_2000)
     texts = sum(map(sys.getsizeof, store.texts))
-    docnos = sum(map(sys.getsizeof, store.docnos))
     _, build_peak, _ = traced(lambda: build_index(store.texts))
     del store
     with block_bytes(4096):
         code, peak, _ = traced(lambda: main(["build-index", "--corpus", str(synth_2000), "--out", str(tmp_path)]))
     assert code == 0
+    docnos = (tmp_path / "docnos.txt").stat().st_size
     held = (peak - build_peak - docnos) / texts  # texts held at the peak, as a share of all of them
     assert held <= 0.5, (peak, build_peak, docnos, texts)
 
@@ -434,7 +435,7 @@ def test_index_codec_roundtrip_property(tmp_path_factory, docs):
     store = make_store({f"d{i}": " ".join(words) or "the" for i, words in enumerate(docs)})
     index = build_index(store.texts)
     out = tmp_path_factory.mktemp("idx")
-    save_index(index, out, store.docnos)
+    save_index(index, out, _docnos_bytes(store.docnos))
     assert_same_index(load_index(out, store), index)
 
 
@@ -602,7 +603,7 @@ CORRUPTIONS = {
 @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
 def test_index_load_rejects_corruption(tmp_path, case):
     store = make_store({"a": "cat cat dog", "b": "dog", "c": "bird cat"})
-    save_index(build_index(store.texts), tmp_path, store.docnos)
+    save_index(build_index(store.texts), tmp_path, _docnos_bytes(store.docnos))
     load_index(tmp_path, store)  # the intact directory loads
     name, data, message = CORRUPTIONS[case]
     (tmp_path / name).write_bytes(data)
