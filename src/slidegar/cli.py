@@ -115,8 +115,14 @@ def _validate_config(cfg: dict) -> None:
     for key in ("dedup", "normalize_embeddings"):
         if type(cfg[key]) is not bool:
             raise ValueError(f"config {key!r} must be true or false, got {cfg[key]!r}")
-    if cfg["run_tag"] is not None and cfg["run_tag"].split() != [cfg["run_tag"]]:  # a run-file column
-        raise ValueError(f"config 'run_tag' must not contain whitespace, got {cfg['run_tag']!r}")
+    tag = cfg["run_tag"]
+    if tag is not None:  # a column of every run-file line
+        if tag.split() != [tag]:
+            raise ValueError(f"config 'run_tag' must not contain whitespace, got {tag!r}")
+        try:
+            tag.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, from a JSON escape
+            raise ValueError(f"config 'run_tag' must encode as UTF-8, got {tag!r}") from None
     if cfg["retriever"] not in ("bm25", "dense"):
         raise ValueError(f"unknown retriever {cfg['retriever']!r}")
     if cfg["strategy"] not in ("baseline", "slidegar", "slidegar_rm3"):
@@ -158,7 +164,7 @@ class _Pipeline:
                 "graph_load_s")
         self.setup = dict.fromkeys(keys)
         t0 = time.perf_counter()
-        self.store, _ = corpus_store.ingest_corpus(cfg["corpus"], dedup=cfg["dedup"])
+        self.store = corpus_store.ingest_corpus(cfg["corpus"], dedup=cfg["dedup"])
         _lap(self.setup, "ingest_s", t0)
         self.queries = corpus_store.load_queries(cfg["queries"])
         self.grades: dict[str, dict[int, int]] = {}
@@ -294,7 +300,7 @@ def cmd_build_index(args: argparse.Namespace) -> int:
     lexical_index.save_index(index, args.out, documents.docnos, dedup=args.dedup)
     report_path = Path(args.out) / "dedup_report.jsonl"
     if args.dedup:
-        corpus_store.write_dedup_report(report_path, documents.report())
+        corpus_store.write_dedup_report(report_path, documents.dropped)
     else:  # an earlier --dedup build's report would describe another corpus
         report_path.unlink(missing_ok=True)
     _lap(build, "index_save_s", t0)
@@ -306,7 +312,7 @@ def cmd_build_index(args: argparse.Namespace) -> int:
 def cmd_build_graph(args: argparse.Namespace) -> int:
     build = dict.fromkeys(("ingest_s", "index_build_s", "embeddings_load_s", "graph_build_s", "graph_save_s"))
     t0 = time.perf_counter()
-    store, _ = corpus_store.ingest_corpus(args.corpus, dedup=args.dedup)
+    store = corpus_store.ingest_corpus(args.corpus, dedup=args.dedup)
     t0 = _lap(build, "ingest_s", t0)
     if args.source == "lexical":
         index = lexical_index.build_index(store.texts)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus_store import CorpusStore, check_docnos, read_u32, write_docnos
+from .corpus_store import CorpusStore, check_docnos, docnos_bytes, read_u32
 from .dense_index import top_k_ids
 from .lexical_index import InvertedIndex, retrieve_expanded, tokenize
 
@@ -98,7 +98,7 @@ def neighbours(graph: np.ndarray, order: list[int], truncate_k: int) -> list[int
 
 
 def save_graph(path: str | Path, graph: np.ndarray, source: str, store: CorpusStore) -> None:
-    """Write ``graph``, built from ``source`` similarities, and ``store``'s docnos."""
+    """Write ``graph``, built from ``source`` similarities, and ``docnos.txt`` beside it."""
     if source not in SOURCES:
         raise ValueError(f"unknown similarity source {source!r}")
     path = Path(path)
@@ -113,7 +113,7 @@ def save_graph(path: str | Path, graph: np.ndarray, source: str, store: CorpusSt
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         f.write(graph.astype("<u4").tobytes())
-    write_docnos(path.parent / "docnos.txt", store.docnos)
+    (path.parent / "docnos.txt").write_bytes(docnos_bytes(store.docnos))
 
 
 def load_graph(path: str | Path, store: CorpusStore) -> np.ndarray:

@@ -47,6 +47,7 @@ class Query:
 
 
 _WS_RUN = re.compile(r"\s+")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 BLOCK_BYTES = 1 << 19  # read_lines reads blocks of whole lines of at least this many bytes
 
@@ -65,34 +66,25 @@ class CorpusStore:
 
     Doc ids are dense ints in corpus order so they can index directly into
     postings lists, embedding matrices, and graph rows. The store alone
-    holds docnos and the docno -> id map, ``id_of``, built with the store
-    from docnos that do not repeat: the corpus reader rejects a repeat on
-    the raw file, before dedup merges any document. Indexes, embedding
+    holds docnos and the one docno -> id map, ``id_of``: a docno that dedup
+    dropped (``dropped``, dropped -> kept) maps to its kept twin's id. The
+    docnos do not repeat: the corpus reader rejects a repeat on the raw
+    file, before dedup merges any document. Indexes, embedding
     matrices, graphs and rankings hold ids, and artifacts check their
     ``docnos.txt`` against the store. Only set-up looks docnos up (qrels,
     embeddings); queries run on ids.
     """
 
-    def __init__(self, docnos: list[str], texts: list[str], alias: dict[str, str] | None = None) -> None:
+    def __init__(self, docnos: list[str], texts: list[str], dropped: dict[str, str] | None = None) -> None:
         if len(docnos) != len(texts):
             raise ValueError(f"{len(docnos)} docnos but {len(texts)} texts")
         self.docnos = docnos
         self.texts = texts
-        self.alias = alias or {}  # dropped docno -> kept docno
         self.id_of = dict(zip(docnos, range(len(docnos))))
+        self.id_of.update((docno, self.id_of[kept]) for docno, kept in (dropped or {}).items())
 
     def __len__(self) -> int:
         return len(self.docnos)
-
-    def resolve(self, docno: str) -> int | None:
-        """Doc id for ``docno``, following the dedup alias map; None if absent."""
-        doc_id = self.id_of.get(docno)
-        if doc_id is not None:
-            return doc_id
-        kept = self.alias.get(docno)
-        if kept is not None:
-            return self.id_of[kept]
-        return None
 
 
 def _invalid_utf8(path: str | Path, lineno: int, line: bytes) -> str:
@@ -157,7 +149,8 @@ def _parsed_blocks(path: str | Path) -> Iterator[tuple[Sequence[int], list[str],
     corpus file. The checks of a line on its own run over whole columns and
     a line is searched for only once one fails. The error raised is the first
     line that fails: invalid UTF-8 or JSON, a missing tab, a JSON field that
-    is neither a string nor a number, an empty docno or text."""
+    is neither a string nor a number, an empty docno or text, a docno holding
+    a lone surrogate (a JSON escape such as ``\\ud800``)."""
     json_lines = None  # set by the first record of the file
     for numbers, records in read_lines(path):
         if json_lines is None and records:
@@ -190,9 +183,13 @@ def _parsed_blocks(path: str | Path) -> Iterator[tuple[Sequence[int], list[str],
             texts = [line[i + 1 :].strip() for line, i in zip(records, tabs)]
         records.clear()  # the reader holds the list until its next block: the lines go now
 
-        if not (all(docnos) and all(texts)):
-            j, docno = next((j, d) for j, (d, t) in enumerate(zip(docnos, texts)) if not (d and t))
+        # only a JSON escape makes a lone surrogate, which no file can hold: a decoded line has none
+        if not (all(docnos) and all(texts)) or json_lines and _SURROGATE.search("".join(docnos)):
+            j, docno, text = next((j, d, t) for j, (d, t) in enumerate(zip(docnos, texts))
+                                  if not (d and t) or _SURROGATE.search(d))
             problem = f"empty text for docno {docno!r}" if docno else "empty docno"
+            if docno and text:
+                problem = f"docno {docno!r} holds a lone surrogate, which UTF-8 cannot encode"
             raise ValueError(f"{path}:{numbers[j]}: {problem}")
         if error:
             raise ValueError(error)
@@ -268,7 +265,7 @@ class Documents:
         column, texts = self.docnos, self.texts
         if not self.dedup:
             for block_docnos, block_texts in _read_corpus(self.path):
-                column += _docnos_bytes(block_docnos)
+                column += docnos_bytes(block_docnos)
                 if texts is not None:
                     texts += block_texts
                 yield block_texts
@@ -309,45 +306,39 @@ class Documents:
                 end = starts[doc_id + 1]
             column[:] = b"".join([*pieces, column[end:]])
 
-    def report(self) -> list[dict]:
-        """One ``{"dropped": ..., "kept": ...}`` entry per dropped docno, sorted."""
-        return [{"dropped": dropped, "kept": kept} for dropped, kept in sorted(self.dropped.items())]
 
-
-def ingest_corpus(path: str | Path, dedup: bool = False) -> tuple[CorpusStore, list[dict]]:
-    """A CorpusStore of a corpus file's ``Documents`` and their dedup report."""
+def ingest_corpus(path: str | Path, dedup: bool = False) -> CorpusStore:
+    """A CorpusStore of a corpus file's ``Documents``, dropped twins in its ``id_of``."""
     texts: list[str] = []
     documents = Documents(path, dedup, texts)
     for _ in documents.blocks():
         pass
     docnos = documents.docnos.decode().split("\n")
     docnos.pop()  # the empty string after the last newline
-    return CorpusStore(docnos, texts, documents.dropped), documents.report()
+    return CorpusStore(docnos, texts, documents.dropped)
 
 
-def write_dedup_report(path: str | Path, report: list[dict]) -> None:
+def write_dedup_report(path: str | Path, dropped: dict[str, str]) -> None:
+    """One JSON line ``{"dropped": ..., "kept": ...}`` per entry of ``dropped``
+    (dropped docno -> kept docno), sorted by dropped docno."""
     with open(path, "w", encoding="utf-8") as f:
-        for entry in report:
-            f.write(json.dumps(entry, sort_keys=True) + "\n")
+        for docno, kept in sorted(dropped.items()):
+            f.write(json.dumps({"dropped": docno, "kept": kept}) + "\n")
 
 
-def _docnos_bytes(docnos: list[str]) -> bytes:
-    return "\n".join([*docnos, ""]).encode("utf-8")
-
-
-def write_docnos(path: str | Path, docnos: list[str]) -> None:
+def docnos_bytes(docnos: list[str]) -> bytes:
     """``docnos.txt``: one docno per line in doc-id order, written beside an
     artifact whose rows are doc ids."""
-    Path(path).write_bytes(_docnos_bytes(docnos))
+    return "\n".join([*docnos, ""]).encode("utf-8")
 
 
 def check_docnos(path: str | Path, store: CorpusStore, artifact: str) -> None:
     """Reject an artifact whose ``docnos.txt`` is not ``store.docnos`` line
     for line; another corpus, another dedup setting or a reordering would
     make every doc id point at the wrong document. A file that differs from
-    what ``write_docnos`` writes is read as the corpus is, so CRLF lines pass."""
+    what ``docnos_bytes`` encodes is read as the corpus is, so CRLF lines pass."""
     data = Path(path).read_bytes()
-    if data == _docnos_bytes(store.docnos):
+    if data == docnos_bytes(store.docnos):
         return
     text = decode_utf8(path, data)
     docnos = text.removesuffix("\n").split("\n") if text else []
@@ -429,8 +420,8 @@ def map_qrels(
     """Re-key judgments onto store doc ids, ``qid -> doc id -> grade``, the
     keys the in-process rankers read off their windows.
 
-    Judgments on docnos dropped by dedup follow the alias to the kept
-    representative; when both twins are judged, the larger grade wins.
+    Judgments on docnos dropped by dedup map to the kept twin's id, as
+    ``store.id_of`` does; when both twins are judged, the larger grade wins.
     Docnos absent from the store are returned as ``(qid, docno)`` pairs,
     by query in order of first appearance and in file order within a query
     (file order for a file grouped by query, as TREC qrels are); a query
@@ -438,11 +429,11 @@ def map_qrels(
     """
     grades: dict[str, dict[int, int]] = {}
     absent: list[tuple[str, str]] = []
-    resolve = store.resolve
+    doc_id_of = store.id_of.get
     for qid, judged in qrels.items():
         per_query: dict[int, int] = {}
         for docno, grade in judged.items():
-            doc_id = resolve(docno)
+            doc_id = doc_id_of(docno)
             if doc_id is None:
                 absent.append((qid, docno))
                 continue

@@ -90,8 +90,9 @@ def _open_records(path: str | Path) -> Iterator[tuple[dict, Iterator[tuple[int, 
 
 def load_embeddings(path: str | Path, store: CorpusStore, normalize: bool = False) -> np.ndarray:
     """The ``(len(store), dim)`` float32 matrix of every store document's
-    vector, row i for doc id i. Records of docnos that dedup dropped are
-    skipped; the kept twin is read from its own record.
+    vector, row i for doc id i. A record whose docno is not
+    ``store.docnos[doc_id]`` is of a twin that dedup dropped and is skipped;
+    the kept twin is read from its own record.
 
     Fatal on: a record whose docno is not UTF-8 or unknown to the store, a
     duplicate record, a non-finite component (all reported with the record
@@ -104,9 +105,9 @@ def load_embeddings(path: str | Path, store: CorpusStore, normalize: bool = Fals
         for record_idx, docno, vector in records:
             doc_id = store.id_of.get(docno)
             if doc_id is None:
-                if docno in store.alias:
-                    continue
                 raise ValueError(f"{path}: record {record_idx}: docno {docno!r} not in store")
+            if store.docnos[doc_id] != docno:  # a twin that dedup dropped
+                continue
             if filled[doc_id]:
                 raise ValueError(f"{path}: record {record_idx}: duplicate docno {docno!r}")
             matrix[doc_id] = vector

@@ -15,6 +15,11 @@ def make_store(docs: dict[str, str]) -> CorpusStore:
     return CorpusStore(list(docs), list(docs.values()))
 
 
+def dropped_twins(store: CorpusStore) -> dict[str, str]:
+    """Dropped docno -> kept docno: the docnos ``store.id_of`` maps to a twin's id."""
+    return {docno: store.docnos[i] for docno, i in store.id_of.items() if store.docnos[i] != docno}
+
+
 # a few bytes: every record, CRLF pair, multi-byte character, cut-short
 # sequence and byte-order mark falls across where a block's read stops
 BLOCK_SIZES = (corpus_store.BLOCK_BYTES, 1, 2, 5)
@@ -48,7 +53,7 @@ class SynthBundle:
         self.dir = out_dir
         self.spec = SynthSpec(seed=7)
         self.manifest = generate(self.spec, out_dir)
-        self.store, _ = ingest_corpus(out_dir / "corpus.tsv")
+        self.store = ingest_corpus(out_dir / "corpus.tsv")
         self.index = build_index(self.store.texts)
         self.embeddings = load_embeddings(out_dir / "embeddings.bin", self.store)
         self.graph = build_graph_dense(self.embeddings, 16)

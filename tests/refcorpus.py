@@ -2,13 +2,15 @@
 
 The corpus reader ``slidegar.corpus_store`` used before it read whole
 columns: each line is decoded and checked on its own, so the first bad line
-raises first. ``_read_corpus_records`` is kept verbatim, but for the rule
-added since that a JSON ``docno`` or ``text`` is a string or a number;
+raises first. ``_read_corpus_records`` is kept verbatim, but for the rules
+added since that a JSON ``docno`` or ``text`` is a string or a number and
+that a docno holds no lone surrogate;
 ``ingest`` is the old ``ingest_corpus`` with plain lists in place of the store.
 
 The qrels path it used before it read judgments straight into one grade
 table: ``load_qrels`` (one ``QrelEntry`` per judgment, read in text mode)
-and ``map_qrels`` (onto doc ids, as the current one maps them), kept verbatim.
+and ``map_qrels`` (onto doc ids, as the current one maps them), kept verbatim
+but for the lookup, which reads ``store.id_of`` now that it maps dropped twins.
 
 Used by the randomized-equivalence tests of the current readers.
 """
@@ -60,6 +62,12 @@ def _read_corpus_records(path):
                 raise ValueError(f"{path}:{lineno}: empty docno")
             if not text:
                 raise ValueError(f"{path}:{lineno}: empty text for docno {docno!r}")
+            try:  # a JSON escape can make a lone surrogate, which docnos.txt could not hold
+                docno.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(
+                    f"{path}:{lineno}: docno {docno!r} holds a lone surrogate, which UTF-8 cannot encode"
+                ) from None
             records.append((lineno, docno, text))
     # one scan over all docnos; the per-record search only finds the line
     if len("".join([docno for _, docno, _ in records]).split()) > 1:
@@ -140,7 +148,7 @@ def map_qrels(entries, store):
     for entry in entries:
         if entry.grade < 0:
             raise ValueError(f"negative grade for ({entry.qid}, {entry.docno})")
-        doc_id = store.resolve(entry.docno)
+        doc_id = store.id_of.get(entry.docno)
         if doc_id is None:
             absent.append((entry.qid, entry.docno))
             continue

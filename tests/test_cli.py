@@ -13,12 +13,12 @@ from pathlib import Path
 import pytest
 
 import slidegar
-from conftest import BLOCK_SIZES, block_bytes
+from conftest import BLOCK_SIZES, block_bytes, dropped_twins
 from mockserver import ScriptedHandler, scripted_server
 from slidegar import cli, corpus_store
 from slidegar.cli import main
 from slidegar.corpus_graph import build_graph_dense, save_graph
-from slidegar.corpus_store import Query, _docnos_bytes, ingest_corpus, load_queries
+from slidegar.corpus_store import Query, docnos_bytes, ingest_corpus, load_queries
 from slidegar.dense_index import load_embeddings, write_embeddings
 from slidegar.eval import read_run
 from slidegar.lexical_index import bm25_retrieve, build_index, save_index
@@ -77,7 +77,7 @@ def test_baseline_identity_run_equals_bm25_order(workspace, tmp_path):
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
     run, tag = read_run(run_out)
     assert tag == "baseline"
-    store, _ = ingest_corpus(workspace / "data" / "corpus.tsv")
+    store = ingest_corpus(workspace / "data" / "corpus.tsv")
     index = build_index(store.texts)
     manifest = json.loads((workspace / "data" / "spec.json").read_text())
     for info in manifest["queries"]:
@@ -333,7 +333,7 @@ def test_escaped_docs_count_run_docnos_outside_bm25_top_c(workspace, tmp_path):
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
     run, _ = read_run(run_out)
     records = {r["qid"]: r for r in map(json.loads, tel.read_text().splitlines()) if r["type"] == "query"}
-    store, _ = ingest_corpus(workspace / "data" / "corpus.tsv")
+    store = ingest_corpus(workspace / "data" / "corpus.tsv")
     index = build_index(store.texts)
     queries = load_queries(workspace / "data" / "queries.tsv")
     assert sorted(records) == sorted(run) == sorted(q.qid for q in queries)
@@ -486,6 +486,8 @@ def test_config_validation_errors(workspace, tmp_path, capsys):
     # the remote ranker's last backoff, 0.5 * 2 ** (retries - 1) s, must stay within threading.TIMEOUT_MAX
     ({"retries": 36}, f"retries 36 with backoff 0.5 s would sleep more than {threading.TIMEOUT_MAX} s"),
     ({"retries": 1100}, f"retries 1100 with backoff 0.5 s would sleep more than {threading.TIMEOUT_MAX} s"),
+    # a JSON escape makes a lone surrogate, which the run file cannot hold
+    ({"run_tag": "t\ud800"}, "config 'run_tag' must encode as UTF-8, got 't\\ud800'"),
 ])
 def test_config_value_types_fail_at_load(workspace, tmp_path, capsys, overrides, message):
     run_out = tmp_path / "r.trec"
@@ -618,11 +620,11 @@ def test_build_index_writes_what_save_index_writes_of_the_ingested_texts(tmp_pat
     for size in (corpus_store.BLOCK_BYTES, 3):
         with block_bytes(size):
             assert main(["build-index", "--corpus", str(corpus), "--out", str(tmp_path / f"cli{size}"), *flags]) == 0
-    store, report = ingest_corpus(corpus, dedup=dedup)
-    save_index(build_index(store.texts), tmp_path / "api", _docnos_bytes(store.docnos), dedup=dedup)
+    store = ingest_corpus(corpus, dedup=dedup)
+    save_index(build_index(store.texts), tmp_path / "api", docnos_bytes(store.docnos), dedup=dedup)
     if dedup:
-        corpus_store.write_dedup_report(tmp_path / "api" / "dedup_report.jsonl", report)
-        assert report
+        corpus_store.write_dedup_report(tmp_path / "api" / "dedup_report.jsonl", dropped_twins(store))
+        assert dropped_twins(store)
     api = sorted(path.name for path in (tmp_path / "api").iterdir())
     for size in (corpus_store.BLOCK_BYTES, 3):
         built = tmp_path / f"cli{size}"
@@ -664,7 +666,7 @@ def test_builds_end_their_output_with_a_build_record(workspace, tmp_path, capsys
         path.name for path in (workspace / "index").iterdir())
     assert sorted(path.name for path in (tmp_path / "lexical").iterdir()) == ["docnos.txt", "graph.bin"]
     # --normalize builds the graph of the unit-length vectors, which differs here from the raw ones
-    store, _ = ingest_corpus(corpus)
+    store = ingest_corpus(corpus)
     normalized = load_embeddings(workspace / "data" / "embeddings.bin", store, normalize=True)
     save_graph(tmp_path / "api" / "graph.bin", build_graph_dense(normalized, 2), "dense", store)
     for name in ("graph.bin", "docnos.txt"):

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import refcorpus
-from conftest import BLOCK_SIZES, block_bytes
+from conftest import BLOCK_SIZES, block_bytes, dropped_twins
 from slidegar import corpus_store
 from slidegar.cli import main
 from slidegar.corpus_store import (
@@ -37,25 +37,25 @@ def write_tsv(path, rows):
 
 def test_dedup_on_drops_identical_text(tmp_path):
     path = write_tsv(tmp_path / "c.tsv", [("d2", "same text"), ("d1", "same text"), ("d3", "other")])
-    store, report = ingest_corpus(path, dedup=True)
+    store = ingest_corpus(path, dedup=True)
     assert store.docnos == ["d1", "d3"]
-    assert report == [{"dropped": "d2", "kept": "d1"}]
-    assert store.alias == {"d2": "d1"}
+    assert store.id_of == {"d1": 0, "d2": 0, "d3": 1}
+    assert dropped_twins(store) == {"d2": "d1"}
 
 
 def test_dedup_off_keeps_everything(tmp_path):
     path = write_tsv(tmp_path / "c.tsv", [("d2", "same text"), ("d1", "same text"), ("d3", "other")])
-    store, report = ingest_corpus(path, dedup=False)
+    store = ingest_corpus(path, dedup=False)
     assert len(store) == 3
-    assert report == []
+    assert dropped_twins(store) == {}
 
 
 def test_normalization_collapses_whitespace_but_not_case(tmp_path):
     rows = [("a", "cat  dog"), ("b", " cat dog "), ("c", "Cat dog")]
-    store, report = ingest_corpus(write_tsv(tmp_path / "c.tsv", rows), dedup=True)
+    store = ingest_corpus(write_tsv(tmp_path / "c.tsv", rows), dedup=True)
     # a and b normalize identically; c differs only by case and is kept
     assert store.docnos == ["a", "c"]
-    assert report == [{"dropped": "b", "kept": "a"}]
+    assert dropped_twins(store) == {"b": "a"}
     assert normalize_text("  x \t y\n") == "x y"
 
 
@@ -65,9 +65,9 @@ def test_dedup_tiebreak_is_order_independent(tmp_path):
         rng = random.Random(perm_seed)
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        store, report = ingest_corpus(write_tsv(tmp_path / f"c{perm_seed}.tsv", shuffled), dedup=True)
+        store = ingest_corpus(write_tsv(tmp_path / f"c{perm_seed}.tsv", shuffled), dedup=True)
         assert store.docnos == ["a1"]
-        assert {e["dropped"] for e in report} == {"m5", "z9"}
+        assert set(dropped_twins(store)) == {"m5", "z9"}
 
 
 def test_planted_duplicates_counted_by_independent_hash(tmp_path):
@@ -88,24 +88,24 @@ def test_planted_duplicates_counted_by_independent_hash(tmp_path):
         hashes.add(hashlib.sha256(normalize_text(text).encode()).hexdigest())
     assert len(hashes) == 9900
 
-    store, report = ingest_corpus(path, dedup=True)
+    store = ingest_corpus(path, dedup=True)
     assert len(store) == 9900
-    assert len(report) == 100
-    assert len(store) + len(report) == len(rows)
+    assert len(dropped_twins(store)) == 100
+    assert len(store.id_of) == len(rows)
 
 
 def test_dedup_is_idempotent(tmp_path):
     rows = [("b", "one two"), ("a", "one  two"), ("c", "three")]
-    store, _ = ingest_corpus(write_tsv(tmp_path / "c.tsv", rows), dedup=True)
+    store = ingest_corpus(write_tsv(tmp_path / "c.tsv", rows), dedup=True)
     again = write_tsv(tmp_path / "c2.tsv", zip(store.docnos, store.texts))
-    store2, report2 = ingest_corpus(again, dedup=True)
+    store2 = ingest_corpus(again, dedup=True)
     assert store2.docnos == store.docnos
-    assert report2 == []
+    assert dropped_twins(store2) == {}
 
 
 def test_docno_roundtrip(tmp_path):
     rows = [("b", "one"), ("a", "two"), ("c", "three")]
-    store, _ = ingest_corpus(write_tsv(tmp_path / "c.tsv", rows), dedup=False)
+    store = ingest_corpus(write_tsv(tmp_path / "c.tsv", rows), dedup=False)
     for docno in ("a", "b", "c"):
         assert store.docnos[store.id_of[docno]] == docno
 
@@ -117,7 +117,7 @@ def test_jsonl_autodetect(tmp_path):
         + json.dumps({"docno": "j2", "text": "goodbye"}) + "\n",
         encoding="utf-8",
     )
-    store, _ = ingest_corpus(path)
+    store = ingest_corpus(path)
     assert store.docnos == ["j1", "j2"]
     assert store.texts[store.id_of["j1"]] == "hello world"
 
@@ -182,7 +182,7 @@ def test_docnos_whose_hashes_collide_are_read_again_not_rejected(tmp_path, monke
     # every docno hashing alike sends the repeat check to its exact second read
     monkeypatch.setattr(corpus_store, "hash", lambda docno: 7, raising=False)
     path = write_tsv(tmp_path / "c.tsv", [("d1", "one"), ("d2", "two"), ("d3", "three")])
-    assert ingest_corpus(path)[0].docnos == ["d1", "d2", "d3"]
+    assert ingest_corpus(path).docnos == ["d1", "d2", "d3"]
     path.write_text("d1\tone\nd2\ttwo\nd1\tthree\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r":3: duplicate docno 'd1' \(first at line 1\)$"):
         ingest_corpus(path)
@@ -213,7 +213,7 @@ def test_json_field_of_another_type_fatal(tmp_path, record, field):
     # before an earlier docno holding whitespace
     path = tmp_path / "c.jsonl"
     path.write_text('{"docno": 1, "text": 2.5}\n', encoding="utf-8")
-    store, _ = ingest_corpus(path)
+    store = ingest_corpus(path)
     assert (store.docnos, store.texts) == (["1"], ["2.5"])
     path.write_text('{"docno": 1, "text": 2.5}\n{"docno": "d 2", "text": "dog"}\n' + record + "\n", encoding="utf-8")
     message = f"{path}:3: {field!r} must be a string or a number"
@@ -224,6 +224,29 @@ def test_json_field_of_another_type_fatal(tmp_path, record, field):
         with block_bytes(size), pytest.raises(ValueError) as got:
             ingest_corpus(path)
         assert str(got.value) == message, size
+
+
+@pytest.mark.parametrize("record, message", [
+    ('{"docno": "d\\ud800", "text": "dog"}', "docno 'd\\ud800' holds a lone surrogate, which UTF-8 cannot encode"),
+    ('{"docno": "\\udc00d", "text": " "}', "empty text for docno '\\udc00d'"),
+], ids=["surrogate", "and_empty_text"])
+def test_docno_holding_a_lone_surrogate_fails_on_its_line(tmp_path, capsys, record, message):
+    # a JSON escape is the one way to a lone surrogate, which docnos.txt and a run
+    # file cannot hold; it fails on its line, before an earlier docno holding whitespace
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"docno": "d 1", "text": "cat"}\n\n' + record + "\n", encoding="utf-8")
+    message = f"{path}:3: {message}"
+    with pytest.raises(ValueError) as exc:
+        refcorpus.ingest(path)
+    assert str(exc.value) == message
+    for size, dedup in itertools.product(BLOCK_SIZES, (False, True)):
+        with block_bytes(size), pytest.raises(ValueError) as got:
+            ingest_corpus(path, dedup=dedup)
+        assert str(got.value) == message, (size, dedup)
+        flags = ["--dedup"] if dedup else []
+        with block_bytes(size):
+            assert main(["build-index", "--corpus", str(path), "--out", str(tmp_path / "idx"), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n", (size, dedup)
 
 
 def test_store_columns_must_have_equal_lengths():
@@ -238,7 +261,7 @@ def test_lines_split_on_newline_only(tmp_path):
     for size in BLOCK_SIZES:
         path.write_bytes("d1\ta\x85b\u2028c\x1cd\r\n\r\n\nd2\tx\ty\r".encode())
         with block_bytes(size):
-            store, _ = ingest_corpus(path)
+            store = ingest_corpus(path)
         assert store.docnos == ["d1", "d2"]
         assert store.texts == ["a\x85b\u2028c\x1cd", "x\ty"]
         path.write_bytes(b"d1\ta\r\n\r\n\nd2\r\n")
@@ -284,8 +307,11 @@ _tsv_lines = st.builds(
 )
 _json_lines = st.one_of(
     st.builds(
-        lambda docno, text, ascii_only: json.dumps({"docno": docno, "text": text}, ensure_ascii=ascii_only).encode(),
-        st.sampled_from(["d1", "d2", "d3", " d4", "d 5", "", "d\x1c6"]),
+        # a lone surrogate is a JSON escape, or with ensure_ascii off bytes that are not UTF-8
+        lambda docno, text, ascii_only: json.dumps(
+            {"docno": docno, "text": text}, ensure_ascii=ascii_only
+        ).encode("utf-8", "surrogatepass"),
+        st.sampled_from(["d1", "d2", "d3", " d4", "d 5", "", "d\x1c6", "d\ud8007"]),
         st.text(alphabet="ab \t\x1c\x85\u2028\u2029", max_size=4),
         st.booleans(),
     ),
@@ -323,17 +349,20 @@ def test_reader_matches_per_line_reference(tmp_path_factory, data, dedup):
     path = tmp_path_factory.mktemp("corpus") / "c.tsv"
     path.write_bytes(data)
     try:
-        expected = refcorpus.ingest(path, dedup=dedup)
+        docnos, texts, alias, _ = refcorpus.ingest(path, dedup=dedup)
     except ValueError as exc:
         for size in BLOCK_SIZES:
             with block_bytes(size), pytest.raises(ValueError) as got:
                 ingest_corpus(path, dedup=dedup)
             assert str(got.value) == str(exc), size
         return
+    # the one map: each docno to its id, a dropped one to its kept twin's
+    id_of = {docno: doc_id for doc_id, docno in enumerate(docnos)}
+    id_of.update((docno, id_of[kept]) for docno, kept in alias.items())
     for size in BLOCK_SIZES:
         with block_bytes(size):
-            store, report = ingest_corpus(path, dedup=dedup)
-        assert (store.docnos, store.texts, store.alias, report) == expected, size
+            store = ingest_corpus(path, dedup=dedup)
+        assert (store.docnos, store.texts, store.id_of) == (docnos, texts, id_of), size
 
 
 # distinct docnos of several byte lengths, and texts that are twins in whitespace only
@@ -392,11 +421,10 @@ def test_documents_are_read_once(tmp_path):
 
 
 def test_dedup_report_jsonl_format(tmp_path):
-    report = [{"dropped": "d2", "kept": "d1"}]
     out = tmp_path / "report.jsonl"
-    write_dedup_report(out, report)
+    write_dedup_report(out, {"d2": "d1", "b": "a"})  # written sorted by dropped docno
     lines = out.read_text().splitlines()
-    assert [json.loads(line) for line in lines] == report
+    assert [json.loads(line) for line in lines] == [{"dropped": "b", "kept": "a"}, {"dropped": "d2", "kept": "d1"}]
 
 
 # --- qrels ---
@@ -404,7 +432,7 @@ def test_dedup_report_jsonl_format(tmp_path):
 
 def qrel_store(tmp_path):
     rows = [("kk", "twin text"), ("dd", "twin text"), ("zz", "unrelated")]
-    return ingest_corpus(write_tsv(tmp_path / "c.tsv", rows), dedup=True)[0]
+    return ingest_corpus(write_tsv(tmp_path / "c.tsv", rows), dedup=True)
 
 
 def test_qrel_on_dropped_docno_remaps_to_kept(tmp_path):
@@ -535,7 +563,7 @@ def qrels_bytes(draw):
 @example(b"q1 0 dd 1\nq1 0 ghost 2\nq2 0 nope 0\nq1 0 nope 1\nq1 0 kk 1\n")
 def test_qrels_match_per_entry_reference(tmp_path_factory, data):
     tmp = tmp_path_factory.mktemp("qrels")
-    store = ingest_corpus(write_tsv(tmp / "c.tsv", _QRELS_CORPUS), dedup=True)[0]
+    store = ingest_corpus(write_tsv(tmp / "c.tsv", _QRELS_CORPUS), dedup=True)
     path = tmp / "q.txt"
     path.write_bytes(data)
     try:
@@ -652,7 +680,7 @@ def test_load_queries_malformed_line_names_it(tmp_path, data, message):
 
 
 def _columns(path):
-    store, _ = ingest_corpus(path)
+    store = ingest_corpus(path)
     return store.docnos, store.texts
 
 

@@ -40,8 +40,8 @@ def test_load_three_docs(tmp_path):
 def test_records_of_dedup_dropped_twins_are_skipped(tmp_path):
     corpus = tmp_path / "c.tsv"
     corpus.write_text("a\tcat dog\nb\tcat dog\nc\tdog bird\n", encoding="utf-8")
-    store, _ = ingest_corpus(corpus, dedup=True)
-    assert store.alias == {"b": "a"}
+    store = ingest_corpus(corpus, dedup=True)
+    assert store.id_of == {"a": 0, "b": 0, "c": 1}
     # the kept twin's row comes from its own record, not the dropped twin's
     rows = [("a", [1, 0]), ("c", [0, 1]), ("b", [5, 5])]
     matrix = load_embeddings(write_table(tmp_path / "e.bin", 2, rows), store)

@@ -158,10 +158,12 @@ def test_run_file_lines_end_at_newline_only(tmp_path):
     path = tmp_path / "run.trec"
     for size in BLOCK_SIZES:
         with block_bytes(size):
-            path.write_bytes(b"q1 Q0 d1 1 1.0 t\r\nq1 Q0 d2 2 0.5 t\r\n")  # a trailing \r is stripped
+            # a trailing \r is stripped, and a line of blanks is skipped
+            path.write_bytes(b"q1 Q0 d1 1 1.0 t\r\n \t \r\nq1 Q0 d2 2 0.5 t\r\n")
             assert read_run(path) == ({"q1": ["d1", "d2"]}, "t")
-            path.write_bytes(b"q1 Q0 d1 1 1.0 t\rq1 Q0 d2 2 0.5 t\n")  # a lone \r ends no line
-            with pytest.raises(ValueError, match=r"run\.trec:1: expected 6 columns"):
+            # a lone \r ends no line; the skipped line still counts in the error's number
+            path.write_bytes(b" \t \nq1 Q0 d1 1 1.0 t\rq1 Q0 d2 2 0.5 t\n")
+            with pytest.raises(ValueError, match=r"run\.trec:2: expected 6 columns"):
                 read_run(path)
 
 

@@ -20,7 +20,7 @@ def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):
         "build-graph", "--corpus", "data/demo/corpus.tsv", "--source", "dense",
         "--embeddings", "data/demo/embeddings.bin", "--k", "16", "--out", "data/demo/graph.bin",
     ]) == 0
-    store, _ = ingest_corpus("data/demo/corpus.tsv")
+    store = ingest_corpus("data/demo/corpus.tsv")
     capsys.readouterr()
     exec(compile(block, str(README), "exec"), {})
     calls, attempts, top = capsys.readouterr().out.split(" ", 2)

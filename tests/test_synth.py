@@ -44,7 +44,7 @@ def test_spec_validation():
 def test_gap_zero_gives_perfect_bm25_recall(tmp_path):
     spec = SynthSpec(**SMALL, retrieval_gap=0.0, seed=3)
     manifest = generate(spec, tmp_path)
-    store, _ = ingest_corpus(tmp_path / "corpus.tsv")
+    store = ingest_corpus(tmp_path / "corpus.tsv")
     index = build_index(store.texts)
     for info in manifest["queries"]:
         assert info["hidden"] == []
@@ -58,7 +58,7 @@ def test_gap_half_hides_exactly_half(tmp_path):
     manifest = generate(spec, tmp_path)
     for info in manifest["queries"]:
         assert len(info["hidden"]) == 5 and len(info["visible"]) == 5
-    store, _ = ingest_corpus(tmp_path / "corpus.tsv")
+    store = ingest_corpus(tmp_path / "corpus.tsv")
     for info in manifest["queries"]:
         qterms = set(info["query_terms"])
         for docno in info["hidden"]:
@@ -119,7 +119,7 @@ def test_qrels_grades(tmp_path):
 def test_embeddings_and_queries_load(tmp_path):
     spec = SynthSpec(**SMALL, seed=6)
     generate(spec, tmp_path)
-    store, _ = ingest_corpus(tmp_path / "corpus.tsv")
+    store = ingest_corpus(tmp_path / "corpus.tsv")
     embeddings = load_embeddings(tmp_path / "embeddings.bin", store)
     assert embeddings.shape == (len(store), spec.dim)
     queries = load_queries(tmp_path / "queries.tsv")
