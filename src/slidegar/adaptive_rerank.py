@@ -43,7 +43,8 @@ from .rankers import ListwiseRanker, Window
 
 @dataclass(frozen=True)
 class RerankConfig:
-    """Window size w, step size b, budget c, and the graph depth to use.
+    """Every strategy setting and its one default: window size w, step size b,
+    budget c, ``slidegar``'s graph depth and ``slidegar_rm3``'s RM3 settings.
 
     The carried half of every window holds b documents, so window sizes
     beyond the first are 2b; with the default b = w/2 that equals w.
@@ -53,6 +54,9 @@ class RerankConfig:
     b: int = 10
     c: int = 50
     truncate_k: int = 16
+    fb_docs: int = 10
+    fb_terms: int = 10
+    orig_weight: float = 0.6
 
     def __post_init__(self) -> None:
         if not 1 <= self.b < self.w <= self.c:
@@ -61,6 +65,7 @@ class RerankConfig:
             )
         if self.truncate_k < 0:
             raise ValueError("truncate_k must be >= 0")
+        check_rm3(self.fb_docs, self.fb_terms, self.orig_weight)
 
 
 @dataclass(frozen=True)
@@ -194,17 +199,13 @@ def slidegar_rm3(
     ranker: ListwiseRanker,
     index: InvertedIndex,
     cfg: RerankConfig,
-    fb_docs: int = 10,
-    fb_terms: int = 10,
-    orig_weight: float = 0.6,
 ) -> RerankResult:
     """Feedback variant: fresh candidates come from the lexical index.
 
-    Feedback expands the query (RM3) from the top-b of the batch, weighted
-    by reciprocal rank, and retrieves with the expanded query. The
-    expanded query never reaches the ranker; an expansion without usable
-    terms yields nothing, and invalid RM3 parameters raise before the
-    first ranker call.
+    Feedback expands the query (RM3, with ``cfg``'s ``fb_docs``, ``fb_terms``
+    and ``orig_weight``) from the top-b of the batch, weighted by reciprocal
+    rank, and retrieves with the expanded query. The expanded query never
+    reaches the ranker; an expansion without usable terms yields nothing.
 
     The expansion reads only the batch's head, its first ``min(b, fb_docs)``
     ids, so expansion and retrieval run once per distinct head in a query;
@@ -215,15 +216,14 @@ def slidegar_rm3(
     and a window takes at most ``b``, so what it takes lies within the
     first ``depth``.
     """
-    check_rm3(fb_docs, fb_terms, orig_weight)
     depth = len(r0) + expected_llm_calls(cfg) * cfg.b
     hits_of: dict[tuple[int, ...], list[int]] = {}  # one query's, so --jobs threads share none
 
     def feedback(order: list[int]) -> list[int]:
-        head = order[: min(cfg.b, fb_docs)]
+        head = order[: min(cfg.b, cfg.fb_docs)]
         hits = hits_of.get(tuple(head))
         if hits is None:
-            weights = rm3_expand(index, query, head, fb_docs=fb_docs, fb_terms=fb_terms, orig_weight=orig_weight)
+            weights = rm3_expand(index, query, head, cfg.fb_docs, cfg.fb_terms, cfg.orig_weight)
             hits = hits_of[tuple(head)] = retrieve_expanded(index, weights, depth)
         return hits
 

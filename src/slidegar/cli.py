@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import argparse
 import codecs
-import copy
 import gc
 import json
 import logging
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import adaptive_rerank, corpus_graph, corpus_store, dense_index, eval as run_eval, lexical_index
@@ -30,6 +30,8 @@ from .rankers import OracleRanker, RemoteRanker, check_remote
 AUTH_ENV_VAR = "SLIDEGAR_RANKER_AUTH"
 
 log = logging.getLogger(__name__)
+
+_RERANK_DEFAULTS = asdict(RerankConfig())  # w, b, c, truncate_k and the RM3 settings
 
 CONFIG_DEFAULTS: dict = {
     "corpus": None,
@@ -43,17 +45,13 @@ CONFIG_DEFAULTS: dict = {
     "normalize_embeddings": False,
     "strategy": "slidegar",  # baseline | slidegar | slidegar_rm3
     "graph": None,
-    "truncate_k": 16,
     "ranker": "oracle",  # oracle | noisy_oracle | identity | remote
     "endpoint": None,
     "timeout": 30.0,
     "retries": 3,
     "swap_prob": 0.1,
     "seed": 0,
-    "w": 20,
-    "b": 10,
-    "c": 50,
-    "rm3": {"fb_docs": 10, "fb_terms": 10, "orig_weight": 0.6},
+    **_RERANK_DEFAULTS,
     # no command reads it; perfbench/run.py writes it into every config, so it
     # stays accepted and type-checked until the benchmark stops writing it
     # (tests/test_cli.py's base config writes it too, to keep that tested)
@@ -85,17 +83,7 @@ def load_config(path: str) -> dict:
     unknown = set(user) - set(CONFIG_DEFAULTS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
-    cfg = copy.deepcopy(CONFIG_DEFAULTS)
-    for key, value in user.items():
-        if key == "rm3":
-            if type(value) is not dict:
-                raise ValueError(f"config 'rm3' must be an object, got {value!r}")
-            bad = set(value) - set(cfg["rm3"])
-            if bad:
-                raise ValueError(f"{path}: unknown rm3 keys: {', '.join(sorted(bad))}")
-            cfg["rm3"].update(value)
-        else:
-            cfg[key] = value
+    cfg = {**CONFIG_DEFAULTS, **user}
     _validate_config(cfg)
     if cfg["run_tag"] is None:
         cfg["run_tag"] = cfg["strategy"]
@@ -148,8 +136,12 @@ def _validate_config(cfg: dict) -> None:
     check_remote(cfg["timeout"], cfg["retries"])  # with the backoff _make_ranker's remote ranker keeps
     if not 0 <= cfg["swap_prob"] <= 1:
         raise ValueError(f"config 'swap_prob' must be in [0, 1], got {cfg['swap_prob']!r}")
-    RerankConfig(w=cfg["w"], b=cfg["b"], c=cfg["c"], truncate_k=cfg["truncate_k"])
-    lexical_index.check_rm3(**cfg["rm3"])
+    _rerank_config(cfg)
+
+
+def _rerank_config(cfg: dict) -> RerankConfig:
+    """The strategy settings of a run config; raises on an invalid one."""
+    return RerankConfig(**{key: cfg[key] for key in _RERANK_DEFAULTS})
 
 
 class _Pipeline:
@@ -157,7 +149,7 @@ class _Pipeline:
 
     def __init__(self, cfg: dict) -> None:
         self.cfg = cfg
-        self.rerank = RerankConfig(w=cfg["w"], b=cfg["b"], c=cfg["c"], truncate_k=cfg["truncate_k"])
+        self.rerank = _rerank_config(cfg)
         # the telemetry's setup record: each set-up step's wall time in seconds and
         # the count of absent judgments; what the config does not need stays None
         keys = ("ingest_s", "qrels_s", "qrels_absent", "index_load_s", "forward_index_s", "embeddings_load_s",
@@ -246,12 +238,7 @@ class _Pipeline:
         elif cfg["strategy"] == "slidegar":
             result = adaptive_rerank.slidegar(query, r0, self.ranker, self.graph, rcfg)
         else:
-            result = adaptive_rerank.slidegar_rm3(
-                query, r0, self.ranker, self.index, rcfg,
-                fb_docs=cfg["rm3"]["fb_docs"],
-                fb_terms=cfg["rm3"]["fb_terms"],
-                orig_weight=cfg["rm3"]["orig_weight"],
-            )
+            result = adaptive_rerank.slidegar_rm3(query, r0, self.ranker, self.index, rcfg)
         record.update(adaptive_rerank.telemetry_record(query.qid, r0, result))
         return query.qid, [self.store.docnos[i] for i in result.ranking], record
 
@@ -273,17 +260,8 @@ class _Pipeline:
 def cmd_synth(args: argparse.Namespace) -> int:
     from . import synth  # here, not at module level: it costs every other command about 3 ms
 
-    spec = synth.SynthSpec(
-        n_clusters=args.clusters,
-        docs_per_cluster=args.docs_per_cluster,
-        vocab_per_cluster=args.vocab_per_cluster,
-        shared_vocab=args.shared_vocab,
-        dim=args.dim,
-        n_queries=args.queries,
-        relevant_per_query=args.relevant_per_query,
-        retrieval_gap=args.gap,
-        seed=args.seed,
-    )
+    # an unset flag leaves no attribute (argument_default=SUPPRESS), so SynthSpec's default applies
+    spec = synth.SynthSpec(**{k: v for k, v in vars(args).items() if k not in ("command", "func", "out")})
     manifest = synth.generate(spec, args.out)
     n_docs = spec.n_clusters * spec.docs_per_cluster
     print(f"wrote {args.out}: {n_docs} docs, {len(manifest['queries'])} queries")
@@ -393,17 +371,18 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="slidegar", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a deterministic synthetic collection")
+    p = sub.add_parser("synth", help="generate a deterministic synthetic collection",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clusters", type=int, default=6)
-    p.add_argument("--docs-per-cluster", type=int, default=85)
-    p.add_argument("--vocab-per-cluster", type=int, default=40)
-    p.add_argument("--shared-vocab", type=int, default=15)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--queries", type=int, default=6)
-    p.add_argument("--relevant-per-query", type=int, default=10)
-    p.add_argument("--gap", type=float, default=0.5)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--clusters", type=int, dest="n_clusters")
+    p.add_argument("--docs-per-cluster", type=int)
+    p.add_argument("--vocab-per-cluster", type=int)
+    p.add_argument("--shared-vocab", type=int)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--queries", type=int, dest="n_queries")
+    p.add_argument("--relevant-per-query", type=int)
+    p.add_argument("--gap", type=float, dest="retrieval_gap")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("build-index", help="build and persist the lexical index")

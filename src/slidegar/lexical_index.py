@@ -285,16 +285,17 @@ def rm3_expand(
     index: InvertedIndex,
     query: Query,
     ranked: list[int],
-    fb_docs: int = 10,
-    fb_terms: int = 10,
-    orig_weight: float = 0.6,
+    fb_docs: int,
+    fb_terms: int,
+    orig_weight: float,
 ) -> dict[str, float]:
     """Relevance-model (RM3) term weights from ranked feedback documents.
 
     ``ranked`` holds doc ids, best first. Listwise rankers emit no scores,
     so the first ``fb_docs`` of them are weighted by reciprocal rank,
     normalized to sum 1. Document language models are maximum-likelihood
-    (tf / doc length), unsmoothed. The weights sum to 1; they are empty
+    (tf / doc length), unsmoothed. The ``fb_terms`` heaviest feedback terms
+    are mixed in at ``1 - orig_weight``; the weights sum to 1, and are empty
     when neither query nor feedback left a usable term.
     """
     if not ranked:
@@ -410,11 +411,6 @@ def load_index(in_dir: str | Path, store: CorpusStore) -> InvertedIndex:
         raise ValueError(f"{meta_path}: doc_count must be an integer, got {doc_count!r}")
     if type(meta["avgdl"]) not in (int, float):
         raise ValueError(f"{meta_path}: avgdl must be a number, got {meta['avgdl']!r}")
-    if doc_count != len(store):
-        raise ValueError(
-            f"{src}: index has {doc_count} docs but store has {len(store)}; "
-            "was the corpus ingested with the same dedup setting?"
-        )
     check_docnos(src / "docnos.txt", store, "index")
     lengths = read_u32(src / "doclens.bin", doc_count)
     terms = _read_terms(src / "terms.txt")

@@ -40,12 +40,13 @@ def sim_rank(ranker, query, store, docnos):
     return docnos_of(store, ranker.rank(Window(query, ids_of(store, docnos))))
 
 
-def rm3_reference(store, index, query, b, fb_docs=10):
+def rm3_reference(store, index, query, cfg):
     """The simulator's RM3 feedback_fn: a fresh expansion of ``batch[:b]``
-    and a retrieval of the whole corpus, filtered by ``blocked``, on every call."""
+    with ``cfg``'s RM3 settings and a retrieval of the whole corpus, filtered
+    by ``blocked``, on every call."""
 
     def feedback_fn(batch, blocked, n):
-        weights = rm3_expand(index, query, ids_of(store, batch[:b]), fb_docs=fb_docs)
+        weights = rm3_expand(index, query, ids_of(store, batch[: cfg.b]), cfg.fb_docs, cfg.fb_terms, cfg.orig_weight)
         hits = docnos_of(store, retrieve_expanded(index, weights, len(store)))
         return [d for d in hits if d not in blocked][:n]
 
@@ -303,8 +304,8 @@ def test_rm3_orig_weight_one_consumes_bm25_order():
     query = Query("q1", "t")
     r0 = bm25_retrieve(index, query, 6)
     assert docnos_of(store, r0) == [f"d{i}" for i in range(6)]
-    cfg = RerankConfig(w=4, b=2, c=6)
-    result = slidegar_rm3(query, r0, OracleRanker({}), index, cfg, orig_weight=1.0)
+    cfg = RerankConfig(w=4, b=2, c=6, orig_weight=1.0)
+    result = slidegar_rm3(query, r0, OracleRanker({}), index, cfg)
     # trace: W1=[d0..d3] dumps d2,d3; the fresh half is feedback's turn, and
     # feedback skips R0 (d0..d5), so W2=[d0,d1,d6,d7] dumps d6,d7 and the
     # 4 = c - b dumps end the run; final = carried d0,d1, then W2's dumps,
@@ -353,13 +354,9 @@ def test_rm3_recall_gain_on_clustered_fixture():
 
 @pytest.mark.parametrize("param", [{"fb_docs": 0}, {"fb_terms": -3}, {"orig_weight": 1.5}])
 def test_rm3_invalid_parameter_raises_before_the_first_ranker_call(param):
-    docs = {f"d{i}": f"shared term{i}" for i in range(6)}
-    store = make_store(docs)
-    recorder = RecordingRanker(OracleRanker({}), store)
-    cfg = RerankConfig(w=2, b=1, c=5)
+    # the config refuses it, so no strategy, and no ranker, ever sees it
     with pytest.raises(ValueError, match=f"rm3 {next(iter(param))} must be"):
-        slidegar_rm3(Q, ids_of(store, list(docs)), recorder, build_index(store.texts), cfg, **param)
-    assert recorder.seen == []
+        RerankConfig(w=2, b=1, c=5, **param)
 
 
 def test_rm3_without_usable_terms_consumes_r0_alone():
@@ -385,11 +382,11 @@ def counting(mp, name, counts):
     mp.setattr(adaptive_rerank, name, counted)
 
 
-def simulate_rm3(store, docs, query, r0, ranker, cfg, fb_docs=10):
+def simulate_rm3(store, docs, query, r0, ranker, cfg):
     def rank_fn(docnos):
         return sim_rank(ranker, query, store, docnos)
 
-    feedback_fn = rm3_reference(store, build_index(store.texts), query, cfg.b, fb_docs)
+    feedback_fn = rm3_reference(store, build_index(store.texts), query, cfg)
     return simulate_window_loop(r0, rank_fn, feedback_fn, cfg.w, cfg.b, cfg.c)
 
 
@@ -435,14 +432,14 @@ def test_rm3_heads_equal_on_their_first_fb_docs_share_one_expansion():
     store = make_store(docs)
     index = build_index(store.texts)
     query = Query("q1", "ant")
-    cfg = RerankConfig(w=6, b=3, c=15)
+    cfg = RerankConfig(w=6, b=3, c=15, fb_docs=2)
     r0 = ids_of(store, ["d0", "d1", "d2", "d3", "d4", "d5"])
     recorder = RecordingRanker(HeadKeeper(), store)
     counts: dict[str, int] = {}
     with pytest.MonkeyPatch.context() as mp:
         counting(mp, "rm3_expand", counts)
-        result = slidegar_rm3(query, r0, recorder, index, cfg, fb_docs=2)
-    expected, calls, _ = simulate_rm3(store, docs, query, docnos_of(store, r0), HeadKeeper(), cfg, fb_docs=2)
+        result = slidegar_rm3(query, r0, recorder, index, cfg)
+    expected, calls, _ = simulate_rm3(store, docs, query, docnos_of(store, r0), HeadKeeper(), cfg)
     assert docnos_of(store, result.ranking) == expected
     assert result.calls == calls
     heads = [batch[: cfg.b] for _, batch in recorder.seen]
@@ -571,7 +568,7 @@ def test_window_loop_fills_every_window_until_sources_run_dry(instance, swap_pro
 
     strategies = {  # the engine's feedback source, then the simulator's feedback_fn
         "slidegar": ("neighbours", graph_feedback(lambda d: adjacency.get(d, []), cfg.truncate_k)),
-        "slidegar_rm3": ("rm3_expand", rm3_reference(store, index, query, cfg.b)),
+        "slidegar_rm3": ("rm3_expand", rm3_reference(store, index, query, cfg)),
     }
     for strategy, (source, feedback_fn) in strategies.items():
         asked = {"engine": 0, "simulator": 0}

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 from collections.abc import Mapping
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import slidegar
 from conftest import BLOCK_SIZES, block_bytes, dropped_twins
 from mockserver import ScriptedHandler, scripted_server
 from slidegar import cli, corpus_store
+from slidegar.adaptive_rerank import RerankConfig
 from slidegar.cli import main
 from slidegar.corpus_graph import build_graph_dense, save_graph
 from slidegar.corpus_store import Query, docnos_bytes, ingest_corpus, load_queries
@@ -350,8 +352,11 @@ def test_telemetry_marks_skipped_setup_steps(workspace, tmp_path):
         workspace, strategy="baseline", ranker="identity", qrels=None, graph=None,
         run_out=str(tmp_path / "r.trec"), telemetry_out=str(tel),
     )
+    defaults = asdict(RerankConfig())  # no strategy setting either: the config record echoes these
+    cfg = {key: value for key, value in cfg.items() if key not in defaults}
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
-    setup = json.loads(tel.read_text().splitlines()[1])
+    echoed, setup = (json.loads(line) for line in tel.read_text().splitlines()[:2])
+    assert {key: echoed["config"][key] for key in defaults} == defaults
     assert setup["qrels_s"] is None and setup["qrels_absent"] is None and setup["graph_load_s"] is None
     assert setup["ingest_s"] >= 0.0 and setup["index_load_s"] >= 0.0
 
@@ -462,9 +467,9 @@ def test_config_validation_errors(workspace, tmp_path, capsys):
     ({"swap_prob": -0.1}, "config 'swap_prob' must be in [0, 1], got -0.1"),
     ({"timeout": 1e300}, f"timeout must be <= {threading.TIMEOUT_MAX}, got 1e+300"),
     ({"timeout": float("inf")}, f"timeout must be <= {threading.TIMEOUT_MAX}, got inf"),  # JSON Infinity
-    ({"rm3": 5}, "config 'rm3' must be an object, got 5"),
-    ({"rm3": ["fb_docs"]}, "config 'rm3' must be an object, got ['fb_docs']"),
-    ({"rm3": "fb"}, "config 'rm3' must be an object, got 'fb'"),
+    ({"fb_docs": 2.5}, "rm3 fb_docs must be an integer >= 1, got 2.5"),
+    ({"orig_weight": "0.5"}, "rm3 orig_weight must be a number in [0, 1], got '0.5'"),
+    ({"orig_weight": None}, "rm3 orig_weight must be a number in [0, 1], got None"),
     ({"normalize_embeddings": "false"}, "config 'normalize_embeddings' must be true or false, got 'false'"),
     ({"dedup": "no"}, "config 'dedup' must be true or false, got 'no'"),
     ({"corpus": 5}, "config 'corpus' must be a non-empty string, got 5"),
@@ -509,7 +514,7 @@ def test_config_value_types_fail_at_load(workspace, tmp_path, capsys, overrides,
 def test_invalid_rm3_value_fails_config(workspace, tmp_path, capsys, key, value):
     run_out = tmp_path / "r.trec"
     cfg_path = write_config(tmp_path / "cfg.json", base_config(
-        workspace, strategy="slidegar_rm3", rm3={key: value}, run_out=str(run_out),
+        workspace, strategy="slidegar_rm3", run_out=str(run_out), **{key: value},
     ))
     with pytest.raises(ValueError, match=f"rm3 {key} must be"):  # at load time, before any set-up
         cli.load_config(cfg_path)
@@ -522,7 +527,7 @@ def test_invalid_rm3_value_fails_config(workspace, tmp_path, capsys, key, value)
 
 @pytest.mark.parametrize("text, message", [
     ("[1, 2]", "config must be a JSON object"),
-    ('{"rm3": {"fb_docs": 5, "mu": 1}}', "unknown rm3 keys: mu"),
+    ('{"rm3": {"fb_docs": 5}}', "unknown config keys: rm3"),  # the RM3 settings are top-level keys
     ("{bad", "invalid JSON config (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"),
 ], ids=["not_an_object", "unknown_rm3_key", "not_json"])
 def test_malformed_config_fails_naming_its_file(tmp_path, capsys, text, message):
@@ -778,6 +783,35 @@ def test_foreign_index_fails_at_load(tmp_path, capsys):
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "docnos.txt" in err[0]
+    assert not run_out.exists()
+
+
+CORPUS_WITH_TWIN = "a\tcat dog\nb\tcat dog\nc\tdog bird\n"
+
+
+@pytest.mark.parametrize("built, dedup, line", [
+    (CORPUS_WITH_TWIN + "d\tbird fish\n", False, 4),
+    ("a\tcat dog\nb\tcat dog\n", False, 3),
+    (CORPUS_WITH_TWIN, True, 2),  # the index lacks the dropped twin "b" that a plain run keeps
+], ids=["one_doc_longer", "one_doc_shorter", "dedup_index_plain_run"])
+def test_index_of_another_size_fails_at_load_naming_its_line(tmp_path, capsys, built, dedup, line):
+    # docnos.txt is the only rule that ties an index to the store, whatever the doc counts
+    (tmp_path / "built.tsv").write_text(built, encoding="utf-8")
+    flags = ["--dedup"] if dedup else []
+    assert main(["build-index", "--corpus", str(tmp_path / "built.tsv"), "--out", str(tmp_path / "idx"), *flags]) == 0
+    (tmp_path / "c.tsv").write_text(CORPUS_WITH_TWIN, encoding="utf-8")
+    (tmp_path / "q.tsv").write_text("q1\tcat\n", encoding="utf-8")
+    capsys.readouterr()
+    run_out = tmp_path / "run.trec"
+    cfg = {
+        "corpus": str(tmp_path / "c.tsv"), "queries": str(tmp_path / "q.tsv"), "index_dir": str(tmp_path / "idx"),
+        "strategy": "baseline", "ranker": "identity", "w": 2, "b": 1, "c": 2, "run_out": str(run_out),
+    }
+    assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'idx' / 'docnos.txt'}:{line}: docnos do not match the corpus in doc-id order; "
+        "rebuild the index from the same corpus with the same dedup setting\n"
+    )
     assert not run_out.exists()
 
 

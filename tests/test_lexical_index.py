@@ -139,20 +139,20 @@ def test_rm3_worked_example():
 
 def test_rm3_orig_weight_one_is_query_only():
     _, index = two_doc_index()
-    weights = rm3_expand(index, Query("q", "cat dog"), [1], orig_weight=1.0)
+    weights = rm3_expand(index, Query("q", "cat dog"), [1], fb_docs=10, fb_terms=10, orig_weight=1.0)
     assert weights == {"cat": pytest.approx(0.5), "dog": pytest.approx(0.5)}
 
 
 def test_rm3_orig_weight_zero_is_feedback_distribution():
     _, index = two_doc_index()
-    weights = rm3_expand(index, Query("q", "cat"), [0], orig_weight=0.0)
+    weights = rm3_expand(index, Query("q", "cat"), [0], fb_docs=10, fb_terms=10, orig_weight=0.0)
     assert weights["cat"] == pytest.approx(2 / 3)
     assert weights["dog"] == pytest.approx(1 / 3)
     # reciprocal-rank doc weights 1/1.5 and 0.5/1.5: 2/3 * {cat 2/3, dog 1/3} + 1/3 * {dog 1}
-    weights = rm3_expand(index, Query("q", "cat"), [0, 1], orig_weight=0.0)
+    weights = rm3_expand(index, Query("q", "cat"), [0, 1], fb_docs=10, fb_terms=10, orig_weight=0.0)
     assert weights == {"cat": pytest.approx(4 / 9, abs=1e-12), "dog": pytest.approx(5 / 9, abs=1e-12)}
-    assert rm3_expand(index, Query("q", "cat"), [0, 1], fb_docs=1, orig_weight=0.0) == rm3_expand(
-        index, Query("q", "cat"), [0], orig_weight=0.0
+    assert rm3_expand(index, Query("q", "cat"), [0, 1], fb_docs=1, fb_terms=10, orig_weight=0.0) == rm3_expand(
+        index, Query("q", "cat"), [0], fb_docs=10, fb_terms=10, orig_weight=0.0
     )
 
 
@@ -177,18 +177,18 @@ def test_rm3_weights_sum_to_one():
 def test_rm3_validation():
     _, index = two_doc_index()
     with pytest.raises(ValueError):
-        rm3_expand(index, Query("q", "cat"), [])
+        rm3_expand(index, Query("q", "cat"), [], fb_docs=10, fb_terms=10, orig_weight=0.6)
     with pytest.raises(ValueError):
-        rm3_expand(index, Query("q", "cat"), [0], orig_weight=1.5)
+        rm3_expand(index, Query("q", "cat"), [0], fb_docs=10, fb_terms=10, orig_weight=1.5)
     with pytest.raises(ValueError):
-        rm3_expand(index, Query("q", "cat"), [0], fb_terms=0)
+        rm3_expand(index, Query("q", "cat"), [0], fb_docs=10, fb_terms=0, orig_weight=0.6)
 
 
 def test_rm3_without_usable_terms_is_empty():
     index = build_index(["the of", "cat"])
-    assert rm3_expand(index, Query("q", "the"), [0]) == {}
+    assert rm3_expand(index, Query("q", "the"), [0], fb_docs=10, fb_terms=10, orig_weight=0.6) == {}
     # a query term weighted 0 and a token-free feedback doc leave nothing either
-    assert rm3_expand(index, Query("q", "cat"), [0], orig_weight=0.0) == {}
+    assert rm3_expand(index, Query("q", "cat"), [0], fb_docs=10, fb_terms=10, orig_weight=0.0) == {}
     assert retrieve_expanded(index, {}, 5) == []
 
 
@@ -196,14 +196,14 @@ def test_rm3_feedback_without_tokens_leaves_the_query_share_renormalized():
     # every feedback doc holds only stopwords, so it has length 0 and adds no term:
     # the query's share, orig_weight, is scaled up to sum 1
     index = build_index(["the of and", "cat dog", "of the"])
-    weights = rm3_expand(index, Query("q", "cat cat dog"), [0, 2], orig_weight=0.4)
+    weights = rm3_expand(index, Query("q", "cat cat dog"), [0, 2], fb_docs=10, fb_terms=10, orig_weight=0.4)
     assert weights == {"cat": pytest.approx(2 / 3, abs=1e-12), "dog": pytest.approx(1 / 3, abs=1e-12)}
     assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rm3_all_stopword_query_uses_expansion_only():
     _, index = two_doc_index()
-    weights = rm3_expand(index, Query("q", "the and of"), [0], orig_weight=0.6)
+    weights = rm3_expand(index, Query("q", "the and of"), [0], fb_docs=10, fb_terms=10, orig_weight=0.6)
     assert weights["cat"] == pytest.approx(2 / 3)
     assert weights["dog"] == pytest.approx(1 / 3)
     assert sum(weights.values()) == pytest.approx(1.0, abs=1e-9)
@@ -335,7 +335,7 @@ def test_forward_index_is_built_on_first_use_only(tmp_path):
     loaded = load_index(tmp_path, store)
     bm25_retrieve(loaded, Query("q", "cat"), 2)
     assert "forward" not in vars(index) and "forward" not in vars(loaded)
-    rm3_expand(loaded, Query("q", "cat"), [0])
+    rm3_expand(loaded, Query("q", "cat"), [0], fb_docs=10, fb_terms=10, orig_weight=0.6)
     assert "forward" in vars(loaded)
     doc_offsets, term_ids, tfs = loaded.forward  # terms bird, cat, dog
     assert doc_offsets.tolist() == [0, 2, 4, 6]
@@ -491,7 +491,7 @@ def test_csr_engine_matches_dict_reference():
         ranked = rng.sample(range(len(texts)), rng.randint(1, 12))
         query = " ".join(rng.choices(vocab, k=rng.randint(0, 3)))
         fb_terms = rng.randint(1, 12)
-        expanded = rm3_expand(index, Query("q", query), ranked, fb_terms=fb_terms)
+        expanded = rm3_expand(index, Query("q", query), ranked, fb_docs=10, fb_terms=fb_terms, orig_weight=0.6)
         reference = refindex.rm3_weights(ref, query, ranked, fb_terms=fb_terms)
         assert list(expanded.items()) == list(reference.items())
         scores = assert_scores_match_reference(index, ref, expanded)

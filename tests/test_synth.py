@@ -1,7 +1,10 @@
 import hashlib
+import json
+from dataclasses import asdict
 
 import pytest
 
+from slidegar.cli import main
 from slidegar.corpus_graph import SENTINEL
 from slidegar.corpus_store import Query, ingest_corpus, load_qrels, load_queries
 from slidegar.dense_index import load_embeddings
@@ -72,6 +75,21 @@ def test_same_seed_is_byte_identical(tmp_path):
     assert file_hashes(tmp_path / "a") == file_hashes(tmp_path / "b")
     generate(SynthSpec(**SMALL, seed=8), tmp_path / "c")
     assert file_hashes(tmp_path / "a") != file_hashes(tmp_path / "c")
+
+
+@pytest.mark.parametrize("flags, fields", [
+    ([], {}),
+    (["--clusters", "7"], {"n_clusters": 7}),
+    (["--queries", "3"], {"n_queries": 3}),
+    (["--gap", "0.25"], {"retrieval_gap": 0.25}),
+], ids=["no_size_flags", "clusters", "queries", "gap"])
+def test_synth_command_writes_what_generate_writes_of_its_spec(tmp_path, flags, fields):
+    # a flag reaches its SynthSpec field, and every flag left out keeps SynthSpec's default
+    assert main(["synth", "--out", str(tmp_path / "cli"), "--seed", "5", *flags]) == 0
+    generate(SynthSpec(seed=5, **fields), tmp_path / "api")
+    assert file_hashes(tmp_path / "cli") == file_hashes(tmp_path / "api")
+    spec = json.loads((tmp_path / "cli" / "spec.json").read_text(encoding="utf-8"))["spec"]
+    assert spec == {**asdict(SynthSpec()), "seed": 5, **fields}
 
 
 def test_bm25_never_retrieves_hidden_docs(synth_bundle):
