@@ -10,8 +10,9 @@ from .adaptive_rerank import (
     RerankConfig,
     RerankResult,
     expected_llm_calls,
+    graph_feedback,
+    rm3_feedback,
     slidegar,
-    slidegar_rm3,
     sliding_window_baseline,
 )
 
@@ -21,8 +22,9 @@ __all__ = [
     "RerankConfig",
     "RerankResult",
     "expected_llm_calls",
+    "graph_feedback",
+    "rm3_feedback",
     "slidegar",
-    "slidegar_rm3",
     "sliding_window_baseline",
     "__version__",
 ]

@@ -1,29 +1,30 @@
 """Sliding-window reranking strategies over score-free listwise rankers.
 
-Three strategies share one windowed loop:
+Two strategies rerank in windows:
 
 - ``sliding_window_baseline`` reranks the initial pool in place, tail first,
   and can never surface a document outside that pool.
-- ``slidegar`` takes feedback documents from a corpus-graph frontier of
-  the batch the ranker just ordered, so documents the first stage missed
-  can still reach the final list.
-- ``slidegar_rm3`` takes them from BM25 retrieval with an RM3-expanded
-  query instead of the graph; the ranker always sees the original query.
+- ``slidegar`` takes feedback documents from a feedback source, a callable
+  over the batch the ranker just ordered, so documents the first stage
+  missed can still reach the final list. Two sources are built here:
+  ``graph_feedback``, a corpus-graph frontier of the batch, and
+  ``rm3_feedback``, BM25 retrieval with an RM3-expanded query; the ranker
+  always sees the original query.
 
-Each window keeps its top ``b`` documents for the next round and dumps the
-rest to the result accumulator; a dumped document is final. The fresh half
-of the next window alternates between feedback and the initial ranking R0,
-feedback first. The loop takes from a feedback source's candidates only
-documents outside R0 that are not yet ranked, and a half that one source
-leaves short is topped up from the other, so every window after the first
-holds ``2b`` documents until both run dry. The loop ends once it has made
-``ceil((c - w) / b) + 1`` ranker calls, the cap that spends the budget of
-``c`` documents when every window is full (a short window dumps fewer
-documents, and the run then holds fewer than ``c``), or once no fresh
-document is left; the last carried top-``b`` goes on top of the output.
-Rankings, R0, the result and every ranker ``Window`` included, are lists
-of store doc ids, so no strategy takes the store; docnos appear only
-inside the rankers that read them and in the run file.
+In ``slidegar`` each window keeps its top ``b`` documents for the next
+round and dumps the rest to the result accumulator; a dumped document is
+final. The fresh half of the next window alternates between feedback and
+the initial ranking R0, feedback first. The loop takes from a feedback
+source's candidates only documents outside R0 that are not yet ranked, and
+a half that one source leaves short is topped up from the other, so every
+window after the first holds ``2b`` documents until both run dry. The loop
+ends once it has made ``ceil((c - w) / b) + 1`` ranker calls, the cap that
+spends the budget of ``c`` documents when every window is full (a short
+window dumps fewer documents, and the run then holds fewer than ``c``), or
+once no fresh document is left; the last carried top-``b`` goes on top of
+the output. Rankings, R0, the result and every ranker ``Window`` included,
+are lists of store doc ids, so no strategy takes the store; docnos appear
+only inside the rankers that read them and in the run file.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .rankers import ListwiseRanker, Window
 @dataclass(frozen=True)
 class RerankConfig:
     """Every strategy setting and its one default: window size w, step size b,
-    budget c, ``slidegar``'s graph depth and ``slidegar_rm3``'s RM3 settings.
+    budget c, the graph source's depth and the RM3 source's settings.
 
     The carried half of every window holds b documents, so window sizes
     beyond the first are 2b; with the default b = w/2 that equals w.
@@ -59,6 +60,9 @@ class RerankConfig:
     orig_weight: float = 0.6
 
     def __post_init__(self) -> None:
+        for key in ("w", "b", "c", "truncate_k"):
+            if type(getattr(self, key)) is not int:  # bool is an int subclass and is rejected too
+                raise ValueError(f"config {key!r} must be an integer, got {getattr(self, key)!r}")
         if not 1 <= self.b < self.w <= self.c:
             raise ValueError(
                 f"invalid config: need 1 <= b < w <= c, got w={self.w} b={self.b} c={self.c}"
@@ -123,15 +127,15 @@ class _QueryRun:
         return RerankResult(ids, self.calls, self.ranker_s, bookkeeping_s, self.attempts, self.degraded)
 
 
-def _run_window_loop(
+def slidegar(
     query: Query,
     r0: list[int],
     ranker: ListwiseRanker,
-    cfg: RerankConfig,
     feedback: Callable[[list[int]], list[int]],
+    cfg: RerankConfig,
 ) -> RerankResult:
-    """Shared do-while loop over store doc ids, and the only owner of the
-    fresh-half policy the module docstring describes.
+    """Adaptive sliding-window rerank over a feedback source, and the only
+    owner of the fresh-half policy the module docstring describes.
 
     ``feedback(order)`` returns distinct candidate ids, best first, for the
     batch ``order`` just ranked; the loop takes the first of them outside
@@ -177,30 +181,21 @@ def _run_window_loop(
     return run.result(final[: cfg.c])
 
 
-def slidegar(
-    query: Query,
-    r0: list[int],
-    ranker: ListwiseRanker,
-    graph: np.ndarray,
-    cfg: RerankConfig,
-) -> RerankResult:
-    """Graph-adaptive sliding-window rerank.
-
-    Feedback is the frontier of the batch's graph neighbours, visited in
-    the batch's order. ``graph`` is the adjacency matrix of
-    ``corpus_graph``, over the same doc ids as ``r0``.
-    """
-    return _run_window_loop(query, r0, ranker, cfg, lambda order: neighbours(graph, order, cfg.truncate_k))
+# perfbench/tracer.py wraps this name as well as slidegar; it goes when the tracer goes
+slidegar_rm3 = slidegar
 
 
-def slidegar_rm3(
-    query: Query,
-    r0: list[int],
-    ranker: ListwiseRanker,
-    index: InvertedIndex,
-    cfg: RerankConfig,
-) -> RerankResult:
-    """Feedback variant: fresh candidates come from the lexical index.
+def graph_feedback(graph: np.ndarray, truncate_k: int) -> Callable[[list[int]], list[int]]:
+    """The graph source: the frontier of the batch's first ``truncate_k``
+    graph neighbours each, visited in the batch's order. ``graph`` is the
+    adjacency matrix of ``corpus_graph``, over the same doc ids as R0."""
+    return lambda order: neighbours(graph, order, truncate_k)
+
+
+def rm3_feedback(
+    index: InvertedIndex, query: Query, r0: list[int], cfg: RerankConfig
+) -> Callable[[list[int]], list[int]]:
+    """The RM3 source: BM25 retrieval from the lexical index with an expanded query.
 
     Feedback expands the query (RM3, with ``cfg``'s ``fb_docs``, ``fb_terms``
     and ``orig_weight``) from the top-b of the batch, weighted by reciprocal
@@ -227,7 +222,7 @@ def slidegar_rm3(
             hits = hits_of[tuple(head)] = retrieve_expanded(index, weights, depth)
         return hits
 
-    return _run_window_loop(query, r0, ranker, cfg, feedback)
+    return feedback
 
 
 def sliding_window_baseline(

@@ -125,7 +125,7 @@ def _validate_config(cfg: dict) -> None:
         raise ValueError(f"ranker {cfg['ranker']!r} requires qrels")
     if cfg["retriever"] == "dense" and not (cfg["embeddings"] and cfg["query_embeddings"]):
         raise ValueError("retriever 'dense' requires embeddings and query_embeddings")
-    for key in ("w", "b", "c", "truncate_k", "jobs", "seed", "retries", "rel_threshold"):
+    for key in ("jobs", "seed", "retries", "rel_threshold"):  # RerankConfig checks its own keys
         if type(cfg[key]) is not int:  # bool is an int subclass and is rejected too
             raise ValueError(f"config {key!r} must be an integer, got {cfg[key]!r}")
     for key in ("timeout", "swap_prob"):
@@ -235,10 +235,12 @@ class _Pipeline:
             result = adaptive_rerank.RerankResult([], 0, 0.0, 0.0, 0, 0)
         elif cfg["strategy"] == "baseline":
             result = adaptive_rerank.sliding_window_baseline(query, r0, self.ranker, rcfg)
-        elif cfg["strategy"] == "slidegar":
-            result = adaptive_rerank.slidegar(query, r0, self.ranker, self.graph, rcfg)
         else:
-            result = adaptive_rerank.slidegar_rm3(query, r0, self.ranker, self.index, rcfg)
+            if cfg["strategy"] == "slidegar":
+                feedback = adaptive_rerank.graph_feedback(self.graph, rcfg.truncate_k)
+            else:
+                feedback = adaptive_rerank.rm3_feedback(self.index, query, r0, rcfg)
+            result = adaptive_rerank.slidegar(query, r0, self.ranker, feedback, rcfg)
         record.update(adaptive_rerank.telemetry_record(query.qid, r0, result))
         return query.qid, [self.store.docnos[i] for i in result.ranking], record
 

@@ -15,12 +15,13 @@ import pytest
 
 from conftest import graph_from_dict, make_store
 from mockserver import scripted_server
-from refsim import graph_feedback, simulate_baseline, simulate_window_loop
+from refsim import graph_feedback as graph_feedback_fn, simulate_baseline, simulate_window_loop
 from slidegar.adaptive_rerank import (
     RerankConfig,
     expected_llm_calls,
+    graph_feedback,
+    rm3_feedback,
     slidegar,
-    slidegar_rm3,
     sliding_window_baseline,
     telemetry_record,
 )
@@ -77,7 +78,8 @@ def test_call_count_exactness(synth_bundle):
 
         for c, expected in ((50, 4), (100, 9)):
             cfg = RerankConfig(w=20, b=10, c=c, truncate_k=1)
-            result = slidegar(Q, ids_of(store, names[: c + 40]), OracleRanker({}), graph, cfg)
+            feedback = graph_feedback(graph, cfg.truncate_k)
+            result = slidegar(Q, ids_of(store, names[: c + 40]), OracleRanker({}), feedback, cfg)
             assert result.calls == expected == expected_llm_calls(cfg)
 
         rng = random.Random(2024)
@@ -87,7 +89,7 @@ def test_call_count_exactness(synth_bundle):
             c = rng.randint(w, min(w + 150, 380))
             cfg = RerankConfig(w=w, b=b, c=c, truncate_k=1)
             pool = names[: c + b + w]  # adequate |R0|: never exhausted mid-run
-            result = slidegar(Q, ids_of(store, pool), OracleRanker({}), graph, cfg)
+            result = slidegar(Q, ids_of(store, pool), OracleRanker({}), graph_feedback(graph, cfg.truncate_k), cfg)
             assert result.calls == expected_llm_calls(cfg), (w, b, c)
 
         # A real dense graph with short frontiers: R0 is the BM25 pool padded
@@ -102,7 +104,7 @@ def test_call_count_exactness(synth_bundle):
                 hits = bm25_retrieve(synth_bundle.index, query, c)
                 r0 = list(dict.fromkeys(hits + every_id))[: c + cfg.w]
                 recorder = RecordingRanker(oracle, synth_bundle.store)
-                result = slidegar(query, r0, recorder, synth_bundle.graph, cfg)
+                result = slidegar(query, r0, recorder, graph_feedback(synth_bundle.graph, cfg.truncate_k), cfg)
                 assert result.calls == expected_llm_calls(cfg), (query.qid, c, truncate_k)
                 in_r0 = set(docnos_of(synth_bundle.store, r0))
                 for window, _ in recorder.seen[1:]:
@@ -121,7 +123,8 @@ def test_hand_trace_and_randomized_oracle_equivalence():
         graph = graph_from_dict({"d2": ["d9"], "d1": ["d8"]}, names, 1)
         ranker = OracleRanker(by_id(store, {"q1": {"d2": 3, "d9": 2, "d1": 1}}))
         cfg = RerankConfig(w=2, b=1, c=4, truncate_k=1)
-        result = slidegar(Q, ids_of(store, ["d1", "d2", "d3", "d4"]), ranker, graph, cfg)
+        r0 = ids_of(store, ["d1", "d2", "d3", "d4"])
+        result = slidegar(Q, r0, ranker, graph_feedback(graph, cfg.truncate_k), cfg)
         assert docnos_of(store, result.ranking) == ["d2", "d3", "d9", "d1"]
         assert result.calls == 3
 
@@ -144,8 +147,8 @@ def test_hand_trace_and_randomized_oracle_equivalence():
             def rank_fn(docnos):
                 return sim_rank(sim_ranker, Q, store, docnos)
 
-            result = slidegar(Q, ids_of(store, r0), engine_ranker, graph, cfg)
-            feedback_fn = graph_feedback(lambda d: adjacency.get(d, []), cfg.truncate_k)
+            result = slidegar(Q, ids_of(store, r0), engine_ranker, graph_feedback(graph, cfg.truncate_k), cfg)
+            feedback_fn = graph_feedback_fn(lambda d: adjacency.get(d, []), cfg.truncate_k)
             expected, calls, offered = simulate_window_loop(r0, rank_fn, feedback_fn, cfg.w, cfg.b, cfg.c)
             got = docnos_of(store, result.ranking)
             assert got == expected and result.calls == calls
@@ -181,8 +184,8 @@ def test_permutation_safety():
         for behavior in ("duplicate", "drop_one", "foreign", "garbage", "status:500"):
             with scripted_server([behavior]) as endpoint:
                 remote = RemoteRanker(endpoint, store, timeout=2, retries=1, backoff=0.01)
-                degraded = slidegar(Q, ids_of(store, names), remote, graph, cfg)
-            clean = slidegar(Q, ids_of(store, names), OracleRanker({}), graph, cfg)
+                degraded = slidegar(Q, ids_of(store, names), remote, graph_feedback(graph, cfg.truncate_k), cfg)
+            clean = slidegar(Q, ids_of(store, names), OracleRanker({}), graph_feedback(graph, cfg.truncate_k), cfg)
             assert degraded.ranking == clean.ranking, behavior
             assert len(set(degraded.ranking)) == len(degraded.ranking)
             assert degraded.calls == clean.calls  # a retried window counts once
@@ -200,7 +203,8 @@ def _escape_numbers(bundle):
         grades = bundle.grades_by_docno(info["qid"])
         r0 = bm25_retrieve(bundle.index, query, cfg.c)
         base = docnos_of(bundle.store, sliding_window_baseline(query, r0, oracle, cfg).ranking)
-        adaptive = docnos_of(bundle.store, slidegar(query, r0, oracle, bundle.graph, cfg).ranking)
+        adaptive = slidegar(query, r0, oracle, graph_feedback(bundle.graph, cfg.truncate_k), cfg).ranking
+        adaptive = docnos_of(bundle.store, adaptive)
         rows.append(
             {
                 "recall_base": recall_at(base, grades, 50, rel_threshold=2),
@@ -239,7 +243,7 @@ def test_graph_depth_monotone_trend(synth_bundle):
             for info in synth_bundle.manifest["queries"]:
                 query = Query(info["qid"], " ".join(info["query_terms"]))
                 r0 = bm25_retrieve(synth_bundle.index, query, cfg.c)
-                adaptive = slidegar(query, r0, oracle, synth_bundle.graph, cfg).ranking
+                adaptive = slidegar(query, r0, oracle, graph_feedback(synth_bundle.graph, cfg.truncate_k), cfg).ranking
                 adaptive = docnos_of(synth_bundle.store, adaptive)
                 values.append(recall_at(adaptive, synth_bundle.grades_by_docno(info["qid"]), 50, rel_threshold=2))
             means.append(sum(values) / len(values))
@@ -259,7 +263,7 @@ def test_rm3_variant_recall_gain(synth_bundle):
             r0 = bm25_retrieve(synth_bundle.index, query, cfg.c)
             base = sliding_window_baseline(query, r0, oracle, cfg).ranking
             base = docnos_of(synth_bundle.store, base)
-            adaptive = slidegar_rm3(query, r0, oracle, synth_bundle.index, cfg)
+            adaptive = slidegar(query, r0, oracle, rm3_feedback(synth_bundle.index, query, r0, cfg), cfg)
             base_vals.append(recall_at(base, grades, 50, rel_threshold=2))
             rm3_vals.append(recall_at(docnos_of(synth_bundle.store, adaptive.ranking), grades, 50, rel_threshold=2))
             escaped.append(telemetry_record(query.qid, r0, adaptive)["escaped_docs"])
@@ -332,7 +336,7 @@ def test_bookkeeping_overhead_on_100k_graph():
         r0 = list(range(0, n, n // 140))[:140]
         timings = []
         for _ in range(3):
-            result = slidegar(Q, r0, OracleRanker({}), graph, cfg)
+            result = slidegar(Q, r0, OracleRanker({}), graph_feedback(graph, cfg.truncate_k), cfg)
             assert result.calls == expected_llm_calls(cfg)
             timings.append(result.bookkeeping_s)
         best = min(timings)

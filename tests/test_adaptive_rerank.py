@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_dict, make_store
-from refsim import graph_feedback, simulate_baseline, simulate_window_loop
+from refsim import graph_feedback as graph_feedback_fn, simulate_baseline, simulate_window_loop
 from slidegar import adaptive_rerank
 from slidegar.adaptive_rerank import (
     RerankConfig,
     expected_llm_calls,
+    graph_feedback,
+    rm3_feedback,
     slidegar,
-    slidegar_rm3,
     sliding_window_baseline,
     telemetry_record,
 )
@@ -93,6 +94,13 @@ def test_config_validation():
         RerankConfig(w=4, b=0, c=8)
     with pytest.raises(ValueError):
         RerankConfig(w=4, b=2, c=8, truncate_k=-1)
+    # a bool or a float would otherwise build, and fail later as a slice index
+    with pytest.raises(ValueError, match="config 'b' must be an integer, got True"):
+        RerankConfig(w=4, b=True, c=6.5)
+    with pytest.raises(ValueError, match="config 'c' must be an integer, got 6.5"):
+        RerankConfig(w=4, b=2, c=6.5)
+    with pytest.raises(ValueError, match="config 'truncate_k' must be an integer, got 2.0"):
+        RerankConfig(w=4, b=2, c=8, truncate_k=2.0)
 
 
 # --- slidegar hand trace ---
@@ -109,7 +117,7 @@ def trace_fixture():
 def test_slidegar_hand_trace():
     store, graph, ranker = trace_fixture()
     cfg = RerankConfig(w=2, b=1, c=4, truncate_k=1)
-    result = slidegar(Q, ids_of(store, ["d1", "d2", "d3", "d4"]), ranker, graph, cfg)
+    result = slidegar(Q, ids_of(store, ["d1", "d2", "d3", "d4"]), ranker, graph_feedback(graph, cfg.truncate_k), cfg)
     assert docnos_of(store, result.ranking) == ["d2", "d3", "d9", "d1"]
     assert result.calls == 3
     assert result.calls == expected_llm_calls(cfg)
@@ -123,7 +131,7 @@ def test_slidegar_empty_graph_falls_back_to_initial_pool():
     store = names_store(names)
     graph = graph_from_dict({}, names, 1)
     cfg = RerankConfig(w=4, b=2, c=8, truncate_k=1)
-    result = slidegar(Q, ids_of(store, names), OracleRanker({}), graph, cfg)
+    result = slidegar(Q, ids_of(store, names), OracleRanker({}), graph_feedback(graph, cfg.truncate_k), cfg)
     assert set(docnos_of(store, result.ranking)) == set(names[:8])
     assert result.calls == expected_llm_calls(cfg)
 
@@ -134,14 +142,15 @@ def test_slidegar_call_counts_match_formula():
     graph = graph_from_dict({}, names, 1)
     for c, expected in ((50, 4), (100, 9)):
         cfg = RerankConfig(w=20, b=10, c=c, truncate_k=1)
-        assert slidegar(Q, ids_of(store, names), OracleRanker({}), graph, cfg).calls == expected
+        feedback = graph_feedback(graph, cfg.truncate_k)
+        assert slidegar(Q, ids_of(store, names), OracleRanker({}), feedback, cfg).calls == expected
         assert expected_llm_calls(cfg) == expected
 
 
 def test_slidegar_requires_nonempty_r0():
     store, graph, ranker = trace_fixture()
     with pytest.raises(ValueError):
-        slidegar(Q, [], ranker, graph, RerankConfig(w=2, b=1, c=4))
+        slidegar(Q, [], ranker, graph_feedback(graph, 1), RerankConfig(w=2, b=1, c=4))
 
 
 # --- baseline ---
@@ -219,10 +228,10 @@ def run_equivalence(n_instances, seed):
         def neigh_fn(docno):
             return adjacency.get(docno, [])
 
-        result = slidegar(Q, ids_of(store, r0), engine_ranker, graph, cfg)
+        result = slidegar(Q, ids_of(store, r0), engine_ranker, graph_feedback(graph, cfg.truncate_k), cfg)
         got = docnos_of(store, result.ranking)
         expected, calls, offered = simulate_window_loop(
-            r0, rank_fn, graph_feedback(neigh_fn, cfg.truncate_k), cfg.w, cfg.b, cfg.c
+            r0, rank_fn, graph_feedback_fn(neigh_fn, cfg.truncate_k), cfg.w, cfg.b, cfg.c
         )
         assert got == expected
         assert result.calls == calls
@@ -253,7 +262,7 @@ def test_oracle_carry_forward_local_correctness():
         store = names_store(names)
         graph = graph_from_dict(adjacency, names, k)
         recorder = RecordingRanker(OracleRanker(by_id(store, {"q1": grades})), store)
-        slidegar(Q, ids_of(store, r0), recorder, graph, cfg)
+        slidegar(Q, ids_of(store, r0), recorder, graph_feedback(graph, cfg.truncate_k), cfg)
         for _window, batch in recorder.seen:
             kept = [grades.get(d, 0) for d in batch[: cfg.b]]
             dumped = [grades.get(d, 0) for d in batch[cfg.b :]]
@@ -268,7 +277,7 @@ def test_monotone_escape():
     grades = by_id(store, {"q1": {"a": 2, "r": 2}})
     cfg = RerankConfig(w=2, b=1, c=3, truncate_k=1)
     r0 = ids_of(store, ["a", "b"])
-    adaptive = slidegar(Q, r0, OracleRanker(grades), graph, cfg).ranking
+    adaptive = slidegar(Q, r0, OracleRanker(grades), graph_feedback(graph, cfg.truncate_k), cfg).ranking
     baseline = sliding_window_baseline(Q, r0, OracleRanker(grades), cfg).ranking
     assert "r" in set(docnos_of(store, adaptive))
     assert "r" not in set(docnos_of(store, baseline))
@@ -286,7 +295,8 @@ def test_truncate_k_zero_equals_baseline_sets_on_aligned_configs():
         graph = graph_from_dict({}, names, 1)
         grades = by_id(store, {"q1": {name: rng.randint(0, 3) for name in names}})
         cfg = RerankConfig(w=w, b=b, c=c, truncate_k=0)
-        adaptive = slidegar(Q, ids_of(store, names), OracleRanker(grades), graph, cfg).ranking
+        feedback = graph_feedback(graph, cfg.truncate_k)
+        adaptive = slidegar(Q, ids_of(store, names), OracleRanker(grades), feedback, cfg).ranking
         baseline = sliding_window_baseline(Q, ids_of(store, names), OracleRanker(grades), cfg).ranking
         assert set(docnos_of(store, adaptive)) == set(docnos_of(store, baseline))
 
@@ -305,7 +315,7 @@ def test_rm3_orig_weight_one_consumes_bm25_order():
     r0 = bm25_retrieve(index, query, 6)
     assert docnos_of(store, r0) == [f"d{i}" for i in range(6)]
     cfg = RerankConfig(w=4, b=2, c=6, orig_weight=1.0)
-    result = slidegar_rm3(query, r0, OracleRanker({}), index, cfg)
+    result = slidegar(query, r0, OracleRanker({}), rm3_feedback(index, query, r0, cfg), cfg)
     # trace: W1=[d0..d3] dumps d2,d3; the fresh half is feedback's turn, and
     # feedback skips R0 (d0..d5), so W2=[d0,d1,d6,d7] dumps d6,d7 and the
     # 4 = c - b dumps end the run; final = carried d0,d1, then W2's dumps,
@@ -320,7 +330,8 @@ def test_rm3_falls_back_to_initial_pool_when_corpus_exhausted():
     index = build_index(store.texts)
     names = list(docs)
     cfg = RerankConfig(w=2, b=1, c=5)
-    ranking = slidegar_rm3(Query("q1", "shared"), ids_of(store, names), OracleRanker({}), index, cfg).ranking
+    query, r0 = Query("q1", "shared"), ids_of(store, names)
+    ranking = slidegar(query, r0, OracleRanker({}), rm3_feedback(index, query, r0, cfg), cfg).ranking
     got = set(docnos_of(store, ranking))
     assert got <= set(names)
     assert len(got) == len(ranking)
@@ -342,7 +353,8 @@ def test_rm3_recall_gain_on_clustered_fixture():
     r0 = bm25_retrieve(index, query, 6)
     assert docnos_of(store, r0) == ["v1", "v2", "x1", "x2"]  # hidden docs unreachable
     cfg = RerankConfig(w=4, b=2, c=6)
-    adaptive = slidegar_rm3(query, r0, OracleRanker(by_id(store, grades)), index, cfg).ranking
+    feedback = rm3_feedback(index, query, r0, cfg)
+    adaptive = slidegar(query, r0, OracleRanker(by_id(store, grades)), feedback, cfg).ranking
     baseline = sliding_window_baseline(query, r0, OracleRanker(by_id(store, grades)), cfg).ranking
     relevant = set(grades["q1"])
     recall_adaptive = len(set(docnos_of(store, adaptive)) & relevant) / len(relevant)
@@ -366,7 +378,8 @@ def test_rm3_without_usable_terms_consumes_r0_alone():
     store = make_store(docs)
     cfg = RerankConfig(w=2, b=1, c=4)
     r0 = ids_of(store, list(docs))
-    result = slidegar_rm3(Query("q1", "the"), r0, OracleRanker({}), build_index(store.texts), cfg)
+    query = Query("q1", "the")
+    result = slidegar(query, r0, OracleRanker({}), rm3_feedback(build_index(store.texts), query, r0, cfg), cfg)
     assert docnos_of(store, result.ranking) == ["d0", "d3", "d2", "d1"]
     assert result.calls == expected_llm_calls(cfg)
 
@@ -408,7 +421,7 @@ def test_rm3_one_retrieval_serves_the_deepest_blocked_set():
     with pytest.MonkeyPatch.context() as mp:
         counting(mp, "rm3_expand", counts)
         counting(mp, "retrieve_expanded", counts)
-        result = slidegar_rm3(query, r0, OracleRanker({}), index, cfg)
+        result = slidegar(query, r0, OracleRanker({}), rm3_feedback(index, query, r0, cfg), cfg)
     expected, calls, _ = simulate_rm3(store, docs, query, docnos_of(store, r0), OracleRanker({}), cfg)
     assert docnos_of(store, result.ranking) == expected
     assert result.calls == calls == expected_llm_calls(cfg) == 6
@@ -438,7 +451,7 @@ def test_rm3_heads_equal_on_their_first_fb_docs_share_one_expansion():
     counts: dict[str, int] = {}
     with pytest.MonkeyPatch.context() as mp:
         counting(mp, "rm3_expand", counts)
-        result = slidegar_rm3(query, r0, recorder, index, cfg)
+        result = slidegar(query, r0, recorder, rm3_feedback(index, query, r0, cfg), cfg)
     expected, calls, _ = simulate_rm3(store, docs, query, docnos_of(store, r0), HeadKeeper(), cfg)
     assert docnos_of(store, result.ranking) == expected
     assert result.calls == calls
@@ -489,7 +502,8 @@ def test_baseline_and_rm3_window_loop_invariants(instance, swap_prob, seed):
         else:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(adaptive_rerank, "retrieve_expanded", capture)
-                result = slidegar_rm3(query, ids_of(store, r0), ranker, index, cfg)
+                ids = ids_of(store, r0)
+                result = slidegar(query, ids, ranker, rm3_feedback(index, query, ids, cfg), cfg)
         got = docnos_of(store, result.ranking)
         assert len(set(got)) == len(got) <= cfg.c
         assert result.calls == len(ranker.seen) >= 1
@@ -532,7 +546,7 @@ def test_window_loop_takes_from_feedback_only_ids_outside_r0_and_ranked():
             return list(dict.fromkeys([*order, *reversed(r0), *outside]))
 
         ranker = ShuffleRanker(seed)
-        result = adaptive_rerank._run_window_loop(Q, r0, ranker, cfg, feedback)
+        result = slidegar(Q, r0, ranker, feedback, cfg)
         assert result.calls == len(ranker.windows) == expected_llm_calls(cfg)
         ranked = set(ranker.windows[0])
         taken_from_r0 = list(ranker.windows[0])
@@ -543,6 +557,30 @@ def test_window_loop_takes_from_feedback_only_ids_outside_r0_and_ranked():
             ranked.update(fresh)
             taken_from_r0 += [i for i in fresh if i in r0]
         assert taken_from_r0 == r0[: len(taken_from_r0)]  # R0's own order: feedback gave none of them
+
+
+def test_feedback_free_control_is_the_simulator_without_feedback():
+    # the control of the feedback gain: slidegar over a source that offers
+    # nothing consumes R0 in order, and on an aligned budget ranks exactly its top c
+    rng = random.Random(14)
+    aligned = 0
+    for seed in range(400):
+        w = rng.randint(2, 12)
+        b = rng.randint(1, w - 1)
+        c = w + b * rng.randint(0, 4) if rng.random() < 0.5 else rng.randint(w, 30)
+        cfg = RerankConfig(w=w, b=b, c=c)
+        r0 = rng.sample(range(3 * c), rng.randint(1, 2 * c))
+        result = slidegar(Q, r0, ShuffleRanker(seed), lambda order: [], cfg)
+        sim_ranker = ShuffleRanker(seed)
+        expected, calls, offered = simulate_window_loop(
+            r0, lambda ids: sim_ranker.rank(Window(Q, ids)), lambda batch, blocked, n: [], w, b, c
+        )
+        assert (result.ranking, result.calls, offered) == (expected, calls, set())
+        if (c - w) % b == 0 and len(r0) >= c:
+            aligned += 1
+            assert sorted(result.ranking) == sorted(r0[:c])
+            assert result.calls == expected_llm_calls(cfg)
+    assert aligned >= 100
 
 
 @st.composite
@@ -567,7 +605,7 @@ def test_window_loop_fills_every_window_until_sources_run_dry(instance, swap_pro
     query = Query("q1", text)
 
     strategies = {  # the engine's feedback source, then the simulator's feedback_fn
-        "slidegar": ("neighbours", graph_feedback(lambda d: adjacency.get(d, []), cfg.truncate_k)),
+        "slidegar": ("neighbours", graph_feedback_fn(lambda d: adjacency.get(d, []), cfg.truncate_k)),
         "slidegar_rm3": ("rm3_expand", rm3_reference(store, index, query, cfg)),
     }
     for strategy, (source, feedback_fn) in strategies.items():
@@ -587,10 +625,12 @@ def test_window_loop_fills_every_window_until_sources_run_dry(instance, swap_pro
         ranker = RecordingRanker(noisy, store)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(adaptive_rerank, source, count("engine", getattr(adaptive_rerank, source)))
+            ids = ids_of(store, r0)
             if strategy == "slidegar":
-                result = slidegar(query, ids_of(store, r0), ranker, graph, cfg)
+                feedback = graph_feedback(graph, cfg.truncate_k)
             else:
-                result = slidegar_rm3(query, ids_of(store, r0), ranker, index, cfg)
+                feedback = rm3_feedback(index, query, ids, cfg)
+            result = slidegar(query, ids, ranker, feedback, cfg)
         sim_ranker = OracleRanker(by_id(store, {"q1": grades}), store.docnos, swap_prob=swap_prob, seed=seed)
 
         def rank_fn(docnos):
@@ -636,7 +676,7 @@ def test_telemetry_record_fields():
     store, graph, ranker = trace_fixture()
     cfg = RerankConfig(w=2, b=1, c=4, truncate_k=1)
     r0 = ids_of(store, ["d1", "d2", "d3", "d4"])
-    record = telemetry_record("q1", r0, slidegar(Q, r0, ranker, graph, cfg))
+    record = telemetry_record("q1", r0, slidegar(Q, r0, ranker, graph_feedback(graph, cfg.truncate_k), cfg))
     assert record["qid"] == "q1"
     assert record["llm_calls"] == 3
     assert (record["ranker_attempts"], record["degraded_windows"]) == (3, 0)

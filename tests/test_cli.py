@@ -453,47 +453,54 @@ def test_config_validation_errors(workspace, tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("overrides, message", [
-    ({"jobs": "2"}, "config 'jobs' must be an integer, got '2'"),
-    ({"w": "2"}, "config 'w' must be an integer, got '2'"),
-    ({"c": 3.5}, "config 'c' must be an integer, got 3.5"),
-    ({"seed": True}, "config 'seed' must be an integer, got True"),
-    ({"timeout": "30"}, "config 'timeout' must be a number, got '30'"),
-    ({"w": 6, "b": 6}, "invalid config: need 1 <= b < w <= c, got w=6 b=6 c=12"),
-    ({"retries": -1}, "retries must be >= 0, got -1"),
-    ({"timeout": 0}, "timeout must be > 0, got 0"),
-    ({"timeout": -1.5}, "timeout must be > 0, got -1.5"),
-    ({"swap_prob": 1.5}, "config 'swap_prob' must be in [0, 1], got 1.5"),
-    ({"swap_prob": -0.1}, "config 'swap_prob' must be in [0, 1], got -0.1"),
-    ({"timeout": 1e300}, f"timeout must be <= {threading.TIMEOUT_MAX}, got 1e+300"),
-    ({"timeout": float("inf")}, f"timeout must be <= {threading.TIMEOUT_MAX}, got inf"),  # JSON Infinity
-    ({"fb_docs": 2.5}, "rm3 fb_docs must be an integer >= 1, got 2.5"),
-    ({"orig_weight": "0.5"}, "rm3 orig_weight must be a number in [0, 1], got '0.5'"),
-    ({"orig_weight": None}, "rm3 orig_weight must be a number in [0, 1], got None"),
-    ({"normalize_embeddings": "false"}, "config 'normalize_embeddings' must be true or false, got 'false'"),
-    ({"dedup": "no"}, "config 'dedup' must be true or false, got 'no'"),
-    ({"corpus": 5}, "config 'corpus' must be a non-empty string, got 5"),
-    ({"endpoint": 5}, "config 'endpoint' must be a non-empty string, got 5"),
-    ({"run_tag": "my tag"}, "config 'run_tag' must not contain whitespace, got 'my tag'"),
-    ({"run_tag": ""}, "config 'run_tag' must be a non-empty string, got ''"),
-    ({"telemetry_out": ""}, "config 'telemetry_out' must be a non-empty string, got ''"),
-    ({"truncate_k": -1}, "truncate_k must be >= 0"),
-    ({"corpus": None}, "config requires 'corpus'"),
-    ({"queries": None}, "config requires 'queries'"),
-    ({"run_out": None}, "config requires 'run_out'"),
-    ({"retriever": "splade"}, "unknown retriever 'splade'"),
-    ({"strategy": "rrf"}, "unknown strategy 'rrf'"),
-    ({"ranker": "gpt"}, "unknown ranker 'gpt'"),
-    ({"qrels": None}, "ranker 'oracle' requires qrels"),
-    ({"qrels": None, "ranker": "noisy_oracle"}, "ranker 'noisy_oracle' requires qrels"),
-    ({"retriever": "dense", "query_embeddings": "q.bin"}, "retriever 'dense' requires embeddings and query_embeddings"),
-    ({"jobs": 0}, "jobs must be >= 1"),
+# (id number, overrides, message): each id is fixed, so deleting a case renames no
+# other; the first 37 keep the names their positions once gave them
+CONFIG_TYPE_CASES = [
+    (0, {"jobs": "2"}, "config 'jobs' must be an integer, got '2'"),
+    (1, {"w": "2"}, "config 'w' must be an integer, got '2'"),
+    (2, {"c": 3.5}, "config 'c' must be an integer, got 3.5"),
+    (3, {"seed": True}, "config 'seed' must be an integer, got True"),
+    (4, {"timeout": "30"}, "config 'timeout' must be a number, got '30'"),
+    (5, {"w": 6, "b": 6}, "invalid config: need 1 <= b < w <= c, got w=6 b=6 c=12"),
+    (6, {"retries": -1}, "retries must be >= 0, got -1"),
+    (7, {"timeout": 0}, "timeout must be > 0, got 0"),
+    (8, {"timeout": -1.5}, "timeout must be > 0, got -1.5"),
+    (9, {"swap_prob": 1.5}, "config 'swap_prob' must be in [0, 1], got 1.5"),
+    (10, {"swap_prob": -0.1}, "config 'swap_prob' must be in [0, 1], got -0.1"),
+    (11, {"timeout": 1e300}, f"timeout must be <= {threading.TIMEOUT_MAX}, got 1e+300"),
+    (12, {"timeout": float("inf")}, f"timeout must be <= {threading.TIMEOUT_MAX}, got inf"),  # JSON Infinity
+    (13, {"fb_docs": 2.5}, "rm3 fb_docs must be an integer >= 1, got 2.5"),
+    (14, {"orig_weight": "0.5"}, "rm3 orig_weight must be a number in [0, 1], got '0.5'"),
+    (15, {"orig_weight": None}, "rm3 orig_weight must be a number in [0, 1], got None"),
+    (16, {"normalize_embeddings": "false"}, "config 'normalize_embeddings' must be true or false, got 'false'"),
+    (17, {"dedup": "no"}, "config 'dedup' must be true or false, got 'no'"),
+    (18, {"corpus": 5}, "config 'corpus' must be a non-empty string, got 5"),
+    (19, {"endpoint": 5}, "config 'endpoint' must be a non-empty string, got 5"),
+    (20, {"run_tag": "my tag"}, "config 'run_tag' must not contain whitespace, got 'my tag'"),
+    (21, {"run_tag": ""}, "config 'run_tag' must be a non-empty string, got ''"),
+    (22, {"telemetry_out": ""}, "config 'telemetry_out' must be a non-empty string, got ''"),
+    (23, {"truncate_k": -1}, "truncate_k must be >= 0"),
+    (24, {"corpus": None}, "config requires 'corpus'"),
+    (25, {"queries": None}, "config requires 'queries'"),
+    (26, {"run_out": None}, "config requires 'run_out'"),
+    (27, {"retriever": "splade"}, "unknown retriever 'splade'"),
+    (28, {"strategy": "rrf"}, "unknown strategy 'rrf'"),
+    (29, {"ranker": "gpt"}, "unknown ranker 'gpt'"),
+    (30, {"qrels": None}, "ranker 'oracle' requires qrels"),
+    (31, {"qrels": None, "ranker": "noisy_oracle"}, "ranker 'noisy_oracle' requires qrels"),
+    (32, {"retriever": "dense", "query_embeddings": "q.bin"}, "retriever 'dense' requires embeddings and query_embeddings"),
+    (33, {"jobs": 0}, "jobs must be >= 1"),
     # the remote ranker's last backoff, 0.5 * 2 ** (retries - 1) s, must stay within threading.TIMEOUT_MAX
-    ({"retries": 36}, f"retries 36 with backoff 0.5 s would sleep more than {threading.TIMEOUT_MAX} s"),
-    ({"retries": 1100}, f"retries 1100 with backoff 0.5 s would sleep more than {threading.TIMEOUT_MAX} s"),
+    (34, {"retries": 36}, f"retries 36 with backoff 0.5 s would sleep more than {threading.TIMEOUT_MAX} s"),
+    (35, {"retries": 1100}, f"retries 1100 with backoff 0.5 s would sleep more than {threading.TIMEOUT_MAX} s"),
     # a JSON escape makes a lone surrogate, which the run file cannot hold
-    ({"run_tag": "t\ud800"}, "config 'run_tag' must encode as UTF-8, got 't\\ud800'"),
-])
+    (36, {"run_tag": "t\ud800"}, "config 'run_tag' must encode as UTF-8, got 't\\ud800'"),
+    (37, {"b": True}, "config 'b' must be an integer, got True"),
+]
+
+
+@pytest.mark.parametrize("overrides, message", [case[1:] for case in CONFIG_TYPE_CASES],
+                         ids=[f"overrides{n}-{message}" for n, _, message in CONFIG_TYPE_CASES])
 def test_config_value_types_fail_at_load(workspace, tmp_path, capsys, overrides, message):
     run_out = tmp_path / "r.trec"
     # the corpus does not exist, so an error that names the key came before ingest

@@ -19,4 +19,11 @@ def test_perfbench_smoke_run_is_correct():
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+    final = json.loads(proc.stdout.splitlines()[-1])
+    assert final["correct"] is True
+    # the tracer's spans exist only while the CLI reaches the names it wraps
+    value = {name: metric["value"] for name, metric in final["metrics"].items()}
+    assert value["graph-oracle/adaptive_rerank.windows"] > 0
+    assert value["rm3-oracle/adaptive_rerank.windows"] > 0
+    assert value["graph-oracle/corpus_graph.neighbours.calls"] > 0
+    assert value["rm3-oracle/lexical_index.rm3_expand.calls"] > 0
