@@ -103,6 +103,8 @@ def _validate_config(cfg: dict) -> None:
     for key in ("dedup", "normalize_embeddings"):
         if type(cfg[key]) is not bool:
             raise ValueError(f"config {key!r} must be true or false, got {cfg[key]!r}")
+    if cfg["telemetry_out"] is not None and os.path.realpath(cfg["telemetry_out"]) == os.path.realpath(cfg["run_out"]):
+        raise ValueError(f"config 'telemetry_out' and 'run_out' name the same file, {cfg['run_out']!r}")
     tag = cfg["run_tag"]
     if tag is not None:  # a column of every run-file line
         if tag.split() != [tag]:
@@ -133,7 +135,7 @@ def _validate_config(cfg: dict) -> None:
             raise ValueError(f"config {key!r} must be a number, got {cfg[key]!r}")
     if cfg["jobs"] < 1:
         raise ValueError("jobs must be >= 1")
-    check_remote(cfg["timeout"], cfg["retries"])  # with the backoff _make_ranker's remote ranker keeps
+    check_remote(cfg["timeout"], cfg["retries"])  # the remote ranker's own check, before set-up
     if not 0 <= cfg["swap_prob"] <= 1:
         raise ValueError(f"config 'swap_prob' must be in [0, 1], got {cfg['swap_prob']!r}")
     _rerank_config(cfg)
@@ -211,7 +213,7 @@ class _Pipeline:
     def _make_ranker(self, cfg: dict):
         kind = cfg["ranker"]
         if kind == "identity":  # the oracle without grades keeps the window order, whatever the qrels
-            return OracleRanker({}, self.store.docnos)
+            return OracleRanker({})
         if kind == "oracle":
             return OracleRanker(self.grades)
         if kind == "noisy_oracle":
@@ -290,6 +292,8 @@ def cmd_build_index(args: argparse.Namespace) -> int:
 
 
 def cmd_build_graph(args: argparse.Namespace) -> int:
+    if args.source == "dense" and not args.embeddings:
+        raise ValueError("--source dense requires --embeddings")
     build = dict.fromkeys(("ingest_s", "index_build_s", "embeddings_load_s", "graph_build_s", "graph_save_s"))
     t0 = time.perf_counter()
     store = corpus_store.ingest_corpus(args.corpus, dedup=args.dedup)
@@ -299,8 +303,6 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
         t0 = _lap(build, "index_build_s", t0)
         graph = corpus_graph.build_graph_lexical(index, store, args.k)
     else:
-        if not args.embeddings:
-            raise ValueError("--source dense requires --embeddings")
         embeddings = dense_index.load_embeddings(args.embeddings, store, normalize=args.normalize)
         t0 = _lap(build, "embeddings_load_s", t0)
         graph = corpus_graph.build_graph_dense(embeddings, args.k)
@@ -358,7 +360,7 @@ def _vm_hwm_mb() -> float | None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    run, _ = run_eval.read_run(args.run)
+    run = run_eval.read_run(args.run)
     qrels = corpus_store.load_qrels(args.qrels)
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     report = run_eval.evaluate_run(

@@ -1,9 +1,9 @@
 """Precomputed-embedding loading and exact inner-product retrieval.
 
 Embedding file format: one JSON header line
-``{"dim": D, "count": N, "normalized": bool}`` followed by N binary records
+``{"dim": D, "count": N, "normalized": false}`` followed by N binary records
 ``u32 docno_length | docno utf-8 bytes | D little-endian f32``. The
-``normalized`` field is written as given and never read.
+``normalized`` field is fixed and never read.
 
 Vectors are ingested, never computed here: ``load_embeddings`` returns a
 ``(n_docs, D)`` float32 matrix whose row i belongs to store doc id i, and
@@ -24,18 +24,13 @@ import numpy as np
 from .corpus_store import CorpusStore, Query
 
 
-def write_embeddings(
-    path: str | Path,
-    dim: int,
-    records: Iterable[tuple[str, Iterable[float]]],
-    normalized: bool = False,
-) -> int:
+def write_embeddings(path: str | Path, dim: int, records: Iterable[tuple[str, Iterable[float]]]) -> int:
     """Write records to the binary embedding format; returns the count."""
     rows = [(docno, np.asarray(vec, dtype="<f4")) for docno, vec in records]
     for docno, vec in rows:
         if vec.shape != (dim,):
             raise ValueError(f"vector for {docno!r} has shape {vec.shape}, expected ({dim},)")
-    header = {"dim": dim, "count": len(rows), "normalized": bool(normalized)}
+    header = {"dim": dim, "count": len(rows), "normalized": False}
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for docno, vec in rows:

@@ -147,15 +147,14 @@ def write_run(path: str | Path, run: dict[str, list[str]], tag: str) -> None:
                 f.write(f"{qid} Q0 {docno} {rank} {1.0 / rank} {tag}\n")
 
 
-def read_run(path: str | Path) -> tuple[dict[str, list[str]], str]:
+def read_run(path: str | Path) -> dict[str, list[str]]:
     """Parse and validate a TREC run file.
 
     Lines are read by ``corpus_store.read_lines``. Within each qid: ranks must be
-    contiguous from 1, scores non-increasing, docnos unique. Returns
-    (per-qid docno lists, tag of the first line).
+    contiguous from 1, scores non-increasing, docnos unique. Returns the
+    per-qid docno lists; the tag column is not read.
     """
     rows: dict[str, list[tuple[int, str, float]]] = {}
-    tag = ""
     for numbers, lines in read_lines(path):
         for lineno, line in zip(numbers, lines):
             parts = line.split()
@@ -163,9 +162,7 @@ def read_run(path: str | Path) -> tuple[dict[str, list[str]], str]:
                 continue
             if len(parts) != 6:
                 raise ValueError(f"{path}:{lineno}: expected 6 columns 'qid Q0 docno rank score tag'")
-            qid, _, docno, rank_str, score_str, line_tag = parts
-            if not tag:
-                tag = line_tag
+            qid, _, docno, rank_str, score_str, _ = parts
             try:
                 rank, score = int(rank_str), float(score_str)
             except ValueError:
@@ -184,4 +181,4 @@ def read_run(path: str | Path) -> tuple[dict[str, list[str]], str]:
         if any(later > earlier for earlier, later in zip(scores, scores[1:])):
             raise ValueError(f"{path}: qid {qid}: scores increase with rank")
         run[qid] = names
-    return run, tag
+    return run

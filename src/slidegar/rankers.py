@@ -88,12 +88,8 @@ def _window_rng(seed: int, qid: str, docnos: Sequence[str]) -> random.Random:
     # ids a corpus with other documents would give it.
     import hashlib  # here, not at module level: it loads OpenSSL, about 3 ms of every CLI process
 
-    digest = hashlib.sha256()
-    digest.update(str(seed).encode("utf-8"))
-    digest.update(b"\x00" + qid.encode("utf-8"))
-    for docno in docnos:
-        digest.update(b"\x00" + docno.encode("utf-8"))
-    return random.Random(int.from_bytes(digest.digest()[:8], "little"))
+    digest = hashlib.sha256("\x00".join([str(seed), qid, *docnos]).encode("utf-8")).digest()
+    return random.Random(int.from_bytes(digest[:8], "little"))
 
 
 class OracleRanker(ListwiseRanker):
@@ -127,25 +123,23 @@ class OracleRanker(ListwiseRanker):
         return order
 
 
-def check_remote(timeout: float, retries: int, backoff: float = BACKOFF_S) -> None:
+def check_remote(timeout: float, retries: int) -> None:
     """Reject remote-ranker settings: ``retries`` below 0, a ``timeout``
-    outside ``(0, threading.TIMEOUT_MAX]``, a negative, NaN or infinite
-    ``backoff``, and a last sleep, ``backoff * 2 ** (retries - 1)`` seconds,
-    above ``threading.TIMEOUT_MAX``; beyond it the socket and the sleep overflow."""
+    outside ``(0, threading.TIMEOUT_MAX]``, and a last sleep,
+    ``BACKOFF_S * 2 ** (retries - 1)`` seconds, above ``threading.TIMEOUT_MAX``;
+    beyond it the socket and the sleep overflow."""
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries!r}")
     if not timeout > 0:  # also rejects NaN
         raise ValueError(f"timeout must be > 0, got {timeout!r}")
     if timeout > threading.TIMEOUT_MAX:
         raise ValueError(f"timeout must be <= {threading.TIMEOUT_MAX}, got {timeout!r}")
-    if not 0 <= backoff < float("inf"):  # also rejects NaN
-        raise ValueError(f"backoff must be >= 0 and finite, got {backoff!r}")
-    if retries > 0 and backoff > 0 and math.log2(backoff) + retries - 1 > math.log2(threading.TIMEOUT_MAX):
-        raise ValueError(f"retries {retries} with backoff {backoff} s would sleep more than {threading.TIMEOUT_MAX} s")
+    if retries > 0 and math.log2(BACKOFF_S) + retries - 1 > math.log2(threading.TIMEOUT_MAX):
+        raise ValueError(f"retries {retries} with backoff {BACKOFF_S} s would sleep more than {threading.TIMEOUT_MAX} s")
 
 
-def truncate_doc_text(text: str, max_tokens: int = MAX_DOC_TOKENS) -> str:
-    return " ".join(text.split()[:max_tokens])
+def truncate_doc_text(text: str) -> str:
+    return " ".join(text.split()[:MAX_DOC_TOKENS])
 
 
 class RemoteRanker(ListwiseRanker):
@@ -153,10 +147,10 @@ class RemoteRanker(ListwiseRanker):
     it reads the candidates' docnos and texts from ``store``.
 
     Failures (timeouts, non-200 statuses, malformed responses or bodies,
-    non-permutation orderings) are retried with exponential backoff; once
-    attempts are exhausted the window's input order is used and the
-    degradation is logged and marked on the window, so a flaky endpoint
-    degrades quality instead of crashing runs. One logical rank() counts
+    non-permutation orderings) are retried with exponential backoff from
+    ``BACKOFF_S``; once attempts are exhausted the window's input order is
+    used and the degradation is logged and marked on the window, so a flaky
+    endpoint degrades quality instead of crashing runs. One logical rank() counts
     once as a call, and the window records how many attempts it took. The
     checks run on docnos, as the endpoint answers them; an accepted answer
     is mapped back to the window's ids.
@@ -170,15 +164,13 @@ class RemoteRanker(ListwiseRanker):
         store: CorpusStore,
         timeout: float = 30.0,
         retries: int = 3,
-        backoff: float = BACKOFF_S,
         auth: str | None = None,
     ) -> None:
-        check_remote(timeout, retries, backoff)
+        check_remote(timeout, retries)
         self.url = endpoint.rstrip("/") + "/rerank"
         self.store = store
         self.timeout = timeout
         self.retries = retries
-        self.backoff = backoff
         self.headers = {"Content-Type": "application/json"}
         if auth:
             self.headers["Authorization"] = auth
@@ -200,7 +192,7 @@ class RemoteRanker(ListwiseRanker):
         for attempt in range(attempts):
             window.attempts = attempt + 1
             if attempt:
-                time.sleep(math.ldexp(self.backoff, attempt - 1))  # backoff * 2 ** (attempt - 1), never an int
+                time.sleep(math.ldexp(BACKOFF_S, attempt - 1))  # BACKOFF_S * 2 ** (attempt - 1), never an int
             try:
                 request = urllib.request.Request(self.url, data=body, headers=self.headers, method="POST")
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:

@@ -3,7 +3,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from slidegar import corpus_store
+from slidegar import corpus_store, rankers
 from slidegar.corpus_graph import SENTINEL, build_graph_dense
 from slidegar.corpus_store import CorpusStore, ingest_corpus, load_qrels, load_queries, map_qrels
 from slidegar.dense_index import load_embeddings
@@ -23,6 +23,12 @@ def dropped_twins(store: CorpusStore) -> dict[str, str]:
 # a few bytes: every record, CRLF pair, multi-byte character, cut-short
 # sequence and byte-order mark falls across where a block's read stops
 BLOCK_SIZES = (corpus_store.BLOCK_BYTES, 1, 2, 5)
+
+
+@pytest.fixture
+def short_backoff(monkeypatch):
+    """Remote rankers wait 0.01 s before their first retry, not ``rankers.BACKOFF_S``."""
+    monkeypatch.setattr(rankers, "BACKOFF_S", 0.01)
 
 
 @contextmanager

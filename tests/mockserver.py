@@ -84,7 +84,8 @@ def scripted_server(script):
     ScriptedHandler.script = list(script)
     ScriptedHandler.requests_seen = []
     ScriptedHandler.answers = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll: shutdown() waits for the loop's next poll, 0.5 s by default
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}"

@@ -15,7 +15,6 @@ import pytest
 
 from conftest import graph_from_dict, make_store
 from mockserver import scripted_server
-from refsim import graph_feedback as graph_feedback_fn, simulate_baseline, simulate_window_loop
 from slidegar.adaptive_rerank import (
     RerankConfig,
     expected_llm_calls,
@@ -42,10 +41,8 @@ from test_adaptive_rerank import (
     by_id,
     docnos_of,
     ids_of,
-    make_pair,
     names_store,
-    random_instance,
-    sim_rank,
+    run_equivalence,
 )
 from test_corpus_graph import adjacency_rows, brute_force_dense, brute_force_lexical
 
@@ -137,36 +134,10 @@ def test_hand_trace_and_randomized_oracle_equivalence():
         assert docnos_of(base_store, base.ranking) == ["d4", "d1", "d2", "d3"]
         assert base.calls == 3
 
-        rng = random.Random(777)
-        for _ in range(1000):
-            names, adjacency, k, r0, cfg, grades, kind = random_instance(rng)
-            store = names_store(names)
-            graph = graph_from_dict(adjacency, names, k)
-            engine_ranker, sim_ranker = make_pair(kind, grades, 777, store)
-
-            def rank_fn(docnos):
-                return sim_rank(sim_ranker, Q, store, docnos)
-
-            result = slidegar(Q, ids_of(store, r0), engine_ranker, graph_feedback(graph, cfg.truncate_k), cfg)
-            feedback_fn = graph_feedback_fn(lambda d: adjacency.get(d, []), cfg.truncate_k)
-            expected, calls, offered = simulate_window_loop(r0, rank_fn, feedback_fn, cfg.w, cfg.b, cfg.c)
-            got = docnos_of(store, result.ranking)
-            assert got == expected and result.calls == calls
-            assert len(set(got)) == len(got) <= cfg.c
-            assert set(got) <= set(r0) | offered
-
-            engine_b, sim_b = make_pair(kind, grades, 777, store)
-
-            def rank_fn_b(docnos):
-                return sim_rank(sim_b, Q, store, docnos)
-
-            base = sliding_window_baseline(Q, ids_of(store, r0), engine_b, cfg)
-            base_expected, base_calls = simulate_baseline(r0, rank_fn_b, cfg.w, cfg.b, cfg.c)
-            assert docnos_of(store, base.ranking) == base_expected
-            assert base.calls == base_calls
+        run_equivalence(1000, seed=777)
 
 
-def test_permutation_safety():
+def test_permutation_safety(short_backoff):
     with criterion("permutation safety: validation everywhere, malformed responses degrade"):
         class Broken(ListwiseRanker):
             def _order(self, window):
@@ -183,7 +154,7 @@ def test_permutation_safety():
         cfg = RerankConfig(w=4, b=2, c=10, truncate_k=3)
         for behavior in ("duplicate", "drop_one", "foreign", "garbage", "status:500"):
             with scripted_server([behavior]) as endpoint:
-                remote = RemoteRanker(endpoint, store, timeout=2, retries=1, backoff=0.01)
+                remote = RemoteRanker(endpoint, store, timeout=2, retries=1)
                 degraded = slidegar(Q, ids_of(store, names), remote, graph_feedback(graph, cfg.truncate_k), cfg)
             clean = slidegar(Q, ids_of(store, names), OracleRanker({}), graph_feedback(graph, cfg.truncate_k), cfg)
             assert degraded.ranking == clean.ranking, behavior

@@ -77,8 +77,8 @@ def test_baseline_identity_run_equals_bm25_order(workspace, tmp_path):
         run_out=str(run_out), graph=None,
     )
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
-    run, tag = read_run(run_out)
-    assert tag == "baseline"
+    run = read_run(run_out)
+    assert {line.split()[5] for line in run_out.read_text().splitlines()} == {"baseline"}
     store = ingest_corpus(workspace / "data" / "corpus.tsv")
     index = build_index(store.texts)
     manifest = json.loads((workspace / "data" / "spec.json").read_text())
@@ -210,8 +210,9 @@ def test_console_entry_exit_codes(workspace, tmp_path):
     done = console("run", "--config", write_config(tmp_path / "cfg.json", cfg))
     assert done.returncode == 0, done.stderr
     qids = sorted(q.qid for q in load_queries(workspace / "data" / "queries.tsv"))
-    run, tag = read_run(run_out)
-    assert tag == "baseline" and sorted(run) == qids and all(run.values())
+    run = read_run(run_out)
+    assert sorted(run) == qids and all(run.values())
+    assert {line.split()[5] for line in run_out.read_text().splitlines()} == {"baseline"}
     records = [json.loads(line) for line in Path(f"{run_out}.telemetry.jsonl").read_text().splitlines()]
     assert [r["type"] for r in records] == ["config", "setup"] + ["query"] * len(qids)
 
@@ -302,7 +303,7 @@ def test_query_without_first_stage_hits_is_left_out_of_the_run(workspace, tmp_pa
             run_out=str(tmp_path / f"{strategy}.trec"), telemetry_out=str(tel),
         )
         assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
-        run, _ = read_run(tmp_path / f"{strategy}.trec")
+        run = read_run(tmp_path / f"{strategy}.trec")
         records = {r["qid"]: r for r in map(json.loads, tel.read_text().splitlines()) if r["type"] == "query"}
         assert len(records) == 4 and sorted(run) == sorted(set(records) - {"qempty"}), strategy
         empty = records.pop("qempty")
@@ -312,7 +313,7 @@ def test_query_without_first_stage_hits_is_left_out_of_the_run(workspace, tmp_pa
         assert [empty[key] for key in counts] == [0] * len(counts)
 
 
-def test_telemetry_counts_remote_attempts_and_degraded_windows(workspace, tmp_path):
+def test_telemetry_counts_remote_attempts_and_degraded_windows(workspace, tmp_path, short_backoff):
     # one query, three windows: a timeout then an answer, two garbage bodies
     # (the window degrades), then an answer at the first attempt
     query = (workspace / "data" / "queries.tsv").read_text().splitlines()[0]
@@ -333,7 +334,7 @@ def test_escaped_docs_count_run_docnos_outside_bm25_top_c(workspace, tmp_path):
     run_out, tel = tmp_path / "r.trec", tmp_path / "t.jsonl"
     cfg = base_config(workspace, run_out=str(run_out), telemetry_out=str(tel))
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
-    run, _ = read_run(run_out)
+    run = read_run(run_out)
     records = {r["qid"]: r for r in map(json.loads, tel.read_text().splitlines()) if r["type"] == "query"}
     store = ingest_corpus(workspace / "data" / "corpus.tsv")
     index = build_index(store.texts)
@@ -570,6 +571,29 @@ def test_dense_graph_requires_embeddings(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_dense_graph_flag_is_checked_before_the_corpus_is_read(tmp_path, capsys):
+    out = tmp_path / "graph.bin"
+    corpus = str(tmp_path / "missing.tsv")
+    assert main(["build-graph", "--corpus", corpus, "--source", "dense", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --source dense requires --embeddings\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("telemetry_out", ["out/r.trec", "out/./r.trec", "link/r.trec"],
+                         ids=["same_path", "same_file_spelled_apart", "through_a_symlink"])
+def test_telemetry_out_naming_the_run_file_fails_at_load(workspace, tmp_path, capsys, telemetry_out):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "out", target_is_directory=True)
+    run_out = tmp_path / "out" / "r.trec"
+    # the corpus does not exist, so the error comes before ingest
+    cfg = base_config(workspace, corpus=str(tmp_path / "missing.tsv"), run_out=str(run_out),
+                      telemetry_out=str(tmp_path / telemetry_out))
+    assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
+    message = f"config 'telemetry_out' and 'run_out' name the same file, {str(run_out)!r}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_eval_invalid_utf8_names_line(workspace, tmp_path, capsys):
     run_path = tmp_path / "r.trec"
     run_path.write_bytes(b"q1 Q0 d\xff1 1 1.0 t\n")
@@ -709,7 +733,7 @@ def test_dense_dedup_skips_vectors_of_dropped_twins(tmp_path, capsys):
         "run_out": str(run_out),
     }
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
-    assert sorted(read_run(run_out)[0]["q1"]) == ["a", "c", "d"]  # the dropped twin "b" is never ranked
+    assert sorted(read_run(run_out)["q1"]) == ["a", "c", "d"]  # the dropped twin "b" is never ranked
 
 
 def test_outputs_go_into_missing_directories(workspace, tmp_path):

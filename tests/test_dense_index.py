@@ -20,8 +20,8 @@ from slidegar.dense_index import (
 )
 
 
-def write_table(path, dim, rows, normalized=False):
-    write_embeddings(path, dim, rows, normalized=normalized)
+def write_table(path, dim, rows):
+    write_embeddings(path, dim, rows)
     return path
 
 

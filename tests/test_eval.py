@@ -149,9 +149,7 @@ def test_run_file_roundtrip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "q1 Q0 d2 1 1.0 mytag"
     assert lines[3] == "q2 Q0 d3 1 1.0 mytag"
-    loaded, tag = read_run(path)
-    assert tag == "mytag"
-    assert loaded == run
+    assert read_run(path) == run
 
 
 def test_run_file_lines_end_at_newline_only(tmp_path):
@@ -160,7 +158,7 @@ def test_run_file_lines_end_at_newline_only(tmp_path):
         with block_bytes(size):
             # a trailing \r is stripped, and a line of blanks is skipped
             path.write_bytes(b"q1 Q0 d1 1 1.0 t\r\n \t \r\nq1 Q0 d2 2 0.5 t\r\n")
-            assert read_run(path) == ({"q1": ["d1", "d2"]}, "t")
+            assert read_run(path) == {"q1": ["d1", "d2"]}
             # a lone \r ends no line; the skipped line still counts in the error's number
             path.write_bytes(b" \t \nq1 Q0 d1 1 1.0 t\rq1 Q0 d2 2 0.5 t\n")
             with pytest.raises(ValueError, match=r"run\.trec:2: expected 6 columns"):
@@ -215,4 +213,5 @@ RANKING = st.lists(NAME, min_size=1, max_size=6, unique=True)
 def test_run_file_roundtrip_property(tmp_path_factory, run, tag):
     path = tmp_path_factory.mktemp("run") / "run.trec"
     write_run(path, run, tag=tag)
-    assert read_run(path) == (run, tag)
+    assert read_run(path) == run
+    assert {line.split()[5] for line in path.read_text(encoding="utf-8").splitlines()} == {tag}

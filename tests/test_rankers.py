@@ -182,9 +182,9 @@ def test_remote_answer_maps_back_to_the_window_ids(mock_endpoint, behavior):
     assert (w.attempts, w.degraded) == (1, False)
 
 
-def test_remote_duplicate_docno_degrades_to_input_order(mock_endpoint, caplog):
+def test_remote_duplicate_docno_degrades_to_input_order(mock_endpoint, caplog, short_backoff):
     ScriptedHandler.script = ["duplicate"]
-    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=1, backoff=0.01)
+    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=1)
     w = window("a", "b", "c")
     with caplog.at_level("WARNING", logger="slidegar.rankers"):
         assert ranker.rank(w) == ids("a", "b", "c")
@@ -194,40 +194,40 @@ def test_remote_duplicate_docno_degrades_to_input_order(mock_endpoint, caplog):
 
 
 @pytest.mark.parametrize("behavior", ["duplicate", "drop_one", "foreign", "garbage"])
-def test_remote_degrades_to_the_window_ids(mock_endpoint, behavior):
+def test_remote_degrades_to_the_window_ids(mock_endpoint, behavior, short_backoff):
     ScriptedHandler.script = [behavior]
-    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=1, backoff=0.01)
+    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=1)
     w = window("y", "a", "d12", "c")  # not in store order
     assert ranker.rank(w) == list(w.ids) == ids("y", "a", "d12", "c")
     assert (w.attempts, w.degraded) == (2, True)
 
 
-def test_remote_timeout_twice_then_success(mock_endpoint):
+def test_remote_timeout_twice_then_success(mock_endpoint, short_backoff):
     ScriptedHandler.script = ["sleep:1.0", "sleep:1.0", "reverse"]
-    ranker = RemoteRanker(mock_endpoint, STORE, timeout=0.3, retries=3, backoff=0.01)
+    ranker = RemoteRanker(mock_endpoint, STORE, timeout=0.3, retries=3)
     w = window("a", "b")
     assert ranker.rank(w) == ids("b", "a")
     assert (w.attempts, w.degraded) == (3, False)
 
 
-def test_remote_http_error_then_success(mock_endpoint):
+def test_remote_http_error_then_success(mock_endpoint, short_backoff):
     ScriptedHandler.script = ["status:500", "reverse"]
-    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=2, backoff=0.01)
+    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=2)
     assert ranker.rank(window("a", "b")) == ids("b", "a")
 
 
-def test_remote_garbage_body_degrades(mock_endpoint):
+def test_remote_garbage_body_degrades(mock_endpoint, short_backoff):
     ScriptedHandler.script = ["garbage"]
-    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=1, backoff=0.01)
+    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=1)
     w = window("x", "y")
     assert ranker.rank(w) == ids("x", "y")
     assert (w.attempts, w.degraded) == (2, True)
 
 
-def test_remote_calls_count_on_their_own_windows(mock_endpoint):
+def test_remote_calls_count_on_their_own_windows(mock_endpoint, short_backoff):
     # a degraded call does not mark the next call's window
     ScriptedHandler.script = ["garbage", "garbage", "identity"]
-    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=1, backoff=0.01)
+    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=1)
     first, second = window("x", "y"), window("x", "y")
     ranker.rank(first)
     ranker.rank(second)
@@ -235,15 +235,15 @@ def test_remote_calls_count_on_their_own_windows(mock_endpoint):
 
 
 @pytest.mark.parametrize("behavior", ["bad_status", "truncated"])
-def test_remote_malformed_response_then_success(mock_endpoint, behavior):
+def test_remote_malformed_response_then_success(mock_endpoint, behavior, short_backoff):
     ScriptedHandler.script = [behavior, "reverse"]
-    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=1, backoff=0.01)
+    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=1)
     assert ranker.rank(window("a", "b")) == ids("b", "a")
 
 
-def test_remote_malformed_responses_degrade(mock_endpoint, caplog):
+def test_remote_malformed_responses_degrade(mock_endpoint, caplog, short_backoff):
     ScriptedHandler.script = ["bad_status", "truncated", "bad_status"]
-    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=2, backoff=0.01)
+    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=2)
     with caplog.at_level("WARNING", logger="slidegar.rankers"):
         assert ranker.rank(window("x", "y")) == ids("x", "y")
     assert len(ScriptedHandler.requests_seen) == 3
@@ -251,10 +251,10 @@ def test_remote_malformed_responses_degrade(mock_endpoint, caplog):
 
 
 @pytest.mark.parametrize("behavior", ["string", "object", "not_an_object"])
-def test_remote_ordering_of_the_wrong_type_degrades(mock_endpoint, caplog, behavior):
+def test_remote_ordering_of_the_wrong_type_degrades(mock_endpoint, caplog, behavior, short_backoff):
     # every answer here reads as ("b", "a") if iterated; none is a list of strings in an object
     ScriptedHandler.script = [behavior]
-    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=1, backoff=0.01)
+    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=1)
     with caplog.at_level("WARNING", logger="slidegar.rankers"):
         assert ranker.rank(window("a", "b")) == ids("a", "b")
     assert len(ScriptedHandler.requests_seen) == 2
@@ -263,32 +263,32 @@ def test_remote_ordering_of_the_wrong_type_degrades(mock_endpoint, caplog, behav
 
 
 @pytest.mark.parametrize("behavior", ["string", "object"])
-def test_remote_ordering_of_the_wrong_type_then_success(mock_endpoint, behavior):
+def test_remote_ordering_of_the_wrong_type_then_success(mock_endpoint, behavior, short_backoff):
     # the first answer would read as ("c", "b", "a"); the retry's answer is taken
     ScriptedHandler.script = [behavior, "identity"]
-    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=2, backoff=0.01)
+    ranker = RemoteRanker(mock_endpoint, STORE, timeout=5, retries=2)
     assert ranker.rank(window("a", "b", "c")) == ids("a", "b", "c")
     assert len(ScriptedHandler.requests_seen) == 2
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    ({"retries": -1}, "retries must be >= 0"),
-    ({"timeout": 0}, "timeout must be > 0"),
-    ({"timeout": -1.0}, "timeout must be > 0"),
-    ({"timeout": float("nan")}, "timeout must be > 0"),
-    ({"timeout": 1e10}, "timeout must be <= "),
-    ({"timeout": 1e300}, "timeout must be <= "),
-    ({"timeout": float("inf")}, "timeout must be <= "),
-    ({"backoff": -1.0}, "backoff must be >= 0 and finite"),
-    ({"backoff": float("nan")}, "backoff must be >= 0 and finite"),
-    ({"backoff": float("inf")}, "backoff must be >= 0 and finite"),
-    # the last sleep, backoff * 2 ** (retries - 1) s, must stay within threading.TIMEOUT_MAX
-    ({"retries": 36}, f"retries 36 with backoff 0.5 s would sleep more than {threading.TIMEOUT_MAX} s"),
-    ({"retries": 1, "backoff": 1e300}, f"retries 1 with backoff 1e+300 s would sleep more than {threading.TIMEOUT_MAX} s"),
-    ({"retries": 1100, "backoff": 0.5}, f"retries 1100 with backoff 0.5 s would sleep more than {threading.TIMEOUT_MAX} s"),
-    ({"retries": 2000, "backoff": 1e-300},
-     f"retries 2000 with backoff 1e-300 s would sleep more than {threading.TIMEOUT_MAX} s"),
-])
+# (id number, kwargs, message): each id is fixed, so deleting a case renames no
+# other; the numbers are the positions the cases once had
+REMOTE_SETTING_CASES = [
+    (0, {"retries": -1}, "retries must be >= 0"),
+    (1, {"timeout": 0}, "timeout must be > 0"),
+    (2, {"timeout": -1.0}, "timeout must be > 0"),
+    (3, {"timeout": float("nan")}, "timeout must be > 0"),
+    (4, {"timeout": 1e10}, "timeout must be <= "),
+    (5, {"timeout": 1e300}, "timeout must be <= "),
+    (6, {"timeout": float("inf")}, "timeout must be <= "),
+    # the last sleep, BACKOFF_S * 2 ** (retries - 1) s, must stay within threading.TIMEOUT_MAX
+    (10, {"retries": 36}, f"retries 36 with backoff 0.5 s would sleep more than {threading.TIMEOUT_MAX} s"),
+    (12, {"retries": 1100}, f"retries 1100 with backoff 0.5 s would sleep more than {threading.TIMEOUT_MAX} s"),
+]
+
+
+@pytest.mark.parametrize("kwargs, message", [case[1:] for case in REMOTE_SETTING_CASES],
+                         ids=[f"kwargs{n}-{message}" for n, _, message in REMOTE_SETTING_CASES])
 def test_remote_rejects_out_of_range_settings(kwargs, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         RemoteRanker("http://127.0.0.1:9", STORE, **kwargs)
@@ -296,15 +296,6 @@ def test_remote_rejects_out_of_range_settings(kwargs, message):
 
 def test_remote_longest_accepted_backoff_is_within_the_sleep_limit():
     RemoteRanker("http://127.0.0.1:9", STORE, retries=35)  # sleeps 0.5 * 2 ** 34 s before its last attempt
-    RemoteRanker("http://127.0.0.1:9", STORE, retries=1, backoff=float(threading.TIMEOUT_MAX))
-
-
-def test_remote_zero_backoff_degrades_after_any_number_of_retries():
-    # 2 ** 1025 overflows a float, so the sleeps are computed without it
-    ranker = RemoteRanker("http://127.0.0.1:9", STORE, timeout=1, retries=1030, backoff=0.0)
-    w = window("a", "b")
-    assert ranker.rank(w) == ids("a", "b")
-    assert (w.attempts, w.degraded) == (1031, True)
 
 
 def test_remote_largest_timeout_degrades_instead_of_overflowing():
@@ -312,8 +303,8 @@ def test_remote_largest_timeout_degrades_instead_of_overflowing():
     assert ranker.rank(window("a", "b")) == ids("a", "b")
 
 
-def test_remote_connection_refused_degrades():
-    ranker = RemoteRanker("http://127.0.0.1:9", STORE, timeout=0.2, retries=1, backoff=0.01)
+def test_remote_connection_refused_degrades(short_backoff):
+    ranker = RemoteRanker("http://127.0.0.1:9", STORE, timeout=0.2, retries=1)
     assert ranker.rank(window("a", "b")) == ids("a", "b")
 
 
