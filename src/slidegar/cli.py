@@ -42,7 +42,6 @@ CONFIG_DEFAULTS: dict = {
     "index_dir": None,  # optional: prebuilt lexical index (else built in memory)
     "embeddings": None,
     "query_embeddings": None,
-    "normalize_embeddings": False,
     "strategy": "slidegar",  # baseline | slidegar | slidegar_rm3
     "graph": None,
     "ranker": "oracle",  # oracle | noisy_oracle | identity | remote
@@ -100,9 +99,8 @@ def _validate_config(cfg: dict) -> None:
                 "graph", "endpoint", "run_tag", "run_out", "telemetry_out"):
         if cfg[key] is not None and (type(cfg[key]) is not str or not cfg[key]):
             raise ValueError(f"config {key!r} must be a non-empty string, got {cfg[key]!r}")
-    for key in ("dedup", "normalize_embeddings"):
-        if type(cfg[key]) is not bool:
-            raise ValueError(f"config {key!r} must be true or false, got {cfg[key]!r}")
+    if type(cfg["dedup"]) is not bool:
+        raise ValueError(f"config 'dedup' must be true or false, got {cfg['dedup']!r}")
     if cfg["telemetry_out"] is not None and os.path.realpath(cfg["telemetry_out"]) == os.path.realpath(cfg["run_out"]):
         raise ValueError(f"config 'telemetry_out' and 'run_out' name the same file, {cfg['run_out']!r}")
     tag = cfg["run_tag"]
@@ -183,17 +181,21 @@ class _Pipeline:
         self.query_vectors: dict = {}
         if cfg["retriever"] == "dense":
             t0 = time.perf_counter()
-            self.embeddings = dense_index.load_embeddings(
-                cfg["embeddings"], self.store, normalize=cfg["normalize_embeddings"]
-            )
+            self.embeddings = dense_index.load_embeddings(cfg["embeddings"], self.store)
             self.query_vectors = dense_index.load_query_embeddings(cfg["query_embeddings"], self.queries)
             _lap(self.setup, "embeddings_load_s", t0)
+            dim = self.embeddings.shape[1]
+            other = next((len(v) for v in self.query_vectors.values() if len(v) != dim), None)
+            if other is not None:  # one file's vectors share one dim: fail before any query runs
+                raise ValueError(
+                    f"{cfg['query_embeddings']}: query vectors have dim {other}, embeddings {cfg['embeddings']} have dim {dim}"
+                )
         self.graph = None
-        if cfg["graph"]:
+        if cfg["strategy"] == "slidegar":  # the one strategy that reads a graph
             t0 = time.perf_counter()
             self.graph = corpus_graph.load_graph(cfg["graph"], self.store)
             _lap(self.setup, "graph_load_s", t0)
-            if cfg["strategy"] == "slidegar" and cfg["truncate_k"] > self.graph.shape[1]:
+            if cfg["truncate_k"] > self.graph.shape[1]:
                 raise ValueError(
                     f"truncate_k {cfg['truncate_k']} exceeds the depth k={self.graph.shape[1]} of graph {cfg['graph']}"
                 )
@@ -303,7 +305,7 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
         t0 = _lap(build, "index_build_s", t0)
         graph = corpus_graph.build_graph_lexical(index, store, args.k)
     else:
-        embeddings = dense_index.load_embeddings(args.embeddings, store, normalize=args.normalize)
+        embeddings = dense_index.load_embeddings(args.embeddings, store)
         t0 = _lap(build, "embeddings_load_s", t0)
         graph = corpus_graph.build_graph_dense(embeddings, args.k)
     t0 = _lap(build, "graph_build_s", t0)
@@ -402,7 +404,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=16)
     p.add_argument("--out", required=True)
     p.add_argument("--dedup", action="store_true")
-    p.add_argument("--normalize", action="store_true")
     p.set_defaults(func=cmd_build_graph)
 
     p = sub.add_parser("run", help="run a reranking pipeline from a JSON config")

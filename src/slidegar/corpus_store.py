@@ -11,9 +11,9 @@ indexed by doc id, and the one docno -> id map.
 
 File formats:
 
-- corpus: one record per line, either ``docno<TAB>text`` or a JSON object
-  whose ``docno`` and ``text`` are strings or numbers. JSON lines are
-  auto-detected when the first non-empty line starts with ``{``.
+- corpus: one ``docno<TAB>text`` record per line; the text may hold more
+  tabs. No reader of a text sees its whitespace, so a corpus in another
+  format converts to this one with each text's tabs and newlines as spaces.
 - queries: ``qid<TAB>text`` lines.
 - qrels: whitespace-separated ``qid 0 docno grade`` (standard TREC layout).
 - dedup report: JSON lines ``{"dropped": docno, "kept": docno}``.
@@ -47,7 +47,6 @@ class Query:
 
 
 _WS_RUN = re.compile(r"\s+")
-_SURROGATE = re.compile("[\ud800-\udfff]")
 
 BLOCK_BYTES = 1 << 19  # read_lines reads blocks of whole lines of at least this many bytes
 
@@ -148,48 +147,20 @@ def _parsed_blocks(path: str | Path) -> Iterator[tuple[Sequence[int], list[str],
     """``(line numbers, docnos, texts)`` of the records of each block of a
     corpus file. The checks of a line on its own run over whole columns and
     a line is searched for only once one fails. The error raised is the first
-    line that fails: invalid UTF-8 or JSON, a missing tab, a JSON field that
-    is neither a string nor a number, an empty docno or text, a docno holding
-    a lone surrogate (a JSON escape such as ``\\ud800``)."""
-    json_lines = None  # set by the first record of the file
+    line that fails: invalid UTF-8, a missing tab, an empty docno or text."""
     for numbers, records in read_lines(path):
-        if json_lines is None and records:
-            json_lines = records[0][0] == "{"
         error = ""  # the error of the line the columns stop before
-        if json_lines:
-            docnos, texts = [], []
-            for lineno, line in zip(numbers, records):
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    error = f"{path}:{lineno}: invalid JSON ({exc.msg})"
-                    break
-                if not isinstance(obj, dict) or "docno" not in obj or "text" not in obj:
-                    error = f"{path}:{lineno}: record must carry 'docno' and 'text'"
-                    break
-                # a number keeps its str() form; bool is an int subclass and is rejected too
-                bad = [name for name in ("docno", "text") if type(obj[name]) not in (str, int, float)]
-                if bad:
-                    error = f"{path}:{lineno}: {bad[0]!r} must be a string or a number"
-                    break
-                docnos.append(str(obj["docno"]).strip())
-                texts.append(str(obj["text"]).strip())
-        else:
-            tabs = [line.find("\t") for line in records]
-            if -1 in tabs:
-                del tabs[tabs.index(-1) :]
-                error = f"{path}:{numbers[len(tabs)]}: expected 'docno<TAB>text'"
-            docnos = [line[:i].strip() for line, i in zip(records, tabs)]
-            texts = [line[i + 1 :].strip() for line, i in zip(records, tabs)]
+        tabs = [line.find("\t") for line in records]
+        if -1 in tabs:
+            del tabs[tabs.index(-1) :]
+            error = f"{path}:{numbers[len(tabs)]}: expected 'docno<TAB>text'"
+        docnos = [line[:i].strip() for line, i in zip(records, tabs)]
+        texts = [line[i + 1 :].strip() for line, i in zip(records, tabs)]
         records.clear()  # the reader holds the list until its next block: the lines go now
 
-        # only a JSON escape makes a lone surrogate, which no file can hold: a decoded line has none
-        if not (all(docnos) and all(texts)) or json_lines and _SURROGATE.search("".join(docnos)):
-            j, docno, text = next((j, d, t) for j, (d, t) in enumerate(zip(docnos, texts))
-                                  if not (d and t) or _SURROGATE.search(d))
+        if not (all(docnos) and all(texts)):
+            j, docno = next((j, d) for j, (d, t) in enumerate(zip(docnos, texts)) if not (d and t))
             problem = f"empty text for docno {docno!r}" if docno else "empty docno"
-            if docno and text:
-                problem = f"docno {docno!r} holds a lone surrogate, which UTF-8 cannot encode"
             raise ValueError(f"{path}:{numbers[j]}: {problem}")
         if error:
             raise ValueError(error)

@@ -5,10 +5,10 @@ Embedding file format: one JSON header line
 ``u32 docno_length | docno utf-8 bytes | D little-endian f32``. The
 ``normalized`` field is fixed and never read.
 
-Vectors are ingested, never computed here: ``load_embeddings`` returns a
-``(n_docs, D)`` float32 matrix whose row i belongs to store doc id i, and
-similarity is the inner product. Cosine behaviour is available by
-normalizing at load time.
+Vectors are ingested as written, never computed or transformed here:
+``load_embeddings`` returns a ``(n_docs, D)`` float32 matrix whose row i
+belongs to store doc id i, and similarity is the inner product. For cosine
+similarity, write unit vectors.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def _open_records(path: str | Path) -> Iterator[tuple[dict, Iterator[tuple[int, 
         yield header, _records(f, path, dim, count)
 
 
-def load_embeddings(path: str | Path, store: CorpusStore, normalize: bool = False) -> np.ndarray:
+def load_embeddings(path: str | Path, store: CorpusStore) -> np.ndarray:
     """The ``(len(store), dim)`` float32 matrix of every store document's
     vector, row i for doc id i. A record whose docno is not
     ``store.docnos[doc_id]`` is of a twin that dedup dropped and is skipped;
@@ -110,12 +110,6 @@ def load_embeddings(path: str | Path, store: CorpusStore, normalize: bool = Fals
     if not filled.all():
         missing = store.docnos[int(np.flatnonzero(~filled)[0])]
         raise ValueError(f"{path}: no vector for store docno {missing!r}")
-    if normalize:
-        norms = np.linalg.norm(matrix, axis=1)
-        if np.any(norms == 0):
-            zero = store.docnos[int(np.flatnonzero(norms == 0)[0])]
-            raise ValueError(f"{path}: zero vector for docno {zero!r} cannot be normalized")
-        matrix = matrix / norms[:, None]
     return matrix
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -81,13 +81,7 @@ class MetricReport:
     excluded: dict[str, list[str]] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "metrics": self.metrics,
-            "per_query": self.per_query,
-            "means": self.means,
-            "excluded": self.excluded,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     def format_table(self) -> str:
         qids = sorted({qid for values in self.per_query.values() for qid in values})

@@ -2,10 +2,9 @@
 
 The corpus reader ``slidegar.corpus_store`` used before it read whole
 columns: each line is decoded and checked on its own, so the first bad line
-raises first. ``_read_corpus_records`` is kept verbatim, but for the rules
-added since that a JSON ``docno`` or ``text`` is a string or a number and
-that a docno holds no lone surrogate;
-``ingest`` is the old ``ingest_corpus`` with plain lists in place of the store.
+raises first. ``_read_corpus_records`` is kept verbatim, but that a corpus
+is read as ``docno<TAB>text`` lines only; ``ingest`` is the old
+``ingest_corpus`` with plain lists in place of the store.
 
 The qrels path it used before it read judgments straight into one grade
 table: ``load_qrels`` (one ``QrelEntry`` per judgment, read in text mode)
@@ -15,7 +14,6 @@ but for the lookup, which reads ``store.id_of`` now that it maps dropped twins.
 Used by the randomized-equivalence tests of the current readers.
 """
 
-import json
 from dataclasses import dataclass
 
 from slidegar.corpus_store import normalize_text
@@ -28,46 +26,25 @@ def _read_corpus_records(path):
     line number.
     """
     records: list[tuple[int, str, str]] = []
-    json_lines: bool | None = None
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
             raw = raw.rstrip(b"\r\n")
             if not raw:
                 continue
-            if json_lines is None:
-                json_lines = raw[:1] == b"{"
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})") from None
-            if json_lines:
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-                if not isinstance(obj, dict) or "docno" not in obj or "text" not in obj:
-                    raise ValueError(f"{path}:{lineno}: record must carry 'docno' and 'text'")
-                for name in ("docno", "text"):  # a number keeps its str() form; bool is an int
-                    if type(obj[name]) not in (str, int, float):
-                        raise ValueError(f"{path}:{lineno}: {name!r} must be a string or a number")
-                docno, text = str(obj["docno"]), str(obj["text"])
-            else:
-                parts = line.split("\t", 1)
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected 'docno<TAB>text'")
-                docno, text = parts
+            parts = line.split("\t", 1)
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 'docno<TAB>text'")
+            docno, text = parts
             docno = docno.strip()
             text = text.strip()
             if not docno:
                 raise ValueError(f"{path}:{lineno}: empty docno")
             if not text:
                 raise ValueError(f"{path}:{lineno}: empty text for docno {docno!r}")
-            try:  # a JSON escape can make a lone surrogate, which docnos.txt could not hold
-                docno.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ValueError(
-                    f"{path}:{lineno}: docno {docno!r} holds a lone surrogate, which UTF-8 cannot encode"
-                ) from None
             records.append((lineno, docno, text))
     # one scan over all docnos; the per-record search only finds the line
     if len("".join([docno for _, docno, _ in records]).split()) > 1:

@@ -19,9 +19,8 @@ from mockserver import ScriptedHandler, scripted_server
 from slidegar import cli, corpus_store
 from slidegar.adaptive_rerank import RerankConfig
 from slidegar.cli import main
-from slidegar.corpus_graph import build_graph_dense, save_graph
 from slidegar.corpus_store import Query, docnos_bytes, ingest_corpus, load_queries
-from slidegar.dense_index import load_embeddings, write_embeddings
+from slidegar.dense_index import write_embeddings
 from slidegar.eval import read_run
 from slidegar.lexical_index import bm25_retrieve, build_index, save_index
 
@@ -281,7 +280,7 @@ def test_telemetry_timings_bound_a_ranker_of_known_latency(workspace, tmp_path, 
     wall_s = time.perf_counter() - t0
     records = [json.loads(line) for line in tel.read_text().splitlines()]
     laps = {key: value for key, value in records[1].items() if key.endswith("_s") and value is not None}
-    assert sorted(laps) == ["forward_index_s", "graph_load_s", "index_load_s", "ingest_s", "qrels_s"]
+    assert sorted(laps) == ["forward_index_s", "index_load_s", "ingest_s", "qrels_s"]
     assert all(value > 0 for value in laps.values()), laps
     assert sum(laps.values()) <= wall_s
     for record in records[2:]:
@@ -374,6 +373,38 @@ def test_telemetry_times_dense_embedding_loading(workspace, tmp_path):
     setup = json.loads(tel.read_text().splitlines()[1])
     assert setup["embeddings_load_s"] >= 0.0
     assert setup["index_load_s"] is None and setup["graph_load_s"] >= 0.0
+
+
+def test_query_vectors_of_another_dim_fail_before_any_query(workspace, tmp_path, capsys, monkeypatch):
+    data = workspace / "data"
+    queries = corpus_store.load_queries(data / "queries.tsv")
+    write_embeddings(tmp_path / "q.bin", 5, [(q.qid, [1.0] * 5) for q in queries])  # the corpus vectors have dim 8
+
+    def no_query(*args):
+        raise AssertionError("a query ran")
+
+    monkeypatch.setattr(cli.dense_index, "dense_retrieve", no_query)
+    run_out = tmp_path / "r.trec"
+    cfg = base_config(
+        workspace, retriever="dense", embeddings=str(data / "embeddings.bin"),
+        query_embeddings=str(tmp_path / "q.bin"), index_dir=None, run_out=str(run_out),
+    )
+    assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
+    message = f"{tmp_path / 'q.bin'}: query vectors have dim 5, embeddings {data / 'embeddings.bin'} have dim 8"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not run_out.exists()
+
+
+def test_only_slidegar_loads_the_graph(workspace, tmp_path):
+    # the config names a graph file that does not exist: no other strategy reads it
+    for strategy in ("baseline", "slidegar_rm3"):
+        tel = tmp_path / f"{strategy}.jsonl"
+        cfg = base_config(
+            workspace, strategy=strategy, graph=str(tmp_path / "missing.bin"),
+            run_out=str(tmp_path / f"{strategy}.trec"), telemetry_out=str(tel),
+        )
+        assert main(["run", "--config", write_config(tmp_path / f"{strategy}.json", cfg)]) == 0, strategy
+        assert json.loads(tel.read_text().splitlines()[1])["graph_load_s"] is None, strategy
 
 
 def test_absent_judgments_are_counted_not_ranked(workspace, tmp_path, caplog):
@@ -473,7 +504,6 @@ CONFIG_TYPE_CASES = [
     (13, {"fb_docs": 2.5}, "rm3 fb_docs must be an integer >= 1, got 2.5"),
     (14, {"orig_weight": "0.5"}, "rm3 orig_weight must be a number in [0, 1], got '0.5'"),
     (15, {"orig_weight": None}, "rm3 orig_weight must be a number in [0, 1], got None"),
-    (16, {"normalize_embeddings": "false"}, "config 'normalize_embeddings' must be true or false, got 'false'"),
     (17, {"dedup": "no"}, "config 'dedup' must be true or false, got 'no'"),
     (18, {"corpus": 5}, "config 'corpus' must be a non-empty string, got 5"),
     (19, {"endpoint": 5}, "config 'endpoint' must be a non-empty string, got 5"),
@@ -639,7 +669,6 @@ def test_build_index_without_dedup_removes_an_earlier_report(tmp_path, capsys):
 
 CORPORA = {
     "tsv": b"d2\tThe cat sat\nd1\tdog  days\n\nd3\tcat dog bird\n",
-    "jsonl": b'{"docno": "d2", "text": "The cat sat"}\n{"docno": "d1", "text": "dog days"}\n',
     "crlf": b"d2\tThe cat sat\r\n\r\nd1\tdog days\r\nd3\tcat\xc3\xa9 dog\r\n",
     # twins in whitespace only; a later twin with a smaller docno survives
     "twins": "z9\t cat\u2028 dog\nb2\tbird\na1\tcat dog \nm5\tcat\t dog\nb1\tbird\nc3\tCat dog\n".encode(),
@@ -647,7 +676,7 @@ CORPORA = {
 
 
 @pytest.mark.parametrize("name, dedup", [
-    ("tsv", False), ("jsonl", False), ("crlf", False), ("twins", True), ("twins", False),
+    ("tsv", False), ("crlf", False), ("twins", True), ("twins", False),
 ])
 def test_build_index_writes_what_save_index_writes_of_the_ingested_texts(tmp_path, capsys, name, dedup):
     corpus = tmp_path / "corpus"
@@ -680,10 +709,6 @@ def test_builds_end_their_output_with_a_build_record(workspace, tmp_path, capsys
         "dense": (["build-graph", "--corpus", corpus, "--source", "dense", "--embeddings",
                    str(workspace / "data" / "embeddings.bin"), "--k", "2", "--out", str(tmp_path / "dense" / "graph.bin")],
                   {"ingest_s", "embeddings_load_s", "graph_build_s", "graph_save_s"}),
-        "normalized": (["build-graph", "--corpus", corpus, "--source", "dense", "--embeddings",
-                        str(workspace / "data" / "embeddings.bin"), "--k", "2", "--normalize",
-                        "--out", str(tmp_path / "normalized" / "graph.bin")],
-                       {"ingest_s", "embeddings_load_s", "graph_build_s", "graph_save_s"}),
     }
     steps = {"index_build_s", "index_save_s", "ingest_s", "embeddings_load_s", "graph_build_s", "graph_save_s"}
     for name, (argv, timed) in commands.items():
@@ -701,13 +726,6 @@ def test_builds_end_their_output_with_a_build_record(workspace, tmp_path, capsys
     assert sorted(path.name for path in (tmp_path / "index").iterdir()) == sorted(
         path.name for path in (workspace / "index").iterdir())
     assert sorted(path.name for path in (tmp_path / "lexical").iterdir()) == ["docnos.txt", "graph.bin"]
-    # --normalize builds the graph of the unit-length vectors, which differs here from the raw ones
-    store = ingest_corpus(corpus)
-    normalized = load_embeddings(workspace / "data" / "embeddings.bin", store, normalize=True)
-    save_graph(tmp_path / "api" / "graph.bin", build_graph_dense(normalized, 2), "dense", store)
-    for name in ("graph.bin", "docnos.txt"):
-        assert (tmp_path / "normalized" / name).read_bytes() == (tmp_path / "api" / name).read_bytes(), name
-    assert (tmp_path / "normalized" / "graph.bin").read_bytes() != (tmp_path / "dense" / "graph.bin").read_bytes()
 
 
 def test_dense_dedup_skips_vectors_of_dropped_twins(tmp_path, capsys):

@@ -110,18 +110,6 @@ def test_docno_roundtrip(tmp_path):
         assert store.docnos[store.id_of[docno]] == docno
 
 
-def test_jsonl_autodetect(tmp_path):
-    path = tmp_path / "c.jsonl"
-    path.write_text(
-        json.dumps({"docno": "j1", "text": "hello world"}) + "\n"
-        + json.dumps({"docno": "j2", "text": "goodbye"}) + "\n",
-        encoding="utf-8",
-    )
-    store = ingest_corpus(path)
-    assert store.docnos == ["j1", "j2"]
-    assert store.texts[store.id_of["j1"]] == "hello world"
-
-
 def test_malformed_record_reports_line_number(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_text("d1\tok text\nbroken-line-no-tab\n", encoding="utf-8")
@@ -135,8 +123,7 @@ def test_whitespace_in_docno_or_qid_fatal(tmp_path):
     path.write_text("d1\tok text\nd 1\tcat dog\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r":2: docno 'd 1' contains whitespace"):
         ingest_corpus(path)
-    path = tmp_path / "c.jsonl"
-    path.write_text(json.dumps({"docno": "j\u00a01", "text": "cat"}) + "\n", encoding="utf-8")
+    path.write_text("j\u00a01\tcat\n", encoding="utf-8")  # NBSP is whitespace
     with pytest.raises(ValueError, match=r":1: docno .* contains whitespace"):
         ingest_corpus(path)
     path = tmp_path / "q.tsv"
@@ -196,57 +183,25 @@ def test_empty_text_fatal(tmp_path):
 
 
 def test_missing_json_field_fatal(tmp_path):
+    # a corpus is TSV only: a JSON-lines file fails at line 1, whatever its fields
     path = tmp_path / "c.jsonl"
-    path.write_text('{"docno": "d1"}\n', encoding="utf-8")
-    with pytest.raises(ValueError, match=r":1:"):
-        ingest_corpus(path)
-
-
-@pytest.mark.parametrize("record, field", [
-    ('{"docno": "d3", "text": null}', "text"),
-    ('{"docno": ["a"], "text": {"x": 1}}', "docno"),
-    ('{"docno": "d3", "text": false}', "text"),
-    ('{"docno": {"a": 1}, "text": "cat"}', "docno"),
-], ids=["null", "array_and_object", "bool", "object"])
-def test_json_field_of_another_type_fatal(tmp_path, record, field):
-    # numbers keep their str() form; any other value fails on its line,
-    # before an earlier docno holding whitespace
-    path = tmp_path / "c.jsonl"
-    path.write_text('{"docno": 1, "text": 2.5}\n', encoding="utf-8")
-    store = ingest_corpus(path)
-    assert (store.docnos, store.texts) == (["1"], ["2.5"])
-    path.write_text('{"docno": 1, "text": 2.5}\n{"docno": "d 2", "text": "dog"}\n' + record + "\n", encoding="utf-8")
-    message = f"{path}:3: {field!r} must be a string or a number"
-    with pytest.raises(ValueError) as exc:
-        refcorpus.ingest(path)
-    assert str(exc.value) == message
-    for size in BLOCK_SIZES:
-        with block_bytes(size), pytest.raises(ValueError) as got:
+    for data in ('{"docno": "d1"}\n', '{"docno": "d1", "text": "cat"}\n{"docno": "d2", "text": "dog"}\n'):
+        path.write_text(data, encoding="utf-8")
+        with pytest.raises(ValueError) as raised:
             ingest_corpus(path)
-        assert str(got.value) == message, size
+        assert str(raised.value) == f"{path}:1: expected 'docno<TAB>text'"
 
 
-@pytest.mark.parametrize("record, message", [
-    ('{"docno": "d\\ud800", "text": "dog"}', "docno 'd\\ud800' holds a lone surrogate, which UTF-8 cannot encode"),
-    ('{"docno": "\\udc00d", "text": " "}', "empty text for docno '\\udc00d'"),
-], ids=["surrogate", "and_empty_text"])
-def test_docno_holding_a_lone_surrogate_fails_on_its_line(tmp_path, capsys, record, message):
-    # a JSON escape is the one way to a lone surrogate, which docnos.txt and a run
-    # file cannot hold; it fails on its line, before an earlier docno holding whitespace
-    path = tmp_path / "c.jsonl"
-    path.write_text('{"docno": "d 1", "text": "cat"}\n\n' + record + "\n", encoding="utf-8")
-    message = f"{path}:3: {message}"
-    with pytest.raises(ValueError) as exc:
-        refcorpus.ingest(path)
-    assert str(exc.value) == message
-    for size, dedup in itertools.product(BLOCK_SIZES, (False, True)):
-        with block_bytes(size), pytest.raises(ValueError) as got:
-            ingest_corpus(path, dedup=dedup)
-        assert str(got.value) == message, (size, dedup)
-        flags = ["--dedup"] if dedup else []
-        with block_bytes(size):
-            assert main(["build-index", "--corpus", str(path), "--out", str(tmp_path / "idx"), *flags]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n", (size, dedup)
+def test_docno_starting_with_a_brace_is_a_tsv_docno(tmp_path):
+    # in either line order: no record sets the format of the file
+    path = tmp_path / "c.tsv"
+    for data, docnos, texts in [
+        ("{a\tcat dog\nb\tbird\n", ["{a", "b"], ["cat dog", "bird"]),
+        ("b\tbird\n{a\tcat dog\n", ["b", "{a"], ["bird", "cat dog"]),
+    ]:
+        path.write_text(data, encoding="utf-8")
+        store = ingest_corpus(path)
+        assert (store.docnos, store.texts) == (docnos, texts)
 
 
 def test_store_columns_must_have_equal_lengths():
@@ -305,21 +260,6 @@ _tsv_lines = st.builds(
     lambda tab, docno, word, text: docno + b"\t" + word + text if tab else text,
     st.integers(0, 5), st.sampled_from(_DOCNOS), st.sampled_from([b"cat", b"dog", b""]), _texts,
 )
-_json_lines = st.one_of(
-    st.builds(
-        # a lone surrogate is a JSON escape, or with ensure_ascii off bytes that are not UTF-8
-        lambda docno, text, ascii_only: json.dumps(
-            {"docno": docno, "text": text}, ensure_ascii=ascii_only
-        ).encode("utf-8", "surrogatepass"),
-        st.sampled_from(["d1", "d2", "d3", " d4", "d 5", "", "d\x1c6", "d\ud8007"]),
-        st.text(alphabet="ab \t\x1c\x85\u2028\u2029", max_size=4),
-        st.booleans(),
-    ),
-    st.sampled_from([
-        b'{"docno": "d1"}', b"[1, 2]", b"{", b'{"docno": 7, "text": 8}', b'{"docno": "d1", "text": null}',
-    ]),
-    _tsv_lines,
-)
 # well-formed records under a few docnos, so that stores of
 # several documents and dedup groups get built too
 _clean_lines = st.builds(
@@ -331,7 +271,7 @@ _ENDINGS = [b"\n", b"\r\n", b"\r\r\n", b"\n\n", b"\n \n", b""]
 
 @st.composite
 def corpus_bytes(draw):
-    lines = draw(st.lists(draw(st.sampled_from([_json_lines, _tsv_lines, _clean_lines])), max_size=8))
+    lines = draw(st.lists(draw(st.sampled_from([_tsv_lines, _clean_lines])), max_size=8))
     return b"".join(line + draw(st.sampled_from(_ENDINGS)) for line in lines)
 
 
@@ -341,7 +281,6 @@ def corpus_bytes(draw):
 # sequence cut short by the line end is reported as such
 @example(b"d1\ta\n\tb\nd2\t\xff\n", False)
 @example(b"d1\ta\nd 2\tb\nd3\tc\xe2\x82\r\n", False)
-@example(b'{"docno": "d1", "text": " "}\n{"docno": \n', False)
 # a repeat that dedup would merge into a twin, and one it would keep once and drop once
 @example(b"a\tx\nd\tx\nd\tx\n", True)
 @example(b"d1\tx\nd0\ty\nd1\ty\n", True)
@@ -687,10 +626,9 @@ def _columns(path):
 @pytest.mark.parametrize("read, data", [
     (load_queries, b"q1\tcat\nq2\tdog\n"),
     (_columns, b"d1\tcat\nd2\tdog\n"),
-    (_columns, b'{"docno": "d1", "text": "cat"}\n{"docno": "d2", "text": "dog"}\n'),
     (load_qrels, b"q1 0 d1 1\nq1 0 d2 0\n"),
     (read_run, b"q1 Q0 d1 1 1.0 t\nq1 Q0 d2 2 0.5 t\n"),
-], ids=["queries", "corpus_tsv", "corpus_jsonl", "qrels", "run"])
+], ids=["queries", "corpus_tsv", "qrels", "run"])
 def test_leading_byte_order_mark_is_dropped(tmp_path, read, data):
     # as the utf-8-sig codec does: the mark starts neither the first qid nor the first docno
     plain, marked = tmp_path / "plain", tmp_path / "marked"

@@ -117,14 +117,6 @@ def test_duplicate_docno_fatal_with_record_index(tmp_path):
     assert str(raised.value) == f"{path}: record 2: duplicate docno 'a'"
 
 
-def test_zero_vector_cannot_be_normalized(tmp_path):
-    path = write_table(tmp_path / "e.bin", 2, [("a", [1, 0]), ("b", [0, 0])])
-    assert load_embeddings(path, store_for(["a", "b"])).tolist() == [[1, 0], [0, 0]]
-    with pytest.raises(ValueError) as raised:
-        load_embeddings(path, store_for(["a", "b"]), normalize=True)
-    assert str(raised.value) == f"{path}: zero vector for docno 'b' cannot be normalized"
-
-
 def test_write_rejects_a_vector_of_the_wrong_shape(tmp_path):
     with pytest.raises(ValueError) as raised:
         write_embeddings(tmp_path / "e.bin", 2, [("a", [1, 0]), ("b", [0, 1, 0])])
@@ -159,11 +151,10 @@ def test_header_that_is_not_an_object(tmp_path):
         load_embeddings(path, store_for(["a"]))
 
 
-def test_normalize_flag(tmp_path):
-    store = store_for(["a"])
-    path = write_table(tmp_path / "e.bin", 2, [("a", [3.0, 4.0])])
-    matrix = load_embeddings(path, store, normalize=True)
-    assert np.allclose(matrix[store.id_of["a"]], [0.6, 0.8])
+def test_vectors_are_read_as_written(tmp_path):
+    # no transform at load: a vector of any length, zero included, is its row
+    path = write_table(tmp_path / "e.bin", 2, [("a", [3.0, 4.0]), ("b", [0, 0])])
+    assert load_embeddings(path, store_for(["a", "b"])).tolist() == [[3.0, 4.0], [0, 0]]
 
 
 def test_dense_retrieve_orthogonal(tmp_path):

@@ -1,7 +1,8 @@
-"""Every Python file CI runs under 3.10 parses under the Python 3.10 grammar:
-the package, the tests and the benchmark harness the smoke test runs.
+"""Every Python file parses under the Python 3.10 grammar: the package, the
+tests and the benchmark harness the smoke test runs.
 
-``requires-python`` is ``>=3.10``. This checks syntax only: ``ast.parse``
+That is one release below ``requires-python`` (``>=3.11``), so this is
+stricter than the package needs. It checks syntax only: ``ast.parse``
 with ``feature_version=(3, 10)`` rejects, on a best-effort basis, grammar
 that 3.10 lacks, such as ``except*``, but it does not see a call to a
 stdlib function or option that 3.10 lacks.
