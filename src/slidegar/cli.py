@@ -39,7 +39,7 @@ CONFIG_DEFAULTS: dict = {
     "qrels": None,
     "dedup": False,
     "retriever": "bm25",  # bm25 | dense
-    "index_dir": None,  # optional: prebuilt lexical index (else built in memory)
+    "index_dir": None,  # the `build-index` output that bm25 retrieval and slidegar_rm3 read
     "embeddings": None,
     "query_embeddings": None,
     "strategy": "slidegar",  # baseline | slidegar | slidegar_rm3
@@ -55,7 +55,6 @@ CONFIG_DEFAULTS: dict = {
     # stays accepted and type-checked until the benchmark stops writing it
     # (tests/test_cli.py's base config writes it too, to keep that tested)
     "rel_threshold": 1,
-    "run_tag": None,
     "run_out": "run.trec",
     "telemetry_out": None,
     "jobs": 1,
@@ -84,8 +83,6 @@ def load_config(path: str) -> dict:
         raise ValueError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
     cfg = {**CONFIG_DEFAULTS, **user}
     _validate_config(cfg)
-    if cfg["run_tag"] is None:
-        cfg["run_tag"] = cfg["strategy"]
     if cfg["telemetry_out"] is None:
         cfg["telemetry_out"] = cfg["run_out"] + ".telemetry.jsonl"
     return cfg
@@ -96,21 +93,13 @@ def _validate_config(cfg: dict) -> None:
         if not cfg[key]:
             raise ValueError(f"config requires {key!r}")
     for key in ("corpus", "queries", "qrels", "index_dir", "embeddings", "query_embeddings",
-                "graph", "endpoint", "run_tag", "run_out", "telemetry_out"):
+                "graph", "endpoint", "run_out", "telemetry_out"):
         if cfg[key] is not None and (type(cfg[key]) is not str or not cfg[key]):
             raise ValueError(f"config {key!r} must be a non-empty string, got {cfg[key]!r}")
     if type(cfg["dedup"]) is not bool:
         raise ValueError(f"config 'dedup' must be true or false, got {cfg['dedup']!r}")
     if cfg["telemetry_out"] is not None and os.path.realpath(cfg["telemetry_out"]) == os.path.realpath(cfg["run_out"]):
         raise ValueError(f"config 'telemetry_out' and 'run_out' name the same file, {cfg['run_out']!r}")
-    tag = cfg["run_tag"]
-    if tag is not None:  # a column of every run-file line
-        if tag.split() != [tag]:
-            raise ValueError(f"config 'run_tag' must not contain whitespace, got {tag!r}")
-        try:
-            tag.encode("utf-8")
-        except UnicodeEncodeError:  # a lone surrogate, from a JSON escape
-            raise ValueError(f"config 'run_tag' must encode as UTF-8, got {tag!r}") from None
     if cfg["retriever"] not in ("bm25", "dense"):
         raise ValueError(f"unknown retriever {cfg['retriever']!r}")
     if cfg["strategy"] not in ("baseline", "slidegar", "slidegar_rm3"):
@@ -119,6 +108,9 @@ def _validate_config(cfg: dict) -> None:
         raise ValueError(f"unknown ranker {cfg['ranker']!r}")
     if cfg["strategy"] == "slidegar" and not cfg["graph"]:
         raise ValueError("strategy 'slidegar' requires a graph")
+    if (cfg["retriever"] == "bm25" or cfg["strategy"] == "slidegar_rm3") and not cfg["index_dir"]:
+        needs = "strategy 'slidegar_rm3'" if cfg["strategy"] == "slidegar_rm3" else "retriever 'bm25'"
+        raise ValueError(f"{needs} requires an index_dir")
     if cfg["ranker"] == "remote" and not cfg["endpoint"]:
         raise ValueError("ranker 'remote' requires an endpoint")
     if cfg["ranker"] in ("oracle", "noisy_oracle") and not cfg["qrels"]:
@@ -167,10 +159,7 @@ class _Pipeline:
         self.index = None
         if cfg["retriever"] == "bm25" or cfg["strategy"] == "slidegar_rm3":
             t0 = time.perf_counter()
-            if cfg["index_dir"]:
-                self.index = lexical_index.load_index(cfg["index_dir"], self.store)
-            else:
-                self.index = lexical_index.build_index(self.store.texts)
+            self.index = lexical_index.load_index(cfg["index_dir"], self.store)
             self.index.term_ids  # built here, like forward below, not by the first query or racing threads
             _lap(self.setup, "index_load_s", t0)
             if cfg["strategy"] == "slidegar_rm3":
@@ -336,7 +325,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
     pipeline = _Pipeline(cfg)
     run, telemetry = pipeline.execute()
-    run_eval.write_run(cfg["run_out"], run, cfg["run_tag"])
+    run_eval.write_run(cfg["run_out"], run, cfg["strategy"])
     with open(cfg["telemetry_out"], "w", encoding="utf-8") as f:
         f.write(json.dumps({"type": "config", "config": cfg}, sort_keys=True) + "\n")
         f.write(json.dumps({"type": "setup", **pipeline.setup, "vm_hwm_mb": _vm_hwm_mb()}, sort_keys=True) + "\n")

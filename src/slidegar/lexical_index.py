@@ -36,9 +36,6 @@ written with one ``tofile`` and read back with one size-checked
 - ``docids.bin``   -- the postings' little-endian u32 doc ids, term after
   term, ascending within a term
 - ``tfs.bin``      -- the matching little-endian u32 term frequencies
-
-Saving over a version-3 directory removes its interleaved ``postings.bin``
-and no other file.
 """
 
 from __future__ import annotations
@@ -351,7 +348,6 @@ def save_index(index: InvertedIndex, out_dir: str | Path, docnos: bytes, dedup: 
     and a newline, in doc-id order. They are written as they are."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "postings.bin").unlink(missing_ok=True)  # a version-3 index's postings, rebuilt in place
     (out / "docnos.txt").write_bytes(docnos)
     index.doc_lengths.astype("<u4", copy=False).tofile(out / "doclens.bin")
     (out / "terms.txt").write_text("".join(term + "\n" for term in index.terms), encoding="utf-8")

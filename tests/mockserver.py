@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -78,9 +79,18 @@ class ScriptedHandler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
 
+class _QuietServer(ThreadingHTTPServer):
+    """A client that timed out has hung up before a ``sleep:`` answer is
+    written; that broken pipe is expected, so only other errors print."""
+
+    def handle_error(self, request, client_address):
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+
 @contextmanager
 def scripted_server(script):
-    server = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
+    server = _QuietServer(("127.0.0.1", 0), ScriptedHandler)
     ScriptedHandler.script = list(script)
     ScriptedHandler.requests_seen = []
     ScriptedHandler.answers = []

@@ -26,9 +26,9 @@ from slidegar.adaptive_rerank import (
 )
 from slidegar.cli import main
 from slidegar.corpus_graph import build_graph_dense, build_graph_lexical, save_graph
-from slidegar.corpus_store import CorpusStore, Query
+from slidegar.corpus_store import CorpusStore, Query, docnos_bytes
 from slidegar.eval import ndcg_at, recall_at
-from slidegar.lexical_index import bm25_retrieve, build_index
+from slidegar.lexical_index import bm25_retrieve, build_index, save_index
 from slidegar.rankers import (
     ListwiseRanker,
     OracleRanker,
@@ -320,12 +320,14 @@ def test_run_determinism(synth_bundle, tmp_path):
     with criterion("determinism: identical config + seeds give byte-identical run files"):
         graph_path = tmp_path / "graph.bin"
         save_graph(graph_path, synth_bundle.graph, "dense", synth_bundle.store)
+        save_index(synth_bundle.index, tmp_path / "index", docnos_bytes(synth_bundle.store.docnos))
         outs = []
         for name in ("one", "two"):
             cfg = {
                 "corpus": str(synth_bundle.dir / "corpus.tsv"),
                 "queries": str(synth_bundle.dir / "queries.tsv"),
                 "qrels": str(synth_bundle.dir / "qrels.txt"),
+                "index_dir": str(tmp_path / "index"),
                 "graph": str(graph_path),
                 "strategy": "slidegar",
                 "ranker": "noisy_oracle",

@@ -1,4 +1,3 @@
-import itertools
 import json
 import os
 import random
@@ -113,16 +112,13 @@ def test_jobs_flag_does_not_change_output(workspace, tmp_path):
 
 def test_pipeline_builds_the_forward_index_for_rm3_runs_only(workspace, tmp_path):
     for strategy, built in (("slidegar", False), ("slidegar_rm3", True)):
-        for index_dir in (str(workspace / "index"), None):  # loaded, and built in memory
-            cfg = cli.load_config(write_config(tmp_path / "cfg.json", base_config(
-                workspace, strategy=strategy, index_dir=index_dir,
-            )))
-            # in set-up, so neither the first query nor a --jobs thread builds it
-            pipeline = cli._Pipeline(cfg)
-            assert ("forward" in vars(pipeline.index)) is built, (strategy, index_dir)
-            assert "term_ids" in vars(pipeline.index), (strategy, index_dir)
-            # and timed on its own, outside index_load_s
-            assert (type(pipeline.setup["forward_index_s"]) is float) is built, (strategy, index_dir)
+        cfg = cli.load_config(write_config(tmp_path / "cfg.json", base_config(workspace, strategy=strategy)))
+        # in set-up, so neither the first query nor a --jobs thread builds it
+        pipeline = cli._Pipeline(cfg)
+        assert ("forward" in vars(pipeline.index)) is built, strategy
+        assert "term_ids" in vars(pipeline.index), strategy
+        # and timed on its own, outside index_load_s
+        assert (type(pipeline.setup["forward_index_s"]) is float) is built, strategy
 
 
 class _UnreadableMap(Mapping):
@@ -169,18 +165,18 @@ def test_jobs_byte_identical_under_racing_ranker(workspace, tmp_path, monkeypatc
     (tmp_path / "qrels.txt").write_text(
         "".join(f"{qid}-{r} 0 {docno} {grade}\n" for r in range(4) for qid, _, docno, grade in qrels)
     )
-    # a loaded index, and a fresh in-memory one whose lazy maps no earlier run built
-    for strategy, index_dir in itertools.product(("slidegar", "slidegar_rm3"), (str(workspace / "index"), None)):
+    # each run loads a fresh index, whose lazy maps no earlier run built
+    for strategy in ("slidegar", "slidegar_rm3"):
         outputs = []
         for jobs in (1, 4):
             name = f"{strategy}-j{jobs}"
             cfg = base_config(
-                workspace, strategy=strategy, jobs=jobs, queries=str(tmp_path / "q.tsv"), index_dir=index_dir,
+                workspace, strategy=strategy, jobs=jobs, queries=str(tmp_path / "q.tsv"),
                 qrels=str(tmp_path / "qrels.txt"), run_out=str(tmp_path / f"{name}.trec"),
             )
             assert main(["run", "--config", write_config(tmp_path / f"{name}.json", cfg)]) == 0
             outputs.append((tmp_path / f"{name}.trec").read_bytes())
-        assert outputs[0] == outputs[1], (strategy, index_dir)
+        assert outputs[0] == outputs[1], strategy
         assert len({line.split()[0] for line in outputs[0].splitlines()}) == 12
 
 
@@ -229,7 +225,7 @@ def test_telemetry_config_reruns_verbatim(workspace, tmp_path):
     first = json.loads((tmp_path / "orig.tel.jsonl").read_text().splitlines()[0])
     assert first["type"] == "config"
     echoed = first["config"]
-    assert echoed["w"] == 6 and echoed["run_tag"] == "slidegar"
+    assert echoed["w"] == 6
     # rerun from the echoed config; only the output paths move
     echoed["run_out"] = str(tmp_path / "again.trec")
     echoed["telemetry_out"] = str(tmp_path / "again.tel.jsonl")
@@ -416,7 +412,7 @@ def test_absent_judgments_are_counted_not_ranked(workspace, tmp_path, caplog):
     runs = {}
     for name, path in (("plain", workspace / "data" / "qrels.txt"), ("ghost", qrels)):
         cfg = base_config(
-            workspace, qrels=str(path), run_tag="t",
+            workspace, qrels=str(path),
             run_out=str(tmp_path / f"{name}.trec"), telemetry_out=str(tmp_path / f"{name}.jsonl"),
         )
         with caplog.at_level("WARNING", logger="slidegar.cli"):
@@ -507,8 +503,6 @@ CONFIG_TYPE_CASES = [
     (17, {"dedup": "no"}, "config 'dedup' must be true or false, got 'no'"),
     (18, {"corpus": 5}, "config 'corpus' must be a non-empty string, got 5"),
     (19, {"endpoint": 5}, "config 'endpoint' must be a non-empty string, got 5"),
-    (20, {"run_tag": "my tag"}, "config 'run_tag' must not contain whitespace, got 'my tag'"),
-    (21, {"run_tag": ""}, "config 'run_tag' must be a non-empty string, got ''"),
     (22, {"telemetry_out": ""}, "config 'telemetry_out' must be a non-empty string, got ''"),
     (23, {"truncate_k": -1}, "truncate_k must be >= 0"),
     (24, {"corpus": None}, "config requires 'corpus'"),
@@ -524,9 +518,11 @@ CONFIG_TYPE_CASES = [
     # the remote ranker's last backoff, 0.5 * 2 ** (retries - 1) s, must stay within threading.TIMEOUT_MAX
     (34, {"retries": 36}, f"retries 36 with backoff 0.5 s would sleep more than {threading.TIMEOUT_MAX} s"),
     (35, {"retries": 1100}, f"retries 1100 with backoff 0.5 s would sleep more than {threading.TIMEOUT_MAX} s"),
-    # a JSON escape makes a lone surrogate, which the run file cannot hold
-    (36, {"run_tag": "t\ud800"}, "config 'run_tag' must encode as UTF-8, got 't\\ud800'"),
     (37, {"b": True}, "config 'b' must be an integer, got True"),
+    # a run reads the index build-index wrote, and builds none
+    (38, {"strategy": "baseline", "index_dir": None}, "retriever 'bm25' requires an index_dir"),
+    (39, {"retriever": "dense", "embeddings": "e.bin", "query_embeddings": "q.bin", "strategy": "slidegar_rm3",
+          "index_dir": None}, "strategy 'slidegar_rm3' requires an index_dir"),
 ]
 
 
@@ -566,8 +562,9 @@ def test_invalid_rm3_value_fails_config(workspace, tmp_path, capsys, key, value)
 @pytest.mark.parametrize("text, message", [
     ("[1, 2]", "config must be a JSON object"),
     ('{"rm3": {"fb_docs": 5}}', "unknown config keys: rm3"),  # the RM3 settings are top-level keys
+    ('{"run_tag": "t"}', "unknown config keys: run_tag"),  # the strategy tags every run-file line
     ("{bad", "invalid JSON config (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"),
-], ids=["not_an_object", "unknown_rm3_key", "not_json"])
+], ids=["not_an_object", "unknown_rm3_key", "unknown_run_tag_key", "not_json"])
 def test_malformed_config_fails_naming_its_file(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text, encoding="utf-8")
@@ -785,11 +782,12 @@ def test_foreign_graph_fails_at_load(tmp_path, capsys):
         "build-graph", "--corpus", str(corpus), "--source", "lexical", "--k", "1",
         "--out", str(graph), "--dedup",
     ]) == 0
+    assert main(["build-index", "--corpus", str(corpus), "--out", str(tmp_path / "idx")]) == 0  # a plain one
     capsys.readouterr()
     run_out = tmp_path / "run.trec"
     cfg = {
-        "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "graph": str(graph),
-        "ranker": "identity", "w": 2, "b": 1, "c": 3, "truncate_k": 1, "run_out": str(run_out),
+        "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "index_dir": str(tmp_path / "idx"),
+        "graph": str(graph), "ranker": "identity", "w": 2, "b": 1, "c": 3, "truncate_k": 1, "run_out": str(run_out),
     }
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -804,11 +802,12 @@ def test_graph_shallower_than_truncate_k_fails_at_load(tmp_path, capsys):
     graph = tmp_path / "g" / "graph.bin"
     graph.parent.mkdir()
     assert main(["build-graph", "--corpus", str(corpus), "--source", "lexical", "--k", "1", "--out", str(graph)]) == 0
+    assert main(["build-index", "--corpus", str(corpus), "--out", str(tmp_path / "idx")]) == 0
     capsys.readouterr()
     run_out = tmp_path / "run.trec"
     cfg = {  # truncate_k left at its default, 16
-        "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "graph": str(graph),
-        "ranker": "identity", "w": 2, "b": 1, "c": 3, "run_out": str(run_out),
+        "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "index_dir": str(tmp_path / "idx"),
+        "graph": str(graph), "ranker": "identity", "w": 2, "b": 1, "c": 3, "run_out": str(run_out),
     }
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
     assert capsys.readouterr().err == f"error: truncate_k 16 exceeds the depth k=1 of graph {graph}\n"
@@ -894,9 +893,9 @@ def test_docno_with_whitespace_fails_at_load(tmp_path, capsys):
     corpus.write_text("a\tbird fish\nd 1\tcat dog\n", encoding="utf-8")
     (tmp_path / "q.tsv").write_text("q1\tcat\n", encoding="utf-8")
     run_out = tmp_path / "run.trec"
-    cfg = {
-        "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "strategy": "baseline",
-        "ranker": "identity", "w": 2, "b": 1, "c": 2, "run_out": str(run_out),
+    cfg = {  # the corpus fails before the index, which does not exist, is read
+        "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "index_dir": str(tmp_path / "idx"),
+        "strategy": "baseline", "ranker": "identity", "w": 2, "b": 1, "c": 2, "run_out": str(run_out),
     }
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
     err = capsys.readouterr().err.splitlines()

@@ -50,6 +50,7 @@ DEDUP_INDEX_SHA256 = {
 def data(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     assert main(["synth", "--out", str(root / "data"), "--seed", "5"]) == 0
+    assert main(["build-index", "--corpus", str(root / "data" / "corpus.tsv"), "--out", str(root / "index")]) == 0
     assert main([
         "build-graph", "--corpus", str(root / "data" / "corpus.tsv"), "--source", "lexical",
         "--k", "8", "--out", str(root / "graph.bin"),
@@ -63,6 +64,7 @@ def run_digest(data, tmp_path, strategy, ranker="oracle", **options):
         "corpus": str(data / "data" / "corpus.tsv"),
         "queries": str(data / "data" / "queries.tsv"),
         "qrels": str(data / "data" / "qrels.txt"),
+        "index_dir": str(data / "index"),
         "strategy": strategy,
         "graph": str(data / "graph.bin") if strategy == "slidegar" else None,
         "truncate_k": 8,
