@@ -1,6 +1,6 @@
 """Sliding-window reranking strategies over score-free listwise rankers.
 
-Two strategies rerank in windows:
+Two strategies rerank in windows, each returning one ``RerankResult``:
 
 - ``sliding_window_baseline`` reranks the initial pool in place, tail first,
   and can never surface a document outside that pool.
@@ -72,9 +72,10 @@ class RerankConfig:
         check_rm3(self.fb_docs, self.fb_terms, self.orig_weight)
 
 
-@dataclass(frozen=True)
 class RerankResult:
-    """What every strategy returns for one query.
+    """What every strategy returns for one query, and the only place its
+    ranker calls are counted and timed. Building one starts its clock;
+    ``finish(ranking)`` stops it.
 
     ``ranking`` holds at most c store doc ids, best first; ``ranker_s`` is
     the wall time spent inside the ranker's ``calls`` calls and
@@ -83,48 +84,36 @@ class RerankResult:
     window's input order.
     """
 
-    ranking: list[int]
-    calls: int
-    ranker_s: float
-    bookkeeping_s: float
-    attempts: int
-    degraded: int
-
-
-def expected_llm_calls(cfg: RerankConfig) -> int:
-    """Closed-form ranker-call count for a full-budget run: ceil((c-w)/b) + 1."""
-    return (cfg.c - cfg.w + cfg.b - 1) // cfg.b + 1
-
-
-class _QueryRun:
-    """One query's ranker access on store ids; the only place ranker calls
-    are counted and timed, and their attempts and degradations summed."""
-
-    def __init__(self, query: Query, r0: list[int], ranker: ListwiseRanker) -> None:
-        if not r0:
-            raise ValueError("initial ranking must be non-empty")
-        self.started = time.perf_counter()
-        self.query = query
-        self.ranker = ranker
+    def __init__(self, query: Query, ranker: ListwiseRanker) -> None:
+        self._started = time.perf_counter()
+        self._query = query
+        self._ranker = ranker
+        self.ranking: list[int] = []
         self.calls = 0
         self.ranker_s = 0.0
+        self.bookkeeping_s = 0.0
         self.attempts = 0
         self.degraded = 0
-        self.pool = list(r0)
 
     def rank(self, ids: list[int]) -> list[int]:
-        window = Window(self.query, ids)
+        window = Window(self._query, ids)
         t0 = time.perf_counter()
-        ordering = self.ranker.rank(window)
+        ordering = self._ranker.rank(window)
         self.ranker_s += time.perf_counter() - t0
         self.calls += 1
         self.attempts += window.attempts
         self.degraded += window.degraded
         return ordering
 
-    def result(self, ids: list[int]) -> RerankResult:
-        bookkeeping_s = time.perf_counter() - self.started - self.ranker_s
-        return RerankResult(ids, self.calls, self.ranker_s, bookkeeping_s, self.attempts, self.degraded)
+    def finish(self, ranking: list[int]) -> RerankResult:
+        self.ranking = ranking
+        self.bookkeeping_s = time.perf_counter() - self._started - self.ranker_s
+        return self
+
+
+def expected_llm_calls(cfg: RerankConfig) -> int:
+    """Closed-form ranker-call count for a full-budget run: ceil((c-w)/b) + 1."""
+    return (cfg.c - cfg.w + cfg.b - 1) // cfg.b + 1
 
 
 def slidegar(
@@ -143,12 +132,11 @@ def slidegar(
     enough. R0 itself is consumed in order through a cursor. The call cap,
     the only budget, is checked before feedback is asked.
     """
-    run = _QueryRun(query, r0, ranker)
+    run = RerankResult(query, ranker)
     max_calls = expected_llm_calls(cfg)
-    pool = run.pool
-    blocked = set(pool)
+    blocked = set(r0)
     dumps: list[list[int]] = []  # per window, the docs it dumped, best first
-    window = pool[: cfg.w]
+    window = r0[: cfg.w]
     cursor = len(window)
 
     def fresh_feedback(order: list[int], n: int) -> list[int]:
@@ -166,7 +154,7 @@ def slidegar(
         # tops up a short R0 half
         feedback_turn = run.calls % 2 == 1
         fresh = fresh_feedback(order, cfg.b) if feedback_turn else []
-        from_r0 = pool[cursor : cursor + cfg.b - len(fresh)]
+        from_r0 = r0[cursor : cursor + cfg.b - len(fresh)]
         cursor += len(from_r0)
         fresh += from_r0
         if len(fresh) < cfg.b and not feedback_turn:
@@ -178,7 +166,7 @@ def slidegar(
     # Last carried champions on top, then dumps newest window first: later
     # windows competed against stronger carried documents, so they outrank earlier ones.
     final = l1 + [doc_id for batch in reversed(dumps) for doc_id in batch]
-    return run.result(final[: cfg.c])
+    return run.finish(final[: cfg.c])
 
 
 # perfbench/tracer.py wraps this name as well as slidegar; it goes when the tracer goes
@@ -237,11 +225,11 @@ def sliding_window_baseline(
     reranked in place from the back of the list towards the front with
     stride b (the last window clamps to the list head).
     """
-    run = _QueryRun(query, r0[: cfg.c], ranker)
-    items = run.pool
+    run = RerankResult(query, ranker)
+    items = r0[: cfg.c]
     for start in [*range(len(items) - cfg.w, 0, -cfg.b), 0]:
         items[start : start + cfg.w] = run.rank(items[start : start + cfg.w])
-    return run.result(items)
+    return run.finish(items)
 
 
 def telemetry_record(qid: str, r0: list[int], result: RerankResult) -> dict:

@@ -225,7 +225,7 @@ class _Pipeline:
         record = {"type": "query", "qid": query.qid, "first_stage_ms": first_stage_ms}
         if not r0:  # no strategy runs, so every count is 0
             record["note"] = "empty initial ranking"
-            result = adaptive_rerank.RerankResult([], 0, 0.0, 0.0, 0, 0)
+            result = adaptive_rerank.RerankResult(query, self.ranker)
         elif cfg["strategy"] == "baseline":
             result = adaptive_rerank.sliding_window_baseline(query, r0, self.ranker, rcfg)
         else:
