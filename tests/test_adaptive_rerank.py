@@ -153,6 +153,19 @@ def test_slidegar_requires_nonempty_r0():
         slidegar(Q, [], ranker, graph_feedback(graph, 1), RerankConfig(w=2, b=1, c=4))
 
 
+@pytest.mark.parametrize("strategy", ["baseline", "slidegar"])
+def test_empty_r0_fails_before_any_ranker_call(strategy):
+    ranker = RecordingRanker(ReverseRanker(), names_store(["a"]))
+    asked = []  # every batch feedback was asked about
+    cfg = RerankConfig(w=2, b=1, c=4)
+    with pytest.raises(ValueError):
+        if strategy == "baseline":
+            sliding_window_baseline(Q, [], ranker, cfg)
+        else:
+            slidegar(Q, [], ranker, lambda order: asked.append(order) or [], cfg)
+    assert ranker.seen == [] and asked == []
+
+
 # --- baseline ---
 
 

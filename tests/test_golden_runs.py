@@ -8,9 +8,14 @@ numpy builds. A refactor of the engine must leave them unchanged.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slidegar
 from slidegar.cli import main
 
 GOLDEN_SHA256 = {
@@ -58,7 +63,9 @@ def data(tmp_path_factory):
     return root
 
 
-def run_digest(data, tmp_path, strategy, ranker="oracle", **options):
+def run_digest(data, tmp_path, strategy, ranker="oracle", hash_seed=None, **options):
+    """The sha256 of one run's file, run in this process or, given a
+    ``hash_seed``, in a child process under that ``PYTHONHASHSEED``."""
     run_out = tmp_path / "run.trec"
     cfg = {
         "corpus": str(data / "data" / "corpus.tsv"),
@@ -77,7 +84,14 @@ def run_digest(data, tmp_path, strategy, ranker="oracle", **options):
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    assert main(["run", "--config", str(cfg_path)]) == 0
+    if hash_seed is None:
+        assert main(["run", "--config", str(cfg_path)]) == 0
+    else:
+        env = {**os.environ, "PYTHONHASHSEED": str(hash_seed),
+               "PYTHONPATH": str(Path(slidegar.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-m", "slidegar.cli", "run", "--config", str(cfg_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
     return hashlib.sha256(run_out.read_bytes()).hexdigest()
 
 
@@ -100,3 +114,18 @@ def test_noisy_run_file_digest(data, tmp_path, strategy):
     for jobs in (1, 2):
         digest = run_digest(data, tmp_path, strategy, ranker="noisy_oracle", swap_prob=0.3, seed=1, jobs=jobs)
         assert digest == NOISY_SHA256[strategy], jobs
+
+
+@pytest.mark.parametrize(
+    "strategy, options, pinned",
+    [
+        ("slidegar", {"ranker": "noisy_oracle", "swap_prob": 0.3, "seed": 1}, NOISY_SHA256["slidegar"]),
+        ("slidegar_rm3", {}, GOLDEN_SHA256["slidegar_rm3"]),
+    ],
+    ids=["noisy-graph", "rm3"],
+)
+def test_run_bytes_do_not_depend_on_hash_seed(data, tmp_path, strategy, options, pinned):
+    # str hashes differ per process unless PYTHONHASHSEED pins them; no set or
+    # dict order of docnos or terms may reach the run file
+    digests = {run_digest(data, tmp_path, strategy, hash_seed=seed, jobs=2, **options) for seed in (1, 2)}
+    assert digests == {pinned}
