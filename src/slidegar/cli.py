@@ -37,7 +37,6 @@ CONFIG_DEFAULTS: dict = {
     "corpus": None,
     "queries": None,
     "qrels": None,
-    "dedup": False,
     "retriever": "bm25",  # bm25 | dense
     "index_dir": None,  # the `build-index` output that bm25 retrieval and slidegar_rm3 read
     "embeddings": None,
@@ -96,8 +95,6 @@ def _validate_config(cfg: dict) -> None:
                 "graph", "endpoint", "run_out", "telemetry_out"):
         if cfg[key] is not None and (type(cfg[key]) is not str or not cfg[key]):
             raise ValueError(f"config {key!r} must be a non-empty string, got {cfg[key]!r}")
-    if type(cfg["dedup"]) is not bool:
-        raise ValueError(f"config 'dedup' must be true or false, got {cfg['dedup']!r}")
     if cfg["telemetry_out"] is not None and os.path.realpath(cfg["telemetry_out"]) == os.path.realpath(cfg["run_out"]):
         raise ValueError(f"config 'telemetry_out' and 'run_out' name the same file, {cfg['run_out']!r}")
     if cfg["retriever"] not in ("bm25", "dense"):
@@ -148,7 +145,7 @@ class _Pipeline:
                 "graph_load_s")
         self.setup = dict.fromkeys(keys)
         t0 = time.perf_counter()
-        self.store = corpus_store.ingest_corpus(cfg["corpus"], dedup=cfg["dedup"])
+        self.store = corpus_store.ingest_corpus(cfg["corpus"])
         _lap(self.setup, "ingest_s", t0)
         self.queries = corpus_store.load_queries(cfg["queries"])
         self.grades: dict[str, dict[int, int]] = {}
@@ -263,21 +260,38 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_dedup(args: argparse.Namespace) -> int:
+    out = Path(args.out)
+    if os.path.realpath(out / "corpus.tsv") == os.path.realpath(args.corpus):
+        raise ValueError(f"--out {args.out} would overwrite --corpus {args.corpus}")
+    qrels = corpus_store.load_qrels(args.qrels) if args.qrels else {}  # read first: a bad file writes nothing
+    out.mkdir(parents=True, exist_ok=True)
+    dropped = corpus_store.dedup_corpus(args.corpus, out / "corpus.tsv")
+    corpus_store.write_dedup_report(out / "dedup_report.jsonl", dropped)
+    if args.qrels:  # judgments move to the kept twin, the larger grade winning
+        with open(out / "qrels.txt", "w", encoding="utf-8") as f:
+            for qid, judged in qrels.items():
+                merged: dict[str, int] = {}
+                for docno, grade in judged.items():
+                    docno = dropped.get(docno, docno)
+                    merged[docno] = max(grade, merged.get(docno, 0))
+                f.writelines(f"{qid} 0 {docno} {grade}\n" for docno, grade in merged.items())
+    if args.embeddings:
+        dense_index.copy_embeddings(args.embeddings, out / "embeddings.bin", dropped)
+    print(f"wrote {out}: {len(dropped)} dropped")
+    return 0
+
+
 def cmd_build_index(args: argparse.Namespace) -> int:
     build: dict = {}
     t0 = time.perf_counter()
     # the corpus streams through the tokenizer: only the docnos are kept, as the bytes of docnos.txt
-    documents = corpus_store.Documents(args.corpus, dedup=args.dedup)
+    documents = corpus_store.Documents(args.corpus)
     index = lexical_index.build_index(documents)
     t0 = _lap(build, "index_build_s", t0)
-    lexical_index.save_index(index, args.out, documents.docnos, dedup=args.dedup)
-    report_path = Path(args.out) / "dedup_report.jsonl"
-    if args.dedup:
-        corpus_store.write_dedup_report(report_path, documents.dropped)
-    else:  # an earlier --dedup build's report would describe another corpus
-        report_path.unlink(missing_ok=True)
+    lexical_index.save_index(index, args.out, documents.docnos)
     _lap(build, "index_save_s", t0)
-    print(f"wrote {args.out}: {index.doc_count} docs, {len(index.terms)} terms, {len(documents.dropped)} dropped")
+    print(f"wrote {args.out}: {index.doc_count} docs, {len(index.terms)} terms")
     _print_build_record(build)
     return 0
 
@@ -287,7 +301,7 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
         raise ValueError("--source dense requires --embeddings")
     build = dict.fromkeys(("ingest_s", "index_build_s", "embeddings_load_s", "graph_build_s", "graph_save_s"))
     t0 = time.perf_counter()
-    store = corpus_store.ingest_corpus(args.corpus, dedup=args.dedup)
+    store = corpus_store.ingest_corpus(args.corpus)
     t0 = _lap(build, "ingest_s", t0)
     if args.source == "lexical":
         index = lexical_index.build_index(store.texts)
@@ -380,10 +394,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--gap", type=float, dest="retrieval_gap")
     p.set_defaults(func=cmd_synth)
 
+    p = sub.add_parser("dedup", help="write a corpus without twins, with its qrels and embeddings")
+    p.add_argument("--corpus", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--qrels")
+    p.add_argument("--embeddings")
+    p.set_defaults(func=cmd_dedup)
+
     p = sub.add_parser("build-index", help="build and persist the lexical index")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--dedup", action="store_true")
     p.set_defaults(func=cmd_build_index)
 
     p = sub.add_parser("build-graph", help="build and persist a corpus graph")
@@ -392,7 +412,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--embeddings")
     p.add_argument("--k", type=int, default=16)
     p.add_argument("--out", required=True)
-    p.add_argument("--dedup", action="store_true")
     p.set_defaults(func=cmd_build_graph)
 
     p = sub.add_parser("run", help="run a reranking pipeline from a JSON config")

@@ -120,7 +120,7 @@ def load_graph(path: str | Path, store: CorpusStore) -> np.ndarray:
     """Load the adjacency matrix of a graph whose rows are ``store``'s doc ids.
 
     ``docnos.txt`` must list exactly ``store.docnos`` in id order; anything
-    else (another corpus, another dedup setting, a reordering) would make
+    else (another corpus, a reordering) would make
     every neighbour id point at the wrong document.
     """
     path = Path(path)

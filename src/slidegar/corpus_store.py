@@ -16,7 +16,9 @@ File formats:
   format converts to this one with each text's tabs and newlines as spaces.
 - queries: ``qid<TAB>text`` lines.
 - qrels: whitespace-separated ``qid 0 docno grade`` (standard TREC layout).
-- dedup report: JSON lines ``{"dropped": docno, "kept": docno}``.
+- dedup report: JSON lines ``{"dropped": docno, "kept": docno}``, written
+  by ``dedup_corpus`` (``slidegar dedup``), the one reader that merges
+  twins; every other reader reads each docno as one document.
 
 Line rules, the same for every file ``read_lines`` reads: one leading UTF-8
 byte-order mark is dropped, as the ``utf-8-sig`` codec drops it; lines are
@@ -29,10 +31,8 @@ contain whitespace: they become columns of whitespace-separated run lines.
 from __future__ import annotations
 
 import codecs
-import itertools
 import json
 import re
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -65,22 +65,19 @@ class CorpusStore:
 
     Doc ids are dense ints in corpus order so they can index directly into
     postings lists, embedding matrices, and graph rows. The store alone
-    holds docnos and the one docno -> id map, ``id_of``: a docno that dedup
-    dropped (``dropped``, dropped -> kept) maps to its kept twin's id. The
-    docnos do not repeat: the corpus reader rejects a repeat on the raw
-    file, before dedup merges any document. Indexes, embedding
+    holds docnos and the one docno -> id map, ``id_of``. The docnos do not
+    repeat: the corpus reader rejects a repeat. Indexes, embedding
     matrices, graphs and rankings hold ids, and artifacts check their
     ``docnos.txt`` against the store. Only set-up looks docnos up (qrels,
     embeddings); queries run on ids.
     """
 
-    def __init__(self, docnos: list[str], texts: list[str], dropped: dict[str, str] | None = None) -> None:
+    def __init__(self, docnos: list[str], texts: list[str]) -> None:
         if len(docnos) != len(texts):
             raise ValueError(f"{len(docnos)} docnos but {len(texts)} texts")
         self.docnos = docnos
         self.texts = texts
         self.id_of = dict(zip(docnos, range(len(docnos))))
-        self.id_of.update((docno, self.id_of[kept]) for docno, kept in (dropped or {}).items())
 
     def __len__(self) -> int:
         return len(self.docnos)
@@ -178,8 +175,7 @@ def _read_corpus(path: str | Path) -> Iterator[tuple[list[str], list[str]]]:
     are raised once the last block is read.
     """
     spaced = ""  # the error of the first docno holding whitespace
-    # The one check that no docno repeats, on the raw file: dedup can merge a
-    # repeat away before a store sees it. Equal docnos hash alike, so distinct
+    # The one check that no docno repeats. Equal docnos hash alike, so distinct
     # hashes rule a repeat out; sorting 8 bytes per docno costs less than a set.
     hashes = [np.zeros(0, dtype=np.int64)]  # one array per block, after one for an empty file
     for numbers, docnos, texts in _parsed_blocks(path):
@@ -206,87 +202,63 @@ class Documents:
     Iterating yields each document's text as the document gets its doc id,
     and appends its docno to ``docnos``, the bytes ``docnos.txt`` holds: one
     UTF-8 docno and a newline per document, so no ``str`` is kept per
-    docno. ``texts``, when given, keeps the texts. With ``dedup`` on,
-    documents whose normalized texts are identical are merged: doc ids
-    follow the order in which each distinct text first appears, the
-    lexicographically smallest docno of the group survives (a deterministic,
-    order-independent tie-break) with its own text, and every other docno is
-    dropped; ``dropped`` maps it to its survivor once the file is read.
-    Twins differ only in whitespace, which the tokenizer splits on, so the
-    text yielded, the group's first, tokenizes as the survivor's does. It is
-    read once: a second pass raises and changes nothing.
+    docno. It is read once: a second pass raises and changes nothing.
     """
 
-    def __init__(self, path: str | Path, dedup: bool = False, texts: list[str] | None = None) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = path
-        self.dedup = dedup
-        self.texts = texts
         self.docnos = bytearray()
-        self.dropped: dict[str, str] = {}  # dropped docno -> surviving docno
         self.started = False
 
     def __iter__(self) -> Iterator[str]:
-        return itertools.chain.from_iterable(self.blocks())
-
-    def blocks(self) -> Iterator[list[str]]:
-        """The texts of the documents each block of the file adds."""
         if self.started:  # a second pass would append every docno again
             raise RuntimeError(f"{self.path}: Documents are read once; make a new one to read the file again")
         self.started = True
-        column, texts = self.docnos, self.texts
-        if not self.dedup:
-            for block_docnos, block_texts in _read_corpus(self.path):
-                column += docnos_bytes(block_docnos)
-                if texts is not None:
-                    texts += block_texts
-                yield block_texts
-            return
-        ids: dict[str, int] = {}  # normalized text -> doc id
-        starts = array("Q", [0])  # the offset of each doc id's docno in the column, then the column's end
-        replaced: dict[int, str] = {}  # doc id -> the docno that survives in place of the column's
-        dropped: dict[str, int] = {}  # dropped docno -> doc id of its survivor
-
-        def survivor(doc_id: int) -> str:
-            kept = replaced.get(doc_id)
-            return kept if kept is not None else column[starts[doc_id] : starts[doc_id + 1] - 1].decode()
-
         for block_docnos, block_texts in _read_corpus(self.path):
-            added = []
-            for docno, text in zip(block_docnos, block_texts):
-                doc_id = ids.setdefault(normalize_text(text), len(starts) - 1)
-                if doc_id == len(starts) - 1:
-                    column += docno.encode() + b"\n"
-                    starts.append(len(column))
-                    added.append(text)
-                    if texts is not None:
-                        texts.append(text)
-                    continue
-                kept = survivor(doc_id)
-                if docno < kept:  # it survives in place of the earlier survivor
-                    docno, replaced[doc_id] = kept, docno
-                    if texts is not None:
-                        texts[doc_id] = text
-                dropped[docno] = doc_id
-            yield added
-        del ids  # the normalized texts go before the survivors are written in
-        self.dropped = {docno: survivor(doc_id) for docno, doc_id in dropped.items()}
-        if replaced:  # one pass writes each survivor over the docno it replaced
-            pieces, end = [], 0
-            for doc_id in sorted(replaced):
-                pieces += column[end : starts[doc_id]], replaced[doc_id].encode() + b"\n"
-                end = starts[doc_id + 1]
-            column[:] = b"".join([*pieces, column[end:]])
+            self.docnos += docnos_bytes(block_docnos)
+            yield from block_texts
 
 
-def ingest_corpus(path: str | Path, dedup: bool = False) -> CorpusStore:
-    """A CorpusStore of a corpus file's ``Documents``, dropped twins in its ``id_of``."""
+def ingest_corpus(path: str | Path) -> CorpusStore:
+    """A CorpusStore of a corpus file's records in file order."""
+    docnos: list[str] = []
     texts: list[str] = []
-    documents = Documents(path, dedup, texts)
-    for _ in documents.blocks():
-        pass
-    docnos = documents.docnos.decode().split("\n")
-    docnos.pop()  # the empty string after the last newline
-    return CorpusStore(docnos, texts, documents.dropped)
+    for block_docnos, block_texts in _read_corpus(path):
+        docnos += block_docnos
+        texts += block_texts
+    return CorpusStore(docnos, texts)
+
+
+def dedup_corpus(path: str | Path, out: str | Path) -> dict[str, str]:
+    """Write ``out``, the corpus file at ``path`` without twins, and return
+    dropped docno -> kept docno.
+
+    Twins are documents whose normalized texts are equal. A group is keyed by
+    a 16-byte BLAKE2b digest of its normalized text, and texts are not
+    compared. A group is written once, at its first record's position with
+    that record's text, under its lexicographically smallest docno: twins differ
+    only in whitespace, which the tokenizer splits on. The file is read, and
+    checked, in full before ``out`` is opened.
+    """
+    import hashlib  # here, not at module level: it loads OpenSSL into every process
+
+    def key(text: str) -> bytes:
+        return hashlib.blake2b(normalize_text(text).encode(), digest_size=16).digest()
+
+    kept: dict[bytes, str] = {}  # digest -> the group's smallest docno, groups in corpus order
+    losers: dict[str, bytes] = {}  # dropped docno -> its group's digest
+    for docnos, texts in _read_corpus(path):
+        for docno, text in zip(docnos, texts):
+            digest = key(text)
+            other = kept.setdefault(digest, docno)
+            if other != docno:
+                kept[digest], loser = sorted((docno, other))
+                losers[loser] = digest
+    dropped = {docno: kept[digest] for docno, digest in losers.items()}
+    with open(out, "wb") as f:
+        for _, _, texts in _parsed_blocks(path):  # a group's first record takes its kept docno out of ``kept``
+            f.write("".join(f"{kept.pop(d)}\t{text}\n" for text in texts if (d := key(text)) in kept).encode())
+    return dropped
 
 
 def write_dedup_report(path: str | Path, dropped: dict[str, str]) -> None:
@@ -305,8 +277,8 @@ def docnos_bytes(docnos: list[str]) -> bytes:
 
 def check_docnos(path: str | Path, store: CorpusStore, artifact: str) -> None:
     """Reject an artifact whose ``docnos.txt`` is not ``store.docnos`` line
-    for line; another corpus, another dedup setting or a reordering would
-    make every doc id point at the wrong document. A file that differs from
+    for line; another corpus or a reordering would make every doc id point
+    at the wrong document. A file that differs from
     what ``docnos_bytes`` encodes is read as the corpus is, so CRLF lines pass."""
     data = Path(path).read_bytes()
     if data == docnos_bytes(store.docnos):
@@ -320,7 +292,7 @@ def check_docnos(path: str | Path, store: CorpusStore, artifact: str) -> None:
         line = next((i for i, (a, b) in enumerate(pairs, start=1) if a != b), min(len(docnos), len(store)) + 1)
         raise ValueError(
             f"{path}:{line}: docnos do not match the corpus in doc-id order; "
-            f"rebuild the {artifact} from the same corpus with the same dedup setting"
+            f"rebuild the {artifact} from the same corpus"
         )
 
 
@@ -391,8 +363,6 @@ def map_qrels(
     """Re-key judgments onto store doc ids, ``qid -> doc id -> grade``, the
     keys the in-process rankers read off their windows.
 
-    Judgments on docnos dropped by dedup map to the kept twin's id, as
-    ``store.id_of`` does; when both twins are judged, the larger grade wins.
     Docnos absent from the store are returned as ``(qid, docno)`` pairs,
     by query in order of first appearance and in file order within a query
     (file order for a file grouped by query, as TREC qrels are); a query
@@ -408,8 +378,7 @@ def map_qrels(
             if doc_id is None:
                 absent.append((qid, docno))
                 continue
-            if per_query.get(doc_id, -1) < grade:
-                per_query[doc_id] = grade
+            per_query[doc_id] = grade
         if per_query:
             grades[qid] = per_query
     return grades, absent

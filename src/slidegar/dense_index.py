@@ -17,7 +17,7 @@ import json
 import struct
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Container, Iterable, Iterator
 
 import numpy as np
 
@@ -85,9 +85,7 @@ def _open_records(path: str | Path) -> Iterator[tuple[dict, Iterator[tuple[int, 
 
 def load_embeddings(path: str | Path, store: CorpusStore) -> np.ndarray:
     """The ``(len(store), dim)`` float32 matrix of every store document's
-    vector, row i for doc id i. A record whose docno is not
-    ``store.docnos[doc_id]`` is of a twin that dedup dropped and is skipped;
-    the kept twin is read from its own record.
+    vector, row i for doc id i.
 
     Fatal on: a record whose docno is not UTF-8 or unknown to the store, a
     duplicate record, a non-finite component (all reported with the record
@@ -101,8 +99,6 @@ def load_embeddings(path: str | Path, store: CorpusStore) -> np.ndarray:
             doc_id = store.id_of.get(docno)
             if doc_id is None:
                 raise ValueError(f"{path}: record {record_idx}: docno {docno!r} not in store")
-            if store.docnos[doc_id] != docno:  # a twin that dedup dropped
-                continue
             if filled[doc_id]:
                 raise ValueError(f"{path}: record {record_idx}: duplicate docno {docno!r}")
             matrix[doc_id] = vector
@@ -111,6 +107,13 @@ def load_embeddings(path: str | Path, store: CorpusStore) -> np.ndarray:
         missing = store.docnos[int(np.flatnonzero(~filled)[0])]
         raise ValueError(f"{path}: no vector for store docno {missing!r}")
     return matrix
+
+
+def copy_embeddings(path: str | Path, out: str | Path, skipped: Container[str]) -> int:
+    """Write the records of the embedding file at ``path`` to ``out``, but
+    those of the docnos in ``skipped``; returns the count written."""
+    with _open_records(path) as (header, records):
+        return write_embeddings(out, header["dim"], ((docno, vec) for _, docno, vec in records if docno not in skipped))
 
 
 def load_query_embeddings(path: str | Path, queries: list[Query]) -> dict[str, np.ndarray]:

@@ -69,16 +69,18 @@ def parse_metric(spec: str) -> tuple[str, int]:
 
 @dataclass
 class MetricReport:
-    """Per-query metric values plus arithmetic means.
+    """Per-query metric values plus arithmetic means over one query set.
 
-    Queries with no relevant documents are excluded from recall means and
-    listed under ``excluded`` instead.
+    Every metric scores the same queries: those of the qrels with at least
+    one judgment at or above the relevance threshold. A scored query that
+    the run lacks scores 0 on every metric, as under ``trec_eval -c``. The
+    run's other queries are listed once, sorted, under ``excluded``.
     """
 
     metrics: list[str]
     per_query: dict[str, dict[str, float]] = field(default_factory=dict)  # metric -> qid -> value
     means: dict[str, float] = field(default_factory=dict)
-    excluded: dict[str, list[str]] = field(default_factory=dict)
+    excluded: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -99,9 +101,8 @@ class MetricReport:
             for metric in self.metrics
         ]
         lines.append("mean".ljust(width) + "  ".join(mean_cells))
-        for metric, qids_out in self.excluded.items():
-            if qids_out:
-                lines.append(f"# excluded from {metric} mean (no relevant docs): {', '.join(qids_out)}")
+        if self.excluded:
+            lines.append(f"# excluded (no judgment at the threshold): {', '.join(self.excluded)}")
         return "\n".join(lines)
 
 
@@ -112,22 +113,18 @@ def evaluate_run(
     rel_threshold: int = 1,
     exponential: bool = False,
 ) -> MetricReport:
-    report = MetricReport(metrics=list(metrics))
+    """Score ``run`` over the one query set ``MetricReport`` describes."""
+    scored = sorted(qid for qid, grades in qrels.items() if any(g >= rel_threshold for g in grades.values()))
+    report = MetricReport(metrics=list(metrics), excluded=sorted(set(run) - set(scored)))
     for metric, (name, cutoff) in zip(metrics, [parse_metric(m) for m in metrics]):
         values: dict[str, float] = {}
-        skipped: list[str] = []
-        for qid in sorted(run):
-            grades = qrels.get(qid, {})
+        for qid in scored:
+            ranking = run.get(qid, [])
             if name == "ndcg":
-                value = ndcg_at(run[qid], grades, cutoff, exponential=exponential)
+                values[qid] = ndcg_at(ranking, qrels[qid], cutoff, exponential=exponential)
             else:
-                value = recall_at(run[qid], grades, cutoff, rel_threshold=rel_threshold)
-            if value is None:
-                skipped.append(qid)
-            else:
-                values[qid] = value
+                values[qid] = recall_at(ranking, qrels[qid], cutoff, rel_threshold=rel_threshold)
         report.per_query[metric] = values
-        report.excluded[metric] = skipped
         if values:
             report.means[metric] = sum(values.values()) / len(values)
     return report

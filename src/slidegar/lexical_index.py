@@ -26,7 +26,7 @@ Index directory layout (format version 4), every array as numpy holds it,
 written with one ``tofile`` and read back with one size-checked
 ``read_u32``:
 
-- ``meta.json``    -- ``{"version": 4, "doc_count": N, "avgdl": ..., "dedup": ...}``
+- ``meta.json``    -- ``{"version": 4, "doc_count": N, "avgdl": ...}``
 - ``docnos.txt``   -- the store's docnos, one per line in doc-id order; the
   index only loads against a corpus store with exactly these docnos
 - ``doclens.bin``  -- N little-endian u32 token counts in doc-id order
@@ -342,7 +342,7 @@ def rm3_expand(
 INDEX_FORMAT_VERSION = 4
 
 
-def save_index(index: InvertedIndex, out_dir: str | Path, docnos: bytes, dedup: bool = False) -> None:
+def save_index(index: InvertedIndex, out_dir: str | Path, docnos: bytes) -> None:
     """Write ``index`` to ``out_dir`` beside ``docnos``, the bytes of
     ``docnos.txt`` as ``Documents.docnos`` holds them: each doc id's docno
     and a newline, in doc-id order. They are written as they are."""
@@ -358,7 +358,6 @@ def save_index(index: InvertedIndex, out_dir: str | Path, docnos: bytes, dedup: 
         "version": INDEX_FORMAT_VERSION,
         "doc_count": index.doc_count,
         "avgdl": index.avg_doc_length,
-        "dedup": dedup,
     }
     with open(out / "meta.json", "w", encoding="utf-8") as f:
         json.dump(meta, f, sort_keys=True)

@@ -15,11 +15,6 @@ def make_store(docs: dict[str, str]) -> CorpusStore:
     return CorpusStore(list(docs), list(docs.values()))
 
 
-def dropped_twins(store: CorpusStore) -> dict[str, str]:
-    """Dropped docno -> kept docno: the docnos ``store.id_of`` maps to a twin's id."""
-    return {docno: store.docnos[i] for docno, i in store.id_of.items() if store.docnos[i] != docno}
-
-
 # a few bytes: every record, CRLF pair, multi-byte character, cut-short
 # sequence and byte-order mark falls across where a block's read stops
 BLOCK_SIZES = (corpus_store.BLOCK_BYTES, 1, 2, 5)

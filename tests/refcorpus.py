@@ -9,7 +9,10 @@ is read as ``docno<TAB>text`` lines only; ``ingest`` is the old
 The qrels path it used before it read judgments straight into one grade
 table: ``load_qrels`` (one ``QrelEntry`` per judgment, read in text mode)
 and ``map_qrels`` (onto doc ids, as the current one maps them), kept verbatim
-but for the lookup, which reads ``store.id_of`` now that it maps dropped twins.
+but for the lookup, which reads ``store.id_of``.
+
+``ingest(path, dedup=True)`` is the spec of ``slidegar dedup``: the docnos,
+texts and report of the in-build dedup that the command replaced.
 
 Used by the randomized-equivalence tests of the current readers.
 """

@@ -13,13 +13,13 @@ from pathlib import Path
 import pytest
 
 import slidegar
-from conftest import BLOCK_SIZES, block_bytes, dropped_twins
+from conftest import BLOCK_SIZES, block_bytes
 from mockserver import ScriptedHandler, scripted_server
 from slidegar import cli, corpus_store
 from slidegar.adaptive_rerank import RerankConfig
 from slidegar.cli import main
 from slidegar.corpus_store import Query, docnos_bytes, ingest_corpus, load_queries
-from slidegar.dense_index import write_embeddings
+from slidegar.dense_index import load_embeddings, write_embeddings
 from slidegar.eval import read_run
 from slidegar.lexical_index import bm25_retrieve, build_index, save_index
 
@@ -409,8 +409,12 @@ def test_absent_judgments_are_counted_not_ranked(workspace, tmp_path, caplog):
     text = (workspace / "data" / "qrels.txt").read_text(encoding="utf-8")
     qid = text.split()[0]
     qrels.write_text(text + f"{qid} 0 ghost-1 2\n{qid} 0 ghost-2 0\n", encoding="utf-8")
+    # dedup passes them through: the corpus has no twins, so it writes the corpus as it was
+    corpus = workspace / "data" / "corpus.tsv"
+    assert main(["dedup", "--corpus", str(corpus), "--qrels", str(qrels), "--out", str(tmp_path / "dd")]) == 0
+    assert (tmp_path / "dd" / "corpus.tsv").read_bytes() == corpus.read_bytes()
     runs = {}
-    for name, path in (("plain", workspace / "data" / "qrels.txt"), ("ghost", qrels)):
+    for name, path in (("plain", workspace / "data" / "qrels.txt"), ("ghost", qrels), ("dedup", tmp_path / "dd" / "qrels.txt")):
         cfg = base_config(
             workspace, qrels=str(path),
             run_out=str(tmp_path / f"{name}.trec"), telemetry_out=str(tmp_path / f"{name}.jsonl"),
@@ -419,10 +423,11 @@ def test_absent_judgments_are_counted_not_ranked(workspace, tmp_path, caplog):
             assert main(["run", "--config", write_config(tmp_path / f"{name}.json", cfg)]) == 0
         runs[name] = (tmp_path / f"{name}.trec").read_bytes()
         setup = json.loads((tmp_path / f"{name}.jsonl").read_text().splitlines()[1])
-        assert setup["qrels_absent"] == (2 if name == "ghost" else 0)
-    assert runs["plain"] == runs["ghost"]
+        assert setup["qrels_absent"] == (0 if name == "plain" else 2)
+    assert runs["plain"] == runs["ghost"] == runs["dedup"]
     warnings = [r.getMessage() for r in caplog.records if r.name == "slidegar.cli"]
-    assert len(warnings) == 1 and f"2 judgments name docnos absent from the corpus, first ({qid}, ghost-1)" in warnings[0]
+    assert len(warnings) == 2 and all(
+        f"2 judgments name docnos absent from the corpus, first ({qid}, ghost-1)" in warning for warning in warnings)
 
 
 def test_eval_ideal_run_scores_one(workspace, tmp_path, capsys):
@@ -500,7 +505,6 @@ CONFIG_TYPE_CASES = [
     (13, {"fb_docs": 2.5}, "rm3 fb_docs must be an integer >= 1, got 2.5"),
     (14, {"orig_weight": "0.5"}, "rm3 orig_weight must be a number in [0, 1], got '0.5'"),
     (15, {"orig_weight": None}, "rm3 orig_weight must be a number in [0, 1], got None"),
-    (17, {"dedup": "no"}, "config 'dedup' must be true or false, got 'no'"),
     (18, {"corpus": 5}, "config 'corpus' must be a non-empty string, got 5"),
     (19, {"endpoint": 5}, "config 'endpoint' must be a non-empty string, got 5"),
     (22, {"telemetry_out": ""}, "config 'telemetry_out' must be a non-empty string, got ''"),
@@ -645,23 +649,43 @@ def test_invalid_utf8_in_index_docnos_fails_at_load(workspace, tmp_path, capsys)
 
 
 def test_build_index_with_dedup_writes_report(tmp_path, capsys):
+    # dedup writes the report; build-index on its corpus writes only the index
     corpus = tmp_path / "c.tsv"
     corpus.write_text("b\tsame text\na\tsame text\nc\tother\n", encoding="utf-8")
-    assert main(["build-index", "--corpus", str(corpus), "--out", str(tmp_path / "idx"), "--dedup"]) == 0
-    report = [json.loads(line) for line in (tmp_path / "idx" / "dedup_report.jsonl").read_text().splitlines()]
+    assert main(["dedup", "--corpus", str(corpus), "--out", str(tmp_path / "dd")]) == 0
+    report = [json.loads(line) for line in (tmp_path / "dd" / "dedup_report.jsonl").read_text().splitlines()]
     assert report == [{"dropped": "b", "kept": "a"}]
+    assert sorted(path.name for path in (tmp_path / "dd").iterdir()) == ["corpus.tsv", "dedup_report.jsonl"]
+    assert main(["build-index", "--corpus", str(tmp_path / "dd" / "corpus.tsv"), "--out", str(tmp_path / "idx")]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [f"wrote {tmp_path / 'dd'}: 1 dropped", f"wrote {tmp_path / 'idx'}: 2 docs, 3 terms"]
+    assert json.loads((tmp_path / "idx" / "meta.json").read_text()) == {"avgdl": 1.5, "doc_count": 2, "version": 4}
+    assert not (tmp_path / "idx" / "dedup_report.jsonl").exists()
 
 
-def test_build_index_without_dedup_removes_an_earlier_report(tmp_path, capsys):
-    corpus = tmp_path / "c.tsv"
-    corpus.write_text("b\tsame text\na\tsame text\nc\tother\n", encoding="utf-8")
-    out = tmp_path / "idx"
-    assert main(["build-index", "--corpus", str(corpus), "--out", str(out), "--dedup"]) == 0
-    assert (out / "dedup_report.jsonl").exists()
-    assert main(["build-index", "--corpus", str(corpus), "--out", str(out)]) == 0
-    meta = json.loads((out / "meta.json").read_text())
-    assert (meta["dedup"], meta["doc_count"]) == (False, 3)
-    assert not (out / "dedup_report.jsonl").exists()
+def test_dedup_flags_and_config_key_are_gone(workspace, tmp_path, capsys):
+    corpus = str(workspace / "data" / "corpus.tsv")
+    for argv in (["build-index", "--corpus", corpus, "--out", str(tmp_path / "idx")],
+                 ["build-graph", "--corpus", corpus, "--source", "lexical", "--out", str(tmp_path / "g" / "graph.bin")]):
+        assert main([*argv, "--dedup"]) == 1
+        assert "unrecognized arguments: --dedup" in capsys.readouterr().err
+    assert not (tmp_path / "idx").exists() and not (tmp_path / "g").exists()
+    cfg_path = write_config(tmp_path / "cfg.json", base_config(workspace, dedup=False, run_out=str(tmp_path / "r.trec")))
+    assert main(["run", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err == f"error: {cfg_path}: unknown config keys: dedup\n"
+
+
+def test_dedup_fails_before_it_writes(tmp_path, capsys):
+    # an --out whose corpus.tsv is the input would truncate it before the second read
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("b\tsame text\na\tsame text\n", encoding="utf-8")
+    assert main(["dedup", "--corpus", str(corpus), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: --out {tmp_path} would overwrite --corpus {corpus}\n"
+    assert corpus.read_text(encoding="utf-8") == "b\tsame text\na\tsame text\n"
+    # the qrels are read before anything is written
+    (tmp_path / "q.txt").write_text("q1 0 b 2\nq1 0 a\n", encoding="utf-8")
+    assert main(["dedup", "--corpus", str(corpus), "--qrels", str(tmp_path / "q.txt"), "--out", str(tmp_path / "dd")]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'q.txt'}:2: expected 'qid 0 docno grade'\n"
+    assert not (tmp_path / "dd").exists()
 
 
 CORPORA = {
@@ -678,15 +702,15 @@ CORPORA = {
 def test_build_index_writes_what_save_index_writes_of_the_ingested_texts(tmp_path, capsys, name, dedup):
     corpus = tmp_path / "corpus"
     corpus.write_bytes(CORPORA[name])
-    flags = ["--dedup"] if dedup else []
+    if dedup:  # the deduplicated corpus: every other command reads it as any corpus
+        assert main(["dedup", "--corpus", str(corpus), "--out", str(tmp_path / "dd")]) == 0
+        corpus = tmp_path / "dd" / "corpus.tsv"
+        assert corpus.read_text(encoding="utf-8") == "a1\tcat\u2028 dog\nb1\tbird\nc3\tCat dog\n"
     for size in (corpus_store.BLOCK_BYTES, 3):
         with block_bytes(size):
-            assert main(["build-index", "--corpus", str(corpus), "--out", str(tmp_path / f"cli{size}"), *flags]) == 0
-    store = ingest_corpus(corpus, dedup=dedup)
-    save_index(build_index(store.texts), tmp_path / "api", docnos_bytes(store.docnos), dedup=dedup)
-    if dedup:
-        corpus_store.write_dedup_report(tmp_path / "api" / "dedup_report.jsonl", dropped_twins(store))
-        assert dropped_twins(store)
+            assert main(["build-index", "--corpus", str(corpus), "--out", str(tmp_path / f"cli{size}")]) == 0
+    store = ingest_corpus(corpus)
+    save_index(build_index(store.texts), tmp_path / "api", docnos_bytes(store.docnos))
     api = sorted(path.name for path in (tmp_path / "api").iterdir())
     for size in (corpus_store.BLOCK_BYTES, 3):
         built = tmp_path / f"cli{size}"
@@ -727,13 +751,22 @@ def test_builds_end_their_output_with_a_build_record(workspace, tmp_path, capsys
 
 def test_dense_dedup_skips_vectors_of_dropped_twins(tmp_path, capsys):
     corpus = tmp_path / "c.tsv"
-    corpus.write_text("a\tcat dog\nb\tcat dog\nc\tdog bird\nd\tbird fish\n", encoding="utf-8")
-    vectors = {"a": [1, 0], "b": [1, 0], "c": [1, 1], "d": [0, 1]}
+    corpus.write_text("b\tcat dog\na\tcat  dog\nc\tdog bird\nd\tbird fish\n", encoding="utf-8")
+    vectors = {"b": [5, 5], "c": [1, 1], "d": [0, 1], "a": [1, 0]}
     write_embeddings(tmp_path / "e.bin", 2, vectors.items())
+    assert main(["dedup", "--corpus", str(corpus), "--embeddings", str(tmp_path / "e.bin"), "--out", str(tmp_path / "dd")]) == 0
+    corpus, embeddings = tmp_path / "dd" / "corpus.tsv", tmp_path / "dd" / "embeddings.bin"
+    # the dropped twin's record is left out; the rest are copied as they were
+    write_embeddings(tmp_path / "kept.bin", 2, list(vectors.items())[1:])
+    assert embeddings.read_bytes() == (tmp_path / "kept.bin").read_bytes()
+    store = ingest_corpus(corpus)
+    assert store.docnos == ["a", "c", "d"]
+    assert load_embeddings(embeddings, store).tolist() == [[1, 0], [1, 1], [0, 1]]  # the kept twin's own vector
     graph = tmp_path / "graph.bin"
+    capsys.readouterr()
     assert main([
-        "build-graph", "--corpus", str(corpus), "--source", "dense", "--embeddings", str(tmp_path / "e.bin"),
-        "--k", "1", "--out", str(graph), "--dedup",
+        "build-graph", "--corpus", str(corpus), "--source", "dense", "--embeddings", str(embeddings),
+        "--k", "1", "--out", str(graph),
     ]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == f"wrote {graph}: 3 nodes, k=1, source=dense"
@@ -742,13 +775,16 @@ def test_dense_dedup_skips_vectors_of_dropped_twins(tmp_path, capsys):
     (tmp_path / "q.tsv").write_text("q1\tbird\n", encoding="utf-8")
     run_out = tmp_path / "run.trec"
     cfg = {
-        "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "dedup": True, "retriever": "dense",
-        "embeddings": str(tmp_path / "e.bin"), "query_embeddings": str(tmp_path / "q.bin"),
+        "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "retriever": "dense",
+        "embeddings": str(embeddings), "query_embeddings": str(tmp_path / "q.bin"),
         "graph": str(graph), "ranker": "identity", "w": 2, "b": 1, "c": 3, "truncate_k": 1,
         "run_out": str(run_out),
     }
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
     assert sorted(read_run(run_out)["q1"]) == ["a", "c", "d"]  # the dropped twin "b" is never ranked
+    # the file with the dropped twin's record does not load against the deduplicated corpus
+    with pytest.raises(ValueError, match="record 1: docno 'b' not in store"):
+        load_embeddings(tmp_path / "e.bin", store)
 
 
 def test_outputs_go_into_missing_directories(workspace, tmp_path):
@@ -772,15 +808,16 @@ def test_remote_ranker_requires_endpoint(workspace, tmp_path, capsys):
 
 
 def test_foreign_graph_fails_at_load(tmp_path, capsys):
-    # built with --dedup, the graph lacks the dropped twin "b" that a plain run keeps
+    # built from the deduplicated corpus, the graph lacks the dropped twin "b" that a plain run keeps
     corpus = tmp_path / "c.tsv"
     corpus.write_text("a\tcat dog\nb\tcat dog\nc\tdog bird\nd\tbird fish\n", encoding="utf-8")
     (tmp_path / "q.tsv").write_text("q1\tcat\n", encoding="utf-8")
     graph = tmp_path / "g" / "graph.bin"
     graph.parent.mkdir()
+    assert main(["dedup", "--corpus", str(corpus), "--out", str(tmp_path / "dd")]) == 0
     assert main([
-        "build-graph", "--corpus", str(corpus), "--source", "lexical", "--k", "1",
-        "--out", str(graph), "--dedup",
+        "build-graph", "--corpus", str(tmp_path / "dd" / "corpus.tsv"), "--source", "lexical", "--k", "1",
+        "--out", str(graph),
     ]) == 0
     assert main(["build-index", "--corpus", str(corpus), "--out", str(tmp_path / "idx")]) == 0  # a plain one
     capsys.readouterr()
@@ -844,9 +881,12 @@ CORPUS_WITH_TWIN = "a\tcat dog\nb\tcat dog\nc\tdog bird\n"
 ], ids=["one_doc_longer", "one_doc_shorter", "dedup_index_plain_run"])
 def test_index_of_another_size_fails_at_load_naming_its_line(tmp_path, capsys, built, dedup, line):
     # docnos.txt is the only rule that ties an index to the store, whatever the doc counts
-    (tmp_path / "built.tsv").write_text(built, encoding="utf-8")
-    flags = ["--dedup"] if dedup else []
-    assert main(["build-index", "--corpus", str(tmp_path / "built.tsv"), "--out", str(tmp_path / "idx"), *flags]) == 0
+    built_corpus = tmp_path / "built.tsv"
+    built_corpus.write_text(built, encoding="utf-8")
+    if dedup:
+        assert main(["dedup", "--corpus", str(built_corpus), "--out", str(tmp_path / "dd")]) == 0
+        built_corpus = tmp_path / "dd" / "corpus.tsv"
+    assert main(["build-index", "--corpus", str(built_corpus), "--out", str(tmp_path / "idx")]) == 0
     (tmp_path / "c.tsv").write_text(CORPUS_WITH_TWIN, encoding="utf-8")
     (tmp_path / "q.tsv").write_text("q1\tcat\n", encoding="utf-8")
     capsys.readouterr()
@@ -858,7 +898,7 @@ def test_index_of_another_size_fails_at_load_naming_its_line(tmp_path, capsys, b
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
     assert capsys.readouterr().err == (
         f"error: {tmp_path / 'idx' / 'docnos.txt'}:{line}: docnos do not match the corpus in doc-id order; "
-        "rebuild the index from the same corpus with the same dedup setting\n"
+        "rebuild the index from the same corpus\n"
     )
     assert not run_out.exists()
 

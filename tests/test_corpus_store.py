@@ -13,13 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import refcorpus
-from conftest import BLOCK_SIZES, block_bytes, dropped_twins
+from conftest import BLOCK_SIZES, block_bytes
 from slidegar import corpus_store
 from slidegar.cli import main
 from slidegar.corpus_store import (
     CorpusStore,
     Documents,
     Query,
+    dedup_corpus,
     ingest_corpus,
     load_qrels,
     load_queries,
@@ -27,7 +28,9 @@ from slidegar.corpus_store import (
     normalize_text,
     write_dedup_report,
 )
+from slidegar.dense_index import write_embeddings
 from slidegar.eval import read_run
+from slidegar.lexical_index import tokenize
 
 
 def write_tsv(path, rows):
@@ -35,27 +38,36 @@ def write_tsv(path, rows):
     return path
 
 
+def deduped(path):
+    """The store of what ``dedup_corpus`` writes for the corpus at ``path``, and
+    its dropped docno -> kept docno."""
+    out = path.with_name(path.name + ".dedup")
+    dropped = dedup_corpus(path, out)
+    return ingest_corpus(out), dropped
+
+
 def test_dedup_on_drops_identical_text(tmp_path):
     path = write_tsv(tmp_path / "c.tsv", [("d2", "same text"), ("d1", "same text"), ("d3", "other")])
-    store = ingest_corpus(path, dedup=True)
+    store, dropped = deduped(path)
     assert store.docnos == ["d1", "d3"]
-    assert store.id_of == {"d1": 0, "d2": 0, "d3": 1}
-    assert dropped_twins(store) == {"d2": "d1"}
+    assert store.id_of == {"d1": 0, "d3": 1}
+    assert dropped == {"d2": "d1"}
 
 
 def test_dedup_off_keeps_everything(tmp_path):
+    # without the dedup step, twins are documents of their own
     path = write_tsv(tmp_path / "c.tsv", [("d2", "same text"), ("d1", "same text"), ("d3", "other")])
-    store = ingest_corpus(path, dedup=False)
-    assert len(store) == 3
-    assert dropped_twins(store) == {}
+    store = ingest_corpus(path)
+    assert store.id_of == {"d2": 0, "d1": 1, "d3": 2}
 
 
 def test_normalization_collapses_whitespace_but_not_case(tmp_path):
-    rows = [("a", "cat  dog"), ("b", " cat dog "), ("c", "Cat dog")]
-    store = ingest_corpus(write_tsv(tmp_path / "c.tsv", rows), dedup=True)
-    # a and b normalize identically; c differs only by case and is kept
-    assert store.docnos == ["a", "c"]
-    assert dropped_twins(store) == {"b": "a"}
+    rows = [("b", "cat  dog"), ("a", " cat dog "), ("c", "Cat dog")]
+    store, dropped = deduped(write_tsv(tmp_path / "c.tsv", rows))
+    # a and b normalize identically; c differs only by case and is kept. The
+    # kept docno takes the group's first position and that record's text
+    assert (store.docnos, store.texts) == (["a", "c"], ["cat  dog", "Cat dog"])
+    assert dropped == {"b": "a"}
     assert normalize_text("  x \t y\n") == "x y"
 
 
@@ -65,9 +77,9 @@ def test_dedup_tiebreak_is_order_independent(tmp_path):
         rng = random.Random(perm_seed)
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        store = ingest_corpus(write_tsv(tmp_path / f"c{perm_seed}.tsv", shuffled), dedup=True)
+        store, dropped = deduped(write_tsv(tmp_path / f"c{perm_seed}.tsv", shuffled))
         assert store.docnos == ["a1"]
-        assert set(dropped_twins(store)) == {"m5", "z9"}
+        assert dropped == {"m5": "a1", "z9": "a1"}
 
 
 def test_planted_duplicates_counted_by_independent_hash(tmp_path):
@@ -88,24 +100,35 @@ def test_planted_duplicates_counted_by_independent_hash(tmp_path):
         hashes.add(hashlib.sha256(normalize_text(text).encode()).hexdigest())
     assert len(hashes) == 9900
 
-    store = ingest_corpus(path, dedup=True)
+    store, dropped = deduped(path)
     assert len(store) == 9900
-    assert len(dropped_twins(store)) == 100
-    assert len(store.id_of) == len(rows)
+    assert len(dropped) == 100
+    assert set(store.docnos) | set(dropped) == {docno for docno, _ in rows}
 
 
-def test_dedup_is_idempotent(tmp_path):
-    rows = [("b", "one two"), ("a", "one  two"), ("c", "three")]
-    store = ingest_corpus(write_tsv(tmp_path / "c.tsv", rows), dedup=True)
-    again = write_tsv(tmp_path / "c2.tsv", zip(store.docnos, store.texts))
-    store2 = ingest_corpus(again, dedup=True)
-    assert store2.docnos == store.docnos
-    assert dropped_twins(store2) == {}
+def test_dedup_is_idempotent(tmp_path, capsys):
+    # on its own output, dedup drops nothing and writes the same bytes
+    rows = [("b", "one two"), ("a", " one  two"), ("c", "three"), ("d", "three\t")]
+    (tmp_path / "in").mkdir()
+    write_tsv(tmp_path / "in" / "corpus.tsv", rows)
+    (tmp_path / "in" / "qrels.txt").write_text("q1 0 b 1\nq1 0 a 2\nq1 0 d 0\nq2 0 ghost 1\n", encoding="utf-8")
+    write_embeddings(tmp_path / "in" / "embeddings.bin", 2, [(docno, [i, 1]) for i, (docno, _) in enumerate(rows)])
+    for source, out in (("in", "dd"), ("dd", "dd2")):
+        assert main([
+            "dedup", "--corpus", str(tmp_path / source / "corpus.tsv"), "--qrels", str(tmp_path / source / "qrels.txt"),
+            "--embeddings", str(tmp_path / source / "embeddings.bin"), "--out", str(tmp_path / out),
+        ]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"wrote {tmp_path / 'dd'}: 2 dropped", f"wrote {tmp_path / 'dd2'}: 0 dropped"]
+    assert (tmp_path / "dd" / "corpus.tsv").read_text(encoding="utf-8") == "a\tone two\nc\tthree\n"
+    assert (tmp_path / "dd" / "qrels.txt").read_text(encoding="utf-8") == "q1 0 a 2\nq1 0 c 0\nq2 0 ghost 1\n"
+    assert (tmp_path / "dd2" / "dedup_report.jsonl").read_bytes() == b""
+    for name in ("corpus.tsv", "qrels.txt", "embeddings.bin"):
+        assert (tmp_path / "dd2" / name).read_bytes() == (tmp_path / "dd" / name).read_bytes(), name
 
 
 def test_docno_roundtrip(tmp_path):
     rows = [("b", "one"), ("a", "two"), ("c", "three")]
-    store = ingest_corpus(write_tsv(tmp_path / "c.tsv", rows), dedup=False)
+    store = ingest_corpus(write_tsv(tmp_path / "c.tsv", rows))
     for docno in ("a", "b", "c"):
         assert store.docnos[store.id_of[docno]] == docno
 
@@ -147,22 +170,22 @@ def test_duplicate_docno_fatal(tmp_path, capsys):
     path.write_text("d1\tone\n\nd2\ttwo\nd3\tthree\nd2\tfour\nd1\tfive\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r":5: duplicate docno 'd2' \(first at line 3\)$"):
         ingest_corpus(path)
-    # with dedup too, and in build-index, which builds no store: the raw file is
-    # checked before merging, so dedup hides neither a repeat of a twin nor a
-    # docno that would be both kept and dropped
+    # in build-index, which builds no store, and in dedup, before it writes a
+    # corpus: dedup hides neither a repeat of a twin nor a docno that would be
+    # both kept and dropped
     for data, message in [
         (b"a\tx\nd\tx\nd\tx\n", ":3: duplicate docno 'd' (first at line 2)"),
         (b"d1\tx\nd0\ty\nd1\ty\n", ":3: duplicate docno 'd1' (first at line 1)"),
     ]:
         path.write_bytes(data)
-        for size, dedup in itertools.product(BLOCK_SIZES, (False, True)):
+        for size, command in itertools.product(BLOCK_SIZES, ("build-index", "dedup")):
             with block_bytes(size), pytest.raises(ValueError) as raised:
-                ingest_corpus(path, dedup=dedup)
-            assert str(raised.value) == f"{path}{message}", (size, dedup)
-            flags = ["--dedup"] if dedup else []
+                ingest_corpus(path)
+            assert str(raised.value) == f"{path}{message}", size
             with block_bytes(size):
-                assert main(["build-index", "--corpus", str(path), "--out", str(tmp_path / "idx"), *flags]) == 2
-            assert capsys.readouterr().err == f"error: {path}{message}\n", (size, dedup)
+                assert main([command, "--corpus", str(path), "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == f"error: {path}{message}\n", (size, command)
+            assert not (tmp_path / "out" / "corpus.tsv").exists()
 
 
 def test_docnos_whose_hashes_collide_are_read_again_not_rejected(tmp_path, monkeypatch):
@@ -261,7 +284,7 @@ _tsv_lines = st.builds(
     st.integers(0, 5), st.sampled_from(_DOCNOS), st.sampled_from([b"cat", b"dog", b""]), _texts,
 )
 # well-formed records under a few docnos, so that stores of
-# several documents and dedup groups get built too
+# several documents and twin groups get built too
 _clean_lines = st.builds(
     lambda docno, word, text: docno + b"\t" + word + text,
     st.sampled_from(_DOCNOS[:7]), st.sampled_from([b"cat", b"dog"]), _texts.filter(lambda t: b"\xe2" not in t),
@@ -276,32 +299,30 @@ def corpus_bytes(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(corpus_bytes(), st.booleans())
+@given(corpus_bytes())
 # an earlier line's error comes first, whichever check finds it, and a
 # sequence cut short by the line end is reported as such
-@example(b"d1\ta\n\tb\nd2\t\xff\n", False)
-@example(b"d1\ta\nd 2\tb\nd3\tc\xe2\x82\r\n", False)
-# a repeat that dedup would merge into a twin, and one it would keep once and drop once
-@example(b"a\tx\nd\tx\nd\tx\n", True)
-@example(b"d1\tx\nd0\ty\nd1\ty\n", True)
-def test_reader_matches_per_line_reference(tmp_path_factory, data, dedup):
+@example(b"d1\ta\n\tb\nd2\t\xff\n")
+@example(b"d1\ta\nd 2\tb\nd3\tc\xe2\x82\r\n")
+# a repeat of a twin, and a repeat of a docno under another text
+@example(b"a\tx\nd\tx\nd\tx\n")
+@example(b"d1\tx\nd0\ty\nd1\ty\n")
+def test_reader_matches_per_line_reference(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("corpus") / "c.tsv"
     path.write_bytes(data)
     try:
-        docnos, texts, alias, _ = refcorpus.ingest(path, dedup=dedup)
+        docnos, texts, _, _ = refcorpus.ingest(path)
     except ValueError as exc:
         for size in BLOCK_SIZES:
             with block_bytes(size), pytest.raises(ValueError) as got:
-                ingest_corpus(path, dedup=dedup)
+                ingest_corpus(path)
             assert str(got.value) == str(exc), size
         return
-    # the one map: each docno to its id, a dropped one to its kept twin's
-    id_of = {docno: doc_id for doc_id, docno in enumerate(docnos)}
-    id_of.update((docno, id_of[kept]) for docno, kept in alias.items())
     for size in BLOCK_SIZES:
         with block_bytes(size):
-            store = ingest_corpus(path, dedup=dedup)
-        assert (store.docnos, store.texts, store.id_of) == (docnos, texts, id_of), size
+            store = ingest_corpus(path)
+        assert (store.docnos, store.texts) == (docnos, texts), size
+        assert store.id_of == {docno: doc_id for doc_id, docno in enumerate(docnos)}, size
 
 
 # distinct docnos of several byte lengths, and texts that are twins in whitespace only
@@ -322,41 +343,47 @@ def twin_corpora(draw):
 @example(b"z9\tcat dog\nb2\tbird\na1\tcat  dog\n", True)
 # replaced twice, by docnos of other byte lengths, with docnos after it
 @example("z9\tcat dog\n\xe91\tbird\nm55\tcat dog\nb\tbird\na1\t cat dog\nq\teel\n".encode(), True)
+# a repeat that dedup would merge into a twin, and one it would keep once and drop once
+@example(b"a\tx\nd\tx\nd\tx\n", True)
+@example(b"d1\tx\nd0\ty\nd1\ty\n", True)
 def test_build_index_writes_the_reference_docnos_and_report(tmp_path_factory, data, dedup):
+    # with dedup, `slidegar dedup` and then `build-index` on its corpus: the
+    # docnos, report and per-document tokens of the removed in-build dedup
     path = tmp_path_factory.mktemp("corpus") / "c.tsv"
     path.write_bytes(data)
-    flags = ["--dedup"] if dedup else []
     try:
-        docnos, _, _, report = refcorpus.ingest(path, dedup=dedup)
+        docnos, texts, _, report = refcorpus.ingest(path, dedup=dedup)
     except ValueError as exc:
         docnos, error = None, f"error: {exc}\n"
     for size in BLOCK_SIZES:
         out = path.parent / str(size)
+        corpus = out / "dd" / "corpus.tsv" if dedup else path
         with block_bytes(size), contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()) as stderr:
-            code = main(["build-index", "--corpus", str(path), "--out", str(out), *flags])
+            code = main(["dedup", "--corpus", str(path), "--out", str(out / "dd")]) if dedup else 0
+            if code == 0:
+                code = main(["build-index", "--corpus", str(corpus), "--out", str(out / "index")])
         if docnos is None:
             assert (code, stderr.getvalue()) == (2, error), size
+            assert not (out / "dd" / "corpus.tsv").exists()
             continue
         assert code == 0, (size, stderr.getvalue())
-        assert (out / "docnos.txt").read_text(encoding="utf-8") == "".join(d + "\n" for d in docnos), size
+        assert (out / "index" / "docnos.txt").read_text(encoding="utf-8") == "".join(d + "\n" for d in docnos), size
+        assert [tokenize(text) for text in ingest_corpus(corpus).texts] == list(map(tokenize, texts)), size
+        assert not (out / "index" / "dedup_report.jsonl").exists()
         if dedup:
             lines = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in report)
-            assert (out / "dedup_report.jsonl").read_text(encoding="utf-8") == lines, size
-        else:
-            assert not (out / "dedup_report.jsonl").exists()
+            assert (out / "dd" / "dedup_report.jsonl").read_text(encoding="utf-8") == lines, size
 
 
 def test_documents_are_read_once(tmp_path):
-    # a second pass would append every docno and text again
+    # a second pass would append every docno again
     path = write_tsv(tmp_path / "c.tsv", [("a", "cat"), ("b", "dog"), ("c", "bird")])
-    texts: list[str] = []
-    documents = Documents(path, texts=texts)
+    documents = Documents(path)
     assert list(documents) == ["cat", "dog", "bird"]
-    for again in (list, lambda documents: list(documents.blocks())):
-        with pytest.raises(RuntimeError, match=f"^{re.escape(str(path))}: Documents are read once"):
-            again(documents)
-    assert documents.docnos == b"a\nb\nc\n" and texts == ["cat", "dog", "bird"]
+    with pytest.raises(RuntimeError, match=f"^{re.escape(str(path))}: Documents are read once"):
+        list(documents)
+    assert documents.docnos == b"a\nb\nc\n"
 
 
 def test_dedup_report_jsonl_format(tmp_path):
@@ -369,24 +396,30 @@ def test_dedup_report_jsonl_format(tmp_path):
 # --- qrels ---
 
 
+QREL_ROWS = [("kk", "twin text"), ("dd", "twin text"), ("zz", "unrelated")]
+
+
 def qrel_store(tmp_path):
-    rows = [("kk", "twin text"), ("dd", "twin text"), ("zz", "unrelated")]
-    return ingest_corpus(write_tsv(tmp_path / "c.tsv", rows), dedup=True)
+    return ingest_corpus(write_tsv(tmp_path / "c.tsv", QREL_ROWS))
+
+
+def dedup_qrels(tmp_path, text):
+    """The qrels ``slidegar dedup`` writes for ``text`` over ``QREL_ROWS``,
+    where min("dd", "kk") = "dd" is kept and "kk" dropped."""
+    (tmp_path / "q.txt").write_text(text, encoding="utf-8")
+    argv = ["dedup", "--corpus", str(write_tsv(tmp_path / "c.tsv", QREL_ROWS)), "--qrels", str(tmp_path / "q.txt")]
+    assert main([*argv, "--out", str(tmp_path / "dd")]) == 0
+    return (tmp_path / "dd" / "qrels.txt").read_text(encoding="utf-8")
 
 
 def test_qrel_on_dropped_docno_remaps_to_kept(tmp_path):
-    store = qrel_store(tmp_path)  # min("dd", "kk") = "dd" is kept, "kk" dropped
-    grades, absent = map_qrels({"q1": {"kk": 2}}, store)
-    assert absent == []
-    assert grades == {"q1": {store.id_of["dd"]: 2}}
+    assert dedup_qrels(tmp_path, "q1 0 kk 2\nq1 0 zz 1\n") == "q1 0 dd 2\nq1 0 zz 1\n"
 
 
 def test_qrel_max_grade_wins_for_twins(tmp_path):
-    store = qrel_store(tmp_path)
-    grades, _ = map_qrels({"q1": {"kk": 1, "dd": 3}}, store)
-    assert grades == {"q1": {store.id_of["dd"]: 3}}
-    grades, _ = map_qrels({"q1": {"kk": 3, "dd": 1}}, store)
-    assert grades == {"q1": {store.id_of["dd"]: 3}}
+    # whichever twin is judged first and whichever is kept
+    assert dedup_qrels(tmp_path, "q1 0 kk 1\nq1 0 dd 3\nq2 0 kk 2\n") == "q1 0 dd 3\nq2 0 dd 2\n"
+    assert dedup_qrels(tmp_path, "q1 0 kk 3\nq1 0 dd 1\nq2 0 dd 0\nq2 0 kk 0\n") == "q1 0 dd 3\nq2 0 dd 0\n"
 
 
 def test_qrel_absent_docno_reported(tmp_path):
@@ -394,7 +427,10 @@ def test_qrel_absent_docno_reported(tmp_path):
     qrels = {"q1": {"dd": 1, "zz": 2, "kk": 1, "ghost": 3}, "q2": {"dd": 0}, "q3": {"nope": 1}}
     grades, absent = map_qrels(qrels, store)
     assert absent == [("q1", "ghost"), ("q3", "nope")]
-    assert grades == {"q1": {store.id_of["dd"]: 1, store.id_of["zz"]: 2}, "q2": {store.id_of["dd"]: 0}}
+    ids = store.id_of
+    assert grades == {"q1": {ids["dd"]: 1, ids["zz"]: 2, ids["kk"]: 1}, "q2": {ids["dd"]: 0}}
+    # dedup passes a judgment on an absent docno through as written
+    assert dedup_qrels(tmp_path, "q1 0 ghost 3\nq1 0 kk 1\nq3 0 nope 1\n") == "q1 0 ghost 3\nq1 0 dd 1\nq3 0 nope 1\n"
 
 
 def test_qrel_negative_grade_fatal(tmp_path):
@@ -425,8 +461,8 @@ def test_map_qrels_keys_on_store_ids(tmp_path):
     qrels = tmp_path / "q.txt"
     qrels.write_text("q1 0 zz 2\nq2 0 kk 1\n", encoding="utf-8")
     grades, _ = map_qrels(load_qrels(qrels), store)
-    assert grades == {"q1": {1: 2}, "q2": {0: 1}}
-    assert [store.docnos[i] for per_query in grades.values() for i in per_query] == ["zz", "dd"]
+    assert grades == {"q1": {2: 2}, "q2": {0: 1}}
+    assert [store.docnos[i] for per_query in grades.values() for i in per_query] == ["zz", "kk"]
     # the file's docno strings are not kept: every key is the store map's own id
     for per_query in grades.values():
         for doc_id in per_query:
@@ -452,7 +488,7 @@ def test_qrels_invalid_utf8_and_lone_cr(tmp_path):
             assert load_qrels(qrels) == {"q1": {"d1": 2}}
 
 
-# Qrels lines from pieces: judged, dedup-dropped and absent docnos, grades
+# Qrels lines from pieces: judged and absent docnos, grades
 # that are zero, negative or not integers, separators str.split sees, and
 # invalid or truncated UTF-8. No piece holds a lone \r: the reference reads
 # in text mode, where a lone \r ends a line (test_qrels_invalid_utf8_and_lone_cr).
@@ -494,7 +530,7 @@ def qrels_bytes(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(qrels_bytes())
-# both twins judged: the larger grade wins, whichever line comes first
+# both twins judged: each is a document of its own and keeps its grade
 @example(b"q1 0 kk 1\nq1 0 dd 3\nq2 0 dd 2\r\nq2 0 kk 0\n")
 # a bad line before invalid UTF-8 is reported first
 @example(b"q1 0 dd\n\nq1 0 d\xff 1\n")
@@ -502,7 +538,7 @@ def qrels_bytes(draw):
 @example(b"q1 0 dd 1\nq1 0 ghost 2\nq2 0 nope 0\nq1 0 nope 1\nq1 0 kk 1\n")
 def test_qrels_match_per_entry_reference(tmp_path_factory, data):
     tmp = tmp_path_factory.mktemp("qrels")
-    store = ingest_corpus(write_tsv(tmp / "c.tsv", _QRELS_CORPUS), dedup=True)
+    store = ingest_corpus(write_tsv(tmp / "c.tsv", _QRELS_CORPUS))
     path = tmp / "q.txt"
     path.write_bytes(data)
     try:

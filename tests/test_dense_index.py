@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from conftest import make_store
 from slidegar import dense_index
 from slidegar.cli import main
-from slidegar.corpus_store import Query, ingest_corpus
+from slidegar.corpus_store import Query
 from slidegar.dense_index import (
+    copy_embeddings,
     dense_retrieve,
     load_embeddings,
     load_query_embeddings,
@@ -38,14 +39,15 @@ def test_load_three_docs(tmp_path):
 
 
 def test_records_of_dedup_dropped_twins_are_skipped(tmp_path):
-    corpus = tmp_path / "c.tsv"
-    corpus.write_text("a\tcat dog\nb\tcat dog\nc\tdog bird\n", encoding="utf-8")
-    store = ingest_corpus(corpus, dedup=True)
-    assert store.id_of == {"a": 0, "b": 0, "c": 1}
-    # the kept twin's row comes from its own record, not the dropped twin's
-    rows = [("a", [1, 0]), ("c", [0, 1]), ("b", [5, 5])]
-    matrix = load_embeddings(write_table(tmp_path / "e.bin", 2, rows), store)
-    assert matrix.tolist() == [[1, 0], [0, 1]]
+    # copy_embeddings, as dedup writes them: the dropped twin's record is left out
+    rows = [("a", [1, 0]), ("b", [5, 5]), ("c", [0, 1])]
+    assert copy_embeddings(write_table(tmp_path / "e.bin", 2, rows), tmp_path / "out.bin", {"b", "ghost"}) == 2
+    assert (tmp_path / "out.bin").read_bytes() == write_table(tmp_path / "kept.bin", 2, [rows[0], rows[2]]).read_bytes()
+    # the kept twin's row comes from its own record, and a store never maps a dropped twin
+    store = make_store({"a": "cat dog", "c": "dog bird"})
+    assert load_embeddings(tmp_path / "out.bin", store).tolist() == [[1, 0], [0, 1]]
+    with pytest.raises(ValueError, match="record 2: docno 'b' not in store"):
+        load_embeddings(tmp_path / "e.bin", store)
 
 
 def test_nan_vector_fatal(tmp_path):

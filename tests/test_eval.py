@@ -127,16 +127,50 @@ def test_evaluate_run_report():
     report = evaluate_run(run, qrels, ["ndcg@10", "recall@10"])
     assert report.per_query["ndcg@10"]["q1"] == 1.0
     assert report.per_query["recall@10"]["q2"] == 0.5
-    assert "q3" not in report.per_query["recall@10"]
-    assert report.excluded["recall@10"] == ["q3"]
+    # q3 has no judgment at the threshold: no metric scores it
+    assert all("q3" not in values for values in report.per_query.values())
+    assert report.excluded == ["q3"]
     assert report.means["recall@10"] == pytest.approx((1.0 + 0.5) / 2)
-    # q3 still contributes to the ndcg mean (idcg 0 -> ndcg 0); q2's ideal
-    # includes the unretrieved judged doc z
+    # q2's ideal includes the unretrieved judged doc z
     ndcg_q2 = 1.0 / (1.0 + 1.0 / math.log2(3))
-    assert report.means["ndcg@10"] == pytest.approx((1.0 + ndcg_q2 + 0.0) / 3, abs=1e-9)
+    assert report.means["ndcg@10"] == pytest.approx((1.0 + ndcg_q2) / 2, abs=1e-9)
     table = report.format_table()
     assert "mean" in table and "q3" in table
-    assert "excluded from recall@10" in table
+    assert table.endswith("\n# excluded (no judgment at the threshold): q3")
+
+
+# One scored set: the qrels' queries with a judgment at or above the threshold.
+# q1 has a grade-1 hit, q2 only a grade-0 judgment, and q3, judged grade 2, is
+# missing from the run.
+SCORED_RUN = {"q1": ["a", "b"], "q2": ["c"]}
+SCORED_QRELS = {"q1": {"a": 1}, "q2": {"c": 0}, "q3": {"d": 2}}
+
+
+def test_a_judged_query_missing_from_the_run_scores_zero():
+    # as under trec_eval -c: every metric scores q3 0 and averages over {q1, q3}
+    report = evaluate_run(SCORED_RUN, SCORED_QRELS, ["ndcg@10", "recall@3"])
+    for metric in ("ndcg@10", "recall@3"):
+        assert report.per_query[metric] == {"q1": 1.0, "q3": 0.0}, metric
+        assert report.means[metric] == 0.5, metric
+
+
+def test_an_unjudged_run_query_is_excluded_once():
+    run = {**SCORED_RUN, "q9": ["a"]}
+    report = evaluate_run(run, SCORED_QRELS, ["ndcg@10", "recall@3"])
+    assert report.excluded == ["q2", "q9"]
+    assert report.means == {"ndcg@10": 0.5, "recall@3": 0.5}
+
+
+def test_a_query_judged_only_below_the_threshold_is_not_scored():
+    # at threshold 2 only q3 counts; at 1, q1 and q3; at 0, q2 too, which scores 0
+    for threshold, scored in ((2, ["q3"]), (1, ["q1", "q3"]), (0, ["q1", "q2", "q3"])):
+        report = evaluate_run(SCORED_RUN, SCORED_QRELS, ["ndcg@10", "recall@3"], rel_threshold=threshold)
+        for metric in ("ndcg@10", "recall@3"):
+            assert sorted(report.per_query[metric]) == scored, (threshold, metric)
+        assert report.excluded == sorted(set(SCORED_RUN) - set(scored)), threshold
+    # graded nDCG gains stay: at threshold 2 a grade-1 document still adds gain
+    report = evaluate_run({"q1": ["b", "a"]}, {"q1": {"a": 2, "b": 1}}, ["ndcg@10"], rel_threshold=2)
+    assert report.per_query["ndcg@10"]["q1"] == ndcg_at(["b", "a"], {"a": 2, "b": 1}) < 1.0
 
 
 def test_run_file_roundtrip(tmp_path):

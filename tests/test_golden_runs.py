@@ -1,5 +1,6 @@
 """Golden run files: the exact bytes of one small run per strategy, and of
-the index that ``build-index`` writes for the same corpus.
+the index that ``build-index`` writes for the same corpus, and for that
+corpus with planted twins after ``slidegar dedup``.
 
 The inputs are pure Python end to end (synth uses ``random``, BM25 and the
 lexical graph never touch BLAS), so the digests are stable across hosts and
@@ -39,16 +40,31 @@ INDEX_SHA256 = {
     "docids.bin": "a0aec5b2a5ef25cb65cfa08aa025c411c2987046417854e2aafdb76882d33ebd",
     "doclens.bin": "e7198b350738cef4278288009b69e6308f756c1050741ec62fd5080cbf91d193",
     "docnos.txt": "4d79b882685826ee91a63b0cb893b823160fc15f858563255bbf39f296605e41",
-    "meta.json": "485b2163674e3f7d05e99e241372acbd706a0d2cc9f72ba740bdec0d3dcd6f54",
+    "meta.json": "88dc43fcce75e04d48630078eb680237445c205420e7ebf8a12bb5603a40fe92",
     "terms.txt": "ed2cdbd87de9ad85f9537b8339b35bd4ea019484779a7cfc8ce32faab7ceb73b",
     "tfs.bin": "7c4b84476d00a6932a2512d948efc0bb19f0667ccd6abc84808347f5daee6ab2",
 }
-# the corpus has no twins: --dedup drops none, so only meta.json and the empty report differ
+# the same corpus with planted twins (``plant_twins``), after ``slidegar dedup``:
+# every data file is what the removed ``build-index --dedup`` wrote for it. The
+# merged documents tokenize as before, so only the kept ``a-twin`` moves a byte
 DEDUP_INDEX_SHA256 = {
     **INDEX_SHA256,
-    "dedup_report.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "meta.json": "3e8c6b2859eae8c6cd597c15e4b673600a41ae315d22f6792cf4dc68d67cb08b",
+    "docnos.txt": "40533f8aafae343f642781832a319da86a792d819aa16ea67a42d924d77c3616",
 }
+DEDUP_REPORT = '{"dropped": "d00x0000-ws", "kept": "d00x0000"}\n{"dropped": "d00x0002", "kept": "a-twin"}\n'
+# noisy_oracle over the deduplicated corpus and its qrels, with the lexical graph:
+# the removed path's run over the twin corpus with ``"dedup": true``
+DEDUP_NOISY_SHA256 = "27b180e4b6ff37b6fdee422a258d9bae5631cb3dbe5533a70fb83040c8de69cd"
+
+
+def plant_twins(corpus: Path, out: Path) -> None:
+    """Write ``corpus`` plus two later twins: a whitespace variant of its first
+    document under a docno that sorts after that document's, and its third
+    document under ``a-twin``, which sorts first and is kept in its place."""
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    first, third = lines[0].split("\t", 1), lines[2].split("\t", 1)
+    twins = [f"{first[0]}-ws\t {first[1].replace(' ', '  ')} ", f"a-twin\t{third[1]}"]
+    out.write_text("\n".join(lines + twins) + "\n", encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +75,15 @@ def data(tmp_path_factory):
     assert main([
         "build-graph", "--corpus", str(root / "data" / "corpus.tsv"), "--source", "lexical",
         "--k", "8", "--out", str(root / "graph.bin"),
+    ]) == 0
+    plant_twins(root / "data" / "corpus.tsv", root / "twins.tsv")
+    assert main([
+        "dedup", "--corpus", str(root / "twins.tsv"), "--qrels", str(root / "data" / "qrels.txt"), "--out", str(root / "dd"),
+    ]) == 0
+    assert main(["build-index", "--corpus", str(root / "dd" / "corpus.tsv"), "--out", str(root / "dd_index")]) == 0
+    assert main([
+        "build-graph", "--corpus", str(root / "dd" / "corpus.tsv"), "--source", "lexical",
+        "--k", "8", "--out", str(root / "dd_graph" / "graph.bin"),
     ]) == 0
     return root
 
@@ -97,10 +122,22 @@ def run_digest(data, tmp_path, strategy, ranker="oracle", hash_seed=None, **opti
 
 @pytest.mark.parametrize("dedup", [False, True])
 def test_index_file_digests(data, tmp_path, dedup):
-    args = ["build-index", "--corpus", str(data / "data" / "corpus.tsv"), "--out", str(tmp_path)]
-    assert main(args + ["--dedup"] * dedup) == 0
+    corpus = data / "dd" / "corpus.tsv" if dedup else data / "data" / "corpus.tsv"
+    assert main(["build-index", "--corpus", str(corpus), "--out", str(tmp_path)]) == 0
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
     assert digests == (DEDUP_INDEX_SHA256 if dedup else INDEX_SHA256)
+    if dedup:
+        assert (data / "dd" / "dedup_report.jsonl").read_text(encoding="utf-8") == DEDUP_REPORT
+
+
+def test_dedup_run_file_digest(data, tmp_path):
+    digest = run_digest(
+        data, tmp_path, "slidegar", ranker="noisy_oracle", swap_prob=0.3, seed=1,
+        corpus=str(data / "dd" / "corpus.tsv"), qrels=str(data / "dd" / "qrels.txt"),
+        index_dir=str(data / "dd_index"), graph=str(data / "dd_graph" / "graph.bin"),
+    )
+    assert digest == DEDUP_NOISY_SHA256
+    assert " a-twin " in (tmp_path / "run.trec").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("strategy", sorted(GOLDEN_SHA256))

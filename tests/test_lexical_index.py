@@ -254,7 +254,7 @@ def test_index_save_load_roundtrip(tmp_path):
     docs = {f"d{i:03d}": " ".join(rng.choices(vocab, k=rng.randint(3, 14))) for i in range(30)}
     store = make_store(docs)
     index = build_index(store.texts)
-    save_index(index, tmp_path / "idx", docnos_bytes(store.docnos), dedup=False)
+    save_index(index, tmp_path / "idx", docnos_bytes(store.docnos))
     loaded = load_index(tmp_path / "idx", store)
     assert_same_index(loaded, index)
     assert loaded.avg_doc_length == index.avg_doc_length
@@ -306,7 +306,7 @@ def test_index_load_rejects_store_mismatch(tmp_path):
     index = build_index(store.texts)
     save_index(index, tmp_path / "idx", docnos_bytes(store.docnos))
     bigger = make_store({"a": "cat", "b": "dog", "c": "bird"})
-    with pytest.raises(ValueError, match="dedup"):
+    with pytest.raises(ValueError, match="rebuild the index from the same corpus$"):
         load_index(tmp_path / "idx", bigger)
 
 

@@ -31,8 +31,10 @@ def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):
 
 def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
     text = README.read_text(encoding="utf-8")
-    [block] = re.findall(r"## CLI walkthrough\n.*?```bash\n(.*?)```", text, re.S)
-    lines = block.replace("\\\n", " ").splitlines()
+    # the walkthrough, then the deduplication example over its data
+    blocks = [re.findall(rf"{heading}\n.*?```bash\n(.*?)```", text, re.S)[0]
+              for heading in ("## CLI walkthrough", "### Deduplicating a corpus")]
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
     monkeypatch.chdir(tmp_path)
     commands = []
     while lines:
@@ -48,3 +50,5 @@ def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
     for argv in commands:
         assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
     assert Path("runs/slidegar.trec").exists()
+    assert Path("data/dedup/corpus.tsv").read_bytes() == Path("data/demo/corpus.tsv").read_bytes()  # synth writes no twins
+    assert Path("data/dedup/index/docnos.txt").exists()
