@@ -43,12 +43,12 @@ CONFIG_DEFAULTS: dict = {
     "query_embeddings": None,
     "strategy": "slidegar",  # baseline | slidegar | slidegar_rm3
     "graph": None,
-    "ranker": "oracle",  # oracle | noisy_oracle | identity | remote
+    "ranker": "oracle",  # oracle | remote; the oracle sorts by qrel grade: without qrels it keeps the window order
     "endpoint": None,
     "timeout": 30.0,
     "retries": 3,
-    "swap_prob": 0.1,
-    "seed": 0,
+    "swap_prob": 0.0,  # the oracle then swaps each adjacent pair with this probability
+    "seed": 0,  # seeds those swaps, with the qid and the window's docnos
     **_RERANK_DEFAULTS,
     # no command reads it; perfbench/run.py writes it into every config, so it
     # stays accepted and type-checked until the benchmark stops writing it
@@ -101,7 +101,7 @@ def _validate_config(cfg: dict) -> None:
         raise ValueError(f"unknown retriever {cfg['retriever']!r}")
     if cfg["strategy"] not in ("baseline", "slidegar", "slidegar_rm3"):
         raise ValueError(f"unknown strategy {cfg['strategy']!r}")
-    if cfg["ranker"] not in ("oracle", "noisy_oracle", "identity", "remote"):
+    if cfg["ranker"] not in ("oracle", "remote"):
         raise ValueError(f"unknown ranker {cfg['ranker']!r}")
     if cfg["strategy"] == "slidegar" and not cfg["graph"]:
         raise ValueError("strategy 'slidegar' requires a graph")
@@ -110,8 +110,6 @@ def _validate_config(cfg: dict) -> None:
         raise ValueError(f"{needs} requires an index_dir")
     if cfg["ranker"] == "remote" and not cfg["endpoint"]:
         raise ValueError("ranker 'remote' requires an endpoint")
-    if cfg["ranker"] in ("oracle", "noisy_oracle") and not cfg["qrels"]:
-        raise ValueError(f"ranker {cfg['ranker']!r} requires qrels")
     if cfg["retriever"] == "dense" and not (cfg["embeddings"] and cfg["query_embeddings"]):
         raise ValueError("retriever 'dense' requires embeddings and query_embeddings")
     for key in ("jobs", "seed", "retries", "rel_threshold"):  # RerankConfig checks its own keys
@@ -199,12 +197,7 @@ class _Pipeline:
         return grades
 
     def _make_ranker(self, cfg: dict):
-        kind = cfg["ranker"]
-        if kind == "identity":  # the oracle without grades keeps the window order, whatever the qrels
-            return OracleRanker({})
-        if kind == "oracle":
-            return OracleRanker(self.grades)
-        if kind == "noisy_oracle":
+        if cfg["ranker"] == "oracle":
             return OracleRanker(self.grades, self.store.docnos, swap_prob=cfg["swap_prob"], seed=cfg["seed"])
         auth = os.environ.get(AUTH_ENV_VAR)
         return RemoteRanker(cfg["endpoint"], self.store, timeout=cfg["timeout"], retries=cfg["retries"], auth=auth)
@@ -262,8 +255,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_dedup(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    if os.path.realpath(out / "corpus.tsv") == os.path.realpath(args.corpus):
-        raise ValueError(f"--out {args.out} would overwrite --corpus {args.corpus}")
+    inputs = {"corpus.tsv": ("--corpus", args.corpus), "embeddings.bin": ("--embeddings", args.embeddings)}
+    for name, (flag, path) in inputs.items():  # both stream into --out, which would truncate them before they are read
+        if path and os.path.realpath(out / name) == os.path.realpath(path):
+            raise ValueError(f"--out {args.out} would overwrite {flag} {path}")
     qrels = corpus_store.load_qrels(args.qrels) if args.qrels else {}  # read first: a bad file writes nothing
     out.mkdir(parents=True, exist_ok=True)
     dropped = corpus_store.dedup_corpus(args.corpus, out / "corpus.tsv")
@@ -276,8 +271,12 @@ def cmd_dedup(args: argparse.Namespace) -> int:
                     docno = dropped.get(docno, docno)
                     merged[docno] = max(grade, merged.get(docno, 0))
                 f.writelines(f"{qid} 0 {docno} {grade}\n" for docno, grade in merged.items())
+    else:  # --out is dedup's own: no earlier run's file stays beside this corpus
+        (out / "qrels.txt").unlink(missing_ok=True)
     if args.embeddings:
         dense_index.copy_embeddings(args.embeddings, out / "embeddings.bin", dropped)
+    else:
+        (out / "embeddings.bin").unlink(missing_ok=True)
     print(f"wrote {out}: {len(dropped)} dropped")
     return 0
 

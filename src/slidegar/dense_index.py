@@ -30,15 +30,19 @@ def write_embeddings(path: str | Path, dim: int, records: Iterable[tuple[str, It
     for docno, vec in rows:
         if vec.shape != (dim,):
             raise ValueError(f"vector for {docno!r} has shape {vec.shape}, expected ({dim},)")
-    header = {"dim": dim, "count": len(rows), "normalized": False}
     with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for docno, vec in rows:
-            encoded = docno.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(vec.tobytes())
+        _write(f, dim, len(rows), rows)
     return len(rows)
+
+
+def _write(f: BinaryIO, dim: int, count: int, rows: Iterable[tuple[str, np.ndarray]]) -> None:
+    """The header, then the ``count`` rows of ``(docno, <f4 vector of dim)``."""
+    f.write(json.dumps({"dim": dim, "count": count, "normalized": False}, sort_keys=True).encode("utf-8") + b"\n")
+    for docno, vec in rows:
+        encoded = docno.encode("utf-8")
+        f.write(struct.pack("<I", len(encoded)))
+        f.write(encoded)
+        f.write(vec.tobytes())
 
 
 def _records(f: BinaryIO, path: str | Path, dim: int, count: int) -> Iterator[tuple[int, str, np.ndarray]]:
@@ -111,9 +115,14 @@ def load_embeddings(path: str | Path, store: CorpusStore) -> np.ndarray:
 
 def copy_embeddings(path: str | Path, out: str | Path, skipped: Container[str]) -> int:
     """Write the records of the embedding file at ``path`` to ``out``, but
-    those of the docnos in ``skipped``; returns the count written."""
-    with _open_records(path) as (header, records):
-        return write_embeddings(out, header["dim"], ((docno, vec) for _, docno, vec in records if docno not in skipped))
+    those of the docnos in ``skipped``; returns the count written. A first
+    pass checks the file and counts the kept records for the header, so the
+    copy holds no record and a bad file leaves ``out`` unopened."""
+    with _open_records(path) as (_, records):
+        count = sum(docno not in skipped for _, docno, _ in records)
+    with _open_records(path) as (header, records), open(out, "wb") as f:
+        _write(f, header["dim"], count, ((docno, vec) for _, docno, vec in records if docno not in skipped))
+    return count
 
 
 def load_query_embeddings(path: str | Path, queries: list[Query]) -> dict[str, np.ndarray]:

@@ -330,7 +330,7 @@ def test_run_determinism(synth_bundle, tmp_path):
                 "index_dir": str(tmp_path / "index"),
                 "graph": str(graph_path),
                 "strategy": "slidegar",
-                "ranker": "noisy_oracle",
+                "ranker": "oracle",
                 "swap_prob": 0.25,
                 "seed": 123,
                 "run_out": str(tmp_path / f"{name}.trec"),

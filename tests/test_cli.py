@@ -15,13 +15,14 @@ import pytest
 import slidegar
 from conftest import BLOCK_SIZES, block_bytes
 from mockserver import ScriptedHandler, scripted_server
-from slidegar import cli, corpus_store
+from slidegar import adaptive_rerank, cli, corpus_store
 from slidegar.adaptive_rerank import RerankConfig
 from slidegar.cli import main
-from slidegar.corpus_store import Query, docnos_bytes, ingest_corpus, load_queries
-from slidegar.dense_index import load_embeddings, write_embeddings
+from slidegar.corpus_store import Query, docnos_bytes, ingest_corpus, load_qrels, load_queries, map_qrels
+from slidegar.dense_index import dense_retrieve, load_embeddings, load_query_embeddings, write_embeddings
 from slidegar.eval import read_run
-from slidegar.lexical_index import bm25_retrieve, build_index, save_index
+from slidegar.lexical_index import bm25_retrieve, build_index, load_index, save_index
+from slidegar.rankers import OracleRanker
 
 
 @pytest.fixture(scope="module")
@@ -69,9 +70,11 @@ def write_config(path, cfg):
 
 
 def test_baseline_identity_run_equals_bm25_order(workspace, tmp_path):
+    # the oracle without qrels keeps each window's order; with them it would pass
+    # too, since BM25 already ranks this corpus by grade
     run_out = tmp_path / "run.trec"
     cfg = base_config(
-        workspace, strategy="baseline", ranker="identity",
+        workspace, strategy="baseline", qrels=None,
         run_out=str(run_out), graph=None,
     )
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
@@ -85,10 +88,51 @@ def test_baseline_identity_run_equals_bm25_order(workspace, tmp_path):
         assert run[info["qid"]] == [store.docnos[i] for i in expected]
 
 
+def test_oracle_without_qrels_keeps_the_first_stage_order(workspace, tmp_path):
+    # dense retrieval does not rank this corpus by grade, so the qrels' oracle reorders what this one keeps
+    data = workspace / "data"
+    runs = {}
+    for name, qrels in (("plain", None), ("graded", str(data / "qrels.txt"))):
+        runs[name] = tmp_path / f"{name}.trec"
+        cfg = base_config(
+            workspace, strategy="baseline", qrels=qrels, graph=None, index_dir=None, retriever="dense",
+            embeddings=str(data / "embeddings.bin"), query_embeddings=str(data / "query_embeddings.bin"),
+            run_out=str(runs[name]),
+        )
+        assert main(["run", "--config", write_config(tmp_path / f"{name}.json", cfg)]) == 0
+    store = ingest_corpus(data / "corpus.tsv")
+    matrix = load_embeddings(data / "embeddings.bin", store)
+    queries = load_queries(data / "queries.tsv")
+    vectors = load_query_embeddings(data / "query_embeddings.bin", queries)
+    first_stage = {q.qid: [store.docnos[i] for i in dense_retrieve(matrix, vectors[q.qid], 12)] for q in queries}
+    assert read_run(runs["plain"]) == first_stage != read_run(runs["graded"])
+
+
+def test_slidegar_at_truncate_k_0_is_the_feedback_free_control(workspace, tmp_path):
+    # an empty graph frontier leaves the loop R0 alone, as the control `lambda order: []` does
+    run_out, tel = tmp_path / "r.trec", tmp_path / "t.jsonl"
+    cfg = base_config(workspace, truncate_k=0, swap_prob=0.3, seed=1, run_out=str(run_out), telemetry_out=str(tel))
+    assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
+    run = read_run(run_out)
+    records = {r["qid"]: r for r in map(json.loads, tel.read_text().splitlines()) if r["type"] == "query"}
+    data = workspace / "data"
+    store = ingest_corpus(data / "corpus.tsv")
+    index = load_index(workspace / "index", store)
+    grades, _ = map_qrels(load_qrels(data / "qrels.txt"), store)
+    ranker = OracleRanker(grades, store.docnos, swap_prob=0.3, seed=1)
+    rcfg = RerankConfig(w=cfg["w"], b=cfg["b"], c=cfg["c"], truncate_k=0)
+    queries = load_queries(data / "queries.tsv")
+    assert sorted(run) == sorted(records) == sorted(q.qid for q in queries)
+    for query in queries:
+        control = adaptive_rerank.slidegar(query, bm25_retrieve(index, query, rcfg.c), ranker, lambda order: [], rcfg)
+        assert run[query.qid] == [store.docnos[i] for i in control.ranking], query.qid
+        assert (records[query.qid]["llm_calls"], records[query.qid]["escaped_docs"]) == (control.calls, 0), query.qid
+
+
 def test_run_is_byte_identical_across_invocations(workspace, tmp_path):
     for name in ("one", "two"):
         cfg = base_config(
-            workspace, ranker="noisy_oracle", swap_prob=0.3, seed=42,
+            workspace, swap_prob=0.3, seed=42,
             run_out=str(tmp_path / f"{name}.trec"),
             telemetry_out=str(tmp_path / f"{name}.telemetry.jsonl"),
         )
@@ -139,7 +183,7 @@ def test_query_phase_reads_no_docno_map(workspace, tmp_path):
     # embeddings), and no query, on any --jobs thread, reads the map
     for strategy in ("baseline", "slidegar", "slidegar_rm3"):
         cfg = cli.load_config(write_config(tmp_path / "cfg.json", base_config(
-            workspace, qrels=None, ranker="identity", strategy=strategy, jobs=2,
+            workspace, qrels=None, strategy=strategy, jobs=2,
         )))
         pipeline = cli._Pipeline(cfg)
         pipeline.store.id_of = _UnreadableMap()
@@ -201,7 +245,7 @@ def test_console_entry_exit_codes(workspace, tmp_path):
                               text=True, timeout=120)
 
     run_out = tmp_path / "run.trec"
-    cfg = base_config(workspace, strategy="baseline", ranker="identity", graph=None, run_out=str(run_out))
+    cfg = base_config(workspace, strategy="baseline", qrels=None, graph=None, run_out=str(run_out))
     done = console("run", "--config", write_config(tmp_path / "cfg.json", cfg))
     assert done.returncode == 0, done.stderr
     qids = sorted(q.qid for q in load_queries(workspace / "data" / "queries.tsv"))
@@ -342,10 +386,10 @@ def test_escaped_docs_count_run_docnos_outside_bm25_top_c(workspace, tmp_path):
 
 
 def test_telemetry_marks_skipped_setup_steps(workspace, tmp_path):
-    # no qrels, no graph: the identity baseline still loads the corpus and the index
+    # no qrels, no graph: the grade-free oracle's baseline still loads the corpus and the index
     tel = tmp_path / "t.jsonl"
     cfg = base_config(
-        workspace, strategy="baseline", ranker="identity", qrels=None, graph=None,
+        workspace, strategy="baseline", qrels=None, graph=None,
         run_out=str(tmp_path / "r.trec"), telemetry_out=str(tel),
     )
     defaults = asdict(RerankConfig())  # no strategy setting either: the config record echoes these
@@ -515,8 +559,6 @@ CONFIG_TYPE_CASES = [
     (27, {"retriever": "splade"}, "unknown retriever 'splade'"),
     (28, {"strategy": "rrf"}, "unknown strategy 'rrf'"),
     (29, {"ranker": "gpt"}, "unknown ranker 'gpt'"),
-    (30, {"qrels": None}, "ranker 'oracle' requires qrels"),
-    (31, {"qrels": None, "ranker": "noisy_oracle"}, "ranker 'noisy_oracle' requires qrels"),
     (32, {"retriever": "dense", "query_embeddings": "q.bin"}, "retriever 'dense' requires embeddings and query_embeddings"),
     (33, {"jobs": 0}, "jobs must be >= 1"),
     # the remote ranker's last backoff, 0.5 * 2 ** (retries - 1) s, must stay within threading.TIMEOUT_MAX
@@ -527,6 +569,9 @@ CONFIG_TYPE_CASES = [
     (38, {"strategy": "baseline", "index_dir": None}, "retriever 'bm25' requires an index_dir"),
     (39, {"retriever": "dense", "embeddings": "e.bin", "query_embeddings": "q.bin", "strategy": "slidegar_rm3",
           "index_dir": None}, "strategy 'slidegar_rm3' requires an index_dir"),
+    # the oracle is one kind: its noise is swap_prob, and without qrels it keeps the window order
+    (40, {"ranker": "identity"}, "unknown ranker 'identity'"),
+    (41, {"ranker": "noisy_oracle"}, "unknown ranker 'noisy_oracle'"),
 ]
 
 
@@ -686,6 +731,30 @@ def test_dedup_fails_before_it_writes(tmp_path, capsys):
     assert main(["dedup", "--corpus", str(corpus), "--qrels", str(tmp_path / "q.txt"), "--out", str(tmp_path / "dd")]) == 2
     assert capsys.readouterr().err == f"error: {tmp_path / 'q.txt'}:2: expected 'qid 0 docno grade'\n"
     assert not (tmp_path / "dd").exists()
+    # the embeddings stream into --out too: an --out whose embeddings.bin is the input fails alike
+    (tmp_path / "dd").mkdir()
+    write_embeddings(tmp_path / "dd" / "embeddings.bin", 1, [("a", [1.0]), ("b", [2.0])])
+    before = (tmp_path / "dd" / "embeddings.bin").read_bytes()
+    link = tmp_path / "link.bin"
+    link.symlink_to(tmp_path / "dd" / "embeddings.bin")
+    assert main(["dedup", "--corpus", str(corpus), "--embeddings", str(link), "--out", str(tmp_path / "dd")]) == 2
+    assert capsys.readouterr().err == f"error: --out {tmp_path / 'dd'} would overwrite --embeddings {link}\n"
+    assert [path.name for path in (tmp_path / "dd").iterdir()] == ["embeddings.bin"]
+    assert (tmp_path / "dd" / "embeddings.bin").read_bytes() == before
+
+
+def test_dedup_leaves_no_file_of_an_earlier_run(tmp_path):
+    # --out is dedup's own directory: a run without --qrels or --embeddings removes an earlier run's copies
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("b\tsame text\na\tsame text\n", encoding="utf-8")
+    (tmp_path / "q.txt").write_text("q1 0 b 2\n", encoding="utf-8")
+    write_embeddings(tmp_path / "e.bin", 1, [("a", [1.0]), ("b", [2.0])])
+    dd = tmp_path / "dd"
+    flags = ["--qrels", str(tmp_path / "q.txt"), "--embeddings", str(tmp_path / "e.bin")]
+    assert main(["dedup", "--corpus", str(corpus), *flags, "--out", str(dd)]) == 0
+    assert sorted(path.name for path in dd.iterdir()) == ["corpus.tsv", "dedup_report.jsonl", "embeddings.bin", "qrels.txt"]
+    assert main(["dedup", "--corpus", str(corpus), "--out", str(dd)]) == 0
+    assert sorted(path.name for path in dd.iterdir()) == ["corpus.tsv", "dedup_report.jsonl"]
 
 
 CORPORA = {
@@ -777,7 +846,7 @@ def test_dense_dedup_skips_vectors_of_dropped_twins(tmp_path, capsys):
     cfg = {
         "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "retriever": "dense",
         "embeddings": str(embeddings), "query_embeddings": str(tmp_path / "q.bin"),
-        "graph": str(graph), "ranker": "identity", "w": 2, "b": 1, "c": 3, "truncate_k": 1,
+        "graph": str(graph), "ranker": "oracle", "w": 2, "b": 1, "c": 3, "truncate_k": 1,
         "run_out": str(run_out),
     }
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 0
@@ -824,7 +893,7 @@ def test_foreign_graph_fails_at_load(tmp_path, capsys):
     run_out = tmp_path / "run.trec"
     cfg = {
         "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "index_dir": str(tmp_path / "idx"),
-        "graph": str(graph), "ranker": "identity", "w": 2, "b": 1, "c": 3, "truncate_k": 1, "run_out": str(run_out),
+        "graph": str(graph), "ranker": "oracle", "w": 2, "b": 1, "c": 3, "truncate_k": 1, "run_out": str(run_out),
     }
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -844,7 +913,7 @@ def test_graph_shallower_than_truncate_k_fails_at_load(tmp_path, capsys):
     run_out = tmp_path / "run.trec"
     cfg = {  # truncate_k left at its default, 16
         "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "index_dir": str(tmp_path / "idx"),
-        "graph": str(graph), "ranker": "identity", "w": 2, "b": 1, "c": 3, "run_out": str(run_out),
+        "graph": str(graph), "ranker": "oracle", "w": 2, "b": 1, "c": 3, "run_out": str(run_out),
     }
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
     assert capsys.readouterr().err == f"error: truncate_k 16 exceeds the depth k=1 of graph {graph}\n"
@@ -863,7 +932,7 @@ def test_foreign_index_fails_at_load(tmp_path, capsys):
     run_out = tmp_path / "run.trec"
     cfg = {
         "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "index_dir": str(tmp_path / "idx"),
-        "strategy": "baseline", "ranker": "identity", "w": 2, "b": 1, "c": 2, "run_out": str(run_out),
+        "strategy": "baseline", "ranker": "oracle", "w": 2, "b": 1, "c": 2, "run_out": str(run_out),
     }
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -893,7 +962,7 @@ def test_index_of_another_size_fails_at_load_naming_its_line(tmp_path, capsys, b
     run_out = tmp_path / "run.trec"
     cfg = {
         "corpus": str(tmp_path / "c.tsv"), "queries": str(tmp_path / "q.tsv"), "index_dir": str(tmp_path / "idx"),
-        "strategy": "baseline", "ranker": "identity", "w": 2, "b": 1, "c": 2, "run_out": str(run_out),
+        "strategy": "baseline", "ranker": "oracle", "w": 2, "b": 1, "c": 2, "run_out": str(run_out),
     }
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
     assert capsys.readouterr().err == (
@@ -918,7 +987,7 @@ def test_index_of_format_v2_fails_at_load(tmp_path, capsys):
     run_out = tmp_path / "run.trec"
     cfg = {
         "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "index_dir": str(idx),
-        "strategy": "baseline", "ranker": "identity", "w": 2, "b": 1, "c": 2, "run_out": str(run_out),
+        "strategy": "baseline", "ranker": "oracle", "w": 2, "b": 1, "c": 2, "run_out": str(run_out),
     }
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -935,7 +1004,7 @@ def test_docno_with_whitespace_fails_at_load(tmp_path, capsys):
     run_out = tmp_path / "run.trec"
     cfg = {  # the corpus fails before the index, which does not exist, is read
         "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "index_dir": str(tmp_path / "idx"),
-        "strategy": "baseline", "ranker": "identity", "w": 2, "b": 1, "c": 2, "run_out": str(run_out),
+        "strategy": "baseline", "ranker": "oracle", "w": 2, "b": 1, "c": 2, "run_out": str(run_out),
     }
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -984,7 +1053,7 @@ def test_malformed_artifact_fails_with_its_path(tmp_path, capsys, name, data, me
     run_out = tmp_path / "run.trec"
     cfg = {
         "corpus": str(corpus), "queries": str(tmp_path / "q.tsv"), "index_dir": str(tmp_path / "idx"),
-        "graph": str(tmp_path / "g" / "graph.bin"), "ranker": "identity", "w": 2, "b": 1, "c": 3,
+        "graph": str(tmp_path / "g" / "graph.bin"), "ranker": "oracle", "w": 2, "b": 1, "c": 3,
         "truncate_k": 1, "run_out": str(run_out),
     }
     assert main(["run", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2

@@ -1,6 +1,7 @@
 import json
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,21 @@ def test_records_of_dedup_dropped_twins_are_skipped(tmp_path):
     assert load_embeddings(tmp_path / "out.bin", store).tolist() == [[1, 0], [0, 1]]
     with pytest.raises(ValueError, match="record 2: docno 'b' not in store"):
         load_embeddings(tmp_path / "e.bin", store)
+
+
+def test_copy_holds_no_record(tmp_path):
+    # 4,000 records of 64 dims, 1 MB on disk: a copy that held them would peak above it
+    rows = [(f"d{i:05d}", np.full(64, i, dtype="<f4")) for i in range(4000)]
+    path = write_table(tmp_path / "e.bin", 64, rows)
+    skipped = {f"d{i:05d}" for i in range(0, 4000, 2)}
+    tracemalloc.start()
+    try:
+        assert copy_embeddings(path, tmp_path / "out.bin", skipped) == 2000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 20, f"{peak} B"
+    assert (tmp_path / "out.bin").read_bytes() == write_table(tmp_path / "kept.bin", 64, rows[1::2]).read_bytes()
 
 
 def test_nan_vector_fatal(tmp_path):

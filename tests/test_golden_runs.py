@@ -25,7 +25,7 @@ GOLDEN_SHA256 = {
     "slidegar_rm3": "6d6e2f026e75db1ced510dff6d2d400e678cd67a1facaa99357edf9694f9a4fc",
 }
 
-# noisy_oracle at swap_prob 0.3, seed 1: pins the per-window generator, which
+# the oracle at swap_prob 0.3, seed 1: pins the per-window generator, which
 # is seeded from the qid and the window's docnos in window order
 NOISY_SHA256 = {
     "baseline": "5709722e92931975a037d29d2c28295daa16c5199e1807521d0eb3829a6c445a",
@@ -52,7 +52,7 @@ DEDUP_INDEX_SHA256 = {
     "docnos.txt": "40533f8aafae343f642781832a319da86a792d819aa16ea67a42d924d77c3616",
 }
 DEDUP_REPORT = '{"dropped": "d00x0000-ws", "kept": "d00x0000"}\n{"dropped": "d00x0002", "kept": "a-twin"}\n'
-# noisy_oracle over the deduplicated corpus and its qrels, with the lexical graph:
+# the same noisy oracle over the deduplicated corpus and its qrels, with the lexical graph:
 # the removed path's run over the twin corpus with ``"dedup": true``
 DEDUP_NOISY_SHA256 = "27b180e4b6ff37b6fdee422a258d9bae5631cb3dbe5533a70fb83040c8de69cd"
 
@@ -88,7 +88,7 @@ def data(tmp_path_factory):
     return root
 
 
-def run_digest(data, tmp_path, strategy, ranker="oracle", hash_seed=None, **options):
+def run_digest(data, tmp_path, strategy, hash_seed=None, **options):
     """The sha256 of one run's file, run in this process or, given a
     ``hash_seed``, in a child process under that ``PYTHONHASHSEED``."""
     run_out = tmp_path / "run.trec"
@@ -100,7 +100,7 @@ def run_digest(data, tmp_path, strategy, ranker="oracle", hash_seed=None, **opti
         "strategy": strategy,
         "graph": str(data / "graph.bin") if strategy == "slidegar" else None,
         "truncate_k": 8,
-        "ranker": ranker,
+        "ranker": "oracle",
         **options,
         "w": 10,
         "b": 5,
@@ -132,7 +132,7 @@ def test_index_file_digests(data, tmp_path, dedup):
 
 def test_dedup_run_file_digest(data, tmp_path):
     digest = run_digest(
-        data, tmp_path, "slidegar", ranker="noisy_oracle", swap_prob=0.3, seed=1,
+        data, tmp_path, "slidegar", swap_prob=0.3, seed=1,
         corpus=str(data / "dd" / "corpus.tsv"), qrels=str(data / "dd" / "qrels.txt"),
         index_dir=str(data / "dd_index"), graph=str(data / "dd_graph" / "graph.bin"),
     )
@@ -149,14 +149,14 @@ def test_run_file_digest(data, tmp_path, strategy):
 def test_noisy_run_file_digest(data, tmp_path, strategy):
     # two threads draw each window's perturbation in another order, yet the bytes hold
     for jobs in (1, 2):
-        digest = run_digest(data, tmp_path, strategy, ranker="noisy_oracle", swap_prob=0.3, seed=1, jobs=jobs)
+        digest = run_digest(data, tmp_path, strategy, swap_prob=0.3, seed=1, jobs=jobs)
         assert digest == NOISY_SHA256[strategy], jobs
 
 
 @pytest.mark.parametrize(
     "strategy, options, pinned",
     [
-        ("slidegar", {"ranker": "noisy_oracle", "swap_prob": 0.3, "seed": 1}, NOISY_SHA256["slidegar"]),
+        ("slidegar", {"swap_prob": 0.3, "seed": 1}, NOISY_SHA256["slidegar"]),
         ("slidegar_rm3", {}, GOLDEN_SHA256["slidegar_rm3"]),
     ],
     ids=["noisy-graph", "rm3"],
